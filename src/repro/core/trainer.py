@@ -113,7 +113,7 @@ class EntropyModel:
         True (drifted: consider retraining / full-key fallback) when
         observed collisions exceed ``tolerance`` times the expectation
         plus a small absolute grace.  The offline analogue of the
-        insert-time :class:`~repro.tables.monitor.CollisionMonitor`.
+        insert-time :class:`~repro.engine.CollisionMonitor`.
         """
         from repro.core.entropy import collision_count, expected_collisions
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 Entry = Tuple[str, bytes, Optional[bytes]]
 
 
-def replay_entries(adapter, entries, progress=None, key_filter=None) -> int:
+def replay_entries(adapter, entries, progress=None) -> int:
     """Re-apply a journal entry sequence to a fresh adapter.
 
     Consecutive same-op runs go down the adapter's batch paths, the
@@ -36,15 +36,9 @@ def replay_entries(adapter, entries, progress=None, key_filter=None) -> int:
     ``progress``, when given, is called with each run's length after it
     applies; the shard child uses it to bump its shared-memory
     heartbeat so the parent can tell a long replay from a hung spawn.
-
-    ``key_filter``, when given, restricts the replay to entries whose
-    key satisfies the predicate — the range-filtered replay a live
-    shard split uses to materialize only the migrating half of a donor
-    journal.  Returns the number of ops replayed.
+    Returns the number of ops replayed.
     """
     entries = list(entries) if not isinstance(entries, list) else entries
-    if key_filter is not None:
-        entries = [entry for entry in entries if key_filter(entry[1])]
     i, n = 0, len(entries)
     while i < n:
         op = entries[i][0]
@@ -61,6 +55,28 @@ def replay_entries(adapter, entries, progress=None, key_filter=None) -> int:
             progress(j - i)
         i = j
     return n
+
+
+def compact(entries: List[Entry], multiset: bool) -> List[Entry]:
+    """The minimal put-only op list with the same replay result.
+
+    Map-like backends keep one put per key that is live at the end,
+    carrying its newest value.  A multiset (a cuckoo filter stores one
+    fingerprint copy per add) keeps one put per net add instead, since
+    newest-wins would corrupt multiplicity.  Keys keep the order of
+    their first entry, so a replay fills a structure deterministically.
+    """
+    live: Dict[bytes, object] = {}
+    for op, key, value in entries:
+        if multiset:
+            live[key] = live.get(key, 0) + (1 if op == "put" else -1)
+        else:
+            live[key] = value if op == "put" else None
+    if multiset:
+        return [("put", key, b"") for key, count in live.items()
+                for _ in range(count)]
+    return [("put", key, value) for key, value in live.items()
+            if value is not None]
 
 
 class ShardJournal:
@@ -103,32 +119,7 @@ class ShardJournal:
     def checkpoint(self) -> None:
         """Compact to the minimal op list with the same replay result."""
         before = len(self.entries)
-        if self.multiset:
-            # Net copies per key; order of first add is preserved so the
-            # replayed structure fills in a deterministic order.
-            counts: Dict[bytes, int] = {}
-            order: List[bytes] = []
-            for op, key, _ in self.entries:
-                if key not in counts:
-                    counts[key] = 0
-                    order.append(key)
-                counts[key] += 1 if op == "put" else -1
-            compacted: List[Entry] = []
-            for key in order:
-                compacted.extend(("put", key, b"") for _ in range(counts[key])
-                                 if counts[key] > 0)
-        else:
-            live: Dict[bytes, Optional[bytes]] = {}
-            order = []
-            for op, key, value in self.entries:
-                if key not in live:
-                    order.append(key)
-                live[key] = value if op == "put" else None
-            compacted = [
-                ("put", key, live[key])  # type: ignore[misc]
-                for key in order
-                if live[key] is not None
-            ]
+        compacted = compact(self.entries, self.multiset)
         self.entries = compacted
         self.truncations += 1
         self.last_compaction = {
@@ -144,11 +135,11 @@ class ShardJournal:
         """Remove and return every entry whose key satisfies the
         predicate, preserving ack order on both sides.
 
-        This is the donor half of a live shard split: the migrating
-        range's entries leave the donor journal (so a later donor
-        restart does not resurrect moved keys) and seed the new shard's
-        journal verbatim — replaying them there reconstructs exactly
-        the acknowledged state of the moved range.
+        This is the donor half of a reconfiguration: the leaving keys'
+        entries leave the donor journal (so a later donor restart does
+        not resurrect moved keys) and are appended verbatim to their
+        new shard's journal, where replaying them reconstructs exactly
+        the acknowledged state of the moved keys.
         """
         moved: List[Entry] = []
         kept: List[Entry] = []
@@ -162,14 +153,6 @@ class ShardJournal:
         self.entries.extend(entries)
         self.appended += len(entries)
         self._maybe_checkpoint()
-
-    def replace(self, entries: List[Entry]) -> None:
-        """Swap in a rewritten entry list (post-migration donor state).
-
-        Unlike :meth:`extend` this does not count as new appends: the
-        entries were already acked and counted when first recorded.
-        """
-        self.entries = list(entries)
 
     # ------------------------------------------------------------- replay
 
@@ -215,4 +198,4 @@ class ShardJournal:
         return len(self.entries)
 
 
-__all__ = ["ShardJournal", "Entry", "replay_entries"]
+__all__ = ["ShardJournal", "Entry", "compact", "replay_entries"]

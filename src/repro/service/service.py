@@ -30,8 +30,10 @@ hasher: the *base* hash is still deliberately pinned (re-hashing keys
 would orphan acknowledged writes), but the supervisor's adapt pass can
 layer generation-stamped refinements on top — pin detected hot keys to
 least-loaded shards (``hot_k``), or split an overloaded shard live
-(``auto_split`` / :meth:`Service.split_shard`), migrating acked state
-through the journal before each flip.  Every ticket is stamped with
+(``auto_split`` / :meth:`Service.split_shard`).  Every such change —
+and a drift plan swap — is one call to :meth:`Service.reconfigure`
+with a different candidate table, which migrates acked state through
+the journal before the flip.  Every ticket is stamped with
 the routing generation at admission; a flip sweeps the queues so the
 stamp almost never matters, and the dispatch-time guard answers
 ``WRONG_GENERATION`` for any straggler rather than serving it against
@@ -44,6 +46,8 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import CollisionMonitor
 from repro.faults import InjectedCrash
@@ -51,40 +55,13 @@ from repro.faults import InjectedCrash
 from repro.service.adapters import AdapterSpec
 from repro.service.backends import EXECUTIONS, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
-from repro.service.journal import Entry, ShardJournal
+from repro.service.journal import Entry, compact
 from repro.service.protocol import OK, REJECTED, Request, Response, Ticket
 from repro.service.router import ShardRouter
+from repro.service.routing import RoutingTable
 from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
 from repro.service.worker import BACKENDS, Worker
-
-
-def _net_deletes(moved: List[Entry], multiset: bool) -> List[Entry]:
-    """Delete entries that erase ``moved``'s net effect from a donor
-    structure after migration.  Map-like backends need one delete per
-    net-live key; a multiset (cuckoo filter) stores one fingerprint per
-    add, so it needs exactly the net add count removed."""
-    out: List[Entry] = []
-    if multiset:
-        counts: Dict[bytes, int] = {}
-        order: List[bytes] = []
-        for op, key, _ in moved:
-            if key not in counts:
-                counts[key] = 0
-                order.append(key)
-            counts[key] += 1 if op == "put" else -1
-        for key in order:
-            out.extend(("delete", key, None) for _ in range(counts[key])
-                       if counts[key] > 0)
-    else:
-        live: Dict[bytes, bool] = {}
-        order = []
-        for op, key, _ in moved:
-            if key not in live:
-                order.append(key)
-            live[key] = op == "put"
-        out = [("delete", key, None) for key in order if live[key]]
-    return out
 
 
 class Service:
@@ -171,8 +148,8 @@ class Service:
             backend, shard_capacity, model=model, hasher=hasher, seed=seed,
             options=dict(backend_options) if backend_options else None,
         )
-        # Kept for live splits: a new shard is built from the same spec
-        # and knobs as the originals, mid-flight.
+        # Kept for shards a reconfiguration adds: a new shard is built
+        # from the same spec and knobs as the originals, mid-flight.
         self._spec = spec
         self._max_queue = max_queue
         self._batch_size = batch_size
@@ -187,42 +164,10 @@ class Service:
         self.max_splits = max_splits
         self.splits = 0
         self.swept_tickets = 0
-        self.state_block: Optional[ShardStateBlock] = None
-        if execution == "process":
-            self.state_block = ShardStateBlock(num_shards)
-            self.workers = [
-                Worker(
-                    shard,
-                    max_queue=max_queue,
-                    batch_size=batch_size,
-                    journal_checkpoint=journal_checkpoint,
-                    execution=ProcessBackend(
-                        spec, self.state_block, shard,
-                        collect_timeout=collect_timeout,
-                    ),
-                )
-                for shard in range(num_shards)
-            ]
-        else:
-            self.workers = [
-                Worker(
-                    shard,
-                    spec.build(),
-                    max_queue=max_queue,
-                    batch_size=batch_size,
-                    factory=spec.build,
-                    journal_checkpoint=journal_checkpoint,
-                )
-                for shard in range(num_shards)
-            ]
-        self.breakers = [
-            CircuitBreaker(
-                shard, cooldown_pumps=cooldown_pumps, probe_pumps=probe_pumps
-            )
-            for shard in range(num_shards)
-        ]
-        for worker in self.workers:
-            worker.router = self.router
+        self.state_block: Optional[ShardStateBlock] = (
+            ShardStateBlock(num_shards) if execution == "process" else None
+        )
+        self.fault_plane = None
         self.relearner = None
         self.plan_swaps = 0
         self.plan_moved_keys = 0
@@ -240,8 +185,10 @@ class Service:
                 confidence_constant=drift_confidence,
                 seed=seed,
             )
-            for worker in self.workers:
-                worker.drift_tap = self.relearner.observe
+        self.workers: List[Worker] = []
+        self.breakers: List[CircuitBreaker] = []
+        for shard in range(num_shards):
+            self._spawn_shard(shard)
         self.supervisor = Supervisor(self, stall_threshold=stall_threshold)
         self.max_drain_pumps = max_drain_pumps
         self.pump_index = 0
@@ -250,9 +197,54 @@ class Service:
         self.accepted = 0
         self.rejected = 0
         self.lost_slots = 0
-        self.fault_plane = None
         if fault_plane is not None:
             self.arm_fault_plane(fault_plane)
+
+    # -------------------------------------------------------------- fleet
+
+    def _spawn_shard(self, shard: int) -> None:
+        """Start an empty worker and a closed breaker for ``shard``.
+
+        Builds the initial fleet and every shard a reconfiguration's
+        candidate adds; a new shard is then filled through the same
+        live apply path as any other migration target.
+        """
+        if self.execution == "process":
+            block, row = self.state_block, shard
+            if shard >= block.num_shards:
+                # State blocks are fixed-size at construction, so a
+                # shard born mid-flight gets its own one-row block.
+                block, row = ShardStateBlock(1), 0
+                self._extra_blocks.append(block)
+            worker = Worker(
+                shard,
+                max_queue=self._max_queue,
+                batch_size=self._batch_size,
+                journal_checkpoint=self._journal_checkpoint,
+                execution=ProcessBackend(
+                    self._spec, block, shard,
+                    collect_timeout=self._collect_timeout, row=row,
+                ),
+            )
+        else:
+            worker = Worker(
+                shard,
+                self._spec.build(),
+                max_queue=self._max_queue,
+                batch_size=self._batch_size,
+                factory=self._spec.build,
+                journal_checkpoint=self._journal_checkpoint,
+            )
+        worker.router = self.router
+        if self.relearner is not None:
+            worker.drift_tap = self.relearner.observe
+        self._arm_worker(worker)
+        self.workers.append(worker)
+        self.breakers.append(CircuitBreaker(
+            shard,
+            cooldown_pumps=self._cooldown_pumps,
+            probe_pumps=self._probe_pumps,
+        ))
 
     # ------------------------------------------------------- fault wiring
 
@@ -309,31 +301,7 @@ class Service:
             self.accepted += 1
             ticket.response = Response(OK, stats=self.stats())
             return ticket
-        shard = self.router.route_one(request.key)
-        ticket.shard = shard
-        worker = self.workers[shard]
-        if (self.fault_plane is not None
-                and self.fault_plane.should_fire("queue_loss", shard)):
-            # The slot is lost: the request was admitted (the client
-            # holds an acked ticket) but never lands in the queue.  It
-            # parks in the inflight registry, where the supervisor's
-            # reconciliation pass finds and requeues it — at the front,
-            # since nothing admitted later may overtake it.
-            self.accepted += 1
-            self.lost_slots += 1
-            worker.inflight[ticket.request_id] = ticket
-            return ticket
-        if not worker.try_enqueue(ticket):
-            self.rejected += 1
-            # After this many pumps the queue has fully drained; a retry
-            # then is guaranteed admission (absent new competing load).
-            retry_after = math.ceil(worker.queue_depth / worker.batch_size)
-            ticket.response = Response(
-                REJECTED, shard=shard, retry_after=max(1, retry_after),
-                error="shard queue full",
-            )
-            return ticket
-        self.accepted += 1
+        self._admit([ticket], [self.router.route_one(request.key)])
         return ticket
 
     def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
@@ -354,23 +322,43 @@ class Service:
         if any(request.op == "stats" for request in requests):
             return [self.submit(request) for request in requests]
         shards = self.router.route_batch([r.key for r in requests])
-        plane = self.fault_plane
         generation = self.router.generation
-        tickets: List[Ticket] = []
-        for request, shard in zip(requests, shards):
+        first = self._next_request_id
+        tickets = [
+            Ticket(request, first + i, generation=generation)
+            for i, request in enumerate(requests)
+        ]
+        self._next_request_id += len(requests)
+        self.submitted += len(requests)
+        self._admit(tickets, shards)
+        return tickets
+
+    def _admit(self, tickets: List[Ticket], shards: Sequence[int]) -> None:
+        """The admission tail of routed tickets, in order: park each on
+        a lost queue slot, enqueue it, or reject it with
+        ``retry_after``."""
+        plane = self.fault_plane
+        for ticket, shard in zip(tickets, shards):
             shard = int(shard)
-            ticket = Ticket(
-                request, self._next_request_id, generation=generation
-            )
-            self._next_request_id += 1
             ticket.shard = shard
             worker = self.workers[shard]
             if plane is not None and plane.should_fire("queue_loss", shard):
-                self.lost_slots += 1
+                # The slot is lost: the request was admitted (the client
+                # holds an acked ticket) but never lands in the queue.
+                # It parks in the inflight registry, where the
+                # supervisor's reconciliation pass finds and requeues it
+                # — at the front, since nothing admitted later may
+                # overtake it.
                 self.accepted += 1
+                self.lost_slots += 1
                 worker.inflight[ticket.request_id] = ticket
-            elif not worker.try_enqueue(ticket):
+            elif worker.try_enqueue(ticket):
+                self.accepted += 1
+            else:
                 self.rejected += 1
+                # After this many pumps the queue has fully drained; a
+                # retry then is guaranteed admission (absent new
+                # competing load).
                 retry_after = math.ceil(
                     worker.queue_depth / worker.batch_size
                 )
@@ -378,11 +366,6 @@ class Service:
                     REJECTED, shard=shard, retry_after=max(1, retry_after),
                     error="shard queue full",
                 )
-            else:
-                self.accepted += 1
-            tickets.append(ticket)
-        self.submitted += len(requests)
-        return tickets
 
     # ------------------------------------------------------------ serving
 
@@ -454,176 +437,108 @@ class Service:
 
     # ----------------------------------------------------- reconfiguration
 
-    def _apply_promotions(self) -> int:
-        """Pin planned hot keys, migrating their acked state first.
+    def reconfigure(self, candidate: RoutingTable) -> int:
+        """Migrate acked state to ``candidate``'s routing, then flip.
 
-        For each key whose overlay target differs from its current
-        route: extract its journal entries from the donor (so a donor
-        restart cannot resurrect it), append them to the target's
-        journal, replay them into the target's live structure, and
-        erase the net effect from the donor's structure.  Then flip the
-        routing generation and sweep queued tickets to their new homes.
-        Returns the number of keys promoted.
+        The one migration every reconfiguration shares — a hot-key
+        promotion, a live split and a plan swap differ only in the
+        candidate table they pass.  Runs between pumps (nothing in
+        flight), journal-first:
+
+        1. spawn an empty worker and breaker for every shard id the
+           candidate adds;
+        2. per shard, route its journal's distinct keys with the pure
+           ``candidate.route_batch`` (one vectorized pass; no traffic
+           counters or hot-key tracker see migration), extract the
+           entries of keys that leave (so a donor restart cannot
+           resurrect them), and erase their net effect from the donor's
+           live structure — one delete per surviving put of their
+           compaction (a Bloom filter cannot delete; its stale bits are
+           unreachable after the flip and therefore harmless);
+        3. append and apply the leavers at their targets;
+        4. install the candidate and sweep queued tickets to their new
+           homes.
+
+        No acked write is lost: every entry is in exactly one journal
+        at every step.  Returns the number of journal entries that
+        changed shards.
         """
-        assignments = self.router.plan_promotions()
-        if not assignments:
-            return 0
-        candidate = self.router.table.with_overlay(assignments)
-        multiset = self.backend == "cuckoo_filter"
-        moves: Dict[int, List[bytes]] = {}
-        for key, target in assignments.items():
-            donor = self.router.table.route_one(key)
-            if donor != target:
-                moves.setdefault(donor, []).append(key)
-        for donor, keys in moves.items():
-            donor_worker = self.workers[donor]
-            keyset = set(keys)
-            moved = donor_worker.journal.split_by(lambda k: k in keyset)
-            if not moved:
+        for shard in range(len(self.workers), candidate.num_shards):
+            self._spawn_shard(shard)
+            self.supervisor.grow()
+        arrivals: Dict[int, List[Entry]] = {}
+        moved_total = 0
+        for worker in self.workers:
+            journal = worker.journal
+            if not journal.entries:
                 continue
-            cleanup = _net_deletes(moved, multiset)
-            if cleanup and self.backend != "bloom":
-                # A Bloom filter cannot delete; its stale donor entries
-                # are unreachable after the flip and therefore harmless.
-                donor_worker.apply_entries(cleanup)
-            by_target: Dict[int, List[Entry]] = {}
+            distinct = list(dict.fromkeys(e[1] for e in journal.entries))
+            routes = candidate.route_batch(distinct)
+            leaving = np.flatnonzero(routes != worker.shard_id)
+            if not leaving.size:
+                continue
+            target_of = {distinct[i]: int(routes[i]) for i in leaving}
+            moved = journal.split_by(target_of.__contains__)
+            moved_total += len(moved)
+            if self.backend != "bloom":
+                worker.apply_entries([
+                    ("delete", key, None)
+                    for _, key, _ in compact(moved, journal.multiset)
+                ])
             for entry in moved:
-                by_target.setdefault(
-                    assignments[entry[1]], []
-                ).append(entry)
-            for target, entries in by_target.items():
-                target_worker = self.workers[target]
-                target_worker.journal.extend(entries)
-                target_worker.apply_entries(entries)
+                arrivals.setdefault(target_of[entry[1]], []).append(entry)
+        for target, entries in arrivals.items():
+            worker = self.workers[target]
+            worker.journal.extend(entries)
+            worker.apply_entries(entries)
         self.router.install(candidate)
-        self.router.promoted += len(assignments)
-        self._sweep_misrouted()
-        return len(assignments)
+        self.num_shards = candidate.num_shards
+        self.swept_tickets += self._requeue(
+            [t for worker in self.workers for t in worker.take_queue()]
+        )
+        return moved_total
 
     def split_shard(self, donor: int) -> int:
         """Split ``donor``'s key range live; returns the new shard id.
 
-        The migration is journal-driven: partition the donor's journal
-        by the candidate routing (one vectorized pass over its distinct
-        keys), seed a brand-new worker with the migrating half — under
-        process execution the new shard child replays it at spawn, in
-        its own process with its own single-row state block — erase the
-        moved keys from the donor's live structure, flip the
-        generation, and sweep queued tickets.  No acked write is lost:
-        every entry is in exactly one journal at every step.
+        The candidate doubles ``donor``'s split directory and points
+        the new half at a brand-new shard; :meth:`reconfigure` spawns
+        it empty and migrates the moving half of the donor's journal
+        into it through the live apply path.
         """
         candidate = self.router.table.with_split(donor)
-        new_shard = candidate.num_shards - 1
-        donor_worker = self.workers[donor]
-        keys = [entry[1] for entry in donor_worker.journal.entries]
-        goes: Dict[bytes, bool] = {}
-        if keys:
-            distinct = list(dict.fromkeys(keys))
-            routes = candidate.route_batch(distinct)
-            goes = {
-                key: int(route) == new_shard
-                for key, route in zip(distinct, routes)
-            }
-        moved = donor_worker.journal.split_by(lambda k: goes.get(k, False))
-        multiset = self.backend == "cuckoo_filter"
-        new_journal = ShardJournal(
-            checkpoint_every=self._journal_checkpoint, multiset=multiset
-        )
-        new_journal.extend(moved)
-        if self.execution == "process":
-            # State blocks are fixed-size at construction, so a shard
-            # born mid-flight gets its own dedicated one-row block.
-            block = ShardStateBlock(1)
-            self._extra_blocks.append(block)
-            worker = Worker(
-                new_shard,
-                max_queue=self._max_queue,
-                batch_size=self._batch_size,
-                journal_checkpoint=self._journal_checkpoint,
-                execution=ProcessBackend(
-                    self._spec, block, new_shard,
-                    collect_timeout=self._collect_timeout, row=0,
-                ),
-                journal=new_journal,
-            )
-            # The child replayed the preset journal on its side of the
-            # fork during spawn.
-            new_journal.mark_replay()
-        else:
-            worker = Worker(
-                new_shard,
-                self._spec.build(),
-                max_queue=self._max_queue,
-                batch_size=self._batch_size,
-                factory=self._spec.build,
-                journal_checkpoint=self._journal_checkpoint,
-                journal=new_journal,
-            )
-            if moved:
-                new_journal.replay(worker.adapter)
-        worker.router = self.router
-        self._arm_worker(worker)
-        if self.relearner is not None:
-            worker.drift_tap = self.relearner.observe
-        self.workers.append(worker)
-        self.breakers.append(
-            CircuitBreaker(
-                new_shard,
-                cooldown_pumps=self._cooldown_pumps,
-                probe_pumps=self._probe_pumps,
-            )
-        )
-        self.supervisor.grow()
-        cleanup = _net_deletes(moved, multiset)
-        if cleanup and self.backend != "bloom":
-            donor_worker.apply_entries(cleanup)
-        self.router.install(candidate)
-        self.num_shards = self.router.num_shards
+        self.reconfigure(candidate)
         self.splits += 1
-        self._sweep_misrouted()
-        return new_shard
+        return candidate.num_shards - 1
 
-    def _sweep_misrouted(self) -> int:
-        """Move queued tickets a generation flip re-routed.
+    def _requeue(self, tickets: List[Ticket]) -> int:
+        """Route tickets under the live table and merge each shard's
+        group into its queue front by request id.
 
-        Runs at flip time, between pumps (no batch outstanding): each
-        queue is re-routed in one pure vectorized pass, stay-put
-        tickets are re-stamped with the live generation, and movers
-        merge into their new shard's queue front by request id — which
-        preserves per-key admission order, since ids are globally
-        monotonic.  This is the primary mechanism; the dispatch-time
-        WRONG_GENERATION guard only catches what a sweep cannot see.
+        Shared by the flip sweep and the supervisor's recovery path.
+        Merging on request id preserves per-key admission order, since
+        ids are globally monotonic; every ticket is re-stamped with the
+        live generation, so the dispatch-time WRONG_GENERATION guard
+        only catches what this cannot see.  Returns the number of
+        tickets that changed shards.
         """
+        if not tickets:
+            return 0
         generation = self.router.generation
-        moved_total = 0
-        arrivals: Dict[int, List[Ticket]] = {}
-        for worker in self.workers:
-            if not worker.queue:
-                continue
-            tickets = list(worker.queue)
-            shards = self.router.table.route_batch(
-                [t.request.key for t in tickets]
-            )
-            stay: List[Ticket] = []
-            for ticket, shard in zip(tickets, shards):
-                shard = int(shard)
-                ticket.generation = generation
-                if shard == worker.shard_id or ticket.response is not None:
-                    stay.append(ticket)
-                else:
-                    ticket.shard = shard
-                    arrivals.setdefault(shard, []).append(ticket)
-                    moved_total += 1
-            if len(stay) != len(tickets):
-                worker.queue.clear()
-                worker._queued_ids.clear()
-                for ticket in stay:
-                    worker.queue.append(ticket)
-                    worker._queued_ids.add(ticket.request_id)
-        for shard, tickets in arrivals.items():
-            self.workers[shard].requeue_front(tickets)
-        self.swept_tickets += moved_total
-        return moved_total
+        shards = self.router.table.route_batch(
+            [t.request.key for t in tickets]
+        )
+        groups: Dict[int, List[Ticket]] = {}
+        moved = 0
+        for ticket, shard in zip(tickets, shards):
+            shard = int(shard)
+            moved += shard != ticket.shard
+            ticket.shard = shard
+            ticket.generation = generation
+            groups.setdefault(shard, []).append(ticket)
+        for shard, group in groups.items():
+            self.workers[shard].requeue_front(group)
+        return moved
 
     # --------------------------------------------------- fault injection
 
@@ -715,7 +630,9 @@ class Service:
         that rehashed live.
         """
         new_spec = dataclasses.replace(self._spec, model=model, hasher=None)
-        self.plan_moved_keys += self._reroute_fleet(model)
+        candidate = self.router.rebase(model)
+        if candidate is not None:
+            self.plan_moved_keys += self.reconfigure(candidate)
         swapped = 0
         for worker, breaker in zip(self.workers, self.breakers):
             if worker.rearm_with(model):
@@ -729,54 +646,6 @@ class Service:
             worker.journal.checkpoint()
         self.plan_swaps += 1
         return swapped
-
-    def _reroute_fleet(self, model) -> int:
-        """Migrate resident keys under a re-based routing plane.
-
-        The fleet-wide generalization of the split migration, same
-        journal-first discipline: per donor shard, route its journal's
-        distinct keys under the candidate table in one vectorized pass,
-        extract the entries that leave (so a donor restart cannot
-        resurrect them), erase their net effect from the donor's live
-        structure, then append and replay them at their targets before
-        the generation flip.  No acked write is lost: every entry is in
-        exactly one journal at every step.  Returns the number of
-        journal entries that changed shards.
-        """
-        candidate = self.router.rebase(model)
-        if candidate is None:
-            return 0
-        multiset = self.backend == "cuckoo_filter"
-        arrivals: Dict[int, List[Entry]] = {}
-        moved_total = 0
-        for worker in self.workers:
-            keys = [entry[1] for entry in worker.journal.entries]
-            if not keys:
-                continue
-            distinct = list(dict.fromkeys(keys))
-            routes = candidate.route_batch(distinct)
-            target_of = {
-                key: int(route) for key, route in zip(distinct, routes)
-            }
-            moved = worker.journal.split_by(
-                lambda k: target_of.get(k, worker.shard_id)
-                != worker.shard_id
-            )
-            if not moved:
-                continue
-            moved_total += len(moved)
-            cleanup = _net_deletes(moved, multiset)
-            if cleanup and self.backend != "bloom":
-                worker.apply_entries(cleanup)
-            for entry in moved:
-                arrivals.setdefault(target_of[entry[1]], []).append(entry)
-        for target, entries in arrivals.items():
-            target_worker = self.workers[target]
-            target_worker.journal.extend(entries)
-            target_worker.apply_entries(entries)
-        self.router.install(candidate)
-        self._sweep_misrouted()
-        return moved_total
 
     # ---------------------------------------------------------- lifecycle
 

@@ -86,7 +86,7 @@ class Supervisor:
             # (dropped batch, lost queue slot) go back to the front.
             lost = worker.reconcile()
             if lost:
-                self._requeue(worker, lost)
+                self._requeue(lost)
             # Heartbeat: queued work + a frozen processed counter for
             # stall_threshold straight pumps means the worker is stuck.
             if worker.queue and worker.processed == self._last_processed[shard]:
@@ -109,36 +109,23 @@ class Supervisor:
             # serve full-key until the breaker's probe says otherwise.
             worker.fall_back()
         if lost:
-            self._requeue(worker, lost)
+            self._requeue(lost)
         self.restarts += 1
         shard = worker.shard_id
         self._stagnant[shard] = 0
         self._last_processed[shard] = worker.processed
 
-    def _requeue(self, worker, lost) -> None:
+    def _requeue(self, lost) -> None:
         """Return recovered tickets to the front of the right queue.
 
-        Before PR 7 "the right queue" was always the worker they fell
-        out of; with versioned routing a flip may have moved their keys
-        since admission, so each ticket re-routes through the *current*
-        table first.  Without that, a recovered ticket for a migrated
-        key would be served against the donor's post-migration state.
+        With versioned routing a flip may have moved their keys since
+        admission, so the service re-routes each ticket through the
+        *current* table first.  Without that, a recovered ticket for a
+        migrated key would be served against the donor's
+        post-migration state.
         """
         self.reconciled_tickets += len(lost)
-        service = self.service
-        router = service.router
-        if router.generation == 0:
-            worker.requeue_front(lost)
-            return
-        shards = router.table.route_batch([t.request.key for t in lost])
-        groups: Dict[int, List] = {}
-        for ticket, shard in zip(lost, shards):
-            shard = int(shard)
-            ticket.generation = router.generation
-            ticket.shard = shard
-            groups.setdefault(shard, []).append(ticket)
-        for shard, tickets in groups.items():
-            service.workers[shard].requeue_front(tickets)
+        self.service._requeue(lost)
 
     # ----------------------------------------------------------- adapting
 
@@ -168,8 +155,13 @@ class Supervisor:
             # no-op suppression), so calling it every window is cheap.
             if service.relearner.pump(pump_index) == "swap":
                 self.relearns_applied += 1
-        if service.router.tracker is not None:
-            self.promotions_applied += service._apply_promotions()
+        assignments = service.router.plan_promotions()
+        if assignments:
+            # Pin the tracker's heavy hitters, migrating their acked
+            # state first.
+            service.reconfigure(service.router.table.with_overlay(assignments))
+            service.router.promoted += len(assignments)
+            self.promotions_applied += len(assignments)
         if not service.auto_split or service.splits >= service.max_splits:
             return
         donor = self._overloaded_shard()

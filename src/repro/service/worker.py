@@ -72,7 +72,6 @@ class Worker:
         factory: Optional[Callable[[], StructureAdapter]] = None,
         journal_checkpoint: int = 4096,
         execution: Optional[ExecutionBackend] = None,
-        journal: Optional[ShardJournal] = None,
     ):
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
@@ -93,10 +92,8 @@ class Worker:
         # supervisor requeues whatever a crash or a drop leaves behind.
         self.inflight: Dict[int, Ticket] = {}
         # The journal must exist before execution.start(): a process
-        # backend snapshots it at spawn so the child replays it — which
-        # is how a live split seeds a brand-new shard with the donor's
-        # migrated entries (the journal= preset).
-        self.journal = journal if journal is not None else ShardJournal(
+        # backend snapshots it at spawn so the child replays it.
+        self.journal = ShardJournal(
             checkpoint_every=journal_checkpoint,
             multiset=(execution.structure_backend == "cuckoo_filter"),
         )
@@ -179,6 +176,15 @@ class Worker:
             self._queued_ids.add(ticket.request_id)
         self.requeued += len(tickets)
         self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
+
+    def take_queue(self) -> List[Ticket]:
+        """Empty the queue and return its tickets in queue order — the
+        first half of a flip sweep, which re-routes them and merges
+        each back with :meth:`requeue_front`."""
+        tickets = list(self.queue)
+        self.queue.clear()
+        self._queued_ids.clear()
+        return tickets
 
     def cancel(self, ticket: Ticket) -> None:
         """Forget a ticket the client gave up on (deadline exceeded)."""
@@ -305,11 +311,12 @@ class Worker:
     def apply_entries(self, entries: List[Entry]) -> int:
         """Apply migrated journal entries to the live structure.
 
-        The migration path for a hot-key promotion: the entries were
-        already appended to :attr:`journal` by the caller; this pushes
-        them into the running structure (inline: direct replay; process:
-        an ``apply`` command executed in the shard child) without a
-        restart.  Returns the number of ops applied.
+        The live half of every reconfiguration (promotion, split, plan
+        swap): the caller already appended arrivals to :attr:`journal`
+        (or split leavers out of it); this pushes the entries into the
+        running structure (inline: direct replay; process: an ``apply``
+        command executed in the shard child) without a restart.
+        Returns the number of ops applied.
         """
         return self.execution.apply_entries(self, entries)
 

@@ -12,12 +12,12 @@ probes, probe-chain lengths):
 
 Plus the Section 5 runtime infrastructure: growth-triggered hash
 upgrades (:class:`~repro.tables.chaining.EntropyAwareTable`) and the
-collision monitor with full-key fallback (:mod:`repro.tables.monitor`).
+collision monitor with full-key fallback (:mod:`repro.engine.monitor`).
 """
 
+from repro.engine import CollisionMonitor, MonitorVerdict
 from repro.tables.chaining import EntropyAwareTable, SeparateChainingTable
 from repro.tables.cuckoo import CuckooTable
-from repro.tables.monitor import CollisionMonitor, MonitorVerdict
 from repro.tables.probing import (
     EntropyAwareProbingTable,
     LinearProbingTable,

@@ -1132,15 +1132,20 @@ class ServiceTarget(Target):
     def _build_service(self, config: Dict[str, object]):
         from repro.service import Service
 
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-        )
+        return Service(**self._service_kwargs(config))
+
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        """``Service(...)`` arguments for ``config``; subclasses extend."""
+        return {
+            "num_shards": int(config.get("shards", 3)),
+            "backend": self.backend,
+            "hasher": (build_hasher(config["hasher"])
+                       if "hasher" in config else None),
+            "capacity": int(config.get("capacity", 16)),
+            "max_queue": self.max_queue,
+            "batch_size": int(config.get("batch_size", 4)),
+            "execution": self.execution,
+        }
 
     def teardown(self) -> None:
         service = getattr(self, "service", None)
@@ -1363,25 +1368,18 @@ class ChaosTarget(ServiceTarget):
         )
         super().__init__(config)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
         self.cooldown = int(config.get("cooldown", 6))
         self.probe = int(config.get("probe", 3))
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
             fault_plane=self.plane,
             cooldown_pumps=self.cooldown,
             probe_pumps=self.probe,
             stall_threshold=int(config.get("stall_threshold", 3)),
             journal_checkpoint=int(config.get("journal_checkpoint", 32)),
         )
+        return kwargs
 
     def _queue_bound(self) -> int:
         # Recovery requeues bypass admission control on purpose (the
@@ -1494,28 +1492,14 @@ class ReshardTarget(ChaosTarget):
     def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
         return opslib.generate_reshard_ops(rng, n)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
         self.max_splits = int(config.get("max_splits", 3))
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-            fault_plane=self.plane,
-            cooldown_pumps=self.cooldown,
-            probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
             hot_k=int(config.get("hot_k", 4)),
             adapt_every=int(config.get("adapt_every", 4)),
         )
+        return kwargs
 
     def _queue_bound(self) -> int:
         # A flip sweep may concentrate several shards' requeued tickets
@@ -1625,12 +1609,9 @@ class DriftTarget(ChaosTarget):
     def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
         return opslib.generate_drift_ops(rng, n)
 
-    def _build_service(self, config: Dict[str, object]):
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
         from repro.core.trainer import train_model
-        from repro.service import Service
 
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
         # The model is a pure function of config: the same fixed pool
         # plus the recorded seed retrains bit-identically on replay.
         model = train_model(
@@ -1640,19 +1621,11 @@ class DriftTarget(ChaosTarget):
         # Rewrite layers latched by fired drift specs; each layer is the
         # (positions, word_size) of the plan deployed at fire time.
         self.drift_layers: List[tuple] = []
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
             model=model,
+            hasher=None,
             capacity=int(config.get("capacity", 48)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-            fault_plane=self.plane,
-            cooldown_pumps=self.cooldown,
-            probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
             adapt_every=int(config.get("adapt_every", 2)),
             relearn=True,
             drift_window=int(config.get("drift_window", 24)),
@@ -1662,6 +1635,7 @@ class DriftTarget(ChaosTarget):
             min_dwell=int(config.get("min_dwell", 4)),
             min_sample=int(config.get("min_sample", 16)),
         )
+        return kwargs
 
     # ------------------------------------------------------ drift rewrite
 
@@ -2035,17 +2009,13 @@ class SimilarityTarget(ServiceTarget):
         self.shard_of: Dict[bytes, int] = {}
         super().__init__(config)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        return Service(
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
             num_shards=int(config.get("shards", 2)),
             backend="similarity",
             hasher=self.hasher,
             capacity=int(config.get("capacity", 64)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
             backend_options={
                 "bands": self.bands,
                 "rows": self.rows,
@@ -2053,6 +2023,7 @@ class SimilarityTarget(ServiceTarget):
                 "shingle_width": self.shingle_width,
             },
         )
+        return kwargs
 
     # ------------------------------------------------------------ oracle
 

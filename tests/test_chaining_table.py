@@ -8,7 +8,7 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_chaining_table
 from repro.core.trainer import train_model
 from repro.tables.chaining import EntropyAwareTable, SeparateChainingTable
-from repro.tables.monitor import CollisionMonitor
+from repro.engine import CollisionMonitor
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.tables.monitor import CollisionMonitor, MonitorVerdict
+from repro.engine import CollisionMonitor, MonitorVerdict
 
 
 class TestRecording:

@@ -227,6 +227,67 @@ class TestLiveSplit:
             service.close()
 
 
+class TestFilterMigration:
+    """Promotion then split on the filter backends: a Bloom filter
+    cannot delete (the donor keeps stale bits), a cuckoo filter is a
+    multiset (migration must carry net add counts, not presence)."""
+
+    @pytest.mark.parametrize("backend", ["bloom", "cuckoo_filter"])
+    @pytest.mark.parametrize(
+        "execution",
+        ["inline",
+         pytest.param("process", marks=pytest.mark.skipif(
+             not fork_available(), reason="needs fork start method"))],
+    )
+    def test_promotion_then_split(self, model, backend, execution):
+        service = _service(model, backend=backend, execution=execution)
+        multiset = backend == "cuckoo_filter"
+        try:
+            client = ServiceClient(service)
+            client.put_many((k, b"") for k in KEYS)
+            gone = set()
+
+            def twice_once_twice(twice, deleted):
+                # ``twice``: two adds, one delete — one copy left.
+                # ``deleted``: two adds, two deletes — absent.
+                if multiset:
+                    for key in (twice, deleted):
+                        client.put(key, b"")
+                        client.delete(key)
+                    client.delete(deleted)
+                    gone.add(deleted)
+
+            # Promotion: pin a pair of keys away from their home shard.
+            table = service.router.table
+            promoted = KEYS[:2]
+            twice_once_twice(*promoted)
+            pins = {k: (table.route_one(k) + 1) % table.num_shards
+                    for k in promoted}
+            assert service.reconfigure(table.with_overlay(pins)) > 0
+            # Split: pick a pair from the half the donor hands over.
+            donor = 0
+            new_shard = service.router.table.num_shards
+            moving = [k for k in KEYS[2:] if service.router.table
+                      .with_split(donor).route_one(k) == new_shard]
+            split_pair = moving[:2]
+            twice_once_twice(*split_pair)
+            assert service.split_shard(donor) == new_shard
+            for key in promoted:
+                assert service.router.table.route_one(key) == pins[key]
+            for key in split_pair:
+                assert service.router.table.route_one(key) == new_shard
+            expected = [k not in gone for k in KEYS]
+            assert client.contains_many(KEYS) == expected
+            if multiset:
+                # Exactly one copy migrated: one more delete empties it.
+                for key in (promoted[0], split_pair[0]):
+                    assert client.delete(key).found
+                    assert not client.contains(key)
+            assert client.lost_acks == 0
+        finally:
+            service.close()
+
+
 class TestPromotion:
     def test_hot_key_promoted_and_value_survives(self, model):
         service = _service(model, hot_k=4, adapt_every=2)
