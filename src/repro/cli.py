@@ -198,6 +198,23 @@ def _parse_listen(value: str):
     return host, port
 
 
+_LEDGER_FIELDS = ("retries", "backoff_pumps", "generation_retries",
+                  "puts_sent", "puts_responded", "puts_acked", "lost_acks")
+
+
+def _client_ledger(clients) -> dict:
+    """The ``client``/``network`` payload blocks: one ledger vocabulary,
+    summed over the clients of either transport."""
+    return {name: sum(getattr(c, name) for c in clients)
+            for name in _LEDGER_FIELDS}
+
+
+def _ledger_line(ledger: dict) -> str:
+    return (f"{ledger['puts_acked']}/{ledger['puts_sent']} OK, "
+            f"{ledger['lost_acks']} lost, {ledger['retries']} retries, "
+            f"{ledger['generation_retries']} generation retries")
+
+
 def _run_listen_workload(args, service, listen, operations):
     """Drive the workload through real sockets: one front door on its
     own thread, ``--connections`` concurrent network clients on worker
@@ -275,16 +292,9 @@ def _run_listen_workload(args, service, listen, operations):
         finally:
             for client in clients:
                 client.close()
-    net = {
-        "connections": connections,
-        "retries": sum(c.retries for c in clients),
-        "generation_retries": sum(c.generation_retries for c in clients),
-        "puts_sent": sum(c.puts_sent for c in clients),
-        "puts_responded": sum(c.puts_responded for c in clients),
-        "puts_acked": sum(c.puts_acked for c in clients),
-        "lost_acks": sum(c.lost_acks for c in clients),
-        "frontdoor": frontdoor_stats,
-    }
+    net = _client_ledger(clients)
+    net["connections"] = connections
+    net["frontdoor"] = frontdoor_stats
     return counts, net
 
 
@@ -441,12 +451,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "preload_seconds": preload_s,
             "elapsed_seconds": elapsed,
             "ops_per_second": args.ops / elapsed if elapsed > 0 else 0.0,
-            "client": {
-                "retries": client.retries,
-                "puts_accepted": client.puts_accepted,
-                "puts_acked": client.puts_acked,
-                "lost_acks": client.lost_acks,
-            },
+            "client": _client_ledger([client]),
         }
         if net is not None:
             payload["network"] = net
@@ -498,8 +503,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"peak queue {shard['peak_queue_depth']}, "
                       f"rejected {shard['rejected']}, "
                       f"size {shard['structure']['size']})")
-            print(f"  acks: {client.puts_acked}/{client.puts_accepted} OK, "
-                  f"{client.lost_acks} lost")
+            print(f"  acks: {_ledger_line(payload['client'])}")
             if net is not None:
                 fd = net["frontdoor"]
                 print(f"  network: {net['connections']} connection(s) over "
@@ -507,18 +511,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"{fd['admission_batches']} admission batch(es) "
                       f"(mean coalesced {fd['mean_coalesced']:.1f}, "
                       f"max {fd['max_coalesced']}), "
-                      f"{fd['resubmits']} server-side resubmit(s), "
-                      f"{net['retries']} wire retries")
-                print(f"  network acks: {net['puts_acked']}/"
-                      f"{net['puts_sent']} OK, {net['lost_acks']} lost, "
-                      f"{net['generation_retries']} client-visible "
-                      f"generation error(s)")
+                      f"{fd['resubmits']} server-side resubmit(s)")
+                print(f"  network acks: {_ledger_line(net)}")
 
         if not args.check:
             return 0
         failures = []
         if client.lost_acks != 0:
-            failures.append(f"{client.lost_acks} accepted put(s) never answered")
+            failures.append(f"{client.lost_acks} sent put(s) never answered")
         if net is not None:
             if net["lost_acks"] != 0:
                 failures.append(

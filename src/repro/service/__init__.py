@@ -14,8 +14,8 @@ of the pipeline, and a monitor trip opens only that shard's
 :class:`CircuitBreaker` — the shard serves full-key through a cooldown,
 probes its way back to partial-key hashing, and its siblings never stop
 using the entropy-learned fast path.  :class:`ServiceClient` wraps it
-all in plain blocking calls with bounded waiting (backoff budgets and
-deadlines) for in-process use, load generation, and tests.
+all in plain blocking calls with bounded waiting (capped per-round
+backoff and deadlines) for in-process use, load generation, and tests.
 
 Since PR 6 *where* a shard executes is pluggable: the worker shell
 (queue, tickets, journal, fault hooks) delegates structure work to an

@@ -1,16 +1,34 @@
-"""In-process client: blocking calls and batched multi-ops.
+"""One client policy over two transports.
 
-The client turns the ticket-based service protocol into plain method
-calls, and is the layer where *bounded waiting* lives: a rejected
-submit backs off exponentially (with seeded jitter) under a total pump
-budget before raising :class:`ServiceOverloadedError`, and completing a
-ticket pumps at most ``deadline_pumps`` times before the client marks
-the ticket failed, cancels it at its shard, and raises
-:class:`DeadlineExceededError` — no call can spin forever, even when a
-fault plane is stalling workers underneath.  The client also keeps the
-ack ledger the acceptance criteria care about — ``puts_accepted`` vs
-``puts_acked`` — so a load generator can assert zero lost acknowledged
-writes after a run.
+:class:`ServiceClient` turns the ticket-based service protocol into
+plain method calls; :class:`NetworkClient` is the same client over the
+front door's socket.  The policy — bounded retry, backoff and the ack
+ledger — lives once, on :class:`ServiceClient`, and runs over a
+two-method transport: ``send`` a batch of requests, then ``wait`` for
+their answers (or, with no handles, for one backoff tick).
+
+Every call runs in rounds:
+
+1. send the pending requests and wait for every answer;
+2. settle the terminal answers in the ledger;
+3. collect ``rejected`` and ``wrong_generation`` answers into the retry
+   set;
+4. back off once, a jittered ``min(max hint << round,
+   BACKOFF_CAP_PUMPS)`` ticks — a missing hint means one tick, an
+   explicit 0 means no wait;
+5. resend the retry set as one batch, and give up with
+   :class:`ServiceOverloadedError` after ``max_retries`` rounds.
+
+A scalar verb is a batch of one.  No call can spin forever: the
+in-process transport cancels tickets unanswered after
+``deadline_pumps`` pumps, and total backoff is at most ``max_retries *
+BACKOFF_CAP_PUMPS`` ticks.  A typed error (deadline, overload,
+draining, bad request) is raised only after every answer of its round
+is settled, so the ledger — ``puts_sent`` once per put,
+``puts_responded`` per terminal answer *including negative ones*,
+``puts_acked`` per OK — never leaves a sibling open, and
+:attr:`~ServiceClient.lost_acks` counts exactly the puts still owed an
+answer.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import as_bytes
 
@@ -33,16 +51,24 @@ from repro.service.protocol import (
 )
 from repro.service.service import Service
 
-# Per-attempt backoff ceiling: however deep the rejecting queue's
-# retry_after hint, a single backoff attempt never spends more than
-# this many pumps (in-process) or the equivalent sleep (network)
-# before re-checking admission.  The total spend across attempts is
-# bounded separately by the submit pump budget / retry cap.
+# Per-round backoff ceiling in ticks (a service pump in process, a
+# TICK_S sleep over the wire): however deep the rejecting queue's
+# retry_after hint, one round never waits longer than this.
 BACKOFF_CAP_PUMPS = 64
+
+# Socket transport: connect/recv timeout, the wall-clock length of one
+# backoff tick (the server pumps for itself), and the frames encoded
+# into one sendall.
+TIMEOUT_S = 30.0
+TICK_S = 0.0002
+PIPELINE_WINDOW = 512
+
+# The error the in-process transport stamps on a ticket it cancelled.
+DEADLINE_EXCEEDED = "deadline exceeded"
 
 
 class ServiceOverloadedError(RuntimeError):
-    """A submit was still rejected after every retry and backoff pump."""
+    """A request was still rejected after every retry round."""
 
 
 class ServiceDrainingError(RuntimeError):
@@ -66,176 +92,203 @@ class DeadlineExceededError(RuntimeError):
     """
 
 
+class _InProcess:
+    """Transport over an in-process :class:`Service`: ``send`` admits,
+    ``wait`` pumps."""
+
+    def __init__(self, service: Service, deadline_pumps: int):
+        self.service = service
+        self.deadline_pumps = deadline_pumps
+
+    def send(self, requests: Sequence[Request]) -> List[Ticket]:
+        if len(requests) == 1:
+            # Scalar verbs keep the scalar routing path (route_one).
+            return [self.service.submit(requests[0])]
+        return self.service.submit_batch(requests)
+
+    def wait(self, tickets: Optional[Sequence[Ticket]] = None
+             ) -> List[Response]:
+        if tickets is None:
+            self.service.pump()
+            return []
+        waiting = [t for t in tickets if t.response is None]
+        for _ in range(self.deadline_pumps):
+            if not waiting:
+                break
+            self.service.pump()
+            waiting = [t for t in waiting if t.response is None]
+        for ticket in waiting:
+            # Mark the ticket failed *before* cancelling so the
+            # supervisor's reconciliation can never resurrect it.
+            ticket.response = Response(
+                FAILED, shard=ticket.shard, error=DEADLINE_EXCEEDED
+            )
+            self.service.cancel(ticket)
+        return [ticket.response for ticket in tickets]
+
+
+class _Socket:
+    """Transport over the front door: ``send`` pipelines frames,
+    ``wait`` reads answers by frame id, stashing whatever else arrives
+    (the server answers out of submission order)."""
+
+    def __init__(self, host: str, port: int):
+        self.sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.decoder = netproto.FrameDecoder()
+        self.stash: Dict[int, Response] = {}
+        self.next_id = 0
+
+    def send(self, requests: Sequence[Request]) -> List[int]:
+        first = self.next_id
+        self.next_id += len(requests)
+        for start in range(0, len(requests), PIPELINE_WINDOW):
+            window = requests[start:start + PIPELINE_WINDOW]
+            self.sock.sendall(b"".join(
+                netproto.encode_request(first + start + i, request)
+                for i, request in enumerate(window)
+            ))
+        return list(range(first, self.next_id))
+
+    def wait(self, frame_ids: Optional[Sequence[int]] = None
+             ) -> List[Response]:
+        if frame_ids is None:
+            time.sleep(TICK_S)
+            return []
+        out = []
+        for frame_id in frame_ids:
+            while frame_id not in self.stash:
+                data = self.sock.recv(1 << 16)
+                if not data:
+                    raise ConnectionError(
+                        "server closed the connection mid-request"
+                    )
+                for payload in self.decoder.feed(data):
+                    self.stash[netproto.frame_id_of(payload)] = (
+                        netproto.decode_response(payload)
+                    )
+            out.append(self.stash.pop(frame_id))
+        return out
+
+
+def _typed_error(request: Request, response: Response
+                 ) -> Optional[Exception]:
+    """The exception a terminal answer raises once its round settles."""
+    if response.status == netproto.DRAINING:
+        return ServiceDrainingError(response.error or "front door is draining")
+    if response.status == netproto.BAD_REQUEST:
+        return NetworkRequestError(response.error or "server rejected the frame")
+    if response.error == DEADLINE_EXCEEDED:
+        return DeadlineExceededError(
+            f"{request.op} unanswered within the pump deadline "
+            f"(shard {response.shard}); cancelled at its shard"
+        )
+    return None
+
+
 class ServiceClient:
-    """Synchronous facade over an in-process :class:`Service`."""
+    """Synchronous client over an in-process :class:`Service`."""
 
     def __init__(
         self,
         service: Service,
         max_retries: int = 64,
         deadline_pumps: int = 1024,
-        submit_pump_budget: int = 4096,
         jitter_seed: int = 0xC11E,
     ):
         self.service = service
+        self._start(_InProcess(service, deadline_pumps), max_retries,
+                    jitter_seed)
+
+    def _start(self, transport, max_retries: int, jitter_seed: int) -> None:
+        self.transport = transport
         self.max_retries = max_retries
-        self.deadline_pumps = deadline_pumps
-        self.submit_pump_budget = submit_pump_budget
         self._rng = random.Random(jitter_seed)
         self.retries = 0
         self.backoff_pumps = 0
         self.deadline_failures = 0
         self.generation_retries = 0
-        self.puts_accepted = 0
+        self.puts_sent = 0
         self.puts_responded = 0
         self.puts_acked = 0
 
-    # ----------------------------------------------------------- plumbing
+    # ------------------------------------------------------------- policy
 
-    def _submit(self, request: Request,
-                rejected: Optional[Ticket] = None) -> Ticket:
-        """Admit one request, backing off under explicit backpressure.
-
-        ``rejected`` carries a rejection the caller already received
-        for this request (the batch-admission fast path): the retry
-        walk then starts from that rejection's backoff hint instead of
-        immediately re-submitting into the same full queue — which
-        would burn a retry that is all but guaranteed to re-reject and
-        double-count the backpressure event in both the client's
-        ``retries`` and the service's rejection ledger.
-        """
-        spent = 0
-        ticket = rejected
-        for attempt in range(self.max_retries + 1):
-            if ticket is None:
-                ticket = self.service.submit(request)
-                if not ticket.rejected:
-                    if request.op == "put":
-                        self.puts_accepted += 1
-                    return ticket
-                self.retries += 1
-            if spent >= self.submit_pump_budget:
-                break
-            # Exponential backoff over the explicit backpressure hint,
-            # with full seeded jitter.  A falsy hint is handled
-            # explicitly rather than promoted: None (no hint at all)
-            # defaults to one pump, but an explicit ``retry_after=0``
-            # means "retry immediately" and spends nothing.  Every
-            # attempt's spend is capped at BACKOFF_CAP_PUMPS and the
-            # total is bounded by the budget, no matter how long the
-            # service stays saturated.
-            hint = ticket.response.retry_after
-            hint = 1 if hint is None else max(0, int(hint))
-            ceiling = min(
-                hint << min(attempt, 6),
-                BACKOFF_CAP_PUMPS,
-                self.submit_pump_budget - spent,
+    def _call(self, requests: Sequence[Request]) -> List[Response]:
+        """Walk a batch to terminal answers in rounds (see the module
+        docstring); answers come back in request order."""
+        self.puts_sent += sum(1 for r in requests if r.op == "put")
+        out: List[Optional[Response]] = [None] * len(requests)
+        pending = list(range(len(requests)))
+        error: Optional[Exception] = None
+        for round_ in range(self.max_retries + 1):
+            answers = self.transport.wait(
+                self.transport.send([requests[i] for i in pending])
             )
-            pumps = self._rng.randint(1, ceiling) if ceiling >= 1 else 0
-            for _ in range(pumps):
-                self.service.pump()
-            spent += pumps
-            self.backoff_pumps += pumps
-            ticket = None  # resubmit on the next pass
-        raise ServiceOverloadedError(
-            f"submit rejected {self.retries} times, {spent} backoff pumps "
-            f"spent (shard {ticket.shard if ticket is not None else '?'})"
-        )
-
-    def _complete(self, ticket: Ticket) -> Response:
-        pumps = 0
-        resubmits = 0
-        while True:
-            while ticket.response is None:
-                if pumps >= self.deadline_pumps:
-                    # Mark the ticket failed *before* cancelling so the
-                    # supervisor's reconciliation can never resurrect it.
-                    ticket.response = Response(
-                        FAILED, shard=ticket.shard, error="deadline exceeded"
-                    )
-                    self.service.cancel(ticket)
-                    self.deadline_failures += 1
-                    if ticket.request.op == "put":
-                        self.puts_responded += 1  # negative ack, not lost
-                    raise DeadlineExceededError(
-                        f"request {ticket.request_id} ({ticket.request.op}) "
-                        f"unanswered after {pumps} pumps "
-                        f"(shard {ticket.shard})"
-                    )
-                self.service.pump()
-                pumps += 1
-            if (ticket.response.status == WRONG_GENERATION
-                    and resubmits < self.max_retries):
-                # A routing flip moved the key between admission and
-                # dispatch; the answer is "ask again", not a failure.
-                # The resubmit routes through the *current* table, so
-                # this converges unless flips outpace the retry cap.
-                # Ledger-wise the old ticket was answered (negatively)
-                # and the resubmit is a fresh accepted put.
-                if ticket.request.op == "put":
-                    self.puts_responded += 1
-                self.generation_retries += 1
-                resubmits += 1
-                ticket = self._submit(ticket.request)
-                continue
-            break
-        if ticket.request.op == "put":
-            self.puts_responded += 1
-            if ticket.response.ok:
-                self.puts_acked += 1
-        return ticket.response
-
-    def _submit_many(self, requests: Sequence[Request]) -> List[Ticket]:
-        """Admit a whole batch through one vectorized routing pass.
-
-        Rejected tickets walk the scalar retry/backoff path one by one;
-        accepted ones keep the same ledger bookkeeping as
-        :meth:`_submit`.  Callers must only use this when admission
-        order between the batch's requests does not matter per key
-        (distinct keys, or read-only ops) — a rejected request is
-        re-admitted *after* its batch siblings.
-        """
-        tickets = list(self.service.submit_batch(requests))
-        out: List[Ticket] = []
-        for request, ticket in zip(requests, tickets):
-            if ticket.rejected:
-                # One backpressure event, counted once: hand the
-                # rejection to the scalar walk so it backs off on this
-                # hint first instead of re-submitting immediately (and
-                # double-counting the event in retries/rejections).
-                self.retries += 1
-                ticket = self._submit(request, rejected=ticket)
-            elif request.op == "put":
-                self.puts_accepted += 1
-            out.append(ticket)
-        return out
-
-    def _complete_all(self, tickets: Sequence[Ticket]) -> List[Response]:
-        self.service.drain()
-        return [self._complete(ticket) for ticket in tickets]
+            retry: List[int] = []
+            hints: List[int] = []
+            for i, response in zip(pending, answers):
+                if response.status == REJECTED:
+                    self.retries += 1
+                    hint = response.retry_after
+                    hints.append(1 if hint is None else max(0, int(hint)))
+                    retry.append(i)
+                elif (response.status == WRONG_GENERATION
+                      and round_ < self.max_retries):
+                    # A routing flip moved the key between admission
+                    # and dispatch: "ask again" through the live table.
+                    self.generation_retries += 1
+                    retry.append(i)
+                else:
+                    request = requests[i]
+                    if request.op == "put":
+                        self.puts_responded += 1
+                        self.puts_acked += response.ok
+                    if response.error == DEADLINE_EXCEEDED:
+                        self.deadline_failures += 1
+                    error = error or _typed_error(request, response)
+                    out[i] = response
+            pending = retry
+            if error is not None or not pending or round_ == self.max_retries:
+                break
+            if hints:
+                ceiling = min(max(hints) << round_, BACKOFF_CAP_PUMPS)
+                ticks = self._rng.randint(1, ceiling) if ceiling >= 1 else 0
+                self.backoff_pumps += ticks
+                for _ in range(ticks):
+                    self.transport.wait()
+        if pending:
+            # Abandoned requests were answered "not applied" (rejected,
+            # or a wrong_generation in an errored round): negative acks.
+            self.puts_responded += sum(
+                1 for i in pending if requests[i].op == "put"
+            )
+            error = error or ServiceOverloadedError(
+                f"{len(pending)} request(s) still rejected after "
+                f"{self.max_retries + 1} attempts "
+                f"({self.backoff_pumps} backoff ticks spent)"
+            )
+        if error is not None:
+            raise error
+        return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------ scalar
 
     def get(self, key) -> Optional[bytes]:
-        response = self._complete(self._submit(Request("get", as_bytes(key))))
-        return response.value
+        return self._call([Request("get", as_bytes(key))])[0].value
 
     def put(self, key, value) -> Response:
-        return self._complete(
-            self._submit(Request("put", as_bytes(key), as_bytes(value)))
-        )
+        return self._call([Request("put", as_bytes(key), as_bytes(value))])[0]
 
     def delete(self, key) -> Response:
-        return self._complete(self._submit(Request("delete", as_bytes(key))))
+        return self._call([Request("delete", as_bytes(key))])[0]
 
     def contains(self, key) -> bool:
-        response = self._complete(
-            self._submit(Request("contains", as_bytes(key)))
-        )
-        return bool(response.found)
+        return bool(self._call([Request("contains", as_bytes(key))])[0].found)
 
     def stats(self) -> Dict[str, object]:
-        return self._complete(self._submit(Request("stats"))).stats
+        """Service stats; over the wire, plus the ``frontdoor`` block."""
+        return self._call([Request("stats")])[0].stats
 
     def similar(self, key, k: int = 10) -> List[Tuple[bytes, float]]:
         """Top-k neighbors of a stored item on the similarity backend.
@@ -243,268 +296,31 @@ class ServiceClient:
         Returns ``(neighbor key, estimated Jaccard)`` pairs, best
         first; empty when the key is unknown to its shard.
         """
-        response = self._complete(self._submit(
-            Request("similar", as_bytes(key), str(int(k)).encode("ascii"))
-        ))
-        return list(response.neighbors or ())
+        return self.similar_many([key], k)[0]
 
     # ------------------------------------------------------------- batch
 
     def put_many(self, pairs: Iterable[Tuple[object, object]]) -> List[Response]:
-        """Submit many puts before pumping: fills the shard queues so the
-        workers see real micro-batches instead of singletons.
+        """Submit many puts in one batch, so the workers see real
+        micro-batches instead of singletons.
 
-        Distinct-key batches admit through one vectorized routing pass;
-        a batch that writes the same key twice takes the scalar path,
-        because a rejected-then-retried first write must not land after
-        an accepted second write to the same key.
+        A batch that writes the same key twice goes one request at a
+        time instead: a rejected-then-retried first write must not land
+        after an accepted second write to the same key.
         """
-        items = [(as_bytes(k), as_bytes(v)) for k, v in pairs]
-        keys = [k for k, _ in items]
-        requests = [Request("put", k, v) for k, v in items]
-        if len(set(keys)) == len(keys):
-            tickets = self._submit_many(requests)
-        else:
-            tickets = [self._submit(request) for request in requests]
-        return self._complete_all(tickets)
+        requests = [Request("put", as_bytes(k), as_bytes(v)) for k, v in pairs]
+        if len({r.key for r in requests}) == len(requests):
+            return self._call(requests)
+        return [self._call([request])[0] for request in requests]
 
     def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
-        # Reads never conflict with each other, so the vectorized
-        # admission path is safe even with duplicate keys.
-        tickets = self._submit_many(
-            [Request("get", as_bytes(k)) for k in keys]
-        )
-        return [r.value for r in self._complete_all(tickets)]
-
-    def contains_many(self, keys: Sequence[object]) -> List[bool]:
-        tickets = self._submit_many(
-            [Request("contains", as_bytes(k)) for k in keys]
-        )
-        return [bool(r.found) for r in self._complete_all(tickets)]
-
-    def similar_many(
-        self, keys: Sequence[object], k: int = 10
-    ) -> List[List[Tuple[bytes, float]]]:
-        # Read-only, so the vectorized admission path is safe even
-        # with duplicate query keys.
-        payload = str(int(k)).encode("ascii")
-        tickets = self._submit_many(
-            [Request("similar", as_bytes(key), payload) for key in keys]
-        )
-        return [list(r.neighbors or ()) for r in self._complete_all(tickets)]
-
-    @property
-    def lost_acks(self) -> int:
-        """Accepted puts whose response never arrived (must stay 0).
-
-        An explicit FAILED response (e.g. a full cuckoo shard) is a
-        *negative* ack, not a lost one; ``puts_acked`` counts the OKs.
-        """
-        return self.puts_accepted - self.puts_responded
-
-
-class NetworkClient:
-    """Blocking socket client for the front door — same surface as
-    :class:`ServiceClient`, but over TCP.
-
-    The wire protocol resolves responses out of submission order (a
-    ticket answers when its *shard* serves it), so the client keys
-    every frame by a client-assigned id and :meth:`_collect` stashes
-    whatever else arrives while waiting.  Backpressure statuses are
-    handled the way the in-process client handles rejected tickets —
-    jittered exponential backoff with an explicit-zero hint meaning
-    "retry immediately" — except the wait is wall-clock sleep instead
-    of cooperative pumps, because the server pumps for itself.
-
-    The ack ledger mirrors :class:`ServiceClient`: ``puts_sent`` counts
-    logical puts once at first wire send, ``puts_responded`` counts
-    terminal answers *including negative ones* (FAILED, draining,
-    overload give-up), and ``puts_acked`` counts OKs — so
-    :attr:`lost_acks` is still "puts the server owes an answer for".
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_retries: int = 64,
-        timeout_s: float = 30.0,
-        pump_interval_s: float = 0.0002,
-        backoff_cap_s: float = 0.05,
-        pipeline_window: int = 512,
-        jitter_seed: int = 0xBEEF,
-        max_frame: int = netproto.MAX_FRAME_BYTES,
-    ):
-        self.max_retries = max_retries
-        self.pump_interval_s = pump_interval_s
-        self.backoff_cap_s = backoff_cap_s
-        self.pipeline_window = pipeline_window
-        self._rng = random.Random(jitter_seed)
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = netproto.FrameDecoder(max_frame)
-        self._responses: Dict[int, Response] = {}
-        self._next_id = 0
-        self.retries = 0
-        self.backoff_s = 0.0
-        self.generation_retries = 0
-        self.puts_sent = 0
-        self.puts_responded = 0
-        self.puts_acked = 0
-
-    # ----------------------------------------------------------- plumbing
-
-    def _send(self, request: Request) -> int:
-        frame_id = self._next_id
-        self._next_id += 1
-        self._sock.sendall(netproto.encode_request(frame_id, request))
-        return frame_id
-
-    def _collect(self, frame_id: int) -> Response:
-        while frame_id not in self._responses:
-            data = self._sock.recv(1 << 16)
-            if not data:
-                raise ConnectionError(
-                    "server closed the connection mid-request"
-                )
-            for payload in self._decoder.feed(data):
-                self._responses[netproto.frame_id_of(payload)] = (
-                    netproto.decode_response(payload)
-                )
-        return self._responses.pop(frame_id)
-
-    def _backoff(self, attempt: int, hint: Optional[int]) -> None:
-        # Same falsy-hint policy as ServiceClient._submit: a missing
-        # hint defaults to one pump-interval, an explicit 0 sleeps not
-        # at all, and the per-attempt ceiling is capped regardless of
-        # how deep the rejecting queue claims to be.
-        hint = 1 if hint is None else max(0, int(hint))
-        ceiling = min(
-            hint * self.pump_interval_s * (1 << min(attempt, 6)),
-            self.backoff_cap_s,
-        )
-        if ceiling <= 0:
-            return
-        delay = self._rng.uniform(0, ceiling)
-        self.backoff_s += delay
-        time.sleep(delay)
-
-    def _negative_ack(self, request: Request) -> None:
-        if request.op == "put":
-            self.puts_responded += 1
-
-    def _settle(self, request: Request, response: Response) -> Response:
-        """Walk one request to a terminal answer, retrying the two
-        try-again statuses (``rejected`` with backoff, and
-        ``wrong_generation`` as defense in depth — a well-behaved front
-        door resubmits those server-side)."""
-        attempt = 0
-        flips = 0
-        while True:
-            status = response.status
-            if status == REJECTED:
-                if attempt >= self.max_retries:
-                    self._negative_ack(request)
-                    raise ServiceOverloadedError(
-                        f"submit rejected {attempt + 1} times over the "
-                        f"wire ({self.backoff_s:.3f}s backed off)"
-                    )
-                self.retries += 1
-                self._backoff(attempt, response.retry_after)
-                attempt += 1
-            elif status == WRONG_GENERATION and flips < self.max_retries:
-                self.generation_retries += 1
-                flips += 1
-            elif status == netproto.DRAINING:
-                self._negative_ack(request)
-                raise ServiceDrainingError(
-                    response.error or "front door is draining"
-                )
-            elif status == netproto.BAD_REQUEST:
-                self._negative_ack(request)
-                raise NetworkRequestError(
-                    response.error or "server rejected the frame"
-                )
-            else:
-                # OK, FAILED, or a wrong-generation walk that ran out
-                # of retries: terminal either way.
-                if request.op == "put":
-                    self.puts_responded += 1
-                    if response.ok:
-                        self.puts_acked += 1
-                return response
-            response = self._collect(self._send(request))
-
-    def _terminal(self, request: Request) -> Response:
-        if request.op == "put":
-            self.puts_sent += 1
-        return self._settle(request, self._collect(self._send(request)))
-
-    def _terminal_many(self, requests: Sequence[Request]) -> List[Response]:
-        """Pipelined round-trips: a whole window of frames goes out
-        before the first response is read, so one connection still
-        hands the front door real micro-batches to coalesce."""
-        out: List[Response] = []
-        for start in range(0, len(requests), self.pipeline_window):
-            chunk = requests[start:start + self.pipeline_window]
-            for request in chunk:
-                if request.op == "put":
-                    self.puts_sent += 1
-            frame_ids = [self._send(request) for request in chunk]
-            out.extend(
-                self._settle(request, self._collect(frame_id))
-                for request, frame_id in zip(chunk, frame_ids)
-            )
-        return out
-
-    # ------------------------------------------------------------ scalar
-
-    def get(self, key) -> Optional[bytes]:
-        return self._terminal(Request("get", as_bytes(key))).value
-
-    def put(self, key, value) -> Response:
-        return self._terminal(
-            Request("put", as_bytes(key), as_bytes(value))
-        )
-
-    def delete(self, key) -> Response:
-        return self._terminal(Request("delete", as_bytes(key)))
-
-    def contains(self, key) -> bool:
-        return bool(self._terminal(Request("contains", as_bytes(key))).found)
-
-    def stats(self) -> Dict[str, object]:
-        """Scrape the /metrics verb: service stats + ``frontdoor``."""
-        return self._terminal(Request("stats")).stats
-
-    def similar(self, key, k: int = 10) -> List[Tuple[bytes, float]]:
-        """Top-k neighbors over the wire (similarity backend only)."""
-        response = self._terminal(
-            Request("similar", as_bytes(key), str(int(k)).encode("ascii"))
-        )
-        return list(response.neighbors or ())
-
-    # ------------------------------------------------------------- batch
-
-    def put_many(self, pairs: Iterable[Tuple[object, object]]) -> List[Response]:
-        items = [(as_bytes(k), as_bytes(v)) for k, v in pairs]
-        keys = [k for k, _ in items]
-        requests = [Request("put", k, v) for k, v in items]
-        if len(set(keys)) == len(keys):
-            return self._terminal_many(requests)
-        # Same rule as the in-process client: duplicate keys must land
-        # in submission order, and a rejected-then-retried first write
-        # pipelined next to an accepted second write would not.
-        return [self._terminal(request) for request in requests]
-
-    def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
-        responses = self._terminal_many(
-            [Request("get", as_bytes(k)) for k in keys]
-        )
+        # Reads never conflict with each other, so one batch is safe
+        # even with duplicate keys.
+        responses = self._call([Request("get", as_bytes(k)) for k in keys])
         return [r.value for r in responses]
 
     def contains_many(self, keys: Sequence[object]) -> List[bool]:
-        responses = self._terminal_many(
+        responses = self._call(
             [Request("contains", as_bytes(k)) for k in keys]
         )
         return [bool(r.found) for r in responses]
@@ -512,10 +328,8 @@ class NetworkClient:
     def similar_many(
         self, keys: Sequence[object], k: int = 10
     ) -> List[List[Tuple[bytes, float]]]:
-        """Pipelined top-k queries: a whole window of ``similar``
-        frames goes out before the first response is read."""
         payload = str(int(k)).encode("ascii")
-        responses = self._terminal_many(
+        responses = self._call(
             [Request("similar", as_bytes(key), payload) for key in keys]
         )
         return [list(r.neighbors or ()) for r in responses]
@@ -524,14 +338,29 @@ class NetworkClient:
     def lost_acks(self) -> int:
         """Puts sent whose terminal answer never arrived (must stay 0).
 
-        Negative answers — FAILED, a drain turn-away, an overload
-        give-up — count as responded: the server said *no*, it did not
-        lose the write."""
+        Negative answers — FAILED, a deadline cancel, a drain
+        turn-away, an overload give-up — count as responded: the
+        server said *no*, it did not lose the write.
+        """
         return self.puts_sent - self.puts_responded
+
+
+class NetworkClient(ServiceClient):
+    """The same client over TCP to a front door.
+
+    Backoff ticks are ``TICK_S`` sleeps instead of pumps, because the
+    server pumps for itself; the front door resubmits
+    ``wrong_generation`` answers server-side, so the client's own
+    retry of them is defense in depth.
+    """
+
+    def __init__(self, host: str, port: int, max_retries: int = 64,
+                 jitter_seed: int = 0xBEEF):
+        self._start(_Socket(host, port), max_retries, jitter_seed)
 
     def close(self) -> None:
         try:
-            self._sock.close()
+            self.transport.sock.close()
         except OSError:
             pass
 

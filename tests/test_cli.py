@@ -183,6 +183,8 @@ class TestServeListen:
         assert payload["network"]["lost_acks"] == 0
         assert payload["network"]["generation_retries"] == 0
         assert payload["network"]["frontdoor"]["frames_in"] > 0
+        # Both transports report one ledger vocabulary.
+        assert set(payload["client"]) < set(payload["network"])
 
     def test_malformed_listen_exits_2(self, capsys):
         assert main([

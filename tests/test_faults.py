@@ -332,7 +332,7 @@ class TestClientDeadline:
         assert client.deadline_failures == 1
         # The put was accepted then explicitly failed: a negative ack,
         # not a silently lost one.
-        assert client.puts_accepted == 1
+        assert client.puts_sent == 1
         assert client.lost_acks == 0
         # The ticket was cancelled out of the worker's queue.
         assert service.workers[0].queue_depth == 0

@@ -109,11 +109,12 @@ class TestBasicKV:
             with FrontDoorThread(service) as door:
                 with NetworkClient("127.0.0.1", door.port) as client:
                     client.put(b"ooo", b"x")
-                    first = client._send(Request("get", b"ooo"))
-                    second = client._send(Request("get", b"missing"))
+                    transport = client.transport
+                    first = transport.send([Request("get", b"ooo")])
+                    second = transport.send([Request("get", b"missing")])
                     # Collect in reverse: the stash matches by frame id.
-                    assert client._collect(second).value is None
-                    assert client._collect(first).value == b"x"
+                    assert transport.wait(second)[0].value is None
+                    assert transport.wait(first)[0].value == b"x"
         finally:
             service.close()
 

@@ -348,8 +348,8 @@ class TestWrongGeneration:
         service = _service(model)
         client = ServiceClient(service)
         client.put_many((k, b"v") for k in KEYS[:64])
-        # Find a key the split would move, stamp it stale, and let the
-        # client's _complete path resubmit transparently.
+        # Find a key the split would move, hand the client a ticket
+        # stamped stale, and let its retry round resubmit transparently.
         candidate = service.router.table.with_split(0)
         new_shard = candidate.num_shards - 1
         moved_key = next(
@@ -366,9 +366,12 @@ class TestWrongGeneration:
         ticket.shard = 0
         ticket.response = None
         service.workers[0].requeue_front([ticket])
-        response = client._complete(ticket)
-        assert response.ok
-        assert response.value == b"v"
+        real_submit = service.submit
+        stale = [ticket]
+        service.submit = lambda request: (
+            stale.pop() if stale else real_submit(request)
+        )
+        assert client.get(moved_key) == b"v"
         assert client.generation_retries >= 1
 
     def test_queue_sweep_rescues_queued_tickets(self, model):

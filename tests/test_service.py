@@ -2,6 +2,7 @@
 
 import json
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,14 +13,21 @@ from repro.service import (
     FAILED,
     OK,
     REJECTED,
+    DeadlineExceededError,
+    FrontDoorThread,
+    NetworkClient,
     Request,
+    Response,
     Service,
     ServiceClient,
+    ServiceOverloadedError,
     ShardRouter,
+    Ticket,
     Worker,
     make_adapter,
     run_service_workload,
 )
+from repro.service.client import BACKOFF_CAP_PUMPS
 from repro.workloads.ycsb import WorkloadGenerator
 
 
@@ -38,6 +46,43 @@ def _service(model, **kwargs):
                     capacity=1024, max_queue=32, batch_size=8)
     defaults.update(kwargs)
     return Service(**defaults)
+
+
+# The client's two transports: in-process pumps and the front door.
+TRANSPORTS = ("inproc", "socket")
+
+
+@contextmanager
+def _connect(service, transport, max_pending=1024, **options):
+    """A client of ``service`` over the named transport; ``max_pending``
+    is the front door's per-connection frame cap."""
+    if transport == "inproc":
+        yield ServiceClient(service, **options)
+        return
+    with FrontDoorThread(service, max_pending=max_pending) as door:
+        with NetworkClient("127.0.0.1", door.port, **options) as client:
+            yield client
+
+
+def _stall(service):
+    """Crash shard 0 for good: nothing queued there is ever served."""
+    service.workers[0].crashed = True
+    service.supervisor._restart = lambda *a, **k: None
+
+
+@contextmanager
+def _saturated_client(model, transport, **options):
+    """A client whose every request is rejected: a stalled shard's full
+    queue in process, a zero-credit front door over the wire."""
+    service = _service(model, num_shards=1, max_queue=1, batch_size=1)
+    try:
+        if transport == "inproc":
+            _stall(service)
+            service.submit(Request(op="put", key=b"fill", value=b"v"))
+        with _connect(service, transport, max_pending=0, **options) as client:
+            yield client
+    finally:
+        service.close()
 
 
 class TestProtocol:
@@ -186,9 +231,7 @@ class TestService:
         keys = [b"stable%04d" % i for i in range(300)]
         acked = []
         for key in keys:
-            ticket = client._submit(Request(op="put", key=key, value=b"v"))
-            client._complete(ticket)
-            if ticket.response.status == OK:
+            if client.put(key, b"v").status == OK:
                 acked.append(key)
         assert acked  # at least some writes must land
         service.force_trip(0)
@@ -284,40 +327,28 @@ class TestClient:
 class TestOverload:
     """The rejection path: typed overload errors and honest ledgers."""
 
-    def test_overload_raises_typed_error(self, model):
-        from repro.service import ServiceOverloadedError
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_overload_raises_typed_error(self, model, transport):
+        # Every attempt re-rejects, so the client must give up with the
+        # typed error after max_retries + 1 attempts, not spin.
+        with _saturated_client(model, transport, max_retries=3) as client:
+            with pytest.raises(ServiceOverloadedError):
+                client.put(b"late", b"v")
+            assert client.retries == 4  # max_retries + 1, all rejected
+            # A rejected-then-abandoned put is a negative ack: sent
+            # once, answered "no" once, never counted as lost.
+            assert client.puts_sent == 1
+            assert client.puts_responded == 1
+            assert client.lost_acks == 0
 
-        service = _service(model, num_shards=1, max_queue=2, batch_size=1)
-        # A stalled worker never drains, so every retry re-rejects and
-        # the client must give up with the typed error, not spin.
-        service.workers[0].crashed = True
-        service.supervisor._restart = lambda *a, **k: None  # keep it down
-        for i in range(2):
-            service.submit(Request(op="put", key=b"fill%d" % i, value=b"v"))
-        client = ServiceClient(service, max_retries=3, submit_pump_budget=16)
-        with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"late", value=b"v"))
-        assert client.retries == 4  # max_retries + 1 attempts, all rejected
-        # A rejected-then-abandoned put was never accepted: the ack
-        # ledger must not count it as lost.
-        assert client.puts_accepted == 0
-        assert client.lost_acks == 0
-
-    def test_submit_pump_spend_is_capped(self, model):
-        from repro.service import ServiceOverloadedError
-
-        service = _service(model, num_shards=1, max_queue=1, batch_size=1)
-        service.workers[0].crashed = True
-        service.supervisor._restart = lambda *a, **k: None
-        service.submit(Request(op="put", key=b"fill", value=b"v"))
-        client = ServiceClient(service, max_retries=1000,
-                               submit_pump_budget=32)
-        pumps_before = service.pump_index
-        with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"late", value=b"v"))
-        # The budget bounds the total pump spend regardless of retries.
-        assert service.pump_index - pumps_before <= 32
-        assert client.backoff_pumps <= 32
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_total_backoff_is_bounded(self, model, transport):
+        # One backoff per round, each capped: however long the service
+        # stays saturated, the spend is at most max_retries caps.
+        with _saturated_client(model, transport, max_retries=8) as client:
+            with pytest.raises(ServiceOverloadedError):
+                client.put(b"late", b"v")
+            assert 0 < client.backoff_pumps <= 8 * BACKOFF_CAP_PUMPS
 
     def test_retries_and_lost_acks_under_sustained_backpressure(self, model):
         service = _service(model, num_shards=1, max_queue=2, batch_size=1)
@@ -332,71 +363,130 @@ class TestOverload:
 
 
 class TestBackoffRegressions:
-    """PR 8 bugfix sweep: falsy retry_after hints, per-attempt caps,
-    and single-count accounting for batch-admission rejections."""
+    """Falsy retry_after hints, per-round caps, and single-count
+    accounting for batch rejections."""
 
-    def test_explicit_zero_hint_spends_no_pumps(self, model):
-        # `retry_after=0` is an explicit "retry immediately" hint (the
-        # front door's per-connection rejection can send it); it used
-        # to be promoted to a 1-pump backoff by `retry_after or 1`.
-        from repro.service import Response, Ticket
-
-        service = _service(model, num_shards=1)
-        client = ServiceClient(service, max_retries=4)
+    @staticmethod
+    def _rejecting(service, times, retry_after):
+        """Make ``service.submit`` reject the first ``times`` requests
+        with the given hint (``times=None``: every request)."""
         real_submit = service.submit
         rejections = []
 
         def submit(request):
-            if len(rejections) < 3:
+            if times is None or len(rejections) < times:
                 ticket = Ticket(request=request, request_id=-1, shard=0)
-                ticket.response = Response(REJECTED, shard=0, retry_after=0)
+                ticket.response = Response(REJECTED, shard=0,
+                                           retry_after=retry_after)
                 rejections.append(ticket)
                 return ticket
             return real_submit(request)
 
         service.submit = submit
-        ticket = client._submit(Request(op="put", key=b"zh", value=b"v"))
-        assert not ticket.rejected
+
+    def test_explicit_zero_hint_spends_no_pumps(self, model):
+        # `retry_after=0` is an explicit "retry immediately" hint; it
+        # must not be promoted to a one-pump backoff.
+        service = _service(model, num_shards=1)
+        client = ServiceClient(service, max_retries=4)
+        self._rejecting(service, 3, retry_after=0)
+        assert client.put(b"zh", b"v").ok
         assert client.retries == 3
         assert client.backoff_pumps == 0  # zero hint -> zero pumps
-        assert client.puts_accepted == 1
+        assert client.puts_sent == 1
 
     def test_per_attempt_backoff_is_capped(self, model):
-        # However deep the rejecting queue claims to be, one attempt
-        # never spends more than BACKOFF_CAP_PUMPS — the uncapped
-        # exponential used to scale with the hint unboundedly.
-        from repro.service import Response, ServiceOverloadedError, Ticket
-        from repro.service.client import BACKOFF_CAP_PUMPS
-
+        # However deep the rejecting queue claims to be, one round
+        # never spends more than BACKOFF_CAP_PUMPS.
         service = _service(model, num_shards=1)
-        client = ServiceClient(service, max_retries=2,
-                               submit_pump_budget=100_000)
-
-        def submit(request):
-            ticket = Ticket(request=request, request_id=-1, shard=0)
-            ticket.response = Response(REJECTED, shard=0, retry_after=10_000)
-            return ticket
-
-        service.submit = submit
+        client = ServiceClient(service, max_retries=2)
+        self._rejecting(service, None, retry_after=10_000)
         with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"cap", value=b"v"))
-        assert 0 < client.backoff_pumps <= 3 * BACKOFF_CAP_PUMPS
+            client.put(b"cap", b"v")
+        assert 0 < client.backoff_pumps <= 2 * BACKOFF_CAP_PUMPS
 
-    def test_mixed_batch_reject_counted_once(self, model):
-        # Four distinct-key puts into a 2-deep queue: two admit, two
-        # reject at batch admission.  Each rejection is ONE
-        # backpressure event — the retry walk must back off on the
-        # rejection it already holds instead of re-submitting
-        # immediately into the same full queue, which re-rejected
-        # deterministically and double-counted the event in both the
-        # client's `retries` and the service's rejection ledger.
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_mixed_batch_reject_counted_once(self, model, transport):
+        # Four distinct-key puts into two slots (a 2-deep queue in
+        # process, a 2-frame pipeline cap over the wire): some admit,
+        # the rest reject.  Each rejection is ONE backpressure event,
+        # counted once by the server and once by the client, and the
+        # rejected rest retries as one batch after one backoff.
         service = _service(model, num_shards=1, max_queue=2, batch_size=1)
-        client = ServiceClient(service)
-        responses = client.put_many([(b"mix%d" % i, b"v") for i in range(4)])
+        try:
+            with _connect(service, transport, max_pending=2) as client:
+                responses = client.put_many(
+                    [(b"mix%d" % i, b"v") for i in range(4)]
+                )
+                stats = client.stats()
+        finally:
+            service.close()
+        rejected = stats["rejected"] + stats.get("frontdoor", {}).get(
+            "rejections_propagated", 0)
         assert all(r.ok for r in responses)
-        assert service.stats()["rejected"] == 2
-        assert client.retries == 2
-        assert client.backoff_pumps >= 2  # backed off before each retry
-        assert client.puts_accepted == 4
+        assert client.retries == rejected > 0
+        assert client.backoff_pumps >= 1
+        assert client.puts_sent == 4
         assert client.puts_acked == 4
         assert client.lost_acks == 0
+
+
+class TestRounds:
+    """Batches retry as batches, and a round settles before it raises."""
+
+    def test_multi_get_retries_as_batches(self, model):
+        # 2,048 reads into 4 x 256 queue slots: half the batch rejects
+        # at admission.  The rejected rest must retry as one batch per
+        # round, not one request (and one backoff) at a time.
+        keys = google_urls(2048, seed=5)
+        service = _service(model, num_shards=4, capacity=4096,
+                           max_queue=256, batch_size=64)
+        try:
+            ServiceClient(service).put_many((k, k[::-1]) for k in keys)
+            client = ServiceClient(service)
+            pumps = service.pump_index
+            assert client.multi_get(keys) == [k[::-1] for k in keys]
+            assert service.pump_index - pumps <= 100
+            assert client.retries > 0  # the batch really overflowed
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_duplicate_key_batch_keeps_last_write(self, model, transport):
+        # A one-slot queue rejects every sibling: the repeated key must
+        # still land in batch order, so the later write wins.
+        service = _service(model, num_shards=1, max_queue=1, batch_size=1)
+        pairs = [(b"dup", b"first"), (b"other", b"x"), (b"dup", b"last")]
+        try:
+            with _connect(service, transport) as client:
+                assert all(r.ok for r in client.put_many(pairs))
+                assert client.get(b"dup") == b"last"
+                assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_typed_error_settles_every_sibling(self, model, transport):
+        # Regression: a typed error mid-batch used to leave the
+        # siblings' ledger entries open.  Each put below gets a
+        # negative answer, so none may count as lost.
+        service = _service(model, num_shards=1)
+        if transport == "inproc":
+            # A stalled shard admits all three; the deadline cancels
+            # them.
+            _stall(service)
+            error, options = DeadlineExceededError, {"deadline_pumps": 4}
+        else:
+            # A zero-credit front door rejects every frame until the
+            # client gives up.
+            error, options = ServiceOverloadedError, {"max_retries": 2}
+        try:
+            with _connect(service, transport, max_pending=0,
+                          **options) as client:
+                with pytest.raises(error):
+                    client.put_many([(b"sib%d" % i, b"v") for i in range(3)])
+                assert client.puts_sent == 3
+                assert client.puts_responded == 3
+                assert client.lost_acks == 0
+        finally:
+            service.close()
