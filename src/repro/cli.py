@@ -622,7 +622,7 @@ _CI_OPS = 120
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
-    from repro.verify import TARGETS, fuzz, save_repro
+    from repro.verify import TARGETS, ServingTarget, fuzz, save_repro
 
     if args.list:
         for name in sorted(TARGETS):
@@ -645,19 +645,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         runs = [(name, args.seed, args.cases, args.ops) for name in names]
 
-    # --execution pins the service-layer targets to one execution
-    # backend; structure-only targets have no service to configure.
-    _SERVICE_TARGETS = frozenset(
-        {"service", "chaos", "reshard", "drift", "frontdoor", "similarity"}
-    )
-
     failed = False
     for name, seed, cases, ops_per_case in runs:
-        # Passed only when set, so the default call shape (and anything
+        # --execution pins the serving presets to one execution backend;
+        # structure-only targets have no service to configure.  Passed
+        # only when set, so the default call shape (and anything
         # substituting for fuzz in tests) stays unchanged.
         kwargs = (
             {"config_overrides": {"execution": args.execution}}
-            if args.execution != "inline" and name in _SERVICE_TARGETS
+            if args.execution != "inline"
+            and issubclass(TARGETS[name], ServingTarget)
             else {}
         )
         report = fuzz(name, seed=seed, cases=cases, ops_per_case=ops_per_case,
@@ -753,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "--seed/--cases/--ops)")
     fuzz.add_argument("--execution", default="inline",
                       choices=("inline", "process"),
-                      help="execution backend for the service/chaos "
-                           "targets (other targets ignore it)")
+                      help="execution backend for the six serving "
+                           "presets (other targets ignore it)")
     fuzz.add_argument("--list", action="store_true",
                       help="list available targets and exit")
     fuzz.set_defaults(func=cmd_fuzz)

@@ -30,12 +30,19 @@ from repro.verify.runner import (
     run_ops,
     shrink,
 )
-from repro.verify.targets import TARGETS, Divergence, Target, build_hasher
+from repro.verify.targets import (
+    TARGETS,
+    Divergence,
+    ServingTarget,
+    Target,
+    build_hasher,
+)
 
 __all__ = [
     "Divergence",
     "Failure",
     "FuzzReport",
+    "ServingTarget",
     "TARGETS",
     "Target",
     "build_hasher",

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 Op = Dict[str, object]
@@ -191,163 +192,101 @@ def generate_store_ops(rng: random.Random, n: int) -> List[Op]:
     return ops
 
 
-def generate_service_ops(rng: random.Random, n: int) -> List[Op]:
-    """Service protocol streams: keyed ops, bursts, pumps, forced trips.
+@dataclass(frozen=True)
+class ServingMenu:
+    """One serving preset's op mix for :func:`generate_serving_ops`.
 
-    ``burst`` submits a run of puts *without* pumping in between, so
-    tiny queues overflow and the explicit-backpressure path (reject, do
-    not apply) gets exercised; ``force_trip`` drives one shard's monitor
-    over budget mid-stream (the shard index is reduced modulo the
-    case's shard count); ``pump``/``drain`` move the micro-batch
-    machinery.  The expected answer for every accepted op is computed
-    against the oracle at admission time — same key, same shard, FIFO
-    queue, so per-key order is linearizable.
+    ``rolls`` maps a uniform roll to an op kind: the first ``(ceiling,
+    kind)`` pair with ``roll < ceiling`` wins, and the last ceiling is
+    1.0.  ``pool`` sizes :func:`make_key_pool` (0 picks the fixed
+    :func:`make_drift_key_pool`), ``burst`` bounds the keys of a
+    ``burst`` or ``multi_get``, ``faults`` and ``fault_counts`` are the
+    ``inject`` kinds and count range, and ``tail`` is the guaranteed
+    ending — the step the preset exists for.
     """
-    pool = make_key_pool(rng, size=72)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.42:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.64:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.76:
-            keys = pick_keys(rng, pool, 2, 12)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.88:
-            ops.append({"op": "pump"})
-        elif roll < 0.92:
-            ops.append({"op": "drain"})
-        elif roll < 0.96:
-            ops.append({"op": "stats"})
-        else:
-            ops.append({"op": "force_trip", "shard": rng.randrange(8)})
-    ops.append({"op": "drain"})
-    return ops
+
+    rolls: Tuple[Tuple[float, str], ...]
+    tail: Tuple[str, ...]
+    pool: int = 48
+    burst: Tuple[int, int] = (2, 10)
+    faults: Tuple[str, ...] = ()
+    fault_counts: Tuple[int, int] = (1, 4)
 
 
-def generate_chaos_ops(rng: random.Random, n: int) -> List[Op]:
-    """Service streams interleaved with declarative fault injection.
+_FAULT_KINDS = ("crash", "sigkill", "stall", "drop", "corrupt", "queue_loss")
 
-    ``inject`` arms one fault spec (crash / sigkill / stall / drop /
-    corrupt / queue_loss) on the case's live FaultPlane — as an *op*, so ddmin
-    can delete faults one at a time while shrinking a repro and tell a
-    fault-dependent bug from a fault-independent one.  ``settle`` pumps
-    through a healing window (supervisor restarts, breaker cooldown +
-    probe) so a case exercises recovery, not just the crash itself.
-    Counts are kept small: every armed fault must be able to exhaust
-    within the case, otherwise termination assertions would be testing
-    the fault schedule rather than the healing machinery.
-    """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.26:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.40:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.48:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.56:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.66:
-            keys = pick_keys(rng, pool, 2, 10)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.78:
-            ops.append({"op": "pump"})
-        elif roll < 0.82:
-            ops.append({"op": "drain"})
-        elif roll < 0.86:
-            ops.append({"op": "stats"})
-        elif roll < 0.94:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "sigkill", "stall", "drop", "corrupt",
-                     "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 4),
-            })
-        else:
-            ops.append({"op": "settle"})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
-    return ops
+# Op kinds, beyond the service verbs and the bare pump/drain/stats:
+# ``burst`` is a run of puts submitted with no pumping in between (tiny
+# queues overflow, so the reject-do-not-apply path runs); ``force_trip``
+# drives one shard's monitor over budget mid-stream; ``inject`` arms one
+# fault spec — as an op, so ddmin can strip faults one at a time and
+# tell a fault-dependent bug from a fault-independent one; ``settle``
+# pumps through a heal window, so a case exercises recovery and not just
+# the crash; ``drift`` arms a workload drift, after which the target
+# rewrites every key so the bytes the deployed plan reads go constant;
+# ``race`` is a split that carries its own write burst, so a socket
+# target can race the burst against the routing flip; ``doc`` is a put
+# whose value is a sentence over a small shared vocabulary
+# (near-duplicate documents give ``similar`` non-trivial answers).
+# Shard indices are drawn from ``range(8)`` and reduced modulo the live
+# fleet by the target.  Fault counts stay small: every armed fault must
+# be able to exhaust within the case, or termination checks would test
+# the schedule rather than the healing machinery.
+SERVING_MENUS: Dict[str, ServingMenu] = {
+    "service": ServingMenu(
+        rolls=((0.24, "put"), (0.42, "get"), (0.52, "delete"),
+               (0.64, "contains"), (0.76, "burst"), (0.88, "pump"),
+               (0.92, "drain"), (0.96, "stats"), (1.0, "force_trip")),
+        tail=("drain",), pool=72, burst=(2, 12),
+    ),
+    "chaos": ServingMenu(
+        rolls=((0.26, "put"), (0.40, "get"), (0.48, "delete"),
+               (0.56, "contains"), (0.66, "burst"), (0.78, "pump"),
+               (0.82, "drain"), (0.86, "stats"), (0.94, "inject"),
+               (1.0, "settle")),
+        tail=("settle", "drain"), faults=_FAULT_KINDS,
+    ),
+    # At least one split per case: the preset exists to cross a flip.
+    "reshard": ServingMenu(
+        rolls=((0.24, "put"), (0.38, "get"), (0.46, "delete"),
+               (0.54, "contains"), (0.62, "burst"), (0.72, "pump"),
+               (0.76, "drain"), (0.80, "stats"), (0.87, "inject"),
+               (0.93, "split"), (1.0, "settle")),
+        tail=("split", "settle", "drain"), faults=_FAULT_KINDS,
+    ),
+    # Every case crosses at least one drift + swap window (see
+    # ``drift_window`` in generate_serving_ops).
+    "drift": ServingMenu(
+        rolls=((0.26, "put"), (0.40, "get"), (0.46, "delete"),
+               (0.52, "contains"), (0.62, "burst"), (0.74, "pump"),
+               (0.78, "drain"), (0.82, "stats"), (0.88, "inject"),
+               (0.92, "drift"), (1.0, "settle")),
+        tail=("drift_window", "settle", "drain"), pool=0,
+        faults=tuple(k for k in _FAULT_KINDS if k != "sigkill"),
+        fault_counts=(1, 3),
+    ),
+    # At least one racing split per case, then a read of the pool head:
+    # crossing a flip through the socket is what the preset exists for.
+    "frontdoor": ServingMenu(
+        rolls=((0.24, "put"), (0.42, "get"), (0.52, "delete"),
+               (0.62, "contains"), (0.74, "burst"), (0.86, "multi_get"),
+               (0.93, "stats"), (1.0, "race")),
+        tail=("race", "read_head"), burst=(2, 12),
+    ),
+    "similarity": ServingMenu(
+        rolls=((0.30, "doc"), (0.48, "similar"), (0.60, "get"),
+               (0.70, "delete"), (0.80, "contains"), (0.90, "pump"),
+               (0.96, "drain"), (1.0, "stats")),
+        tail=("drain",),
+    ),
+}
 
-
-def generate_reshard_ops(rng: random.Random, n: int) -> List[Op]:
-    """Chaos streams interleaved with forced live shard splits.
-
-    Identical discipline to :func:`generate_chaos_ops` — faults are ops
-    so ddmin can strip them individually — plus ``split`` ops that force
-    a live split of a (modulo-reduced) donor shard mid-stream.  A split
-    under an armed crash/drop/queue_loss schedule is exactly the window
-    the routing-flip machinery has to survive: journal migration off a
-    possibly-degraded donor, queue sweep across the flip, reconciled
-    tickets re-routed through the new table — all without the oracle
-    (admission-time, per-key FIFO) noticing anything at all.
-    """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.38:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.46:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.54:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.62:
-            keys = pick_keys(rng, pool, 2, 10)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.72:
-            ops.append({"op": "pump"})
-        elif roll < 0.76:
-            ops.append({"op": "drain"})
-        elif roll < 0.80:
-            ops.append({"op": "stats"})
-        elif roll < 0.87:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "sigkill", "stall", "drop", "corrupt",
-                     "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 4),
-            })
-        elif roll < 0.93:
-            ops.append({"op": "split", "shard": rng.randrange(8)})
-        else:
-            ops.append({"op": "settle"})
-    # At least one split per case: the target exists to cross a flip.
-    ops.append({"op": "split", "shard": rng.randrange(8)})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
-    return ops
+_VOCAB = (b"alpha", b"bravo", b"charlie", b"delta", b"echo", b"fox",
+          b"golf", b"hotel", b"india", b"juliet", b"kilo", b"lima")
 
 
 def make_drift_key_pool(size: int = 64) -> List[bytes]:
-    """The drift target's key population: fixed-length, fixed-structure.
+    """The drift preset's key population: fixed-length, fixed-structure.
 
     Every key is ``user-`` + 16 deterministic hex chars + ``-suffix``:
     all the entropy lives in bytes [5, 21), so a trained model deploys
@@ -367,170 +306,79 @@ def make_drift_key_pool(size: int = 64) -> List[bytes]:
     ]
 
 
-def generate_drift_ops(rng: random.Random, n: int) -> List[Op]:
-    """Chaos streams plus workload drift that must force plan swaps.
+def generate_serving_ops(preset: str, rng: random.Random, n: int) -> List[Op]:
+    """Service protocol streams for one serving preset's menu.
 
-    The service op menu of :func:`generate_chaos_ops` (every fault is
-    an op, ddmin strips them individually) extended with ``drift``
-    injections: when a ``drift`` spec fires, the *driver* starts
-    rewriting every subsequent key so the bytes the deployed plan reads
-    go constant — the admission-time oracle sees the same rewritten
-    keys, so correctness stays exact while the detector, re-learner,
-    and zero-downtime swap machinery race the fault schedule.  Each
-    case ends with a guaranteed drift injection followed by a heavy
-    keyed tail and ``relearn_settle`` windows, so the detector's window
-    fills and the swap path runs in every case, not just lucky ones.
+    ``n`` rolls against ``SERVING_MENUS[preset].rolls``, then the
+    preset's guaranteed tail.  The expected answer for every admitted op
+    is computed by the target against its oracle at admission time, so
+    the stream itself carries no expectations.
     """
-    pool = make_drift_key_pool()
+    menu = SERVING_MENUS[preset]
+    pool = (make_key_pool(rng, size=menu.pool) if menu.pool
+            else make_drift_key_pool())
     ops: List[Op] = []
     counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.26:
+
+    def emit(kind: str) -> None:
+        nonlocal counter
+        if kind == "put":
             counter += 1
             ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.40:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.46:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.62:
-            keys = pick_keys(rng, pool, 2, 10)
+        elif kind in ("get", "delete", "contains"):
+            ops.append(_keyed(kind, pick_key(rng, pool)))
+        elif kind == "burst":
+            keys = pick_keys(rng, pool, *menu.burst)
             counter += len(keys)
             ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.74:
-            ops.append({"op": "pump"})
-        elif roll < 0.78:
-            ops.append({"op": "drain"})
-        elif roll < 0.82:
-            ops.append({"op": "stats"})
-        elif roll < 0.88:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "stall", "drop", "corrupt", "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 3),
-            })
-        elif roll < 0.92:
-            ops.append({
-                "op": "inject",
-                "kind": "drift",
-                "shard": rng.randrange(8),
-                "after": rng.randrange(3),
-                "count": 1,
-            })
-        else:
-            ops.append({"op": "settle"})
-    # Every case crosses at least one drift + swap window: inject the
-    # drift, then stream enough keyed traffic (with pump interleave) to
-    # fill the detector window and trip it, then settle through the
-    # re-learn decision and drain.
-    ops.append({"op": "inject", "kind": "drift", "shard": 0, "count": 1})
-    for i in range(48):
-        counter += 1
-        ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        if i % 4 == 3:
-            ops.append({"op": "pump"})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
-    return ops
-
-
-def generate_frontdoor_ops(rng: random.Random, n: int) -> List[Op]:
-    """Socket-client streams: blocking RPCs, pipelined batches, splits.
-
-    The front-door target drives a real TCP connection, so every op is
-    a settled round-trip and the oracle comparison happens at response
-    time (which *is* admission time — the client blocks).  ``burst``
-    and ``multi_get`` go through the client's pipelined window, handing
-    the admission loop genuinely coalescible frame runs; ``split``
-    carries its own key batch so the target can race a pipelined write
-    burst against the routing flip — the exact window the server-side
-    WRONG_GENERATION resubmit has to make invisible.
-    """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.42:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.62:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.74:
-            keys = pick_keys(rng, pool, 2, 12)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.86:
-            ops.append(_batch("multi_get", pick_keys(rng, pool, 2, 12)))
-        elif roll < 0.93:
-            ops.append({"op": "stats"})
-        else:
+        elif kind == "multi_get":
+            ops.append(_batch("multi_get", pick_keys(rng, pool, *menu.burst)))
+        elif kind == "race":
             keys = pick_keys(rng, pool, 3, 10)
             counter += len(keys)
             ops.append(_batch("split", keys, v=counter,
                               shard=rng.randrange(8)))
-    # At least one racing split per case: crossing a generation flip
-    # through the socket is the coverage this target exists for.
-    keys = pick_keys(rng, pool, 3, 10)
-    counter += len(keys)
-    ops.append(_batch("split", keys, v=counter, shard=rng.randrange(8)))
-    ops.append(_batch("multi_get", pool[:16]))
-    return ops
-
-
-def generate_similarity_ops(rng: random.Random, n: int) -> List[Op]:
-    """Similarity-service streams: docs with planted overlap, queries.
-
-    Documents are sentences drawn from a small shared vocabulary, so
-    the stream naturally creates near-duplicate pairs (high shingle
-    overlap) alongside unrelated docs — ``similar`` queries then have
-    non-trivial answers for the brute-force oracle to check.  Every doc
-    rides hex-encoded in its op, same as keys, so a saved repro replays
-    bit-identically.  ``similar`` carries a small ``k``; ``put`` on a
-    live key exercises the re-signature (overwrite) path and ``delete``
-    the bucket-removal path.
-    """
-    pool = make_key_pool(rng, size=48)
-    vocab = [b"alpha", b"bravo", b"charlie", b"delta", b"echo", b"fox",
-             b"golf", b"hotel", b"india", b"juliet", b"kilo", b"lima"]
-
-    def make_doc() -> bytes:
-        words = [vocab[rng.randrange(len(vocab))]
-                 for _ in range(rng.randrange(3, 9))]
-        return b" ".join(words)
-
-    ops: List[Op] = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.30:
-            ops.append(_keyed("put", pick_key(rng, pool),
-                              doc=make_doc().hex()))
-        elif roll < 0.48:
+        elif kind in ("split", "force_trip"):
+            ops.append({"op": kind, "shard": rng.randrange(8)})
+        elif kind == "inject":
+            ops.append({
+                "op": "inject",
+                "kind": rng.choice(menu.faults),
+                "shard": rng.randrange(8),
+                "after": rng.randrange(4),
+                "count": rng.randrange(*menu.fault_counts),
+            })
+        elif kind == "drift":
+            ops.append({"op": "inject", "kind": "drift",
+                        "shard": rng.randrange(8),
+                        "after": rng.randrange(3), "count": 1})
+        elif kind == "drift_window":
+            # Inject a drift, then stream enough keyed traffic (with
+            # pump interleave) to fill the detector window and trip it.
+            ops.append({"op": "inject", "kind": "drift", "shard": 0,
+                        "count": 1})
+            for i in range(48):
+                emit("put")
+                if i % 4 == 3:
+                    ops.append({"op": "pump"})
+        elif kind == "read_head":
+            ops.append(_batch("multi_get", pool[:16]))
+        elif kind == "doc":
+            key = pick_key(rng, pool)
+            words = [_VOCAB[rng.randrange(len(_VOCAB))]
+                     for _ in range(rng.randrange(3, 9))]
+            ops.append(_keyed("put", key, doc=b" ".join(words).hex()))
+        elif kind == "similar":
             ops.append(_keyed("similar", pick_key(rng, pool),
                               k=rng.randrange(0, 6)))
-        elif roll < 0.60:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.70:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.80:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.90:
-            ops.append({"op": "pump"})
-        elif roll < 0.96:
-            ops.append({"op": "drain"})
-        else:
-            ops.append({"op": "stats"})
-    ops.append({"op": "drain"})
+        else:  # pump, drain, stats, settle
+            ops.append({"op": kind})
+
+    for _ in range(n):
+        roll = rng.random()
+        emit(next(kind for ceiling, kind in menu.rolls if roll < ceiling))
+    for kind in menu.tail:
+        emit(kind)
     return ops
 
 
@@ -622,11 +470,10 @@ __all__ = [
     "generate_filter_ops",
     "generate_sketch_ops",
     "generate_store_ops",
-    "generate_service_ops",
-    "generate_chaos_ops",
-    "generate_reshard_ops",
-    "generate_frontdoor_ops",
-    "generate_similarity_ops",
+    "SERVING_MENUS",
+    "ServingMenu",
+    "generate_serving_ops",
+    "make_drift_key_pool",
     "generate_engine_ops",
     "generate_reducer_ops",
     "generate_minhash_ops",

@@ -124,7 +124,7 @@ def fuzz(
     case is reproducible from the report's recorded seed without
     rerunning the whole campaign.  ``config_overrides`` is merged over
     every random config (and recorded in any failure's repro) — the CLI
-    uses it to pin the service targets to a specific execution backend.
+    uses it to pin the serving presets to a specific execution backend.
     """
     report = FuzzReport(target=target_name)
     cls = TARGETS[target_name]

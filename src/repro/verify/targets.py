@@ -1,6 +1,7 @@
-"""Differential-fuzz targets: one class per structure family.
+"""Differential-fuzz targets: one class per structure family, plus
+one :class:`ServingTarget` behind six serving presets.
 
-A *target* owns three views of the same logical state:
+A structure target owns three views of the same logical state:
 
 * the **subject** — the real structure, driven through its batch paths
   wherever the op stream says so;
@@ -17,6 +18,11 @@ geometry (a batch-built table must end with the same capacity as its
 scalar twin).  Fault-injection ops (``fall_back``, ``clear_plans``,
 ``monitor_fall_back``) exercise the engine's robustness machinery
 mid-sequence.
+
+The serving presets (:data:`SERVING_PRESETS`) drive the sharded service
+against one admission-time dict oracle; each preset name selects a set
+of features (faults, splits, drift, similarity, socket) layered on the
+same harness.
 """
 
 from __future__ import annotations
@@ -1067,29 +1073,95 @@ class ReducerTarget(Target):
                 _require(0 <= int(value) < n, f"fast-range value {value} >= {n}")
 
 
-# ------------------------------------------------------------ service
+# ------------------------------------------------------------ serving
 
 
-class ServiceTarget(Target):
-    """Sharded service vs one flat dict oracle.
+class ServingTarget(Target):
+    """The sharded service vs one admission-time dict oracle.
 
-    Why the oracle is sound despite queuing: a key always routes to the
-    same shard, the shard queue is FIFO, and segments preserve intra-
-    batch order — so operations on any single key execute in admission
-    order.  The expected answer for each accepted op is therefore
-    computed against the oracle *at admission time*; rejected ops are
-    never applied to the oracle (if the service secretly applied one
-    anyway, later reads diverge).  ``force_trip`` mid-stream checks
-    that a per-shard full-key fallback (and the breaker-driven heal
-    that follows) loses no acknowledged write, and ``drain`` at the
-    end checks that every admitted op got exactly one response.
+    One harness, six presets (:data:`SERVING_PRESETS`).  Each preset is
+    a set of *features* layered on a base in-process ``Service``:
+
+    * ``faults`` — a live FaultPlane, armed by ``inject`` ops
+      (crash / sigkill / stall / drop / corrupt / queue_loss), plus
+      ``settle`` heal windows;
+    * ``splits`` — ``split`` ops force live shard splits (in process,
+      with the hot-key tracker on, so promotion flips interleave with
+      split flips);
+    * ``drift`` — online re-learning over a trained model, and
+      ``inject`` ops that can arm a workload drift;
+    * ``similarity`` — the LSH similarity backend, with ``similar``
+      queries checked against brute force;
+    * ``socket`` — the client side moves behind a real TCP front door.
+
+    **Why an admission-time oracle is sound.**  A key always routes to
+    the same shard, the shard queue is FIFO, and segments preserve
+    intra-batch order, so operations on any single key execute in
+    admission order.  The expected answer for each admitted op is
+    therefore computed against the oracle *at admission time*; rejected
+    ops are never applied to the oracle (if the service secretly
+    applied one anyway, later reads diverge).  ``force_trip`` checks
+    that a per-shard full-key fallback, and the breaker-driven heal
+    that follows, loses no acknowledged write; the final drain checks
+    that every admitted op got exactly one response, and the read-back
+    that every acknowledged write is still there.
+
+    * Faults must be invisible to clients: every admitted op answers
+      exactly once with the admission-order result, across worker
+      restarts, and only breaker-quarantined shards run on full-key
+      hashing.  Breakers need not finish closed: adversarially
+      low-entropy key pools legitimately re-trip a probing shard.
+    * A split flip that loses, reorders or double-applies one acked op
+      diverges on read-back.  WRONG_GENERATION is held to *zero*: in
+      process, the flip sweep plus the reconcile re-route must catch
+      every straggler internally (the dispatch guard is a protocol
+      safety net for external clients, and it firing here is a
+      routing-plane bug); over the socket, the front door resubmits
+      those answers server-side, so the client must never retry one.
+    * A fired drift makes the *harness* rewrite every later key through
+      :func:`repro.drift.keys.drift_key` against the plan deployed at
+      fire time.  The request and the oracle see the same rewritten
+      key (the rewrite is injective and deterministic), so the oracle
+      discipline is untouched while detector → re-learn → swap races
+      the fault schedule; the service, relearner and supervisor must
+      agree on how many swaps landed.
+    * ``similar`` is a cross-key read, so per-key order is not enough:
+      it relies on *all* ops on one shard executing in admission order,
+      which holds because routing is static under this feature (no
+      splits, no hot-key overlay; its menu draws no force_trip either,
+      because a fallback rebuild changes the element hasher and with
+      it every signature).  The
+      brute-force answer scans the queried key's shard for keys sharing
+      a bit-identical band block, scores them with the exact b-bit
+      estimator and keeps the top k by (-score, key).  The subject
+      buckets by band *hash*, so its candidates are a superset of the
+      oracle's, and extra collision candidates lose the exact re-rank:
+      strict equality is the right check (a false band-hash collision
+      changing top-k needs two distinct blocks hashing identically *and*
+      tied scores, ~2^-64 per pair).
+    * Over the socket the client blocks per RPC, so response time *is*
+      admission time; pipelined ``burst``/``multi_get`` ops and the
+      burst a ``split`` races against the flip hand the front door's
+      admission loop real coalescible frame runs.
     """
 
-    name = "service"
+    features: frozenset = frozenset()
+
+    # Bound on stacked drift rewrites per case: each layer appends a
+    # captured-bytes tail, so unbounded stacking would grow keys without
+    # adding new coverage.
+    MAX_DRIFT_LAYERS = 3
+
+    # Ops that need a feature; over the socket the front door's loop
+    # thread owns pumping, so the harness may not pump or trip.
+    _OP_FEATURE = {"inject": "faults", "settle": "faults",
+                   "split": "splits", "similar": "similarity"}
+    _IN_PROCESS_OPS = frozenset({"pump", "drain", "force_trip"})
 
     @classmethod
     def default_config(cls) -> Dict[str, object]:
-        return {
+        features = cls.features
+        config: Dict[str, object] = {
             "hasher": {"positions": [0, 4], "word_size": 2},
             "shards": 3,
             "backend": "chaining",
@@ -1098,6 +1170,26 @@ class ServiceTarget(Target):
             "batch_size": 4,
             "execution": "inline",
         }
+        if "faults" in features:
+            config.update(fault_seed=0, cooldown=6, probe=3,
+                          stall_threshold=3, journal_checkpoint=32)
+        if "splits" in features:
+            if "socket" in features:
+                config["max_splits"] = 2
+            else:
+                config.update(hot_k=4, adapt_every=4, max_splits=3)
+        if "drift" in features:
+            del config["hasher"]
+            config.update(
+                backend="chaining", capacity=48, model_seed=0,
+                drift_window=24, drift_margin=1.0, drift_patience=2,
+                drift_reservoir=96, min_dwell=4, min_sample=16,
+                adapt_every=2,
+            )
+        if "similarity" in features:
+            config.update(shards=2, backend="similarity", capacity=64,
+                          bands=4, rows=2, b=8, shingle_width=4)
+        return config
 
     @classmethod
     def random_config(cls, rng: random.Random) -> Dict[str, object]:
@@ -1105,60 +1197,195 @@ class ServiceTarget(Target):
         # CLI's --execution flag): random per-case process spawning
         # would dominate fuzz wall-clock without adding coverage beyond
         # what a dedicated process-execution campaign already gives.
-        return {
+        # The socket and similarity presets draw from smaller fleets.
+        features = cls.features
+        socket = "socket" in features
+        similarity = "similarity" in features
+        config: Dict[str, object] = {
             "hasher": random_hasher_spec(rng),
-            "shards": rng.choice((2, 3, 4, 5)),
-            "backend": rng.choice(("chaining", "probing", "lsm")),
-            "capacity": rng.choice((8, 16, 64)),
-            "max_queue": rng.choice((4, 8, 16)),
-            "batch_size": rng.choice((1, 2, 4, 8)),
-            "execution": "inline",
+            "shards": rng.choice((1, 2, 3) if similarity
+                                 else (2, 3, 4) if socket
+                                 else (2, 3, 4, 5)),
         }
+        if similarity:
+            config.update(backend="similarity", capacity=64)
+        else:
+            config.update(
+                backend=rng.choice(("chaining", "probing", "lsm")),
+                capacity=rng.choice((8, 16, 64)),
+            )
+        config.update(
+            max_queue=rng.choice((8, 16) if socket else (4, 8, 16)),
+            batch_size=rng.choice((2, 4, 8) if socket
+                                  else (1, 2, 4) if similarity
+                                  else (1, 2, 4, 8)),
+            execution="inline",
+        )
+        if "faults" in features:
+            config.update(
+                fault_seed=rng.randrange(1 << 16),
+                cooldown=rng.choice((4, 6, 10)),
+                probe=rng.choice((2, 3, 5)),
+                stall_threshold=rng.choice((2, 3)),
+                # 0 disables checkpointing; small values force compactions.
+                journal_checkpoint=rng.choice((16, 64, 0)),
+            )
+        if "splits" in features:
+            if socket:
+                config["max_splits"] = rng.choice((1, 2))
+            else:
+                config.update(
+                    hot_k=rng.choice((0, 2, 4)),
+                    adapt_every=rng.choice((2, 4, 8)),
+                    max_splits=rng.choice((1, 2, 3)),
+                )
+        if "drift" in features:
+            del config["hasher"]
+            config.update(
+                # Only the relearnable table backends: the drift
+                # machinery validates against RELEARN_BACKENDS.
+                backend=rng.choice(("chaining", "probing")),
+                shards=rng.choice((2, 3)),
+                capacity=rng.choice((32, 48, 64)),
+                model_seed=rng.randrange(1 << 16),
+                drift_window=rng.choice((16, 24, 32)),
+                drift_margin=rng.choice((0.5, 1.0, 2.0)),
+                drift_patience=rng.choice((1, 2)),
+                drift_reservoir=rng.choice((64, 96)),
+                min_dwell=rng.choice((2, 4, 8)),
+                min_sample=rng.choice((8, 16)),
+                adapt_every=rng.choice((2, 4)),
+            )
+        if similarity:
+            config.update(
+                bands=rng.choice((2, 4)),
+                rows=rng.choice((2, 4)),
+                b=rng.choice((4, 8)),
+                shingle_width=rng.choice((3, 4, 8)),
+            )
+        return config
 
     @classmethod
     def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_service_ops(rng, n)
+        return opslib.generate_serving_ops(cls.name, rng, n)
 
     def __init__(self, config: Dict[str, object]):
+        from repro.service import FrontDoorThread, NetworkClient, Service
+
         super().__init__(config)
-        self.backend = str(config.get("backend", "chaining"))
-        self.max_queue = int(config.get("max_queue", 8))
-        self.execution = str(config.get("execution", "inline"))
-        self.service = self._build_service(config)
+        self.service = self.door = self.client = None
+        # A hand-written partial config falls back to the preset's
+        # defaults key by key.
+        config = {**self.default_config(), **config}
+        self.backend = str(config["backend"])
+        self.max_queue = int(config["max_queue"])
+        self.batch_size = int(config["batch_size"])
+        self.max_splits = int(config.get("max_splits", 0))
         self.oracle = DictOracle()
         # (ticket, kind, expected-at-admission) for in-flight requests.
         self.pending: List[tuple] = []
-
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        return Service(**self._service_kwargs(config))
+        # Rewrite layers latched by fired drift specs; each layer is the
+        # (positions, word_size) of the plan deployed at fire time.
+        self.drift_layers: List[tuple] = []
+        # key -> oracle BBitMinHash; key -> home shard (static routing).
+        self.sigs: Dict[bytes, object] = {}
+        self.shard_of: Dict[bytes, int] = {}
+        self.service = Service(**self._service_kwargs(config))
+        if "socket" in self.features:
+            self.door = FrontDoorThread(self.service).start()
+            self.client = NetworkClient("127.0.0.1", self.door.port)
 
     def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
-        """``Service(...)`` arguments for ``config``; subclasses extend."""
-        return {
-            "num_shards": int(config.get("shards", 3)),
+        """``Service(...)`` arguments: the base, then one clause per
+        feature."""
+        features = self.features
+        kwargs: Dict[str, object] = {
+            "num_shards": int(config["shards"]),
             "backend": self.backend,
             "hasher": (build_hasher(config["hasher"])
                        if "hasher" in config else None),
-            "capacity": int(config.get("capacity", 16)),
+            "capacity": int(config["capacity"]),
             "max_queue": self.max_queue,
-            "batch_size": int(config.get("batch_size", 4)),
-            "execution": self.execution,
+            "batch_size": self.batch_size,
+            "execution": str(config["execution"]),
         }
+        if "faults" in features:
+            from repro.faults import FaultPlan, FaultPlane
+
+            self.plane = FaultPlane(FaultPlan([]),
+                                    seed=int(config["fault_seed"]))
+            self.cooldown = int(config["cooldown"])
+            self.probe = int(config["probe"])
+            kwargs.update(
+                fault_plane=self.plane,
+                cooldown_pumps=self.cooldown,
+                probe_pumps=self.probe,
+                stall_threshold=int(config["stall_threshold"]),
+                journal_checkpoint=int(config["journal_checkpoint"]),
+            )
+        if "splits" in features and "socket" not in features:
+            kwargs.update(hot_k=int(config["hot_k"]),
+                          adapt_every=int(config["adapt_every"]))
+        if "drift" in features:
+            from repro.core.trainer import train_model
+
+            # The model is a pure function of config: the same fixed
+            # pool plus the recorded seed retrains bit-identically.
+            kwargs.update(
+                model=train_model(opslib.make_drift_key_pool(),
+                                  seed=int(config["model_seed"])),
+                hasher=None,
+                adapt_every=int(config["adapt_every"]),
+                relearn=True,
+                drift_window=int(config["drift_window"]),
+                drift_margin=float(config["drift_margin"]),
+                drift_patience=int(config["drift_patience"]),
+                drift_reservoir=int(config["drift_reservoir"]),
+                min_dwell=int(config["min_dwell"]),
+                min_sample=int(config["min_sample"]),
+            )
+        if "similarity" in features:
+            # The oracle signs documents with the service's own hasher.
+            self.hasher = kwargs["hasher"]
+            self.bands, self.rows = int(config["bands"]), int(config["rows"])
+            self.b = int(config["b"])
+            self.shingle_width = int(config["shingle_width"])
+            kwargs["backend_options"] = {
+                "bands": self.bands,
+                "rows": self.rows,
+                "b": self.b,
+                "shingle_width": self.shingle_width,
+            }
+        return kwargs
 
     def teardown(self) -> None:
-        service = getattr(self, "service", None)
-        if service is not None:
-            service.close()
+        if self.client is not None:
+            self.client.close()
+        if self.door is not None:
+            self.door.stop()
+        if self.service is not None:
+            self.service.close()
 
     def _queue_bound(self) -> int:
-        return self.max_queue
+        bound = self.max_queue
+        if "faults" in self.features:
+            # Recovery requeues bypass admission control on purpose (the
+            # tickets were already admitted): between two reconciles a
+            # shard can hold a full queue plus one reconciled batch plus
+            # a few queue_loss singles.
+            bound += self.batch_size + 16
+        if "splits" in self.features:
+            # A flip sweep may concentrate several shards' requeued
+            # tickets onto one new owner, so the bound scales with the
+            # fleet: still finite, still catches unbounded growth.
+            bound *= max(1, len(self.service.workers))
+        return bound
 
-    # ------------------------------------------------------------ helpers
+    # ---------------------------------------------------------- transport
 
     def _submit(self, request):
-        """Submit; returns the ticket, or None when backpressure rejected."""
+        """Submit in process; the ticket, or None when backpressure
+        rejected it."""
         ticket = self.service.submit(request)
         if ticket.rejected:
             _require(
@@ -1167,6 +1394,56 @@ class ServiceTarget(Target):
             )
             return None
         return ticket
+
+    def _send(self, requests: List[object]) -> List[object]:
+        """One ticket per request, None where backpressure rejected it.
+
+        In process each request is submitted on its own and answers at
+        a later pump.  Over the socket the blocking client retries
+        rejections itself, so every ticket comes back already done.
+        """
+        from repro.service.protocol import Ticket
+
+        if self.client is None:
+            return [self._submit(request) for request in requests]
+        if all(request.op == "put" for request in requests):
+            # put_many keeps a duplicate-key burst in wire order.
+            responses = self.client.put_many(
+                [(request.key, request.value) for request in requests]
+            )
+        else:
+            # The client's retrying batch walk itself: its read verbs
+            # unwrap the Responses this check needs.
+            responses = self.client._call(requests)
+        return [Ticket(request, -1, response=response)
+                for request, response in zip(requests, responses)]
+
+    def _exchange(self, requests: List[object]) -> None:
+        """Send ``requests``; each admitted one is applied to the oracle
+        and owes the answer the oracle gives at its admission."""
+        for request, ticket in zip(requests, self._send(requests)):
+            if ticket is not None:
+                self.pending.append(
+                    (ticket, request.op, self._admit(request))
+                )
+
+    def _admit(self, request) -> object:
+        """Apply an admitted request to the oracle; the answer it owes."""
+        op, key = request.op, request.key
+        if op == "put":
+            self.oracle.insert(key, request.value)
+            if "similarity" in self.features:
+                self.sigs[key] = self._signature(request.value)
+                self.shard_of[key] = self.service.router.table.route_one(key)
+            return None
+        if op == "get":
+            return self.oracle.get(key)
+        if op == "contains":
+            return self.oracle.contains(key)
+        if op == "delete":
+            self.sigs.pop(key, None)
+            return self.oracle.delete(key)
+        return self._expected_similar(key, int(request.value))
 
     def _verify(self, ticket, kind: str, expected) -> None:
         response = ticket.response
@@ -1191,6 +1468,23 @@ class ServiceTarget(Target):
                 response.found == expected,
                 f"delete -> {response.found}, oracle says {expected}",
             )
+        elif kind == "similar":
+            if expected is None:
+                _require(
+                    response.found is False and not response.neighbors,
+                    f"similar on an unknown key answered found="
+                    f"{response.found}, neighbors {response.neighbors!r}",
+                )
+                return
+            _require(
+                response.found is True,
+                f"similar on a live key answered found={response.found}",
+            )
+            got = [(key, score) for key, score in (response.neighbors or ())]
+            _require(
+                got == expected,
+                f"similar -> {got!r}, brute force says {expected!r}",
+            )
 
     def _collect(self) -> None:
         still = []
@@ -1201,831 +1495,21 @@ class ServiceTarget(Target):
                 still.append(entry)
         self.pending = still
 
-    # -------------------------------------------------------------- apply
-
-    def apply(self, op: Op) -> None:
-        from repro.service import Request
-
-        name = op["op"]
-        if name == "put":
-            key, value = decode_key(op["key"]), b"v%d" % int(op["v"])
-            ticket = self._submit(Request("put", key, value))
+    def _read_back(self, request, expected) -> None:
+        """One final read, retried through backpressure, then checked."""
+        ticket = None
+        for _ in range(self.max_queue + 2):
+            [ticket] = self._send([request])
             if ticket is not None:
-                self.oracle.insert(key, value)
-                self.pending.append((ticket, "put", None))
-        elif name == "burst":
-            # Back-to-back puts with no pumping: overflows tiny queues.
-            base = int(op["v"])
-            for i, encoded in enumerate(op["keys"]):
-                key = decode_key(encoded)
-                value = b"v%d" % (base + i)
-                ticket = self._submit(Request("put", key, value))
-                if ticket is not None:
-                    self.oracle.insert(key, value)
-                    self.pending.append((ticket, "put", None))
-        elif name == "get":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("get", key))
-            if ticket is not None:
-                self.pending.append((ticket, "get", self.oracle.get(key)))
-        elif name == "contains":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("contains", key))
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "contains", self.oracle.contains(key))
-                )
-        elif name == "delete":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("delete", key))
-            if ticket is not None:
-                self.pending.append((ticket, "delete", self.oracle.delete(key)))
-        elif name == "pump":
+                break
             self.service.pump()
-        elif name == "drain":
+        _require(ticket is not None,
+                 f"final {request.op} starved by backpressure")
+        if self.client is None:
             self.service.drain()
-        elif name == "force_trip":
-            self.service.force_trip(int(op["shard"]) % self.service.num_shards)
-        elif name == "stats":
-            import json
+        self._verify(ticket, request.op, expected)
 
-            ticket = self.service.submit(Request("stats"))
-            _require(ticket.done, "stats must answer synchronously")
-            stats = ticket.response.stats
-            json.dumps(stats)  # the protocol promises JSON-safe stats
-            _require(
-                stats["submitted"] == stats["accepted"] + stats["rejected"],
-                f"admission ledger broke: {stats['submitted']} != "
-                f"{stats['accepted']} + {stats['rejected']}",
-            )
-        else:
-            raise ValueError(f"unknown service op {name!r}")
-        self._collect()
-        bound = self._queue_bound()
-        for worker in self.service.workers:
-            _require(
-                worker.queue_depth <= bound,
-                f"shard {worker.shard_id} queue grew to "
-                f"{worker.queue_depth} past the bound {bound}",
-            )
-
-    def final_check(self) -> None:
-        from repro.service import Request
-
-        self.service.drain()
-        self._collect()
-        _require(
-            not self.pending,
-            f"{len(self.pending)} admitted op(s) never answered after drain",
-        )
-        if any(worker.tripped for worker in self.service.workers):
-            _require(
-                self.service.degraded,
-                "a shard monitor tripped but no breaker opened",
-            )
-        for worker, breaker in zip(self.service.workers,
-                                   self.service.breakers):
-            if breaker.state == "open":
-                # An open breaker quarantines exactly its own shard: the
-                # shard must be on full-key hashing while open.
-                _require(
-                    worker.tripped,
-                    f"shard {worker.shard_id} breaker is open but the "
-                    "shard still serves partial-key hashing",
-                )
-        # Every acknowledged write must still be readable (including
-        # across a mid-stream degrade/rebuild).
-        for key, want in self.oracle.items():
-            ticket = None
-            for _ in range(self.max_queue + 2):
-                ticket = self._submit(Request("get", key))
-                if ticket is not None:
-                    break
-                self.service.pump()
-            _require(ticket is not None, "final read-back starved by backpressure")
-            self.service.drain()
-            self._verify(ticket, "get", want)
-
-
-# -------------------------------------------------------------- chaos
-
-
-class ChaosTarget(ServiceTarget):
-    """The service under fault injection vs the same flat dict oracle.
-
-    Op streams carry ``inject`` entries that arm crash / sigkill /
-    stall / drop / corrupt / queue_loss specs on a live FaultPlane; because each fault
-    is an op, ddmin can strip faults individually while shrinking, so a
-    repro pins the *specific* fault schedule a bug needs.  The oracle
-    discipline is identical to ServiceTarget — faults must be invisible
-    to clients: every admitted op answers exactly once with the
-    admission-order result, no acknowledged write is lost across worker
-    restarts, and only breaker-quarantined shards run on full-key
-    hashing.  What this target deliberately does *not* assert is that
-    all breakers finish closed: adversarially low-entropy key pools
-    legitimately re-trip a probing shard, and that is correct behaviour,
-    not a bug.
-    """
-
-    name = "chaos"
-
-    @classmethod
-    def default_config(cls) -> Dict[str, object]:
-        config = dict(ServiceTarget.default_config())
-        config.update({
-            "fault_seed": 0,
-            "cooldown": 6,
-            "probe": 3,
-            "stall_threshold": 3,
-            "journal_checkpoint": 32,
-        })
-        return config
-
-    @classmethod
-    def random_config(cls, rng: random.Random) -> Dict[str, object]:
-        config = dict(ServiceTarget.random_config(rng))
-        config.update({
-            "fault_seed": rng.randrange(1 << 16),
-            "cooldown": rng.choice((4, 6, 10)),
-            "probe": rng.choice((2, 3, 5)),
-            "stall_threshold": rng.choice((2, 3)),
-            # 0 disables checkpointing; small values force compactions.
-            "journal_checkpoint": rng.choice((16, 64, 0)),
-        })
-        return config
-
-    @classmethod
-    def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_chaos_ops(rng, n)
-
-    def __init__(self, config: Dict[str, object]):
-        from repro.faults import FaultPlan, FaultPlane
-
-        # The plane must exist before ServiceTarget.__init__ calls
-        # _build_service below.
-        self.plane = FaultPlane(
-            FaultPlan([]), seed=int(config.get("fault_seed", 0))
-        )
-        super().__init__(config)
-
-    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
-        kwargs = super()._service_kwargs(config)
-        kwargs.update(
-            fault_plane=self.plane,
-            cooldown_pumps=self.cooldown,
-            probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
-        )
-        return kwargs
-
-    def _queue_bound(self) -> int:
-        # Recovery requeues bypass admission control on purpose (the
-        # tickets were already admitted): between two reconciles a shard
-        # can hold a full queue plus one reconciled batch plus a few
-        # queue_loss singles.
-        return self.max_queue + int(self.config.get("batch_size", 4)) + 16
-
-    def _settle(self) -> None:
-        """Pump through a full heal window: enough for the supervisor to
-        restart crashed/stalled workers and for a first-trip breaker to
-        walk cooldown -> probe -> close."""
-        for _ in range(2 * (self.cooldown + self.probe) + 8):
-            self.service.pump()
-        self._collect()
-
-    def apply(self, op: Op) -> None:
-        name = op["op"]
-        if name == "inject":
-            from repro.faults import FaultSpec
-
-            self.plane.arm(FaultSpec(
-                kind=str(op["kind"]),
-                shard=int(op["shard"]) % self.service.num_shards,
-                after=int(op.get("after", 0)),
-                count=int(op.get("count", 1)),
-            ))
-            return
-        if name == "settle":
-            self._settle()
-            return
-        super().apply(op)
-
-    def final_check(self) -> None:
-        # Give every armed fault a chance to land and heal before the
-        # base invariants (all tickets answered, read-back) run.
-        self._settle()
-        super().final_check()
-        supervisor = self.service.supervisor.stats()
-        # A sigkill is a crash with a harder delivery mechanism (real
-        # SIGKILL for process shards, degraded to a mid-batch crash for
-        # inline ones) — both must surface as supervisor-visible crashes.
-        crash_fired = (
-            self.plane.total_fired("crash")
-            + self.plane.total_fired("sigkill")
-        )
-        _require(
-            supervisor["crashes_seen"] == crash_fired,
-            f"{crash_fired} crash/sigkill(s) fired but the supervisor "
-            f"saw {supervisor['crashes_seen']}",
-        )
-        _require(
-            supervisor["restarts"] >= supervisor["crashes_seen"],
-            "a detected crash never led to a restart",
-        )
-        for worker in self.service.workers:
-            _require(
-                not worker.crashed,
-                f"shard {worker.shard_id} was left dead after the final "
-                "drain answered every ticket",
-            )
-        _require(
-            self.service.lost_slots
-            <= self.service.supervisor.reconciled_tickets
-            + sum(w.inflight_unanswered for w in self.service.workers),
-            "queue_loss tickets vanished without reconciliation",
-        )
-
-
-class ReshardTarget(ChaosTarget):
-    """Chaos plus live resharding vs the same admission-time oracle.
-
-    Everything ChaosTarget asserts, while ``split`` ops force live
-    shard splits mid-stream — journal-driven migration off a possibly
-    crashed, stalled, or breaker-quarantined donor, a routing
-    generation flip, and the queue sweep that drains stale tickets to
-    their new shards.  The hot-key tracker runs too (``hot_k``), so
-    promotion flips interleave with split flips.  The oracle stays the
-    admission-time dict: a flip that loses, reorders, or double-applies
-    a single acked op diverges on read-back.  WRONG_GENERATION is held
-    to *zero* here: the sweep plus reconcile re-routing must catch
-    every straggler internally — the dispatch guard is a protocol
-    safety net for external clients, and this harness treats it firing
-    as a routing-plane bug.
-    """
-
-    name = "reshard"
-
-    @classmethod
-    def default_config(cls) -> Dict[str, object]:
-        config = dict(ChaosTarget.default_config())
-        config.update({
-            "hot_k": 4,
-            "adapt_every": 4,
-            "max_splits": 3,
-        })
-        return config
-
-    @classmethod
-    def random_config(cls, rng: random.Random) -> Dict[str, object]:
-        config = dict(ChaosTarget.random_config(rng))
-        config.update({
-            "hot_k": rng.choice((0, 2, 4)),
-            "adapt_every": rng.choice((2, 4, 8)),
-            "max_splits": rng.choice((1, 2, 3)),
-        })
-        return config
-
-    @classmethod
-    def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_reshard_ops(rng, n)
-
-    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
-        self.max_splits = int(config.get("max_splits", 3))
-        kwargs = super()._service_kwargs(config)
-        kwargs.update(
-            hot_k=int(config.get("hot_k", 4)),
-            adapt_every=int(config.get("adapt_every", 4)),
-        )
-        return kwargs
-
-    def _queue_bound(self) -> int:
-        # A flip sweep may concentrate several shards' requeued tickets
-        # onto one new owner (requeue bypasses admission on purpose),
-        # so the per-shard bound scales with the fleet: still finite,
-        # still catches unbounded queue growth.
-        per_shard = super()._queue_bound()
-        return per_shard * max(1, len(self.service.workers))
-
-    def apply(self, op: Op) -> None:
-        if op["op"] == "split":
-            if self.service.splits >= self.max_splits:
-                return  # cap child-process/key-range fan-out per case
-            donor = int(op["shard"]) % self.service.num_shards
-            self.service.split_shard(donor)
-            return
-        super().apply(op)
-
-    def final_check(self) -> None:
-        super().final_check()
-        router = self.service.router
-        _require(
-            router.generation >= self.service.splits,
-            f"{self.service.splits} split(s) flipped but the generation "
-            f"is only {router.generation}",
-        )
-        _require(
-            len(self.service.workers) == router.num_shards
-            == len(self.service.breakers),
-            "worker/breaker fleets out of step with the routing table",
-        )
-        stragglers = sum(w.wrong_generation for w in self.service.workers)
-        _require(
-            stragglers == 0,
-            f"{stragglers} ticket(s) hit the WRONG_GENERATION dispatch "
-            "guard — the flip sweep or reconcile re-route missed them",
-        )
-
-
-class DriftTarget(ChaosTarget):
-    """Workload drift + chaos vs the admission-time dict oracle.
-
-    The service runs with online re-learning on (``relearn=True``, a
-    trained model over :func:`repro.verify.ops.make_drift_key_pool`'s
-    fixed-structure keys).  ``inject`` ops can arm a ``drift`` spec:
-    when it fires, the *driver* starts rewriting every subsequent key
-    through :func:`repro.drift.keys.drift_key` against the plan the
-    service is deploying at that moment — the bytes the plan reads go
-    constant, the entropy moves to the key tail.  Both the submitted
-    request and the oracle see the rewritten key (the rewrite is
-    injective and deterministic), so the oracle discipline is untouched
-    while the detector → re-learn → zero-downtime swap machinery races
-    crash / stall / drop / corrupt / queue_loss schedules.  The final
-    check holds the usual chaos invariants — every admitted op answers
-    exactly once, every acked write reads back (including across a plan
-    swap's rehash) — plus swap-ledger coherence: the service, the
-    relearner, and the supervisor must agree on how many swaps landed.
-    """
-
-    name = "drift"
-
-    # Bound on stacked drift rewrites per case: each layer appends a
-    # captured-bytes tail, so unbounded stacking would grow keys without
-    # adding new coverage.
-    MAX_DRIFT_LAYERS = 3
-
-    @classmethod
-    def default_config(cls) -> Dict[str, object]:
-        config = dict(ChaosTarget.default_config())
-        config.pop("hasher", None)
-        config.update({
-            "backend": "chaining",
-            "capacity": 48,
-            "model_seed": 0,
-            "drift_window": 24,
-            "drift_margin": 1.0,
-            "drift_patience": 2,
-            "drift_reservoir": 96,
-            "min_dwell": 4,
-            "min_sample": 16,
-            "adapt_every": 2,
-        })
-        return config
-
-    @classmethod
-    def random_config(cls, rng: random.Random) -> Dict[str, object]:
-        config = dict(ChaosTarget.random_config(rng))
-        config.pop("hasher", None)
-        config.update({
-            # Only the relearnable table backends: the drift machinery
-            # validates against RELEARN_BACKENDS at construction.
-            "backend": rng.choice(("chaining", "probing")),
-            "shards": rng.choice((2, 3)),
-            "capacity": rng.choice((32, 48, 64)),
-            "model_seed": rng.randrange(1 << 16),
-            "drift_window": rng.choice((16, 24, 32)),
-            "drift_margin": rng.choice((0.5, 1.0, 2.0)),
-            "drift_patience": rng.choice((1, 2)),
-            "drift_reservoir": rng.choice((64, 96)),
-            "min_dwell": rng.choice((2, 4, 8)),
-            "min_sample": rng.choice((8, 16)),
-            "adapt_every": rng.choice((2, 4)),
-        })
-        return config
-
-    @classmethod
-    def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_drift_ops(rng, n)
-
-    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
-        from repro.core.trainer import train_model
-
-        # The model is a pure function of config: the same fixed pool
-        # plus the recorded seed retrains bit-identically on replay.
-        model = train_model(
-            opslib.make_drift_key_pool(),
-            seed=int(config.get("model_seed", 0)),
-        )
-        # Rewrite layers latched by fired drift specs; each layer is the
-        # (positions, word_size) of the plan deployed at fire time.
-        self.drift_layers: List[tuple] = []
-        kwargs = super()._service_kwargs(config)
-        kwargs.update(
-            model=model,
-            hasher=None,
-            capacity=int(config.get("capacity", 48)),
-            adapt_every=int(config.get("adapt_every", 2)),
-            relearn=True,
-            drift_window=int(config.get("drift_window", 24)),
-            drift_margin=float(config.get("drift_margin", 1.0)),
-            drift_patience=int(config.get("drift_patience", 2)),
-            drift_reservoir=int(config.get("drift_reservoir", 96)),
-            min_dwell=int(config.get("min_dwell", 4)),
-            min_sample=int(config.get("min_sample", 16)),
-        )
-        return kwargs
-
-    # ------------------------------------------------------ drift rewrite
-
-    def _pump_drift_opportunities(self) -> None:
-        """One ``drift`` firing opportunity per shard, latched as a
-        rewrite layer against the plan deployed *right now* (after a
-        swap, a second drift defeats the re-learned plan, not the
-        original one)."""
-        fired = False
-        for shard in range(self.service.num_shards):
-            if self.plane.should_fire("drift", shard):
-                fired = True
-        if not fired or len(self.drift_layers) >= self.MAX_DRIFT_LAYERS:
-            return
-        plan, _ = self.service.relearner._current_plan()
-        if plan is None or plan.is_full_key:
-            return  # full-key serving: nothing to drift away from
-        self.drift_layers.append((list(plan.positions), plan.word_size))
-
-    def _rewrite(self, key: bytes) -> bytes:
-        from repro.drift.keys import drift_key
-
-        for positions, word_size in self.drift_layers:
-            key = drift_key(key, positions, word_size=word_size)
-        return key
-
-    _KEYED_OPS = frozenset({"put", "get", "delete", "contains"})
-
-    def apply(self, op: Op) -> None:
-        name = op["op"]
-        if name in self._KEYED_OPS or name == "burst":
-            self._pump_drift_opportunities()
-            if self.drift_layers:
-                op = dict(op)
-                if name == "burst":
-                    op["keys"] = [
-                        opslib.encode_key(
-                            self._rewrite(opslib.decode_key(k))
-                        )
-                        for k in op["keys"]
-                    ]
-                else:
-                    op["key"] = opslib.encode_key(
-                        self._rewrite(opslib.decode_key(op["key"]))
-                    )
-        super().apply(op)
-
-    def final_check(self) -> None:
-        super().final_check()
-        relearner = self.service.relearner
-        supervisor = self.service.supervisor
-        _require(
-            self.service.plan_swaps
-            == relearner.swaps
-            == supervisor.relearns_applied,
-            f"swap ledgers disagree: service={self.service.plan_swaps}, "
-            f"relearner={relearner.swaps}, "
-            f"supervisor={supervisor.relearns_applied}",
-        )
-        stats = relearner.stats()
-        decisions = (
-            stats["swaps"] + stats["stay_decisions"]
-            + stats["noop_suppressed"] + stats["dwell_suppressed"]
-            + stats["insufficient_sample"] + stats["relearn_failures"]
-        )
-        if self.drift_layers:
-            # A drift fired and the stream kept flowing through the
-            # guaranteed keyed tail: the detector must at least have
-            # reached a decision (swap, stay, or a suppressed flap) —
-            # a silent detector means the tap or the window math broke.
-            _require(
-                decisions > 0,
-                "workload drifted but the relearner never reached a "
-                "decision",
-            )
-
-
-class FrontDoorTarget(Target):
-    """The service through a real TCP socket vs the flat dict oracle.
-
-    The subject here is the *whole serving boundary*: frames encoded by
-    :mod:`repro.service.netproto`, reassembled by the front door,
-    coalesced across the admission loop into ``submit_batch``, pumped,
-    and answered back over the wire.  The client blocks per RPC, so
-    response time *is* admission time and the oracle discipline of
-    :class:`ServiceTarget` carries over unchanged; pipelined ``burst``
-    and ``multi_get`` ops drive the coalescing window with real frame
-    runs.  ``split`` ops race a pipelined write burst against a live
-    routing flip scheduled onto the loop thread — the window in which
-    the front door's server-side WRONG_GENERATION resubmit must keep
-    the flip invisible: the final check holds client-visible
-    generation errors to zero while every acked write reads back.
-    """
-
-    name = "frontdoor"
-
-    @classmethod
-    def default_config(cls) -> Dict[str, object]:
-        return {
-            "hasher": {"positions": [0, 4], "word_size": 2},
-            "shards": 3,
-            "backend": "chaining",
-            "capacity": 16,
-            "max_queue": 8,
-            "batch_size": 4,
-            "execution": "inline",
-            "max_splits": 2,
-        }
-
-    @classmethod
-    def random_config(cls, rng: random.Random) -> Dict[str, object]:
-        # Execution stays "inline" unless a campaign overrides it, for
-        # the same wall-clock reason as ServiceTarget.
-        return {
-            "hasher": random_hasher_spec(rng),
-            "shards": rng.choice((2, 3, 4)),
-            "backend": rng.choice(("chaining", "probing", "lsm")),
-            "capacity": rng.choice((8, 16, 64)),
-            "max_queue": rng.choice((8, 16)),
-            "batch_size": rng.choice((2, 4, 8)),
-            "execution": "inline",
-            "max_splits": rng.choice((1, 2)),
-        }
-
-    @classmethod
-    def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_frontdoor_ops(rng, n)
-
-    def __init__(self, config: Dict[str, object]):
-        super().__init__(config)
-        from repro.service import FrontDoorThread, NetworkClient, Service
-
-        self.backend = str(config.get("backend", "chaining"))
-        self.max_splits = int(config.get("max_splits", 2))
-        self.service = Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=int(config.get("max_queue", 8)),
-            batch_size=int(config.get("batch_size", 4)),
-            execution=str(config.get("execution", "inline")),
-        )
-        self.door = FrontDoorThread(self.service).start()
-        self.client = NetworkClient("127.0.0.1", self.door.port)
-        self.oracle = DictOracle()
-
-    def teardown(self) -> None:
-        client = getattr(self, "client", None)
-        if client is not None:
-            client.close()
-        door = getattr(self, "door", None)
-        if door is not None:
-            door.stop()
-        service = getattr(self, "service", None)
-        if service is not None:
-            service.close()
-
-    # ------------------------------------------------------------ helpers
-
-    def _apply_puts(self, items) -> None:
-        """One pipelined write burst; acked writes land on the oracle
-        in response order (per-key order is wire order: duplicates take
-        the client's scalar path, distinct keys never reorder)."""
-        responses = self.client.put_many(items)
-        for (key, value), response in zip(items, responses):
-            if response.ok:
-                self.oracle.insert(key, value)
-
-    def _verify_get(self, key: bytes) -> None:
-        got = self.client.get(key)
-        want = self.oracle.get(key)
-        _require(
-            got == want,
-            f"get over the wire -> {got!r}, oracle says {want!r}",
-        )
-
-    # -------------------------------------------------------------- apply
-
-    def apply(self, op: Op) -> None:
-        name = op["op"]
-        if name == "put":
-            key, value = decode_key(op["key"]), b"v%d" % int(op["v"])
-            response = self.client.put(key, value)
-            if response.ok:
-                self.oracle.insert(key, value)
-        elif name == "burst":
-            base = int(op["v"])
-            self._apply_puts([
-                (decode_key(encoded), b"v%d" % (base + i))
-                for i, encoded in enumerate(op["keys"])
-            ])
-        elif name == "get":
-            self._verify_get(decode_key(op["key"]))
-        elif name == "multi_get":
-            keys = [decode_key(encoded) for encoded in op["keys"]]
-            got = self.client.multi_get(keys)
-            for key, value in zip(keys, got):
-                want = self.oracle.get(key)
-                _require(
-                    value == want,
-                    f"multi_get over the wire -> {value!r}, "
-                    f"oracle says {want!r}",
-                )
-        elif name == "contains":
-            key = decode_key(op["key"])
-            found = self.client.contains(key)
-            _require(
-                found == self.oracle.contains(key),
-                f"contains over the wire -> {found}, "
-                f"oracle says {self.oracle.contains(key)}",
-            )
-        elif name == "delete":
-            key = decode_key(op["key"])
-            response = self.client.delete(key)
-            expected = self.oracle.delete(key)
-            _require(
-                response.ok,
-                f"delete answered {response.status!r}: {response.error!r}",
-            )
-            if self.backend != "lsm":
-                # LSM deletes are blind tombstones; tables report
-                # presence (same carve-out as ServiceTarget).
-                _require(
-                    response.found == expected,
-                    f"delete -> {response.found}, oracle says {expected}",
-                )
-        elif name == "split":
-            # Race a pipelined write burst against a live routing flip:
-            # the flip callback lands on the loop thread between
-            # admission pumps while this thread's frames are in flight.
-            base = int(op["v"])
-            items = [
-                (decode_key(encoded), b"v%d" % (base + i))
-                for i, encoded in enumerate(op["keys"])
-            ]
-            flip = None
-            if self.service.splits < self.max_splits:
-                donor = int(op["shard"]) % self.service.num_shards
-                flip = threading.Thread(
-                    target=self.door.run_in_loop,
-                    args=(self.service.split_shard, donor),
-                )
-                flip.start()
-            try:
-                self._apply_puts(items)
-            finally:
-                if flip is not None:
-                    flip.join()
-        elif name == "stats":
-            import json
-
-            payload = self.client.stats()
-            json.dumps(payload)  # the wire promises JSON-safe stats
-            _require(
-                "frontdoor" in payload,
-                "stats over the wire must carry the frontdoor counters",
-            )
-            _require(
-                payload["submitted"]
-                == payload["accepted"] + payload["rejected"],
-                f"admission ledger broke: {payload['submitted']} != "
-                f"{payload['accepted']} + {payload['rejected']}",
-            )
-        else:
-            raise ValueError(f"unknown frontdoor op {name!r}")
-
-    def final_check(self) -> None:
-        _require(
-            self.client.lost_acks == 0,
-            f"{self.client.lost_acks} acked put(s) lost over the wire",
-        )
-        _require(
-            self.client.generation_retries == 0,
-            f"{self.client.generation_retries} wrong_generation "
-            "answer(s) leaked through the socket — the front door must "
-            "resubmit those server-side",
-        )
-        for key, want in self.oracle.items():
-            got = self.client.get(key)
-            _require(
-                got == want,
-                f"final read-back over the wire -> {got!r}, "
-                f"oracle says {want!r}",
-            )
-        frontdoor = self.client.stats()["frontdoor"]
-        _require(
-            not frontdoor["admission_error"],
-            f"admission loop died: {frontdoor['admission_error']}",
-        )
-        _require(
-            frontdoor["bad_frames"] == 0,
-            f"{frontdoor['bad_frames']} well-formed frame(s) judged bad",
-        )
-
-
-class SimilarityTarget(ServiceTarget):
-    """The LSH similarity backend vs a brute-force per-shard oracle.
-
-    The oracle keeps every admitted document and an independently built
-    b-bit signature per key (same hasher, same k/b/bands — the
-    signature *construction* differential lives in the minhash target;
-    this one checks the index and the service plumbing around it).  The
-    expected answer for ``similar`` is computed at admission time by
-    brute force: scan every other key on the queried key's shard, keep
-    those sharing at least one bit-identical band block, score with the
-    exact b-bit estimator, sort by (-score, key), cut to k.  The subject
-    buckets by *band hash* (full-key 64-bit xxh3 over the block bytes),
-    so its candidate set is a superset of the oracle's — equal blocks
-    always hash equal — and any extra hash-collision candidates lose in
-    the exact re-rank, making strict equality the right check (a false
-    band-hash collision changing top-k would need two distinct blocks
-    hashing identically *and* tying the scores: ~2^-64 per pair).
-
-    Admission-time expectations are sound for a cross-key read because
-    each shard's queue is FIFO and segments preserve intra-batch order,
-    so *all* ops on one shard execute in admission order — and routing
-    is static here (no splits, no hot-key overlay, no force_trip: a
-    fallback rebuild changes the element hasher and with it every
-    signature, which is covered by the adapter unit tests instead).
-    """
-
-    name = "similarity"
-
-    @classmethod
-    def default_config(cls) -> Dict[str, object]:
-        return {
-            "hasher": {"positions": [0, 4], "word_size": 2},
-            "shards": 2,
-            "backend": "similarity",
-            "capacity": 64,
-            "max_queue": 8,
-            "batch_size": 4,
-            "execution": "inline",
-            "bands": 4,
-            "rows": 2,
-            "b": 8,
-            "shingle_width": 4,
-        }
-
-    @classmethod
-    def random_config(cls, rng: random.Random) -> Dict[str, object]:
-        # Execution stays "inline" unless a campaign overrides it, for
-        # the same wall-clock reason as ServiceTarget.
-        return {
-            "hasher": random_hasher_spec(rng),
-            "shards": rng.choice((1, 2, 3)),
-            "backend": "similarity",
-            "capacity": 64,
-            "max_queue": rng.choice((4, 8, 16)),
-            "batch_size": rng.choice((1, 2, 4)),
-            "execution": "inline",
-            "bands": rng.choice((2, 4)),
-            "rows": rng.choice((2, 4)),
-            "b": rng.choice((4, 8)),
-            "shingle_width": rng.choice((3, 4, 8)),
-        }
-
-    @classmethod
-    def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
-        return opslib.generate_similarity_ops(rng, n)
-
-    def __init__(self, config: Dict[str, object]):
-        self.bands = int(config.get("bands", 4))
-        self.rows = int(config.get("rows", 2))
-        self.b = int(config.get("b", 8))
-        self.shingle_width = int(config.get("shingle_width", 4))
-        self.hasher = build_hasher(config["hasher"])
-        # key -> oracle BBitMinHash; key -> home shard (static routing).
-        self.sigs: Dict[bytes, object] = {}
-        self.shard_of: Dict[bytes, int] = {}
-        super().__init__(config)
-
-    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
-        kwargs = super()._service_kwargs(config)
-        kwargs.update(
-            num_shards=int(config.get("shards", 2)),
-            backend="similarity",
-            hasher=self.hasher,
-            capacity=int(config.get("capacity", 64)),
-            backend_options={
-                "bands": self.bands,
-                "rows": self.rows,
-                "b": self.b,
-                "shingle_width": self.shingle_width,
-            },
-        )
-        return kwargs
-
-    # ------------------------------------------------------------ oracle
+    # ------------------------------------------------------- similarity
 
     def _signature(self, doc: bytes):
         from repro.similarity import BBitMinHash, shingle_bytes
@@ -2059,90 +1543,148 @@ class SimilarityTarget(ServiceTarget):
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[: max(0, k)]
 
-    def _verify(self, ticket, kind: str, expected) -> None:
-        if kind != "similar":
-            super()._verify(ticket, kind, expected)
-            return
-        response = ticket.response
-        _require(
-            response.ok,
-            f"similar on shard {response.shard} answered "
-            f"{response.status!r}: {response.error!r}",
-        )
-        if expected is None:
-            _require(
-                response.found is False,
-                f"similar on an unknown key answered found={response.found}",
-            )
-            _require(
-                not response.neighbors,
-                f"similar on an unknown key returned {response.neighbors!r}",
-            )
-            return
-        _require(
-            response.found is True,
-            f"similar on a live key answered found={response.found}",
-        )
-        got = [(key, score) for key, score in (response.neighbors or ())]
-        _require(
-            got == expected,
-            f"similar -> {got!r}, brute force says {expected!r}",
-        )
+    # ------------------------------------------------------------ drift
 
-    # -------------------------------------------------------------- apply
+    def _drifted(self, op: Op) -> Op:
+        """``op`` with its keys rewritten through every drift layer.
+
+        First gives each shard one ``drift`` firing opportunity, latched
+        as a layer against the plan deployed *right now* (after a swap,
+        a second drift defeats the re-learned plan, not the original).
+        """
+        from repro.drift.keys import drift_key
+
+        fired = False
+        for shard in range(self.service.num_shards):
+            if self.plane.should_fire("drift", shard):
+                fired = True
+        if fired and len(self.drift_layers) < self.MAX_DRIFT_LAYERS:
+            plan, _ = self.service.relearner._current_plan()
+            # Full-key serving has nothing to drift away from.
+            if plan is not None and not plan.is_full_key:
+                self.drift_layers.append(
+                    (list(plan.positions), plan.word_size)
+                )
+        if not self.drift_layers:
+            return op
+
+        def rewrite(encoded: str) -> str:
+            key = decode_key(encoded)
+            for positions, word_size in self.drift_layers:
+                key = drift_key(key, positions, word_size=word_size)
+            return opslib.encode_key(key)
+
+        op = dict(op)
+        if "keys" in op:
+            op["keys"] = [rewrite(encoded) for encoded in op["keys"]]
+        else:
+            op["key"] = rewrite(op["key"])
+        return op
+
+    # ------------------------------------------------------------ apply
+
+    def _settle(self) -> None:
+        """Pump through a full heal window: enough for the supervisor to
+        restart crashed/stalled workers and for a first-trip breaker to
+        walk cooldown -> probe -> close."""
+        for _ in range(2 * (self.cooldown + self.probe) + 8):
+            self.service.pump()
+        self._collect()
+
+    def _split(self, shard: int, racing: List[object]) -> None:
+        """Split ``shard`` (mod the fleet) unless the case's cap is hit.
+
+        In process the split runs here, between pumps.  Over the socket
+        it is scheduled onto the loop thread while the ``racing`` puts
+        are in flight: the window the front door's server-side
+        WRONG_GENERATION resubmit must keep invisible.
+        """
+        flip = None
+        if self.service.splits < self.max_splits:
+            donor = shard % self.service.num_shards
+            if self.client is None:
+                self.service.split_shard(donor)
+            else:
+                flip = threading.Thread(
+                    target=self.door.run_in_loop,
+                    args=(self.service.split_shard, donor),
+                )
+                flip.start()
+        try:
+            self._exchange(racing)
+        finally:
+            if flip is not None:
+                flip.join()
+
+    def _check_stats(self) -> None:
+        import json
+
+        from repro.service import Request
+
+        [ticket] = self._send([Request("stats")])
+        _require(ticket.done, "stats must answer synchronously")
+        stats = ticket.response.stats
+        json.dumps(stats)  # the protocol promises JSON-safe stats
+        _require(
+            self.client is None or "frontdoor" in stats,
+            "stats over the wire must carry the frontdoor counters",
+        )
+        _require(
+            stats["submitted"] == stats["accepted"] + stats["rejected"],
+            f"admission ledger broke: {stats['submitted']} != "
+            f"{stats['accepted']} + {stats['rejected']}",
+        )
 
     def apply(self, op: Op) -> None:
         from repro.service import Request
 
         name = op["op"]
+        need = self._OP_FEATURE.get(name)
+        if ((need is not None and need not in self.features)
+                or (self.client is not None and name in self._IN_PROCESS_OPS)):
+            raise ValueError(f"unknown {self.name} op {name!r}")
+        if "drift" in self.features and ("key" in op or "keys" in op):
+            op = self._drifted(op)
+        # burst, multi_get and a racing split carry a key list; a burst's
+        # values count up from ``v``.
+        keys = [decode_key(encoded) for encoded in op.get("keys", ())]
+        puts = [Request("put", key, b"v%d" % (int(op["v"]) + i))
+                for i, key in enumerate(keys)] if "v" in op else []
         if name == "put":
-            key, doc = decode_key(op["key"]), bytes.fromhex(str(op["doc"]))
-            ticket = self._submit(Request("put", key, doc))
-            if ticket is not None:
-                self.oracle.insert(key, doc)
-                self.sigs[key] = self._signature(doc)
-                self.shard_of[key] = self.service.router.table.route_one(key)
-                self.pending.append((ticket, "put", None))
+            key = decode_key(op["key"])
+            value = (bytes.fromhex(str(op["doc"])) if "doc" in op
+                     else b"v%d" % int(op["v"]))
+            self._exchange([Request("put", key, value)])
+        elif name == "burst":
+            self._exchange(puts)
+        elif name in ("get", "contains", "delete"):
+            self._exchange([Request(name, decode_key(op["key"]))])
+        elif name == "multi_get":
+            self._exchange([Request("get", key) for key in keys])
         elif name == "similar":
-            key, k = decode_key(op["key"]), int(op["k"])
-            ticket = self._submit(
-                Request("similar", key, str(k).encode("ascii"))
-            )
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "similar", self._expected_similar(key, k))
-                )
-        elif name == "get":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("get", key))
-            if ticket is not None:
-                self.pending.append((ticket, "get", self.oracle.get(key)))
-        elif name == "contains":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("contains", key))
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "contains", self.oracle.contains(key))
-                )
-        elif name == "delete":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("delete", key))
-            if ticket is not None:
-                expected = self.oracle.delete(key)
-                self.sigs.pop(key, None)
-                self.pending.append((ticket, "delete", expected))
-        elif name == "pump":
-            self.service.pump()
-        elif name == "drain":
-            self.service.drain()
-        elif name == "stats":
-            import json
+            self._exchange([Request("similar", decode_key(op["key"]),
+                                 str(int(op["k"])).encode("ascii"))])
+        elif name == "split":
+            self._split(int(op["shard"]), puts)
+        elif name == "inject":
+            from repro.faults import FaultSpec
 
-            ticket = self.service.submit(Request("stats"))
-            _require(ticket.done, "stats must answer synchronously")
-            json.dumps(ticket.response.stats)
+            self.plane.arm(FaultSpec(
+                kind=str(op["kind"]),
+                shard=int(op["shard"]) % self.service.num_shards,
+                after=int(op.get("after", 0)),
+                count=int(op.get("count", 1)),
+            ))
+        elif name == "settle":
+            self._settle()
+        elif name == "force_trip":
+            self.service.force_trip(int(op["shard"]) % self.service.num_shards)
+        elif name in ("pump", "drain"):
+            getattr(self.service, name)()
+        elif name == "stats":
+            self._check_stats()
         else:
-            raise ValueError(f"unknown similarity op {name!r}")
+            raise ValueError(f"unknown {self.name} op {name!r}")
         self._collect()
         bound = self._queue_bound()
         for worker in self.service.workers:
@@ -2155,25 +1697,143 @@ class SimilarityTarget(ServiceTarget):
     def final_check(self) -> None:
         from repro.service import Request
 
-        super().final_check()
-        # Beyond the doc read-back super() does: every live key's
-        # neighbor list must still match brute force after the churn.
-        for key in sorted(self.sigs):
-            expected = self._expected_similar(key, 3)
-            ticket = None
-            for _ in range(self.max_queue + 2):
-                ticket = self._submit(
-                    Request("similar", key, b"3")
-                )
-                if ticket is not None:
-                    break
-                self.service.pump()
+        features = self.features
+        service = self.service
+        if "faults" in features:
+            # Give every armed fault a chance to land and heal first.
+            self._settle()
+        if self.client is None:
+            service.drain()
+            self._collect()
             _require(
-                ticket is not None,
-                "final similar starved by backpressure",
+                not self.pending,
+                f"{len(self.pending)} admitted op(s) never answered "
+                "after drain",
             )
-            self.service.drain()
-            self._verify(ticket, "similar", expected)
+            if any(worker.tripped for worker in service.workers):
+                _require(service.degraded,
+                         "a shard monitor tripped but no breaker opened")
+            for worker, breaker in zip(service.workers, service.breakers):
+                # An open breaker quarantines exactly its own shard: the
+                # shard must be on full-key hashing while open.
+                _require(
+                    breaker.state != "open" or worker.tripped,
+                    f"shard {worker.shard_id} breaker is open but the "
+                    "shard still serves partial-key hashing",
+                )
+        # Every acknowledged write must still read back (across a
+        # degrade/rebuild, restarts, splits and plan swaps), and every
+        # live key's neighbour list must still match brute force.
+        reads = [(Request("get", key), want)
+                 for key, want in self.oracle.items()]
+        reads += [(Request("similar", key, b"3"),
+                   self._expected_similar(key, 3))
+                  for key in sorted(self.sigs)]
+        for request, want in reads:
+            self._read_back(request, want)
+        if "faults" in features:
+            supervisor = service.supervisor.stats()
+            # A sigkill is a crash with a harder delivery mechanism (real
+            # SIGKILL for process shards, a mid-batch crash for inline
+            # ones): both must surface as supervisor-visible crashes.
+            crash_fired = (self.plane.total_fired("crash")
+                           + self.plane.total_fired("sigkill"))
+            _require(
+                supervisor["crashes_seen"] == crash_fired,
+                f"{crash_fired} crash/sigkill(s) fired but the supervisor "
+                f"saw {supervisor['crashes_seen']}",
+            )
+            _require(
+                supervisor["restarts"] >= supervisor["crashes_seen"],
+                "a detected crash never led to a restart",
+            )
+            for worker in service.workers:
+                _require(
+                    not worker.crashed,
+                    f"shard {worker.shard_id} was left dead after the "
+                    "final drain answered every ticket",
+                )
+            _require(
+                service.lost_slots
+                <= service.supervisor.reconciled_tickets
+                + sum(w.inflight_unanswered for w in service.workers),
+                "queue_loss tickets vanished without reconciliation",
+            )
+        if "splits" in features:
+            router = service.router
+            _require(
+                router.generation >= service.splits,
+                f"{service.splits} split(s) flipped but the generation "
+                f"is only {router.generation}",
+            )
+            _require(
+                len(service.workers) == router.num_shards
+                == len(service.breakers),
+                "worker/breaker fleets out of step with the routing table",
+            )
+            if self.client is None:
+                stragglers = sum(w.wrong_generation for w in service.workers)
+                _require(
+                    stragglers == 0,
+                    f"{stragglers} ticket(s) hit the WRONG_GENERATION "
+                    "dispatch guard — the flip sweep or reconcile "
+                    "re-route missed them",
+                )
+            else:
+                _require(
+                    self.client.generation_retries == 0,
+                    f"{self.client.generation_retries} wrong_generation "
+                    "answer(s) leaked through the socket — the front door "
+                    "must resubmit those server-side",
+                )
+        if "drift" in features:
+            relearner = service.relearner
+            _require(
+                service.plan_swaps == relearner.swaps
+                == service.supervisor.relearns_applied,
+                f"swap ledgers disagree: service={service.plan_swaps}, "
+                f"relearner={relearner.swaps}, "
+                f"supervisor={service.supervisor.relearns_applied}",
+            )
+            stats = relearner.stats()
+            decisions = (
+                stats["swaps"] + stats["stay_decisions"]
+                + stats["noop_suppressed"] + stats["dwell_suppressed"]
+                + stats["insufficient_sample"] + stats["relearn_failures"]
+            )
+            # A drift fired and the guaranteed keyed tail kept flowing:
+            # a silent detector means the tap or the window math broke.
+            _require(
+                not self.drift_layers or decisions > 0,
+                "workload drifted but the relearner never reached a "
+                "decision",
+            )
+        if "socket" in features:
+            _require(
+                self.client.lost_acks == 0,
+                f"{self.client.lost_acks} acked put(s) lost over the wire",
+            )
+            frontdoor = self.client.stats()["frontdoor"]
+            _require(
+                not frontdoor["admission_error"],
+                f"admission loop died: {frontdoor['admission_error']}",
+            )
+            _require(
+                frontdoor["bad_frames"] == 0,
+                f"{frontdoor['bad_frames']} well-formed frame(s) judged bad",
+            )
+
+
+# Preset name -> features; the name is the only selector (see
+# ServingTarget for what each feature adds).
+SERVING_PRESETS: Dict[str, frozenset] = {
+    "service": frozenset(),
+    "chaos": frozenset({"faults"}),
+    "reshard": frozenset({"faults", "splits"}),
+    "drift": frozenset({"faults", "drift"}),
+    "frontdoor": frozenset({"socket", "splits"}),
+    "similarity": frozenset({"similarity"}),
+}
 
 
 TARGETS: Dict[str, Type[Target]] = {
@@ -2191,14 +1851,14 @@ TARGETS: Dict[str, Type[Target]] = {
         LSMStoreTarget,
         EngineTarget,
         ReducerTarget,
-        ServiceTarget,
-        ChaosTarget,
-        ReshardTarget,
-        DriftTarget,
-        FrontDoorTarget,
-        SimilarityTarget,
     )
 }
+TARGETS.update(
+    (name, type(f"ServingTarget[{name}]", (ServingTarget,),
+                {"name": name, "features": features}))
+    for name, features in SERVING_PRESETS.items()
+)
 
 
-__all__ = ["Divergence", "Target", "TARGETS", "build_hasher", "random_hasher_spec"]
+__all__ = ["Divergence", "ServingTarget", "SERVING_PRESETS", "Target",
+           "TARGETS", "build_hasher", "random_hasher_spec"]

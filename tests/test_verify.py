@@ -43,6 +43,65 @@ def test_target_runs_clean_on_fixed_code(name):
     assert report.cases == 3
 
 
+SERVING_PRESETS = ("service", "chaos", "reshard", "drift", "frontdoor",
+                   "similarity")
+
+
+@pytest.mark.parametrize("name", SERVING_PRESETS)
+def test_serving_presets_catch_dropped_put(name, monkeypatch):
+    # A shard that silently drops the last key of a multi-key put
+    # segment but acks the whole segment: every preset's oracle must
+    # notice the lost acknowledged write.
+    from repro.service.core import ShardCore
+
+    serve_segment = ShardCore.serve_segment
+
+    def dropping(self, op, keys, values=None):
+        if op == "put" and len(keys) >= 2:
+            _, acks = serve_segment(self, op, keys[:-1], list(values)[:-1])
+            return ("put", None if acks is None else list(acks) + [True])
+        return serve_segment(self, op, keys, values)
+
+    monkeypatch.setattr(ShardCore, "serve_segment", dropping)
+    report = fuzz(name, seed=1234, cases=3, ops_per_case=80,
+                  shrink_failures=False)
+    assert not report.ok
+
+
+# The step each serving preset exists for, as the op names its stream
+# must end with.
+_DRIFT_WINDOW = ["inject"] + (["put"] * 4 + ["pump"]) * 12
+_PRESET_TAILS = {
+    "service": ["drain"],
+    "similarity": ["drain"],
+    "chaos": ["settle", "drain"],
+    "reshard": ["split", "settle", "drain"],
+    "drift": _DRIFT_WINDOW + ["settle", "drain"],
+    "frontdoor": ["split", "multi_get"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(_PRESET_TAILS))
+def test_serving_preset_stream_ends_with_its_step(name, seed):
+    ops = TARGETS[name].generate_ops(random.Random(seed), 40)
+    tail = ops[-len(_PRESET_TAILS[name]):]
+    assert [op["op"] for op in tail] == _PRESET_TAILS[name]
+    if name == "reshard":
+        assert "keys" not in tail[0]  # an in-process split_shard
+    elif name == "drift":
+        assert tail[0] == {"op": "inject", "kind": "drift", "shard": 0,
+                           "count": 1}
+        puts = [op["v"] for op in tail if op["op"] == "put"]
+        assert puts == sorted(set(puts)) and len(puts) == 48
+    elif name == "frontdoor":
+        racing, head = tail
+        assert len(racing["keys"]) >= 3 and racing["v"] >= len(racing["keys"])
+        assert [decode_key(k) for k in head["keys"]] == [
+            b"key-%04d" % i for i in range(16)
+        ]
+
+
 def test_key_encoding_roundtrip():
     pool = make_key_pool(random.Random(0))
     for key in pool:
@@ -214,3 +273,29 @@ def test_cli_fuzz_failure_exit_code_and_artifact(tmp_path, capsys):
     text = saved[0].read_text()
     assert "three bad ops" in text
     assert "DIVERGED" in capsys.readouterr().out
+
+
+def test_cli_fuzz_execution_pins_every_serving_target(monkeypatch):
+    # --execution reaches any ServingTarget, including one registered
+    # after the CLI was written, and no structure target.
+    from repro import cli
+    import repro.verify as verify_pkg
+    from repro.verify import ServingTarget
+    from repro.verify.runner import FuzzReport
+
+    seen = {}
+
+    def fake_fuzz(name, seed=0, cases=10, ops_per_case=120, **kwargs):
+        seen[name] = kwargs
+        return FuzzReport(target=name, cases=1, ops_run=1)
+
+    monkeypatch.setitem(TARGETS, "_preset", type(
+        "Preset", (ServingTarget,), {"name": "_preset"}))
+    monkeypatch.setattr(verify_pkg, "fuzz", fake_fuzz)
+    for name in ("_preset", "probing"):
+        assert cli.main(["fuzz", "--structure", name,
+                         "--execution", "process"]) == 0
+    assert seen == {
+        "_preset": {"config_overrides": {"execution": "process"}},
+        "probing": {},
+    }
