@@ -6,9 +6,9 @@ exposes two equivalent paths:
 
 * the **scalar path** (``hasher(key)``) — hash one key at a time, exactly
   like the paper's C++ template instantiations;
-* the **batch path** (``hasher.hash_batch(keys)``) — numpy kernels over
-  key groups, *bit-exact* with the scalar path, used by the throughput
-  benchmarks.
+* the **batch path** (``hasher.hash_batch(keys)``) — the
+  :class:`~repro.engine.HashEngine` pipeline, *bit-exact* with the
+  scalar path, used by the throughput benchmarks.
 
 Both apply the Section 3 runtime branch: keys long enough to contain
 every selected position hash their subkey; shorter keys hash in full.
@@ -23,14 +23,7 @@ import numpy as np
 from repro._util import Key, as_bytes, as_bytes_list
 from repro.core.partial_key import PartialKeyFunction
 from repro.hashing.base import HashFunction, get_hash
-from repro.hashing.vectorized import (
-    BATCH_KERNELS,
-    gather_words,
-    has_batch_kernel,
-    hash_batch_grouped,
-    pack_matrix,
-    words_per_key,
-)
+from repro.hashing.vectorized import words_per_key
 
 
 class EntropyLearnedHasher:
@@ -62,6 +55,7 @@ class EntropyLearnedHasher:
         self.base = base
         self.partial_key = partial_key
         self.seed = base.seed
+        self._engine = None  # built by the first hash_batch call
 
     # ------------------------------------------------------------ scalar path
 
@@ -76,79 +70,18 @@ class EntropyLearnedHasher:
     # ------------------------------------------------------------- batch path
 
     def hash_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Vectorized hash of many keys, bit-exact with the scalar path.
+        """Hash many keys, bit-exact with the scalar path.
 
-        Partial-key mode packs only the selected region of each key, so
-        batch cost is proportional to words read — the paper's cost model.
-        Base hashes without a numpy kernel fall back to a scalar loop.
+        One pass through a private :class:`~repro.engine.HashEngine`, so
+        the small-batch cutover, subkey packing and numpy kernels live in
+        one module; batch cost is proportional to words read.
         """
-        keys = as_bytes_list(keys)
-        if not keys:
-            return np.zeros(0, dtype=np.uint64)
-        if not has_batch_kernel(self.base.name):
-            return np.fromiter(
-                (self(k) for k in keys), dtype=np.uint64, count=len(keys)
-            )
-        if self.partial_key.is_full_key:
-            return hash_batch_grouped(keys, self.base.name, self.seed)
-        return self._hash_batch_partial(keys)
+        if self._engine is None:
+            # Deferred: the engine module imports this one.
+            from repro.engine.engine import HashEngine
 
-    def _hash_batch_partial(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Partial-key batch: subkey kernel for long keys, full-key
-        fallback for keys shorter than the last selected byte."""
-        L = self.partial_key
-        cutoff = L.last_byte_used
-        lengths = list(map(len, keys))
-        kernel = BATCH_KERNELS[self.base.name]
-
-        if min(lengths) >= cutoff:
-            # Fast path (the common case Section 3 designs for: ~all
-            # keys take the partial-key branch).
-            submatrix = self._subkey_matrix(keys, lengths, pad=False)
-            return kernel(submatrix, submatrix.shape[1], self.seed)
-
-        applies = [i for i, length in enumerate(lengths) if length >= cutoff]
-        fallback = [i for i, length in enumerate(lengths) if length < cutoff]
-        out = np.zeros(len(keys), dtype=np.uint64)
-        if applies:
-            subset = [keys[i] for i in applies]
-            submatrix = self._subkey_matrix(
-                subset, [lengths[i] for i in applies], pad=False
-            )
-            out[np.asarray(applies)] = kernel(
-                submatrix, submatrix.shape[1], self.seed
-            )
-        if fallback:
-            subset = [keys[i] for i in fallback]
-            out[np.asarray(fallback)] = hash_batch_grouped(
-                subset, self.base.name, self.seed
-            )
-        return out
-
-    def _subkey_matrix(self, keys: Sequence[bytes], lengths, pad: bool) -> np.ndarray:
-        """Pack subkeys (length prefix + selected words) into a matrix.
-
-        Every subkey has the same width, so one fixed-length kernel call
-        covers the whole batch.  Only the first ``last_byte_used`` bytes
-        of each key are touched — the partial-key cost saving.
-        """
-        L = self.partial_key
-        w = L.word_size
-        width = L.last_byte_used
-        if pad:
-            packed = pack_matrix(keys, width=width)
-        else:
-            # All keys are known to reach ``width``: one memcpy packs them.
-            blob = b"".join(k[:width] for k in keys)
-            packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(keys), width)
-        n = len(keys)
-        submatrix = np.zeros((n, 4 + len(L.positions) * w), dtype=np.uint8)
-        length_arr = np.asarray(lengths, dtype=np.uint64)
-        for b in range(4):
-            submatrix[:, b] = (length_arr >> np.uint64(8 * b)).astype(np.uint8)
-        for j, pos in enumerate(L.positions):
-            submatrix[:, 4 + j * w:4 + (j + 1) * w] = packed[:, pos:pos + w]
-        return submatrix
+            self._engine = HashEngine(self)
+        return self._engine.hash_batch(keys)
 
     # ------------------------------------------------------------- accounting
 

@@ -3,7 +3,8 @@
 One :class:`HashEngine` owns an
 :class:`~repro.core.hasher.EntropyLearnedHasher` and turns every hashing
 request — from tables, filters, partitioners, sketches, operators, the
-kv-store — into the same three-step vectorized pass:
+kv-store — into one batch call.  A batch at or above its base's
+:data:`SCALAR_CUTOVER` takes a three-step vectorized pass:
 
 1. **gather** the learned byte positions of the whole batch into a
    contiguous subkey matrix (vectorized ``L``, bit-exact with
@@ -12,6 +13,13 @@ kv-store — into the same three-step vectorized pass:
 2. **hash** with the bit-exact numpy kernel of the base hash;
 3. **reduce** with the structure's :class:`~repro.engine.reducers.Reducer`
    (bucket mask, fingerprint split, partition id, ...) in the same pass.
+
+A smaller batch, or any batch for a base without a numpy kernel, takes
+the scalar loop instead: each numpy call pays a fixed cost of tens of µs,
+and the served path averages about two keys per call, so vectorizing
+there would hide the paper's constant per-key cost behind that floor.
+Both paths are bit-exact with ``[hasher(k) for k in keys]`` and charge
+the same counters.
 
 Plans (kernel + gather layout per key-length-group) are compiled once
 and cached.  The engine also centralizes the Section 5 robustness story:
@@ -41,7 +49,15 @@ from repro.engine.plan import (
 from repro.engine.reducers import Reducer
 from repro.engine.stats import EngineStats
 from repro.hashing.base import HashFunction
-from repro.hashing.vectorized import has_batch_kernel
+
+# Per base with a numpy kernel: batches smaller than this take the
+# scalar loop, because below it numpy's fixed per-call cost (array
+# setup, gather, a few dozen ufunc calls on tiny arrays) exceeds the
+# loop's per-key cost.  Each value is the crossover of that base's
+# "hash_batch_cost" records in BENCH_engine.json, written by
+# benchmarks/bench_engine.py.  Bases without an entry have no kernel and
+# always take the scalar loop.
+SCALAR_CUTOVER = {"crc32": 24, "murmur3": 12, "wyhash": 16, "xxh3": 12, "xxh64": 8}
 
 
 class HashEngine:
@@ -136,7 +152,8 @@ class HashEngine:
         are seed-independent, so multi-hash structures (Count-Min rows,
         MinHash permutations) reuse one engine and one plan cache.
         """
-        keys = as_bytes_list(keys)
+        if type(keys) is not list or set(map(type, keys)) - {bytes}:
+            keys = as_bytes_list(keys)
         self._stats.observe_batch(len(keys))
         hashes = self._hash_batch_raw(keys, seed)
         if reducer is None:
@@ -150,47 +167,60 @@ class HashEngine:
         n = len(keys)
         if n == 0:
             return np.zeros(0, dtype=np.uint64)
-
-        if not has_batch_kernel(hasher.base.name):
-            # Base hashes without a numpy kernel take the scalar loop —
-            # still one engine call, still counted.
-            scalar = self._scalar_hasher(seed)
-            self._stats.bytes_hashed += sum(scalar.bytes_read(k) for k in keys)
-            return np.fromiter((scalar(k) for k in keys), dtype=np.uint64, count=n)
+        lengths = list(map(len, keys))
+        any_short = self._charge(lengths)
 
         base = hasher.base.name
+        cutover = SCALAR_CUTOVER.get(base)
+        if cutover is None or n < cutover:
+            scalar = self._scalar_hasher(seed)
+            return np.fromiter(map(scalar, keys), dtype=np.uint64, count=n)
+
         L = hasher.partial_key
         if L.is_full_key:
-            self._stats.bytes_hashed += sum(map(len, keys))
             return self._hash_full(keys, base, seed)
 
-        cutoff = L.last_byte_used
-        lengths = [len(k) for k in keys]
         plan = self._plan(
             ("subkey", base, L.positions, L.word_size),
             lambda: compile_subkey_plan(L, base),
         )
-        if min(lengths) >= cutoff:
+        if not any_short:
             # The common case Section 3 designs for: every key takes the
             # partial-key branch; one gather, one kernel call.
-            self._stats.bytes_hashed += L.bytes_read * n
             return plan.run(subkey_matrix(plan, keys, lengths), seed)
 
+        cutoff = L.last_byte_used
         applies = [i for i, length in enumerate(lengths) if length >= cutoff]
         shorts = [i for i, length in enumerate(lengths) if length < cutoff]
-        self._stats.short_key_fallbacks += len(shorts)
         out = np.zeros(n, dtype=np.uint64)
         if applies:
             subset = [keys[i] for i in applies]
-            self._stats.bytes_hashed += L.bytes_read * len(applies)
             out[np.asarray(applies)] = plan.run(
                 subkey_matrix(plan, subset, [lengths[i] for i in applies]), seed
             )
         if shorts:
             subset = [keys[i] for i in shorts]
-            self._stats.bytes_hashed += sum(map(len, subset))
             out[np.asarray(shorts)] = self._hash_full(subset, base, seed)
         return out
+
+    def _charge(self, lengths: Sequence[int]) -> bool:
+        """Count one call's key bytes and short keys; True if any is short.
+
+        Partial-key hashing reads ``L.bytes_read`` bytes of a key long
+        enough for every selected word and the whole of a shorter one
+        (Section 3's full-hash branch); full-key hashing reads every byte.
+        """
+        L = self._hasher.partial_key
+        if L.is_full_key:
+            self._stats.bytes_hashed += sum(lengths)
+            return False
+        cutoff = L.last_byte_used
+        shorts = [length for length in lengths if length < cutoff]
+        self._stats.short_key_fallbacks += len(shorts)
+        self._stats.bytes_hashed += (
+            L.bytes_read * (len(lengths) - len(shorts)) + sum(shorts)
+        )
+        return bool(shorts)
 
     def _hash_full(
         self, keys: Sequence[bytes], base: str, seed: int
@@ -229,10 +259,9 @@ class HashEngine:
     ):
         """Hash one key — the degenerate case of the batch pipeline."""
         self._stats.observe_scalar()
-        scalar = self._scalar_hasher(seed)
         key = as_bytes(key)
-        self._stats.bytes_hashed += scalar.bytes_read(key)
-        h = scalar(key)
+        self._charge((len(key),))
+        h = self._scalar_hasher(seed)(key)
         if reducer is None:
             return h
         return reducer.apply_one(h)

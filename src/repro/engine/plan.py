@@ -11,7 +11,7 @@ configuration that does not depend on the keys themselves:
   :meth:`repro.core.partial_key.PartialKeyFunction.subkey`);
 * for full-key plans, the fixed row width of one key-length group.
 
-Compiling once and caching means the per-batch work is a single memcpy
+Compiling once and caching means the per-batch work is a single C-level
 pack, one fancy-index gather, and one kernel call — no per-key Python.
 """
 
@@ -98,15 +98,16 @@ def compile_fixed_plan(length: int, base_name: str) -> HashPlan:
 def pack_exact(keys: Sequence[bytes], width: int) -> np.ndarray:
     """Pack keys known to be at least ``width`` bytes into a matrix.
 
-    One ``join`` + one ``frombuffer``: a single memcpy of the region the
-    plan will read, the cheapest possible Python-side gather setup.
+    One C-level ``S{width}`` array build truncates every key to the
+    region the plan will read (embedded NUL bytes included), viewed as
+    bytes: no per-key Python slice or join.
     """
     if not keys:
         return np.zeros((0, max(1, width)), dtype=np.uint8)
     if width == 0:
         return np.zeros((len(keys), 1), dtype=np.uint8)
-    blob = b"".join(k[:width] for k in keys)
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(keys), width)
+    packed = np.array(keys, dtype=f"S{width}")
+    return packed.view(np.uint8).reshape(len(keys), width)
 
 
 def subkey_matrix(
@@ -121,9 +122,9 @@ def subkey_matrix(
     packed = pack_exact(keys, plan.cutoff)
     n = len(keys)
     out = np.empty((n, plan.width), dtype=np.uint8)
-    length_arr = np.asarray(lengths, dtype=np.uint64)
-    for b in range(_LENGTH_PREFIX):
-        out[:, b] = (length_arr >> np.uint64(8 * b)).astype(np.uint8)
+    out[:, :_LENGTH_PREFIX] = (
+        np.asarray(lengths, dtype="<u4").view(np.uint8).reshape(n, _LENGTH_PREFIX)
+    )
     if plan.gather is not None and len(plan.gather):
         out[:, _LENGTH_PREFIX:] = packed[:, plan.gather]
     return out

@@ -935,12 +935,20 @@ class EngineTarget(Target):
         self.subject = HashEngine(hasher)
         self.reference = reference_hasher(hasher)
         self.hashed = 0
+        self.shorts = 0
 
     def _expected(self, key: bytes, seed: Optional[int]) -> int:
         ref = self.reference
         if seed is not None and seed != ref.seed:
             ref = ref.with_seed(seed)
         return ref(key)
+
+    def _issued(self, keys: List[bytes]) -> None:
+        """Count keys hashed and keys due the short-key full hash."""
+        self.hashed += len(keys)
+        L = self.reference.partial_key
+        if not L.is_full_key:
+            self.shorts += sum(not L.applies_to(k) for k in keys)
 
     def apply(self, op: Op) -> None:
         name = op["op"]
@@ -956,13 +964,13 @@ class EngineTarget(Target):
                     f"hash_batch[{bad}] for key {keys[bad]!r} (seed={seed}): "
                     f"{got[bad]} != reference {want[bad]}"
                 )
-            self.hashed += len(keys)
+            self._issued(keys)
         elif name == "hash_one":
             key = decode_key(op["key"])
             got = int(self.subject.hash_one(key))
             want = self._expected(key, None)
             _require(got == want, f"hash_one({key!r}): {got} != reference {want}")
-            self.hashed += 1
+            self._issued([key])
         elif name == "clear_plans":
             self.subject.set_hasher(self.subject.hasher)
         elif name == "monitor_fall_back":
@@ -987,6 +995,11 @@ class EngineTarget(Target):
             _require(
                 stats["keys_hashed"] == self.hashed,
                 f"keys_hashed {stats['keys_hashed']} != {self.hashed} issued",
+            )
+            _require(
+                stats["short_key_fallbacks"] == self.shorts,
+                f"short_key_fallbacks {stats['short_key_fallbacks']} != "
+                f"{self.shorts} short keys issued",
             )
             if self.subject.fell_back:
                 _require(stats["fell_back"], "stats dropped the fallback event")

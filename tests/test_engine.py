@@ -32,6 +32,9 @@ from repro.engine import (
     MaskReducer,
     SlotTagReducer,
 )
+from repro.engine.engine import SCALAR_CUTOVER
+from repro.engine.stats import _batch_bucket
+from repro.hashing.vectorized import BATCH_KERNELS
 
 BASES = ("wyhash", "xxh3", "crc32")
 WORD_SIZES = (1, 2, 4, 8)
@@ -165,12 +168,79 @@ def test_stats_counters():
 
 def test_set_hasher_invalidates_plans():
     engine = HashEngine(EntropyLearnedHasher.from_positions((0,)))
-    engine.hash_batch([b"k" * 16] * 4)
+    engine.hash_batch([b"k" * 16] * SCALAR_CUTOVER["wyhash"])
     assert engine.stats()["plans_compiled"] == 1
     engine.set_hasher(EntropyLearnedHasher.from_positions((8,)))
     assert engine.stats()["plans_compiled"] == 0
     keys = _mixed_keys(seed=3, n=30)
     assert list(engine.hash_batch(keys)) == [engine.hasher(k) for k in keys]
+
+
+@pytest.mark.parametrize("base", ["wyhash", "fnv1a", "siphash"])
+def test_short_key_fallbacks_do_not_depend_on_the_base(base):
+    # Kernel-less bases and hash_one once skipped the short-key count.
+    engine = HashEngine(EntropyLearnedHasher.from_positions((8,), base=base))
+    engine.hash_batch([b"short", b"x" * 32, b"tiny"])
+    assert engine.stats()["short_key_fallbacks"] == 2
+    engine.hash_one(b"tiny")
+    assert engine.stats()["short_key_fallbacks"] == 3
+
+
+# ------------------------------------------------------ small-batch cutover
+
+
+def test_every_batch_kernel_has_a_cutover():
+    assert set(SCALAR_CUTOVER) == set(BATCH_KERNELS)
+
+
+def _cutover_case(case, base, n):
+    """(hasher, keys, seed) for one boundary case; 16-byte cutoff."""
+    rng = random.Random(n)
+    long_keys = [
+        bytes(rng.randrange(256) for _ in range(rng.randrange(16, 41)))
+        for _ in range(n)
+    ]
+    partial = EntropyLearnedHasher.from_positions((8, 0), base=base)
+    if case == "partial":
+        return partial, long_keys, None
+    if case == "seed":
+        return partial, long_keys, 7
+    mixed = [k[: rng.randrange(16)] if i % 3 == 0 else k
+             for i, k in enumerate(long_keys)]
+    if case == "short_mix":
+        return partial, mixed, None
+    return EntropyLearnedHasher.full_key(base), mixed, None
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+@pytest.mark.parametrize("case", ["partial", "full_key", "short_mix", "seed"])
+@pytest.mark.parametrize("base", sorted(BATCH_KERNELS))
+def test_cutover_boundary_is_invisible(base, case, below):
+    n = SCALAR_CUTOVER[base] - below
+    hasher, keys, seed = _cutover_case(case, base, n)
+    engine = HashEngine(hasher)
+    reference = hasher if seed is None else hasher.with_seed(seed)
+
+    got = engine.hash_batch(keys, seed=seed)
+
+    assert [int(h) for h in got] == [reference(k) for k in keys]
+    stats = engine.stats()
+    L = hasher.partial_key
+    assert {
+        name: stats[name]
+        for name in ("keys_hashed", "bytes_hashed", "short_key_fallbacks",
+                     "batch_size_histogram")
+    } == {
+        "keys_hashed": n,
+        "bytes_hashed": sum(reference.bytes_read(k) for k in keys),
+        "short_key_fallbacks": 0 if L.is_full_key else sum(
+            not L.applies_to(k) for k in keys),
+        "batch_size_histogram": {_batch_bucket(n): 1},
+    }
+    if below:
+        assert stats["plans_compiled"] == stats["plan_cache_misses"] == 0
+    else:
+        assert stats["plans_compiled"] >= 1
 
 
 # ------------------------------------------------- monitor-driven fallback
@@ -218,7 +288,8 @@ _FORBIDDEN = re.compile(
     r"|xxh64_fixed\(|murmur3_fixed\("
 )
 _CONSUMER_DIRS = (
-    "tables", "filters", "partitioning", "sketches", "operators", "kvstore"
+    "tables", "filters", "partitioning", "sketches", "operators", "kvstore",
+    "service", "similarity", "drift",
 )
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.engine.engine import SCALAR_CUTOVER
 from repro.verify import (
     TARGETS,
     Divergence,
@@ -106,6 +107,15 @@ def test_key_encoding_roundtrip():
     pool = make_key_pool(random.Random(0))
     for key in pool:
         assert decode_key(encode_key(key)) == key
+
+
+def test_engine_stream_straddles_every_cutover():
+    # Batches on both sides of each base's cutover: the fuzz compares
+    # the numpy plans, not only the scalar loop, against the reference.
+    ops = TARGETS["engine"].generate_ops(random.Random(0), 120)
+    sizes = [len(op["keys"]) for op in ops if op["op"] == "hash_batch"]
+    assert min(sizes) < min(SCALAR_CUTOVER.values())
+    assert max(sizes) >= max(SCALAR_CUTOVER.values())
 
 
 def test_generators_are_deterministic():
