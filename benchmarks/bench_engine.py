@@ -12,9 +12,16 @@ The ``hash_batch_cost`` records are the curve behind the engine's
 ``SCALAR_CUTOVER``: for every base with a numpy kernel, the µs per call
 of the scalar loop and of one compiled plan pass at small batch sizes.
 The cutover is the smallest size from which the plan is no slower.
+
+The ``probe_walk_cost`` records are the curve behind the probing
+table's ``_ROUND_MIN``: for a batch of n probes, the µs per call of the
+one-by-one walk and of the walk that opens with one vectorized round.
+``_ROUND_MIN`` is the smallest n from which the round is no slower,
+judged by the median ratio of back-to-back sample pairs.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -35,7 +42,7 @@ from repro.filters.blocked import BlockedBloomFilter
 from repro.hashing.vectorized import BATCH_KERNELS
 from repro.partitioning.partitioner import Partitioner
 from repro.tables.chaining import SeparateChainingTable
-from repro.tables.probing import LinearProbingTable
+from repro.tables.probing import _ROUND_MIN, LinearProbingTable
 
 NUM_KEYS = 10_000          # mixed-length HN URLs; half stored
 NUM_PROBES = 5_000         # acceptance floor is 4k
@@ -44,6 +51,10 @@ LATENCY_REPEATS = 7        # batch-call samples behind the p50/p99 fields
 COST_SIZES = (1, 2, 4, 8, 12, 16, 24, 32, 64)
 COST_REPEATS = 7           # best-of samples per (base, size) point
 COST_SAMPLE_S = 0.004      # wall time one sample loops for
+WALK_SIZES = (4, 8, 16, 24, 32, 48, 64, 128, 192, 256, 384)
+WALK_SLOTS = 4096          # probe_walk_cost table, filled to load 0.7
+WALK_PROBES = 4096         # half misses, cut into batches of each size
+WALK_REPEATS = 15          # the two walks differ by a few % near the crossover
 
 
 def _workload():
@@ -135,10 +146,11 @@ def bench_records():
     records.append(
         _record("partition_assign", len(probes), scalar_s, batch_samples))
     records.extend(cost_curve_records(hasher, probes))
+    records.extend(walk_curve_records(model, stored))
     return records
 
 
-def _interleaved_us_per_call(funcs):
+def _interleaved_us_per_call(funcs, repeats=COST_REPEATS):
     """Per-call µs samples for each of ``funcs``, sampled in turn so a
     burst of host noise lands on every function alike.  Each sample
     loops its function for about COST_SAMPLE_S."""
@@ -149,7 +161,7 @@ def _interleaved_us_per_call(funcs):
         elapsed = max(time.perf_counter() - start, 1e-7)
         loops.append(max(1, int(COST_SAMPLE_S / elapsed)))
     samples = [[] for _ in funcs]
-    for _ in range(COST_REPEATS):
+    for _ in range(repeats):
         for func, count, out in zip(funcs, loops, samples):
             start = time.perf_counter()
             for _ in range(count):
@@ -192,18 +204,75 @@ def cost_curve_records(hasher, probes):
     return records
 
 
-def crossovers(records):
-    """Per base: the smallest measured size from which the plan is no
-    slower than the scalar loop at every larger size (None: never)."""
+def walk_curve_records(model, stored):
+    """One-by-one walk vs one opening round, µs per call, per batch size.
+
+    A batch of n is the choice ``_ROUND_MIN`` makes at n: the walk with
+    floor n + 1 takes every probe one by one; the walk with floor n runs
+    one vectorized round, then walks the survivors (now fewer than n)
+    one by one.  Each sample walks the same probes cut into batches of
+    n, hashed beforehand, so only the walk is timed.
+    """
+    resident = stored[:int(0.7 * WALK_SLOTS)]
+    table = LinearProbingTable(
+        model.hasher_for_probing_table(len(resident)), capacity=WALK_SLOTS)
+    table.insert_batch(resident)
+    probes = build_probe_mix(resident, stored[len(resident):], hit_rate=0.5,
+                             num_probes=WALK_PROBES, seed=11)
+    records = []
+    for n in WALK_SIZES:
+        batches = [
+            (keys, *table.engine.hash_batch(keys, table._reducer))
+            for keys in (probes[i:i + n]
+                         for i in range(0, len(probes) - n + 1, n))
+        ]
+
+        def walk(floor):
+            for keys, slots, tags in batches:
+                table._walk(keys, slots, tags, None, floor)
+
+        scalar_samples, round_samples = (
+            [us / len(batches) for us in samples]
+            for samples in _interleaved_us_per_call(
+                (lambda: walk(n + 1), lambda: walk(n)), WALK_REPEATS)
+        )
+        scalar_us, round_us = min(scalar_samples), min(round_samples)
+        # Each sample pair ran back to back: the median of their ratios
+        # shrugs off a noise burst that the two best-ofs may not share.
+        speedup = statistics.median(
+            s / r for s, r in zip(scalar_samples, round_samples))
+        record = {
+            "benchmark": "probe_walk_cost",
+            "n_keys": n,
+            "batch_size": n,
+            "load_factor": table.load_factor,
+            "scalar_us_per_call": scalar_us,
+            "round_us_per_call": round_us,
+            "scalar_ns_per_key": scalar_us * 1e3 / n,
+            "batch_ns_per_key": round_us * 1e3 / n,
+            "speedup": speedup,
+            "cpu_cores": os.cpu_count() or 1,
+        }
+        record.update(latency_summary_ns(
+            [us * 1e-6 for us in round_samples], items_per_sample=n))
+        records.append(record)
+    return records
+
+
+def crossovers(records, benchmark="hash_batch_cost"):
+    """Per curve (one per base; the walk curve is one, keyed None): the
+    smallest measured size from which the batched path is no slower
+    than the scalar one (``speedup >= 1``) at every larger size (None:
+    never)."""
     curves = {}
     for r in records:
-        if r["benchmark"] == "hash_batch_cost":
-            curves.setdefault(r["base"], []).append(r)
+        if r["benchmark"] == benchmark:
+            curves.setdefault(r.get("base"), []).append(r)
     found = {}
     for base, curve in curves.items():
         found[base] = None
         for r in sorted(curve, key=lambda r: -r["n_keys"]):
-            if r["plan_us_per_call"] > r["scalar_us_per_call"]:
+            if r["speedup"] < 1.0:
                 break
             found[base] = r["n_keys"]
     return found
@@ -220,7 +289,8 @@ def main():
                 "batch_ns": r["batch_ns_per_key"],
                 "speedup": r["speedup"],
             }
-            for r in records if r["benchmark"] != "hash_batch_cost"
+            for r in records
+            if r["benchmark"] not in ("hash_batch_cost", "probe_walk_cost")
         },
         ["scalar_ns", "batch_ns", "speedup"],
         row_title="operation", digits=1,
@@ -239,6 +309,22 @@ def main():
     ))
     print(f"crossover per base: {crossovers(records)}; "
           f"engine SCALAR_CUTOVER = {SCALAR_CUTOVER}")
+    print_header("probing-table walk cost vs batch size: one by one / "
+                 "one round first, µs per call")
+    print(format_speedup_table(
+        {
+            f"n={r['n_keys']}": {
+                "scalar_us": r["scalar_us_per_call"],
+                "round_us": r["round_us_per_call"],
+                "speedup": r["speedup"],
+            }
+            for r in records if r["benchmark"] == "probe_walk_cost"
+        },
+        ["scalar_us", "round_us", "speedup"], row_title="batch", digits=2,
+    ))
+    walk = crossovers(records, "probe_walk_cost")
+    print(f"walk crossover: {walk[None]}; "
+          f"probing-table _ROUND_MIN = {_ROUND_MIN}")
 
 
 def test_batch_path_faster_than_scalar():

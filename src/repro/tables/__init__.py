@@ -23,7 +23,6 @@ from repro.tables.probing import (
     LinearProbingTable,
     ProbeStats,
 )
-from repro.tables.vectorized import VectorProbingTable
 
 __all__ = [
     "SeparateChainingTable",
@@ -31,7 +30,6 @@ __all__ = [
     "EntropyAwareTable",
     "LinearProbingTable",
     "EntropyAwareProbingTable",
-    "VectorProbingTable",
     "ProbeStats",
     "CollisionMonitor",
     "MonitorVerdict",

@@ -5,7 +5,10 @@ baseline): every slot carries an 8-bit *tag* derived from the key's hash.
 A probe walks the tag array first and only compares full keys when the
 tag matches, which is why (as the paper notes) probing for *missing* keys
 is cheaper than for present keys — misses usually terminate on tag
-mismatches alone.
+mismatches alone.  Batch probes check tags in vectorized rounds, one
+numpy gather per round across every unresolved probe, then walk the
+short tail of long chains one key at a time; a batch too small to pay
+for a round walks one key at a time from the start.
 
 The table counts tag probes, full-key comparisons, and probe-chain
 lengths so experiments can validate the paper's comparison-count bounds
@@ -19,10 +22,13 @@ split in the same vectorized pass as the hash itself.
 from __future__ import annotations
 
 import math
+from itertools import count
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro._util import Key, as_bytes, next_power_of_two
+import numpy as np
+
+from repro._util import Key, as_bytes, as_bytes_list, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine, SlotTagReducer
 
@@ -32,6 +38,12 @@ _DELETED = 1
 _TAG_STATES = 2
 
 DEFAULT_MAX_LOAD = 0.875
+
+# Batch probes walk in vectorized rounds while at least this many are
+# unresolved; below it, a round's numpy calls cost more than walking the
+# remaining probes one by one.  Set at the crossover of the
+# ``probe_walk_cost`` curve in benchmarks/bench_engine.py.
+_ROUND_MIN = 256
 
 
 @dataclass
@@ -95,7 +107,7 @@ class LinearProbingTable:
     def _init_slots(self, num_slots: int) -> None:
         self._mask = num_slots - 1
         self._reducer = SlotTagReducer(self._mask, tag_states=_TAG_STATES)
-        self._tags: List[int] = [_EMPTY] * num_slots
+        self._tags = bytearray(num_slots)  # every slot starts _EMPTY
         self._keys: List[Optional[bytes]] = [None] * num_slots
         self._values: List[Any] = [None] * num_slots
 
@@ -272,41 +284,24 @@ class LinearProbingTable:
         for key, value, h in zip(keys, values, hashes):
             self._insert_one(key, value, int(h), generation)
 
-    def _insert_hashed(self, key: bytes, value: Any, h: int) -> None:
-        slot, tag = self._slot_and_tag_from_hash(h)
-        self._insert_at(key, value, slot, tag)
+    def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:
+        """Probe many keys, hashing them in one engine pass.
 
-    def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
-        """Probe many keys, hashing them in one engine pass."""
-        keys = [as_bytes(k) for k in keys]
-        slots, probe_tags = self.engine.hash_batch(keys, self._reducer)
-        results = []
-        tags = self._tags
-        table_keys = self._keys
-        values = self._values
-        mask = self._mask
-        stats = self.stats
-        for key, slot, tag in zip(keys, slots, probe_tags):
-            slot = int(slot)
-            tag = int(tag)
-            stats.probes += 1
-            chain = 0
-            while True:
-                state = tags[slot]
-                chain += 1
-                stats.tag_checks += 1
-                if state == _EMPTY:
-                    stats.chain_total += chain
-                    results.append(None)
-                    break
-                if state == tag:
-                    stats.key_comparisons += 1
-                    if table_keys[slot] == key:
-                        stats.chain_total += chain
-                        results.append(values[slot])
-                        break
-                slot = (slot + 1) & mask
-        return results
+        Tags are checked in vectorized rounds (see :meth:`_walk`);
+        :class:`ProbeStats` are charged exactly as a loop of :meth:`get`
+        calls would charge them.
+
+        >>> t = LinearProbingTable(EntropyLearnedHasher.full_key(), capacity=8)
+        >>> t.insert_batch([b"a", b"b"], [1, 2])
+        >>> t.probe_batch([b"a", b"x", b"b"])
+        [1, None, 2]
+        >>> t.probe_batch([b"nope"], default=-1)
+        [-1]
+        """
+        if type(keys) is not list or set(map(type, keys)) - {bytes}:
+            keys = as_bytes_list(keys)
+        slots, tags = self.engine.hash_batch(keys, self._reducer)
+        return self._walk(keys, slots, tags, default)
 
     def probe_batch_hashed(
         self, keys: Sequence[bytes], hashes, generation: Optional[int] = None
@@ -316,7 +311,8 @@ class LinearProbingTable:
         Benchmarks compute hashes in one vectorized pass and then walk
         the table, mirroring the paper's probe pipeline and letting the
         hash-computation and table-access costs be measured separately
-        (Figure 7's breakdown).
+        (Figure 7's breakdown).  The walk is :meth:`probe_batch`'s, so
+        it charges :class:`ProbeStats` the same way.
 
         ``generation``, when supplied, is the engine generation the
         caller snapshotted when it computed ``hashes``; a mismatch means
@@ -326,22 +322,82 @@ class LinearProbingTable:
         """
         if generation is not None and generation != self.engine.generation:
             hashes = self.engine.hash_batch(keys)
-        results = []
-        tags = self._tags
+        slots, tags = self._reducer.apply(np.asarray(hashes, dtype=np.uint64))
+        return self._walk(keys, slots, tags, None)
+
+    def _walk(
+        self,
+        keys: Sequence[bytes],
+        slots: np.ndarray,
+        tags: np.ndarray,
+        default: Any,
+        floor: int = _ROUND_MIN,
+    ) -> List[Any]:
+        """Resolve each probe from its home ``slots[i]`` and ``tags[i]``.
+
+        While at least ``floor`` probes are unresolved, every round
+        gathers their current slots' tags in one numpy pass: an empty
+        slot ends a miss, and only a tag match costs a full-key
+        compare.  The last few probes (all of a batch smaller than
+        ``floor``) then walk one by one, as :meth:`get` does.  ``floor``
+        is ``_ROUND_MIN`` except where ``bench_engine`` measures the
+        curve behind it.
+        """
+        n = len(keys)
+        results = [default] * n
+        table_tags = self._tags
         table_keys = self._keys
         values = self._values
         mask = self._mask
-        for key, h in zip(keys, hashes):
-            slot, tag = self._slot_and_tag_from_hash(int(h))
+        checks = 0
+        compares = 0
+        if n >= floor:
+            tag_view = np.frombuffer(table_tags, dtype=np.uint8)
+            active = np.arange(n)
+            while active.size >= floor:
+                # Chains past the last slot wrap to slot 0 in the gather,
+                # so ``slots`` only ever counts up.
+                states = tag_view.take(slots, mode="wrap")
+                checks += active.size
+                hit = (states == tags).nonzero()[0]
+                if hit.size:
+                    compares += hit.size
+                    found = bytearray(hit.size)
+                    for i, slot, probe in zip(
+                        count(), slots[hit].tolist(), active[hit].tolist()
+                    ):
+                        slot &= mask
+                        if table_keys[slot] == keys[probe]:
+                            results[probe] = values[slot]
+                            found[i] = 1
+                    # A found probe is done, as if its slot were empty.
+                    states[hit[np.frombuffer(found, dtype=np.bool_)]] = _EMPTY
+                keep = states.nonzero()[0]
+                active = active[keep]
+                tags = tags[keep]
+                slots = slots[keep]
+                slots += 1
+            pending = zip(active.tolist(), (slots & mask).tolist(), tags.tolist())
+        else:
+            pending = zip(range(n), slots.tolist(), tags.tolist())
+        for probe, slot, tag in pending:
+            key = keys[probe]
             while True:
-                state = tags[slot]
+                state = table_tags[slot]
+                checks += 1
                 if state == _EMPTY:
-                    results.append(None)
                     break
-                if state == tag and table_keys[slot] == key:
-                    results.append(values[slot])
-                    break
+                if state == tag:
+                    compares += 1
+                    if table_keys[slot] == key:
+                        results[probe] = values[slot]
+                        break
                 slot = (slot + 1) & mask
+        stats = self.stats
+        stats.probes += n
+        stats.tag_checks += checks
+        stats.chain_total += checks
+        stats.key_comparisons += compares
         return results
 
     # --------------------------------------------------------------- resizing

@@ -110,7 +110,10 @@ def generate_table_ops(rng: random.Random, n: int) -> List[Op]:
             values = list(range(counter, counter + len(keys)))
             ops.append(_batch("insert_batch", keys, values=values))
         elif roll < 0.86:
-            ops.append(_batch("probe_batch", pick_keys(rng, pool, 1, 16)))
+            # Half the batches reach 320 keys, past the probing
+            # table's vectorized-round threshold; half stay small.
+            high = rng.choice((16, 320))
+            ops.append(_batch("probe_batch", pick_keys(rng, pool, 1, high)))
         elif roll < 0.92:
             ops.append({"op": "check_items"})
         elif roll < 0.96:

@@ -55,7 +55,6 @@ import repro.sketches.minhash
 import repro.tables.chaining
 import repro.tables.cuckoo
 import repro.tables.probing
-import repro.tables.vectorized
 import repro.workloads.ycsb
 
 MODULES = [
@@ -106,7 +105,6 @@ MODULES = [
     repro.tables.chaining,
     repro.tables.cuckoo,
     repro.tables.probing,
-    repro.tables.vectorized,
     repro.workloads.ycsb,
 ]
 

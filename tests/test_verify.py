@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.engine.engine import SCALAR_CUTOVER
+from repro.tables.probing import _ROUND_MIN
 from repro.verify import (
     TARGETS,
     Divergence,
@@ -116,6 +117,15 @@ def test_engine_stream_straddles_every_cutover():
     sizes = [len(op["keys"]) for op in ops if op["op"] == "hash_batch"]
     assert min(sizes) < min(SCALAR_CUTOVER.values())
     assert max(sizes) >= max(SCALAR_CUTOVER.values())
+
+
+def test_table_stream_straddles_probe_round_threshold():
+    # Batch probes on both sides of _ROUND_MIN: the ProbeStats parity
+    # invariant checks the vectorized rounds, not only the scalar walk.
+    ops = generate_table_ops(random.Random(0), 120)
+    sizes = [len(op["keys"]) for op in ops if op["op"] == "probe_batch"]
+    assert min(sizes) < _ROUND_MIN
+    assert max(sizes) >= _ROUND_MIN
 
 
 def test_generators_are_deterministic():
