@@ -9,9 +9,11 @@ the speedup.  ``bench_records()`` returns the same numbers as JSON-able
 records; ``run_all.py`` collects them into ``BENCH_engine.json``.
 
 The ``hash_batch_cost`` records are the curve behind the engine's
-``SCALAR_CUTOVER``: for every base with a numpy kernel, the µs per call
-of the scalar loop and of one compiled plan pass at small batch sizes.
-The cutover is the smallest size from which the plan is no slower.
+``SCALAR_CUTOVER`` and ``_PACK_CHUNK``: for every base with a numpy
+kernel, the µs per call of the scalar loop and of the engine's own plan
+pass (join, pack, kernel) from 1 to 16,384 keys.  The cutover is the
+smallest size from which the plan is no slower; the chunk is the size
+past which the plan's µs per key stops falling.
 
 The ``probe_walk_cost`` records are the curve behind the probing
 table's ``_ROUND_MIN``: for a batch of n probes, the µs per call of the
@@ -36,8 +38,8 @@ from repro.bench.reporting import format_speedup_table, print_header
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import train_model
 from repro.datasets import hn_urls
-from repro.engine.engine import SCALAR_CUTOVER
-from repro.engine.plan import compile_subkey_plan, subkey_matrix
+from repro.engine import HashEngine
+from repro.engine.engine import _PACK_CHUNK, SCALAR_CUTOVER
 from repro.filters.blocked import BlockedBloomFilter
 from repro.hashing.vectorized import BATCH_KERNELS
 from repro.partitioning.partitioner import Partitioner
@@ -48,7 +50,7 @@ NUM_KEYS = 10_000          # mixed-length HN URLs; half stored
 NUM_PROBES = 5_000         # acceptance floor is 4k
 REPEATS = 3
 LATENCY_REPEATS = 7        # batch-call samples behind the p50/p99 fields
-COST_SIZES = (1, 2, 4, 8, 12, 16, 24, 32, 64)
+COST_SIZES = (1, 2, 4, 8, 12, 16, 24, 32, 64, 128, 256, 1024, 4096, 16384)
 COST_REPEATS = 7           # best-of samples per (base, size) point
 COST_SAMPLE_S = 0.004      # wall time one sample loops for
 WALK_SIZES = (4, 8, 16, 24, 32, 48, 64, 128, 192, 256, 384)
@@ -171,19 +173,21 @@ def _interleaved_us_per_call(funcs, repeats=COST_REPEATS):
 
 
 def cost_curve_records(hasher, probes):
-    """Scalar loop vs compiled plan, µs per call, per base and size."""
+    """Scalar loop vs the engine's plan pass, µs per call, per base and
+    size.  The plan pass is timed unchunked at every size, so the
+    records past ``_PACK_CHUNK`` show what a larger chunk would buy."""
     records = []
+    L = hasher.partial_key
+    long_keys = [k for k in probes if len(k) >= L.last_byte_used]
     for base in sorted(BATCH_KERNELS):
-        scalar = EntropyLearnedHasher(hasher.partial_key, base=base)
-        plan = compile_subkey_plan(scalar.partial_key, base)
-        long_keys = [k for k in probes if len(k) >= plan.cutoff]
+        scalar = EntropyLearnedHasher(L, base=base)
+        engine = HashEngine(scalar)
         for n in COST_SIZES:
-            keys = long_keys[:n]
-            lengths = list(map(len, keys))
+            keys = (long_keys * -(-n // len(long_keys)))[:n]
             scalar_samples, plan_samples = _interleaved_us_per_call((
                 lambda: np.fromiter(map(scalar, keys), dtype=np.uint64,
                                     count=n),
-                lambda: plan.run(subkey_matrix(plan, keys, lengths), 0),
+                lambda: engine._hash_planned(keys, 0),
             ))
             scalar_us, plan_us = min(scalar_samples), min(plan_samples)
             record = {
@@ -278,6 +282,22 @@ def crossovers(records, benchmark="hash_batch_cost"):
     return found
 
 
+def per_key_floors(records):
+    """Per base: the smallest measured size whose plan µs per key is
+    within 5% of that base's lowest, i.e. where the per-key cost of the
+    plan pass stops falling."""
+    curves = {}
+    for r in records:
+        if r["benchmark"] == "hash_batch_cost":
+            curves.setdefault(r["base"], []).append(r)
+    found = {}
+    for base, curve in curves.items():
+        floor = min(r["batch_ns_per_key"] for r in curve)
+        found[base] = min(r["n_keys"] for r in curve
+                          if r["batch_ns_per_key"] <= floor * 1.05)
+    return found
+
+
 def main():
     records = bench_records()
     print_header(f"Engine batch pipeline vs scalar loop "
@@ -309,6 +329,8 @@ def main():
     ))
     print(f"crossover per base: {crossovers(records)}; "
           f"engine SCALAR_CUTOVER = {SCALAR_CUTOVER}")
+    print(f"per-key floor per base: {per_key_floors(records)}; "
+          f"engine _PACK_CHUNK = {_PACK_CHUNK}")
     print_header("probing-table walk cost vs batch size: one by one / "
                  "one round first, µs per call")
     print(format_speedup_table(

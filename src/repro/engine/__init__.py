@@ -1,8 +1,8 @@
 """Unified batched hash engine (the pipeline behind every structure).
 
 :class:`HashEngine` compiles cached :class:`~repro.engine.plan.HashPlan`
-objects per (hasher, key-length-group), gathers learned byte positions
-of whole batches into contiguous subkey matrices, dispatches to the
+objects per (hasher, key-length-group), packs whole batches from one
+join of their bytes into subkey or full-key rows, dispatches to the
 bit-exact numpy kernels, and applies structure-specific
 :class:`~repro.engine.reducers.Reducer` steps in the same vectorized
 pass.  It also centralizes the collision-monitor fallback decision and
@@ -13,7 +13,6 @@ from repro.engine.engine import HashEngine
 from repro.engine.monitor import CollisionMonitor, MonitorVerdict
 from repro.engine.plan import (
     HashPlan,
-    build_gather_index,
     compile_fixed_plan,
     compile_subkey_plan,
 )
@@ -32,7 +31,6 @@ from repro.engine.stats import EngineStats
 __all__ = [
     "HashEngine",
     "HashPlan",
-    "build_gather_index",
     "compile_fixed_plan",
     "compile_subkey_plan",
     "CollisionMonitor",

@@ -6,10 +6,15 @@ request — from tables, filters, partitioners, sketches, operators, the
 kv-store — into one batch call.  A batch at or above its base's
 :data:`SCALAR_CUTOVER` takes a three-step vectorized pass:
 
-1. **gather** the learned byte positions of the whole batch into a
-   contiguous subkey matrix (vectorized ``L``, bit-exact with
+1. **gather**: one ``b"".join`` of the batch's keys and one pass over
+   their lengths, then row gathers from a zero-copy strided window over
+   the join — one per learned word — build the subkey rows (vectorized
+   ``L``, bit-exact with
    :meth:`~repro.core.partial_key.PartialKeyFunction.subkey`, including
-   the short-key full-hash branch and the length prefix);
+   the length prefix); keys too short for ``L`` take the full-hash
+   branch through one full-key gather per exact length.  A batch of
+   more than ``_PACK_CHUNK`` keys is joined and hashed in chunks of
+   that size, so its temporaries stay bounded;
 2. **hash** with the bit-exact numpy kernel of the base hash;
 3. **reduce** with the structure's :class:`~repro.engine.reducers.Reducer`
    (bucket mask, fingerprint split, partition id, ...) in the same pass.
@@ -21,7 +26,7 @@ there would hide the paper's constant per-key cost behind that floor.
 Both paths are bit-exact with ``[hasher(k) for k in keys]`` and charge
 the same counters.
 
-Plans (kernel + gather layout per key-length-group) are compiled once
+Plans (kernel + row layout per key-length-group) are compiled once
 and cached.  The engine also centralizes the Section 5 robustness story:
 it owns the optional :class:`~repro.engine.monitor.CollisionMonitor`,
 and when observed collisions exceed the entropy budget it rebuilds its
@@ -43,8 +48,7 @@ from repro.engine.plan import (
     HashPlan,
     compile_fixed_plan,
     compile_subkey_plan,
-    pack_exact,
-    subkey_matrix,
+    join_keys,
 )
 from repro.engine.reducers import Reducer
 from repro.engine.stats import EngineStats
@@ -58,6 +62,12 @@ from repro.hashing.base import HashFunction
 # benchmarks/bench_engine.py.  Bases without an entry have no kernel and
 # always take the scalar loop.
 SCALAR_CUTOVER = {"crc32": 24, "murmur3": 12, "wyhash": 16, "xxh3": 12, "xxh64": 8}
+
+# A larger batch is packed and hashed in chunks of this many keys, which
+# bounds the joined bytes, the packed rows and the kernels' n x 8 B
+# temporaries.  It is where the plan pass's µs per key stops falling on
+# the "hash_batch_cost" records in BENCH_engine.json.
+_PACK_CHUNK = 4096
 
 
 class HashEngine:
@@ -152,59 +162,80 @@ class HashEngine:
         are seed-independent, so multi-hash structures (Count-Min rows,
         MinHash permutations) reuse one engine and one plan cache.
         """
-        if type(keys) is not list or set(map(type, keys)) - {bytes}:
-            keys = as_bytes_list(keys)
+        if type(keys) is not list and type(keys) is not tuple:
+            keys = list(keys)
         self._stats.observe_batch(len(keys))
         hashes = self._hash_batch_raw(keys, seed)
         if reducer is None:
             return hashes
         return reducer.apply(hashes)
 
-    def _hash_batch_raw(self, keys: Sequence[bytes], seed: Optional[int]) -> np.ndarray:
-        hasher = self._hasher
+    def _hash_batch_raw(self, keys: Sequence[Key], seed: Optional[int]) -> np.ndarray:
         if seed is None:
-            seed = hasher.seed
+            seed = self._hasher.seed
         n = len(keys)
         if n == 0:
             return np.zeros(0, dtype=np.uint64)
-        lengths = list(map(len, keys))
-        any_short = self._charge(lengths)
-
-        base = hasher.base.name
-        cutover = SCALAR_CUTOVER.get(base)
+        cutover = SCALAR_CUTOVER.get(self._hasher.base.name)
         if cutover is None or n < cutover:
+            if type(keys) is not list or set(map(type, keys)) - {bytes}:
+                keys = as_bytes_list(keys)
+            self._charge(list(map(len, keys)))
             scalar = self._scalar_hasher(seed)
             return np.fromiter(map(scalar, keys), dtype=np.uint64, count=n)
+        if n <= _PACK_CHUNK:
+            return self._hash_planned(keys, seed)
+        return np.concatenate([
+            self._hash_planned(keys[start:start + _PACK_CHUNK], seed)
+            for start in range(0, n, _PACK_CHUNK)
+        ])
 
-        L = hasher.partial_key
+    def _hash_planned(self, keys: Sequence[Key], seed: int) -> np.ndarray:
+        """The plan pass over one chunk of at most ``_PACK_CHUNK`` keys.
+
+        One join, then row gathers from it for the kernels: the subkey
+        plan for keys that reach the learned cutoff, one full-key plan
+        per exact length for the rest.  Charges the chunk's counters.
+        """
+        blob, starts, lengths = join_keys(keys)
+        n = len(lengths)
+        base = self._hasher.base.name
+        L = self._hasher.partial_key
         if L.is_full_key:
-            return self._hash_full(keys, base, seed)
-
+            self._count(n, len(blob))
+            return self._hash_full(blob, starts, lengths, seed)
         plan = self._plan(
             ("subkey", base, L.positions, L.word_size),
             lambda: compile_subkey_plan(L, base),
         )
-        if not any_short:
+        if lengths.min() >= plan.cutoff:
             # The common case Section 3 designs for: every key takes the
-            # partial-key branch; one gather, one kernel call.
-            return plan.run(subkey_matrix(plan, keys, lengths), seed)
-
-        cutoff = L.last_byte_used
-        applies = [i for i, length in enumerate(lengths) if length >= cutoff]
-        shorts = [i for i, length in enumerate(lengths) if length < cutoff]
-        out = np.zeros(n, dtype=np.uint64)
-        if applies:
-            subset = [keys[i] for i in applies]
-            out[np.asarray(applies)] = plan.run(
-                subkey_matrix(plan, subset, [lengths[i] for i in applies]), seed
+            # partial-key branch; one gather per word, one kernel call.
+            self._count(n, len(blob))
+            return plan.run(plan.rows(blob, starts, lengths), seed)
+        short = lengths < plan.cutoff
+        shorts = np.flatnonzero(short)
+        applies = np.flatnonzero(~short)
+        self._count(n, len(blob), len(shorts), int(lengths[shorts].sum()))
+        out = np.empty(n, dtype=np.uint64)
+        if len(applies):
+            out[applies] = plan.run(
+                plan.rows(blob, starts[applies], lengths[applies]), seed
             )
-        if shorts:
-            subset = [keys[i] for i in shorts]
-            out[np.asarray(shorts)] = self._hash_full(subset, base, seed)
+        out[shorts] = self._hash_full(blob, starts[shorts], lengths[shorts], seed)
         return out
 
-    def _charge(self, lengths: Sequence[int]) -> bool:
-        """Count one call's key bytes and short keys; True if any is short.
+    def _charge(self, lengths: Sequence[int]) -> None:
+        """Count the key bytes and short keys of a scalar-path call."""
+        cutoff = self._hasher.partial_key.last_byte_used
+        shorts = [length for length in lengths if length < cutoff]
+        self._count(len(lengths), sum(lengths), len(shorts), sum(shorts))
+
+    def _count(
+        self, n: int, total: int, shorts: int = 0, short_bytes: int = 0
+    ) -> None:
+        """Count one call's ``n`` keys of ``total`` bytes, ``shorts`` of
+        them (``short_bytes`` in all) too short for the partial key.
 
         Partial-key hashing reads ``L.bytes_read`` bytes of a key long
         enough for every selected word and the whole of a shorter one
@@ -212,31 +243,27 @@ class HashEngine:
         """
         L = self._hasher.partial_key
         if L.is_full_key:
-            self._stats.bytes_hashed += sum(lengths)
-            return False
-        cutoff = L.last_byte_used
-        shorts = [length for length in lengths if length < cutoff]
-        self._stats.short_key_fallbacks += len(shorts)
-        self._stats.bytes_hashed += (
-            L.bytes_read * (len(lengths) - len(shorts)) + sum(shorts)
-        )
-        return bool(shorts)
+            self._stats.bytes_hashed += total
+            return
+        self._stats.short_key_fallbacks += shorts
+        self._stats.bytes_hashed += L.bytes_read * (n - shorts) + short_bytes
 
     def _hash_full(
-        self, keys: Sequence[bytes], base: str, seed: int
+        self, blob: bytes, starts: np.ndarray, lengths: np.ndarray, seed: int
     ) -> np.ndarray:
         """Full-key hashing, grouped by exact length (one plan each)."""
-        out = np.zeros(len(keys), dtype=np.uint64)
-        by_length: Dict[int, list] = {}
-        for i, key in enumerate(keys):
-            by_length.setdefault(len(key), []).append(i)
-        for length, indices in by_length.items():
+        base = self._hasher.base.name
+        out = np.empty(len(lengths), dtype=np.uint64)
+        order = np.argsort(lengths)
+        ordered = lengths[order]
+        edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        for group in np.split(order, edges):
+            length = int(lengths[group[0]])
             plan = self._plan(
                 ("fixed", base, length),
                 lambda length=length: compile_fixed_plan(length, base),
             )
-            matrix = pack_exact([keys[i] for i in indices], length)
-            out[np.asarray(indices)] = plan.run(matrix, seed)
+            out[group] = plan.run(plan.rows(blob, starts[group]), seed)
         return out
 
     def _plan(self, key: tuple, builder) -> HashPlan:

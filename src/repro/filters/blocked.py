@@ -107,10 +107,9 @@ class BlockedBloomFilter:
 
     def add_batch(self, keys: Sequence[Key]) -> None:
         """Insert many keys via the engine's vectorized pass."""
-        keys = as_bytes_list(keys)
         blocks, masks = self.engine.hash_batch(keys, self._reducer)
         np.bitwise_or.at(self._blocks, blocks, masks)
-        self._num_added += len(keys)
+        self._num_added += len(blocks)
 
     def contains(self, key: Key) -> bool:
         """Membership test against a single block."""
@@ -123,7 +122,6 @@ class BlockedBloomFilter:
 
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test (the Figure 10 inner loop)."""
-        keys = as_bytes_list(keys)
         blocks, masks = self.engine.hash_batch(keys, self._reducer)
         return (self._blocks[blocks] & masks) == masks
 

@@ -86,12 +86,11 @@ class BloomFilter:
 
     def add_batch(self, keys: Sequence[Key]) -> None:
         """Insert many keys using the engine's vectorized pass."""
-        keys = as_bytes_list(keys)
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
         for i in range(self.num_hashes):
             positions = (h1 + np.uint64(i) * h2) % np.uint64(self.num_bits)
             self._bits[positions.astype(np.int64)] = True
-        self._num_added += len(keys)
+        self._num_added += len(h1)
 
     # ---------------------------------------------------------------- queries
 
@@ -108,9 +107,8 @@ class BloomFilter:
 
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test for many keys."""
-        keys = as_bytes_list(keys)
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
-        result = np.ones(len(keys), dtype=bool)
+        result = np.ones(len(h1), dtype=bool)
         for i in range(self.num_hashes):
             positions = (h1 + np.uint64(i) * h2) % np.uint64(self.num_bits)
             result &= self._bits[positions.astype(np.int64)]

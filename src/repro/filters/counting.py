@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list
+from repro._util import Key, as_bytes
 from repro.core.analysis import bloom_bits_for_fpr, bloom_optimal_k
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import BloomSplitReducer, HashEngine
@@ -97,9 +97,6 @@ class CountingBloomFilter:
         the counter maximum, which matches the scalar saturating rule
         ``min(counter + hits, 255)`` exactly.
         """
-        keys = as_bytes_list(keys)
-        if not keys:
-            return
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
         work = self._counters.astype(np.int64)
         for i in range(self.num_hashes):
@@ -107,7 +104,7 @@ class CountingBloomFilter:
             np.add.at(work, positions.astype(np.int64), 1)
         np.clip(work, 0, _COUNTER_MAX, out=work)
         self._counters = work.astype(np.uint8)
-        self._num_items += len(keys)
+        self._num_items += len(h1)
 
     def remove(self, key: Key) -> bool:
         """Remove one occurrence; returns False (no-op) if the filter
@@ -147,11 +144,8 @@ class CountingBloomFilter:
 
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test for many keys."""
-        keys = as_bytes_list(keys)
-        if not keys:
-            return np.zeros(0, dtype=bool)
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
-        result = np.ones(len(keys), dtype=bool)
+        result = np.ones(len(h1), dtype=bool)
         for i in range(self.num_hashes):
             positions = ((h1 + np.uint64(i) * h2) % np.uint64(self.num_counters))
             result &= self._counters[positions.astype(np.int64)] > 0

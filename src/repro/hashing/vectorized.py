@@ -15,15 +15,16 @@ wyhash64(k)`` for every key, which the test suite verifies exhaustively.
 That lets data structures mix scalar and batched operations freely (fill
 with ``add_batch``, query with scalar ``contains``).
 
-Variable-length batches are handled by grouping keys by length and
-running the fixed-length kernel per group — the same trick SIMD hash
-libraries use, and it preserves the property that cost tracks each key's
-own length.
+A kernel hashes the rows of a ``(n, width)`` uint8 matrix and reads each
+little-endian word where it lies, through a strided view rather than a
+copy.  Packing variable-length keys into such rows is the engine's job
+(:mod:`repro.engine.plan`): full keys are grouped by exact length, so
+cost still tracks each key's own length.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from repro.hashing import xxhash as _xx
 
 _U64 = np.uint64
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def _c(x: int) -> np.uint64:
@@ -48,105 +50,70 @@ def _c(x: int) -> np.uint64:
 def mul128(a: np.ndarray, b) -> Tuple[np.ndarray, np.ndarray]:
     """(low, high) 64-bit halves of the element-wise product ``a * b``.
 
-    numpy has no 128-bit integers; the product is assembled from four
-    32×32→64 partial products with explicit carry propagation.
+    numpy has no 128-bit integers.  The low half is the wrapping uint64
+    product; the high half is assembled from four 32×32→64 partial
+    products with explicit carry propagation (Hacker's Delight
+    ``mulhu``), updated in place.  ``a`` is an array and ``b``
+    broadcasts to it; neither is written.
     """
     a = np.asarray(a, dtype=_U64)
     b = np.asarray(b, dtype=_U64)
     a_lo = a & _MASK32
-    a_hi = a >> _U64(32)
+    a_hi = a >> _SHIFT32
     b_lo = b & _MASK32
-    b_hi = b >> _U64(32)
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    hh = a_hi * b_hi
-    cross = (ll >> _U64(32)) + (lh & _MASK32) + (hl & _MASK32)
-    low = (ll & _MASK32) | (cross << _U64(32))
-    high = hh + (lh >> _U64(32)) + (hl >> _U64(32)) + (cross >> _U64(32))
-    return low, high
+    b_hi = b >> _SHIFT32
+    # Neither sum below can overflow: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64.
+    carry = a_lo * b_lo
+    carry >>= _SHIFT32
+    carry += a_hi * b_lo
+    mid = np.multiply(a_lo, b_hi, out=a_lo)
+    mid += carry & _MASK32
+    high = np.multiply(a_hi, b_hi, out=a_hi)
+    carry >>= _SHIFT32
+    high += carry
+    mid >>= _SHIFT32
+    high += mid
+    return a * b, high
 
 
 def mum_vec(a: np.ndarray, b) -> np.ndarray:
     """Vectorized wyhash ``mum``: low XOR high of the 128-bit product."""
     low, high = mul128(a, b)
-    return low ^ high
+    low ^= high
+    return low
 
 
 # ---------------------------------------------------------------------------
-# Packing and word gathering
+# Word reads
 # ---------------------------------------------------------------------------
 
 
-def pack_matrix(keys: Sequence[bytes], width: Optional[int] = None) -> np.ndarray:
-    """Pack keys into an (n, width) zero-padded uint8 matrix.
+_LE_U32 = np.dtype("<u4")
+_LE_U64 = np.dtype("<u8")
 
-    ``width`` defaults to the maximum key length; longer keys are
-    truncated (callers pick ``width`` to cover the bytes they read).
-    Packing is one ``join`` + one ``frombuffer``, so its cost is a single
-    memcpy of the selected region rather than a per-key numpy call.
+
+def _column(matrix: np.ndarray, offset: int, dtype: np.dtype) -> np.ndarray:
+    """Little-endian ``dtype`` word at byte ``offset`` of every row.
+
+    A strided view into ``matrix`` when its rows are byte-contiguous, as
+    every packed matrix is; callers must not write to it.
     """
-    keys = as_bytes_list(keys)
-    if width is None:
-        width = max((len(k) for k in keys), default=0)
-    width = max(1, width)
-    if not keys:
-        return np.zeros((0, width), dtype=np.uint8)
-    zeros = b"\x00" * width
-    blob = b"".join(
-        k if len(k) == width else (k[:width] if len(k) > width else k + zeros[len(k):])
-        for k in keys
-    )
-    matrix = np.frombuffer(blob, dtype=np.uint8).reshape(len(keys), width)
-    return matrix
-
-
-_LITTLE_ENDIAN = np.little_endian
+    field = matrix[:, offset:offset + dtype.itemsize]
+    try:
+        return field.view(dtype)[:, 0]
+    except ValueError:  # rows not byte-contiguous (or numpy < 1.23)
+        return np.ascontiguousarray(field).view(dtype)[:, 0]
 
 
 def _read_u32(matrix: np.ndarray, offset: int) -> np.ndarray:
-    """Little-endian u32 column at byte ``offset``."""
-    if _LITTLE_ENDIAN:
-        chunk = np.ascontiguousarray(matrix[:, offset:offset + 4])
-        return chunk.view(np.uint32).reshape(matrix.shape[0]).astype(_U64)
-    word = np.zeros(matrix.shape[0], dtype=_U64)
-    for b in range(4):
-        word |= matrix[:, offset + b].astype(_U64) << _U64(8 * b)
-    return word
+    """Little-endian u32 column at byte ``offset``, widened to u64."""
+    return _column(matrix, offset, _LE_U32).astype(_U64)
 
 
 def _read_u64(matrix: np.ndarray, offset: int) -> np.ndarray:
-    """Little-endian u64 column at byte ``offset``."""
-    if _LITTLE_ENDIAN:
-        chunk = np.ascontiguousarray(matrix[:, offset:offset + 8])
-        return chunk.view(_U64).reshape(matrix.shape[0])
-    word = np.zeros(matrix.shape[0], dtype=_U64)
-    for b in range(8):
-        word |= matrix[:, offset + b].astype(_U64) << _U64(8 * b)
-    return word
-
-
-def gather_words(
-    matrix: np.ndarray, positions: Sequence[int], word_size: int = 8
-) -> np.ndarray:
-    """(n, len(positions)) little-endian words at byte ``positions``.
-
-    Positions past the matrix width read as zero, matching the zero-pad
-    convention of :class:`~repro.core.partial_key.PartialKeyFunction`.
-    """
-    if word_size not in (1, 2, 4, 8):
-        raise ValueError(f"word_size must be 1, 2, 4, or 8, got {word_size}")
-    n, width = matrix.shape
-    out = np.zeros((n, len(positions)), dtype=_U64)
-    for j, pos in enumerate(positions):
-        if pos >= width:
-            continue
-        end = min(pos + word_size, width)
-        word = np.zeros(n, dtype=_U64)
-        for b in range(end - pos):
-            word |= matrix[:, pos + b].astype(_U64) << _U64(8 * b)
-        out[:, j] = word
-    return out
+    """Little-endian u64 column at byte ``offset`` (a view; see
+    :func:`_column`)."""
+    return _column(matrix, offset, _LE_U64)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +133,7 @@ def wyhash_fixed(matrix: np.ndarray, length: int, seed: int = 0) -> np.ndarray:
     seed0 = _c((seed & 0xFFFFFFFFFFFFFFFF)
                ^ _scalar_mum((seed ^ _wy._SECRET[0]) & 0xFFFFFFFFFFFFFFFF,
                              _wy._SECRET[1]))
-    seed_arr = np.full(n, seed0, dtype=_U64)
+    seed_arr = seed0  # becomes an array of n once a round mixes rows in
 
     if length <= 16:
         if length >= 4:
@@ -190,8 +157,7 @@ def wyhash_fixed(matrix: np.ndarray, length: int, seed: int = 0) -> np.ndarray:
         i = length
         p = 0
         if i > 48:
-            see1 = seed_arr.copy()
-            see2 = seed_arr.copy()
+            see1 = see2 = seed_arr
             while i > 48:
                 seed_arr = mum_vec(_read_u64(matrix, p) ^ _WS[1],
                                    _read_u64(matrix, p + 8) ^ seed_arr)
@@ -210,10 +176,10 @@ def wyhash_fixed(matrix: np.ndarray, length: int, seed: int = 0) -> np.ndarray:
         a = _read_u64(matrix, p + i - 16)
         b = _read_u64(matrix, p + i - 8)
 
-    a = a ^ _WS[1]
-    b = b ^ seed_arr
-    low, high = mul128(a, b)
-    return mum_vec(low ^ _WS[0] ^ _c(length), high ^ _WS[1])
+    low, high = mul128(a ^ _WS[1], b ^ seed_arr)
+    low ^= _WS[0] ^ _c(length)
+    high ^= _WS[1]
+    return mum_vec(low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +279,7 @@ def crc32_fixed(matrix: np.ndarray, length: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch over variable-length batches
+# Kernel registry
 # ---------------------------------------------------------------------------
 
 FixedKernel = Callable[[np.ndarray, int, int], np.ndarray]
@@ -328,32 +294,6 @@ BATCH_KERNELS: Dict[str, FixedKernel] = {
 def has_batch_kernel(name: str) -> bool:
     """Whether a vectorized kernel exists for a registered hash."""
     return name in BATCH_KERNELS
-
-
-def hash_batch_grouped(
-    keys: Sequence[bytes], name: str, seed: int = 0
-) -> np.ndarray:
-    """Hash variable-length keys by grouping equal lengths per kernel call.
-
-    Bit-exact with the scalar function of the same name.  Cost per key is
-    proportional to that key's own length (groups are packed at their
-    exact length), preserving the paper's full-key cost model.
-    """
-    try:
-        kernel = BATCH_KERNELS[name]
-    except KeyError:
-        raise KeyError(
-            f"no batch kernel for {name!r}; available: {sorted(BATCH_KERNELS)}"
-        ) from None
-    keys = as_bytes_list(keys)
-    out = np.zeros(len(keys), dtype=_U64)
-    by_length: Dict[int, List[int]] = {}
-    for i, key in enumerate(keys):
-        by_length.setdefault(len(key), []).append(i)
-    for length, indices in by_length.items():
-        matrix = pack_matrix([keys[i] for i in indices], width=max(length, 1))
-        out[np.asarray(indices)] = kernel(matrix, length, seed)
-    return out
 
 
 def words_per_key(

@@ -77,7 +77,6 @@ class Partitioner:
 
     def assign(self, keys: Sequence[Key]) -> np.ndarray:
         """Bin index per key: one engine pass with a fast-range reducer."""
-        keys = as_bytes_list(keys)
         return self.engine.hash_batch(keys, self._reducer)
 
     def partition(self, keys: Sequence[Key], mode: str = "data") -> PartitionResult:

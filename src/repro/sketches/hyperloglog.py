@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list
+from repro._util import Key, as_bytes
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine, IndexRankReducer
 
@@ -69,9 +69,6 @@ class HyperLogLog:
 
     def add_batch(self, keys: Sequence[Key]) -> None:
         """Observe many keys in one engine pass."""
-        keys = as_bytes_list(keys)
-        if not keys:
-            return
         indexes, ranks = self.engine.hash_batch(keys, self._reducer)
         np.maximum.at(self._registers, indexes, ranks.astype(np.uint8))
 

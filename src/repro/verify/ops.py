@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.engine import _PACK_CHUNK
+
 
 Op = Dict[str, object]
 
@@ -393,9 +395,16 @@ def generate_engine_ops(rng: random.Random, n: int) -> List[Op]:
         roll = rng.random()
         if roll < 0.45:
             seed = rng.randrange(4) if rng.random() < 0.3 else None
-            # 1-64 keys straddles every base's SCALAR_CUTOVER, so both
-            # the scalar loop and the numpy plans meet the reference.
-            ops.append(_batch("hash_batch", pick_keys(rng, pool, 1, 64), seed=seed))
+            if rng.random() < 0.04:
+                # One or two chunks, give or take a few keys: the plan
+                # pass's chunk boundaries meet the reference too.
+                size = rng.choice((1, 2)) * _PACK_CHUNK + rng.randrange(-3, 4)
+                keys = [pick_key(rng, pool) for _ in range(size)]
+            else:
+                # 1-64 keys straddles every base's SCALAR_CUTOVER, so both
+                # the scalar loop and the numpy plans meet the reference.
+                keys = pick_keys(rng, pool, 1, 64)
+            ops.append(_batch("hash_batch", keys, seed=seed))
         elif roll < 0.70:
             ops.append(_keyed("hash_one", pick_key(rng, pool)))
         elif roll < 0.85:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.verify.ops import Op
 from repro.verify.targets import TARGETS, Divergence, ExhaustedCase, Target
@@ -171,26 +171,44 @@ def _still_fails(failure: Failure, ops: List[Op]) -> Optional[Failure]:
     return got
 
 
-def _shrink_op_list(failure: Failure) -> Failure:
-    ops = list(failure.ops)
-    chunk = max(1, len(ops) // 2)
-    while chunk >= 1:
+_SHRINK_RUNS = 64
+
+
+def _ddmin(items: list, fails: Callable[[list], bool]) -> list:
+    """Greedy ddmin: drop ever-smaller runs of ``items`` while
+    ``fails(candidate)`` says the shorter list still fails.
+
+    Runs stop halving at ``len(items) // _SHRINK_RUNS``: a short list
+    ends 1-minimal, a batch of thousands of keys (one that straddles
+    the engine's pack chunk) after a few hundred replays, not one per
+    key."""
+    chunk = max(1, len(items) // 2)
+    while True:
         i = 0
         progressed = False
-        while i < len(ops):
-            candidate = ops[:i] + ops[i + chunk:]
-            got = _still_fails(failure, candidate)
-            if got is not None:
-                ops = candidate
-                failure = got
+        while i < len(items):
+            candidate = items[:i] + items[i + chunk:]
+            if fails(candidate):
+                items = candidate
                 progressed = True
                 # stay at the same index: the next chunk shifted into it
             else:
                 i += chunk
-        if chunk > 1:
+        if chunk > max(1, len(items) // _SHRINK_RUNS):
             chunk //= 2
         elif not progressed:
-            break
+            return items
+
+
+def _shrink_op_list(failure: Failure) -> Failure:
+    def fails(ops: List[Op]) -> bool:
+        nonlocal failure
+        got = _still_fails(failure, ops)
+        if got is not None:
+            failure = got
+        return got is not None
+
+    _ddmin(list(failure.ops), fails)
     return failure
 
 
@@ -202,32 +220,30 @@ _BATCH_LIST_FIELDS = ("keys", "hashes")
 def _shrink_batch_fields(failure: Failure) -> Failure:
     """Second pass: shrink list payloads inside the surviving ops."""
     for index in range(len(failure.ops)):
-        for fields in _BATCH_LIST_FIELDS:
-            while True:
-                op = failure.ops[index]
-                payload = op.get(fields)
-                if not isinstance(payload, list) or len(payload) <= 1:
-                    break
-                shrunk_any = False
-                for i in range(len(payload)):
-                    new_op = dict(op)
-                    new_op[fields] = payload[:i] + payload[i + 1:]
-                    # keys/values travel in lockstep for insert_batch
-                    if fields == "keys" and isinstance(op.get("values"), list) \
-                            and len(op["values"]) == len(payload):
-                        new_op["values"] = (
-                            op["values"][:i] + op["values"][i + 1:]
-                        )
-                    candidate = (
-                        failure.ops[:index] + [new_op] + failure.ops[index + 1:]
-                    )
-                    got = _still_fails(failure, candidate)
-                    if got is not None:
-                        failure = got
-                        shrunk_any = True
-                        break
-                if not shrunk_any:
-                    break
+        for name in _BATCH_LIST_FIELDS:
+            op = failure.ops[index]
+            payload = op.get(name)
+            if not isinstance(payload, list) or len(payload) <= 1:
+                continue
+            # keys/values travel in lockstep for insert_batch
+            lockstep = name == "keys" and isinstance(op.get("values"), list) \
+                and len(op["values"]) == len(payload)
+
+            def fails(kept: List[int]) -> bool:
+                nonlocal failure
+                new_op = dict(op)
+                new_op[name] = [payload[i] for i in kept]
+                if lockstep:
+                    new_op["values"] = [op["values"][i] for i in kept]
+                got = _still_fails(
+                    failure,
+                    failure.ops[:index] + [new_op] + failure.ops[index + 1:],
+                )
+                if got is not None:
+                    failure = got
+                return got is not None
+
+            _ddmin(list(range(len(payload))), fails)
     return failure
 
 

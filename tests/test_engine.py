@@ -12,6 +12,7 @@ engine to call a hash substrate directly in a batch path.
 
 import random
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.engine import (
     MaskReducer,
     SlotTagReducer,
 )
-from repro.engine.engine import SCALAR_CUTOVER
+from repro.engine.engine import _PACK_CHUNK, SCALAR_CUTOVER
 from repro.engine.stats import _batch_bucket
 from repro.hashing.vectorized import BATCH_KERNELS
 
@@ -241,6 +242,85 @@ def test_cutover_boundary_is_invisible(base, case, below):
         assert stats["plans_compiled"] == stats["plan_cache_misses"] == 0
     else:
         assert stats["plans_compiled"] >= 1
+
+
+# ------------------------------------------------- one join, one packer
+
+
+def _packer_case(case, cutoff, rng):
+    """(make_keys, n) for one packer case: ``make_keys()`` builds the
+    batch afresh, so a generator input can be hashed twice."""
+    def key(length):
+        return bytes(rng.randrange(256) for _ in range(length))
+
+    if case.startswith("chunk"):
+        n = {"chunk-1": _PACK_CHUNK - 1, "chunk": _PACK_CHUNK,
+             "chunk+1": _PACK_CHUNK + 1, "2chunk+3": 2 * _PACK_CHUNK + 3}[case]
+        pool = [key(rng.randrange(cutoff - 4, cutoff + 24)) for _ in range(97)]
+        keys = [pool[rng.randrange(len(pool))] for _ in range(n)]
+        return lambda: keys, n
+    keys = [key(rng.randrange(cutoff, cutoff + 30)) for _ in range(40)]
+    if case == "mixed_types":
+        keys[1] = bytearray(keys[1])
+        keys[2] = memoryview(keys[2])
+        keys[3] = "entropy-learned-hashing-" + "é" * 9
+        keys[4] = "ascii text key of some length"
+        keys[5] = memoryview(bytearray(key(cutoff - 1)))
+    elif case == "array_I":
+        keys[7] = memoryview(array("I", range(cutoff)))
+        keys[8] = memoryview(array("I", [7]))
+    elif case == "nul_and_empty":
+        keys[:6] = [b"", b"\0" * cutoff, b"ab\0cd" + b"\0" * cutoff,
+                    keys[6] + b"\0\0", b"\0", b""]
+    elif case == "cutoff_edges":
+        keys = [key(cutoff - 1 + i % 2) for i in range(40)]
+    elif case == "tuple":
+        return lambda: tuple(keys), len(keys)
+    elif case == "generator":
+        return lambda: (k for k in keys), len(keys)
+    return lambda: list(keys), len(keys)
+
+
+_PACKER_CASES = ("mixed_types", "array_I", "tuple", "generator",
+                 "nul_and_empty", "cutoff_edges", "chunk-1", "chunk",
+                 "chunk+1", "2chunk+3")
+
+
+@pytest.mark.parametrize("case", _PACKER_CASES)
+@pytest.mark.parametrize("full_key", [False, True], ids=["partial", "full_key"])
+@pytest.mark.parametrize("base", sorted(BATCH_KERNELS))
+def test_packer_matches_scalar_hasher(base, full_key, case):
+    if full_key:
+        hasher = EntropyLearnedHasher.full_key(base, seed=5)
+    else:
+        hasher = EntropyLearnedHasher.from_positions((8, 3), base=base, seed=5)
+    cutoff = max(hasher.partial_key.last_byte_used, 16)
+    make_keys, n = _packer_case(case, cutoff, random.Random(case))
+    keys = list(make_keys())
+    reducer = SlotTagReducer(1023)
+    engine = HashEngine(hasher)
+
+    hashes = engine.hash_batch(make_keys())
+    reduced = engine.hash_batch(make_keys(), reducer, seed=7)
+
+    assert [int(h) for h in hashes] == [hasher(k) for k in keys]
+    reseeded = hasher.with_seed(7)
+    assert [tuple(int(part[i]) for part in reduced) for i in range(n)] == [
+        tuple(int(x) for x in reducer.apply_one(reseeded(k))) for k in keys]
+    L = hasher.partial_key
+    stats = engine.stats()
+    assert {
+        name: stats[name]
+        for name in ("keys_hashed", "bytes_hashed", "short_key_fallbacks",
+                     "batches", "batch_size_histogram")
+    } == {
+        "keys_hashed": 2 * n,
+        "bytes_hashed": 2 * sum(hasher.bytes_read(k) for k in keys),
+        "short_key_fallbacks": 0 if L.is_full_key else 2 * sum(
+            not L.applies_to(k) for k in keys),
+        "batches": 2,
+        "batch_size_histogram": {_batch_bucket(n): 2},
+    }
 
 
 # ------------------------------------------------- monitor-driven fallback

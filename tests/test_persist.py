@@ -74,9 +74,7 @@ class TestEnginePlans:
         return google_urls(400, seed=9)
 
     def test_partial_key_plan_bytes_identical(self, trained, tmp_path):
-        import numpy as np
-
-        from repro.engine.plan import compile_subkey_plan, subkey_matrix
+        from repro.engine.plan import compile_subkey_plan, join_keys
 
         path = tmp_path / "model.json"
         save_model(trained, path)
@@ -88,11 +86,12 @@ class TestEnginePlans:
         plan_b = compile_subkey_plan(b.partial_key, b.base.name)
         assert plan_a.width == plan_b.width
         assert plan_a.cutoff == plan_b.cutoff
-        assert np.array_equal(plan_a.gather, plan_b.gather)
+        assert (plan_a.positions, plan_a.word_size) == (
+            plan_b.positions, plan_b.word_size)
         keys = [k for k in self._corpus() if len(k) >= plan_a.cutoff]
-        lengths = [len(k) for k in keys]
-        matrix_a = subkey_matrix(plan_a, keys, lengths)
-        matrix_b = subkey_matrix(plan_b, keys, lengths)
+        blob, starts, lengths = join_keys(keys)
+        matrix_a = plan_a.rows(blob, starts, lengths)
+        matrix_b = plan_b.rows(blob, starts, lengths)
         assert matrix_a.tobytes() == matrix_b.tobytes()
 
     def test_engine_batches_identical_after_reload(self, trained, tmp_path):

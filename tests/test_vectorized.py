@@ -1,4 +1,9 @@
-"""Bit-exactness and packing tests for the numpy batch kernels."""
+"""Bit-exactness and packing tests for the numpy batch kernels.
+
+Kernels are reached through the engine's plan pass
+(``HashEngine.full_key(base).hash_batch``) and packed by its one packer
+(:mod:`repro.engine.plan`).
+"""
 
 import random
 
@@ -7,15 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hasher import EntropyLearnedHasher
+from repro.core.partial_key import PartialKeyFunction
+from repro.engine import HashEngine
+from repro.engine.engine import SCALAR_CUTOVER
+from repro.engine.plan import (
+    compile_fixed_plan,
+    compile_subkey_plan,
+    join_keys,
+)
 from repro.hashing.crc import crc32_hash64
 from repro.hashing.vectorized import (
     BATCH_KERNELS,
-    gather_words,
     has_batch_kernel,
-    hash_batch_grouped,
     mul128,
     mum_vec,
-    pack_matrix,
     words_per_key,
 )
 from repro.hashing.murmur import murmur3_64
@@ -29,6 +40,22 @@ SCALARS = {
     "xxh64": xxh64,
     "murmur3": murmur3_64,
 }
+
+
+def kernel_hashes(keys, name, seed=0):
+    """Full-key hashes of ``keys`` through the engine's plan pass.
+
+    The keys are repeated up to the base's ``SCALAR_CUTOVER``, so the
+    numpy kernels, not the scalar loop, produce every hash.
+    """
+    copies = -(-SCALAR_CUTOVER[name] // len(keys))
+    return HashEngine.full_key(name, seed=seed).hash_batch(keys * copies)
+
+
+def packed_rows(plan, keys):
+    """The rows ``plan`` hands its kernel for ``keys``."""
+    blob, starts, lengths = join_keys(keys)
+    return plan.rows(blob, starts, lengths)
 
 
 class TestMul128:
@@ -60,7 +87,7 @@ class TestBitExactness:
         rng = random.Random(11)
         scalar = SCALARS[name]
         keys = [bytes(rng.randrange(256) for _ in range(n)) for n in self.LENGTHS]
-        batch = hash_batch_grouped(keys, name, seed=0)
+        batch = kernel_hashes(keys, name, seed=0)
         for i, key in enumerate(keys):
             assert int(batch[i]) == scalar(key, 0), f"len={len(key)}"
 
@@ -70,20 +97,20 @@ class TestBitExactness:
         rng = random.Random(12)
         scalar = SCALARS[name]
         keys = [bytes(rng.randrange(256) for _ in range(n)) for n in (0, 5, 16, 47, 90)]
-        batch = hash_batch_grouped(keys, name, seed=seed)
+        batch = kernel_hashes(keys, name, seed=seed)
         for i, key in enumerate(keys):
             assert int(batch[i]) == scalar(key, seed)
 
     @given(st.lists(st.binary(min_size=0, max_size=200), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_property_wyhash(self, keys):
-        batch = hash_batch_grouped(keys, "wyhash", seed=7)
+        batch = kernel_hashes(keys, "wyhash", seed=7)
         for i, key in enumerate(keys):
             assert int(batch[i]) == wyhash64(key, 7)
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError, match="no batch kernel"):
-            hash_batch_grouped([b"x"], "fnv1a")
+            compile_fixed_plan(1, "fnv1a")
 
     def test_has_batch_kernel(self):
         assert has_batch_kernel("wyhash")
@@ -91,54 +118,81 @@ class TestBitExactness:
 
 
 class TestPackMatrix:
+    """The engine's packer: rows gathered from one join of the keys."""
+
     def test_zero_pads_short_keys(self):
-        matrix = pack_matrix([b"ab", b"abcd"], width=4)
-        assert matrix.shape == (2, 4)
-        assert list(matrix[0]) == [ord("a"), ord("b"), 0, 0]
+        # A 6-byte subkey row (prefix + one 2-byte word) is padded with
+        # zeros to 8 bytes.
+        plan = compile_subkey_plan(PartialKeyFunction((0,), 2), "wyhash")
+        matrix = packed_rows(plan, [b"ab", b"abcd"])
+        assert matrix.shape == (2, 8)
+        assert list(matrix[0]) == [2, 0, 0, 0, ord("a"), ord("b"), 0, 0]
+        assert list(matrix[1]) == [4, 0, 0, 0, ord("a"), ord("b"), 0, 0]
 
     def test_truncates_long_keys(self):
-        matrix = pack_matrix([b"abcdef"], width=3)
+        matrix = packed_rows(compile_fixed_plan(3, "wyhash"), [b"abcdef"])
         assert matrix.shape == (1, 3)
         assert bytes(matrix[0]) == b"abc"
 
-    def test_default_width_is_max_length(self):
-        matrix = pack_matrix([b"ab", b"abcde"])
+    def test_fixed_rows_are_the_key_length(self):
+        plan = compile_fixed_plan(5, "wyhash")
+        matrix = packed_rows(plan, [b"abcde", b"vwxyz"])
         assert matrix.shape == (2, 5)
+        assert [bytes(row) for row in matrix] == [b"abcde", b"vwxyz"]
 
     def test_empty_keys(self):
-        matrix = pack_matrix([b"", b""])
-        assert matrix.shape == (2, 1)
+        matrix = packed_rows(compile_fixed_plan(0, "wyhash"), [b"", b""])
+        assert matrix.shape == (2, 0)
         assert matrix.sum() == 0
+        keys = [b""] * 4
+        assert list(kernel_hashes(keys, "wyhash")[:4]) == [
+            wyhash64(k) for k in keys]
+
+    def test_join_normalizes_keys_once(self):
+        blob, starts, lengths = join_keys([b"ab", "é", bytearray(b"xy")])
+        assert blob == b"ab" + "é".encode() + b"xy"
+        assert starts.tolist() == [0, 2, 4]
+        assert lengths.tolist() == [2, 2, 2]
 
 
 class TestGatherWords:
+    """One row gather per learned position, from the joined keys."""
+
     def test_reads_little_endian(self):
-        matrix = pack_matrix([bytes(range(1, 17))], width=16)
-        words = gather_words(matrix, [0, 8], word_size=8)
+        plan = compile_subkey_plan(PartialKeyFunction((0, 8), 8), "wyhash")
+        matrix = packed_rows(plan, [bytes(range(1, 17))])
+        words = matrix[:, 4:20].copy().view("<u8")
         assert int(words[0, 0]) == int.from_bytes(bytes(range(1, 9)), "little")
         assert int(words[0, 1]) == int.from_bytes(bytes(range(9, 17)), "little")
 
-    def test_positions_past_end_read_zero(self):
-        matrix = pack_matrix([b"abc"], width=3)
-        words = gather_words(matrix, [10], word_size=8)
-        assert int(words[0, 0]) == 0
+    def test_positions_past_the_end_take_the_full_key_branch(self):
+        # PartialKeyFunction.subkey zero-pads past the end, but the hash
+        # never reads that subkey: a key ending before a learned word is
+        # hashed whole, and the packer never sees it.
+        hasher = EntropyLearnedHasher.from_positions((10,), word_size=8)
+        keys = [b"abc"] * SCALAR_CUTOVER["wyhash"]
+        engine = HashEngine(hasher)
+        assert [int(h) for h in engine.hash_batch(keys)] == [
+            wyhash64(k, hasher.seed) for k in keys]
+        assert engine.stats()["short_key_fallbacks"] == len(keys)
 
     def test_partial_word_at_boundary(self):
-        matrix = pack_matrix([b"abcd"], width=4)
-        words = gather_words(matrix, [2], word_size=8)
-        assert int(words[0, 0]) == int.from_bytes(b"cd", "little")
+        # A word ending on a key's last byte reads no byte of the next.
+        plan = compile_subkey_plan(PartialKeyFunction((2,), 2), "wyhash")
+        matrix = packed_rows(plan, [b"abcd", b"WXYZ"])
+        assert bytes(matrix[0, 4:6]) == b"cd"
+        assert bytes(matrix[1, 4:6]) == b"YZ"
 
     def test_word_size_validation(self):
-        matrix = pack_matrix([b"abc"])
         with pytest.raises(ValueError):
-            gather_words(matrix, [0], word_size=3)
+            PartialKeyFunction((0,), word_size=3)
 
     @pytest.mark.parametrize("word_size", [1, 2, 4, 8])
     def test_word_sizes(self, word_size):
-        matrix = pack_matrix([bytes(range(16))], width=16)
-        words = gather_words(matrix, [4], word_size=word_size)
-        expected = int.from_bytes(bytes(range(4, 4 + word_size)), "little")
-        assert int(words[0, 0]) == expected
+        plan = compile_subkey_plan(PartialKeyFunction((4,), word_size), "wyhash")
+        matrix = packed_rows(plan, [bytes(range(16))])
+        expected = bytes(range(4, 4 + word_size))
+        assert bytes(matrix[0, 4:4 + word_size]) == expected
 
 
 class TestWordsPerKey:
@@ -170,7 +224,7 @@ class TestExtendedKernels:
         scalars = {"xxh64": xxh64, "murmur3": murmur3_64}
         rng = random.Random(31)
         keys = [bytes(rng.randrange(256) for _ in range(n)) for n in self.LENGTHS]
-        batch = hash_batch_grouped(keys, name, seed=5)
+        batch = kernel_hashes(keys, name, seed=5)
         scalar = scalars[scalar_name]
         for i, key in enumerate(keys):
             assert int(batch[i]) == scalar(key, 5), f"len={len(key)}"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.engine.engine import SCALAR_CUTOVER
+from repro.engine.engine import _PACK_CHUNK, SCALAR_CUTOVER
 from repro.tables.probing import _ROUND_MIN
 from repro.verify import (
     TARGETS,
@@ -117,6 +117,15 @@ def test_engine_stream_straddles_every_cutover():
     sizes = [len(op["keys"]) for op in ops if op["op"] == "hash_batch"]
     assert min(sizes) < min(SCALAR_CUTOVER.values())
     assert max(sizes) >= max(SCALAR_CUTOVER.values())
+
+
+def test_engine_stream_straddles_the_pack_chunk():
+    # Batches a few keys either side of one and two chunks: the fuzz
+    # checks the chunked plan pass against the reference.
+    ops = TARGETS["engine"].generate_ops(random.Random(0), 120)
+    sizes = [len(op["keys"]) for op in ops if op["op"] == "hash_batch"]
+    assert any(_PACK_CHUNK - 3 <= n < _PACK_CHUNK for n in sizes)
+    assert any(n > _PACK_CHUNK for n in sizes)
 
 
 def test_table_stream_straddles_probe_round_threshold():
