@@ -10,10 +10,13 @@ records; ``run_all.py`` collects them into ``BENCH_engine.json``.
 
 The ``hash_batch_cost`` records are the curve behind the engine's
 ``SCALAR_CUTOVER`` and ``_PACK_CHUNK``: for every base with a numpy
-kernel, the µs per call of the scalar loop and of the engine's own plan
-pass (join, pack, kernel) from 1 to 16,384 keys.  The cutover is the
-smallest size from which the plan is no slower; the chunk is the size
-past which the plan's µs per key stops falling.
+kernel, the µs per call of the engine's scalar loop (the hasher's
+compiled closure per key) and of its own plan pass (join, pack, kernel)
+from 1 to 16,384 keys.  The cutover is the smallest size from which the
+plan is no slower; the chunk is the size past which the plan's µs per
+key stops falling.  A second series (``reducer: "slot_tag"``) fuses a
+``SlotTagReducer`` the way tables call the engine: ``apply_each`` per
+hash on the scalar side, one ``apply`` on the plan side.
 
 The ``probe_walk_cost`` records are the curve behind the probing
 table's ``_ROUND_MIN``: for a batch of n probes, the µs per call of the
@@ -38,7 +41,7 @@ from repro.bench.reporting import format_speedup_table, print_header
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import train_model
 from repro.datasets import hn_urls
-from repro.engine import HashEngine
+from repro.engine import HashEngine, SlotTagReducer
 from repro.engine.engine import _PACK_CHUNK, SCALAR_CUTOVER
 from repro.filters.blocked import BlockedBloomFilter
 from repro.hashing.vectorized import BATCH_KERNELS
@@ -173,38 +176,48 @@ def _interleaved_us_per_call(funcs, repeats=COST_REPEATS):
 
 
 def cost_curve_records(hasher, probes):
-    """Scalar loop vs the engine's plan pass, µs per call, per base and
-    size.  The plan pass is timed unchunked at every size, so the
-    records past ``_PACK_CHUNK`` show what a larger chunk would buy."""
+    """The engine's scalar loop vs its plan pass, µs per call, per base,
+    size and series (raw hashes; ``SlotTagReducer`` fused).  The plan
+    pass is timed unchunked at every size, so the records past
+    ``_PACK_CHUNK`` show what a larger chunk would buy."""
     records = []
     L = hasher.partial_key
     long_keys = [k for k in probes if len(k) >= L.last_byte_used]
+    slot_tag = SlotTagReducer(1023)
     for base in sorted(BATCH_KERNELS):
-        scalar = EntropyLearnedHasher(L, base=base)
-        engine = HashEngine(scalar)
+        engine = HashEngine(EntropyLearnedHasher(L, base=base))
         for n in COST_SIZES:
             keys = (long_keys * -(-n // len(long_keys)))[:n]
-            scalar_samples, plan_samples = _interleaved_us_per_call((
-                lambda: np.fromiter(map(scalar, keys), dtype=np.uint64,
-                                    count=n),
-                lambda: engine._hash_planned(keys, 0),
-            ))
-            scalar_us, plan_us = min(scalar_samples), min(plan_samples)
-            record = {
-                "benchmark": "hash_batch_cost",
-                "base": base,
-                "n_keys": n,
-                "batch_size": n,
-                "scalar_us_per_call": scalar_us,
-                "plan_us_per_call": plan_us,
-                "scalar_ns_per_key": scalar_us * 1e3 / n,
-                "batch_ns_per_key": plan_us * 1e3 / n,
-                "speedup": scalar_us / plan_us,
-                "cpu_cores": os.cpu_count() or 1,
-            }
-            record.update(latency_summary_ns(
-                [us * 1e-6 for us in plan_samples], items_per_sample=n))
-            records.append(record)
+            scalar_raw, plan_raw, scalar_fused, plan_fused = (
+                _interleaved_us_per_call((
+                    lambda: np.array(engine._hash_scalar(keys, None),
+                                     dtype=np.uint64),
+                    lambda: engine._hash_planned(keys, 0),
+                    lambda: slot_tag.apply_each(
+                        engine._hash_scalar(keys, None)),
+                    lambda: slot_tag.apply(engine._hash_planned(keys, 0)),
+                )))
+            for reducer, scalar_samples, plan_samples in (
+                (None, scalar_raw, plan_raw),
+                ("slot_tag", scalar_fused, plan_fused),
+            ):
+                scalar_us, plan_us = min(scalar_samples), min(plan_samples)
+                record = {
+                    "benchmark": "hash_batch_cost",
+                    "base": base,
+                    "reducer": reducer,
+                    "n_keys": n,
+                    "batch_size": n,
+                    "scalar_us_per_call": scalar_us,
+                    "plan_us_per_call": plan_us,
+                    "scalar_ns_per_key": scalar_us * 1e3 / n,
+                    "batch_ns_per_key": plan_us * 1e3 / n,
+                    "speedup": scalar_us / plan_us,
+                    "cpu_cores": os.cpu_count() or 1,
+                }
+                record.update(latency_summary_ns(
+                    [us * 1e-6 for us in plan_samples], items_per_sample=n))
+                records.append(record)
     return records
 
 
@@ -263,14 +276,14 @@ def walk_curve_records(model, stored):
     return records
 
 
-def crossovers(records, benchmark="hash_batch_cost"):
-    """Per curve (one per base; the walk curve is one, keyed None): the
-    smallest measured size from which the batched path is no slower
-    than the scalar one (``speedup >= 1``) at every larger size (None:
-    never)."""
+def crossovers(records, benchmark="hash_batch_cost", reducer=None):
+    """Per curve (one per base for one ``reducer`` series; the walk
+    curve is one, keyed None): the smallest measured size from which
+    the batched path is no slower than the scalar one (``speedup >= 1``)
+    at every larger size (None: never)."""
     curves = {}
     for r in records:
-        if r["benchmark"] == benchmark:
+        if r["benchmark"] == benchmark and r.get("reducer") == reducer:
             curves.setdefault(r.get("base"), []).append(r)
     found = {}
     for base, curve in curves.items():
@@ -288,7 +301,7 @@ def per_key_floors(records):
     plan pass stops falling."""
     curves = {}
     for r in records:
-        if r["benchmark"] == "hash_batch_cost":
+        if r["benchmark"] == "hash_batch_cost" and r.get("reducer") is None:
             curves.setdefault(r["base"], []).append(r)
     found = {}
     for base, curve in curves.items():
@@ -319,7 +332,8 @@ def main():
                  "plan, µs per call")
     print(format_speedup_table(
         {
-            f"{r['base']} n={r['n_keys']}": {
+            f"{r['base']}{'+' + r['reducer'] if r['reducer'] else ''} "
+            f"n={r['n_keys']}": {
                 "scalar_us": r["scalar_us_per_call"],
                 "plan_us": r["plan_us_per_call"],
             }
@@ -327,7 +341,8 @@ def main():
         },
         ["scalar_us", "plan_us"], row_title="base, keys", digits=1,
     ))
-    print(f"crossover per base: {crossovers(records)}; "
+    print(f"crossover per base: {crossovers(records)}; with slot_tag "
+          f"fused: {crossovers(records, reducer='slot_tag')}; "
           f"engine SCALAR_CUTOVER = {SCALAR_CUTOVER}")
     print(f"per-key floor per base: {per_key_floors(records)}; "
           f"engine _PACK_CHUNK = {_PACK_CHUNK}")

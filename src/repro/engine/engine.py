@@ -12,19 +12,25 @@ kv-store — into one batch call.  A batch at or above its base's
    ``L``, bit-exact with
    :meth:`~repro.core.partial_key.PartialKeyFunction.subkey`, including
    the length prefix); keys too short for ``L`` take the full-hash
-   branch through one full-key gather per exact length.  A batch of
-   more than ``_PACK_CHUNK`` keys is joined and hashed in chunks of
-   that size, so its temporaries stay bounded;
+   branch through one full-key gather per exact length (a group of
+   short keys smaller than the cutover hashes through the compiled
+   closure instead; a full-key hasher keeps one plan per group).  A
+   batch of more than ``_PACK_CHUNK`` keys is joined and hashed in
+   chunks of that size, so its temporaries stay bounded;
 2. **hash** with the bit-exact numpy kernel of the base hash;
 3. **reduce** with the structure's :class:`~repro.engine.reducers.Reducer`
    (bucket mask, fingerprint split, partition id, ...) in the same pass.
 
 A smaller batch, or any batch for a base without a numpy kernel, takes
-the scalar loop instead: each numpy call pays a fixed cost of tens of µs,
-and the served path averages about two keys per call, so vectorizing
-there would hide the paper's constant per-key cost behind that floor.
-Both paths are bit-exact with ``[hasher(k) for k in keys]`` and charge
-the same counters.
+the scalar loop instead: the hasher's compiled closure
+(``hasher.hash_bytes``: length check, one subkey concatenation, the
+seeded base hash) per key.  Each numpy call pays a fixed cost of a few
+µs, and the served path averages about two keys per call, so
+vectorizing there would hide the paper's constant per-key cost behind
+that floor; below the cutover a fused reducer runs per key too
+(:meth:`~repro.engine.reducers.Reducer.apply_each`), returning the
+dtypes ``apply`` would.  Both paths are bit-exact with
+``[hasher(k) for k in keys]`` and charge the same counters.
 
 Plans (kernel + row layout per key-length-group) are compiled once
 and cached.  The engine also centralizes the Section 5 robustness story:
@@ -36,7 +42,7 @@ plans around full-key hashing and records the event in ``stats()``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,19 +61,22 @@ from repro.engine.stats import EngineStats
 from repro.hashing.base import HashFunction
 
 # Per base with a numpy kernel: batches smaller than this take the
-# scalar loop, because below it numpy's fixed per-call cost (array
-# setup, gather, a few dozen ufunc calls on tiny arrays) exceeds the
-# loop's per-key cost.  Each value is the crossover of that base's
-# "hash_batch_cost" records in BENCH_engine.json, written by
-# benchmarks/bench_engine.py.  Bases without an entry have no kernel and
-# always take the scalar loop.
-SCALAR_CUTOVER = {"crc32": 24, "murmur3": 12, "wyhash": 16, "xxh3": 12, "xxh64": 8}
+# scalar loop (and a fused reducer runs per key), because below it
+# numpy's fixed per-call cost (array setup, gather, a few dozen ufunc
+# calls on tiny arrays) exceeds the loop's per-key cost.  Each value is
+# the crossover of that base's "hash_batch_cost" records in
+# BENCH_engine.json, written by benchmarks/bench_engine.py; a value
+# moves only when its crossover moves by more than one grid step.
+# Bases without an entry have no kernel and always take the scalar loop.
+SCALAR_CUTOVER = {"crc32": 24, "murmur3": 12, "wyhash": 32, "xxh3": 12, "xxh64": 8}
 
 # A larger batch is packed and hashed in chunks of this many keys, which
 # bounds the joined bytes, the packed rows and the kernels' n x 8 B
 # temporaries.  It is where the plan pass's µs per key stops falling on
 # the "hash_batch_cost" records in BENCH_engine.json.
 _PACK_CHUNK = 4096
+
+_BYTES = {bytes}
 
 
 class HashEngine:
@@ -87,13 +96,13 @@ class HashEngine:
         hasher: EntropyLearnedHasher,
         monitor: Optional[CollisionMonitor] = None,
     ):
-        self._hasher = hasher
         self.monitor = monitor
         self._stats = EngineStats()
         self._plans: Dict[tuple, HashPlan] = {}
         self._seeded: Dict[int, EntropyLearnedHasher] = {}
         self._fell_back = False
         self._generation = 0
+        self._install(hasher)
         # Optional displacement transform applied to every insert signal
         # before the monitor sees it.  The fault plane mounts one here to
         # model hasher corruption: answers stay correct, but the monitor
@@ -118,10 +127,20 @@ class HashEngine:
 
     def set_hasher(self, hasher: EntropyLearnedHasher) -> None:
         """Swap the hasher and invalidate every compiled plan."""
-        self._hasher = hasher
+        self._install(hasher)
         self._plans.clear()
         self._seeded.clear()
         self._generation += 1
+
+    def _install(self, hasher: EntropyLearnedHasher) -> None:
+        """Adopt ``hasher`` and cache what every call reads of it: the
+        cutoff (None for full-key hashing), the partial key's bytes
+        read, and the base's cutover (None: no kernel, never a plan)."""
+        self._hasher = hasher
+        L = hasher.partial_key
+        self._cutoff = None if L.is_full_key else L.last_byte_used
+        self._bytes_read = L.bytes_read
+        self._cutover = SCALAR_CUTOVER.get(hasher.base.name)
 
     @property
     def generation(self) -> int:
@@ -157,38 +176,47 @@ class HashEngine:
         """Hash a batch; optionally fuse the structure's reducer.
 
         Bit-exact with ``[self.hasher(k) for k in keys]`` (and, with a
-        reducer, with ``reducer.apply_one`` of each scalar hash).
+        reducer, with ``reducer.apply_one`` of each scalar hash), with
+        the dtypes of ``reducer.apply`` at every batch size.
         ``seed`` overrides the hasher's seed for this call only — plans
         are seed-independent, so multi-hash structures (Count-Min rows,
         MinHash permutations) reuse one engine and one plan cache.
         """
         if type(keys) is not list and type(keys) is not tuple:
             keys = list(keys)
-        self._stats.observe_batch(len(keys))
-        hashes = self._hash_batch_raw(keys, seed)
+        n = len(keys)
+        self._stats.observe_batch(n)
+        cutover = self._cutover
+        if cutover is None:
+            hashes = np.array(self._hash_scalar(keys, seed), dtype=np.uint64)
+        elif n < cutover:
+            # Per-key cost end to end: the compiled closure per key,
+            # then the reducer per hash.
+            hashes = self._hash_scalar(keys, seed)
+            if reducer is None:
+                return np.array(hashes, dtype=np.uint64)
+            return reducer.apply_each(hashes)
+        else:
+            if seed is None:
+                seed = self._hasher.seed
+            if n <= _PACK_CHUNK:
+                hashes = self._hash_planned(keys, seed)
+            else:
+                hashes = np.concatenate([
+                    self._hash_planned(keys[start:start + _PACK_CHUNK], seed)
+                    for start in range(0, n, _PACK_CHUNK)
+                ])
         if reducer is None:
             return hashes
         return reducer.apply(hashes)
 
-    def _hash_batch_raw(self, keys: Sequence[Key], seed: Optional[int]) -> np.ndarray:
-        if seed is None:
-            seed = self._hasher.seed
-        n = len(keys)
-        if n == 0:
-            return np.zeros(0, dtype=np.uint64)
-        cutover = SCALAR_CUTOVER.get(self._hasher.base.name)
-        if cutover is None or n < cutover:
-            if type(keys) is not list or set(map(type, keys)) - {bytes}:
-                keys = as_bytes_list(keys)
-            self._charge(list(map(len, keys)))
-            scalar = self._scalar_hasher(seed)
-            return np.fromiter(map(scalar, keys), dtype=np.uint64, count=n)
-        if n <= _PACK_CHUNK:
-            return self._hash_planned(keys, seed)
-        return np.concatenate([
-            self._hash_planned(keys[start:start + _PACK_CHUNK], seed)
-            for start in range(0, n, _PACK_CHUNK)
-        ])
+    def _hash_scalar(self, keys: Sequence[Key], seed: Optional[int]) -> List[int]:
+        """The scalar loop: the compiled closure per key.  Charges the
+        call's counters."""
+        if set(map(type, keys)) - _BYTES:
+            keys = as_bytes_list(keys)
+        self._charge(keys)
+        return list(map(self._scalar_hash(seed), keys))
 
     def _hash_planned(self, keys: Sequence[Key], seed: int) -> np.ndarray:
         """The plan pass over one chunk of at most ``_PACK_CHUNK`` keys.
@@ -225,11 +253,15 @@ class HashEngine:
         out[shorts] = self._hash_full(blob, starts[shorts], lengths[shorts], seed)
         return out
 
-    def _charge(self, lengths: Sequence[int]) -> None:
+    def _charge(self, keys: Sequence[bytes]) -> None:
         """Count the key bytes and short keys of a scalar-path call."""
-        cutoff = self._hasher.partial_key.last_byte_used
+        lengths = list(map(len, keys))
+        cutoff = self._cutoff
+        if cutoff is None or not lengths or min(lengths) >= cutoff:
+            self._count(len(lengths), sum(lengths))
+            return
         shorts = [length for length in lengths if length < cutoff]
-        self._count(len(lengths), sum(lengths), len(shorts), sum(shorts))
+        self._count(len(lengths), 0, len(shorts), sum(shorts))
 
     def _count(
         self, n: int, total: int, shorts: int = 0, short_bytes: int = 0
@@ -241,24 +273,40 @@ class HashEngine:
         enough for every selected word and the whole of a shorter one
         (Section 3's full-hash branch); full-key hashing reads every byte.
         """
-        L = self._hasher.partial_key
-        if L.is_full_key:
-            self._stats.bytes_hashed += total
-            return
-        self._stats.short_key_fallbacks += shorts
-        self._stats.bytes_hashed += L.bytes_read * (n - shorts) + short_bytes
+        stats = self._stats
+        if self._cutoff is None:
+            stats.bytes_hashed += total
+        else:
+            stats.short_key_fallbacks += shorts
+            stats.bytes_hashed += self._bytes_read * (n - shorts) + short_bytes
 
     def _hash_full(
         self, blob: bytes, starts: np.ndarray, lengths: np.ndarray, seed: int
     ) -> np.ndarray:
-        """Full-key hashing, grouped by exact length (one plan each)."""
+        """Full-key hashing, grouped by exact length: one plan per group.
+
+        A partial-key hasher's short keys (shorter than its cutoff, so
+        about as short as the subkeys ``SCALAR_CUTOVER`` was measured
+        on) take the compiled closure instead when their group is
+        smaller than the cutover.  A full-key hasher's groups always
+        take a plan: its keys can be of any length, and the closure's
+        cost grows with it.
+        """
         base = self._hasher.base.name
         out = np.empty(len(lengths), dtype=np.uint64)
         order = np.argsort(lengths)
         ordered = lengths[order]
         edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        short_keys = self._cutoff is not None
         for group in np.split(order, edges):
             length = int(lengths[group[0]])
+            if short_keys and len(group) < self._cutover:
+                scalar = self._scalar_hash(seed)
+                out[group] = [
+                    scalar(blob[start:start + length])
+                    for start in starts[group].tolist()
+                ]
+                continue
             plan = self._plan(
                 ("fixed", base, length),
                 lambda length=length: compile_fixed_plan(length, base),
@@ -287,21 +335,22 @@ class HashEngine:
         """Hash one key — the degenerate case of the batch pipeline."""
         self._stats.observe_scalar()
         key = as_bytes(key)
-        self._charge((len(key),))
-        h = self._scalar_hasher(seed)(key)
+        self._charge((key,))
+        h = self._scalar_hash(seed)(key)
         if reducer is None:
             return h
         return reducer.apply_one(h)
 
-    def _scalar_hasher(self, seed: Optional[int]) -> EntropyLearnedHasher:
+    def _scalar_hash(self, seed: Optional[int]) -> Callable[[bytes], int]:
+        """The compiled closure of the hasher, reseeded if asked."""
         hasher = self._hasher
         if seed is None or seed == hasher.seed:
-            return hasher
+            return hasher.hash_bytes
         cached = self._seeded.get(seed)
         if cached is None:
             cached = hasher.with_seed(seed)
             self._seeded[seed] = cached
-        return cached
+        return cached.hash_bytes
 
     # --------------------------------------------- robustness / observability
 

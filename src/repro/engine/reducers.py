@@ -10,17 +10,80 @@ or HyperLogLog's (register, rank) split.  Before the engine existed each
 structure re-implemented its reduction twice — once scalar, once numpy —
 and the two copies could drift.  A :class:`Reducer` is the single
 definition: ``apply`` is the vectorized form the engine fuses onto a
-batch, ``apply_one`` the bit-identical scalar form for single-key paths.
+batch, ``apply_one`` the bit-identical scalar form for single-key paths,
+and ``apply_each`` builds ``apply``'s arrays from ``apply_one`` per
+hash, for batches too small to repay numpy's per-call cost.
+
+The scalar and vectorized arithmetic of the fast-range and double-hashing
+splits lives here too (re-exported by :mod:`repro.filters.reduction`),
+so the reducers import it once, not per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro._util import U32_MASK, U64_MASK
+
 _U64 = np.uint64
+
+
+def split_hash64(h: int) -> Tuple[int, int]:
+    """Split a 64-bit hash into two 32-bit halves (h1, h2).
+
+    ``h2`` is forced odd so the double-hashing stride never degenerates
+    to zero modulo a power-of-two block size.
+
+    >>> h1, h2 = split_hash64(0x1234567890ABCDEF)
+    >>> (h1, h2) == (0x12345678, 0x90ABCDEF)
+    True
+    """
+    h &= U64_MASK
+    h1 = h >> 32
+    h2 = (h & U32_MASK) | 1
+    return h1, h2
+
+
+def fast_range(x: int, m: int) -> int:
+    """Map a uniform 64-bit ``x`` to ``[0, m)`` by multiplication.
+
+    ``(x * m) >> 64`` — no division, and unlike ``x % m`` it uses the
+    *high* bits of the hash, which are typically the best mixed.
+
+    >>> fast_range(0, 100)
+    0
+    >>> fast_range(2**64 - 1, 100)
+    99
+    """
+    if m <= 0:
+        raise ValueError(f"m must be positive, got {m}")
+    return ((x & U64_MASK) * m) >> 64
+
+
+def fast_range_array(x: np.ndarray, m: int) -> np.ndarray:
+    """Vectorized :func:`fast_range` for uint64 arrays.
+
+    numpy has no 128-bit integers, so the multiply is decomposed into
+    32-bit limbs; only the high 64 bits of the 96/128-bit product are
+    materialized.
+    """
+    if m <= 0:
+        raise ValueError(f"m must be positive, got {m}")
+    x = x.astype(np.uint64)
+    m64 = np.uint64(m)
+    x_hi = x >> np.uint64(32)
+    x_lo = x & np.uint64(0xFFFFFFFF)
+    # (x_hi * 2^32 + x_lo) * m = x_hi*m*2^32 + x_lo*m
+    hi_prod = x_hi * m64  # < 2^32 * m, fits in u64 for m < 2^32
+    lo_prod = x_lo * m64
+    # Flooring the low partial product before the final shift is exact:
+    # for integers A, B and D = 2^32, floor((A + B/D)/D) equals
+    # floor((A + floor(B/D))/D), so this matches fast_range bit for bit.
+    total = hi_prod + (lo_prod >> np.uint64(32))
+    return (total >> np.uint64(32)).astype(np.int64)
 
 
 def _bit_length_u64(values: np.ndarray) -> np.ndarray:
@@ -47,8 +110,12 @@ class Reducer:
 
     Subclasses guarantee ``apply(np.array([h]))`` and ``apply_one(h)``
     agree element-wise — the engine's scalar path is the degenerate case
-    of its batch path, never a separate implementation.
+    of its batch path, never a separate implementation — and must
+    declare ``dtypes``: the dtype of each array ``apply`` returns, in
+    order (one entry: ``apply`` returns a single array).
     """
+
+    dtypes: Tuple[type, ...]
 
     def apply(self, hashes: np.ndarray):
         raise NotImplementedError
@@ -56,12 +123,27 @@ class Reducer:
     def apply_one(self, h: int):
         raise NotImplementedError
 
+    def apply_each(self, hashes: Sequence[int]):
+        """``apply`` at per-key cost: ``apply_one`` per hash, gathered
+        into arrays of exactly ``apply``'s dtypes and shapes.
+
+        >>> slots, tags = SlotTagReducer(1023).apply_each([0x1234, 0xFF])
+        >>> slots.tolist(), tags.tolist(), slots.dtype.name, tags.dtype.name
+        ([18, 0], [54, 3], 'int64', 'uint8')
+        """
+        rows = list(map(self.apply_one, hashes))
+        if len(self.dtypes) == 1:
+            return np.array(rows, self.dtypes[0])
+        columns = zip(*rows) if rows else [()] * len(self.dtypes)
+        return tuple(map(np.array, columns, self.dtypes))
+
 
 @dataclass(frozen=True)
 class MaskReducer(Reducer):
     """Bucket index for power-of-two structures: ``h & mask``."""
 
     mask: int
+    dtypes = (np.int64,)
 
     def apply(self, hashes: np.ndarray) -> np.ndarray:
         return (hashes & _U64(self.mask)).astype(np.int64)
@@ -80,6 +162,7 @@ class SlotTagReducer(Reducer):
 
     mask: int
     tag_states: int = 2
+    dtypes = (np.int64, np.uint8)
 
     def apply(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         slots = ((hashes >> _U64(8)) & _U64(self.mask)).astype(np.int64)
@@ -100,17 +183,12 @@ class FastRangeReducer(Reducer):
     """Lemire fast-range partition id: ``(h * n) >> 64``."""
 
     num_partitions: int
+    dtypes = (np.int64,)
 
     def apply(self, hashes: np.ndarray) -> np.ndarray:
-        # Imported lazily: repro.filters imports the engine package, so a
-        # module-level import here would be circular.
-        from repro.filters.reduction import fast_range_array
-
         return fast_range_array(hashes, self.num_partitions)
 
     def apply_one(self, h: int) -> int:
-        from repro.filters.reduction import fast_range
-
         return fast_range(h, self.num_partitions)
 
 
@@ -122,14 +200,14 @@ class BloomSplitReducer(Reducer):
     modulo a power-of-two size.
     """
 
+    dtypes = (_U64, _U64)
+
     def apply(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         h1 = (hashes >> _U64(32)).astype(_U64)
         h2 = ((hashes & _U64(0xFFFFFFFF)) | _U64(1)).astype(_U64)
         return h1, h2
 
     def apply_one(self, h: int) -> Tuple[int, int]:
-        from repro.filters.reduction import split_hash64
-
         return split_hash64(h)
 
 
@@ -143,6 +221,7 @@ class BlockMaskReducer(Reducer):
 
     num_blocks: int
     num_probe_bits: int
+    dtypes = (np.int64, _U64)
 
     def apply(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         blocks = (
@@ -175,6 +254,7 @@ class FingerprintReducer(Reducer):
 
     fp_mask: int
     bucket_mask: int
+    dtypes = (np.int64, np.int64)
 
     def apply(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         fingerprints = hashes & _U64(self.fp_mask)
@@ -193,6 +273,7 @@ class IndexRankReducer(Reducer):
     """HyperLogLog split: (register index, 1-based rank of first 1 bit)."""
 
     precision: int
+    dtypes = (np.int64, np.int64)
 
     def apply(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         shift = _U64(64 - self.precision)

@@ -15,16 +15,26 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
+def _bucket_label(n: int) -> str:
+    if n <= 1:
+        return "1"
+    low = 1 << (n.bit_length() - 1)
+    return f"{low}-{2 * low - 1}"
+
+
+# Labels of the small batches the served path makes, built once.
+_SMALL_BUCKETS = tuple(_bucket_label(n) for n in range(256))
+
+
 def _batch_bucket(n: int) -> str:
     """Histogram bucket label for a batch of ``n`` keys (powers of two).
 
     >>> _batch_bucket(1), _batch_bucket(5), _batch_bucket(4096)
     ('1', '4-7', '4096-8191')
     """
-    if n <= 1:
-        return "1"
-    low = 1 << (n.bit_length() - 1)
-    return f"{low}-{2 * low - 1}"
+    if n < 256:
+        return _SMALL_BUCKETS[n]
+    return _bucket_label(n)
 
 
 @dataclass
@@ -58,10 +68,9 @@ class EngineStats:
         """Record one ``hash_batch`` call of ``num_keys`` keys."""
         self.batches += 1
         self.keys_hashed += num_keys
+        histogram = self.batch_size_histogram
         bucket = _batch_bucket(num_keys)
-        self.batch_size_histogram[bucket] = (
-            self.batch_size_histogram.get(bucket, 0) + 1
-        )
+        histogram[bucket] = histogram.get(bucket, 0) + 1
 
     def observe_scalar(self) -> None:
         """Record one single-key hash (the degenerate batch)."""

@@ -6,31 +6,16 @@
 * :func:`fast_range` — Lemire/Ross fast modulo reduction by
   multiplication [68]: ``(x * m) >> 64`` maps a uniform 64-bit value to
   ``[0, m)`` without a division.
+
+Both are defined next to the engine reducers that apply them
+(:mod:`repro.engine.reducers`) and re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-import numpy as np
-
-from repro._util import U32_MASK, U64_MASK
-
-
-def split_hash64(h: int) -> Tuple[int, int]:
-    """Split a 64-bit hash into two 32-bit halves (h1, h2).
-
-    ``h2`` is forced odd so the double-hashing stride never degenerates
-    to zero modulo a power-of-two block size.
-
-    >>> h1, h2 = split_hash64(0x1234567890ABCDEF)
-    >>> (h1, h2) == (0x12345678, 0x90ABCDEF)
-    True
-    """
-    h &= U64_MASK
-    h1 = h >> 32
-    h2 = (h & U32_MASK) | 1
-    return h1, h2
+from repro.engine.reducers import fast_range, fast_range_array, split_hash64
 
 
 def double_hash_probes(h: int, k: int, m: int) -> List[int]:
@@ -47,40 +32,4 @@ def double_hash_probes(h: int, k: int, m: int) -> List[int]:
     return [(h1 + i * h2) % m for i in range(k)]
 
 
-def fast_range(x: int, m: int) -> int:
-    """Map a uniform 64-bit ``x`` to ``[0, m)`` by multiplication.
-
-    ``(x * m) >> 64`` — no division, and unlike ``x % m`` it uses the
-    *high* bits of the hash, which are typically the best mixed.
-
-    >>> fast_range(0, 100)
-    0
-    >>> fast_range(2**64 - 1, 100)
-    99
-    """
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    return ((x & U64_MASK) * m) >> 64
-
-
-def fast_range_array(x: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized :func:`fast_range` for uint64 arrays.
-
-    numpy has no 128-bit integers, so the multiply is decomposed into
-    32-bit limbs; only the high 64 bits of the 96/128-bit product are
-    materialized.
-    """
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    x = x.astype(np.uint64)
-    m64 = np.uint64(m)
-    x_hi = x >> np.uint64(32)
-    x_lo = x & np.uint64(0xFFFFFFFF)
-    # (x_hi * 2^32 + x_lo) * m = x_hi*m*2^32 + x_lo*m
-    hi_prod = x_hi * m64  # < 2^32 * m, fits in u64 for m < 2^32
-    lo_prod = x_lo * m64
-    # Flooring the low partial product before the final shift is exact:
-    # for integers A, B and D = 2^32, floor((A + B/D)/D) equals
-    # floor((A + floor(B/D))/D), so this matches fast_range bit for bit.
-    total = hi_prod + (lo_prod >> np.uint64(32))
-    return (total >> np.uint64(32)).astype(np.int64)
+__all__ = ["double_hash_probes", "fast_range", "fast_range_array", "split_hash64"]

@@ -9,7 +9,11 @@ path for <= 16 bytes, and the ``mum`` 128-bit multiply-fold mixer.
 
 from __future__ import annotations
 
-from repro._util import U64_MASK, mum, read_u32_le, read_u64_le
+import struct
+from functools import partial
+from typing import Callable
+
+from repro._util import U64_MASK, mum, read_u64_le
 from repro.hashing.base import register_hash
 
 _SECRET = (
@@ -29,6 +33,15 @@ def _wyr3(data: bytes, length: int) -> int:
     return (data[0] << 16) | (data[length >> 1] << 8) | data[length - 1]
 
 
+_read_u32 = struct.Struct("<I").unpack_from
+
+
+def _mix_seed(seed: int) -> int:
+    """The seed as the hash consumes it: depends on nothing else."""
+    seed &= U64_MASK
+    return seed ^ _wymix(seed ^ _SECRET[0], _SECRET[1])
+
+
 def wyhash64(data: bytes, seed: int = 0) -> int:
     """Hash ``data`` to a 64-bit value with the wyhash algorithm.
 
@@ -37,15 +50,29 @@ def wyhash64(data: bytes, seed: int = 0) -> int:
     >>> wyhash64(b"hello") != wyhash64(b"hellp")
     True
     """
+    return _wyhash_mixed(_mix_seed(seed), data)
+
+
+def wyhash64_seeded(seed: int) -> Callable[[bytes], int]:
+    """``wyhash64(·, seed)`` with the seed mix computed once.
+
+    >>> wyhash64_seeded(7)(b"hello") == wyhash64(b"hello", 7)
+    True
+    """
+    return partial(_wyhash_mixed, _mix_seed(seed))
+
+
+def _wyhash_mixed(seed: int, data: bytes) -> int:
+    """wyhash of ``data`` under an already mixed ``seed``."""
     length = len(data)
-    seed = (seed & U64_MASK) ^ _wymix(seed ^ _SECRET[0], _SECRET[1])
 
     if length <= 16:
         if length >= 4:
-            a = (read_u32_le(data, 0) << 32) | read_u32_le(data, (length >> 3) << 2)
-            b = (read_u32_le(data, length - 4) << 32) | read_u32_le(
-                data, length - 4 - ((length >> 3) << 2)
-            )
+            step = (length >> 3) << 2
+            a = (_read_u32(data)[0] << 32) | _read_u32(data, step)[0]
+            b = (_read_u32(data, length - 4)[0] << 32) | _read_u32(
+                data, length - 4 - step
+            )[0]
         elif length > 0:
             a = _wyr3(data, length)
             b = 0
@@ -75,12 +102,14 @@ def wyhash64(data: bytes, seed: int = 0) -> int:
         a = read_u64_le(data, p + i - 16)
         b = read_u64_le(data, p + i - 8)
 
-    a ^= _SECRET[1]
-    b ^= seed
-    product = (a & U64_MASK) * (b & U64_MASK)
-    a = product & U64_MASK
-    b = product >> 64
-    return _wymix(a ^ _SECRET[0] ^ length, b ^ _SECRET[1])
+    # Two multiply-folds, inlined: a, b, seed and the secrets are
+    # already 64-bit, so neither product needs its operands masked.
+    product = (a ^ _SECRET[1]) * (b ^ seed)
+    product = ((product & U64_MASK) ^ _SECRET[0] ^ length) * (
+        (product >> 64) ^ _SECRET[1]
+    )
+    return (product >> 64) ^ (product & U64_MASK)
 
 
+wyhash64.seeded = wyhash64_seeded
 register_hash("wyhash", wyhash64)

@@ -67,11 +67,13 @@ class RoutingTable:
         """Shard id per key; pure (no counters, no side effects)."""
         if not keys:
             return np.zeros(0, dtype=np.int64)
-        hashes = self.engine.hash_batch(list(keys))
-        shards = np.asarray(
-            self._base_reducer.apply(hashes), dtype=np.int64
-        )
-        if self.split_dirs:
+        if not self.split_dirs:
+            # The engine fuses the base reducer: per key below its cutover.
+            shards = self.engine.hash_batch(keys, self._base_reducer)
+        else:
+            # Raw hashes kept: split directories sub-route on their low bits.
+            hashes = self.engine.hash_batch(keys)
+            shards = self._base_reducer.apply(hashes)
             for base, directory in self.split_dirs.items():
                 mask = shards == base
                 if not mask.any():

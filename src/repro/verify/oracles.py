@@ -18,18 +18,21 @@ structure family's *contract*:
 * :class:`DistinctOracle` — exact distinct count for HyperLogLog
   estimate-accuracy checks.
 
-Oracles never touch the engine's batch pipeline: anything they derive
-from a hash uses the scalar ``EntropyLearnedHasher.__call__`` path,
-which is the bit-exactness reference the engine itself is tested
-against.
+Oracles never touch the engine's batch pipeline or the hasher's
+compiled scalar closure: anything they derive from a hash uses
+:func:`reference_hasher`, ``H ∘ L`` by its definition, which is the
+bit-exactness reference both paths are tested against.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._util import Key, as_bytes
 from repro.core.hasher import EntropyLearnedHasher
+from repro.core.partial_key import PartialKeyFunction
 from repro.filters.reduction import split_hash64
+from repro.hashing.base import registered_hash
 
 
 class DictOracle:
@@ -111,11 +114,9 @@ class CounterOracle:
         num_hashes: int,
         counter_max: int = 255,
     ) -> None:
-        # A fresh hasher instance: same configuration, independent object,
-        # so a subject-side hasher mutation cannot leak into the oracle.
-        self.hasher = EntropyLearnedHasher(
-            hasher.partial_key, hasher.base, seed=hasher.seed
-        )
+        # The definition, not the subject's hasher object: a subject-side
+        # hasher mutation cannot leak into the oracle.
+        self.hasher = reference_hasher(hasher)
         self.num_counters = num_counters
         self.num_hashes = num_hashes
         self.counter_max = counter_max
@@ -192,15 +193,42 @@ class StoreOracle(DictOracle):
         )
 
 
-def reference_hasher(hasher: EntropyLearnedHasher) -> EntropyLearnedHasher:
-    """A fresh scalar-path hasher with the same configuration.
+class ReferenceHasher:
+    """``H ∘ L`` by its definition: the registered two-argument base
+    function, under the raw seed, of
+    :meth:`~repro.core.partial_key.PartialKeyFunction.hash_input`.
 
-    The scalar ``__call__`` path of :class:`EntropyLearnedHasher` is the
-    trusted reference the engine's compiled batch plans are measured
-    against; building a fresh instance guarantees no engine state (plan
-    caches, fallback rebuilds) is shared with the structure under test.
+    It shares no code with the hasher's compiled closure (length check,
+    one concatenation, seeded base form) or the engine's plans, so a
+    fault in either shows as a divergence.
     """
-    return EntropyLearnedHasher(hasher.partial_key, hasher.base, seed=hasher.seed)
+
+    def __init__(self, partial_key: PartialKeyFunction, base: str, seed: int):
+        self.partial_key = partial_key
+        self.base = base
+        self.seed = seed
+        self._func = registered_hash(base)
+
+    def __call__(self, key: Key) -> int:
+        return self._func(self.partial_key.hash_input(as_bytes(key)), self.seed)
+
+    def with_seed(self, seed: int) -> "ReferenceHasher":
+        return ReferenceHasher(self.partial_key, self.base, seed)
+
+    def full_key(self) -> "ReferenceHasher":
+        """The same base and seed without ``L`` (the Section 5 fallback)."""
+        return ReferenceHasher(PartialKeyFunction.full_key(), self.base, self.seed)
+
+
+def reference_hasher(hasher: EntropyLearnedHasher) -> ReferenceHasher:
+    """The definitional reference for ``hasher``'s configuration.
+
+    >>> from repro.core.hasher import EntropyLearnedHasher
+    >>> hasher = EntropyLearnedHasher.from_positions((0, 8), seed=3)
+    >>> reference_hasher(hasher)(b"0123456789abcdef") == hasher(b"0123456789abcdef")
+    True
+    """
+    return ReferenceHasher(hasher.partial_key, hasher.base.name, hasher.seed)
 
 
 __all__ = [
@@ -210,5 +238,6 @@ __all__ = [
     "FrequencyOracle",
     "DistinctOracle",
     "StoreOracle",
+    "ReferenceHasher",
     "reference_hasher",
 ]

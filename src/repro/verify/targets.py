@@ -987,9 +987,7 @@ class EngineTarget(Target):
                     raise Divergence(
                         "forced FALL_BACK left a partial-key hasher installed"
                     )
-                self.reference = EntropyLearnedHasher.full_key(
-                    self.reference.base, seed=self.reference.seed
-                )
+                self.reference = self.reference.full_key()
         elif name == "check_stats":
             stats = self.subject.stats()
             _require(
@@ -1012,7 +1010,9 @@ class EngineTarget(Target):
 
 
 class ReducerTarget(Target):
-    """Every Reducer: vectorized ``apply`` vs scalar ``apply_one``."""
+    """Every Reducer: vectorized ``apply`` vs scalar ``apply_one``, and
+    the engine's small-batch form ``apply_each`` vs ``apply`` (values,
+    dtypes and shapes)."""
 
     name = "reducers"
 
@@ -1046,6 +1046,7 @@ class ReducerTarget(Target):
         reducer = self._build_reducer(op)
         hashes = [int(h) for h in op["hashes"]]
         batch = reducer.apply(np.array(hashes, dtype=np.uint64))
+        self._check_small_form(op["kind"], batch, reducer.apply_each(hashes))
         if isinstance(batch, tuple):
             batch_rows = list(zip(*(part.tolist() for part in batch)))
             scalar_rows = [tuple(reducer.apply_one(h)) for h in hashes]
@@ -1061,6 +1062,20 @@ class ReducerTarget(Target):
                     f"but apply_one -> {want}"
                 )
         self._domain_checks(op, hashes, scalar_rows, batch_rows)
+
+    @staticmethod
+    def _check_small_form(kind: str, batch, each) -> None:
+        """What the engine returns below its cutover must be what it
+        returns above it, array for array."""
+        def layout(out):
+            parts = out if isinstance(out, tuple) else (out,)
+            return isinstance(out, tuple), [
+                (part.dtype, part.shape, part.tolist()) for part in parts]
+
+        _require(
+            layout(each) == layout(batch),
+            f"{kind} reducer: apply_each {layout(each)} != apply {layout(batch)}",
+        )
 
     def _domain_checks(self, op: Op, hashes, scalar_rows, batch_rows) -> None:
         kind = op["kind"]

@@ -10,9 +10,11 @@ and finally grep the consumer packages to ensure nothing bypasses the
 engine to call a hash substrate directly in a batch path.
 """
 
+import pickle
 import random
 import re
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,9 @@ from repro.engine import (
 )
 from repro.engine.engine import _PACK_CHUNK, SCALAR_CUTOVER
 from repro.engine.stats import _batch_bucket
+from repro.hashing.base import get_hash
 from repro.hashing.vectorized import BATCH_KERNELS
+from repro.verify.oracles import reference_hasher
 
 BASES = ("wyhash", "xxh3", "crc32")
 WORD_SIZES = (1, 2, 4, 8)
@@ -48,6 +52,13 @@ def _mixed_keys(seed, n=200, max_len=40):
         bytes(rng.randrange(256) for _ in range(rng.randrange(max_len + 1)))
         for _ in range(n)
     ]
+
+
+def _definition(hasher, seed=None):
+    """``H ∘ L`` by its definition (the registered base function under
+    the raw seed, of ``hash_input``) — never the compiled closure."""
+    reference = reference_hasher(hasher)
+    return reference if seed is None else reference.with_seed(seed)
 
 
 # ------------------------------------------------------- batch == scalar
@@ -63,14 +74,15 @@ def test_hash_batch_matches_scalar(base, word_size):
     keys = _mixed_keys(seed=word_size * 101)
     batch = engine.hash_batch(keys)
     assert batch.dtype == np.uint64
-    assert list(batch) == [hasher(k) for k in keys]
+    assert list(batch) == [_definition(hasher)(k) for k in keys]
 
 
 @pytest.mark.parametrize("base", BASES)
 def test_full_key_engine_matches_scalar(base):
     engine = HashEngine.full_key(base, seed=3)
     keys = _mixed_keys(seed=77)
-    assert list(engine.hash_batch(keys)) == [engine.hasher(k) for k in keys]
+    reference = _definition(engine.hasher)
+    assert list(engine.hash_batch(keys)) == [reference(k) for k in keys]
 
 
 def test_seed_override_matches_reseeded_hasher():
@@ -78,20 +90,25 @@ def test_seed_override_matches_reseeded_hasher():
     engine = HashEngine(hasher)
     keys = _mixed_keys(seed=5)
     for seed in (1, 42, 2**31):
-        reseeded = hasher.with_seed(seed)
+        reseeded = _definition(hasher, seed)
         assert list(engine.hash_batch(keys, seed=seed)) == [
             reseeded(k) for k in keys
         ]
+        assert [engine.hash_one(k, seed=seed) for k in keys[:5]] == [
+            reseeded(k) for k in keys[:5]
+        ]
     # The override is per-call: the engine's own seed is untouched.
     assert engine.seed == hasher.seed
-    assert list(engine.hash_batch(keys)) == [hasher(k) for k in keys]
+    assert list(engine.hash_batch(keys)) == [_definition(hasher)(k) for k in keys]
 
 
 def test_hash_one_matches_batch():
     engine = HashEngine(EntropyLearnedHasher.from_positions((4,), base="wyhash"))
     keys = _mixed_keys(seed=9, n=50)
     batch = engine.hash_batch(keys)
+    reference = _definition(engine.hasher)
     assert [engine.hash_one(k) for k in keys] == list(batch)
+    assert list(batch) == [reference(k) for k in keys]
 
 
 @given(
@@ -109,13 +126,15 @@ def test_property_batch_equals_scalar(keys, positions, word_size, base):
         PartialKeyFunction(positions, word_size), base=base
     )
     engine = HashEngine(hasher)
-    assert list(engine.hash_batch(keys)) == [hasher(k) for k in keys]
+    reference = _definition(hasher)
+    assert list(engine.hash_batch(keys)) == [reference(k) for k in keys]
+    assert [hasher(k) for k in keys] == [reference(k) for k in keys]
 
 
 # ---------------------------------------------------------------- reducers
 
 
-@pytest.mark.parametrize("reducer", [
+_REDUCERS = (
     MaskReducer(1023),
     SlotTagReducer(511),
     FastRangeReducer(37),
@@ -123,7 +142,10 @@ def test_property_batch_equals_scalar(keys, positions, word_size, base):
     BlockMaskReducer(64, 3),
     FingerprintReducer(0xFFF, 255),
     IndexRankReducer(10),
-], ids=lambda r: type(r).__name__)
+)
+
+
+@pytest.mark.parametrize("reducer", _REDUCERS, ids=lambda r: type(r).__name__)
 def test_reducer_batch_matches_apply_one(reducer):
     engine = HashEngine(EntropyLearnedHasher.from_positions((0, 8)))
     keys = _mixed_keys(seed=31, n=100)
@@ -174,7 +196,8 @@ def test_set_hasher_invalidates_plans():
     engine.set_hasher(EntropyLearnedHasher.from_positions((8,)))
     assert engine.stats()["plans_compiled"] == 0
     keys = _mixed_keys(seed=3, n=30)
-    assert list(engine.hash_batch(keys)) == [engine.hasher(k) for k in keys]
+    reference = _definition(engine.hasher)
+    assert list(engine.hash_batch(keys)) == [reference(k) for k in keys]
 
 
 @pytest.mark.parametrize("base", ["wyhash", "fnv1a", "siphash"])
@@ -220,7 +243,7 @@ def test_cutover_boundary_is_invisible(base, case, below):
     n = SCALAR_CUTOVER[base] - below
     hasher, keys, seed = _cutover_case(case, base, n)
     engine = HashEngine(hasher)
-    reference = hasher if seed is None else hasher.with_seed(seed)
+    reference = _definition(hasher, seed)
 
     got = engine.hash_batch(keys, seed=seed)
 
@@ -233,7 +256,7 @@ def test_cutover_boundary_is_invisible(base, case, below):
                      "batch_size_histogram")
     } == {
         "keys_hashed": n,
-        "bytes_hashed": sum(reference.bytes_read(k) for k in keys),
+        "bytes_hashed": sum(hasher.bytes_read(k) for k in keys),
         "short_key_fallbacks": 0 if L.is_full_key else sum(
             not L.applies_to(k) for k in keys),
         "batch_size_histogram": {_batch_bucket(n): 1},
@@ -241,7 +264,86 @@ def test_cutover_boundary_is_invisible(base, case, below):
     if below:
         assert stats["plans_compiled"] == stats["plan_cache_misses"] == 0
     else:
-        assert stats["plans_compiled"] >= 1
+        # At the cutover the plan pass runs.  A full-key hasher compiles
+        # one plan per key length; a partial key compiles its subkey plan
+        # plus one per group of short keys that itself reaches the
+        # cutover (smaller groups take the compiled closure).
+        if L.is_full_key:
+            expected = len(set(map(len, keys)))
+        else:
+            shorts = Counter(len(k) for k in keys if not L.applies_to(k))
+            expected = 1 + sum(
+                size >= SCALAR_CUTOVER[base] for size in shorts.values())
+        assert stats["plans_compiled"] == expected
+
+
+@pytest.mark.parametrize("reducer", _REDUCERS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("base", sorted(BATCH_KERNELS))
+def test_small_batches_keep_the_dtypes_of_apply(base, reducer):
+    """Below the cutover the reducer runs per key; what comes back is
+    what ``apply`` gives the definition's hashes: values, dtypes and
+    shapes, at every size up to and past the cutover."""
+    hasher = EntropyLearnedHasher.from_positions((8, 0), base=base, seed=11)
+    engine = HashEngine(hasher)
+    reference = _definition(hasher)
+    cutover = SCALAR_CUTOVER[base]
+    keys = _mixed_keys(seed=41, n=cutover)
+    for n in (0, 1, 2, cutover - 1, cutover):
+        got = engine.hash_batch(keys[:n], reducer)
+        want = reducer.apply(
+            np.array([reference(k) for k in keys[:n]], dtype=np.uint64))
+        assert type(got) is type(want)
+        if not isinstance(want, tuple):
+            got, want = (got,), (want,)
+        assert [(a.dtype, a.shape) for a in got] == [
+            (b.dtype, b.shape) for b in want]
+        assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+@pytest.mark.parametrize("full_key", [False, True], ids=["partial", "full_key"])
+@pytest.mark.parametrize("base", sorted(BATCH_KERNELS))
+def test_small_length_groups_take_the_closure(base, full_key):
+    """A group of a partial key's short keys smaller than the cutover
+    hashes through the compiled closure, not a plan; a full-key hasher
+    keeps one plan per key length.  Hashes and counters equal the
+    definition's either way."""
+    cutover = SCALAR_CUTOVER[base]
+    rng = random.Random(base)
+
+    def key(length):
+        return bytes(rng.randrange(256) for _ in range(length))
+
+    if full_key:
+        hasher = EntropyLearnedHasher.full_key(base, seed=4)
+    else:
+        hasher = EntropyLearnedHasher.from_positions((8, 0), base=base, seed=4)
+    keys = [key(9) for _ in range(cutover)]  # short keys for (8, 0)
+    keys += [key(length) for length in range(16) for _ in range(2)]
+    keys += [key(rng.randrange(16, 60)) for _ in range(cutover)]
+    rng.shuffle(keys)
+    engine = HashEngine(hasher)
+
+    got = engine.hash_batch(keys)
+
+    reference = _definition(hasher)
+    assert [int(h) for h in got] == [reference(k) for k in keys]
+    L = hasher.partial_key
+    # A partial key compiles its subkey plan and one full-key plan for
+    # the one short-key group at the cutover (length 9).
+    plans = len(set(map(len, keys))) if full_key else 2
+    stats = engine.stats()
+    assert {
+        name: stats[name]
+        for name in ("keys_hashed", "bytes_hashed", "short_key_fallbacks",
+                     "plans_compiled", "plan_cache_misses")
+    } == {
+        "keys_hashed": len(keys),
+        "bytes_hashed": sum(hasher.bytes_read(k) for k in keys),
+        "short_key_fallbacks": 0 if full_key else sum(
+            not L.applies_to(k) for k in keys),
+        "plans_compiled": plans,
+        "plan_cache_misses": plans,
+    }
 
 
 # ------------------------------------------------- one join, one packer
@@ -303,8 +405,8 @@ def test_packer_matches_scalar_hasher(base, full_key, case):
     hashes = engine.hash_batch(make_keys())
     reduced = engine.hash_batch(make_keys(), reducer, seed=7)
 
-    assert [int(h) for h in hashes] == [hasher(k) for k in keys]
-    reseeded = hasher.with_seed(7)
+    assert [int(h) for h in hashes] == [_definition(hasher)(k) for k in keys]
+    reseeded = _definition(hasher, 7)
     assert [tuple(int(part[i]) for part in reduced) for i in range(n)] == [
         tuple(int(x) for x in reducer.apply_one(reseeded(k))) for k in keys]
     L = hasher.partial_key
@@ -321,6 +423,46 @@ def test_packer_matches_scalar_hasher(base, full_key, case):
         "batches": 2,
         "batch_size_histogram": {_batch_bucket(n): 2},
     }
+
+
+# ------------------------------------------------- the process boundary
+
+
+@pytest.mark.parametrize("base", ["wyhash", "xxh3", "crc32", "fnv1a", "siphash"])
+def test_hashers_survive_pickling(base):
+    """Hashers travel to shard children pickled: the compiled closures
+    are rebuilt on the other side and hash exactly as before."""
+    hasher = EntropyLearnedHasher.from_positions((8, 0), base=base, seed=9)
+    keys = _mixed_keys(seed=51, n=40)
+    reference = _definition(hasher)
+    hasher.hash_batch(keys)  # builds the hasher's private engine
+    engine = HashEngine(hasher)
+    engine.hash_batch(keys, seed=3)  # fills the plan and reseed caches
+
+    twin_hasher, twin_base, twin_engine = pickle.loads(
+        pickle.dumps((hasher, hasher.base, engine)))
+
+    assert [twin_hasher(k) for k in keys] == [reference(k) for k in keys]
+    assert list(twin_hasher.hash_batch(keys)) == [reference(k) for k in keys]
+    assert twin_base(b"process boundary") == get_hash(base, 9)(
+        b"process boundary")
+    assert list(twin_engine.hash_batch(keys)) == [reference(k) for k in keys]
+    assert list(twin_engine.hash_batch(keys, seed=3)) == [
+        _definition(hasher, 3)(k) for k in keys]
+    assert [twin_engine.hash_one(k) for k in keys[:5]] == [
+        reference(k) for k in keys[:5]]
+
+
+@pytest.mark.parametrize("base", ["wyhash", "xxh3", "fnv1a"])
+def test_with_seed_rebuilds_the_closure(base):
+    hasher = EntropyLearnedHasher.from_positions((8, 0), base=base, seed=9)
+    reseeded = hasher.with_seed(1234)
+    assert reseeded.hash_bytes is not hasher.hash_bytes
+    assert reseeded.base.hash_bytes is not hasher.base.hash_bytes
+    keys = _mixed_keys(seed=52, n=40)
+    assert [reseeded(k) for k in keys] == [
+        _definition(hasher, 1234)(k) for k in keys]
+    assert [hasher(k) for k in keys] == [_definition(hasher)(k) for k in keys]
 
 
 # ------------------------------------------------- monitor-driven fallback
@@ -345,7 +487,8 @@ def test_monitor_fallback_rebuilds_to_full_key():
 
     # Post-fallback hashing is the full-key hash, batch == scalar.
     keys = _mixed_keys(seed=13, n=60)
-    assert list(engine.hash_batch(keys)) == [engine.hasher(k) for k in keys]
+    reference = _definition(hasher).full_key()
+    assert list(engine.hash_batch(keys)) == [reference(k) for k in keys]
     # Further inserts are no-ops: the engine already fell back.
     assert engine.record_insert(displacement=100.0, n=500) is False
     assert engine.stats()["fallback_events"] == 1
