@@ -17,14 +17,19 @@ using the entropy-learned fast path.  :class:`ServiceClient` wraps it
 all in plain blocking calls with bounded waiting (capped per-round
 backoff and deadlines) for in-process use, load generation, and tests.
 
-Since PR 6 *where* a shard executes is pluggable: the worker shell
-(queue, tickets, journal, fault hooks) delegates structure work to an
+*Where* a shard executes is pluggable: the worker shell (queue,
+tickets, journal, fault hooks) delegates structure work to an
 :class:`ExecutionBackend` — :class:`InlineBackend` keeps the original
 cooperative single-interpreter pump as the differential-fuzzer
 reference, :class:`ProcessBackend` runs one OS process per shard over
 bounded ``multiprocessing`` queues with heartbeat counters in shared
-memory, so N shards finally use N cores and a real ``kill -9`` is just
-another recoverable crash.
+memory, so N shards use N cores and a real ``kill -9`` is just another
+recoverable crash.  Both speak one shard protocol: the worker builds a
+batch's wire segments once, :meth:`ShardCore.serve_batch` serves them
+up to an injected crash point, one worker method acks the served
+prefix, and every other shard verb (degraded-mode moves, rearm,
+migration apply, stats) is one ``control(name, arg)`` call — a shard
+child handles only ``batch``, ``ctl`` and ``stop``.
 
 Since PR 7 the route itself is versioned: the router is a facade over a
 generation-stamped :class:`RoutingTable` (pinned base hash + hot-key
@@ -36,7 +41,7 @@ journal-replay migration, generation flip, queue sweep — with a
 the safety net for stragglers.
 """
 
-from repro.service.adapters import AdapterSpec, make_adapter
+from repro.service.adapters import BACKENDS, AdapterSpec, make_adapter
 from repro.service.backends import (
     EXECUTIONS,
     ExecutionBackend,
@@ -73,7 +78,7 @@ from repro.service.routing import RoutingTable
 from repro.service.service import Service
 from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
-from repro.service.worker import BACKENDS, Worker
+from repro.service.worker import Worker
 
 __all__ = [
     "AdapterSpec",

@@ -412,56 +412,7 @@ def make_adapter(
     backends take none, and passing options to them is an error rather
     than a silent ignore.
     """
-    if (model is None) == (hasher is None):
-        raise ValueError("pass exactly one of model= or hasher=")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if options and backend != "similarity":
-        raise ValueError(
-            f"backend {backend!r} takes no options, got {sorted(options)}"
-        )
-
-    capacity = max(capacity, 4)
-    if backend == "similarity":
-        from repro.similarity.adapter import SimilarityAdapter
-
-        h = hasher if hasher is not None else model.hasher_for_bloom_filter(
-            capacity, seed=seed
-        )
-        return SimilarityAdapter(h, capacity, **(options or {}))
-    if backend == "chaining":
-        from repro.tables.chaining import EntropyAwareTable, SeparateChainingTable
-
-        table = (EntropyAwareTable(model, capacity=capacity, seed=seed)
-                 if model is not None
-                 else SeparateChainingTable(hasher, capacity=capacity))
-        return TableAdapter(table, backend, monitorable=model is not None)
-    if backend == "probing":
-        from repro.tables.probing import EntropyAwareProbingTable, LinearProbingTable
-
-        table = (EntropyAwareProbingTable(model, capacity=capacity, seed=seed)
-                 if model is not None
-                 else LinearProbingTable(hasher, capacity=capacity))
-        return TableAdapter(table, backend, monitorable=model is not None)
-    if backend == "lsm":
-        from repro.kvstore.store import LSMStore
-
-        return LsmAdapter(LSMStore(memtable_bytes=max(1024, capacity * 8)))
-    if backend == "bloom":
-        from repro.filters.bloom import BloomFilter
-
-        h = hasher if hasher is not None else model.hasher_for_bloom_filter(
-            capacity, seed=seed
-        )
-        return FilterAdapter(
-            BloomFilter.for_items(h, capacity), backend, capacity
-        )
-    from repro.filters.cuckoo import CuckooFilter
-
-    h = hasher if hasher is not None else model.hasher_for_bloom_filter(
-        capacity, seed=seed
-    )
-    return FilterAdapter(CuckooFilter(h, capacity), backend, capacity)
+    return AdapterSpec(backend, capacity, model, hasher, seed, options).build()
 
 
 @dataclass(frozen=True)
@@ -472,7 +423,7 @@ class AdapterSpec:
     — never a live structure — so the same spec can build the adapter
     in the parent (inline execution) or inside a freshly spawned shard
     child (process execution), and both builds are bit-identical for a
-    given seed.
+    given seed.  Construction validates the recipe.
     """
 
     backend: str
@@ -498,11 +449,52 @@ class AdapterSpec:
             )
 
     def build(self) -> StructureAdapter:
-        return make_adapter(
-            self.backend, self.capacity,
-            model=self.model, hasher=self.hasher, seed=self.seed,
-            options=self.options,
+        backend, model, hasher, seed = (
+            self.backend, self.model, self.hasher, self.seed
         )
+        capacity = max(self.capacity, 4)
+        if backend == "chaining":
+            from repro.tables.chaining import (
+                EntropyAwareTable,
+                SeparateChainingTable,
+            )
+
+            table = (EntropyAwareTable(model, capacity=capacity, seed=seed)
+                     if model is not None
+                     else SeparateChainingTable(hasher, capacity=capacity))
+            return TableAdapter(table, backend, monitorable=model is not None)
+        if backend == "probing":
+            from repro.tables.probing import (
+                EntropyAwareProbingTable,
+                LinearProbingTable,
+            )
+
+            table = (
+                EntropyAwareProbingTable(model, capacity=capacity, seed=seed)
+                if model is not None
+                else LinearProbingTable(hasher, capacity=capacity)
+            )
+            return TableAdapter(table, backend, monitorable=model is not None)
+        if backend == "lsm":
+            from repro.kvstore.store import LSMStore
+
+            return LsmAdapter(LSMStore(memtable_bytes=max(1024, capacity * 8)))
+        h = hasher if hasher is not None else model.hasher_for_bloom_filter(
+            capacity, seed=seed
+        )
+        if backend == "similarity":
+            from repro.similarity.adapter import SimilarityAdapter
+
+            return SimilarityAdapter(h, capacity, **(self.options or {}))
+        if backend == "bloom":
+            from repro.filters.bloom import BloomFilter
+
+            return FilterAdapter(
+                BloomFilter.for_items(h, capacity), backend, capacity
+            )
+        from repro.filters.cuckoo import CuckooFilter
+
+        return FilterAdapter(CuckooFilter(h, capacity), backend, capacity)
 
 
 __all__ = [

@@ -2,17 +2,23 @@
 
 The worker shell (queueing, tickets, journal, fault hooks) is backend-
 agnostic; an :class:`ExecutionBackend` decides *where* the
-:class:`~repro.service.core.ShardCore` lives and how wire segments
-reach it:
+:class:`~repro.service.core.ShardCore` lives.  Both backends speak one
+shard protocol: a batch of wire segments goes to
+``ShardCore.serve_batch`` and comes back as a ``(results, crashed)``
+reply, and every other piece of shard work — degraded-mode moves,
+rearm, migration apply, structure stats — is one named
+``ShardCore.control`` op.
 
 * :class:`InlineBackend` — the core is embedded in the parent and
   serves synchronously inside ``Worker.dispatch``.  This is the
-  original cooperative pump, kept byte-for-byte as the differential
-  fuzzer's reference semantics: same fault injection points, same
-  segment atomicity, same journal-at-ack ordering.
-* :class:`ProcessBackend` — one forked OS process per shard.  Wire
-  segments travel over a bounded ``multiprocessing`` queue, results
-  come back the same way, and the child bumps a heartbeat counter in
+  original cooperative pump, kept as the differential fuzzer's
+  reference semantics: same fault injection points, same segment
+  atomicity, same journal-at-ack ordering.
+* :class:`ProcessBackend` — one forked OS process per shard.  A child
+  handles three messages: ``batch`` (one ``serve_batch`` call), ``ctl``
+  (one ``control`` call) and ``stop``.  They travel over a bounded
+  ``multiprocessing`` queue, replies come back the same way, and the
+  child bumps a heartbeat counter in
   :class:`~repro.service.state.ShardStateBlock` shared memory after
   every segment so the parent can tell slow from dead.  Dispatch and
   collect are split phases: ``Service.pump`` dispatches one batch to
@@ -27,7 +33,9 @@ exactly that prefix was acked and journaled, the rest of the tickets
 reconcile back to the front of the queue, and the replacement child is
 rebuilt from the acked-only journal — so nothing acked is lost and
 nothing unacked is double-applied, no matter how rudely the process
-died.
+died.  A control op the child cannot run (dead, jammed or silent) is
+the same crash: the child is stopped, the worker restarts it from the
+journal, and the supervisor re-applies an open breaker's fallback.
 """
 
 from __future__ import annotations
@@ -38,14 +46,14 @@ import queue as pyqueue
 import signal
 import time
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import InjectedCrash
 
 from repro.service.adapters import AdapterSpec, StructureAdapter
-from repro.service.core import ShardCore
+from repro.service.core import ShardCore, WireResult
 from repro.service.state import (
     ALIVE,
     BATCHES,
@@ -60,6 +68,10 @@ from repro.service.state import (
 )
 
 EXECUTIONS = ("inline", "process")
+
+# A served batch: the served prefix's wire results, and whether the
+# batch ended in a crash.
+Reply = Tuple[List[WireResult], bool]
 
 # Exit code a child uses for an injected crash directive, to make a
 # deliberate death distinguishable from a Python fault in post-mortems.
@@ -79,7 +91,15 @@ def fork_available() -> bool:
 
 
 class ExecutionBackend:
-    """Where and how one shard's core executes."""
+    """Where and how one shard's core executes.
+
+    Two calls carry all shard work: :meth:`serve` (with :meth:`collect`
+    for a deferred reply) for one batch of wire segments, and
+    :meth:`control` for one named op.  A reply is ``(results,
+    crashed)``: the wire results of the served prefix, and whether the
+    batch ended in a crash.  The worker shell absorbs it the same way
+    for every backend.
+    """
 
     kind: str = ""
 
@@ -101,53 +121,32 @@ class ExecutionBackend:
         """Bring the core up (no-op inline; first child spawn for
         process execution).  Called once from ``Worker.__init__``."""
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
-        """Apply one batch, already split into same-op ticket segments.
+    def serve(self, wire, crash_at, kill) -> Optional[Reply]:
+        """Serve one batch of wire segments.
 
-        Inline execution serves synchronously and returns the number of
-        ops absorbed; process execution ships the batch to the child
-        and returns 0 — the results land in :meth:`collect`.
-        ``crash_at`` injects a mid-batch crash before that segment
-        index; ``kill`` delivers a real SIGKILL instead.
+        Inline execution serves synchronously and returns the reply;
+        process execution ships the batch to the child and returns None
+        — the reply comes from :meth:`collect`.  ``crash_at`` injects a
+        mid-batch crash before that segment index; ``kill`` delivers a
+        real SIGKILL instead.
         """
         raise NotImplementedError
 
-    def collect(self, worker) -> int:
-        """Absorb the results of the last dispatched batch, if any."""
-        return 0
+    def collect(self) -> Optional[Reply]:
+        """The reply to the batch :meth:`serve` deferred, if any."""
+        return None
 
     def restart(self, worker) -> None:
         """Rebuild the core from the worker's acked-only journal."""
         raise NotImplementedError
 
-    def apply_entries(self, worker, entries) -> int:
-        """Apply migrated journal entries to the live structure — the
-        no-restart half of a routing migration.  The caller already
-        appended the entries to the worker's journal; this only pushes
-        them into the running core.  Returns ops applied."""
-        raise NotImplementedError
+    def control(self, name: str, arg: object = None) -> object:
+        """Run one :meth:`ShardCore.control` op and return its payload.
 
-    def fall_back(self, worker) -> None:
-        raise NotImplementedError
-
-    def restore_partial_key(self, worker) -> None:
-        raise NotImplementedError
-
-    def force_trip(self, worker) -> None:
-        raise NotImplementedError
-
-    def rearm(self, worker, model) -> bool:
-        """Hot-swap the core to a re-learned EntropyModel.
-
-        Returns True when the live structure rehashed under the new
-        plan.  False means it could not happen *here and now* — an
-        unsupported structure, or a dead child (whose pending restart
-        rebuilds from the updated spec + journal anyway, the
-        journal-assisted half of the swap).
+        Raises :class:`~repro.faults.InjectedCrash` when the core cannot
+        run it (a dead child, a jammed queue, no answer); the child is
+        stopped by then, and the worker restarts it from the journal.
         """
-        raise NotImplementedError
-
-    def structure_stats(self, worker) -> Dict[str, object]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -177,35 +176,13 @@ class InlineBackend(ExecutionBackend):
     def tripped(self) -> bool:
         return self.core.adapter.tripped
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
+    def serve(self, wire, crash_at, kill) -> Reply:
         # An inline worker has no process to kill: an injected sigkill
         # degenerates to the ordinary mid-batch crash directive, which
         # keeps fault plans portable across executions.
-        if kill and crash_at is None:
-            crash_at = len(segments) // 2
-        served = 0
-        try:
-            for index, segment in enumerate(segments):
-                if crash_at is not None and index == crash_at:
-                    worker.crashed = True
-                    raise InjectedCrash(
-                        f"worker {worker.shard_id} crashed mid-batch "
-                        f"(segment {index}/{len(segments)})"
-                    )
-                op = segment[0].request.op
-                keys = [t.request.key for t in segment]
-                values = ([t.request.value for t in segment]
-                          if op in ("put", "similar") else None)
-                result = self.core.serve_segment(op, keys, values)
-                worker._absorb_segment(op, segment, result)
-                for ticket in segment:
-                    worker.inflight.pop(ticket.request_id, None)
-                served += len(segment)
-        finally:
-            # Segments served before a crash were applied, acked, and
-            # journaled atomically; they count as processed.
-            worker.processed += served
-        return served
+        if kill:
+            crash_at = len(wire) // 2
+        return self.core.serve_batch(wire, crash_at), crash_at is not None
 
     def restart(self, worker) -> None:
         if worker.factory is None:
@@ -215,23 +192,8 @@ class InlineBackend(ExecutionBackend):
         self.core = ShardCore(worker.factory())
         worker.journal.replay(self.core.adapter)
 
-    def apply_entries(self, worker, entries) -> int:
-        return self.core.apply_entries(entries)
-
-    def fall_back(self, worker) -> None:
-        self.core.fall_back()
-
-    def restore_partial_key(self, worker) -> None:
-        self.core.restore_partial_key()
-
-    def force_trip(self, worker) -> None:
-        self.core.force_trip()
-
-    def rearm(self, worker, model) -> bool:
-        return self.core.rearm_with(model)
-
-    def structure_stats(self, worker) -> Dict[str, object]:
-        return self.core.stats()
+    def control(self, name: str, arg: object = None) -> object:
+        return self.core.control(name, arg)
 
 
 def _shard_child_main(
@@ -246,9 +208,10 @@ def _shard_child_main(
     """One shard child: build the core, replay the journal, serve.
 
     Runs in a forked process.  Everything it receives arrived by fork
-    inheritance (no pickling), everything it sends back is plain wire
-    data.  It exits through ``os._exit`` in every path so a shard child
-    never runs the parent's atexit machinery it inherited.
+    inheritance or as plain pickled data (wire batches, control args);
+    everything it sends back is plain wire data.  It exits through
+    ``os._exit`` in every path so a shard child never runs the parent's
+    atexit machinery it inherited.
     """
     if state_row is None:
         state_row = np.zeros(SLOTS_PER_SHARD, dtype=np.uint64)
@@ -261,10 +224,20 @@ def _shard_child_main(
         state_row[HEARTBEAT] += 1
         state_row[REPLAYED] += n
 
+    def _segment_progress(n: int) -> None:
+        state_row[HEARTBEAT] += 1
+        state_row[SEGMENTS] += 1
+        state_row[PROCESSED] += n
+
+    def _reply(*fields) -> None:
+        # Every reply ends with the structure's tripped flag.
+        tripped = bool(core.adapter.tripped)
+        state_row[TRIPPED] = tripped
+        res_q.put(fields + (tripped,))
+
     try:
         core = ShardCore.from_spec(spec, entries, progress=_replay_progress)
-        state_row[TRIPPED] = 1 if core.tripped else 0
-        res_q.put(("ready", incarnation, bool(core.tripped), core.stats()))
+        _reply("ready", incarnation)
         while True:
             try:
                 msg = cmd_q.get(timeout=_ORPHAN_POLL_S)
@@ -278,57 +251,28 @@ def _shard_child_main(
             if tag == "stop":
                 break
             if tag == "ctl":
-                # 3-tuple for argless control ops; 4-tuple carries the
-                # op's payload (today: rearm's re-learned EntropyModel,
-                # which is plain picklable dataclasses — this is how a
-                # new plan ships to an already-forked child).
-                inc, name = msg[1], msg[2]
-                arg = msg[3] if len(msg) > 3 else None
-                payload = core.control(name, arg)
-                state_row[HEARTBEAT] += 1
-                state_row[TRIPPED] = 1 if core.tripped else 0
-                res_q.put(
-                    ("ctl_done", inc, name, payload, bool(core.tripped))
-                )
-            elif tag == "apply":
-                # Migrated journal entries from a hot-key promotion or
-                # split: replay into the live structure, heartbeating
-                # like a spawn replay so the parent can tell a long
-                # migration from a hang.
-                _, inc, migrated = msg
-                applied = core.apply_entries(
-                    migrated, progress=_replay_progress
-                )
-                state_row[TRIPPED] = 1 if core.tripped else 0
-                res_q.put(("apply_done", inc, applied, bool(core.tripped)))
+                # The op's arg arrives pickled: a re-learned
+                # EntropyModel is how a new plan ships to an
+                # already-forked child, and migrated entries replay
+                # heartbeating like a spawn replay, so the parent can
+                # tell a long migration from a hang.
+                _, inc, name, arg = msg
+                _reply("ctl_done", inc, name,
+                       core.control(name, arg, progress=_replay_progress))
             elif tag == "batch":
-                _, inc, batch_id, segments, crash_at = msg
-                results = []
-                for index, (op, keys, values) in enumerate(segments):
-                    if crash_at is not None and index == crash_at:
-                        # Injected crash directive: report the prefix
-                        # that *was* applied (the parent acks and
-                        # journals exactly that much), flush, and die
-                        # for real — this is a genuine process death,
-                        # not a simulation of one.
-                        state_row[ALIVE] = 0
-                        res_q.put((
-                            "served", inc, batch_id, results,
-                            True, bool(core.tripped),
-                        ))
-                        res_q.close()
-                        res_q.join_thread()
-                        os._exit(_CRASH_EXIT)
-                    results.append(core.serve_segment(op, keys, values))
-                    state_row[HEARTBEAT] += 1
-                    state_row[SEGMENTS] += 1
-                    state_row[PROCESSED] += len(keys)
-                state_row[BATCHES] += 1
-                state_row[TRIPPED] = 1 if core.tripped else 0
-                res_q.put((
-                    "served", inc, batch_id, results,
-                    False, bool(core.tripped),
-                ))
+                _, inc, batch_id, wire, crash_at = msg
+                results = core.serve_batch(
+                    wire, crash_at, progress=_segment_progress
+                )
+                if crash_at is None:
+                    state_row[BATCHES] += 1
+                _reply("served", inc, batch_id, results, crash_at is not None)
+                if crash_at is not None:
+                    # Injected crash directive: the parent acks and
+                    # journals exactly the reported prefix; the flush
+                    # below delivers it, then the child dies for real.
+                    exit_code = _CRASH_EXIT
+                    break
     except (KeyboardInterrupt, SystemExit):
         exit_code = 1
     except BaseException:
@@ -403,9 +347,6 @@ class ProcessBackend(ExecutionBackend):
         self._outstanding = None
         self._killed = False
         self._tripped = False
-        self._structure_stats: Dict[str, object] = {
-            "backend": spec.backend, "fell_back": False,
-        }
         self._finalizer = None
 
     # --------------------------------------------------------- lifecycle
@@ -472,7 +413,6 @@ class ProcessBackend(ExecutionBackend):
                 f"{self.incarnation}) failed to come up"
             )
         self._tripped = bool(ready[2])
-        self._structure_stats = ready[3]
 
     def _stop_child(self, graceful: bool = False) -> None:
         process = self.process
@@ -505,84 +445,58 @@ class ProcessBackend(ExecutionBackend):
 
     # ----------------------------------------------------------- serving
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
-        process = self.process
-        if process is None or not process.is_alive():
-            # Out-of-band death (e.g. an external `kill -9`): surface
-            # it as a crash so the supervisor's journal-replay restart
-            # machinery takes over — a real SIGKILL is just another
-            # FaultPlane crash from here on.
-            worker.crashed = True
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s shard process died out of band"
-            )
-        wire = []
-        for segment in segments:
-            op = segment[0].request.op
-            keys = [t.request.key for t in segment]
-            values = ([t.request.value for t in segment]
-                      if op in ("put", "similar") else None)
-            wire.append((op, keys, values))
+    def _send(self, message) -> bool:
+        """Put one command to the live child; False, with the child
+        stopped, when it is dead or its command queue is jammed."""
+        if self.child_alive:
+            try:
+                self.cmd_q.put(message, timeout=self.collect_timeout)
+                return True
+            except Exception:
+                pass
+        self._stop_child()
+        return False
+
+    def serve(self, wire, crash_at, kill) -> Optional[Reply]:
         self._batch_id += 1
-        try:
-            self.cmd_q.put(
-                ("batch", self.incarnation, self._batch_id, wire, crash_at),
-                timeout=self.collect_timeout,
-            )
-        except Exception:
-            worker.crashed = True
-            self._stop_child()
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s command queue jammed"
-            )
-        self._outstanding = (self._batch_id, list(segments))
+        if not self._send(
+            ("batch", self.incarnation, self._batch_id, wire, crash_at)
+        ):
+            # Out-of-band death (e.g. an external `kill -9`) or a jammed
+            # queue: a crash with nothing served, so the supervisor's
+            # journal-replay restart takes over — a real SIGKILL is
+            # just another FaultPlane crash from here on.
+            return [], True
+        self._outstanding = self._batch_id
         if kill:
             # A real SIGKILL, delivered while the batch is (racily) in
             # flight.  Whatever prefix the child managed to report is
-            # absorbed in collect(); the rest reconciles.
+            # absorbed from collect(); the rest reconciles.
             self._killed = True
             try:
-                os.kill(process.pid, signal.SIGKILL)
+                os.kill(self.process.pid, signal.SIGKILL)
             except (ProcessLookupError, OSError):
                 pass
-        return 0
+        return None
 
-    def collect(self, worker) -> int:
+    def collect(self) -> Optional[Reply]:
         if self._outstanding is None:
-            return 0
-        batch_id, segments = self._outstanding
-        self._outstanding = None
+            return None
+        batch_id, self._outstanding = self._outstanding, None
         reply = self._await(
             lambda msg: (msg[0] == "served"
                          and msg[1] == self.incarnation
                          and msg[2] == batch_id)
         )
-        served = 0
-        crashed_flag = False
-        try:
-            if reply is not None:
-                results, crashed_flag = reply[3], bool(reply[4])
-                self._tripped = bool(reply[5])
-                for segment, result in zip(segments, results):
-                    op = segment[0].request.op
-                    worker._absorb_segment(op, segment, result)
-                    for ticket in segment:
-                        worker.inflight.pop(ticket.request_id, None)
-                    served += len(segment)
-        finally:
-            # Mirrors the inline contract: whatever the child applied
-            # *and reported* was acked and journaled, so it counts as
-            # processed even when the batch ended in a crash.
-            worker.processed += served
-        if reply is None or crashed_flag or self._killed:
+        if reply is None:
+            results, crashed = [], True
+        else:
+            results, crashed = reply[3], bool(reply[4]) or self._killed
+            self._tripped = bool(reply[5])
+        if crashed:
             self._killed = False
             self._stop_child()
-            worker.crashed = True
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s shard process crashed "
-                f"mid-batch (batch {batch_id}, {served} ops absorbed)"
-            )
-        return served
+        return results, crashed
 
     def _await(self, matches):
         """Wait for a matching reply, heartbeat-aware.
@@ -631,91 +545,27 @@ class ProcessBackend(ExecutionBackend):
                 return msg
         return None
 
-    def apply_entries(self, worker, entries) -> int:
-        """Ship migrated entries to the shard child for live replay.
-
-        A dead or wedged child is not an error here: the caller already
-        appended the entries to the worker's parent-side journal, so
-        the supervisor's restart rebuilds the child *with* the migrated
-        state — we just could not apply them without a restart.
-        """
-        entries = list(entries)
-        if not entries:
-            return 0
-        process = self.process
-        if process is None or not process.is_alive():
-            return 0
-        try:
-            self.cmd_q.put(
-                ("apply", self.incarnation, entries),
-                timeout=self.collect_timeout,
+    def control(self, name: str, arg: object = None) -> object:
+        if name == "rearm":
+            # The spec changes first: a child that is dead, or dies
+            # mid-rearm, re-forks from the new plan and replays the
+            # journal — the journal-assisted path to the same state.
+            self.spec = dataclasses.replace(self.spec, model=arg, hasher=None)
+        incarnation = self.incarnation
+        reply = None
+        if self._send(("ctl", incarnation, name, arg)):
+            reply = self._await(
+                lambda msg: (msg[0] == "ctl_done"
+                             and msg[1] == incarnation
+                             and msg[2] == name)
             )
-        except Exception:
-            worker.crashed = True
-            self._stop_child()
-            return 0
-        reply = self._await(
-            lambda msg: (msg[0] == "apply_done"
-                         and msg[1] == self.incarnation)
-        )
         if reply is None:
-            worker.crashed = True
             self._stop_child()
-            return 0
-        self._tripped = bool(reply[3])
-        return int(reply[2])
-
-    # ------------------------------------------------------ degraded mode
-
-    def _control(self, worker, name: str, arg=None):
-        if self.process is None or not self.process.is_alive():
-            # Dead child: the pending restart rebuilds from the journal
-            # and the supervisor re-applies the breaker's fallback, so
-            # there is nothing meaningful to do here.
-            return None
-        message = (("ctl", self.incarnation, name) if arg is None
-                   else ("ctl", self.incarnation, name, arg))
-        try:
-            self.cmd_q.put(message, timeout=1.0)
-        except Exception:
-            return None
-        reply = self._await(
-            lambda msg: (msg[0] == "ctl_done"
-                         and msg[1] == self.incarnation
-                         and msg[2] == name)
-        )
-        if reply is None:
-            # The child wedged inside a control op: treat as a crash.
-            self._stop_child()
-            worker.crashed = True
-            return None
+            raise InjectedCrash(
+                f"shard {self.shard_id}'s child could not run {name!r}"
+            )
         self._tripped = bool(reply[4])
         return reply[3]
-
-    def fall_back(self, worker) -> None:
-        self._control(worker, "fall_back")
-
-    def restore_partial_key(self, worker) -> None:
-        self._control(worker, "restore_partial_key")
-
-    def force_trip(self, worker) -> None:
-        self._control(worker, "force_trip")
-
-    def rearm(self, worker, model) -> bool:
-        """Ship a re-learned model to the live child over the ctl
-        channel and rehash there.  The backend's spec is updated first
-        either way: if the child is dead (or dies mid-rearm), its
-        restart re-forks from the new spec and replays the journal —
-        the journal-assisted path to the same end state.
-        """
-        self.spec = dataclasses.replace(self.spec, model=model, hasher=None)
-        return bool(self._control(worker, "rearm", model))
-
-    def structure_stats(self, worker) -> Dict[str, object]:
-        payload = self._control(worker, "stats")
-        if payload is not None:
-            self._structure_stats = payload
-        return dict(self._structure_stats)
 
     # -------------------------------------------------------------- stats
 

@@ -8,7 +8,12 @@ tuples of plain lists), so the exact same core runs embedded in the
 parent under :class:`~repro.service.backends.InlineBackend` and inside
 a forked child under
 :class:`~repro.service.backends.ProcessBackend` — the transport shell
-around it changes, the apply semantics cannot.
+around it changes, the apply semantics cannot.  Two methods are the
+whole shard protocol: :meth:`ShardCore.serve_batch` serves one batch's
+segments up to an injected crash point, and :meth:`ShardCore.control`
+runs one named control op (degraded-mode moves, rearm, migration
+apply, stats).  Inline execution calls them directly; a shard child
+calls them once per ``batch`` or ``ctl`` message.
 
 Everything a core touches or returns is picklable by construction;
 tickets and :class:`~repro.service.protocol.Response` objects never
@@ -21,7 +26,7 @@ reported simply evaporates instead of double-applying.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.service.adapters import AdapterSpec, StructureAdapter
 from repro.service.journal import Entry, replay_entries
@@ -76,68 +81,60 @@ class ShardCore:
             return ("similar", adapter.similar_batch(keys, list(values or ())))
         return ("contains", adapter.contains_batch(keys))
 
-    def apply_entries(
+    def serve_batch(
         self,
-        entries: Sequence[Entry],
+        wire: Sequence[WireSegment],
+        crash_at: Optional[int] = None,
         progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Replay migrated journal entries into the *live* structure.
+    ) -> List[WireResult]:
+        """Serve a batch's segments in order and return the served
+        prefix's results.
 
-        The migration half of a routing-generation flip: unlike
-        :meth:`from_spec` this mutates an already-serving core, so a
-        promotion or split can move acked state between shards without
-        a restart.  Returns the number of ops applied.
+        ``crash_at`` stops before that segment index: the injected
+        mid-batch crash, after which the caller acks exactly the
+        returned prefix.  ``progress(len(keys))`` runs after every
+        served segment (a shard child's heartbeat).
         """
-        return replay_entries(self.adapter, entries, progress=progress)
+        results = []
+        for op, keys, values in wire[:crash_at]:
+            results.append(self.serve_segment(op, keys, values))
+            if progress is not None:
+                progress(len(keys))
+        return results
 
-    # ------------------------------------------------------ degraded mode
+    # ------------------------------------------------------------ control
 
-    @property
-    def tripped(self) -> bool:
-        return self.adapter.tripped
+    def control(
+        self,
+        name: str,
+        arg: object = None,
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> object:
+        """Run one named control op on the structure; returns its payload.
 
-    def fall_back(self) -> None:
-        self.adapter.fall_back()
-
-    def restore_partial_key(self) -> None:
-        self.adapter.restore_partial_key()
-
-    def force_trip(self) -> None:
-        self.adapter.force_trip()
-
-    def rearm_with(self, model) -> bool:
-        """Hot-swap to a re-learned model; False if unsupported here."""
-        if not self.adapter.rearmable:
-            return False
-        self.adapter.rearm_with(model)
-        return True
-
-    def control(self, name: str, arg: object = None) -> object:
-        """Dispatch one named control op (the process backend's ctl
-        channel); returns the op's payload (stats dict, rearm ack, or
-        None).  ``arg`` carries the op's payload where one exists —
-        today only ``rearm``'s re-learned EntropyModel."""
-        if name == "fall_back":
-            self.fall_back()
-        elif name == "restore_partial_key":
-            self.restore_partial_key()
-        elif name == "force_trip":
-            self.force_trip()
-        elif name == "rearm":
-            return self.rearm_with(arg)
-        elif name == "stats":
-            return self.stats()
-        else:
-            raise ValueError(f"unknown control op {name!r}")
-        return None
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return self.adapter.stats()
-
-    def __len__(self) -> int:
-        return len(self.adapter)
+        * ``fall_back`` / ``restore_partial_key`` / ``force_trip`` — the
+          breaker's degraded-mode moves; payload None.
+        * ``rearm`` — hot-swap to ``arg``, a re-learned EntropyModel;
+          payload False when the structure cannot rearm.
+        * ``apply`` — replay ``arg``, migrated journal entries, into the
+          *live* structure (a routing migration; ``progress`` as in
+          :meth:`from_spec`); payload the ops applied.
+        * ``stats`` — payload the structure's stats dict.
+        """
+        adapter = self.adapter
+        if name in ("fall_back", "restore_partial_key", "force_trip"):
+            getattr(adapter, name)()
+            return None
+        if name == "rearm":
+            if not adapter.rearmable:
+                return False
+            adapter.rearm_with(arg)
+            return True
+        if name == "apply":
+            return replay_entries(adapter, arg, progress=progress)
+        if name == "stats":
+            return adapter.stats()
+        raise ValueError(f"unknown control op {name!r}")
 
 
 __all__ = ["ShardCore", "WireSegment", "WireResult"]

@@ -52,7 +52,7 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import CollisionMonitor
 from repro.faults import InjectedCrash
 
-from repro.service.adapters import AdapterSpec
+from repro.service.adapters import BACKENDS, AdapterSpec
 from repro.service.backends import EXECUTIONS, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.journal import Entry, compact
@@ -61,7 +61,7 @@ from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
 from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
-from repro.service.worker import BACKENDS, Worker
+from repro.service.worker import Worker
 
 
 class Service:

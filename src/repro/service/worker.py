@@ -14,14 +14,21 @@ A pump is two phases.  ``dispatch()`` pops one micro-batch, splits it
 into consecutive same-op *segments* (one compiled ``engine.hash_batch``
 pass each, so per-key ordering is preserved while hashing cost is
 amortized exactly like PR 1's batch paths), applies the fault plane's
-worker-level directives (stall, drop, crash, sigkill), and hands the
-segments to the backend.  ``collect()`` absorbs whatever the backend
-produced: responses are written onto tickets, acknowledged mutations
-are journaled, and inflight entries are retired — all parent-side, for
-both backends, which is what makes a child's state disposable.  Inline
-execution serves synchronously, so ``dispatch`` already absorbs and
-``collect`` is a no-op; ``pump()`` runs both phases back-to-back for
-callers that don't need the cross-shard parallel window.
+worker-level directives (stall, drop, crash, sigkill), builds the
+segments' wire form once, and hands it to the backend.  One method,
+``_absorb``, acks whatever prefix the backend served: responses are
+written onto tickets, acknowledged mutations are journaled, and
+inflight entries are retired — all parent-side, for both backends,
+which is what makes a child's state disposable.  Inline execution
+serves synchronously, so ``dispatch`` already absorbs and ``collect``
+is a no-op; ``pump()`` runs both phases back-to-back for callers that
+don't need the cross-shard parallel window.
+
+Every other verb the service and supervisor send a shard —
+``fall_back``, ``restore_partial_key``, ``force_trip``, ``rearm_with``,
+``apply_entries`` and the structure half of ``stats`` — is one
+``execution.control(name, arg)`` call.  A control op the shard cannot
+run marks the worker crashed, so the journal restart repairs it.
 
 Since PR 5 a worker is crash-safe: every acknowledged mutation is
 recorded in a per-shard :class:`~repro.service.journal.ShardJournal` at
@@ -39,17 +46,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.service.adapters import (  # noqa: F401  (re-exported API)
-    BACKENDS,
-    AdapterSpec,
-    FilterAdapter,
-    LsmAdapter,
-    StructureAdapter,
-    TableAdapter,
-    _full_key_model,
-    make_adapter,
-)
-from repro.service.backends import ExecutionBackend, InlineBackend
+from repro.faults import InjectedCrash
+
+from repro.service.adapters import StructureAdapter
+from repro.service.backends import ExecutionBackend, InlineBackend, Reply
 from repro.service.journal import Entry, ShardJournal
 from repro.service.protocol import (
     FAILED,
@@ -91,6 +91,8 @@ class Worker:
         # Tickets popped from the queue but not yet answered; the
         # supervisor requeues whatever a crash or a drop leaves behind.
         self.inflight: Dict[int, Ticket] = {}
+        # The ticket segments of the batch the backend is serving.
+        self._segments: List[List[Ticket]] = []
         # The journal must exist before execution.start(): a process
         # backend snapshots it at spawn so the child replays it.
         self.journal = ShardJournal(
@@ -120,6 +122,11 @@ class Worker:
         self.cancelled = 0
         self.wrong_generation = 0
         self.op_counts: Dict[str, int] = {}
+        # The last structure stats the core reported, kept for the
+        # scrapes a dead shard child cannot answer.
+        self._structure: Dict[str, object] = {
+            "backend": execution.structure_backend,
+        }
         self.execution.start(self)
 
     @property
@@ -276,24 +283,32 @@ class Worker:
             return 0
         # Consecutive same-op segments keep per-key FIFO order while
         # sharing one engine.hash_batch pass each.
-        segments: List[List[Ticket]] = []
+        self._segments = segments = []
+        wire = []
         start = 0
         while start < len(batch):
             end = start + 1
             op = batch[start].request.op
             while end < len(batch) and batch[end].request.op == op:
                 end += 1
-            segments.append(batch[start:end])
+            segment = batch[start:end]
+            segments.append(segment)
+            wire.append((
+                op,
+                [t.request.key for t in segment],
+                ([t.request.value for t in segment]
+                 if op in ("put", "similar") else None),
+            ))
             start = end
         crash_at = None
         kill = False
         if plane is not None and plane.should_fire("crash", self.shard_id):
-            crash_at = len(segments) // 2
+            crash_at = len(wire) // 2
         elif plane is not None and plane.should_fire(
             "sigkill", self.shard_id
         ):
             kill = True
-        return self.execution.serve(self, segments, crash_at, kill)
+        return self._absorb(self.execution.serve(wire, crash_at, kill))
 
     def _misrouted(self, ticket: Ticket) -> bool:
         """True when a generation flip moved the ticket's key elsewhere.
@@ -308,21 +323,9 @@ class Worker:
             return False
         return self.router.table.route_one(ticket.request.key) != self.shard_id
 
-    def apply_entries(self, entries: List[Entry]) -> int:
-        """Apply migrated journal entries to the live structure.
-
-        The live half of every reconfiguration (promotion, split, plan
-        swap): the caller already appended arrivals to :attr:`journal`
-        (or split leavers out of it); this pushes the entries into the
-        running structure (inline: direct replay; process: an ``apply``
-        command executed in the shard child) without a restart.
-        Returns the number of ops applied.
-        """
-        return self.execution.apply_entries(self, entries)
-
     def collect(self) -> int:
-        """Phase two: absorb the backend's results for this pump."""
-        return self.execution.collect(self)
+        """Phase two: absorb the backend's deferred reply, if any."""
+        return self._absorb(self.execution.collect())
 
     def pump(self) -> int:
         """Drain one micro-batch; returns the number of ops served."""
@@ -337,11 +340,37 @@ class Worker:
                 break  # crashed/stalled/dropped: the supervisor steps in
         return served
 
+    def _absorb(self, reply: Optional[Reply]) -> int:
+        """Ack the served prefix of the batch in flight — the single ack
+        path for both backends.  Served segments are answered, journaled
+        and counted processed even when the batch ended in a crash; a
+        crash then marks the worker crashed and raises, and the rest
+        reconciles.  A None reply (still in flight) absorbs nothing."""
+        if reply is None:
+            return 0
+        results, crashed = reply
+        segments, self._segments = self._segments, []
+        served = 0
+        try:
+            for segment, result in zip(segments, results):
+                self._absorb_segment(segment[0].request.op, segment, result)
+                for ticket in segment:
+                    self.inflight.pop(ticket.request_id, None)
+                served += len(segment)
+        finally:
+            self.processed += served
+        if crashed:
+            self.crashed = True
+            raise InjectedCrash(
+                f"worker {self.shard_id} crashed mid-batch "
+                f"({served} ops absorbed)"
+            )
+        return served
+
     def _absorb_segment(self, op: str, tickets: List[Ticket], result) -> None:
         """Turn one segment's wire result into responses + journal
-        entries.  This is the single ack path for both backends: an
-        entry is in the journal exactly when the client can observe an
-        OK, regardless of where the structure lives."""
+        entries: an entry is in the journal exactly when the client can
+        observe an OK, regardless of where the structure lives."""
         self.op_counts[op] = self.op_counts.get(op, 0) + len(tickets)
         if self.drift_tap is not None and op in ("put", "get", "delete",
                                                  "contains"):
@@ -400,24 +429,54 @@ class Worker:
                     OK, found=present, shard=self.shard_id
                 )
 
+    # ------------------------------------------------------------ control
+
+    def _control(self, name: str, arg: object = None) -> object:
+        """Run one control op on the shard's core; returns its payload,
+        or None when the core could not run it — the worker is then
+        crashed, and its restart rebuilds the core from the journal."""
+        try:
+            return self.execution.control(name, arg)
+        except InjectedCrash:
+            self.crashed = True
+            return None
+
+    def apply_entries(self, entries: List[Entry]) -> int:
+        """Apply migrated journal entries to the live structure.
+
+        The live half of every reconfiguration (promotion, split, plan
+        swap): the caller already appended arrivals to :attr:`journal`
+        (or split leavers out of it), so a shard that cannot apply them
+        now still gets them from its journal restart.  Returns the
+        number of ops applied.
+        """
+        if not entries:
+            return 0
+        return self._control("apply", entries) or 0
+
     def fall_back(self) -> None:
-        self.execution.fall_back(self)
+        self._control("fall_back")
 
     def restore_partial_key(self) -> None:
-        self.execution.restore_partial_key(self)
+        self._control("restore_partial_key")
 
     def force_trip(self) -> None:
-        self.execution.force_trip(self)
+        self._control("force_trip")
 
     def rearm_with(self, model) -> bool:
-        """Hot-swap this shard's structure to a re-learned model."""
-        return self.execution.rearm(self, model)
+        """Hot-swap this shard's structure to a re-learned model; False
+        when it could not rehash live (unsupported, or a dead child —
+        whose restart rebuilds from the new plan and the journal)."""
+        return bool(self._control("rearm", model))
 
     def close(self) -> None:
         """Release backend resources (child process/queues)."""
         self.execution.close()
 
     def stats(self) -> Dict[str, object]:
+        structure = self._control("stats")
+        if structure is not None:
+            self._structure = structure
         out = {
             "shard": self.shard_id,
             "backend": self.execution.structure_backend,
@@ -439,7 +498,7 @@ class Worker:
             "cancelled": self.cancelled,
             "wrong_generation": self.wrong_generation,
             "journal": self.journal.stats(),
-            "structure": self.execution.structure_stats(self),
+            "structure": dict(self._structure),
         }
         execution = self.execution.stats()
         if execution.get("execution") != "inline":
@@ -447,13 +506,4 @@ class Worker:
         return out
 
 
-__all__ = [
-    "BACKENDS",
-    "StructureAdapter",
-    "TableAdapter",
-    "FilterAdapter",
-    "LsmAdapter",
-    "make_adapter",
-    "AdapterSpec",
-    "Worker",
-]
+__all__ = ["Worker"]

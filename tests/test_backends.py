@@ -25,7 +25,9 @@ import pytest
 
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
+from repro.faults import make_plane
 from repro.service import (
+    OK,
     AdapterSpec,
     InlineBackend,
     Request,
@@ -171,6 +173,36 @@ class TestReplayIdempotency:
             service.close()
 
 
+@pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
+def test_crash_acks_exactly_the_served_prefix(model, execution):
+    # Three segments (put put | get | delete); the crash directive stops
+    # the batch before segment 1.  The crashing pump itself must ack,
+    # journal and count the served put segment, and leave the rest
+    # unanswered for reconciliation.
+    service = _service(model, execution=execution, num_shards=1,
+                       fault_plane=make_plane(["crash:worker:0"]))
+    try:
+        worker = service.workers[0]
+        tickets = service.submit_batch([
+            Request("put", b"prefix-a", b"1"),
+            Request("put", b"prefix-b", b"2"),
+            Request("get", b"prefix-a"),
+            Request("delete", b"prefix-b"),
+        ])
+        service.pump()
+        assert worker.crashed
+        assert [t.response.status for t in tickets[:2]] == [OK, OK]
+        assert [t.response for t in tickets[2:]] == [None, None]
+        assert worker.processed == 2
+        assert len(worker.journal) == 2
+        service.drain()
+        assert not worker.crashed and worker.restarts == 1
+        assert tickets[2].response.value == b"1"
+        assert tickets[3].response.found
+    finally:
+        service.close()
+
+
 # ------------------------------------------------------ process shards
 
 
@@ -213,6 +245,34 @@ class TestProcessShards:
             assert victim.restarts >= 1
             assert victim.execution.process.pid != pid
             assert not any(worker.crashed for worker in service.workers)
+            assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    def test_migration_into_dead_child_is_not_lost(self, model, corpus):
+        # A reconfiguration whose "apply" control op meets a child that
+        # died out of band: the op cannot be delivered, so the worker is
+        # marked crashed, and its journal restart (which already holds
+        # the arrivals) rebuilds the migrated state.
+        service = _service(model, execution="process")
+        try:
+            client, expected = _load(service, corpus)
+            victim = service.workers[1]
+            os.kill(victim.execution.process.pid, signal.SIGKILL)
+            victim.execution.process.join(timeout=5.0)
+            assert not victim.execution.child_alive
+            routes = service.router.table.route_batch(list(expected))
+            pinned = [key for key, shard in zip(expected, routes)
+                      if shard != victim.shard_id][:30]
+            candidate = service.router.table.with_overlay(
+                {key: victim.shard_id for key in pinned}
+            )
+            assert service.reconfigure(candidate) > 0
+            assert victim.crashed
+            service.drain()
+            assert ({key: client.get(key) for key in pinned}
+                    == {key: expected[key] for key in pinned})
+            assert victim.restarts == 1
             assert client.lost_acks == 0
         finally:
             service.close()

@@ -34,7 +34,12 @@ from repro.drift import (
 )
 from repro.drift.relearner import certified_model
 from repro.core.hasher import EntropyLearnedHasher
-from repro.service import Service, ServiceClient, run_service_workload
+from repro.service import (
+    Service,
+    ServiceClient,
+    fork_available,
+    run_service_workload,
+)
 from repro.tables.chaining import (
     DEFAULT_MAX_LOAD as CHAINING_MAX_LOAD,
     EntropyAwareTable,
@@ -475,6 +480,26 @@ class TestServiceJournalStats:
                 assert client.get(key) == key + b"*"
             for key in corpus[100:]:
                 assert client.get(key) == key
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="fork start method unavailable")
+    def test_relearn_swap_rehashes_every_process_child(self, corpus, model):
+        # The re-learned model ships to each live shard child as a
+        # "rearm" control op: every child must rehash in place (no
+        # restart), and every acked key must survive the swap.
+        with Service(num_shards=3, backend="chaining", model=model,
+                     capacity=1024, seed=5, execution="process") as service:
+            client = ServiceClient(service)
+            client.put_many((key, key) for key in corpus)
+            service.drain()
+            swapped = service.relearn_swap(
+                _drifted_model(corpus, model, service._spec)
+            )
+            assert swapped == service.num_shards
+            assert not any(worker.crashed for worker in service.workers)
+            assert all(worker.restarts == 0 for worker in service.workers)
+            assert client.multi_get(corpus) == list(corpus)
+            assert client.lost_acks == 0
 
 
 class TestPlanSwapStability:

@@ -24,6 +24,7 @@ from repro.service import (
     ShardRouter,
     Ticket,
     Worker,
+    fork_available,
     make_adapter,
     run_service_workload,
 )
@@ -50,6 +51,14 @@ def _service(model, **kwargs):
 
 # The client's two transports: in-process pumps and the front door.
 TRANSPORTS = ("inproc", "socket")
+
+# Both shard executions; process shards need the fork start method.
+EXECUTIONS = [
+    "inline",
+    pytest.param("process", marks=pytest.mark.skipif(
+        not fork_available(), reason="fork start method unavailable"
+    )),
+]
 
 
 @contextmanager
@@ -268,21 +277,30 @@ class TestService:
         assert not service.breakers[0].closed
         assert service.breakers[1].closed  # the sibling keeps serving fast
 
-    def test_breaker_heals_after_cooldown(self, model):
-        service = _service(model, num_shards=2, cooldown_pumps=4,
-                           probe_pumps=2)
-        client = ServiceClient(service)
-        client.put_many((b"heal%03d" % i, b"v%03d" % i) for i in range(100))
-        service.force_trip(0)
-        assert service.degraded
-        for _ in range(10):  # past cooldown + probe
-            service.pump()
-        assert not service.degraded
-        assert service.breakers[0].closes == 1
-        assert service.stats()["degrade_events"] == 1  # trips are remembered
-        # healed shard serves partial-key again and kept every write
-        assert not service.workers[0].adapter.tripped
-        assert client.get(b"heal042") == b"v042"
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_breaker_heals_after_cooldown(self, model, execution):
+        # Under process execution force_trip, fall_back and
+        # restore_partial_key each travel to a shard child as a control
+        # op; the heal must look the same from the parent.
+        with _service(model, num_shards=2, cooldown_pumps=4, probe_pumps=2,
+                      execution=execution) as service:
+            client = ServiceClient(service)
+            client.put_many(
+                (b"heal%03d" % i, b"v%03d" % i) for i in range(100)
+            )
+            service.force_trip(0)
+            assert service.degraded
+            assert service.workers[0].tripped
+            for _ in range(10):  # past cooldown + probe
+                service.pump()
+            assert not service.degraded
+            assert service.breakers[0].closes == 1
+            # trips are remembered
+            assert service.stats()["degrade_events"] == 1
+            # healed shard serves partial-key again and kept every write
+            assert not service.workers[0].tripped
+            assert not any(worker.crashed for worker in service.workers)
+            assert client.get(b"heal042") == b"v042"
 
     def test_invalid_construction(self, model):
         with pytest.raises(ValueError):
