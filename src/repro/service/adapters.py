@@ -2,14 +2,15 @@
 
 A :class:`StructureAdapter` wraps exactly one ELH structure (table,
 filter, or LSM store) behind the get/put/delete/contains batch paths
-the worker drains segments into, plus the degraded-mode machinery:
-``tripped`` reports whether the structure's CollisionMonitor forced a
-full-key fallback, ``fall_back()`` rebuilds the structure under
+the worker drains segments into, plus the degraded-mode machinery,
+written once on the base class over one ``_rebuild(full_key)`` hook per
+adapter: ``tripped`` reports whether the structure fell back to
+full-key hashing, ``fall_back()`` rebuilds the structure under
 full-key hashing without losing a single stored entry,
 ``restore_partial_key()`` undoes the fallback for a circuit-breaker
-probe, and ``force_trip()`` injects a pathological displacement burst
-through the real monitor (the same trigger the fuzz harness uses) for
-drills and tests.
+probe, and ``force_trip()`` trips the shard for drills and tests — on a
+table by injecting a pathological displacement burst through the real
+monitor (the same trigger the fuzz harness uses).
 
 Adapters historically lived inside ``service/worker.py``; they moved
 here when the execution-backend refactor split the worker into a
@@ -31,6 +32,7 @@ from repro.core.greedy import GreedyResult
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import EntropyModel
 from repro.engine import CollisionMonitor
+from repro.tables.aware import EntropyAwareMixin
 
 BACKENDS = (
     "chaining", "probing", "lsm", "bloom", "cuckoo_filter", "similarity"
@@ -51,12 +53,16 @@ class StructureAdapter:
     backend: str = ""
     supported: frozenset = frozenset()
     # True when the structure feeds per-insert collision signals through
-    # a HashEngine + CollisionMonitor (tables do; filters and the LSM
-    # trip through coarser, adapter-level paths).
+    # a HashEngine + CollisionMonitor and can re-learn its plan (only
+    # entropy-aware tables); the rest trip through adapter-level paths.
     monitorable: bool = False
 
-    def __init__(self) -> None:
+    def __init__(self, hasher: Optional[EntropyLearnedHasher] = None) -> None:
         self._degraded = False
+        # Pre-fallback hasher, kept so a breaker probe can restore the
+        # learned partial-key configuration after a full-key quarantine
+        # (None for the LSM, whose runs each learn their own).
+        self._pristine_hasher = hasher
 
     # Batch entry points; ``keys`` is never empty.
     def get_batch(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
@@ -77,32 +83,51 @@ class StructureAdapter:
     # Degraded-mode hooks.
     @property
     def tripped(self) -> bool:
-        """Did this structure's monitor force a full-key fallback?"""
-        return self._degraded
+        """Did this structure fall back to full-key hashing — through
+        the adapter, or through its engine's own monitor?"""
+        engine = self.engine
+        return self._degraded or (engine is not None and engine.fell_back)
 
     @property
     def engine(self):
         """The structure's HashEngine, or None (LSM shards own several)."""
         return None
 
+    def _rebuild(self, full_key: bool) -> None:
+        """Place every stored entry again under the full-key hasher
+        (``full_key``) or the pristine one; no entry is lost."""
+        raise NotImplementedError
+
+    def _hasher_for(self, full_key: bool) -> EntropyLearnedHasher:
+        """The pristine hasher, or its full-key twin (same base, seed)."""
+        h = self._pristine_hasher
+        return EntropyLearnedHasher.full_key(h.base, seed=h.seed) if full_key else h
+
     def fall_back(self) -> None:
         """Rebuild under full-key hashing; every stored entry survives."""
-        raise NotImplementedError
+        if self._degraded:
+            return
+        self._rebuild(full_key=True)
+        self._degraded = True
 
     def restore_partial_key(self) -> None:
         """Undo a fallback: rebuild under the pristine partial-key
         hasher with a reset monitor (the breaker's half-open probe)."""
-        raise NotImplementedError
+        if not self.tripped:
+            return
+        self._rebuild(full_key=False)
+        self._degraded = False
 
     def force_trip(self) -> None:
-        """Drive the real CollisionMonitor over its budget (drills)."""
-        raise NotImplementedError
+        """Trip the shard for drills; a structure with no per-insert
+        monitor to drive simply falls back."""
+        self.fall_back()
 
     # Drift re-learning hooks.
     @property
     def rearmable(self) -> bool:
         """Can this adapter hot-swap to a re-learned EntropyModel?"""
-        return False
+        return self.monitorable
 
     def rearm_with(self, model: EntropyModel) -> None:
         """Hot-swap the structure to a freshly re-learned model."""
@@ -122,22 +147,13 @@ class TableAdapter(StructureAdapter):
 
     supported = frozenset({"get", "put", "delete", "contains"})
 
-    def __init__(self, table, backend: str, monitorable: bool = False):
-        super().__init__()
+    def __init__(self, table, backend: str):
+        super().__init__(table.engine.hasher)
         self.table = table
         self.backend = backend
-        # Only the EntropyAware tables feed per-insert displacement
-        # signals to the engine's monitor; plain hasher-built tables
-        # have no record_insert call sites, so corruption must trip
-        # them through the service-level path instead.
-        self.monitorable = monitorable
-        # Pre-fallback hasher, kept so a breaker probe can restore the
-        # learned partial-key configuration after a full-key quarantine.
-        self._pristine_hasher = table.engine.hasher
-
-    @property
-    def tripped(self) -> bool:
-        return self._degraded or self.table.engine.fell_back
+        # Plain hasher-built tables have no record_insert call sites, so
+        # corruption must trip them through the service-level path.
+        self.monitorable = isinstance(table, EntropyAwareMixin)
 
     @property
     def engine(self):
@@ -157,46 +173,34 @@ class TableAdapter(StructureAdapter):
         # Stored values are request payload bytes, never None.
         return [v is not None for v in self.table.probe_batch(list(keys))]
 
-    def fall_back(self):
-        if self._degraded:
-            return
+    def _rebuild(self, full_key):
         engine = self.table.engine
-        if not engine.fell_back:
+        if not full_key:
+            engine.rearm(self._pristine_hasher)
+        elif engine.fell_back:
+            # The table's own monitor tripped, and the table already
+            # rehashed every entry under the full-key hasher.
+            return
+        else:
             engine.fall_back_to_full_key()
-        # Re-place every entry under the (now full-key) engine hasher.
         self.table.rebuild_with_hasher(engine.hasher)
-        self._degraded = True
 
     def force_trip(self):
+        """Drive the real CollisionMonitor over its budget (drills)."""
         engine = self.table.engine
-        if engine.hasher.partial_key.is_full_key:
-            self.fall_back()
-            return
-        if engine.monitor is None:
-            engine.monitor = CollisionMonitor(
-                entropy=0.0, num_slots=4, min_inserts=1
-            )
-        engine.monitor.min_inserts = 1
-        # A displacement burst no entropy budget survives: the monitor
-        # votes FALL_BACK and the engine swaps itself to full-key.
-        engine.record_insert(1e9, expected=0.0, n=4096)
-        self.table.rebuild_with_hasher(engine.hasher)
-        self._degraded = True
-
-    def restore_partial_key(self):
-        if not self.tripped:
-            return
-        engine = self.table.engine
-        engine.rearm(self._pristine_hasher)
-        # Re-place every entry under the restored partial-key hasher; if
-        # the data is genuinely low-entropy the monitor re-trips during
-        # this very rebuild and the probe fails on the next check.
-        self.table.rebuild_with_hasher(engine.hasher)
-        self._degraded = False
-
-    @property
-    def rearmable(self) -> bool:
-        return self.monitorable and hasattr(self.table, "relearn")
+        if not engine.hasher.partial_key.is_full_key:
+            if engine.monitor is None:
+                engine.monitor = CollisionMonitor(
+                    entropy=0.0, num_slots=4, min_inserts=1
+                )
+            engine.monitor.min_inserts = 1
+            # A displacement burst no entropy budget survives: the
+            # monitor votes FALL_BACK and the engine swaps itself to
+            # full-key.  The table never saw the signal, so re-place
+            # its entries here.
+            if engine.record_insert(1e9, expected=0.0, n=4096):
+                self.table.rebuild_with_hasher(engine.hasher)
+        self.fall_back()
 
     def rearm_with(self, model: EntropyModel) -> None:
         """Hot-swap to a re-learned model (drift recovery).
@@ -237,7 +241,7 @@ class FilterAdapter(StructureAdapter):
     """
 
     def __init__(self, filter_obj, backend: str, capacity: int):
-        super().__init__()
+        super().__init__(filter_obj.engine.hasher)
         self.filter = filter_obj
         self.backend = backend
         self.capacity = capacity
@@ -246,11 +250,6 @@ class FilterAdapter(StructureAdapter):
             else {"put", "contains"}
         )
         self._members: List[bytes] = []
-        self._pristine_hasher = filter_obj.engine.hasher
-
-    @property
-    def tripped(self) -> bool:
-        return self._degraded or self.filter.engine.fell_back
 
     @property
     def engine(self):
@@ -281,10 +280,11 @@ class FilterAdapter(StructureAdapter):
     def contains_batch(self, keys):
         return [bool(x) for x in self.filter.contains_batch(list(keys))]
 
-    def _rebuild(self, hasher: EntropyLearnedHasher) -> None:
+    def _rebuild(self, full_key):
         from repro.filters.bloom import BloomFilter
         from repro.filters.cuckoo import CuckooFilter
 
+        hasher = self._hasher_for(full_key)
         old = self.filter
         if self.backend == "cuckoo_filter":
             self.filter = CuckooFilter(
@@ -297,26 +297,6 @@ class FilterAdapter(StructureAdapter):
             )
         if self._members:
             self.filter.add_batch(list(self._members))
-
-    def fall_back(self):
-        if self._degraded:
-            return
-        engine = self.filter.engine
-        if not engine.fell_back:
-            engine.fall_back_to_full_key()
-        self._rebuild(engine.hasher)
-        self._degraded = True
-
-    def force_trip(self):
-        self.fall_back()
-
-    def restore_partial_key(self):
-        if not self.tripped:
-            return
-        engine = self.filter.engine
-        engine.rearm(self._pristine_hasher)
-        self._rebuild(engine.hasher)
-        self._degraded = False
 
     def stats(self):
         out = super().stats()
@@ -356,35 +336,17 @@ class LsmAdapter(StructureAdapter):
         got = self.store.multi_get(list(keys), default=missing)
         return [value is not missing for value in got]
 
-    def fall_back(self):
-        if self._degraded:
-            return
+    def _rebuild(self, full_key):
         from repro.kvstore.sstable import SSTable
 
         self.store.flush()
-        empty = _full_key_model("xxh3")
-        # Rebuild every run's filter under full-key hashing; entries are
-        # carried over verbatim, so no acknowledged write is lost.
+        # Rebuild every run's filter; entries are carried over verbatim,
+        # so no acknowledged write is lost.  model=None retrains a
+        # per-run partial-key model, the path a freshly flushed run takes.
+        model = _full_key_model("xxh3") if full_key else None
         self.store.runs = [
-            SSTable(run.entries(), model=empty) for run in self.store.runs
+            SSTable(run.entries(), model=model) for run in self.store.runs
         ]
-        self._degraded = True
-
-    def force_trip(self):
-        self.fall_back()
-
-    def restore_partial_key(self):
-        if not self._degraded:
-            return
-        from repro.kvstore.sstable import SSTable
-
-        self.store.flush()
-        # model=None retrains a per-run partial-key model, the same path
-        # a freshly flushed run takes.
-        self.store.runs = [
-            SSTable(run.entries(), model=None) for run in self.store.runs
-        ]
-        self._degraded = False
 
     def stats(self):
         out = super().stats()
@@ -462,7 +424,7 @@ class AdapterSpec:
             table = (EntropyAwareTable(model, capacity=capacity, seed=seed)
                      if model is not None
                      else SeparateChainingTable(hasher, capacity=capacity))
-            return TableAdapter(table, backend, monitorable=model is not None)
+            return TableAdapter(table, backend)
         if backend == "probing":
             from repro.tables.probing import (
                 EntropyAwareProbingTable,
@@ -474,7 +436,7 @@ class AdapterSpec:
                 if model is not None
                 else LinearProbingTable(hasher, capacity=capacity)
             )
-            return TableAdapter(table, backend, monitorable=model is not None)
+            return TableAdapter(table, backend)
         if backend == "lsm":
             from repro.kvstore.store import LSMStore
 

@@ -584,16 +584,6 @@ class Service:
         """Total breaker trips (opens + failed-probe reopens) so far."""
         return sum(b.opens + b.reopens for b in self.breakers)
 
-    def enter_degraded_mode(self) -> None:
-        """Manual kill-switch: trip every shard's breaker at once.
-
-        Shards heal shard-by-shard afterwards, exactly as if each had
-        tripped naturally — cooldown, probe, close."""
-        for worker, breaker in zip(self.workers, self.breakers):
-            if breaker.state != OPEN:
-                breaker.trip(self.pump_index)
-            worker.fall_back()
-
     def force_trip(self, shard: int) -> None:
         """Trip one shard's monitor (drills/tests); only *that* shard's
         breaker opens — its siblings keep partial-key serving."""

@@ -55,15 +55,13 @@ class SimilarityAdapter(StructureAdapter):
 
     Mirrors :class:`~repro.service.adapters.FilterAdapter`'s degraded-
     mode discipline: the acked ``(key, document)`` map is the source of
-    truth, and ``fall_back``/``restore_partial_key`` rebuild every
-    signature and the whole index under the full-key / pristine
-    element hasher respectively — no stored item is ever lost to a
-    hasher swap.
+    truth, and ``_rebuild`` re-sketches every signature into a fresh
+    index under the full-key or pristine element hasher — no stored
+    item is ever lost to a hasher swap.
     """
 
     backend = "similarity"
     supported = frozenset({"get", "put", "delete", "contains", "similar"})
-    monitorable = False
 
     def __init__(
         self,
@@ -75,14 +73,13 @@ class SimilarityAdapter(StructureAdapter):
         shingle_width: int = 8,
         band_hasher: Optional[EntropyLearnedHasher] = None,
     ):
-        super().__init__()
+        super().__init__(hasher)
         self.capacity = capacity
         self.bands = bands
         self.rows = rows
         self.b = b
         self.k = bands * rows
         self.shingle_width = shingle_width
-        self._pristine_hasher = hasher
         # The band hasher survives rebuilds: band keys are packed
         # signature bytes, not raw keys, so a fallback of the *element*
         # hasher does not invalidate it.
@@ -199,16 +196,12 @@ class SimilarityAdapter(StructureAdapter):
     # ------------------------------------------------------ degraded mode
 
     @property
-    def tripped(self) -> bool:
-        return self._degraded
-
-    @property
     def engine(self):
         """The band-hash engine (the element engine is per-signature)."""
         return self.index.engine
 
-    def _rebuild(self, hasher: EntropyLearnedHasher) -> None:
-        self._install(hasher)
+    def _rebuild(self, full_key: bool) -> None:
+        self._install(self._hasher_for(full_key))
         if self._members:
             items = list(self._members.items())
             self.index.insert_batch(
@@ -216,32 +209,13 @@ class SimilarityAdapter(StructureAdapter):
                 [self.signature_of(doc) for _, doc in items],
             )
 
-    def fall_back(self) -> None:
-        if self._degraded:
-            return
-        self._rebuild(EntropyLearnedHasher.full_key(
-            self._pristine_hasher.base, seed=self._pristine_hasher.seed
-        ))
-        self._degraded = True
-
-    def force_trip(self) -> None:
-        self.fall_back()
-
-    def restore_partial_key(self) -> None:
-        if not self._degraded:
-            return
-        self._rebuild(self._pristine_hasher)
-        self._degraded = False
-
     # -------------------------------------------------------------- stats
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "fell_back": self.tripped,
-            "size": len(self._members),
-            "index": self.index.stats(),
-        }
+        out = super().stats()
+        out["size"] = len(self._members)
+        out["index"] = self.index.stats()
+        return out
 
     def __len__(self) -> int:
         return len(self._members)

@@ -11,8 +11,9 @@ probes, probe-chain lengths):
   for Google's SwissTable.
 
 Plus the Section 5 runtime infrastructure: growth-triggered hash
-upgrades (:class:`~repro.tables.chaining.EntropyAwareTable`) and the
-collision monitor with full-key fallback (:mod:`repro.engine.monitor`).
+upgrades and drift re-learning (:class:`~repro.tables.aware.EntropyAwareMixin`,
+behind both entropy-aware tables) and the collision monitor with
+full-key fallback (:mod:`repro.engine.monitor`).
 """
 
 from repro.engine import CollisionMonitor, MonitorVerdict

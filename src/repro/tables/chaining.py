@@ -19,13 +19,13 @@ fuses the bucket-mask reduction, and owns the collision-monitor fallback.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro._util import Key, as_bytes, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import EntropyModel
 from repro.engine import CollisionMonitor, HashEngine, MaskReducer
+from repro.tables.aware import EntropyAwareMixin
 from repro.tables.probing import ProbeStats
 
 DEFAULT_MAX_LOAD = 1.0
@@ -252,7 +252,7 @@ class SeparateChainingTable:
         return [len(b) for b in self._buckets]
 
 
-class EntropyAwareTable(SeparateChainingTable):
+class EntropyAwareTable(EntropyAwareMixin, SeparateChainingTable):
     """Chaining table that re-chooses its hash as it grows (Section 5).
 
     On construction and at every growth, asks the trained model for the
@@ -260,8 +260,11 @@ class EntropyAwareTable(SeparateChainingTable):
     *new* capacity; if the frontier cannot provide it, falls back to
     full-key hashing.  The engine's collision monitor triggers the
     full-key rebuild when observed collisions exceed what the learned
-    entropy predicts (the Section 5 robustness story).
+    entropy predicts (the Section 5 robustness story).  It watches only
+    with a monitor it is given.
     """
+
+    _recommender = "hasher_for_chaining_table"
 
     def __init__(
         self,
@@ -271,40 +274,7 @@ class EntropyAwareTable(SeparateChainingTable):
         monitor: Optional[CollisionMonitor] = None,
         seed: int = 0,
     ):
-        self.model = model
-        self._seed = seed
-        num_buckets = next_power_of_two(max(capacity, 2))
-        # The geometry a fresh build of the spec'd capacity chooses;
-        # relearn() resets to it so transient over-growth (e.g. one
-        # shard absorbing a whole drifted stream before migration) does
-        # not ratchet the entropy demand up forever.
-        self._spec_buckets = num_buckets
-        hasher = model.hasher_for_chaining_table(
-            max(1, int(max_load * num_buckets)), seed=seed
-        )
-        super().__init__(hasher, capacity=capacity, max_load=max_load)
-        self.engine.monitor = monitor
-
-    @property
-    def monitor(self) -> Optional[CollisionMonitor]:
-        return self.engine.monitor
-
-    @monitor.setter
-    def monitor(self, monitor: Optional[CollisionMonitor]) -> None:
-        self.engine.monitor = monitor
-
-    @property
-    def fallen_back(self) -> bool:
-        """True once the monitor forced a full-key rebuild."""
-        return self.engine.fell_back
-
-    def _on_grow(self, new_num_buckets: int) -> None:
-        if self.fallen_back:
-            return
-        new_capacity = max(1, int(self.max_load * new_num_buckets))
-        self.engine.set_hasher(
-            self.model.hasher_for_chaining_table(new_capacity, seed=self._seed)
-        )
+        super().__init__(model, capacity, max_load, monitor, seed)
 
     def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
         if self._size + 1 > self.capacity_before_rehash:
@@ -332,36 +302,3 @@ class EntropyAwareTable(SeparateChainingTable):
                 bucket = self._buckets[self._bucket_for(key, h, generation)]
         bucket.append((key, value))
         self._size += 1
-
-    def _fall_back_to_full_key(self) -> None:
-        self.engine.fall_back_to_full_key()
-        self._rehash(self.num_buckets)
-
-    def relearn(self, model: EntropyModel) -> None:
-        """Hot-swap to a freshly trained model (drift recovery).
-
-        A drift swap is a whole-table rebuild, so the geometry also
-        resets to what a fresh build would choose for the current
-        occupancy (never below the spec'd initial sizing).  Re-picking
-        the hasher for the *grown* geometry instead would let a shard
-        that transiently ballooned — e.g. while absorbing a
-        concentrated drifted stream before migration rebalanced it —
-        keep demanding the ballooned capacity's entropy forever,
-        locking it into full-key hashing no certified plan can lift.
-        The engine rearms (fallback latch cleared, monitor re-based on
-        the new entropy claim) and the generation bump makes any hash
-        precomputed mid-swap recompute itself on use.
-        """
-        self.model = model
-        fit = next_power_of_two(
-            max(int(math.ceil(self._size / self.max_load)), 2)
-        )
-        num_buckets = max(self._spec_buckets, fit)
-        target = max(1, int(self.max_load * num_buckets))
-        hasher = model.hasher_for_chaining_table(target, seed=self._seed)
-        entropy = None
-        if not hasher.partial_key.is_full_key:
-            words = len(hasher.partial_key.positions)
-            entropy = model.result.entropy_at(words)
-        self.engine.rearm(hasher, entropy=entropy)
-        self._rehash(num_buckets)

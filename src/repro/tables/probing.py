@@ -21,7 +21,6 @@ split in the same vectorized pass as the hash itself.
 
 from __future__ import annotations
 
-import math
 from itertools import count
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -30,7 +29,8 @@ import numpy as np
 
 from repro._util import Key, as_bytes, as_bytes_list, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
-from repro.engine import HashEngine, SlotTagReducer
+from repro.engine import CollisionMonitor, HashEngine, SlotTagReducer
+from repro.tables.aware import EntropyAwareMixin
 
 _EMPTY = 0
 _DELETED = 1
@@ -442,7 +442,7 @@ class LinearProbingTable:
         return result
 
 
-class EntropyAwareProbingTable(LinearProbingTable):
+class EntropyAwareProbingTable(EntropyAwareMixin, LinearProbingTable):
     """Linear-probing table with Section 5's full runtime infrastructure.
 
     On construction and at every growth it asks a trained model for the
@@ -450,58 +450,31 @@ class EntropyAwareProbingTable(LinearProbingTable):
     collision monitor watches insert displacements and, when they exceed
     what the learned entropy predicts, rebuilds the table with full-key
     hashing (the robustness fallback the appendix's train/test-mismatch
-    experiment relies on).
+    experiment relies on).  Unless given one, it builds its monitor
+    from the plan's entropy claim, and re-bases it on every geometry.
     """
+
+    _recommender = "hasher_for_probing_table"
 
     def __init__(
         self,
         model,
         capacity: int = 16,
         max_load: float = DEFAULT_MAX_LOAD,
-        monitor: Optional["CollisionMonitor"] = None,
+        monitor: Optional[CollisionMonitor] = None,
         seed: int = 0,
     ):
-        from repro.engine.monitor import CollisionMonitor
+        super().__init__(model, capacity, max_load, monitor, seed)
 
-        self.model = model
-        self._seed = seed
-        num_slots = next_power_of_two(max(capacity, 2))
-        # Fresh-build geometry for the spec'd capacity; relearn() resets
-        # to it so transient over-growth cannot ratchet the entropy
-        # demand up forever (see EntropyAwareTable).
-        self._spec_slots = num_slots
-        target = max(1, int(max_load * num_slots))
-        hasher = model.hasher_for_probing_table(target, seed=seed)
-        if monitor is None and not hasher.partial_key.is_full_key:
-            words = len(hasher.partial_key.positions)
-            monitor = CollisionMonitor(
-                entropy=model.result.entropy_at(words), num_slots=num_slots
-            )
-        super().__init__(hasher, capacity=capacity, max_load=max_load)
-        self.engine.monitor = monitor
+    def _default_monitor(self) -> Optional[CollisionMonitor]:
+        entropy = self._plan_entropy(self.engine.hasher)
+        if entropy is None:
+            return None
+        return CollisionMonitor(entropy=entropy, num_slots=self.num_slots)
 
-    @property
-    def monitor(self):
-        return self.engine.monitor
-
-    @monitor.setter
-    def monitor(self, monitor) -> None:
-        self.engine.monitor = monitor
-
-    @property
-    def fallen_back(self) -> bool:
-        """True once the monitor forced a full-key rebuild."""
-        return self.engine.fell_back
-
-    def _on_grow(self, new_num_slots: int) -> None:
-        if self.fallen_back:
-            return
-        target = max(1, int(self.max_load * new_num_slots))
-        self.engine.set_hasher(
-            self.model.hasher_for_probing_table(target, seed=self._seed)
-        )
+    def _rebase_monitor(self, size: int) -> None:
         if self.monitor is not None:
-            self.monitor.num_slots = new_num_slots
+            self.monitor.num_slots = size
             self.monitor.reset()
 
     def _after_insert(self, displacement: int) -> None:
@@ -515,33 +488,3 @@ class EntropyAwareProbingTable(LinearProbingTable):
         baseline = 0.5 * (1.0 / (1.0 - alpha) ** 2 - 1.0)
         if self.engine.record_insert(displacement, expected=baseline, n=self._size):
             self._rehash(self.num_slots)
-
-    def _fall_back_to_full_key(self) -> None:
-        self.engine.fall_back_to_full_key()
-        self._rehash(self.num_slots)
-
-    def relearn(self, model) -> None:
-        """Hot-swap to a freshly trained model (drift recovery).
-
-        Mirrors :meth:`EntropyAwareTable.relearn`: geometry reset to
-        the fresh-build sizing for the current occupancy (tombstones
-        drop in the rehash, so live entries are what counts), cheapest
-        hasher re-picked for *that* geometry, ``engine.rearm``
-        (fallback latch cleared, monitor entropy re-based), rehash
-        under the bumped generation.
-        """
-        self.model = model
-        fit = next_power_of_two(
-            max(int(math.ceil(self._size / self.max_load)), 2)
-        )
-        num_slots = max(self._spec_slots, fit)
-        target = max(1, int(self.max_load * num_slots))
-        hasher = model.hasher_for_probing_table(target, seed=self._seed)
-        entropy = None
-        if not hasher.partial_key.is_full_key:
-            words = len(hasher.partial_key.positions)
-            entropy = model.result.entropy_at(words)
-        self.engine.rearm(hasher, entropy=entropy)
-        if self.monitor is not None:
-            self.monitor.num_slots = num_slots
-        self._rehash(num_slots)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
+from repro.engine import CollisionMonitor
 from repro.service import (
     BACKENDS,
     FAILED,
@@ -71,6 +72,14 @@ def _connect(service, transport, max_pending=1024, **options):
     with FrontDoorThread(service, max_pending=max_pending) as door:
         with NetworkClient("127.0.0.1", door.port, **options) as client:
             yield client
+
+
+def _key_hasher(adapter):
+    """The hasher that places keys in a shard's structure; None for the
+    LSM, whose runs each learn their own."""
+    if adapter.backend == "similarity":
+        return adapter._element_hasher
+    return None if adapter.engine is None else adapter.engine.hasher
 
 
 def _stall(service):
@@ -235,7 +244,8 @@ class TestService:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degraded_mode_keeps_acked_writes(self, model, backend):
-        service = _service(model, backend=backend, capacity=4096)
+        service = _service(model, backend=backend, capacity=4096,
+                           cooldown_pumps=4, probe_pumps=2)
         client = ServiceClient(service)
         keys = [b"stable%04d" % i for i in range(300)]
         acked = []
@@ -243,14 +253,47 @@ class TestService:
             if client.put(key, b"v").status == OK:
                 acked.append(key)
         assert acked  # at least some writes must land
+        adapter = service.workers[0].adapter
         service.force_trip(0)
         assert service.degraded
-        # PR 5: the quarantine is per-shard — only the tripped shard
-        # falls back to full-key, its siblings keep partial-key serving.
-        assert service.workers[0].adapter.tripped
+        # The quarantine is per-shard — only the tripped shard falls
+        # back to full-key, its siblings keep partial-key serving.
+        assert adapter.tripped
+        if _key_hasher(adapter) is not None:
+            assert _key_hasher(adapter).partial_key.is_full_key
         assert not service.breakers[1].opens and not service.breakers[2].opens
         missing = [k for k in acked if not client.contains(k)]
         assert missing == []
+        # Past cooldown and the probe window the shard heals: breaker
+        # closed, the pristine partial-key plan back, no write lost.
+        for _ in range(10):
+            service.pump()
+        assert service.breakers[0].closed and service.breakers[0].closes == 1
+        assert not adapter.tripped
+        if _key_hasher(adapter) is not None:
+            assert _key_hasher(adapter) is adapter._pristine_hasher
+        missing = [k for k in acked if not client.contains(k)]
+        assert missing == []
+
+    @pytest.mark.parametrize("backend", ["chaining", "probing"])
+    def test_fall_back_after_natural_trip_does_not_rehash(self, model,
+                                                          backend):
+        """A table whose own insert signal tripped its monitor already
+        rehashed under full-key; the service's fall_back must not
+        rehash it a second time."""
+        adapter = make_adapter(backend, capacity=256, model=model)
+        engine = adapter.engine
+        engine.monitor = CollisionMonitor(
+            entropy=64.0, num_slots=4, min_inserts=1
+        )
+        engine.fault_hook = lambda displacement: displacement + 1e9
+        keys = [b"trip%04d" % i for i in range(64)]
+        adapter.put_batch(keys, keys)
+        assert engine.fell_back and adapter.tripped
+        generation = engine.generation
+        adapter.fall_back()
+        assert engine.generation == generation
+        assert adapter.get_batch(keys) == keys
 
     def test_degraded_mode_routes_stay_pinned(self, model):
         """Degrading must not re-route keys: reads after the trip still
