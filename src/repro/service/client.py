@@ -13,9 +13,12 @@ Every call runs in rounds:
 2. settle the terminal answers in the ledger;
 3. collect ``rejected`` and ``wrong_generation`` answers into the retry
    set;
-4. back off once, a jittered ``min(max hint << round,
-   BACKOFF_CAP_PUMPS)`` ticks — a missing hint means one tick, an
-   explicit 0 means no wait;
+4. back off once, a jittered ``min(rest << round, BACKOFF_CAP_PUMPS)``
+   ticks, where ``rest`` is the largest hint less the service pumps the
+   answer wait already ran (a hint counts pumps from the rejection, so
+   an in-process wait that drained the queue leaves nothing to wait
+   for; the socket transport cannot see the server's pumps and counts
+   none) — a missing hint means one tick, an explicit 0 means no wait;
 5. resend the retry set as one batch, and give up with
    :class:`ServiceOverloadedError` after ``max_retries`` rounds.
 
@@ -43,6 +46,7 @@ from repro._util import as_bytes
 from repro.service import netproto
 from repro.service.protocol import (
     FAILED,
+    OK,
     REJECTED,
     WRONG_GENERATION,
     Request,
@@ -99,6 +103,10 @@ class _InProcess:
     def __init__(self, service: Service, deadline_pumps: int):
         self.service = service
         self.deadline_pumps = deadline_pumps
+        # Service pumps the last answer wait ran: every one of them
+        # came after the send, so it counts against a rejection's
+        # retry_after hint.
+        self.pumped = 0
 
     def send(self, requests: Sequence[Request]) -> List[Ticket]:
         if len(requests) == 1:
@@ -112,10 +120,12 @@ class _InProcess:
             self.service.pump()
             return []
         waiting = [t for t in tickets if t.response is None]
+        self.pumped = 0
         for _ in range(self.deadline_pumps):
             if not waiting:
                 break
             self.service.pump()
+            self.pumped += 1
             waiting = [t for t in waiting if t.response is None]
         for ticket in waiting:
             # Mark the ticket failed *before* cancelling so the
@@ -131,6 +141,10 @@ class _Socket:
     """Transport over the front door: ``send`` pipelines frames,
     ``wait`` reads answers by frame id, stashing whatever else arrives
     (the server answers out of submission order)."""
+
+    # The server pumps for itself, out of the client's sight: no wait
+    # counts toward a retry_after hint.
+    pumped = 0
 
     def __init__(self, host: str, port: int):
         self.sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
@@ -228,12 +242,18 @@ class ServiceClient:
             retry: List[int] = []
             hints: List[int] = []
             for i, response in zip(pending, answers):
-                if response.status == REJECTED:
+                status = response.status
+                if status == OK:
+                    out[i] = response
+                    if requests[i].op == "put":
+                        self.puts_responded += 1
+                        self.puts_acked += 1
+                elif status == REJECTED:
                     self.retries += 1
                     hint = response.retry_after
                     hints.append(1 if hint is None else max(0, int(hint)))
                     retry.append(i)
-                elif (response.status == WRONG_GENERATION
+                elif (status == WRONG_GENERATION
                       and round_ < self.max_retries):
                     # A routing flip moved the key between admission
                     # and dispatch: "ask again" through the live table.
@@ -243,7 +263,6 @@ class ServiceClient:
                     request = requests[i]
                     if request.op == "put":
                         self.puts_responded += 1
-                        self.puts_acked += response.ok
                     if response.error == DEADLINE_EXCEEDED:
                         self.deadline_failures += 1
                     error = error or _typed_error(request, response)
@@ -252,7 +271,10 @@ class ServiceClient:
             if error is not None or not pending or round_ == self.max_retries:
                 break
             if hints:
-                ceiling = min(max(hints) << round_, BACKOFF_CAP_PUMPS)
+                # A hint counts pumps from the rejection; the answer
+                # wait already ran some of them.
+                hint = max(max(hints) - self.transport.pumped, 0)
+                ceiling = min(hint << round_, BACKOFF_CAP_PUMPS)
                 ticks = self._rng.randint(1, ceiling) if ceiling >= 1 else 0
                 self.backoff_pumps += ticks
                 for _ in range(ticks):

@@ -301,7 +301,7 @@ class Service:
             self.accepted += 1
             ticket.response = Response(OK, stats=self.stats())
             return ticket
-        self._admit([ticket], [self.router.route_one(request.key)])
+        self._admit([ticket], [int(self.router.route_one(request.key))])
         return ticket
 
     def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
@@ -330,18 +330,28 @@ class Service:
         ]
         self._next_request_id += len(requests)
         self.submitted += len(requests)
-        self._admit(tickets, shards)
+        self._admit(tickets, shards.tolist())
         return tickets
 
-    def _admit(self, tickets: List[Ticket], shards: Sequence[int]) -> None:
-        """The admission tail of routed tickets, in order: park each on
-        a lost queue slot, enqueue it, or reject it with
-        ``retry_after``."""
+    def _admit(self, tickets: List[Ticket], shards: List[int]) -> None:
+        """The admission tail of routed tickets: one pass in batch
+        order, then one credit check per shard run.
+
+        The pass stamps each ticket's shard, gives an armed fault plane
+        one ``queue_loss`` opportunity per ticket (in batch order, so
+        ``after=``/``count=`` schedules see the same sequence as a
+        scalar submit loop) and groups the rest into runs by shard.
+        Each run is then admitted up to its shard's free queue credit
+        by one :meth:`Worker.admit`; the refused suffix shares one
+        ``REJECTED`` answer carrying ``retry_after``.  Nothing drains a
+        queue during admission, so this decides exactly what admitting
+        the tickets one at a time would.
+        """
         plane = self.fault_plane
+        workers = self.workers
+        runs: Dict[int, List[Ticket]] = {}
         for ticket, shard in zip(tickets, shards):
-            shard = int(shard)
             ticket.shard = shard
-            worker = self.workers[shard]
             if plane is not None and plane.should_fire("queue_loss", shard):
                 # The slot is lost: the request was admitted (the client
                 # holds an acked ticket) but never lands in the queue.
@@ -351,21 +361,28 @@ class Service:
                 # overtake it.
                 self.accepted += 1
                 self.lost_slots += 1
-                worker.inflight[ticket.request_id] = ticket
-            elif worker.try_enqueue(ticket):
-                self.accepted += 1
-            else:
-                self.rejected += 1
-                # After this many pumps the queue has fully drained; a
-                # retry then is guaranteed admission (absent new
-                # competing load).
-                retry_after = math.ceil(
-                    worker.queue_depth / worker.batch_size
-                )
-                ticket.response = Response(
-                    REJECTED, shard=shard, retry_after=max(1, retry_after),
-                    error="shard queue full",
-                )
+                workers[shard].inflight[ticket.request_id] = ticket
+                continue
+            runs.setdefault(shard, []).append(ticket)
+        for shard, run in runs.items():
+            worker = workers[shard]
+            admitted = worker.admit(run)
+            self.accepted += admitted
+            if admitted == len(run):
+                continue
+            self.rejected += len(run) - admitted
+            # After this many pumps the queue has fully drained; a
+            # retry then is guaranteed admission (absent new competing
+            # load).
+            refused = Response(
+                REJECTED, shard=shard,
+                retry_after=max(
+                    1, math.ceil(worker.queue_depth / worker.batch_size)
+                ),
+                error="shard queue full",
+            )
+            for ticket in run[admitted:]:
+                ticket.response = refused
 
     # ------------------------------------------------------------ serving
 

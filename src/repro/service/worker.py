@@ -44,7 +44,7 @@ reported segments are absorbed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.faults import InjectedCrash
 
@@ -87,7 +87,6 @@ class Worker:
         self.max_queue = max_queue
         self.batch_size = batch_size
         self.queue: Deque[Ticket] = deque()
-        self._queued_ids: Set[int] = set()
         # Tickets popped from the queue but not yet answered; the
         # supervisor requeues whatever a crash or a drop leaves behind.
         self.inflight: Dict[int, Ticket] = {}
@@ -147,16 +146,19 @@ class Worker:
     def inflight_unanswered(self) -> int:
         return sum(1 for t in self.inflight.values() if t.response is None)
 
-    def try_enqueue(self, ticket: Ticket) -> bool:
-        """Admit a ticket, or refuse when the queue is at capacity."""
-        if len(self.queue) >= self.max_queue:
-            self.rejected += 1
-            return False
-        self.queue.append(ticket)
-        self._queued_ids.add(ticket.request_id)
-        self.enqueued += 1
-        self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
-        return True
+    def admit(self, run: Sequence[Ticket]) -> int:
+        """Admit the leading tickets of a run up to the free queue
+        credit; returns how many were admitted.  The rest are refused:
+        once the queue is full, no later ticket of the run gets in, so
+        the refused tickets are always a suffix in admission order."""
+        free = self.max_queue - len(self.queue)
+        head = run if free >= len(run) else run[:max(free, 0)]
+        self.queue.extend(head)
+        self.enqueued += len(head)
+        self.rejected += len(run) - len(head)
+        if len(self.queue) > self.peak_queue_depth:
+            self.peak_queue_depth = len(self.queue)
+        return len(head)
 
     def requeue_front(self, tickets: Sequence[Ticket]) -> None:
         """Merge recovered tickets back into the queue in admission order.
@@ -179,8 +181,6 @@ class Worker:
         )
         self.queue.clear()
         self.queue.extend(merged)
-        for ticket in tickets:
-            self._queued_ids.add(ticket.request_id)
         self.requeued += len(tickets)
         self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
 
@@ -190,18 +190,20 @@ class Worker:
         each back with :meth:`requeue_front`."""
         tickets = list(self.queue)
         self.queue.clear()
-        self._queued_ids.clear()
         return tickets
 
     def cancel(self, ticket: Ticket) -> None:
-        """Forget a ticket the client gave up on (deadline exceeded)."""
+        """Forget a ticket the client gave up on (deadline exceeded).
+
+        The queue scan is linear, but only a deadline miss pays it; a
+        ticket already popped is skipped by ``dispatch`` anyway, since
+        the client answers it before cancelling.
+        """
         self.inflight.pop(ticket.request_id, None)
-        if ticket.request_id in self._queued_ids:
-            try:
-                self.queue.remove(ticket)
-            except ValueError:  # pragma: no cover - ids track the deque
-                pass
-            self._queued_ids.discard(ticket.request_id)
+        try:
+            self.queue.remove(ticket)
+        except ValueError:
+            pass  # popped already: inflight, or served
         self.cancelled += 1
 
     def reconcile(self) -> List[Ticket]:
@@ -252,13 +254,16 @@ class Worker:
             # notices the frozen processed counter and restarts us.
             self.stalls += 1
             return 0
+        # Tickets stamped with the live generation were routed by the
+        # table now in force; only a stale stamp is worth re-routing.
+        live = self.router.generation if self.router is not None else None
         batch: List[Ticket] = []
         while self.queue and len(batch) < self.batch_size:
             ticket = self.queue.popleft()
-            self._queued_ids.discard(ticket.request_id)
             if ticket.response is not None:
                 continue  # answered elsewhere (e.g. deadline-failed)
-            if self._misrouted(ticket):
+            if (live is not None and ticket.generation != live
+                    and self._misrouted(ticket)):
                 # Safety net for a routing flip the sweep missed: the
                 # ticket was admitted under an older generation and its
                 # key no longer routes here.  Serving it against this
@@ -266,8 +271,7 @@ class Worker:
                 # answer WRONG_GENERATION so the client resubmits.
                 self.wrong_generation += 1
                 ticket.response = Response(
-                    WRONG_GENERATION, shard=self.shard_id,
-                    generation=self.router.generation,
+                    WRONG_GENERATION, shard=self.shard_id, generation=live,
                 )
                 continue
             self.inflight[ticket.request_id] = ticket
@@ -311,14 +315,13 @@ class Worker:
         return self._absorb(self.execution.serve(wire, crash_at, kill))
 
     def _misrouted(self, ticket: Ticket) -> bool:
-        """True when a generation flip moved the ticket's key elsewhere.
+        """True when a generation flip moved a stale-stamped ticket's
+        key elsewhere.
 
-        Same-generation tickets are trusted outright (the router stamped
-        and placed them together), so the pure re-route only runs for
-        the rare stale stragglers a flip sweep failed to move.
+        ``dispatch`` trusts same-generation tickets outright (the router
+        stamped and placed them together) and asks only about the rare
+        stale stragglers a flip sweep failed to move.
         """
-        if self.router is None or ticket.generation == self.router.generation:
-            return False
         if ticket.request.op == "stats" or not ticket.request.key:
             return False
         return self.router.table.route_one(ticket.request.key) != self.shard_id

@@ -28,6 +28,7 @@ from repro.datasets import google_urls
 from repro.faults import make_plane
 from repro.service import (
     OK,
+    REJECTED,
     AdapterSpec,
     InlineBackend,
     Request,
@@ -328,25 +329,104 @@ def test_inline_and_process_answer_identically(model, corpus):
     assert outcomes["inline"] == outcomes["process"]
 
 
+def _admission(service, tickets):
+    """Every admission decision a batch left behind, before any drain:
+    per-ticket placement, lost slot and answer, per-worker and service
+    counters."""
+    return {
+        "tickets": [
+            (t.shard, t.request_id,
+             t.request_id in service.workers[t.shard].inflight,
+             t.response and t.response.status,
+             t.response and t.response.retry_after)
+            for t in tickets
+        ],
+        "workers": [
+            (w.enqueued, w.rejected, w.peak_queue_depth, w.queue_depth,
+             len(w.inflight))
+            for w in service.workers
+        ],
+        "service": (service.submitted, service.accepted, service.rejected,
+                    service.lost_slots),
+    }
+
+
+# (max_queue, fault specs) for the admission parity test.
+ADMISSION_CASES = [
+    # 60 keys over 3 shards into 64 slots each: nothing is refused.
+    (64, []),
+    # 6 slots per shard against about 20 keys each, over two batches:
+    # the first fills part of each queue, the second overflows it, and
+    # a refusal's retry_after (3 pumps of 2) reads the full queue.
+    (6, []),
+    # A deeper overflow with queue slots lost on shard 1: every ticket
+    # routed there, refused or not, is one queue_loss opportunity, so a
+    # change in their order or number moves the lost tickets.
+    (2, ["queue_loss:service:1:after=3:count=4"]),
+]
+
+
 @pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
 def test_submit_batch_matches_scalar_admission(model, execution):
     # submit_batch is documented byte-equivalent to a scalar submit
-    # loop: same shards, same request ids, same statuses after drain.
+    # loop: same shards, request ids, statuses and retry_after hints,
+    # same counters, and the same statuses after drain.
     keys = [b"batch-key-%03d" % i for i in range(60)]
-    scalar = _service(model, execution=execution)
-    batched = _service(model, execution=execution)
+    batches = [keys[:21], keys[21:]]
+    for max_queue, faults in ADMISSION_CASES:
+        scalar, batched = (
+            _service(model, execution=execution, max_queue=max_queue,
+                     batch_size=2,
+                     fault_plane=make_plane(faults) if faults else None)
+            for _ in range(2)
+        )
+        try:
+            a = [scalar.submit(Request("put", key, b"v"))
+                 for batch in batches for key in batch]
+            b = [ticket for batch in batches
+                 for ticket in batched.submit_batch(
+                     [Request("put", key, b"v") for key in batch])]
+            assert _admission(scalar, a) == _admission(batched, b)
+            if max_queue < 20:
+                assert scalar.rejected > 0  # the case really overflowed
+            if faults:
+                parked = batched.workers[1].inflight
+                lost = [t for t in b if t.request_id in parked]
+                assert len(lost) == 4
+                assert lost == [t for t in b if t.shard == 1][3:7]
+            scalar.drain()
+            batched.drain()
+            assert ([t.response.status for t in a]
+                    == [t.response.status for t in b])
+        finally:
+            scalar.close()
+            batched.close()
+
+
+@pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
+def test_refused_suffix_keeps_per_key_order(model, execution):
+    # Once a shard refuses a ticket of a batch, it admits no later
+    # ticket of that batch: two puts of one key into a one-slot queue
+    # admit the first and refuse the second, never the other way
+    # round, so the retried second write lands last.
+    service = _service(model, num_shards=1, execution=execution,
+                       max_queue=1, batch_size=1)
     try:
-        a = [scalar.submit(Request("put", key, b"v")) for key in keys]
-        b = batched.submit_batch([Request("put", key, b"v") for key in keys])
-        assert [t.shard for t in a] == [t.shard for t in b]
-        assert [t.request_id for t in a] == [t.request_id for t in b]
-        scalar.drain()
-        batched.drain()
-        assert ([t.response.status for t in a]
-                == [t.response.status for t in b])
+        first, second = service.submit_batch(
+            [Request("put", b"k", b"first"), Request("put", b"k", b"second")]
+        )
+        assert first.response is None
+        assert second.response.status == REJECTED
+        assert service.workers[0].queue_depth == 1
+        service.drain()
+        assert first.response.ok
+        # Retry the refused write as the client would: resubmit it.
+        (retried,) = service.submit_batch([second.request])
+        service.drain()
+        assert retried.response.ok
+        assert ServiceClient(service).get(b"k") == b"second"
     finally:
-        scalar.close()
-        batched.close()
+        service.close()
 
 
 # ----------------------------------------------------- shard state block

@@ -165,8 +165,7 @@ class TestWorker:
         worker = self._worker(model, batch_size=4)
         tickets = [self._ticket("put", b"k%d" % i, b"v%d" % i)
                    for i in range(8)]
-        for t in tickets:
-            assert worker.try_enqueue(t)
+        assert worker.admit(tickets) == 8
         processed = worker.drain()
         stats = worker.stats()
         assert stats["batches"] >= 2
@@ -175,13 +174,16 @@ class TestWorker:
 
     def test_queue_bound_and_rejection(self, model):
         worker = self._worker(model, max_queue=4)
-        accepted = sum(
-            worker.try_enqueue(self._ticket("put", b"k%d" % i, b"v"))
-            for i in range(10)
-        )
-        assert accepted == 4
-        assert worker.stats()["rejected"] == 6
-        assert worker.stats()["queue_depth"] == 4
+        run = [self._ticket("put", b"k%d" % i, b"v") for i in range(10)]
+        assert worker.admit(run[:3]) == 3
+        assert worker.admit(run[3:]) == 1  # one slot left: a prefix gets in
+        assert worker.admit(run[:1]) == 0  # a full queue refuses outright
+        assert list(worker.queue) == run[:4]
+        stats = worker.stats()
+        assert stats["enqueued"] == 4
+        assert stats["rejected"] == 7
+        assert stats["queue_depth"] == 4
+        assert stats["peak_queue_depth"] == 4
 
     def test_mixed_op_segments(self, model):
         worker = self._worker(model, max_queue=32, batch_size=32)
@@ -189,8 +191,7 @@ class TestWorker:
                ("contains", b"c", b""), ("delete", b"a", b""),
                ("get", b"a", b"")]
         tickets = [self._ticket(*op) for op in ops]
-        for t in tickets:
-            assert worker.try_enqueue(t)
+        assert worker.admit(tickets) == len(tickets)
         worker.drain()
         assert tickets[2].response.value == b"1"
         assert tickets[3].response.found is False
@@ -201,7 +202,7 @@ class TestWorker:
     def test_filters_reject_unsupported_ops(self, model, backend):
         worker = self._worker(model, backend=backend)
         ticket = self._ticket("get", b"k")
-        worker.try_enqueue(ticket)
+        assert worker.admit([ticket]) == 1
         worker.drain()
         assert ticket.response.status == FAILED
 
@@ -472,7 +473,10 @@ class TestBackoffRegressions:
         # process, a 2-frame pipeline cap over the wire): some admit,
         # the rest reject.  Each rejection is ONE backpressure event,
         # counted once by the server and once by the client, and the
-        # rejected rest retries as one batch after one backoff.
+        # rejected rest retries as one batch.  In process the answer
+        # wait pumps the queue empty, which covers the retry_after
+        # hint, so the retry follows without a backoff; the socket
+        # client cannot see the server's pumps and backs off once.
         service = _service(model, num_shards=1, max_queue=2, batch_size=1)
         try:
             with _connect(service, transport, max_pending=2) as client:
@@ -486,7 +490,10 @@ class TestBackoffRegressions:
             "rejections_propagated", 0)
         assert all(r.ok for r in responses)
         assert client.retries == rejected > 0
-        assert client.backoff_pumps >= 1
+        if transport == "inproc":
+            assert client.backoff_pumps == 0
+        else:
+            assert client.backoff_pumps >= 1
         assert client.puts_sent == 4
         assert client.puts_acked == 4
         assert client.lost_acks == 0
@@ -509,6 +516,23 @@ class TestRounds:
             assert client.multi_get(keys) == [k[::-1] for k in keys]
             assert service.pump_index - pumps <= 100
             assert client.retries > 0  # the batch really overflowed
+        finally:
+            service.close()
+
+    def test_drained_wait_leaves_no_backoff(self, model):
+        # Every round's answer wait pumps the admitted tickets through,
+        # which drains their queues and so covers the rejections'
+        # retry_after hint: the client retries at once, with no empty
+        # backoff pumps, and the answers do not change.
+        keys = google_urls(512, seed=6)
+        service = _service(model, num_shards=4, capacity=1024,
+                           max_queue=16, batch_size=8)
+        try:
+            ServiceClient(service).put_many((k, k[::-1]) for k in keys)
+            client = ServiceClient(service)
+            assert client.multi_get(keys) == [k[::-1] for k in keys]
+            assert client.retries > 0  # the batch really overflowed
+            assert client.backoff_pumps == 0
         finally:
             service.close()
 
