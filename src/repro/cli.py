@@ -770,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("inline", "process"),
                        help="where shards execute: the cooperative "
                             "in-interpreter pump, or one OS process per "
-                            "shard over shared memory")
+                            "shard over bounded queues")
     serve.add_argument("--mix", default="B",
                        help="YCSB mix (no-scan mixes: A, B, C, D, F)")
     serve.add_argument("--ops", type=int, default=20000)

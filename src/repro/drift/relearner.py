@@ -108,6 +108,15 @@ def deployed_plan(
     return model.result.partial_key(num_words), model.result.entropy_at(num_words)
 
 
+# Leading constant of the paper's Section 3 confidence bound.  The
+# paper's worst-case 400 needs ~400 * 2^(H/2) validation samples to
+# certify H bits — far beyond a per-shard reservoir — and the paper
+# itself notes it "looks conservative in practice" and exposes it as a
+# parameter; 20 certifies ~10 bits from a few hundred recent keys while
+# still refusing noise-level samples.
+CONFIDENCE_CONSTANT = 20.0
+
+
 class Relearner:
     """Detector fleet + re-train/swap decision loop for one Service."""
 
@@ -121,7 +130,7 @@ class Relearner:
         min_fill: float = 0.5,
         min_dwell: int = 64,
         min_sample: int = 64,
-        confidence_constant: float = 20.0,
+        confidence_constant: float = CONFIDENCE_CONSTANT,
         seed: int = 0,
     ):
         if min_dwell < 0:
@@ -140,13 +149,6 @@ class Relearner:
         self.min_fill = float(min_fill)
         self.min_dwell = int(min_dwell)
         self.min_sample = int(min_sample)
-        # Leading constant of the paper's Section 3 confidence bound.
-        # The paper's worst-case 400 needs ~400 * 2^(H/2) validation
-        # samples to certify H bits — far beyond a per-shard reservoir —
-        # and the paper itself notes it "looks conservative in practice"
-        # and exposes it as a parameter; 20 certifies ~10 bits from a
-        # few hundred recent keys while still refusing noise-level
-        # samples.
         self.confidence_constant = float(confidence_constant)
         self.seed = int(seed)
         self._detectors: Dict[int, DriftDetector] = {}

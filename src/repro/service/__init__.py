@@ -22,8 +22,8 @@ tickets, journal, fault hooks) delegates structure work to an
 :class:`ExecutionBackend` — :class:`InlineBackend` keeps the original
 cooperative single-interpreter pump as the differential-fuzzer
 reference, :class:`ProcessBackend` runs one OS process per shard over
-bounded ``multiprocessing`` queues with heartbeat counters in shared
-memory, so N shards use N cores and a real ``kill -9`` is just another
+bounded ``multiprocessing`` queues and one shared heartbeat word per
+shard, so N shards use N cores and a real ``kill -9`` is just another
 recoverable crash.  Both speak one shard protocol: the worker builds a
 batch's wire segments once, :meth:`ShardCore.serve_batch` serves them
 up to an injected crash point, one worker method acks the served
@@ -76,7 +76,6 @@ from repro.service.protocol import (
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
 from repro.service.service import Service
-from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
 from repro.service.worker import Worker
 
@@ -89,7 +88,6 @@ __all__ = [
     "InlineBackend",
     "ProcessBackend",
     "ShardCore",
-    "ShardStateBlock",
     "fork_available",
     "DeadlineExceededError",
     "FAILED",

@@ -18,9 +18,10 @@ rearm, migration apply, structure stats — is one named
   handles three messages: ``batch`` (one ``serve_batch`` call), ``ctl``
   (one ``control`` call) and ``stop``.  They travel over a bounded
   ``multiprocessing`` queue, replies come back the same way, and the
-  child bumps a heartbeat counter in
-  :class:`~repro.service.state.ShardStateBlock` shared memory after
-  every segment so the parent can tell slow from dead.  Dispatch and
+  child bumps one shared heartbeat word after every segment and every
+  replayed journal chunk so the parent can tell slow from dead.  The
+  word is the only state the two sides share; every counter the
+  parent reports is its own.  Dispatch and
   collect are split phases: ``Service.pump`` dispatches one batch to
   *every* shard before collecting any, which is where the multi-core
   parallelism comes from.
@@ -48,24 +49,10 @@ import time
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.faults import InjectedCrash
 
 from repro.service.adapters import AdapterSpec, StructureAdapter
 from repro.service.core import ShardCore, WireResult
-from repro.service.state import (
-    ALIVE,
-    BATCHES,
-    HEARTBEAT,
-    INCARNATION,
-    PROCESSED,
-    REPLAYED,
-    SEGMENTS,
-    SLOTS_PER_SHARD,
-    TRIPPED,
-    ShardStateBlock,
-)
 
 EXECUTIONS = ("inline", "process")
 
@@ -79,11 +66,17 @@ _CRASH_EXIT = 23
 # How long a child waits on its command queue before re-checking that
 # its parent is still alive (orphan children must not linger forever).
 _ORPHAN_POLL_S = 5.0
+# The parent's patience: a child neither replying nor beating for this
+# long is killed and recovered as a crash.  Also bounds a command put.
+COLLECT_TIMEOUT_S = 30.0
+# Slots in each direction's queue; a batch is answered before the next
+# is sent, so a handful is plenty.
+_QUEUE_SIZE = 4
 
 
 def fork_available() -> bool:
     """Process execution requires the ``fork`` start method: adapter
-    specs, journals, and shared-memory views are passed to the child by
+    specs, journals, and the heartbeat word are passed to the child by
     inheritance, never pickled through a spawn server."""
     import multiprocessing
 
@@ -200,7 +193,7 @@ def _shard_child_main(
     shard_id: int,
     spec: AdapterSpec,
     entries: List,
-    state_row: Optional[np.ndarray],
+    heartbeat,
     incarnation: int,
     cmd_q,
     res_q,
@@ -213,30 +206,18 @@ def _shard_child_main(
     ``os._exit`` in every path so a shard child never runs the parent's
     atexit machinery it inherited.
     """
-    if state_row is None:
-        state_row = np.zeros(SLOTS_PER_SHARD, dtype=np.uint64)
-    state_row[ALIVE] = 1
-    state_row[INCARNATION] = incarnation
     parent_pid = os.getppid()
     exit_code = 0
 
-    def _replay_progress(n: int) -> None:
-        state_row[HEARTBEAT] += 1
-        state_row[REPLAYED] += n
-
-    def _segment_progress(n: int) -> None:
-        state_row[HEARTBEAT] += 1
-        state_row[SEGMENTS] += 1
-        state_row[PROCESSED] += n
+    def beat(n: int) -> None:
+        heartbeat.value += 1
 
     def _reply(*fields) -> None:
         # Every reply ends with the structure's tripped flag.
-        tripped = bool(core.adapter.tripped)
-        state_row[TRIPPED] = tripped
-        res_q.put(fields + (tripped,))
+        res_q.put(fields + (bool(core.adapter.tripped),))
 
     try:
-        core = ShardCore.from_spec(spec, entries, progress=_replay_progress)
+        core = ShardCore.from_spec(spec, entries, progress=beat)
         _reply("ready", incarnation)
         while True:
             try:
@@ -258,14 +239,10 @@ def _shard_child_main(
                 # tell a long migration from a hang.
                 _, inc, name, arg = msg
                 _reply("ctl_done", inc, name,
-                       core.control(name, arg, progress=_replay_progress))
+                       core.control(name, arg, progress=beat))
             elif tag == "batch":
                 _, inc, batch_id, wire, crash_at = msg
-                results = core.serve_batch(
-                    wire, crash_at, progress=_segment_progress
-                )
-                if crash_at is None:
-                    state_row[BATCHES] += 1
+                results = core.serve_batch(wire, crash_at, progress=beat)
                 _reply("served", inc, batch_id, results, crash_at is not None)
                 if crash_at is not None:
                     # Injected crash directive: the parent acks and
@@ -281,7 +258,6 @@ def _shard_child_main(
         # journal.  Die loudly enough for a post-mortem exit code.
         exit_code = 1
     finally:
-        state_row[ALIVE] = 0
         try:
             res_q.close()
             res_q.join_thread()
@@ -304,41 +280,25 @@ def _terminate(process) -> None:
 
 
 class ProcessBackend(ExecutionBackend):
-    """One OS process per shard over bounded queues + shared memory."""
+    """One OS process per shard over bounded queues + a heartbeat word."""
 
     kind = "process"
 
-    def __init__(
-        self,
-        spec: AdapterSpec,
-        state: ShardStateBlock,
-        shard_id: int,
-        ctx=None,
-        collect_timeout: float = 30.0,
-        queue_size: int = 4,
-        row: Optional[int] = None,
-    ):
-        if ctx is None:
-            import multiprocessing
+    def __init__(self, spec: AdapterSpec, shard_id: int):
+        if not fork_available():
+            raise RuntimeError(
+                "process execution requires the 'fork' start method "
+                "(adapter specs and the heartbeat word cross the "
+                "boundary by inheritance)"
+            )
+        import multiprocessing
 
-            if not fork_available():
-                raise RuntimeError(
-                    "process execution requires the 'fork' start method "
-                    "(adapter specs and shared-memory views cross the "
-                    "boundary by inheritance)"
-                )
-            ctx = multiprocessing.get_context("fork")
+        self.ctx = multiprocessing.get_context("fork")
         self.spec = spec
-        self.state = state
         self.shard_id = shard_id
-        # Which row of the state block this shard beats in.  Defaults
-        # to the shard id; a shard added by a live split gets its own
-        # (usually single-row) block, because blocks are fixed-size at
-        # construction and the original block has no spare rows.
-        self.row = shard_id if row is None else row
-        self.ctx = ctx
-        self.collect_timeout = collect_timeout
-        self.queue_size = queue_size
+        # Shared with every child this backend forks: the child bumps
+        # it, the parent only watches it move.
+        self.heartbeat = self.ctx.RawValue("Q", 0)
         self.incarnation = 0
         self.process = None
         self.cmd_q = None
@@ -384,16 +344,14 @@ class ProcessBackend(ExecutionBackend):
 
     def _spawn(self, worker) -> None:
         self.incarnation += 1
-        self.state.reset(self.row, self.incarnation)
         self._close_queues()
-        self.cmd_q = self.ctx.Queue(self.queue_size)
-        self.res_q = self.ctx.Queue(self.queue_size)
+        self.cmd_q = self.ctx.Queue(_QUEUE_SIZE)
+        self.res_q = self.ctx.Queue(_QUEUE_SIZE)
         entries = worker.journal.snapshot()
         self.process = self.ctx.Process(
             target=_shard_child_main,
             args=(
-                self.shard_id, self.spec, entries,
-                self.state.view(self.row) if self.state.shared else None,
+                self.shard_id, self.spec, entries, self.heartbeat,
                 self.incarnation, self.cmd_q, self.res_q,
             ),
             daemon=True,
@@ -450,7 +408,7 @@ class ProcessBackend(ExecutionBackend):
         stopped, when it is dead or its command queue is jammed."""
         if self.child_alive:
             try:
-                self.cmd_q.put(message, timeout=self.collect_timeout)
+                self.cmd_q.put(message, timeout=COLLECT_TIMEOUT_S)
                 return True
             except Exception:
                 pass
@@ -501,13 +459,13 @@ class ProcessBackend(ExecutionBackend):
     def _await(self, matches):
         """Wait for a matching reply, heartbeat-aware.
 
-        Progress (a message, or the child's shared-memory heartbeat
-        advancing) resets the patience window; a child that is neither
-        talking nor beating for ``collect_timeout`` seconds is killed
-        and reported as dead (None).  A child seen dead gets one short
+        Progress (a message, or the shared heartbeat word moving)
+        resets the patience window; a child that is neither talking nor
+        beating for :data:`COLLECT_TIMEOUT_S` seconds is killed and
+        reported as dead (None).  A child seen dead gets one short
         drain pass first — its last reply may still sit in the pipe.
         """
-        last_beat = self.state.heartbeat(self.row)
+        last_beat = self.heartbeat.value
         last_progress = time.monotonic()
         while True:
             try:
@@ -523,11 +481,11 @@ class ProcessBackend(ExecutionBackend):
                 continue  # stale or foreign message: ignore
             if self.process is None or not self.process.is_alive():
                 return self._drain_for(matches)
-            beat = self.state.heartbeat(self.row)
+            beat = self.heartbeat.value
             if beat != last_beat:
                 last_beat = beat
                 last_progress = time.monotonic()
-            elif time.monotonic() - last_progress > self.collect_timeout:
+            elif time.monotonic() - last_progress > COLLECT_TIMEOUT_S:
                 self._stop_child()
                 return None
 
@@ -570,17 +528,11 @@ class ProcessBackend(ExecutionBackend):
     # -------------------------------------------------------------- stats
 
     def stats(self) -> Dict[str, object]:
-        try:
-            state = self.state.snapshot(self.row)
-        except ValueError:  # block already closed
-            state = None
         return {
             "execution": self.kind,
             "incarnation": self.incarnation,
             "child_alive": self.child_alive,
             "child_pid": self.process.pid if self.process else None,
-            "state": state,
-            "shared_state": self.state.shared,
         }
 
 

@@ -38,6 +38,8 @@ from repro.sketches.countmin import CountMinSketch
 # bits that pick the shard would then pick the counter column, and a
 # whole shard's keys would pile into correlated columns.
 TRACKER_SEED_OFFSET = 211
+# The stream share that makes a key a heavy hitter (see above).
+HOT_PHI = 0.005
 
 
 class HotKeyTracker:
@@ -49,7 +51,7 @@ class HotKeyTracker:
         k: int = 16,
         width: int = 2048,
         depth: int = 4,
-        phi: float = 0.005,
+        phi: float = HOT_PHI,
         min_count: int = 16,
         flush_every: int = 64,
         sample: int = 1,

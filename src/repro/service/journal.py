@@ -34,8 +34,8 @@ def replay_entries(adapter, entries, progress=None) -> int:
     time — the journal object itself never leaves the parent.
 
     ``progress``, when given, is called with each run's length after it
-    applies; the shard child uses it to bump its shared-memory
-    heartbeat so the parent can tell a long replay from a hung spawn.
+    applies; the shard child uses it to bump its shared heartbeat
+    word so the parent can tell a long replay from a hung spawn.
     Returns the number of ops replayed.
     """
     entries = list(entries) if not isinstance(entries, list) else entries

@@ -39,6 +39,9 @@ from repro.service.routing import RoutingTable
 # Routing must not reuse the structures' hash stream: the same bits that
 # pick the shard would then pick the bucket, correlating placement.
 ROUTER_SEED_OFFSET = 101
+# Relative tolerance of the balance bound ``balance()`` checks against:
+# the paper's 5% rule for partitioning.
+BALANCE_TOLERANCE = 0.05
 
 
 class ShardRouter:
@@ -48,16 +51,13 @@ class ShardRouter:
         self,
         hasher: EntropyLearnedHasher,
         num_shards: int,
-        tolerance: float = 0.05,
         hot_k: int = 0,
-        hot_phi: float = 0.005,
         hot_sample: int = 1,
     ):
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
         self.engine = HashEngine(hasher)
         self.table = RoutingTable(self.engine, num_shards)
-        self.tolerance = tolerance
         # Partitioning parameters remembered for plan swaps: rebase()
         # rebuilds the routing hasher from a re-learned model with the
         # same sizing and the same decorrelating seed.  None when the
@@ -66,7 +66,7 @@ class ShardRouter:
         self.hasher_seed = hasher.seed
         self.routed = np.zeros(num_shards, dtype=np.int64)
         self.tracker: Optional[HotKeyTracker] = (
-            HotKeyTracker(hasher, k=hot_k, phi=hot_phi, sample=hot_sample)
+            HotKeyTracker(hasher, k=hot_k, sample=hot_sample)
             if hot_k > 0 else None
         )
         self.promoted = 0
@@ -81,10 +81,8 @@ class ShardRouter:
         model,
         num_shards: int,
         expected_items: int,
-        tolerance: float = 0.05,
         seed: int = 0,
         hot_k: int = 0,
-        hot_phi: float = 0.005,
         hot_sample: int = 1,
     ) -> "ShardRouter":
         """Router over the model's partitioning hasher (relative mode)."""
@@ -92,8 +90,7 @@ class ShardRouter:
             max(expected_items, 1), num_shards,
             mode="relative", seed=seed + ROUTER_SEED_OFFSET,
         )
-        router = cls(hasher, num_shards, tolerance=tolerance,
-                     hot_k=hot_k, hot_phi=hot_phi, hot_sample=hot_sample)
+        router = cls(hasher, num_shards, hot_k=hot_k, hot_sample=hot_sample)
         router.partition_items = max(expected_items, 1)
         return router
 
@@ -215,7 +212,7 @@ class ShardRouter:
         total = int(counts.sum())
         observed = relative_std(counts)
         bound = relative_balance_bound(
-            total, self.num_shards, tolerance=self.tolerance
+            total, self.num_shards, tolerance=BALANCE_TOLERANCE
         )
         return {
             "total_routed": total,

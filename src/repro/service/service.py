@@ -59,10 +59,11 @@ from repro.service.journal import Entry, compact
 from repro.service.protocol import OK, REJECTED, Request, Response, Ticket
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
-from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
 from repro.service.worker import Worker
 
+# The most pumps ``drain`` spends before giving up on pending tickets.
+MAX_DRAIN_PUMPS = 10_000
 
 class Service:
     """A sharded, batched, self-healing request-serving layer."""
@@ -76,22 +77,17 @@ class Service:
         capacity: int = 1024,
         max_queue: int = 256,
         batch_size: int = 64,
-        balance_tolerance: float = 0.05,
         seed: int = 0,
         fault_plane=None,
         cooldown_pumps: int = 32,
         probe_pumps: int = 16,
         stall_threshold: int = 3,
         journal_checkpoint: int = 4096,
-        max_drain_pumps: int = 10_000,
         execution: str = "inline",
-        collect_timeout: float = 30.0,
         hot_k: int = 0,
-        hot_phi: float = 0.005,
         hot_sample: int = 1,
         adapt_every: int = 8,
         auto_split: bool = False,
-        split_threshold: float = 2.0,
         max_splits: int = 4,
         backend_options: Optional[Dict[str, object]] = None,
         relearn: bool = False,
@@ -101,7 +97,6 @@ class Service:
         drift_reservoir: int = 256,
         min_dwell: int = 64,
         min_sample: int = 64,
-        drift_confidence: float = 20.0,
     ):
         if backend not in BACKENDS:
             raise ValueError(
@@ -131,17 +126,15 @@ class Service:
         self.execution = execution
         if model is not None:
             self.router = ShardRouter.from_model(
-                model, num_shards, expected_items=capacity,
-                tolerance=balance_tolerance, seed=seed,
-                hot_k=hot_k, hot_phi=hot_phi, hot_sample=hot_sample,
+                model, num_shards, expected_items=capacity, seed=seed,
+                hot_k=hot_k, hot_sample=hot_sample,
             )
         else:
             from repro.service.router import ROUTER_SEED_OFFSET
 
             self.router = ShardRouter(
                 hasher.with_seed(hasher.seed + ROUTER_SEED_OFFSET),
-                num_shards, tolerance=balance_tolerance,
-                hot_k=hot_k, hot_phi=hot_phi, hot_sample=hot_sample,
+                num_shards, hot_k=hot_k, hot_sample=hot_sample,
             )
         shard_capacity = max(4, capacity // num_shards)
         spec = AdapterSpec(
@@ -154,19 +147,13 @@ class Service:
         self._max_queue = max_queue
         self._batch_size = batch_size
         self._journal_checkpoint = journal_checkpoint
-        self._collect_timeout = collect_timeout
         self._cooldown_pumps = cooldown_pumps
         self._probe_pumps = probe_pumps
-        self._extra_blocks: List[ShardStateBlock] = []
         self.adapt_every = max(1, adapt_every)
         self.auto_split = auto_split
-        self.split_threshold = split_threshold
         self.max_splits = max_splits
         self.splits = 0
         self.swept_tickets = 0
-        self.state_block: Optional[ShardStateBlock] = (
-            ShardStateBlock(num_shards) if execution == "process" else None
-        )
         self.fault_plane = None
         self.relearner = None
         self.plan_swaps = 0
@@ -182,7 +169,6 @@ class Service:
                 reservoir=drift_reservoir,
                 min_dwell=min_dwell,
                 min_sample=min_sample,
-                confidence_constant=drift_confidence,
                 seed=seed,
             )
         self.workers: List[Worker] = []
@@ -190,7 +176,6 @@ class Service:
         for shard in range(num_shards):
             self._spawn_shard(shard)
         self.supervisor = Supervisor(self, stall_threshold=stall_threshold)
-        self.max_drain_pumps = max_drain_pumps
         self.pump_index = 0
         self._next_request_id = 0
         self.submitted = 0
@@ -210,21 +195,12 @@ class Service:
         live apply path as any other migration target.
         """
         if self.execution == "process":
-            block, row = self.state_block, shard
-            if shard >= block.num_shards:
-                # State blocks are fixed-size at construction, so a
-                # shard born mid-flight gets its own one-row block.
-                block, row = ShardStateBlock(1), 0
-                self._extra_blocks.append(block)
             worker = Worker(
                 shard,
                 max_queue=self._max_queue,
                 batch_size=self._batch_size,
                 journal_checkpoint=self._journal_checkpoint,
-                execution=ProcessBackend(
-                    self._spec, block, shard,
-                    collect_timeout=self._collect_timeout, row=row,
-                ),
+                execution=ProcessBackend(self._spec, shard),
             )
         else:
             worker = Worker(
@@ -430,7 +406,7 @@ class Service:
     def drain(self, max_pumps: Optional[int] = None) -> int:
         """Pump until nothing is pending (bounded: a fault window can
         hold tickets hostage for a while, but never forever)."""
-        budget = self.max_drain_pumps if max_pumps is None else max_pumps
+        budget = MAX_DRAIN_PUMPS if max_pumps is None else max_pumps
         served = 0
         pumps = 0
         while self.pending and pumps < budget:
@@ -657,16 +633,11 @@ class Service:
     # ---------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release execution resources: shard children, queues, and the
-        shared-memory state block.  Idempotent; a no-op for inline
-        execution.  Pending tickets are *not* drained — close is a
-        teardown, not a flush."""
+        """Release execution resources: shard children and their
+        queues.  Idempotent; a no-op for inline execution.  Pending
+        tickets are *not* drained — close is a teardown, not a flush."""
         for worker in self.workers:
             worker.close()
-        if self.state_block is not None:
-            self.state_block.close()
-        for block in self._extra_blocks:
-            block.close()
 
     def __enter__(self) -> "Service":
         return self
@@ -697,7 +668,6 @@ class Service:
             "swept_tickets": self.swept_tickets,
             "plan_swaps": self.plan_swaps,
             "plan_moved_keys": self.plan_moved_keys,
-            "journals": self._journal_summary(),
             "shards": [worker.stats() for worker in self.workers],
         }
         if self.relearner is not None:
@@ -705,33 +675,6 @@ class Service:
         if self.fault_plane is not None:
             out["faults"] = self.fault_plane.stats()
         return out
-
-    def _journal_summary(self) -> Dict[str, object]:
-        """Fleet-wide journal health: per-shard length and the shape of
-        each journal's most recent compaction, without having to dig
-        through the full per-shard stats payloads."""
-        per_shard = []
-        total_entries = 0
-        total_truncations = 0
-        for worker in self.workers:
-            journal = worker.journal
-            total_entries += len(journal)
-            total_truncations += journal.truncations
-            per_shard.append({
-                "shard": worker.shard_id,
-                "length": len(journal),
-                "appended": journal.appended,
-                "truncations": journal.truncations,
-                "last_compaction": (
-                    dict(journal.last_compaction)
-                    if journal.last_compaction else None
-                ),
-            })
-        return {
-            "total_entries": total_entries,
-            "total_truncations": total_truncations,
-            "per_shard": per_shard,
-        }
 
 
 __all__ = ["Service"]

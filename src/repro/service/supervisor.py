@@ -25,7 +25,7 @@ state machine.  Every ``adapt_every`` pumps it runs observe → plan →
 migrate → flip → drain: apply the router's planned hot-key promotions,
 and (when ``auto_split`` is on) watch each shard's share of the routed
 traffic over the last window; a shard that carries more than
-``split_threshold`` times its fair share for two consecutive windows is
+``SPLIT_THRESHOLD`` times its fair share for two consecutive windows is
 split via :meth:`Service.split_shard`.  Both reconfigurations run at
 pump start, where the two-phase barrier guarantees nothing is in
 flight — the freeze/drain steps of the split protocol hold by
@@ -43,6 +43,9 @@ class Supervisor:
     # An overload must persist this many consecutive adapt windows
     # before a split fires: one hot window is noise, two is a regime.
     SPLIT_PATIENCE = 2
+    # A shard carrying more than this multiple of its fair share of a
+    # window's routed traffic is overloaded.
+    SPLIT_THRESHOLD = 2.0
     # Ignore adapt windows with less than this many routed ops per
     # shard on average — too little signal to call anything overloaded.
     MIN_WINDOW_PER_SHARD = 8
@@ -141,7 +144,7 @@ class Supervisor:
         Runs every ``adapt_every`` pumps, between batches (nothing in
         flight).  Promotions pin the tracker's heavy hitters; when
         ``auto_split`` is on, a shard that carried more than
-        ``split_threshold`` times its fair traffic share for
+        ``SPLIT_THRESHOLD`` times its fair traffic share for
         ``SPLIT_PATIENCE`` consecutive windows donates half its key
         range to a freshly spawned shard.
         """
@@ -176,7 +179,7 @@ class Supervisor:
             self.splits_triggered += 1
 
     def _overloaded_shard(self) -> Optional[int]:
-        """The shard beyond ``split_threshold``× fair share over the
+        """The shard beyond ``SPLIT_THRESHOLD``× fair share over the
         last adapt window (routed-traffic delta), if any."""
         service = self.service
         routed = service.router.routed
@@ -193,7 +196,7 @@ class Supervisor:
         if total < self.MIN_WINDOW_PER_SHARD * n:
             return None
         donor = max(range(n), key=lambda i: delta[i])
-        if delta[donor] > service.split_threshold * (total / n):
+        if delta[donor] > self.SPLIT_THRESHOLD * (total / n):
             return donor
         return None
 

@@ -120,7 +120,7 @@ class Target:
         self.config = config
 
     def teardown(self) -> None:
-        """Release external resources (processes, shared memory).
+        """Release external resources (shard processes and queues).
 
         The runner calls this exactly once per case, pass or fail.  The
         base class holds nothing; targets that spawn shard processes

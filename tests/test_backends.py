@@ -14,18 +14,22 @@ pin that contract down where it is easiest to get wrong:
 * an out-of-band ``kill -9`` of a live shard child is recovered like
   any other crash, with zero lost acknowledged writes;
 * both backends answer an identical workload identically;
-* the shared-memory ``ShardStateBlock`` and the vectorized admission
-  path behave the same way on both sides of the seam.
+* the vectorized admission path behaves the same way on both sides of
+  the seam;
+* a shard child's heartbeat word keeps a slow child alive, and a child
+  that stops beating is recovered like any other crash.
 """
 
 import os
 import signal
+import time
 
 import pytest
 
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
 from repro.faults import make_plane
+from repro.service import backends
 from repro.service import (
     OK,
     REJECTED,
@@ -35,14 +39,12 @@ from repro.service import (
     Service,
     ServiceClient,
     ShardCore,
-    ShardStateBlock,
     Worker,
     fork_available,
 )
-from repro.service.state import INCARNATION, REPLAYED
 
 # Every parametrized test runs on both sides of the seam; process
-# execution needs the fork start method (specs and shared-memory views
+# execution needs the fork start method (specs and the heartbeat word
 # cross the boundary by inheritance, never pickling).
 BOTH_EXECUTIONS = [
     "inline",
@@ -214,17 +216,11 @@ class TestProcessShards:
         try:
             client, expected = _load(service, corpus, n=80)
             worker = service.workers[0]
-            journal_len = len(worker.journal)
-            assert journal_len > 0
+            assert len(worker.journal) > 0
             worker.restart()
             stats = worker.execution.stats()
             assert stats["incarnation"] == 2
             assert stats["child_alive"]
-            if service.state_block.shared:
-                # The child reported its replay cursor through shared
-                # memory: every journal entry, exactly once.
-                assert stats["state"]["replayed"] == journal_len
-                assert stats["state"]["incarnation"] == 2
             assert worker.journal.stats()["replays"] == 1
             assert {key: client.get(key) for key in expected} == expected
         finally:
@@ -303,6 +299,84 @@ class TestProcessShards:
         assert not any(
             worker.execution.child_alive for worker in service.workers
         )
+
+
+# ---------------------------------------------------------- heartbeat
+
+
+@needs_fork
+class TestHeartbeat:
+    """The parent's patience window restarts whenever the child's
+    heartbeat word moves.  ``ShardCore.serve_segment`` is patched before
+    the fork, so every child the test spawns inherits the slow path."""
+
+    def test_slow_child_that_beats_is_not_restarted(
+        self, model, monkeypatch
+    ):
+        # Four segments of 0.5 s each: 2 s in total, past the 1.5 s
+        # window, but the child beats after every segment.
+        monkeypatch.setattr(backends, "COLLECT_TIMEOUT_S", 1.5)
+        serve_segment = ShardCore.serve_segment
+
+        def slow(core, *args):
+            time.sleep(0.5)
+            return serve_segment(core, *args)
+
+        monkeypatch.setattr(ShardCore, "serve_segment", slow)
+        service = _service(model, execution="process", num_shards=1)
+        try:
+            worker = service.workers[0]
+            tickets = service.submit_batch([
+                Request("put", b"hb-a", b"1"),
+                Request("get", b"hb-a"),
+                Request("put", b"hb-b", b"2"),
+                Request("get", b"hb-b"),
+            ])
+            started = time.monotonic()
+            service.pump()
+            assert time.monotonic() - started > 1.5
+            assert [t.response.status for t in tickets] == [OK] * 4
+            assert tickets[1].response.value == b"1"
+            assert tickets[3].response.value == b"2"
+            assert not worker.crashed and worker.restarts == 0
+            assert worker.execution.incarnation == 1
+        finally:
+            service.close()
+
+    def test_silent_child_is_killed_and_recovered(
+        self, model, corpus, monkeypatch, tmp_path
+    ):
+        # The first child to find the marker removes it and hangs with
+        # no beat; the parent kills it once the window runs out, and
+        # its replacement replays the journal and serves the batch.
+        monkeypatch.setattr(backends, "COLLECT_TIMEOUT_S", 0.5)
+        marker = tmp_path / "hang-once"
+        serve_segment = ShardCore.serve_segment
+
+        def hang_once(core, *args):
+            if marker.exists():
+                marker.unlink()
+                time.sleep(30.0)
+            return serve_segment(core, *args)
+
+        monkeypatch.setattr(ShardCore, "serve_segment", hang_once)
+        service = _service(model, execution="process", num_shards=1)
+        try:
+            client, expected = _load(service, corpus, n=40)
+            worker = service.workers[0]
+            pid = worker.execution.process.pid
+            marker.touch()
+            started = time.monotonic()
+            client.put(b"hb-late", b"x")
+            assert time.monotonic() - started < 10.0
+            expected[b"hb-late"] = b"x"
+            assert worker.restarts == 1
+            assert worker.execution.process.pid != pid
+            assert not marker.exists()
+            assert {key: client.get(key) for key in expected} == expected
+            assert client.lost_acks == 0
+        finally:
+            service.close()
 
 
 # ------------------------------------------------------------- parity
@@ -427,43 +501,6 @@ def test_refused_suffix_keeps_per_key_order(model, execution):
         assert ServiceClient(service).get(b"k") == b"second"
     finally:
         service.close()
-
-
-# ----------------------------------------------------- shard state block
-
-
-class TestShardStateBlock:
-    def test_rows_reset_and_snapshot(self):
-        block = ShardStateBlock(3, shared=False)
-        try:
-            row = block.view(1)
-            row[REPLAYED] = 7
-            row[INCARNATION] = 2
-            snap = block.snapshot(1)
-            assert snap["replayed"] == 7
-            assert snap["incarnation"] == 2
-            assert block.snapshot(0)["replayed"] == 0  # rows are isolated
-            block.reset(1, 3)
-            snap = block.snapshot(1)
-            assert snap["replayed"] == 0
-            assert snap["incarnation"] == 3
-        finally:
-            block.close()
-
-    def test_close_is_idempotent_and_guards_access(self):
-        block = ShardStateBlock(2)
-        assert block.heartbeat(0) == 0
-        block.close()
-        block.close()
-        for access in (lambda: block.view(0),
-                       lambda: block.heartbeat(0),
-                       lambda: block.snapshot(1)):
-            with pytest.raises(ValueError):
-                access()
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ShardStateBlock(0)
 
 
 # -------------------------------------------------------- construction

@@ -447,17 +447,14 @@ class TestServiceJournalStats:
             client = ServiceClient(service)
             client.put_many((key, b"v") for key in corpus)
             service.drain()
-            journals = service.stats()["journals"]
-        per_shard = journals["per_shard"]
-        assert len(per_shard) == 3
-        assert journals["total_entries"] == sum(
-            s["length"] for s in per_shard
-        )
-        for shard in per_shard:
-            assert shard["length"] > 0
-            assert shard["appended"] >= shard["length"]
-            assert {"shard", "length", "appended", "truncations",
-                    "last_compaction"} <= set(shard)
+            shards = service.stats()["shards"]
+        assert len(shards) == 3
+        for shard in shards:
+            journal = shard["journal"]
+            assert journal["length"] > 0
+            assert journal["appended"] >= journal["length"]
+            assert {"length", "appended", "truncations",
+                    "last_compaction"} <= set(journal)
 
     def test_relearn_swap_compacts_journals(self, corpus, model):
         with Service(num_shards=3, backend="chaining", model=model,
@@ -473,8 +470,8 @@ class TestServiceJournalStats:
             assert swapped == 3
             stats = service.stats()
             assert stats["plan_swaps"] == 1
-            for shard in stats["journals"]["per_shard"]:
-                assert shard["last_compaction"] is not None
+            for shard in stats["shards"]:
+                assert shard["journal"]["last_compaction"] is not None
             # Zero lost writes across the swap, including rerouted keys.
             for key in corpus[:100]:
                 assert client.get(key) == key + b"*"
