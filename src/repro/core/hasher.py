@@ -109,6 +109,12 @@ class EntropyLearnedHasher:
         self._engine = None  # built by the first hash_batch call
         # The scalar path over raw ``bytes``, compiled once per hasher.
         self.hash_bytes = compile_scalar(partial_key, base.hash_bytes)
+        # Everything that fixes the output: hashers with equal
+        # fingerprints hash every key alike, so one's hashes can stand
+        # in for the other's (a served key's carried fleet hash).
+        self.fingerprint = (
+            base.name, self.seed, partial_key.positions, partial_key.word_size
+        )
 
     # ------------------------------------------------------------ scalar path
 

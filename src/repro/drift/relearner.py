@@ -29,17 +29,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro._util import next_power_of_two
 from repro.core.entropy import entropy_confidence_lower_bound
 from repro.core.partial_key import PartialKeyFunction
-from repro.core.sizing import (
-    entropy_for_chaining_table,
-    entropy_for_probing_table,
-)
 from repro.core.trainer import EntropyModel, train_model
 from repro.drift.detector import DriftDetector
-from repro.tables.chaining import DEFAULT_MAX_LOAD as CHAINING_MAX_LOAD
-from repro.tables.probing import DEFAULT_MAX_LOAD as PROBING_MAX_LOAD
 
 RELEARN_BACKENDS = ("chaining", "probing")
 
@@ -48,25 +41,20 @@ def required_entropy_for_spec(spec) -> float:
     """The entropy requirement the deployed structure sizes against.
 
     Mirrors the tables' actual fresh-build sizing — power-of-two slot
-    rounding times the max load — rather than the raw spec capacity.
-    Certifying against the smaller raw number would approve plans the
-    structure itself then refuses when it rounds its geometry up: the
-    relearner swaps, every shard quietly deploys the full-key fallback,
-    and the "recovered" service serves slower than before the drift.
+    rounding times the max load, never below the fleet's partitioning
+    floor — rather than the raw spec capacity (``AdapterSpec.
+    required_entropy``).  Certifying against the smaller raw number
+    would approve plans the structure itself then refuses when it
+    rounds its geometry up: the relearner swaps, every shard quietly
+    deploys the full-key fallback, and the "recovered" service serves
+    slower than before the drift.
     """
-    if spec.backend == "chaining":
-        buckets = next_power_of_two(max(spec.capacity, 2))
-        return entropy_for_chaining_table(
-            max(1, int(CHAINING_MAX_LOAD * buckets))
+    if spec.backend not in RELEARN_BACKENDS:
+        raise ValueError(
+            f"relearn supports backends {RELEARN_BACKENDS}, "
+            f"got {spec.backend!r}"
         )
-    if spec.backend == "probing":
-        slots = next_power_of_two(max(spec.capacity, 2))
-        return entropy_for_probing_table(
-            max(1, int(PROBING_MAX_LOAD * slots))
-        )
-    raise ValueError(
-        f"relearn supports backends {RELEARN_BACKENDS}, got {spec.backend!r}"
-    )
+    return spec.required_entropy()
 
 
 def certified_model(

@@ -63,21 +63,42 @@ class StructureAdapter:
         # learned partial-key configuration after a full-key quarantine
         # (None for the LSM, whose runs each learn their own).
         self._pristine_hasher = hasher
+        # Keys served from carried hashes, and keys the structure hashed
+        # itself: a shard whose plan drifted off the fleet plan shows up
+        # as the second counter growing.
+        self.hashes_carried = 0
+        self.hashes_recomputed = 0
 
-    # Batch entry points; ``keys`` is never empty.
-    def get_batch(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+    def carried(
+        self, keys: Sequence[bytes], hashes: Optional[Sequence[int]], plan
+    ) -> Optional[Sequence[int]]:
+        """A segment's carried ``hashes`` when this structure can probe
+        and insert from them, else None: it then hashes the keys itself,
+        as it would without them.  ``plan`` is the fingerprint of the
+        hasher that computed them.  Counts the segment's keys either
+        way; only the tables take carried hashes."""
+        self.hashes_recomputed += len(keys)
+        return None
+
+    # Batch entry points; ``keys`` is never empty.  ``hashes``, when
+    # given, are what :meth:`carried` returned.
+    def get_batch(
+        self, keys: Sequence[bytes], hashes=None
+    ) -> List[Optional[bytes]]:
         raise NotImplementedError
 
     def put_batch(
-        self, keys: Sequence[bytes], values: Sequence[bytes]
+        self, keys: Sequence[bytes], values: Sequence[bytes], hashes=None
     ) -> Optional[List[bool]]:
         """Store key/value pairs; a list of per-key acks, or None for all-ok."""
         raise NotImplementedError
 
-    def delete_batch(self, keys: Sequence[bytes]) -> List[Optional[bool]]:
+    def delete_batch(
+        self, keys: Sequence[bytes], hashes=None
+    ) -> List[Optional[bool]]:
         raise NotImplementedError
 
-    def contains_batch(self, keys: Sequence[bytes]) -> List[bool]:
+    def contains_batch(self, keys: Sequence[bytes], hashes=None) -> List[bool]:
         raise NotImplementedError
 
     # Degraded-mode hooks.
@@ -136,7 +157,12 @@ class StructureAdapter:
         )
 
     def stats(self) -> Dict[str, object]:
-        return {"backend": self.backend, "fell_back": self.tripped}
+        return {
+            "backend": self.backend,
+            "fell_back": self.tripped,
+            "hashes_carried": self.hashes_carried,
+            "hashes_recomputed": self.hashes_recomputed,
+        }
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -159,19 +185,30 @@ class TableAdapter(StructureAdapter):
     def engine(self):
         return self.table.engine
 
-    def get_batch(self, keys):
-        return self.table.probe_batch(list(keys))
+    def carried(self, keys, hashes, plan):
+        """The carried hashes while ``plan`` is the fingerprint of the
+        table's live hasher.  A growth re-plan, a monitor fallback and a
+        plan swap that chose another plan all fail that check."""
+        if hashes is not None and plan == self.table.engine.hasher.fingerprint:
+            self.hashes_carried += len(keys)
+            return hashes
+        return super().carried(keys, hashes, plan)
 
-    def put_batch(self, keys, values):
-        self.table.insert_batch(list(keys), list(values))
+    def get_batch(self, keys, hashes=None):
+        if hashes is None:
+            return self.table.probe_batch(list(keys))
+        return self.table.probe_batch_hashed(keys, hashes)
+
+    def put_batch(self, keys, values, hashes=None):
+        self.table.insert_batch(list(keys), list(values), hashes)
         return None
 
-    def delete_batch(self, keys):
-        return [self.table.delete(k) for k in keys]
+    def delete_batch(self, keys, hashes=None):
+        return self.table.delete_batch(keys, hashes)
 
-    def contains_batch(self, keys):
+    def contains_batch(self, keys, hashes=None):
         # Stored values are request payload bytes, never None.
-        return [v is not None for v in self.table.probe_batch(list(keys))]
+        return [v is not None for v in self.get_batch(keys, hashes)]
 
     def _rebuild(self, full_key):
         engine = self.table.engine
@@ -255,10 +292,11 @@ class FilterAdapter(StructureAdapter):
     def engine(self):
         return self.filter.engine
 
-    def get_batch(self, keys):  # pragma: no cover - guarded by `supported`
+    # Guarded by `supported`: a filter shard is never asked for values.
+    def get_batch(self, keys, hashes=None):  # pragma: no cover
         raise NotImplementedError("filters store membership, not values")
 
-    def put_batch(self, keys, values):
+    def put_batch(self, keys, values, hashes=None):
         keys = list(keys)
         if self.backend == "cuckoo_filter":
             acks = list(self.filter.add_batch(keys))
@@ -268,7 +306,7 @@ class FilterAdapter(StructureAdapter):
         self._members.extend(keys)
         return None
 
-    def delete_batch(self, keys):
+    def delete_batch(self, keys, hashes=None):
         results = []
         for key in keys:
             removed = bool(self.filter.remove(key))
@@ -277,7 +315,7 @@ class FilterAdapter(StructureAdapter):
             results.append(removed)
         return results
 
-    def contains_batch(self, keys):
+    def contains_batch(self, keys, hashes=None):
         return [bool(x) for x in self.filter.contains_batch(list(keys))]
 
     def _rebuild(self, full_key):
@@ -317,21 +355,21 @@ class LsmAdapter(StructureAdapter):
         super().__init__()
         self.store = store
 
-    def get_batch(self, keys):
+    def get_batch(self, keys, hashes=None):
         return self.store.multi_get(list(keys))
 
-    def put_batch(self, keys, values):
+    def put_batch(self, keys, values, hashes=None):
         for key, value in zip(keys, values):
             self.store.put(key, value)
         return None
 
-    def delete_batch(self, keys):
+    def delete_batch(self, keys, hashes=None):
         # LSM deletes write tombstones; they don't report prior presence.
         for key in keys:
             self.store.delete(key)
         return [None] * len(keys)
 
-    def contains_batch(self, keys):
+    def contains_batch(self, keys, hashes=None):
         missing = object()
         got = self.store.multi_get(list(keys), default=missing)
         return [value is not missing for value in got]
@@ -356,6 +394,20 @@ class LsmAdapter(StructureAdapter):
 
     def __len__(self):
         return self.store.total_entries()
+
+
+def _entropy_aware_table(backend: str):
+    """The entropy-aware table class a model-built ``backend`` shard
+    holds, or None for a backend that is not a table."""
+    if backend == "chaining":
+        from repro.tables.chaining import EntropyAwareTable
+
+        return EntropyAwareTable
+    if backend == "probing":
+        from repro.tables.probing import EntropyAwareProbingTable
+
+        return EntropyAwareProbingTable
+    return None
 
 
 def make_adapter(
@@ -396,6 +448,10 @@ class AdapterSpec:
     # Backend-specific tuning, passed through to make_adapter; plain
     # JSON-safe values only, so the spec stays picklable.
     options: Optional[Dict[str, object]] = None
+    # The fleet's partitioning requirement in bits: a model-built table
+    # never plans below it, so its plan is the one the router hashes
+    # with (see fleet_hasher).
+    min_entropy: float = 0.0
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -410,32 +466,51 @@ class AdapterSpec:
                 f"got {sorted(self.options)}"
             )
 
+    def required_entropy(self) -> float:
+        """Bits the spec's table plans its hash for at a fresh build —
+        the table's own Section 5 requirement at the geometry it builds,
+        never below ``min_entropy`` — or ``min_entropy`` alone for a
+        backend that does not probe from carried hashes."""
+        table = _entropy_aware_table(self.backend)
+        if table is None:
+            return self.min_entropy
+        return table.required_entropy(
+            max(self.capacity, 4), min_entropy=self.min_entropy
+        )
+
+    def fleet_hasher(self) -> EntropyLearnedHasher:
+        """The one hasher a fleet built from this spec hashes keys with.
+
+        The router computes every key's hash with it, and a freshly
+        built table plans exactly it (same plan, same seed), so the
+        table probes and inserts from the router's hashes: the spec's
+        own hasher, or the model's plan for :meth:`required_entropy`.
+        """
+        if self.model is None:
+            return self.hasher
+        return self.model.hasher_for_entropy(
+            self.required_entropy(), seed=self.seed
+        )
+
     def build(self) -> StructureAdapter:
         backend, model, hasher, seed = (
             self.backend, self.model, self.hasher, self.seed
         )
         capacity = max(self.capacity, 4)
-        if backend == "chaining":
-            from repro.tables.chaining import (
-                EntropyAwareTable,
-                SeparateChainingTable,
-            )
+        if backend in ("chaining", "probing"):
+            if model is not None:
+                table = _entropy_aware_table(backend)(
+                    model, capacity=capacity, seed=seed,
+                    min_entropy=self.min_entropy,
+                )
+            elif backend == "chaining":
+                from repro.tables.chaining import SeparateChainingTable
 
-            table = (EntropyAwareTable(model, capacity=capacity, seed=seed)
-                     if model is not None
-                     else SeparateChainingTable(hasher, capacity=capacity))
-            return TableAdapter(table, backend)
-        if backend == "probing":
-            from repro.tables.probing import (
-                EntropyAwareProbingTable,
-                LinearProbingTable,
-            )
+                table = SeparateChainingTable(hasher, capacity=capacity)
+            else:
+                from repro.tables.probing import LinearProbingTable
 
-            table = (
-                EntropyAwareProbingTable(model, capacity=capacity, seed=seed)
-                if model is not None
-                else LinearProbingTable(hasher, capacity=capacity)
-            )
+                table = LinearProbingTable(hasher, capacity=capacity)
             return TableAdapter(table, backend)
         if backend == "lsm":
             from repro.kvstore.store import LSMStore

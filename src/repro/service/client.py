@@ -19,8 +19,10 @@ Every call runs in rounds:
    an in-process wait that drained the queue leaves nothing to wait
    for; the socket transport cannot see the server's pumps and counts
    none) — a missing hint means one tick, an explicit 0 means no wait;
-5. resend the retry set as one batch, and give up with
-   :class:`ServiceOverloadedError` after ``max_retries`` rounds.
+5. resend the retry set as one batch, handing the transport the
+   previous round's handles (in process, the answered tickets, whose
+   carried key hashes spare the router a second hashing), and give up
+   with :class:`ServiceOverloadedError` after ``max_retries`` rounds.
 
 A scalar verb is a batch of one.  No call can spin forever: the
 in-process transport cancels tickets unanswered after
@@ -108,11 +110,14 @@ class _InProcess:
         # retry_after hint.
         self.pumped = 0
 
-    def send(self, requests: Sequence[Request]) -> List[Ticket]:
+    def send(self, requests: Sequence[Request],
+             retry_of: Optional[Sequence[Ticket]] = None) -> List[Ticket]:
         if len(requests) == 1:
             # Scalar verbs keep the scalar routing path (route_one).
             return [self.service.submit(requests[0])]
-        return self.service.submit_batch(requests)
+        # A retry round hands back the rejected tickets, whose keys the
+        # router then need not hash again.
+        return self.service.submit_batch(requests, retry_of)
 
     def wait(self, tickets: Optional[Sequence[Ticket]] = None
              ) -> List[Response]:
@@ -153,7 +158,8 @@ class _Socket:
         self.stash: Dict[int, Response] = {}
         self.next_id = 0
 
-    def send(self, requests: Sequence[Request]) -> List[int]:
+    def send(self, requests: Sequence[Request],
+             retry_of: Optional[Sequence[int]] = None) -> List[int]:
         first = self.next_id
         self.next_id += len(requests)
         for start in range(0, len(requests), PIPELINE_WINDOW):
@@ -234,14 +240,17 @@ class ServiceClient:
         self.puts_sent += sum(1 for r in requests if r.op == "put")
         out: List[Optional[Response]] = [None] * len(requests)
         pending = list(range(len(requests)))
+        # The previous round's handle of each pending request.
+        handles = None
         error: Optional[Exception] = None
         for round_ in range(self.max_retries + 1):
-            answers = self.transport.wait(
-                self.transport.send([requests[i] for i in pending])
-            )
+            sent = self.transport.send([requests[i] for i in pending],
+                                       handles)
+            answers = self.transport.wait(sent)
             retry: List[int] = []
+            retry_handles = []
             hints: List[int] = []
-            for i, response in zip(pending, answers):
+            for i, handle, response in zip(pending, sent, answers):
                 status = response.status
                 if status == OK:
                     out[i] = response
@@ -253,12 +262,14 @@ class ServiceClient:
                     hint = response.retry_after
                     hints.append(1 if hint is None else max(0, int(hint)))
                     retry.append(i)
+                    retry_handles.append(handle)
                 elif (status == WRONG_GENERATION
                       and round_ < self.max_retries):
                     # A routing flip moved the key between admission
                     # and dispatch: "ask again" through the live table.
                     self.generation_retries += 1
                     retry.append(i)
+                    retry_handles.append(handle)
                 else:
                     request = requests[i]
                     if request.op == "put":
@@ -267,7 +278,7 @@ class ServiceClient:
                         self.deadline_failures += 1
                     error = error or _typed_error(request, response)
                     out[i] = response
-            pending = retry
+            pending, handles = retry, retry_handles
             if error is not None or not pending or round_ == self.max_retries:
                 break
             if hints:

@@ -2,18 +2,19 @@
 
 :class:`ShardCore` is the half of the old monolithic worker that owns
 the structure and nothing else — no queue, no tickets, no journal, no
-fault plane.  It consumes *wire segments* (``(op, keys, values)``
-tuples of plain bytes) and returns *wire results* (``(kind, payload)``
-tuples of plain lists), so the exact same core runs embedded in the
-parent under :class:`~repro.service.backends.InlineBackend` and inside
-a forked child under
-:class:`~repro.service.backends.ProcessBackend` — the transport shell
-around it changes, the apply semantics cannot.  Two methods are the
-whole shard protocol: :meth:`ShardCore.serve_batch` serves one batch's
-segments up to an injected crash point, and :meth:`ShardCore.control`
-runs one named control op (degraded-mode moves, rearm, migration
-apply, stats).  Inline execution calls them directly; a shard child
-calls them once per ``batch`` or ``ctl`` message.
+fault plane.  It consumes *wire segments* (``(op, keys, values,
+hashes, plan)`` tuples of plain data) and returns *wire results*
+(``(kind, payload)`` tuples of plain lists), so the exact same core
+runs embedded in the parent under
+:class:`~repro.service.backends.InlineBackend` and inside a forked
+child under :class:`~repro.service.backends.ProcessBackend` — the
+transport shell around it changes, the apply semantics cannot.  Two
+methods are the whole shard protocol: :meth:`ShardCore.serve_batch`
+serves one batch's segments up to an injected crash point, and
+:meth:`ShardCore.control` runs one named control op (degraded-mode
+moves, rearm, migration apply, stats).  Inline execution calls them
+directly; a shard child calls them once per ``batch`` or ``ctl``
+message.
 
 Everything a core touches or returns is picklable by construction;
 tickets and :class:`~repro.service.protocol.Response` objects never
@@ -31,8 +32,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.service.adapters import AdapterSpec, StructureAdapter
 from repro.service.journal import Entry, replay_entries
 
-# One wire segment: consecutive same-op requests, reduced to plain data.
-WireSegment = Tuple[str, List[bytes], Optional[List[Optional[bytes]]]]
+# One wire segment: consecutive same-op requests, reduced to plain data —
+# op, keys, values, the keys' carried fleet hashes (or None) and the
+# fingerprint of the hasher that computed them.
+WireSegment = Tuple[
+    str, List[bytes], Optional[List[Optional[bytes]]],
+    Optional[List[int]], Optional[tuple],
+]
 # One wire result: ("unsupported", backend) or (op, per-key payload).
 WireResult = Tuple[str, object]
 
@@ -64,22 +70,32 @@ class ShardCore:
         op: str,
         keys: Sequence[bytes],
         values: Optional[Sequence[Optional[bytes]]] = None,
+        hashes: Optional[Sequence[int]] = None,
+        plan: Optional[tuple] = None,
     ) -> WireResult:
         """Apply one same-op segment; the payload shape mirrors the
-        adapter batch entry points exactly."""
+        adapter batch entry points exactly.
+
+        ``hashes`` are the keys' raw hashes as the router computed them,
+        and ``plan`` the fingerprint of the hasher it used.  The adapter
+        probes and inserts from them only while ``plan`` is its own
+        live hasher's (:meth:`StructureAdapter.carried`); otherwise it
+        hashes the keys itself.
+        """
         adapter = self.adapter
         if op not in adapter.supported:
             return ("unsupported", adapter.backend)
-        if op == "get":
-            return ("get", adapter.get_batch(keys))
-        if op == "put":
-            return ("put", adapter.put_batch(keys, list(values or ())))
-        if op == "delete":
-            return ("delete", adapter.delete_batch(keys))
         if op == "similar":
             # The per-key value payload carries the neighbor count k.
             return ("similar", adapter.similar_batch(keys, list(values or ())))
-        return ("contains", adapter.contains_batch(keys))
+        hashes = adapter.carried(keys, hashes, plan)
+        if op == "get":
+            return ("get", adapter.get_batch(keys, hashes))
+        if op == "put":
+            return ("put", adapter.put_batch(keys, list(values or ()), hashes))
+        if op == "delete":
+            return ("delete", adapter.delete_batch(keys, hashes))
+        return ("contains", adapter.contains_batch(keys, hashes))
 
     def serve_batch(
         self,
@@ -96,8 +112,8 @@ class ShardCore:
         served segment (a shard child's heartbeat).
         """
         results = []
-        for op, keys, values in wire[:crash_at]:
-            results.append(self.serve_segment(op, keys, values))
+        for op, keys, values, hashes, plan in wire[:crash_at]:
+            results.append(self.serve_segment(op, keys, values, hashes, plan))
             if progress is not None:
                 progress(len(keys))
         return results

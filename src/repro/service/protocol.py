@@ -10,8 +10,8 @@ its queue (or synchronously, for rejections and ``stats``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 # The complete operation vocabulary.  ``stats`` is answered by the
 # service front door; the rest are routed to a shard.  ``similar`` is
@@ -28,17 +28,28 @@ FAILED = "failed"          # the shard could not serve it (unsupported op)
 WRONG_GENERATION = "wrong_generation"
 
 
-@dataclass(frozen=True)
-class Request:
-    """One operation against the service."""
-
+class _RequestFields(NamedTuple):
     op: str
     key: bytes = b""
     value: bytes = b""
 
-    def __post_init__(self) -> None:
-        if self.op not in OPS:
-            raise ValueError(f"unknown op {self.op!r}; choose from {OPS}")
+
+_new_tuple = tuple.__new__
+
+
+class Request(_RequestFields):
+    """One operation against the service.
+
+    An immutable, hashable ``(op, key, value)`` named tuple: a client
+    builds one per key, so construction is one checked ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, key: bytes = b"", value: bytes = b""):
+        if op not in OPS:
+            raise ValueError(f"unknown op {op!r}; choose from {OPS}")
+        return _new_tuple(cls, (op, key, value))
 
 
 @dataclass
@@ -71,19 +82,23 @@ class Response:
         return self.status == OK
 
 
-@dataclass
+@dataclass(slots=True)
 class Ticket:
     """Handle for a submitted request; ``response`` fills in on drain."""
 
     request: Request
     request_id: int
     shard: Optional[int] = None
-    response: Optional[Response] = field(default=None)
+    response: Optional[Response] = None
     # Routing generation at admission time.  The dispatch path uses it
     # as a safety net: a ticket stamped under generation N whose key no
     # longer routes to its queued shard is answered WRONG_GENERATION
     # instead of being served against the wrong shard's state.
     generation: int = 0
+    # The key's raw 64-bit fleet hash, computed once by the router and
+    # carried into the shard, whose table probes and inserts from it
+    # when its plan matches the router's (see ShardCore.serve_segment).
+    key_hash: Optional[int] = None
 
     @property
     def done(self) -> bool:

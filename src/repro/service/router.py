@@ -17,6 +17,12 @@ key.  What changed is that the table can now *refine* the base route —
 pin a heavy hitter to a chosen shard, or split a hot shard's range —
 behind a generation flip that migrates acked state first.
 
+The router's hash is the fleet's only hash of a key: the service builds
+the router from the plan its shard tables plan (``AdapterSpec.
+fleet_hasher``), and every routed key's raw hash rides its ticket into
+the shard, whose table probes and inserts from it (the bit budget that
+keeps the uses apart is in :mod:`repro.service.routing`).
+
 Fault-plane observation is aggregated (satellite of PR 7): one
 ``np.bincount`` already computed for the balance counters is handed to
 the plane in a single ``note_routes`` call instead of a per-key Python
@@ -25,7 +31,7 @@ loop — the route hot path does O(1) Python work per batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +42,6 @@ from repro.partitioning.stats import relative_balance_bound, relative_std
 from repro.service.hotkeys import HotKeyTracker
 from repro.service.routing import RoutingTable
 
-# Routing must not reuse the structures' hash stream: the same bits that
-# pick the shard would then pick the bucket, correlating placement.
-ROUTER_SEED_OFFSET = 101
 # Relative tolerance of the balance bound ``balance()`` checks against:
 # the paper's 5% rule for partitioning.
 BALANCE_TOLERANCE = 0.05
@@ -58,12 +61,6 @@ class ShardRouter:
             raise ValueError(f"need at least one shard, got {num_shards}")
         self.engine = HashEngine(hasher)
         self.table = RoutingTable(self.engine, num_shards)
-        # Partitioning parameters remembered for plan swaps: rebase()
-        # rebuilds the routing hasher from a re-learned model with the
-        # same sizing and the same decorrelating seed.  None when the
-        # router was built from a raw hasher (no model to re-learn).
-        self.partition_items: Optional[int] = None
-        self.hasher_seed = hasher.seed
         self.routed = np.zeros(num_shards, dtype=np.int64)
         self.tracker: Optional[HotKeyTracker] = (
             HotKeyTracker(hasher, k=hot_k, sample=hot_sample)
@@ -85,30 +82,13 @@ class ShardRouter:
         hot_k: int = 0,
         hot_sample: int = 1,
     ) -> "ShardRouter":
-        """Router over the model's partitioning hasher (relative mode)."""
+        """A standalone router over the model's partitioning hasher
+        (relative mode).  A :class:`~repro.service.Service` instead
+        routes with its fleet plan, which its shard tables share."""
         hasher = model.hasher_for_partitioning(
-            max(expected_items, 1), num_shards,
-            mode="relative", seed=seed + ROUTER_SEED_OFFSET,
+            max(expected_items, 1), num_shards, mode="relative", seed=seed,
         )
-        router = cls(hasher, num_shards, hot_k=hot_k, hot_sample=hot_sample)
-        router.partition_items = max(expected_items, 1)
-        return router
-
-    def rebase(self, model) -> Optional[RoutingTable]:
-        """Candidate table hashing with ``model``'s partitioning plan.
-
-        Returns ``None`` when this router was not built from a model —
-        there is no partitioning requirement to re-derive.  The caller
-        migrates resident keys under the candidate's routing and then
-        :meth:`install`\\ s it (the plan-swap flip).
-        """
-        if self.partition_items is None:
-            return None
-        hasher = model.hasher_for_partitioning(
-            self.partition_items, self.table.base_shards,
-            mode="relative", seed=self.hasher_seed,
-        )
-        return self.table.with_engine(HashEngine(hasher))
+        return cls(hasher, num_shards, hot_k=hot_k, hot_sample=hot_sample)
 
     @property
     def num_shards(self) -> int:
@@ -118,28 +98,33 @@ class ShardRouter:
     def generation(self) -> int:
         return self.table.generation
 
-    def route_batch(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Shard id per key: one compiled engine pass over the batch."""
+    def route_batch(
+        self, keys: Sequence[bytes], hashes: Optional[List[int]] = None
+    ) -> Tuple[List[int], List[int]]:
+        """Shard id and raw fleet hash per key, as lists: one compiled
+        engine pass over the batch, or none when the caller passes the
+        keys' ``hashes`` under the live engine (a retried request)."""
         if not keys:
-            return np.zeros(0, dtype=np.int64)
+            return [], []
         keys = list(keys)
-        shards = self.table.route_batch(keys)
+        shards, hashes = self.table.route_hashed(keys, hashes)
         counts = np.bincount(shards, minlength=self.num_shards)
         self.routed += counts
         if self.tracker is not None:
             self.tracker.observe(keys)
         if self.fault_plane is not None:
             self.fault_plane.note_routes(counts)
-        return shards
+        return shards, hashes
 
-    def route_one(self, key: bytes) -> int:
-        shard = self.table.route_one(key)
+    def route_one(self, key: bytes) -> Tuple[int, int]:
+        """Shard id and raw fleet hash of one key."""
+        shard, h = self.table.route_one_hashed(key)
         self.routed[shard] += 1
         if self.tracker is not None:
             self.tracker.observe_one(key)
         if self.fault_plane is not None:
             self.fault_plane.note_route(shard)
-        return shard
+        return shard, h
 
     # ----------------------------------------------------- reconfiguration
 
@@ -237,4 +222,4 @@ class ShardRouter:
                 f"routed={int(self.routed.sum())})")
 
 
-__all__ = ["ShardRouter", "ROUTER_SEED_OFFSET"]
+__all__ = ["ShardRouter"]

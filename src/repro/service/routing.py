@@ -17,10 +17,20 @@ monotonically increasing ``generation``:
   those keys by hand instead of by hash.
 * **split map** — extendible-hashing-style per-base-shard directories
   for live shard splits.  Splitting shard ``d`` doubles ``d``'s
-  directory and points the new low-bit half at the new shard; keys
-  whose base hash lands on ``d`` then sub-route through untouched low
-  bits of the *same* 64-bit hash, so a split only ever moves keys away
-  from the donor — every other shard's keys are provably untouched.
+  directory and points the new half of each of ``d``'s slots at the new
+  shard; keys whose base hash lands on ``d`` then sub-route through
+  the next bits of the *same* 64-bit hash, so a split only ever moves
+  keys away from the donor — every other shard's keys are provably
+  untouched.
+
+The hash is the fleet's one hash per key: shard tables probe and insert
+from it too, so its 64 bits are budgeted between the uses.  Fast-range
+takes the top bits (``(h * m) >> 64``); split directories index by the
+top bits of the low product word ``(h * m) mod 2^64`` — the bits just
+below the fast-range bits, which no table reads; a probing table takes
+its tag from bits 0–7 and its slot from bits 8 and up, a chaining table
+its bucket from the low bits.  No use reads another's bits, so one hash
+serves them all without a remix.
 
 Tables are copy-on-write: mutating operations (:meth:`with_overlay`,
 :meth:`with_split`) return a *candidate* table at ``generation + 1``
@@ -33,15 +43,21 @@ itself stays pure (no counters, no fault hooks); the
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._util import U64_MASK
 from repro.engine import FastRangeReducer, HashEngine
 
 # Directories cap at 2^MAX_SPLIT_DEPTH slots per base shard; past that
 # a base range has been split 8 times and further splits are refused.
 MAX_SPLIT_DEPTH = 8
+
+# Batches of fewer keys are routed one hash at a time: below it numpy's
+# fixed per-call cost exceeds the per-key fast-range (measured crossover
+# 32 to 48 keys, CPython 3.11, 2-core x86).
+_ROUTE_EACH_MAX = 32
 
 
 class RoutingTable:
@@ -65,41 +81,68 @@ class RoutingTable:
 
     def route_batch(self, keys: Sequence[bytes]) -> np.ndarray:
         """Shard id per key; pure (no counters, no side effects)."""
+        return np.asarray(self.route_hashed(keys)[0], dtype=np.int64)
+
+    def route_hashed(
+        self, keys: Sequence[bytes], hashes: Optional[List[int]] = None
+    ) -> Tuple[List[int], List[int]]:
+        """Shard id and raw 64-bit hash per key, as lists; pure.
+
+        One engine pass, skipped when the caller already holds the
+        keys' ``hashes`` under this table's engine (a retried request);
+        the hashes are what a shard table whose plan matches the
+        engine's probes and inserts from.
+        """
         if not keys:
-            return np.zeros(0, dtype=np.int64)
-        if not self.split_dirs:
-            # The engine fuses the base reducer: per key below its cutover.
-            shards = self.engine.hash_batch(keys, self._base_reducer)
-        else:
-            # Raw hashes kept: split directories sub-route on their low bits.
+            return [], []
+        computed = hashes is None
+        if computed:
             hashes = self.engine.hash_batch(keys)
-            shards = self._base_reducer.apply(hashes)
+        if len(keys) < _ROUTE_EACH_MAX:
+            if computed:
+                hashes = hashes.tolist()
+            shards = list(map(self._shard_of, hashes))
+        else:
+            array = hashes if computed else np.asarray(hashes, np.uint64)
+            shards = self._base_reducer.apply(array)
+            m = np.uint64(self.base_shards)
             for base, directory in self.split_dirs.items():
                 mask = shards == base
                 if not mask.any():
                     continue
-                # Sub-route through low bits of the same hash: fastrange
-                # consumed the high bits, so the low bits are fresh.
-                sub = hashes[mask] & np.uint64(len(directory) - 1)
+                # The top bits of the low product word: the bits just
+                # below the ones fast-range consumed.
+                sub = (array[mask] * m) >> np.uint64(_shift(directory))
                 lookup = np.asarray(directory, dtype=np.int64)
                 shards[mask] = lookup[sub.astype(np.int64)]
+            shards = shards.tolist()
+            if computed:
+                hashes = array.tolist()
         if self.overlay:
             for i, key in enumerate(keys):
                 pinned = self.overlay.get(key)
                 if pinned is not None:
                     shards[i] = pinned
-        return shards
+        return shards, hashes
 
     def route_one(self, key: bytes) -> int:
+        return self.route_one_hashed(key)[0]
+
+    def route_one_hashed(self, key: bytes) -> Tuple[int, int]:
+        """Shard id and raw 64-bit hash of one key; pure."""
+        h = self.engine.hash_one(key)
         pinned = self.overlay.get(key)
-        if pinned is not None:
-            return pinned
-        h = int(self.engine.hash_one(key))
-        shard = self._base_reducer.apply_one(h)
+        return (self._shard_of(h) if pinned is None else pinned), h
+
+    def _shard_of(self, h: int) -> int:
+        """The base route of one hash: fast-range, then a split
+        directory indexed by the top bits of the low product word."""
+        product = h * self.base_shards
+        shard = product >> 64
         directory = self.split_dirs.get(shard)
         if directory is not None:
-            shard = directory[h & (len(directory) - 1)]
-        return int(shard)
+            shard = directory[(product & U64_MASK) >> _shift(directory)]
+        return shard
 
     # -------------------------------------------------- candidate builders
 
@@ -164,14 +207,14 @@ class RoutingTable:
             )
         candidate = self.clone()
         new_shard = candidate.num_shards
-        # Extendible doubling: slot i and slot i + old_len differ only in
-        # the new low bit.  Slots that pointed at the donor keep it on
-        # bit 0 and hand bit 1 to the new shard; everything else is
-        # duplicated unchanged.
-        doubled = directory + list(directory)
-        for i in range(len(directory)):
-            if doubled[i] == donor:
-                doubled[i + len(directory)] = new_shard
+        # Extendible doubling: slot i becomes slots 2i and 2i + 1, which
+        # differ only in the next bit below the old index bits.  Slots
+        # that pointed at the donor keep it on 0 and hand 1 to the new
+        # shard; everything else is duplicated unchanged.
+        doubled = [shard for shard in directory for _ in (0, 1)]
+        for i, shard in enumerate(directory):
+            if shard == donor:
+                doubled[2 * i + 1] = new_shard
         candidate.split_dirs[base] = doubled
         candidate.num_shards += 1
         candidate.generation = self.generation + 1
@@ -205,6 +248,12 @@ class RoutingTable:
                 f"shards={self.num_shards}/{self.base_shards} base, "
                 f"overlay={len(self.overlay)}, "
                 f"splits={len(self.split_dirs)})")
+
+
+def _shift(directory: List[int]) -> int:
+    """Right shift that leaves a 64-bit word's top ``log2(len(directory))``
+    bits: the directory's slot index."""
+    return 65 - len(directory).bit_length()
 
 
 __all__ = ["RoutingTable", "MAX_SPLIT_DEPTH"]

@@ -44,12 +44,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.hasher import EntropyLearnedHasher
-from repro.engine import CollisionMonitor
+from repro.core.sizing import entropy_for_partitioning
+from repro.engine import CollisionMonitor, HashEngine
 from repro.faults import InjectedCrash
 
 from repro.service.adapters import BACKENDS, AdapterSpec
@@ -64,6 +66,10 @@ from repro.service.worker import Worker
 
 # The most pumps ``drain`` spends before giving up on pending tickets.
 MAX_DRAIN_PUMPS = 10_000
+
+_generation_of = attrgetter("generation")
+_key_hash_of = attrgetter("key_hash")
+
 
 class Service:
     """A sharded, batched, self-healing request-serving layer."""
@@ -124,22 +130,21 @@ class Service:
         self.num_shards = num_shards
         self.backend = backend
         self.execution = execution
-        if model is not None:
-            self.router = ShardRouter.from_model(
-                model, num_shards, expected_items=capacity, seed=seed,
-                hot_k=hot_k, hot_sample=hot_sample,
-            )
-        else:
-            from repro.service.router import ROUTER_SEED_OFFSET
-
-            self.router = ShardRouter(
-                hasher.with_seed(hasher.seed + ROUTER_SEED_OFFSET),
-                num_shards, hot_k=hot_k, hot_sample=hot_sample,
-            )
         shard_capacity = max(4, capacity // num_shards)
         spec = AdapterSpec(
             backend, shard_capacity, model=model, hasher=hasher, seed=seed,
             options=dict(backend_options) if backend_options else None,
+            min_entropy=(
+                0.0 if model is None else entropy_for_partitioning(
+                    max(capacity, 1), num_shards, mode="relative"
+                )
+            ),
+        )
+        # One hash per key: the router hashes with the plan the shard
+        # tables plan, and each ticket carries its key's hash to them.
+        self.router = ShardRouter(
+            spec.fleet_hasher(), num_shards,
+            hot_k=hot_k, hot_sample=hot_sample,
         )
         # Kept for shards a reconfiguration adds: a new shard is built
         # from the same spec and knobs as the originals, mid-flight.
@@ -267,20 +272,26 @@ class Service:
     def submit(self, request: Request) -> Ticket:
         """Admit one request.  Always returns a ticket; rejections and
         ``stats`` answer synchronously on it."""
-        ticket = Ticket(
-            request, self._next_request_id,
-            generation=self.router.generation,
-        )
+        request_id = self._next_request_id
         self._next_request_id += 1
         self.submitted += 1
         if request.op == "stats":
+            ticket = Ticket(request, request_id,
+                            generation=self.router.generation)
             self.accepted += 1
             ticket.response = Response(OK, stats=self.stats())
             return ticket
-        self._admit([ticket], [int(self.router.route_one(request.key))])
+        shard, key_hash = self.router.route_one(request.key)
+        ticket = Ticket(request, request_id, None, None,
+                        self.router.generation, key_hash)
+        self._admit([ticket], [shard])
         return ticket
 
-    def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
+    def submit_batch(
+        self,
+        requests: Sequence[Request],
+        retry_of: Optional[Sequence[Ticket]] = None,
+    ) -> List[Ticket]:
         """Admit many requests with one vectorized routing pass.
 
         Byte-equivalent to ``[self.submit(r) for r in requests]`` —
@@ -288,25 +299,38 @@ class Service:
         queue-loss and backpressure decisions — but the key→shard map
         is computed by ``route_batch`` (one compiled engine pass) so
         per-request admission overhead stops being the bottleneck in
-        front of parallel shards.  ``stats`` requests need service-wide
-        state mid-stream, so any batch containing one falls back to the
-        scalar path.
+        front of parallel shards.  Each ticket is built with its key's
+        fleet hash in the one constructor call.  ``retry_of``, when
+        given, holds the answered ticket each request retries: tickets
+        admitted under the live routing generation already carry their
+        keys' hashes, so a retry round routes without hashing again.
+        ``stats`` requests need service-wide state mid-stream, so any
+        batch containing one falls back to the scalar path.
         """
         requests = list(requests)
         if not requests:
             return []
         if any(request.op == "stats" for request in requests):
             return [self.submit(request) for request in requests]
-        shards = self.router.route_batch([r.key for r in requests])
         generation = self.router.generation
+        hashes = None
+        if (retry_of is not None
+                and set(map(_generation_of, retry_of)) == {generation}):
+            hashes = list(map(_key_hash_of, retry_of))
+            if None in hashes:
+                hashes = None
+        shards, hashes = self.router.route_batch(
+            [r.key for r in requests], hashes
+        )
         first = self._next_request_id
         tickets = [
-            Ticket(request, first + i, generation=generation)
-            for i, request in enumerate(requests)
+            Ticket(request, request_id, None, None, generation, key_hash)
+            for request, request_id, key_hash
+            in zip(requests, range(first, first + len(requests)), hashes)
         ]
         self._next_request_id += len(requests)
         self.submitted += len(requests)
-        self._admit(tickets, shards.tolist())
+        self._admit(tickets, shards)
         return tickets
 
     def _admit(self, tickets: List[Ticket], shards: List[int]) -> None:
@@ -511,23 +535,24 @@ class Service:
         Shared by the flip sweep and the supervisor's recovery path.
         Merging on request id preserves per-key admission order, since
         ids are globally monotonic; every ticket is re-stamped with the
-        live generation, so the dispatch-time WRONG_GENERATION guard
-        only catches what this cannot see.  Returns the number of
-        tickets that changed shards.
+        live generation and re-hashed with the live plan, so the
+        dispatch-time WRONG_GENERATION guard only catches what this
+        cannot see, and no ticket carries a hash of a retired plan.
+        Returns the number of tickets that changed shards.
         """
         if not tickets:
             return 0
         generation = self.router.generation
-        shards = self.router.table.route_batch(
+        shards, hashes = self.router.table.route_hashed(
             [t.request.key for t in tickets]
         )
         groups: Dict[int, List[Ticket]] = {}
         moved = 0
-        for ticket, shard in zip(tickets, shards):
-            shard = int(shard)
+        for ticket, shard, key_hash in zip(tickets, shards, hashes):
             moved += shard != ticket.shard
             ticket.shard = shard
             ticket.generation = generation
+            ticket.key_hash = key_hash
             groups.setdefault(shard, []).append(ticket)
         for shard, group in groups.items():
             self.workers[shard].requeue_front(group)
@@ -590,7 +615,7 @@ class Service:
 
         Called from the supervisor's adapt pass (between pumps, nothing
         in flight).  The routing plane swaps *first*: the router
-        re-bases on the new model's partitioning plan and every
+        re-bases on the new model's fleet plan and every
         resident key the re-based hash re-routes migrates journal-first
         while the old engines still serve (drift concentrates traffic —
         the dying positions hash every drifted key alike — so a swap
@@ -613,9 +638,12 @@ class Service:
         that rehashed live.
         """
         new_spec = dataclasses.replace(self._spec, model=model, hasher=None)
-        candidate = self.router.rebase(model)
-        if candidate is not None:
-            self.plan_moved_keys += self.reconfigure(candidate)
+        # One fleet plan again: the router re-bases on the plan the
+        # rearmed tables choose, so carried hashes stay usable.
+        candidate = self.router.table.with_engine(
+            HashEngine(new_spec.fleet_hasher())
+        )
+        self.plan_moved_keys += self.reconfigure(candidate)
         swapped = 0
         for worker, breaker in zip(self.workers, self.breakers):
             if worker.rearm_with(model):

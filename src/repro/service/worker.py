@@ -11,11 +11,12 @@ in a forked child process
 (:class:`~repro.service.backends.ProcessBackend`).
 
 A pump is two phases.  ``dispatch()`` pops one micro-batch, splits it
-into consecutive same-op *segments* (one compiled ``engine.hash_batch``
-pass each, so per-key ordering is preserved while hashing cost is
-amortized exactly like PR 1's batch paths), applies the fault plane's
-worker-level directives (stall, drop, crash, sigkill), builds the
-segments' wire form once, and hands it to the backend.  One method,
+into consecutive same-op *segments* (one batch call each into the
+structure, so per-key ordering is preserved while per-call cost is
+amortized), applies the fault plane's worker-level directives (stall,
+drop, crash, sigkill), builds the segments' wire form once — keys,
+values, and the keys' carried fleet hashes with the router's plan
+fingerprint — and hands it to the backend.  One method,
 ``_absorb``, acks whatever prefix the backend served: responses are
 written onto tickets, acknowledged mutations are journaled, and
 inflight entries are retired — all parent-side, for both backends,
@@ -285,8 +286,12 @@ class Worker:
             # the supervisor's reconciliation pass requeues them.
             self.drops += 1
             return 0
-        # Consecutive same-op segments keep per-key FIFO order while
-        # sharing one engine.hash_batch pass each.
+        # Consecutive same-op segments keep per-key FIFO order.  Each
+        # carries its keys' fleet hashes and the fingerprint of the
+        # router hasher that computed them, so the shard's table can
+        # probe and insert without hashing the keys again.
+        plan = (self.router.engine.hasher.fingerprint
+                if self.router is not None else None)
         self._segments = segments = []
         wire = []
         start = 0
@@ -297,11 +302,14 @@ class Worker:
                 end += 1
             segment = batch[start:end]
             segments.append(segment)
+            hashes = [t.key_hash for t in segment]
             wire.append((
                 op,
                 [t.request.key for t in segment],
                 ([t.request.value for t in segment]
                  if op in ("put", "similar") else None),
+                None if plan is None or None in hashes else hashes,
+                plan,
             ))
             start = end
         crash_at = None
@@ -320,11 +328,16 @@ class Worker:
 
         ``dispatch`` trusts same-generation tickets outright (the router
         stamped and placed them together) and asks only about the rare
-        stale stragglers a flip sweep failed to move.
+        stale stragglers a flip sweep failed to move.  A straggler that
+        still routes here is served with its key's hash refreshed under
+        the live plan.
         """
         if ticket.request.op == "stats" or not ticket.request.key:
             return False
-        return self.router.table.route_one(ticket.request.key) != self.shard_id
+        shard, ticket.key_hash = self.router.table.route_one_hashed(
+            ticket.request.key
+        )
+        return shard != self.shard_id
 
     def collect(self) -> int:
         """Phase two: absorb the backend's deferred reply, if any."""

@@ -122,10 +122,12 @@ class SimilarityAdapter(StructureAdapter):
 
     # -------------------------------------------------------- batch paths
 
-    def get_batch(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+    def get_batch(
+        self, keys: Sequence[bytes], hashes=None
+    ) -> List[Optional[bytes]]:
         return [self._members.get(key) for key in keys]
 
-    def put_batch(self, keys, values) -> Optional[List[bool]]:
+    def put_batch(self, keys, values, hashes=None) -> Optional[List[bool]]:
         # Newest-wins within the batch: a key put twice in one segment
         # keeps only its last document (matching the journal's
         # newest-wins compaction), and its old signature leaves the
@@ -143,7 +145,9 @@ class SimilarityAdapter(StructureAdapter):
         )
         return None
 
-    def delete_batch(self, keys: Sequence[bytes]) -> List[Optional[bool]]:
+    def delete_batch(
+        self, keys: Sequence[bytes], hashes=None
+    ) -> List[Optional[bool]]:
         results: List[Optional[bool]] = []
         for key in keys:
             present = key in self._members
@@ -153,7 +157,7 @@ class SimilarityAdapter(StructureAdapter):
             results.append(present)
         return results
 
-    def contains_batch(self, keys: Sequence[bytes]) -> List[bool]:
+    def contains_batch(self, keys: Sequence[bytes], hashes=None) -> List[bool]:
         return [key in self._members for key in keys]
 
     @staticmethod

@@ -8,7 +8,7 @@ forced a full-key fallback, and hot-swaps to a re-trained model on drift.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from repro._util import next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
@@ -20,14 +20,20 @@ class EntropyAwareMixin:
     """Growth re-planning, fallback latch and drift re-learning.
 
     Mixed in ahead of a host table whose array holds ``_mask + 1``
-    buckets or slots.  The host names the model recommender it asks and
-    may override the two monitor hooks; the policy never asks which
-    table it serves.
+    buckets or slots.  The host names its Section 5 entropy requirement
+    and default load, and may override the two monitor hooks; the
+    policy never asks which table it serves.
+
+    ``min_entropy`` is a floor under every plan: a serving fleet sets
+    it to its partitioning requirement, so a shard table plans exactly
+    the hash its router computes, and can probe and insert from the
+    router's hashes instead of hashing each key again.
     """
 
-    # The EntropyModel method that recommends this table's hasher for a
-    # capacity: ``hasher_for_chaining_table`` or ``hasher_for_probing_table``.
-    _recommender: str
+    # Bits a table of n items needs: ``entropy_for_chaining_table`` or
+    # ``entropy_for_probing_table``.
+    _requirement: Callable[[int], float]
+    default_max_load: float
 
     def __init__(
         self,
@@ -36,9 +42,11 @@ class EntropyAwareMixin:
         max_load: float,
         monitor: Optional[CollisionMonitor],
         seed: int,
+        min_entropy: float = 0.0,
     ):
         self.model = model
         self._seed = seed
+        self.min_entropy = min_entropy
         # The geometry a fresh build of the spec'd capacity chooses;
         # relearn() resets to it so transient over-growth (e.g. one
         # shard absorbing a whole drifted stream before migration) does
@@ -63,10 +71,28 @@ class EntropyAwareMixin:
         """True once the monitor forced a full-key rebuild."""
         return self.engine.fell_back
 
+    @classmethod
+    def required_entropy(
+        cls,
+        capacity: int,
+        max_load: Optional[float] = None,
+        min_entropy: float = 0.0,
+    ) -> float:
+        """Bits the plan must carry for a table built for ``capacity``.
+
+        The requirement of the geometry the table actually builds (the
+        power-of-two array times its max load, not the raw capacity),
+        never below ``min_entropy``.
+        """
+        if max_load is None:
+            max_load = cls.default_max_load
+        size = next_power_of_two(max(capacity, 2))
+        return max(cls._requirement(max(1, int(max_load * size))), min_entropy)
+
     def _plan(self, size: int, max_load: float) -> EntropyLearnedHasher:
         """The model's cheapest hasher for a ``size``-slot array."""
-        recommend = getattr(self.model, self._recommender)
-        return recommend(max(1, int(max_load * size)), seed=self._seed)
+        required = self.required_entropy(size, max_load, self.min_entropy)
+        return self.model.hasher_for_entropy(required, seed=self._seed)
 
     def _plan_entropy(self, hasher: EntropyLearnedHasher) -> Optional[float]:
         """The model's entropy claim for ``hasher``; None for full-key."""

@@ -23,6 +23,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro._util import Key, as_bytes, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
+from repro.core.sizing import entropy_for_chaining_table
 from repro.core.trainer import EntropyModel
 from repro.engine import CollisionMonitor, HashEngine, MaskReducer
 from repro.tables.aware import EntropyAwareMixin
@@ -139,7 +140,19 @@ class SeparateChainingTable:
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns whether it was present."""
         key = as_bytes(key)
-        bucket = self._buckets[self._bucket_index(key)]
+        return self._delete_from(self._buckets[self._bucket_index(key)], key)
+
+    def delete_batch(self, keys: Sequence[bytes], hashes=None) -> List[bool]:
+        """Remove many keys; ``hashes``, when given, are their raw hashes
+        under this table's current hasher, and nothing is hashed again."""
+        if hashes is None:
+            return [self.delete(key) for key in keys]
+        buckets = self._buckets
+        mask = self._mask
+        return [self._delete_from(buckets[int(h) & mask], key)
+                for key, h in zip(keys, hashes)]
+
+    def _delete_from(self, bucket: List[Tuple[bytes, Any]], key: bytes) -> bool:
         for i, (existing, _) in enumerate(bucket):
             if existing == key:
                 bucket.pop(i)
@@ -151,7 +164,7 @@ class SeparateChainingTable:
         for bucket in self._buckets:
             yield from bucket
 
-    def insert_batch(self, keys: Sequence[Key], values=None) -> None:
+    def insert_batch(self, keys: Sequence[Key], values=None, hashes=None) -> None:
         """Insert many keys, hashing them in one engine pass.
 
         Growth decisions are made per key, exactly as the equivalent
@@ -160,6 +173,10 @@ class SeparateChainingTable:
         identical geometry and :class:`ProbeStats`.  The raw hashes are
         geometry-independent, so mid-batch growth does not invalidate
         the one vectorized hash pass.
+
+        ``hashes``, when given, are the keys' raw hashes under the
+        table's current hasher (see ``LinearProbingTable.insert_batch``)
+        and the engine pass is skipped.
         """
         keys = [as_bytes(k) for k in keys]
         if values is None:
@@ -169,7 +186,8 @@ class SeparateChainingTable:
         if not keys:
             return
         generation = self.engine.generation
-        hashes = self.engine.hash_batch(keys)
+        if hashes is None:
+            hashes = self.engine.hash_batch(keys)
         for key, value, h in zip(keys, values, hashes):
             self._insert_one(key, value, int(h), generation)
 
@@ -177,6 +195,27 @@ class SeparateChainingTable:
         """Look up many keys, hashing them in one engine pass."""
         keys = [as_bytes(k) for k in keys]
         indices = self.engine.hash_batch(keys, self._reducer)
+        return self._walk(keys, indices.tolist())
+
+    def probe_batch_hashed(
+        self, keys: Sequence[bytes], hashes, generation: Optional[int] = None
+    ) -> List[Any]:
+        """Probe with precomputed hashes (see LinearProbingTable); the
+        walk is :meth:`probe_batch`'s, so it charges the same stats.
+
+        Callers that precomputed ``hashes`` earlier should pass the
+        engine ``generation`` they snapshotted at hash time; if the
+        hasher was swapped since (monitor fallback, plan re-learn), the
+        stale hashes are discarded and recomputed — the probe analogue
+        of ``_bucket_for``'s insert-time recompute.
+        """
+        if generation is not None and generation != self.engine.generation:
+            hashes = self.engine.hash_batch(keys)
+        mask = self._mask
+        return self._walk(keys, [int(h) & mask for h in hashes])
+
+    def _walk(self, keys: Sequence[bytes], indices: List[int]) -> List[Any]:
+        """Look each key up in its bucket ``indices[i]``; charges stats."""
         results = []
         buckets = self._buckets
         stats = self.stats
@@ -187,31 +226,6 @@ class SeparateChainingTable:
             found = None
             for existing, value in bucket:
                 stats.key_comparisons += 1
-                if existing == key:
-                    found = value
-                    break
-            results.append(found)
-        return results
-
-    def probe_batch_hashed(
-        self, keys: Sequence[bytes], hashes, generation: Optional[int] = None
-    ) -> List[Any]:
-        """Probe with precomputed hashes (see LinearProbingTable).
-
-        Callers that precomputed ``hashes`` earlier should pass the
-        engine ``generation`` they snapshotted at hash time; if the
-        hasher was swapped since (monitor fallback, plan re-learn), the
-        stale hashes are discarded and recomputed — the probe analogue
-        of ``_bucket_for``'s insert-time recompute.
-        """
-        if generation is not None and generation != self.engine.generation:
-            hashes = self.engine.hash_batch(keys)
-        results = []
-        buckets = self._buckets
-        mask = self._mask
-        for key, h in zip(keys, hashes):
-            found = None
-            for existing, value in buckets[int(h) & mask]:
                 if existing == key:
                     found = value
                     break
@@ -264,7 +278,8 @@ class EntropyAwareTable(EntropyAwareMixin, SeparateChainingTable):
     with a monitor it is given.
     """
 
-    _recommender = "hasher_for_chaining_table"
+    _requirement = staticmethod(entropy_for_chaining_table)
+    default_max_load = DEFAULT_MAX_LOAD
 
     def __init__(
         self,
@@ -273,8 +288,9 @@ class EntropyAwareTable(EntropyAwareMixin, SeparateChainingTable):
         max_load: float = DEFAULT_MAX_LOAD,
         monitor: Optional[CollisionMonitor] = None,
         seed: int = 0,
+        min_entropy: float = 0.0,
     ):
-        super().__init__(model, capacity, max_load, monitor, seed)
+        super().__init__(model, capacity, max_load, monitor, seed, min_entropy)
 
     def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
         if self._size + 1 > self.capacity_before_rehash:

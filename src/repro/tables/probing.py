@@ -29,6 +29,7 @@ import numpy as np
 
 from repro._util import Key, as_bytes, as_bytes_list, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
+from repro.core.sizing import entropy_for_probing_table
 from repro.engine import CollisionMonitor, HashEngine, SlotTagReducer
 from repro.tables.aware import EntropyAwareMixin
 
@@ -44,6 +45,11 @@ DEFAULT_MAX_LOAD = 0.875
 # remaining probes one by one.  Set at the crossover of the
 # ``probe_walk_cost`` curve in benchmarks/bench_engine.py.
 _ROUND_MIN = 256
+
+# ``probe_batch_hashed`` splits fewer precomputed hashes than this one
+# by one: below it, numpy's fixed per-call cost exceeds the per-hash
+# split (measured crossover 14 to 16 hashes, CPython 3.11, 2-core x86).
+_SPLIT_EACH_MAX = 16
 
 
 @dataclass
@@ -241,7 +247,18 @@ class LinearProbingTable:
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns whether it was present (tombstoned)."""
         key = as_bytes(key)
-        slot, tag = self._slot_and_tag(key)
+        return self._delete_at(key, *self._slot_and_tag(key))
+
+    def delete_batch(self, keys: Sequence[bytes], hashes=None) -> List[bool]:
+        """Remove many keys; ``hashes``, when given, are their raw hashes
+        under this table's current hasher, and nothing is hashed again."""
+        if hashes is None:
+            return [self.delete(key) for key in keys]
+        split = self._reducer.apply_one
+        return [self._delete_at(key, *split(int(h)))
+                for key, h in zip(keys, hashes)]
+
+    def _delete_at(self, key: bytes, slot: int, tag: int) -> bool:
         while True:
             state = self._tags[slot]
             if state == _EMPTY:
@@ -261,7 +278,7 @@ class LinearProbingTable:
             if state >= _TAG_STATES:
                 yield self._keys[i], self._values[i]
 
-    def insert_batch(self, keys: Sequence[Key], values=None) -> None:
+    def insert_batch(self, keys: Sequence[Key], values=None, hashes=None) -> None:
         """Insert many keys, hashing them in one engine pass.
 
         ``values`` defaults to the keys themselves.  Growth decisions are
@@ -271,6 +288,12 @@ class LinearProbingTable:
         batch no longer over-grow the table.  The raw 64-bit hashes are
         still computed in one vectorized pass; they are geometry-
         independent, so mid-batch growth does not invalidate them.
+
+        ``hashes``, when given, are the keys' raw hashes under the
+        table's current hasher (e.g. carried from a router that hashes
+        with the same plan), and the engine pass is skipped.  A key
+        whose insert finds the hasher swapped since — growth re-planned
+        it, or the monitor fell back — is hashed again, as always.
         """
         keys = [as_bytes(k) for k in keys]
         if values is None:
@@ -280,7 +303,8 @@ class LinearProbingTable:
         if not keys:
             return
         generation = self.engine.generation
-        hashes = self.engine.hash_batch(keys)
+        if hashes is None:
+            hashes = self.engine.hash_batch(keys)
         for key, value, h in zip(keys, values, hashes):
             self._insert_one(key, value, int(h), generation)
 
@@ -322,7 +346,10 @@ class LinearProbingTable:
         """
         if generation is not None and generation != self.engine.generation:
             hashes = self.engine.hash_batch(keys)
-        slots, tags = self._reducer.apply(np.asarray(hashes, dtype=np.uint64))
+        if len(keys) < _SPLIT_EACH_MAX:
+            slots, tags = self._reducer.apply_each(map(int, hashes))
+        else:
+            slots, tags = self._reducer.apply(np.asarray(hashes, dtype=np.uint64))
         return self._walk(keys, slots, tags, None)
 
     def _walk(
@@ -454,7 +481,8 @@ class EntropyAwareProbingTable(EntropyAwareMixin, LinearProbingTable):
     from the plan's entropy claim, and re-bases it on every geometry.
     """
 
-    _recommender = "hasher_for_probing_table"
+    _requirement = staticmethod(entropy_for_probing_table)
+    default_max_load = DEFAULT_MAX_LOAD
 
     def __init__(
         self,
@@ -463,8 +491,9 @@ class EntropyAwareProbingTable(EntropyAwareMixin, LinearProbingTable):
         max_load: float = DEFAULT_MAX_LOAD,
         monitor: Optional[CollisionMonitor] = None,
         seed: int = 0,
+        min_entropy: float = 0.0,
     ):
-        super().__init__(model, capacity, max_load, monitor, seed)
+        super().__init__(model, capacity, max_load, monitor, seed, min_entropy)
 
     def _default_monitor(self) -> Optional[CollisionMonitor]:
         entropy = self._plan_entropy(self.engine.hasher)

@@ -10,7 +10,6 @@ by ``engine.rearm``, the journal stats + compaction exposed through
 """
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +34,7 @@ from repro.drift import (
 from repro.drift.relearner import certified_model
 from repro.core.hasher import EntropyLearnedHasher
 from repro.service import (
+    AdapterSpec,
     Service,
     ServiceClient,
     fork_available,
@@ -239,9 +239,15 @@ class TestDriftDetectorHysteresis:
 # ----------------------------------------------------- relearner decisions
 
 
+def _spec(backend: str, capacity: int = 800, min_entropy: float = 0.0):
+    return AdapterSpec(backend, capacity,
+                       hasher=EntropyLearnedHasher.full_key(),
+                       min_entropy=min_entropy)
+
+
 class TestRequiredEntropy:
     def test_chaining_mirrors_fresh_build_geometry(self):
-        spec = SimpleNamespace(backend="chaining", capacity=800)
+        spec = _spec("chaining")
         buckets = next_power_of_two(800)
         expected = entropy_for_chaining_table(
             int(CHAINING_MAX_LOAD * buckets)
@@ -251,13 +257,18 @@ class TestRequiredEntropy:
         assert expected > entropy_for_chaining_table(800) - 1e-9
 
     def test_probing_mirrors_fresh_build_geometry(self):
-        spec = SimpleNamespace(backend="probing", capacity=800)
+        spec = _spec("probing")
         slots = next_power_of_two(800)
         expected = entropy_for_probing_table(int(PROBING_MAX_LOAD * slots))
         assert required_entropy_for_spec(spec) == pytest.approx(expected)
 
+    def test_fleet_floor_lifts_a_small_table(self):
+        # A fleet's partitioning requirement floors its tables' plans.
+        spec = _spec("probing", capacity=16, min_entropy=10.6)
+        assert required_entropy_for_spec(spec) == pytest.approx(10.6)
+
     def test_unknown_backend_rejected(self):
-        spec = SimpleNamespace(backend="bloom", capacity=800)
+        spec = _spec("bloom")
         with pytest.raises(ValueError):
             required_entropy_for_spec(spec)
 

@@ -108,6 +108,15 @@ class TestProtocol:
         with pytest.raises(ValueError):
             Request(op="scan", key=b"k")
 
+    def test_request_is_an_immutable_hashable_value(self):
+        request = Request("put", b"k", b"v")
+        assert request == Request(op="put", key=b"k", value=b"v")
+        assert (request.op, request.key, request.value) == ("put", b"k", b"v")
+        assert Request("get").key == b"" and Request("get").value == b""
+        assert {request: 1}[Request("put", b"k", b"v")] == 1
+        with pytest.raises(AttributeError):
+            request.op = "get"
+
     def test_response_ok_property(self):
         from repro.service import Response
 
@@ -124,10 +133,10 @@ class TestRouter:
 
     def test_route_one_matches_batch(self, model, corpus):
         router = ShardRouter.from_model(model, 4, expected_items=600)
-        batch = list(router.route_batch(corpus[:50]))
+        shards, hashes = router.route_batch(corpus[:50])
         router2 = ShardRouter.from_model(model, 4, expected_items=600)
         singles = [router2.route_one(k) for k in corpus[:50]]
-        assert batch == singles
+        assert list(zip(shards, hashes)) == singles
 
     def test_balance_within_paper_bound(self, model, corpus):
         router = ShardRouter.from_model(model, 4, expected_items=600)

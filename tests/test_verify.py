@@ -58,11 +58,14 @@ def test_serving_presets_catch_dropped_put(name, monkeypatch):
 
     serve_segment = ShardCore.serve_segment
 
-    def dropping(self, op, keys, values=None):
+    def dropping(self, op, keys, values=None, hashes=None, plan=None):
         if op == "put" and len(keys) >= 2:
-            _, acks = serve_segment(self, op, keys[:-1], list(values)[:-1])
+            _, acks = serve_segment(
+                self, op, keys[:-1], list(values)[:-1],
+                None if hashes is None else hashes[:-1], plan,
+            )
             return ("put", None if acks is None else list(acks) + [True])
-        return serve_segment(self, op, keys, values)
+        return serve_segment(self, op, keys, values, hashes, plan)
 
     monkeypatch.setattr(ShardCore, "serve_segment", dropping)
     report = fuzz(name, seed=1234, cases=3, ops_per_case=80,
