@@ -78,10 +78,6 @@ class EngineStats:
         self.keys_hashed += 1
 
     @property
-    def plan_cache_requests(self) -> int:
-        return self.plan_cache_hits + self.plan_cache_misses
-
-    @property
     def mean_batch_size(self) -> float:
         """Average keys per ``hash_batch`` call."""
         if self.batches == 0:

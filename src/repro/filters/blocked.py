@@ -90,13 +90,6 @@ class BlockedBloomFilter:
         num_blocks = max(1, (bits + _BLOCK_BITS - 1) // _BLOCK_BITS)
         return cls(hasher, num_blocks=num_blocks, num_probe_bits=num_probe_bits)
 
-    # ---------------------------------------------------------------- helpers
-
-    def _block_and_mask(self, h: int) -> tuple:
-        """Split one 64-bit hash into a block index and a k-bit mask."""
-        block, mask = self._reducer.apply_one(int(h))
-        return block, np.uint64(mask)
-
     # ------------------------------------------------------------- operations
 
     def add(self, key: Key) -> None:

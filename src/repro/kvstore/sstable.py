@@ -14,8 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro._util import Key, as_bytes
 from repro.core.trainer import EntropyModel, train_model
 from repro.kvstore.memtable import TOMBSTONE
@@ -85,19 +83,6 @@ class SSTable:
             self.filter_rejections += 1
             return False
         return True
-
-    def may_contain_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Batched :meth:`may_contain`: one engine pass over the filter."""
-        keys = [as_bytes(k) for k in keys]
-        result = np.array(
-            [self.min_key <= k <= self.max_key for k in keys], dtype=bool
-        )
-        if self.filter is not None and result.any():
-            in_range = np.nonzero(result)[0]
-            passed = self.filter.contains_batch([keys[i] for i in in_range])
-            self.filter_rejections += int((~passed).sum())
-            result[in_range] &= passed
-        return result
 
     def get(self, key: Key):
         """Binary-search lookup; ``None`` when absent, tombstones pass

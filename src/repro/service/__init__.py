@@ -3,10 +3,11 @@
 The serving story in one paragraph: a :class:`ShardRouter` assigns each
 key to a shard with the fleet's learned hasher (one engine pass,
 balance monitored against the paper's relative bound), and that hash
-is the only one the key gets: it rides the ticket into the shard,
-whose table probes and inserts from it while its plan is the
+is the only one the key gets: it rides the request's run into the
+shard, whose table probes and inserts from it while its plan is the
 router's; per-shard :class:`Worker`s own one structure each and drain
-bounded op queues in micro-batches down the structures' batch paths; the
+bounded queues of row ranges in micro-batches down the structures'
+batch paths (a call's rows travel as columns, one run per shard); the
 :class:`Service` front door speaks a small typed protocol
 (get/put/delete/contains/stats) with explicit backpressure.  Since PR 5
 the layer is fault-tolerant: every acked mutation lands in a per-shard

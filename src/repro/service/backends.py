@@ -1,6 +1,6 @@
 """Execution backends: how a shard's core actually runs.
 
-The worker shell (queueing, tickets, journal, fault hooks) is backend-
+The worker shell (queueing, answers, journal, fault hooks) is backend-
 agnostic; an :class:`ExecutionBackend` decides *where* the
 :class:`~repro.service.core.ShardCore` lives.  Both backends speak one
 shard protocol: a batch of wire segments goes to
@@ -30,7 +30,7 @@ The crash model is identical on both sides because acknowledgement and
 journaling are parent-side shell work: a child that dies mid-batch
 (injected ``crash`` directive, injected ``sigkill``, or a genuine
 out-of-band ``kill -9``) has answered some prefix of its segments;
-exactly that prefix was acked and journaled, the rest of the tickets
+exactly that prefix was acked and journaled, the rest of the rows
 reconcile back to the front of the queue, and the replacement child is
 rebuilt from the acked-only journal — so nothing acked is lost and
 nothing unacked is double-applied, no matter how rudely the process

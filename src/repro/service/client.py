@@ -1,15 +1,20 @@
 """One client policy over two transports.
 
-:class:`ServiceClient` turns the ticket-based service protocol into
-plain method calls; :class:`NetworkClient` is the same client over the
-front door's socket.  The policy — bounded retry, backoff and the ack
-ledger — lives once, on :class:`ServiceClient`, and runs over a
-two-method transport: ``send`` a batch of requests, then ``wait`` for
-their answers (or, with no handles, for one backoff tick).
+:class:`ServiceClient` turns the service protocol into plain method
+calls; :class:`NetworkClient` is the same client over the front door's
+socket.  The policy — bounded retry, backoff and the ack ledger — lives
+once, on :class:`ServiceClient`, and runs over a two-method transport:
+a ``round`` admits one op's rows as columns and returns them answered,
+as :class:`~repro.service.protocol.Run` records, and a ``tick`` is one
+backoff step.  In process a round is one ``Service.submit_rows`` call
+and the pumps that answer it, and the client reads the runs' status
+and answer columns directly: no per-key ticket or Response is built,
+except where a verb returns Responses.  Over the socket a round is one
+pipelined exchange of frames, read back as one run of Responses.
 
 Every call runs in rounds:
 
-1. send the pending requests and wait for every answer;
+1. send the pending rows and wait for every answer;
 2. settle the terminal answers in the ledger;
 3. collect ``rejected`` and ``wrong_generation`` answers into the retry
    set;
@@ -19,13 +24,14 @@ Every call runs in rounds:
    an in-process wait that drained the queue leaves nothing to wait
    for; the socket transport cannot see the server's pumps and counts
    none) — a missing hint means one tick, an explicit 0 means no wait;
-5. resend the retry set as one batch, handing the transport the
-   previous round's handles (in process, the answered tickets, whose
-   carried key hashes spare the router a second hashing), and give up
-   with :class:`ServiceOverloadedError` after ``max_retries`` rounds.
+5. resend the retry set as one batch, handing the transport the rows'
+   carried key hashes and the generation they were routed under (in
+   process they spare the router a second hashing), and give up with
+   :class:`ServiceOverloadedError` after ``max_retries`` rounds.
 
-A scalar verb is a batch of one.  No call can spin forever: the
-in-process transport cancels tickets unanswered after
+A scalar verb is a batch of one, admitted through ``Service.submit``.
+No call can spin forever: the in-process transport cancels rows
+unanswered after
 ``deadline_pumps`` pumps, and total backoff is at most ``max_retries *
 BACKOFF_CAP_PUMPS`` ticks.  A typed error (deadline, overload,
 draining, bad request) is raised only after every answer of its round
@@ -43,19 +49,26 @@ import socket
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro._util import as_bytes
+from repro._util import as_bytes, as_bytes_list
 
 from repro.service import netproto
 from repro.service.protocol import (
+    ANSWERED,
     FAILED,
     OK,
+    OTHER,
+    PENDING,
+    REFUSED,
     REJECTED,
     WRONG_GENERATION,
     Request,
     Response,
+    Run,
     Ticket,
+    ok_response,
+    payload_of,
 )
-from repro.service.service import Service
+from repro.service.service import Service, _gather
 
 # Per-round backoff ceiling in ticks (a service pump in process, a
 # TICK_S sleep over the wire): however deep the rejecting queue's
@@ -99,8 +112,9 @@ class DeadlineExceededError(RuntimeError):
 
 
 class _InProcess:
-    """Transport over an in-process :class:`Service`: ``send`` admits,
-    ``wait`` pumps."""
+    """Transport over an in-process :class:`Service`: a round admits,
+    then pumps until every row is answered; a tick is one pump.
+    Answers are read from the runs' columns."""
 
     def __init__(self, service: Service, deadline_pumps: int):
         self.service = service
@@ -110,36 +124,40 @@ class _InProcess:
         # retry_after hint.
         self.pumped = 0
 
-    def send(self, requests: Sequence[Request],
-             retry_of: Optional[Sequence[Ticket]] = None) -> List[Ticket]:
-        if len(requests) == 1:
-            # Scalar verbs keep the scalar routing path (route_one).
-            return [self.service.submit(requests[0])]
-        # A retry round hands back the rejected tickets, whose keys the
-        # router then need not hash again.
-        return self.service.submit_batch(requests, retry_of)
-
-    def wait(self, tickets: Optional[Sequence[Ticket]] = None
-             ) -> List[Response]:
-        if tickets is None:
-            self.service.pump()
-            return []
-        waiting = [t for t in tickets if t.response is None]
+    def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
+              carried=None) -> List[Run]:
+        if len(keys) == 1:
+            # Scalar verbs keep the scalar routing path (route_one): a
+            # one-row run on the ticket submit returns.
+            runs = [self.service.submit(Request(
+                op if isinstance(op, str) else op[0], keys[0],
+                b"" if values is None else values[0],
+            )).run]
+        else:
+            # A retry round hands back the rows' hashes and the
+            # generation they were routed under, so the router need not
+            # hash again.
+            runs = self.service.submit_rows(op, keys, values, carried)
         self.pumped = 0
-        for _ in range(self.deadline_pumps):
-            if not waiting:
-                break
+        waiting = [run for run in runs if PENDING in run.status]
+        while waiting and self.pumped < self.deadline_pumps:
             self.service.pump()
             self.pumped += 1
-            waiting = [t for t in waiting if t.response is None]
-        for ticket in waiting:
-            # Mark the ticket failed *before* cancelling so the
-            # supervisor's reconciliation can never resurrect it.
-            ticket.response = Response(
-                FAILED, shard=ticket.shard, error=DEADLINE_EXCEEDED
-            )
-            self.service.cancel(ticket)
-        return [ticket.response for ticket in tickets]
+            waiting = [run for run in waiting if PENDING in run.status]
+        for run in waiting:
+            for row in range(len(run.keys)):
+                if run.status[row] != PENDING:
+                    continue
+                # Mark the row failed *before* cancelling so the
+                # supervisor's reconciliation can never resurrect it.
+                run.answer(row, Response(
+                    FAILED, shard=run.shard_of(row), error=DEADLINE_EXCEEDED
+                ))
+                self.service.cancel(Ticket.view(run, row))
+        return runs
+
+    def tick(self) -> None:
+        self.service.pump()
 
 
 class _Socket:
@@ -190,9 +208,37 @@ class _Socket:
             out.append(self.stash.pop(frame_id))
         return out
 
+    def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
+              carried=None) -> List[Run]:
+        """One pipelined exchange, as one run of Responses."""
+        n = len(keys)
+        ops = [op] * n if isinstance(op, str) else op
+        responses = self.wait(self.send([
+            Request(ops[i], key, b"" if values is None else values[i])
+            for i, key in enumerate(keys)
+        ]))
+        run = Run(None, keys, values, None, 0, range(n), None, None, ops)
+        run.status[:] = bytes((OTHER,)) * n
+        run.answers = responses
+        return [run]
 
-def _typed_error(request: Request, response: Response
-                 ) -> Optional[Exception]:
+    def tick(self) -> None:
+        self.wait()
+
+
+def _ok_answers(run: Run, ok: int, responses: bool) -> list:
+    """The answers of a run's first ``ok`` rows, all answered OK: the
+    payload column itself, or Responses built from it."""
+    if not responses:
+        return run.answers
+    if run.rerouted is None:
+        op, shard = run.op, run.shard
+        return [ok_response(op, payload, shard)
+                for payload in run.answers[:ok]]
+    return [run.response(row) for row in range(ok)]
+
+
+def _typed_error(op: str, response: Response) -> Optional[Exception]:
     """The exception a terminal answer raises once its round settles."""
     if response.status == netproto.DRAINING:
         return ServiceDrainingError(response.error or "front door is draining")
@@ -200,7 +246,7 @@ def _typed_error(request: Request, response: Response
         return NetworkRequestError(response.error or "server rejected the frame")
     if response.error == DEADLINE_EXCEEDED:
         return DeadlineExceededError(
-            f"{request.op} unanswered within the pump deadline "
+            f"{op} unanswered within the pump deadline "
             f"(shard {response.shard}); cancelled at its shard"
         )
     return None
@@ -234,94 +280,200 @@ class ServiceClient:
 
     # ------------------------------------------------------------- policy
 
-    def _call(self, requests: Sequence[Request]) -> List[Response]:
+    def _call(self, op, keys: List[bytes],
+              values: Optional[List[bytes]] = None,
+              responses: bool = False) -> List[object]:
         """Walk a batch to terminal answers in rounds (see the module
-        docstring); answers come back in request order."""
-        self.puts_sent += sum(1 for r in requests if r.op == "put")
-        out: List[Optional[Response]] = [None] * len(requests)
-        pending = list(range(len(requests)))
-        # The previous round's handle of each pending request.
-        handles = None
-        error: Optional[Exception] = None
+        docstring); answers come back in call order.
+
+        ``op`` is one op for every row or an op column.  An OK answer is
+        the op's payload (a get's value, a contains' ``found``, ...),
+        any other terminal answer its Response; with ``responses``
+        every answer is a Response.  Each round reads the runs' answer
+        columns (:meth:`_settle`).
+        """
+        n = len(keys)
+        if not n:
+            return []
+        self.puts_sent += (n if op == "put" else 0) if isinstance(op, str) \
+            else op.count("put")
+        out: List[object] = [None] * n
+        call_keys, call_values, call_ops = keys, values, op
+        # This round's position -> call position (None: the identity).
+        where: Optional[List[int]] = None
+        carried = None
+        pending: List[int] = []
+        # (call position, exception) of the first typed error.
+        error: Optional[Tuple[int, Exception]] = None
+        transport = self.transport
         for round_ in range(self.max_retries + 1):
-            sent = self.transport.send([requests[i] for i in pending],
-                                       handles)
-            answers = self.transport.wait(sent)
-            retry: List[int] = []
-            retry_handles = []
-            hints: List[int] = []
-            for i, handle, response in zip(pending, sent, answers):
-                status = response.status
-                if status == OK:
-                    out[i] = response
-                    if requests[i].op == "put":
-                        self.puts_responded += 1
-                        self.puts_acked += 1
-                elif status == REJECTED:
-                    self.retries += 1
-                    hint = response.retry_after
-                    hints.append(1 if hint is None else max(0, int(hint)))
-                    retry.append(i)
-                    retry_handles.append(handle)
-                elif (status == WRONG_GENERATION
-                      and round_ < self.max_retries):
-                    # A routing flip moved the key between admission
-                    # and dispatch: "ask again" through the live table.
-                    self.generation_retries += 1
-                    retry.append(i)
-                    retry_handles.append(handle)
-                else:
-                    request = requests[i]
-                    if request.op == "put":
-                        self.puts_responded += 1
-                    if response.error == DEADLINE_EXCEEDED:
-                        self.deadline_failures += 1
-                    error = error or _typed_error(request, response)
-                    out[i] = response
-            pending, handles = retry, retry_handles
-            if error is not None or not pending or round_ == self.max_retries:
+            runs = transport.round(op, keys, values, carried)
+            # (call position, carried hash) of every row to resend.
+            retry: List[Tuple[int, Optional[int]]] = []
+            generations: List[int] = []
+            hint: Optional[int] = None
+            last = round_ == self.max_retries
+            for run in runs:
+                positions = (run.offsets if where is None
+                             else _gather(where, run.offsets))
+                status = run.status
+                if run.ops is None and status.count(ANSWERED) == len(status):
+                    # Every row answered OK: copy the answer column out.
+                    if run.op == "put":
+                        self.puts_responded += len(status)
+                        self.puts_acked += len(status)
+                    answers = (_ok_answers(run, len(status), True)
+                               if responses else run.answers)
+                    for position, answer in zip(positions, answers):
+                        out[position] = answer
+                    continue
+                after, failed = self._settle(run, positions, out, retry,
+                                             generations, responses, last)
+                if after is not None:
+                    hint = after if hint is None else max(hint, after)
+                # The first typed error in call order is the one raised.
+                if failed is not None and (error is None
+                                           or failed[0] < error[0]):
+                    error = failed
+            if not retry:
+                pending = []
                 break
-            if hints:
+            if error is not None or last:
+                pending = [position for position, _ in retry]
+                break
+            # The retry set resends in call order, as one batch.
+            retry.sort()
+            pending = [position for position, _ in retry]
+            if hint is not None:
                 # A hint counts pumps from the rejection; the answer
                 # wait already ran some of them.
-                hint = max(max(hints) - self.transport.pumped, 0)
+                hint = max(hint - transport.pumped, 0)
                 ceiling = min(hint << round_, BACKOFF_CAP_PUMPS)
                 ticks = self._rng.randint(1, ceiling) if ceiling >= 1 else 0
                 self.backoff_pumps += ticks
                 for _ in range(ticks):
-                    self.transport.wait()
+                    transport.tick()
+            where = pending
+            keys = _gather(call_keys, pending)
+            if call_values is not None:
+                values = _gather(call_values, pending)
+            if not isinstance(call_ops, str):
+                op = _gather(call_ops, pending)
+            carried = ((generations[0], [h for _, h in retry])
+                       if len(set(generations)) == 1 else None)
         if pending:
             # Abandoned requests were answered "not applied" (rejected,
             # or a wrong_generation in an errored round): negative acks.
             self.puts_responded += sum(
-                1 for i in pending if requests[i].op == "put"
+                1 for i in pending
+                if (call_ops if isinstance(call_ops, str)
+                    else call_ops[i]) == "put"
             )
-            error = error or ServiceOverloadedError(
-                f"{len(pending)} request(s) still rejected after "
-                f"{self.max_retries + 1} attempts "
-                f"({self.backoff_pumps} backoff ticks spent)"
-            )
+            if error is None:
+                raise ServiceOverloadedError(
+                    f"{len(pending)} request(s) still rejected after "
+                    f"{self.max_retries + 1} attempts "
+                    f"({self.backoff_pumps} backoff ticks spent)"
+                )
         if error is not None:
-            raise error
-        return out  # type: ignore[return-value]
+            raise error[1]
+        return out
+
+    def _settle(self, run: Run, positions: Sequence[int], out: list,
+                retry: list, generations: list, responses: bool,
+                last: bool) -> Tuple[Optional[int], Optional[tuple]]:
+        """Settle one answered run into ``out`` and the ledger, and queue
+        its rows to resend into ``retry``; returns the run's backoff
+        hint (None without a rejection) and its first typed error as
+        ``(call position, exception)``, if any.
+
+        A run of one op whose OK rows all precede its refused rows —
+        every run a plain overflow leaves — is settled by column
+        slices; any other run row by row."""
+        status = run.status
+        ok = status.count(ANSWERED)
+        refused = status.count(REFUSED)
+        if (run.ops is None and ok + refused == len(status)
+                and status.find(REFUSED) == ok):
+            if run.op == "put":
+                self.puts_responded += ok
+                self.puts_acked += ok
+            for position, answer in zip(positions[:ok],
+                                        _ok_answers(run, ok, responses)):
+                out[position] = answer
+            self.retries += refused
+            hashes = run.hashes
+            retry += zip(positions[ok:], [None] * refused if hashes is None
+                         else hashes[ok:])
+            generations.append(run.generation)
+            after = run.refused.retry_after
+            return (1 if after is None else max(0, int(after))), None
+        hint: Optional[int] = None
+        error: Optional[tuple] = None
+        for row, code in enumerate(status):
+            position = positions[row]
+            op = run.op_at(row)
+            if code == ANSWERED:
+                if op == "put":
+                    self.puts_responded += 1
+                    self.puts_acked += 1
+                out[position] = (run.response(row) if responses
+                                 else run.answers[row])
+                continue
+            response = run.refused if code == REFUSED else run.answers[row]
+            status_ = response.status
+            if status_ == OK:
+                if op == "put":
+                    self.puts_responded += 1
+                    self.puts_acked += 1
+                out[position] = (response if responses
+                                 else payload_of(op, response))
+            elif status_ == REJECTED or (status_ == WRONG_GENERATION
+                                         and not last):
+                if status_ == REJECTED:
+                    self.retries += 1
+                    after = response.retry_after
+                    after = 1 if after is None else max(0, int(after))
+                    hint = after if hint is None else max(hint, after)
+                else:
+                    # A routing flip moved the key between admission
+                    # and dispatch: "ask again" through the live table.
+                    self.generation_retries += 1
+                retry.append((position, None if run.hashes is None
+                              else run.hashes[row]))
+                generations.append(run.generation)
+            else:
+                if op == "put":
+                    self.puts_responded += 1
+                if response.error == DEADLINE_EXCEEDED:
+                    self.deadline_failures += 1
+                if error is None:
+                    typed = _typed_error(op, response)
+                    if typed is not None:
+                        error = (position, typed)
+                out[position] = (response if responses
+                                 else payload_of(op, response))
+        return hint, error
 
     # ------------------------------------------------------------ scalar
 
     def get(self, key) -> Optional[bytes]:
-        return self._call([Request("get", as_bytes(key))])[0].value
+        return self._call("get", [as_bytes(key)])[0]  # type: ignore
 
     def put(self, key, value) -> Response:
-        return self._call([Request("put", as_bytes(key), as_bytes(value))])[0]
+        return self._call("put", [as_bytes(key)], [as_bytes(value)],
+                          True)[0]  # type: ignore[return-value]
 
     def delete(self, key) -> Response:
-        return self._call([Request("delete", as_bytes(key))])[0]
+        return self._call("delete", [as_bytes(key)], None,
+                          True)[0]  # type: ignore[return-value]
 
     def contains(self, key) -> bool:
-        return bool(self._call([Request("contains", as_bytes(key))])[0].found)
+        return bool(self._call("contains", [as_bytes(key)])[0])
 
     def stats(self) -> Dict[str, object]:
         """Service stats; over the wire, plus the ``frontdoor`` block."""
-        return self._call([Request("stats")])[0].stats
+        return self._call("stats", [b""])[0]  # type: ignore[return-value]
 
     def similar(self, key, k: int = 10) -> List[Tuple[bytes, float]]:
         """Top-k neighbors of a stored item on the similarity backend.
@@ -339,33 +491,39 @@ class ServiceClient:
 
         A batch that writes the same key twice goes one request at a
         time instead: a rejected-then-retried first write must not land
-        after an accepted second write to the same key.
+        after an accepted second write to the same key.  In process a
+        shard refuses only a suffix of a run, so the first write is
+        never refused while the second is admitted; over the socket,
+        though, the front door may split one call's pipelined frames
+        across two admission rounds, and a refused first write would
+        then be retried after an admitted second one.
         """
-        requests = [Request("put", as_bytes(k), as_bytes(v)) for k, v in pairs]
-        if len({r.key for r in requests}) == len(requests):
-            return self._call(requests)
-        return [self._call([request])[0] for request in requests]
+        keys: List[bytes] = []
+        values: List[bytes] = []
+        for key, value in pairs:
+            keys.append(as_bytes(key))
+            values.append(as_bytes(value))
+        if len(set(keys)) == len(keys):
+            return self._call("put", keys, values, True)  # type: ignore
+        return [self._call("put", [key], [value], True)[0]  # type: ignore
+                for key, value in zip(keys, values)]
 
     def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
         # Reads never conflict with each other, so one batch is safe
         # even with duplicate keys.
-        responses = self._call([Request("get", as_bytes(k)) for k in keys])
-        return [r.value for r in responses]
+        return self._call("get", as_bytes_list(keys))  # type: ignore
 
     def contains_many(self, keys: Sequence[object]) -> List[bool]:
-        responses = self._call(
-            [Request("contains", as_bytes(k)) for k in keys]
-        )
-        return [bool(r.found) for r in responses]
+        return [bool(found) for found in
+                self._call("contains", as_bytes_list(keys))]
 
     def similar_many(
         self, keys: Sequence[object], k: int = 10
     ) -> List[List[Tuple[bytes, float]]]:
         payload = str(int(k)).encode("ascii")
-        responses = self._call(
-            [Request("similar", as_bytes(key), payload) for key in keys]
-        )
-        return [list(r.neighbors or ()) for r in responses]
+        keys = as_bytes_list(keys)
+        return [list(neighbors or ()) for neighbors in
+                self._call("similar", keys, [payload] * len(keys))]
 
     @property
     def lost_acks(self) -> int:

@@ -6,6 +6,12 @@ response can be serialized straight onto a wire later without a schema
 change.  Submitting a request returns a :class:`Ticket` immediately;
 the response materializes on the ticket when the owning shard drains
 its queue (or synchronously, for rejections and ``stats``).
+
+Below the ticket the batch path is columnar: a :class:`Run` holds one
+shard's rows of one call as request and answer columns, and the shard
+queues hold :class:`Rows` — row ranges of runs.  A ticket is a one-row
+range that reads its run's columns; a :class:`Response` is built only
+when one is read.
 """
 
 from __future__ import annotations
@@ -82,34 +88,234 @@ class Response:
         return self.status == OK
 
 
-@dataclass(slots=True)
-class Ticket:
-    """Handle for a submitted request; ``response`` fills in on drain."""
+# Row states in a run's status column.
+PENDING = 0   # not answered yet
+ANSWERED = 1  # OK: the answer column holds the op's payload
+REFUSED = 2   # refused at admission: the run's one refusal answers it
+OTHER = 3     # the answer column holds the row's own Response
 
-    request: Request
-    request_id: int
-    shard: Optional[int] = None
-    response: Optional[Response] = None
-    # Routing generation at admission time.  The dispatch path uses it
-    # as a safety net: a ticket stamped under generation N whose key no
-    # longer routes to its queued shard is answered WRONG_GENERATION
-    # instead of being served against the wrong shard's state.
-    generation: int = 0
-    # The key's raw 64-bit fleet hash, computed once by the router and
-    # carried into the shard, whose table probes and inserts from it
-    # when its plan matches the router's (see ShardCore.serve_segment).
-    key_hash: Optional[int] = None
+# The offsets of a one-row run, shared by every scalar submit.
+_FIRST_ROW = (0,)
+
+
+def ok_response(op: str, payload: object, shard: Optional[int]) -> Response:
+    """The Response an OK row's payload stands for."""
+    if op == "put":
+        return Response(OK, shard=shard)
+    if op == "get":
+        return Response(OK, value=payload, found=payload is not None,
+                        shard=shard)
+    if op == "similar":
+        return Response(OK, found=payload is not None, shard=shard,
+                        neighbors=list(payload or ()))
+    if op == "stats":
+        return Response(OK, stats=payload)
+    return Response(OK, found=payload, shard=shard)  # delete, contains
+
+
+def payload_of(op: str, response: Response) -> object:
+    """The inverse of :func:`ok_response`: the payload a Response
+    carries for ``op``."""
+    if op == "get":
+        return response.value
+    if op == "similar":
+        return response.neighbors
+    if op == "stats":
+        return response.stats
+    if op == "put":
+        return None
+    return response.found
+
+
+class Run:
+    """One shard's rows of one call: request columns in, answer columns
+    out.
+
+    Rows are in call order.  Row ``i`` is request id ``base +
+    offsets[i]``, where ``offsets[i]`` is its position in the call, so a
+    caller scatters the answers back with the offsets alone.  The op is
+    one string for the whole run (``ops`` None) or, for a mixed batch,
+    the ``ops`` column.  ``hashes`` holds the keys' raw fleet hashes as
+    the router computed them; a re-route refreshes them in place, and
+    records a row's new shard in ``rerouted``.
+
+    Answers are two columns: ``status`` (one byte per row, see
+    ``PENDING`` .. ``OTHER``) and ``answers`` (an OK row's payload, or
+    the Response of a row that is not a plain OK).  Refused rows share
+    the run's one ``refused`` Response, which carries ``retry_after``.
+    """
+
+    __slots__ = ("op", "ops", "keys", "values", "hashes", "base", "offsets",
+                 "generation", "shard", "rerouted", "status", "answers",
+                 "refused")
+
+    def __init__(self, op, keys, values, hashes, base, offsets, generation,
+                 shard, ops=None):
+        self.op = op
+        self.ops = ops
+        self.keys = keys
+        self.values = values
+        self.hashes = hashes
+        self.base = base
+        self.offsets = offsets
+        self.generation = generation
+        self.shard = shard
+        self.rerouted: Optional[Dict[int, int]] = None
+        n = len(keys)
+        self.status = bytearray(n)
+        self.answers: List[object] = [None] * n
+        self.refused: Optional[Response] = None
+
+    def op_at(self, row: int) -> str:
+        return self.op if self.ops is None else self.ops[row]
+
+    def request_id(self, row: int) -> int:
+        return self.base + self.offsets[row]
+
+    def shard_of(self, row: int) -> Optional[int]:
+        if self.rerouted is not None:
+            return self.rerouted.get(row, self.shard)
+        return self.shard
+
+    def move(self, row: int, shard: int) -> None:
+        """Record that a re-route placed ``row`` on ``shard``."""
+        if shard == self.shard:
+            if self.rerouted is not None:
+                self.rerouted.pop(row, None)
+            return
+        if self.rerouted is None:
+            self.rerouted = {}
+        self.rerouted[row] = shard
+
+    def request(self, row: int) -> Request:
+        return Request(self.op_at(row), self.keys[row],
+                       b"" if self.values is None else self.values[row])
+
+    def response(self, row: int) -> Optional[Response]:
+        """Row ``row``'s answer as a Response (None while pending)."""
+        code = self.status[row]
+        if code == ANSWERED:
+            return ok_response(self.op_at(row), self.answers[row],
+                               self.shard_of(row))
+        if code == REFUSED:
+            return self.refused
+        if code == OTHER:
+            return self.answers[row]
+        return None
+
+    def answer(self, row: int, response: Optional[Response]) -> None:
+        """Set (or, with None, clear) one row's answer."""
+        self.status[row] = PENDING if response is None else OTHER
+        self.answers[row] = response
+
+
+class Rows:
+    """A contiguous row range ``[start, stop)`` of one run: the unit the
+    shard queues, the inflight registry and dispatch hold.
+
+    ``generation`` is the routing generation the rows were placed
+    under: admission stamps the run's, and a re-route the live one.
+    """
+
+    __slots__ = ("run", "start", "stop", "generation")
+
+    def __init__(self, run: Run, start: int, stop: int, generation: int):
+        self.run = run
+        self.start = start
+        self.stop = stop
+        self.generation = generation
+
+    @property
+    def first_id(self) -> int:
+        return self.run.request_id(self.start)
+
+    @property
+    def last_id(self) -> int:
+        return self.run.request_id(self.stop - 1)
+
+    def pending(self) -> int:
+        """Rows of the range still unanswered."""
+        return self.run.status.count(PENDING, self.start, self.stop)
+
+
+_new_rows = object.__new__
+
+
+class Ticket(Rows):
+    """Handle for one submitted request: a one-row range of a run.
+
+    ``Ticket(request, request_id, ...)`` builds a one-row run of its
+    own (what :meth:`Service.submit` admits); :meth:`view` reads one
+    row of an existing run.  Either way the request and its response
+    are read from the run's columns, and a Response is built only when
+    ``response`` is read.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, request: Request, request_id: int,
+                 shard: Optional[int] = None,
+                 response: Optional[Response] = None,
+                 generation: int = 0, key_hash: Optional[int] = None):
+        self.run = run = Run(request[0], [request[1]], [request[2]],
+                             [key_hash], request_id, _FIRST_ROW,
+                             generation, shard)
+        self.start = 0
+        self.stop = 1
+        self.generation = generation
+        if response is not None:
+            run.answer(0, response)
+
+    @classmethod
+    def view(cls, run: Run, row: int) -> "Ticket":
+        ticket = _new_rows(cls)
+        ticket.run = run
+        ticket.start = row
+        ticket.stop = row + 1
+        ticket.generation = run.generation
+        return ticket
+
+    @property
+    def request(self) -> Request:
+        return self.run.request(self.start)
+
+    @property
+    def request_id(self) -> int:
+        return self.run.request_id(self.start)
+
+    @property
+    def shard(self) -> Optional[int]:
+        return self.run.shard_of(self.start)
+
+    @shard.setter
+    def shard(self, shard: int) -> None:
+        self.run.move(self.start, shard)
+
+    @property
+    def key_hash(self) -> Optional[int]:
+        hashes = self.run.hashes
+        return None if hashes is None else hashes[self.start]
+
+    @property
+    def response(self) -> Optional[Response]:
+        return self.run.response(self.start)
+
+    @response.setter
+    def response(self, response: Optional[Response]) -> None:
+        self.run.answer(self.start, response)
 
     @property
     def done(self) -> bool:
-        return self.response is not None
+        return self.run.status[self.start] != PENDING
 
     @property
     def rejected(self) -> bool:
-        return self.response is not None and self.response.status == REJECTED
-
+        response = self.response
+        return response is not None and response.status == REJECTED
 
 __all__ = [
     "OPS", "OK", "REJECTED", "FAILED", "WRONG_GENERATION",
-    "Request", "Response", "Ticket",
+    "PENDING", "ANSWERED", "REFUSED", "OTHER",
+    "Request", "Response", "Rows", "Run", "Ticket",
+    "ok_response", "payload_of",
 ]

@@ -19,9 +19,9 @@ behind a generation flip that migrates acked state first.
 
 The router's hash is the fleet's only hash of a key: the service builds
 the router from the plan its shard tables plan (``AdapterSpec.
-fleet_hasher``), and every routed key's raw hash rides its ticket into
-the shard, whose table probes and inserts from it (the bit budget that
-keeps the uses apart is in :mod:`repro.service.routing`).
+fleet_hasher``), and every routed key's raw hash rides its run's hash
+column into the shard, whose table probes and inserts from it (the bit
+budget that keeps the uses apart is in :mod:`repro.service.routing`).
 
 Fault-plane observation is aggregated (satellite of PR 7): one
 ``np.bincount`` already computed for the balance counters is handed to

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,17 +58,61 @@ from repro.service.adapters import BACKENDS, AdapterSpec
 from repro.service.backends import EXECUTIONS, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.journal import Entry, compact
-from repro.service.protocol import OK, REJECTED, Request, Response, Ticket
+from repro.service.protocol import (
+    ANSWERED,
+    REFUSED,
+    REJECTED,
+    Request,
+    Response,
+    Rows,
+    Run,
+    Ticket,
+)
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
 from repro.service.supervisor import Supervisor
-from repro.service.worker import Worker
+from repro.service.worker import Worker, coalesce, split_at
 
 # The most pumps ``drain`` spends before giving up on pending tickets.
 MAX_DRAIN_PUMPS = 10_000
 
-_generation_of = attrgetter("generation")
-_key_hash_of = attrgetter("key_hash")
+_first = itemgetter(0)
+# One refused row's status byte.
+_REFUSED_ROW = bytes((REFUSED,))
+
+
+def _gather(column: Sequence, rows: Sequence[int]) -> list:
+    """``[column[i] for i in rows]`` at C speed."""
+    if len(rows) > 1:
+        return list(itemgetter(*rows)(column))
+    return [column[i] for i in rows]
+
+
+def _partition(op, keys, values, hashes, shards, base, generation
+               ) -> List[Run]:
+    """Split one call's columns into one run per shard, rows in call
+    order; ``op`` is one op or an op column."""
+    groups: Dict[int, List[int]] = {}
+    for position, shard in enumerate(shards):
+        rows = groups.get(shard)
+        if rows is None:
+            groups[shard] = [position]
+        else:
+            rows.append(position)
+    runs = []
+    for shard, rows in groups.items():
+        run_op, ops = op, None
+        if isinstance(op, list):
+            ops = _gather(op, rows)
+            run_op = ops[0] if ops.count(ops[0]) == len(ops) else None
+            if run_op is not None:
+                ops = None
+        runs.append(Run(
+            run_op, _gather(keys, rows),
+            None if values is None else _gather(values, rows),
+            _gather(hashes, rows), base, rows, generation, shard, ops,
+        ))
+    return runs
 
 
 class Service:
@@ -270,8 +314,8 @@ class Service:
     # ------------------------------------------------------------- intake
 
     def submit(self, request: Request) -> Ticket:
-        """Admit one request.  Always returns a ticket; rejections and
-        ``stats`` answer synchronously on it."""
+        """Admit one request as a one-row run.  Always returns a ticket;
+        rejections and ``stats`` answer synchronously on it."""
         request_id = self._next_request_id
         self._next_request_id += 1
         self.submitted += 1
@@ -279,12 +323,15 @@ class Service:
             ticket = Ticket(request, request_id,
                             generation=self.router.generation)
             self.accepted += 1
-            ticket.response = Response(OK, stats=self.stats())
+            ticket.run.answers[0] = self.stats()
+            ticket.run.status[0] = ANSWERED
             return ticket
         shard, key_hash = self.router.route_one(request.key)
-        ticket = Ticket(request, request_id, None, None,
+        ticket = Ticket(request, request_id, shard, None,
                         self.router.generation, key_hash)
-        self._admit([ticket], [shard])
+        lost = (None if self.fault_plane is None
+                else self._lost_rows((shard,)))
+        self._admit_run(ticket.run, lost, ticket)
         return ticket
 
     def submit_batch(
@@ -296,11 +343,9 @@ class Service:
 
         Byte-equivalent to ``[self.submit(r) for r in requests]`` —
         same admission order, same request-id assignment, same
-        queue-loss and backpressure decisions — but the key→shard map
-        is computed by ``route_batch`` (one compiled engine pass) so
-        per-request admission overhead stops being the bottleneck in
-        front of parallel shards.  Each ticket is built with its key's
-        fleet hash in the one constructor call.  ``retry_of``, when
+        queue-loss and backpressure decisions — but admitted as
+        columns by :meth:`submit_rows`, and answered through one ticket
+        view per request over the runs' columns.  ``retry_of``, when
         given, holds the answered ticket each request retries: tickets
         admitted under the live routing generation already carry their
         keys' hashes, so a retry round routes without hashing again.
@@ -310,79 +355,138 @@ class Service:
         requests = list(requests)
         if not requests:
             return []
-        if any(request.op == "stats" for request in requests):
+        ops = [request.op for request in requests]
+        if "stats" in ops:
             return [self.submit(request) for request in requests]
+        carried = None
+        if retry_of is not None:
+            generations = {ticket.generation for ticket in retry_of}
+            if len(generations) == 1:
+                carried = (generations.pop(),
+                           [ticket.key_hash for ticket in retry_of])
+        runs = self.submit_rows(
+            ops[0] if ops.count(ops[0]) == len(ops) else ops,
+            [request.key for request in requests],
+            [request.value for request in requests],
+            carried,
+        )
+        tickets: List[Optional[Ticket]] = [None] * len(requests)
+        for run in runs:
+            for row, offset in enumerate(run.offsets):
+                tickets[offset] = Ticket.view(run, row)
+        return tickets  # type: ignore[return-value]
+
+    def submit_rows(
+        self,
+        op,
+        keys: List[bytes],
+        values: Optional[List[bytes]] = None,
+        carried: Optional[Tuple[int, List[Optional[int]]]] = None,
+    ) -> List[Run]:
+        """Admit one call's rows as columns; returns one run per shard.
+
+        ``op`` is one op for every row, or an op column.  ``carried``
+        is ``(generation, hashes)`` from the rows' previous round: the
+        hashes are reused, and the keys not hashed again, when that
+        generation is still live.  One ``route_batch`` pass picks every
+        row's shard; the rows of each shard become one :class:`Run` in
+        call order, and :meth:`_admit_run` admits it.  Answers land in
+        the runs' columns.
+        """
+        n = len(keys)
+        if not n:
+            return []
         generation = self.router.generation
         hashes = None
-        if (retry_of is not None
-                and set(map(_generation_of, retry_of)) == {generation}):
-            hashes = list(map(_key_hash_of, retry_of))
-            if None in hashes:
-                hashes = None
-        shards, hashes = self.router.route_batch(
-            [r.key for r in requests], hashes
-        )
-        first = self._next_request_id
-        tickets = [
-            Ticket(request, request_id, None, None, generation, key_hash)
-            for request, request_id, key_hash
-            in zip(requests, range(first, first + len(requests)), hashes)
-        ]
-        self._next_request_id += len(requests)
-        self.submitted += len(requests)
-        self._admit(tickets, shards)
-        return tickets
+        if (carried is not None and carried[0] == generation
+                and None not in carried[1]):
+            hashes = carried[1]
+        shards, hashes = self.router.route_batch(keys, hashes)
+        base = self._next_request_id
+        self._next_request_id += n
+        self.submitted += n
+        lost = (None if self.fault_plane is None
+                else self._lost_rows(shards))
+        first = shards[0]
+        if shards.count(first) == n:
+            if isinstance(op, list):
+                ops, op = op, None
+            else:
+                ops = None
+            runs = [Run(op, keys, values, hashes, base, range(n),
+                        generation, first, ops)]
+        else:
+            runs = _partition(op, keys, values, hashes, shards, base,
+                              generation)
+        for run in runs:
+            self._admit_run(run, lost)
+        return runs
 
-    def _admit(self, tickets: List[Ticket], shards: List[int]) -> None:
-        """The admission tail of routed tickets: one pass in batch
-        order, then one credit check per shard run.
-
-        The pass stamps each ticket's shard, gives an armed fault plane
-        one ``queue_loss`` opportunity per ticket (in batch order, so
+    def _lost_rows(self, shards: Sequence[int]) -> List[bool]:
+        """One ``queue_loss`` opportunity per row, in batch order, so
         ``after=``/``count=`` schedules see the same sequence as a
-        scalar submit loop) and groups the rest into runs by shard.
-        Each run is then admitted up to its shard's free queue credit
-        by one :meth:`Worker.admit`; the refused suffix shares one
-        ``REJECTED`` answer carrying ``retry_after``.  Nothing drains a
-        queue during admission, so this decides exactly what admitting
-        the tickets one at a time would.
+        scalar submit loop."""
+        should_fire = self.fault_plane.should_fire
+        return [should_fire("queue_loss", shard) for shard in shards]
+
+    def _admit_run(self, run: Run, lost: Optional[List[bool]],
+                   whole: Optional[Rows] = None) -> None:
+        """The admission tail of one routed run: lost rows park, the
+        rest take one credit check.
+
+        A row whose queue slot is lost was admitted (the client holds
+        an acked ticket) but never lands in the queue: it parks as a
+        one-row range in the inflight registry, where the supervisor's
+        reconciliation pass finds and requeues it — at the front, since
+        nothing admitted later may overtake it.  A lost row splits its
+        run, so the ranges a queue holds stay disjoint and sorted by
+        request id.  The other rows are admitted up to the shard's free
+        queue credit by one :meth:`Worker.admit`; the refused rest
+        shares the run's one ``REJECTED`` answer carrying
+        ``retry_after``.  Nothing drains a queue during admission, so
+        this decides exactly what admitting the rows one at a time
+        would.
         """
-        plane = self.fault_plane
-        workers = self.workers
-        runs: Dict[int, List[Ticket]] = {}
-        for ticket, shard in zip(tickets, shards):
-            ticket.shard = shard
-            if plane is not None and plane.should_fire("queue_loss", shard):
-                # The slot is lost: the request was admitted (the client
-                # holds an acked ticket) but never lands in the queue.
-                # It parks in the inflight registry, where the
-                # supervisor's reconciliation pass finds and requeues it
-                # — at the front, since nothing admitted later may
-                # overtake it.
-                self.accepted += 1
-                self.lost_slots += 1
-                workers[shard].inflight[ticket.request_id] = ticket
-                continue
-            runs.setdefault(shard, []).append(ticket)
-        for shard, run in runs.items():
-            worker = workers[shard]
-            admitted = worker.admit(run)
-            self.accepted += admitted
-            if admitted == len(run):
-                continue
-            self.rejected += len(run) - admitted
-            # After this many pumps the queue has fully drained; a
-            # retry then is guaranteed admission (absent new competing
-            # load).
-            refused = Response(
-                REJECTED, shard=shard,
-                retry_after=max(
-                    1, math.ceil(worker.queue_depth / worker.batch_size)
-                ),
-                error="shard queue full",
+        worker = self.workers[run.shard]
+        n = len(run.keys)
+        generation = run.generation
+        parked = 0
+        if lost is not None and any(lost[offset] for offset in run.offsets):
+            ranges = []
+            start = 0
+            for row, offset in enumerate(run.offsets):
+                if lost[offset]:
+                    if start < row:
+                        ranges.append(Rows(run, start, row, generation))
+                    worker.inflight.add(Rows(run, row, row + 1, generation))
+                    parked += 1
+                    start = row + 1
+            if start < n:
+                ranges.append(Rows(run, start, n, generation))
+            self.lost_slots += parked
+            self.accepted += parked
+        else:
+            ranges = [Rows(run, 0, n, generation) if whole is None
+                      else whole]
+        admitted = worker.admit(ranges)
+        self.accepted += admitted
+        refused = n - parked - admitted
+        if not refused:
+            return
+        self.rejected += refused
+        # After this many pumps the queue has fully drained; a retry
+        # then is guaranteed admission (absent new competing load).
+        run.refused = Response(
+            REJECTED, shard=run.shard,
+            retry_after=max(
+                1, math.ceil(worker.queue_depth / worker.batch_size)
+            ),
+            error="shard queue full",
+        )
+        for rows in split_at(ranges, admitted)[1]:
+            run.status[rows.start:rows.stop] = (
+                _REFUSED_ROW * (rows.stop - rows.start)
             )
-            for ticket in run[admitted:]:
-                ticket.response = refused
 
     # ------------------------------------------------------------ serving
 
@@ -445,8 +549,8 @@ class Service:
 
     @property
     def pending(self) -> int:
-        """Queued tickets plus unanswered inflight ones — everything
-        that still owes the client a response."""
+        """Queued rows plus unanswered inflight ones — everything that
+        still owes the client a response."""
         return sum(
             worker.queue_depth + worker.inflight_unanswered
             for worker in self.workers
@@ -511,7 +615,7 @@ class Service:
         self.router.install(candidate)
         self.num_shards = candidate.num_shards
         self.swept_tickets += self._requeue(
-            [t for worker in self.workers for t in worker.take_queue()]
+            [rows for worker in self.workers for rows in worker.take_queue()]
         )
         return moved_total
 
@@ -528,34 +632,40 @@ class Service:
         self.splits += 1
         return candidate.num_shards - 1
 
-    def _requeue(self, tickets: List[Ticket]) -> int:
-        """Route tickets under the live table and merge each shard's
-        group into its queue front by request id.
+    def _requeue(self, ranges: List[Rows]) -> int:
+        """Route rows under the live table and merge each shard's group
+        into its queue front by request id.
 
         Shared by the flip sweep and the supervisor's recovery path.
         Merging on request id preserves per-key admission order, since
-        ids are globally monotonic; every ticket is re-stamped with the
-        live generation and re-hashed with the live plan, so the
-        dispatch-time WRONG_GENERATION guard only catches what this
-        cannot see, and no ticket carries a hash of a retired plan.
-        Returns the number of tickets that changed shards.
+        ids are globally monotonic; every row is re-hashed with the live
+        plan in place and its range stamped with the live generation,
+        so the dispatch-time WRONG_GENERATION guard only catches what
+        this cannot see, and no queued row carries a hash of a retired
+        plan.  Returns the number of rows that changed shards.
         """
-        if not tickets:
+        cells = [(rows.run, row) for rows in ranges
+                 for row in range(rows.start, rows.stop)]
+        if not cells:
             return 0
         generation = self.router.generation
         shards, hashes = self.router.table.route_hashed(
-            [t.request.key for t in tickets]
+            [run.keys[row] for run, row in cells]
         )
-        groups: Dict[int, List[Ticket]] = {}
+        groups: Dict[int, list] = {}
         moved = 0
-        for ticket, shard, key_hash in zip(tickets, shards, hashes):
-            moved += shard != ticket.shard
-            ticket.shard = shard
-            ticket.generation = generation
-            ticket.key_hash = key_hash
-            groups.setdefault(shard, []).append(ticket)
+        for (run, row), shard, key_hash in zip(cells, shards, hashes):
+            moved += shard != run.shard_of(row)
+            run.move(row, shard)
+            run.hashes[row] = key_hash
+            groups.setdefault(shard, []).append(
+                (run.request_id(row), run, row)
+            )
         for shard, group in groups.items():
-            self.workers[shard].requeue_front(group)
+            group.sort(key=_first)
+            self.workers[shard].requeue_front(coalesce(
+                [(run, row) for _, run, row in group], generation
+            ))
         return moved
 
     # --------------------------------------------------- fault injection

@@ -1,8 +1,8 @@
 """The supervisor: restart crashed workers, unstick stalled ones,
-reconcile tickets that fell out of the pipeline.
+reconcile rows that fell out of the pipeline.
 
 The supervisor runs at the *start* of every ``Service.pump`` — before
-any worker serves — so a ticket recovered from a crash, a dropped
+any worker serves — so a row recovered from a crash, a dropped
 batch, or a lost queue slot is re-enqueued at the *front* of its shard
 queue before any later-admitted operation on the same key can be
 served.  That ordering is what keeps the admission-time oracle of the
@@ -13,9 +13,10 @@ Recovery sources of truth, in order:
 
 * the per-shard :class:`~repro.service.journal.ShardJournal` — every
   acknowledged mutation, replayed into a fresh structure on restart;
-* the worker's inflight registry — tickets popped from the queue but
-  never answered (crash or injected drop) are requeued, in
-  ``request_id`` order, ahead of everything still queued;
+* the worker's inflight registry — rows popped from the queue but
+  never answered (crash or injected drop), or never queued (a lost
+  slot), are requeued, in ``request_id`` order, ahead of everything
+  still queued;
 * pump-count heartbeats — a worker whose queue is non-empty but whose
   ``processed`` counter stagnates for ``stall_threshold`` consecutive
   service pumps is declared stalled and restarted the same way.
@@ -119,15 +120,15 @@ class Supervisor:
         self._last_processed[shard] = worker.processed
 
     def _requeue(self, lost) -> None:
-        """Return recovered tickets to the front of the right queue.
+        """Return recovered row ranges to the front of the right queue.
 
         With versioned routing a flip may have moved their keys since
-        admission, so the service re-routes each ticket through the
-        *current* table first.  Without that, a recovered ticket for a
+        admission, so the service re-routes each row through the
+        *current* table first.  Without that, a recovered row for a
         migrated key would be served against the donor's
         post-migration state.
         """
-        self.reconciled_tickets += len(lost)
+        self.reconciled_tickets += sum(rows.stop - rows.start for rows in lost)
         self.service._requeue(lost)
 
     # ----------------------------------------------------------- adapting

@@ -1,8 +1,8 @@
 """Per-shard workers: one owned structure, one bounded op queue.
 
-A :class:`Worker` is the *shell* around one shard: the bounded ticket
-queue, the inflight registry, the ack-time journal, the fault-plane
-injection points, and the response/journal absorption logic.  The
+A :class:`Worker` is the *shell* around one shard: the bounded queue of
+row ranges, the inflight registry, the ack-time journal, the
+fault-plane injection points, and the answer/journal absorption logic.  The
 structure itself lives behind an
 :class:`~repro.service.backends.ExecutionBackend` — embedded in the
 parent (:class:`~repro.service.backends.InlineBackend`, the original
@@ -10,17 +10,21 @@ cooperative pump and the differential fuzzer's reference semantics) or
 in a forked child process
 (:class:`~repro.service.backends.ProcessBackend`).
 
-A pump is two phases.  ``dispatch()`` pops one micro-batch, splits it
-into consecutive same-op *segments* (one batch call each into the
+The queue holds :class:`~repro.service.protocol.Rows` — contiguous row
+ranges ``(run, start, stop)`` of the admitted runs — never one object
+per key.  A pump is two phases.  ``dispatch()`` pops up to
+``batch_size`` rows, cutting the last range it needs, splits them into
+consecutive same-op *segments* (one batch call each into the
 structure, so per-key ordering is preserved while per-call cost is
 amortized), applies the fault plane's worker-level directives (stall,
-drop, crash, sigkill), builds the segments' wire form once — keys,
-values, and the keys' carried fleet hashes with the router's plan
-fingerprint — and hands it to the backend.  One method,
-``_absorb``, acks whatever prefix the backend served: responses are
-written onto tickets, acknowledged mutations are journaled, and
-inflight entries are retired — all parent-side, for both backends,
-which is what makes a child's state disposable.  Inline execution
+drop, crash, sigkill), builds the segments' wire form once — slices of
+the runs' key, value and carried fleet-hash columns, with the router's
+plan fingerprint — and hands it to the backend.  One method,
+``_absorb``, acks whatever prefix the backend served: answers are
+written into the runs' answer columns, acknowledged mutations are
+journaled, and served ranges leave the inflight registry — all
+parent-side, for both backends, which is what makes a child's state
+disposable.  Inline execution
 serves synchronously, so ``dispatch`` already absorbs and ``collect``
 is a no-op; ``pump()`` runs both phases back-to-back for callers that
 don't need the cross-shard parallel window.
@@ -45,7 +49,8 @@ reported segments are absorbed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults import InjectedCrash
 
@@ -53,16 +58,189 @@ from repro.service.adapters import StructureAdapter
 from repro.service.backends import ExecutionBackend, InlineBackend, Reply
 from repro.service.journal import Entry, ShardJournal
 from repro.service.protocol import (
+    ANSWERED,
     FAILED,
-    OK,
+    OTHER,
+    PENDING,
     WRONG_GENERATION,
     Response,
+    Rows,
+    Run,
     Ticket,
 )
 
+# One answered row's status byte, and one row answered by a Response.
+_ANSWERED_ROW = bytes((ANSWERED,))
+_OTHER_ROW = bytes((OTHER,))
+
+_first_id = attrgetter("first_id")
+
+# The ops whose wire segment carries the request values.
+_VALUED = ("put", "similar")
+
+# One segment piece: rows [start, stop) of one run.
+Piece = Tuple[Run, int, int]
+
+
+def split_at(ranges: Sequence[Rows], n: int) -> Tuple[List[Rows], List[Rows]]:
+    """The first ``n`` rows of ``ranges`` and the rest, cutting the one
+    range that straddles the boundary; whole ranges are kept as they
+    are."""
+    head: List[Rows] = []
+    for i, rows in enumerate(ranges):
+        size = rows.stop - rows.start
+        if n >= size:
+            head.append(rows)
+            n -= size
+            continue
+        tail = list(ranges[i + 1:])
+        if n > 0:
+            cut = rows.start + n
+            head.append(Rows(rows.run, rows.start, cut, rows.generation))
+            rows = Rows(rows.run, cut, rows.stop, rows.generation)
+        return head, [rows] + tail
+    return head, []
+
+
+def coalesce(cells: Sequence[Tuple[Run, int]], generation: int
+             ) -> List[Rows]:
+    """Ranges over ``(run, row)`` cells in the given order: consecutive
+    rows of one run share a range."""
+    out: List[Rows] = []
+    for run, row in cells:
+        if out and out[-1].run is run and out[-1].stop == row:
+            out[-1].stop = row + 1
+        else:
+            out.append(Rows(run, row, row + 1, generation))
+    return out
+
+
+def pending_ranges(rows: Rows) -> List[Rows]:
+    """The maximal sub-ranges of ``rows`` still unanswered."""
+    status = rows.run.status
+    if status.count(PENDING, rows.start, rows.stop) == rows.stop - rows.start:
+        return [rows]
+    return coalesce(
+        [(rows.run, row) for row in range(rows.start, rows.stop)
+         if status[row] == PENDING],
+        rows.generation,
+    )
+
+
+def merge_by_id(ranges: List[Rows]) -> List[Rows]:
+    """Ranges in request-id order.  Ranges whose ids interleave are
+    split into rows first, so the merge is exact row by row."""
+    ranges = sorted(ranges, key=_first_id)
+    if all(a.last_id < b.first_id for a, b in zip(ranges, ranges[1:])):
+        return ranges
+    cells = sorted(
+        ((rows.run.request_id(row), rows.run, row, rows.generation)
+         for rows in ranges for row in range(rows.start, rows.stop)),
+        key=lambda cell: cell[0],
+    )
+    return [Rows(run, row, row + 1, generation)
+            for _, run, row, generation in cells]
+
+
+def _cut_row(ranges, run: Run, row: int) -> bool:
+    """Remove one row from a deque or list of ranges, splitting the
+    range that holds it; False when no range holds it."""
+    for i, rows in enumerate(ranges):
+        if rows.run is run and rows.start <= row < rows.stop:
+            del ranges[i]
+            if row + 1 < rows.stop:
+                ranges.insert(i, Rows(run, row + 1, rows.stop,
+                                      rows.generation))
+            if rows.start < row:
+                ranges.insert(i, Rows(run, rows.start, row,
+                                      rows.generation))
+            return True
+    return False
+
+
+def _segments(batch: Sequence[Rows]) -> List[tuple]:
+    """A batch's consecutive same-op rows as ``(op, pieces, keys,
+    values, hashes)`` segments: one segment may span ranges of several
+    runs, and its columns are concatenated slices of theirs (values for
+    puts and similar only)."""
+    spans: List[Tuple[str, List[Piece]]] = []
+    for rows in batch:
+        run = rows.run
+        ops = run.ops
+        if ops is None:
+            cuts = ((run.op, rows.start, rows.stop),)
+        else:
+            cuts = []
+            start = rows.start
+            for row in range(start + 1, rows.stop):
+                if ops[row] != ops[start]:
+                    cuts.append((ops[start], start, row))
+                    start = row
+            cuts.append((ops[start], start, rows.stop))
+        for op, start, stop in cuts:
+            if spans and spans[-1][0] == op:
+                spans[-1][1].append((run, start, stop))
+            else:
+                spans.append((op, [(run, start, stop)]))
+    segments = []
+    for op, pieces in spans:
+        keys: List[bytes] = []
+        hashes: list = []
+        values: Optional[list] = [] if op in _VALUED else None
+        for run, start, stop in pieces:
+            keys += run.keys[start:stop]
+            hashes += run.hashes[start:stop]
+            if values is not None:
+                values += run.values[start:stop]
+        segments.append((op, pieces, keys, values, hashes))
+    return segments
+
+
+class Inflight:
+    """Row ranges that left the queue (or never entered it, for a lost
+    slot) and may still owe an answer."""
+
+    __slots__ = ("ranges",)
+
+    def __init__(self):
+        self.ranges: List[Rows] = []
+
+    def __len__(self) -> int:
+        return sum(rows.stop - rows.start for rows in self.ranges)
+
+    def __bool__(self) -> bool:
+        return bool(self.ranges)
+
+    def __contains__(self, request_id: int) -> bool:
+        return any(
+            rows.run.request_id(row) == request_id
+            for rows in self.ranges for row in range(rows.start, rows.stop)
+        )
+
+    def add(self, rows: Rows) -> None:
+        self.ranges.append(rows)
+
+    def extend(self, ranges: Sequence[Rows]) -> None:
+        self.ranges.extend(ranges)
+
+    def unanswered(self) -> int:
+        return sum(rows.pending() for rows in self.ranges)
+
+    def cut(self, run: Run, row: int) -> None:
+        _cut_row(self.ranges, run, row)
+
+    def take(self) -> List[Rows]:
+        """Empty the registry; returns its unanswered rows as ranges in
+        request-id order."""
+        ranges, self.ranges = self.ranges, []
+        return merge_by_id(
+            [piece for rows in ranges for piece in pending_ranges(rows)]
+        )
+
 
 class Worker:
-    """One shard: a bounded ticket queue drained in micro-batches."""
+    """One shard: a bounded queue of row ranges drained in
+    micro-batches."""
 
     def __init__(
         self,
@@ -87,12 +265,18 @@ class Worker:
         self.factory = factory
         self.max_queue = max_queue
         self.batch_size = batch_size
-        self.queue: Deque[Ticket] = deque()
-        # Tickets popped from the queue but not yet answered; the
-        # supervisor requeues whatever a crash or a drop leaves behind.
-        self.inflight: Dict[int, Ticket] = {}
-        # The ticket segments of the batch the backend is serving.
-        self._segments: List[List[Ticket]] = []
+        # Admitted row ranges, disjoint and in request-id order.
+        self.queue: Deque[Rows] = deque()
+        # Rows in the queue: the depth admission credit is measured in.
+        self.queued = 0
+        # Rows that left the pipeline unanswered — a lost queue slot, a
+        # dropped batch, a crash's unserved suffix — until the
+        # supervisor requeues them.
+        self.inflight = Inflight()
+        # The batch the backend is serving: its ranges, and its
+        # segments as (op, pieces, keys, values, hashes).
+        self._batch: List[Rows] = []
+        self._segments: List[tuple] = []
         # The journal must exist before execution.start(): a process
         # backend snapshots it at spawn so the child replays it.
         self.journal = ShardJournal(
@@ -101,8 +285,8 @@ class Worker:
         )
         self.fault_plane = None
         # The owning service's router, when generation checking is on:
-        # dispatch answers WRONG_GENERATION for tickets admitted under
-        # an older routing generation whose key moved off this shard.
+        # dispatch answers WRONG_GENERATION for rows placed under an
+        # older routing generation whose key moved off this shard.
         self.router = None
         # Optional drift observer: called as tap(shard_id, keys) with
         # every acked segment's keys.  Parent-side for both backends, so
@@ -137,7 +321,7 @@ class Worker:
 
     @property
     def queue_depth(self) -> int:
-        return len(self.queue)
+        return self.queued
 
     @property
     def tripped(self) -> bool:
@@ -145,91 +329,96 @@ class Worker:
 
     @property
     def inflight_unanswered(self) -> int:
-        return sum(1 for t in self.inflight.values() if t.response is None)
+        return self.inflight.unanswered()
 
-    def admit(self, run: Sequence[Ticket]) -> int:
-        """Admit the leading tickets of a run up to the free queue
+    def admit(self, ranges: Sequence[Rows]) -> int:
+        """Admit the leading rows of a run's ranges up to the free queue
         credit; returns how many were admitted.  The rest are refused:
-        once the queue is full, no later ticket of the run gets in, so
-        the refused tickets are always a suffix in admission order."""
-        free = self.max_queue - len(self.queue)
-        head = run if free >= len(run) else run[:max(free, 0)]
-        self.queue.extend(head)
-        self.enqueued += len(head)
-        self.rejected += len(run) - len(head)
-        if len(self.queue) > self.peak_queue_depth:
-            self.peak_queue_depth = len(self.queue)
-        return len(head)
+        once the queue is full, no later row of the run gets in, so the
+        refused rows are always a suffix in admission order."""
+        free = self.max_queue - self.queued
+        if len(ranges) == 1:
+            total = ranges[0].stop - ranges[0].start
+        else:
+            total = sum(rows.stop - rows.start for rows in ranges)
+        if total <= free:
+            self.queue.extend(ranges)
+            admitted = total
+        else:
+            head = split_at(ranges, max(free, 0))[0]
+            self.queue.extend(head)
+            admitted = max(free, 0)
+            self.rejected += total - admitted
+        self.queued += admitted
+        self.enqueued += admitted
+        if self.queued > self.peak_queue_depth:
+            self.peak_queue_depth = self.queued
+        return admitted
 
-    def requeue_front(self, tickets: Sequence[Ticket]) -> None:
-        """Merge recovered tickets back into the queue in admission order.
+    def requeue_front(self, ranges: Sequence[Rows]) -> None:
+        """Merge recovered rows back into the queue in admission order.
 
         Crash/drop victims were popped from the queue front, so they
-        predate everything still queued — but a queue_loss ticket never
+        predate everything still queued — but a queue_loss row never
         entered the queue at all, and requests admitted *after* it may
-        already be waiting.  A blind prepend would serve the lost ticket
+        already be waiting.  A blind prepend would serve the lost row
         ahead of an earlier write to the same key and invert write
-        order; merging on request_id (queues are FIFO in a globally
+        order; merging on request id (queues are FIFO in a globally
         monotonic id, hence sorted) restores true admission order.
-        ``max_queue`` is deliberately bypassed: these tickets were
+        ``max_queue`` is deliberately bypassed: these rows were
         already admitted once.
         """
-        tickets = list(tickets)
-        if not tickets:
+        ranges = list(ranges)
+        if not ranges:
             return
-        merged = sorted(
-            tickets + list(self.queue), key=lambda t: t.request_id
-        )
+        merged = merge_by_id(ranges + list(self.queue))
         self.queue.clear()
         self.queue.extend(merged)
-        self.requeued += len(tickets)
-        self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
+        rows = sum(r.stop - r.start for r in ranges)
+        self.queued += rows
+        self.requeued += rows
+        self.peak_queue_depth = max(self.peak_queue_depth, self.queued)
 
-    def take_queue(self) -> List[Ticket]:
-        """Empty the queue and return its tickets in queue order — the
+    def take_queue(self) -> List[Rows]:
+        """Empty the queue and return its ranges in queue order — the
         first half of a flip sweep, which re-routes them and merges
         each back with :meth:`requeue_front`."""
-        tickets = list(self.queue)
+        ranges = list(self.queue)
         self.queue.clear()
-        return tickets
+        self.queued = 0
+        return ranges
 
     def cancel(self, ticket: Ticket) -> None:
-        """Forget a ticket the client gave up on (deadline exceeded).
+        """Forget a row the client gave up on (deadline exceeded).
 
-        The queue scan is linear, but only a deadline miss pays it; a
-        ticket already popped is skipped by ``dispatch`` anyway, since
-        the client answers it before cancelling.
+        The client answers the row before cancelling, so ``dispatch``
+        would skip it anyway; cutting it out of the queue (a linear
+        scan only a deadline miss pays) keeps the queue depth honest.
         """
-        self.inflight.pop(ticket.request_id, None)
-        try:
-            self.queue.remove(ticket)
-        except ValueError:
-            pass  # popped already: inflight, or served
+        run, row = ticket.run, ticket.start
+        self.inflight.cut(run, row)
+        if _cut_row(self.queue, run, row):
+            self.queued -= 1
         self.cancelled += 1
 
-    def reconcile(self) -> List[Ticket]:
-        """Collect tickets that left the queue but never got an answer.
+    def reconcile(self) -> List[Rows]:
+        """Collect rows that left the queue but never got an answer.
 
         Only meaningful *between* pumps: anything still unanswered in
         the inflight registry was abandoned by a crash, an injected
-        drop, or a lost queue slot.  Returned in ``request_id`` (i.e.
+        drop, or a lost queue slot.  Returned in request-id (i.e.
         admission) order, ready for :meth:`requeue_front`.
         """
-        if not self.inflight:
+        if not self.inflight.ranges:
             return []
-        lost = sorted(
-            (t for t in self.inflight.values() if t.response is None),
-            key=lambda t: t.request_id,
-        )
-        self.inflight.clear()
-        return lost
+        return self.inflight.take()
 
-    def restart(self) -> List[Ticket]:
+    def restart(self) -> List[Rows]:
         """Rebuild the structure from the journal after a crash/stall.
 
-        Returns the unanswered inflight tickets (admission order) for
-        the supervisor to requeue.  The queue itself is untouched — its
-        tickets were never popped, so they are neither lost nor stale.
+        Returns the unanswered inflight rows (admission order) for the
+        supervisor to requeue.  The queue itself is untouched — its
+        rows were never popped, so they are neither lost nor stale.
         With process execution this kills any straggler child and forks
         a fresh one, which replays the journal on its side of the fork.
         """
@@ -255,63 +444,46 @@ class Worker:
             # notices the frozen processed counter and restarts us.
             self.stalls += 1
             return 0
-        # Tickets stamped with the live generation were routed by the
-        # table now in force; only a stale stamp is worth re-routing.
-        live = self.router.generation if self.router is not None else None
-        batch: List[Ticket] = []
-        while self.queue and len(batch) < self.batch_size:
-            ticket = self.queue.popleft()
-            if ticket.response is not None:
-                continue  # answered elsewhere (e.g. deadline-failed)
-            if (live is not None and ticket.generation != live
-                    and self._misrouted(ticket)):
-                # Safety net for a routing flip the sweep missed: the
-                # ticket was admitted under an older generation and its
-                # key no longer routes here.  Serving it against this
-                # shard's state would read/write the wrong structure;
-                # answer WRONG_GENERATION so the client resubmits.
-                self.wrong_generation += 1
-                ticket.response = Response(
-                    WRONG_GENERATION, shard=self.shard_id, generation=live,
-                )
-                continue
-            self.inflight[ticket.request_id] = ticket
-            batch.append(ticket)
+        batch = self._pop_batch()
         if not batch:
             return 0
         self.batches += 1
         if plane is not None and plane.should_fire("drop", self.shard_id):
             # Drop: the batch is popped but never served or answered.
-            # Its tickets sit unanswered in the inflight registry until
+            # Its rows sit unanswered in the inflight registry until
             # the supervisor's reconciliation pass requeues them.
             self.drops += 1
+            self.inflight.extend(batch)
             return 0
-        # Consecutive same-op segments keep per-key FIFO order.  Each
-        # carries its keys' fleet hashes and the fingerprint of the
-        # router hasher that computed them, so the shard's table can
-        # probe and insert without hashing the keys again.
+        # The batch in flight; _absorb hands whatever it leaves
+        # unanswered to the inflight registry.
+        self._batch = batch
+        # Each segment carries its keys' fleet hashes and the
+        # fingerprint of the router hasher that computed them, so the
+        # shard's table can probe and insert without hashing the keys
+        # again.
         plan = (self.router.engine.hasher.fingerprint
                 if self.router is not None else None)
-        self._segments = segments = []
-        wire = []
-        start = 0
-        while start < len(batch):
-            end = start + 1
-            op = batch[start].request.op
-            while end < len(batch) and batch[end].request.op == op:
-                end += 1
-            segment = batch[start:end]
-            segments.append(segment)
-            hashes = [t.key_hash for t in segment]
-            wire.append((
-                op,
-                [t.request.key for t in segment],
-                ([t.request.value for t in segment]
-                 if op in ("put", "similar") else None),
-                None if plan is None or None in hashes else hashes,
-                plan,
-            ))
-            start = end
+        run = batch[0].run
+        if len(batch) == 1 and run.ops is None:
+            # One range of one op: one segment of column slices.
+            start, stop = batch[0].start, batch[0].stop
+            op = run.op
+            keys = run.keys[start:stop]
+            values = run.values[start:stop] if op in _VALUED else None
+            hashes = run.hashes[start:stop]
+            self._segments = [(op, [(run, start, stop)], keys, values,
+                               hashes)]
+            wire = [(op, keys, values,
+                     None if plan is None or None in hashes else hashes,
+                     plan)]
+        else:
+            self._segments = segments = _segments(batch)
+            wire = [
+                (op, keys, values,
+                 None if plan is None or None in hashes else hashes, plan)
+                for op, _, keys, values, hashes in segments
+            ]
         crash_at = None
         kill = False
         if plane is not None and plane.should_fire("crash", self.shard_id):
@@ -322,25 +494,83 @@ class Worker:
             kill = True
         return self._absorb(self.execution.serve(wire, crash_at, kill))
 
-    def _misrouted(self, ticket: Ticket) -> bool:
-        """True when a generation flip moved a stale-stamped ticket's
-        key elsewhere.
+    def _pop_batch(self) -> List[Rows]:
+        """Pop up to ``batch_size`` servable rows off the queue front.
 
-        ``dispatch`` trusts same-generation tickets outright (the router
-        stamped and placed them together) and asks only about the rare
-        stale stragglers a flip sweep failed to move.  A straggler that
-        still routes here is served with its key's hash refreshed under
-        the live plan.
+        Rows answered elsewhere (e.g. deadline-failed) are skipped, and
+        a range placed under a stale routing generation is checked by
+        :meth:`_recheck`; neither kind counts toward the batch, exactly
+        as if the rows were popped one at a time.
         """
-        if ticket.request.op == "stats" or not ticket.request.key:
-            return False
-        shard, ticket.key_hash = self.router.table.route_one_hashed(
-            ticket.request.key
+        # Ranges stamped with the live generation were routed by the
+        # table now in force; only a stale stamp is worth re-routing.
+        live = self.router.generation if self.router is not None else None
+        queue = self.queue
+        size = self.batch_size
+        batch: List[Rows] = []
+        taken = 0
+        while queue and taken < size:
+            rows = queue.popleft()
+            start, stop = rows.start, rows.stop
+            end = start + size - taken
+            if end < stop:
+                queue.appendleft(Rows(rows.run, end, stop, rows.generation))
+                rows = Rows(rows.run, start, end, rows.generation)
+                stop = end
+            n = stop - start
+            self.queued -= n
+            if (rows.run.status.count(PENDING, start, stop) == n
+                    and (live is None or rows.generation == live)):
+                batch.append(rows)
+                taken += n
+                continue
+            for pending in pending_ranges(rows):
+                if live is not None and pending.generation != live:
+                    servable = self._recheck(pending, live)
+                else:
+                    servable = (pending,)
+                for piece in servable:
+                    batch.append(piece)
+                    taken += piece.stop - piece.start
+        return batch
+
+    def _recheck(self, rows: Rows, live: int) -> List[Rows]:
+        """Re-route a stale range's rows in one pass; returns the ones
+        that still route here, stamped live.
+
+        Safety net for a routing flip the sweep missed: the rows were
+        placed under an older generation, and a row whose key no longer
+        routes here would read/write the wrong structure, so it is
+        answered WRONG_GENERATION and the client resubmits it.  A row
+        that still routes here is served with its key's hash refreshed
+        under the live plan.
+        """
+        run = rows.run
+        routed = [row for row in range(rows.start, rows.stop)
+                  if run.op_at(row) != "stats" and run.keys[row]]
+        shards, hashes = self.router.table.route_hashed(
+            [run.keys[row] for row in routed]
         )
-        return shard != self.shard_id
+        stale = set()
+        for row, shard, key_hash in zip(routed, shards, hashes):
+            if shard != self.shard_id:
+                stale.add(row)
+                self.wrong_generation += 1
+                run.answer(row, Response(
+                    WRONG_GENERATION, shard=self.shard_id, generation=live,
+                ))
+            else:
+                run.hashes[row] = key_hash
+        return coalesce(
+            [(run, row) for row in range(rows.start, rows.stop)
+             if row not in stale],
+            live,
+        )
 
     def collect(self) -> int:
         """Phase two: absorb the backend's deferred reply, if any."""
+        if not self._batch:
+            return 0  # nothing in flight (inline serving absorbed it)
         return self._absorb(self.execution.collect())
 
     def pump(self) -> int:
@@ -366,15 +596,21 @@ class Worker:
             return 0
         results, crashed = reply
         segments, self._segments = self._segments, []
+        batch, self._batch = self._batch, []
         served = 0
+        answered = False
         try:
-            for segment, result in zip(segments, results):
-                self._absorb_segment(segment[0].request.op, segment, result)
-                for ticket in segment:
-                    self.inflight.pop(ticket.request_id, None)
-                served += len(segment)
+            for (op, pieces, keys, values, _), result in zip(segments,
+                                                              results):
+                self._absorb_segment(op, pieces, keys, values, result)
+                served += len(keys)
+            answered = not crashed
         finally:
             self.processed += served
+            if not answered:
+                # A crash left a suffix unanswered: it waits in the
+                # registry (reconcile skips the answered rows).
+                self.inflight.extend(batch)
         if crashed:
             self.crashed = True
             raise InjectedCrash(
@@ -383,67 +619,69 @@ class Worker:
             )
         return served
 
-    def _absorb_segment(self, op: str, tickets: List[Ticket], result) -> None:
-        """Turn one segment's wire result into responses + journal
-        entries: an entry is in the journal exactly when the client can
-        observe an OK, regardless of where the structure lives."""
-        self.op_counts[op] = self.op_counts.get(op, 0) + len(tickets)
+    def _absorb_segment(self, op: str, pieces: List[Piece],
+                        keys: List[bytes], values, result) -> None:
+        """Write one segment's wire result into its runs' answer columns
+        and the journal: an entry is in the journal exactly when the
+        client can observe an OK, regardless of where the structure
+        lives."""
+        self.op_counts[op] = self.op_counts.get(op, 0) + len(keys)
         if self.drift_tap is not None and op in ("put", "get", "delete",
                                                  "contains"):
-            self.drift_tap(
-                self.shard_id, [t.request.key for t in tickets]
-            )
+            self.drift_tap(self.shard_id, keys)
         kind, payload = result
         if kind == "unsupported":
-            for ticket in tickets:
-                ticket.response = Response(
-                    FAILED, shard=self.shard_id,
-                    error=f"op {op!r} unsupported by backend {payload!r}",
-                )
+            failed = Response(
+                FAILED, shard=self.shard_id,
+                error=f"op {op!r} unsupported by backend {payload!r}",
+            )
+            for run, start, stop in pieces:
+                run.answers[start:stop] = [failed] * (stop - start)
+                run.status[start:stop] = _OTHER_ROW * (stop - start)
             return
-        if op == "get":
-            for ticket, value in zip(tickets, payload):
-                ticket.response = Response(
-                    OK, value=value, found=value is not None,
-                    shard=self.shard_id,
-                )
-        elif op == "put":
+        if op == "put":
             acks = payload
-            for i, ticket in enumerate(tickets):
-                if acks is not None and not acks[i]:
-                    ticket.response = Response(
-                        FAILED, shard=self.shard_id, error="structure full"
-                    )
-                else:
-                    # Journal at ack time: the entry is in the journal
-                    # exactly when the client can observe an OK.
-                    self.journal.record_put(
-                        ticket.request.key, ticket.request.value or b""
-                    )
-                    ticket.response = Response(OK, shard=self.shard_id)
-        elif op == "delete":
-            for ticket, removed in zip(tickets, payload):
+            record_put = self.journal.record_put
+            if acks is None or all(acks):
+                # Journal at ack time: the entry is in the journal
+                # exactly when the client can observe an OK.
+                for key, value in zip(keys, values):
+                    record_put(key, value or b"")
+                for run, start, stop in pieces:
+                    run.status[start:stop] = _ANSWERED_ROW * (stop - start)
+                return
+            offset = 0
+            for run, start, stop in pieces:
+                for row in range(start, stop):
+                    if acks[offset]:
+                        record_put(keys[offset], values[offset] or b"")
+                        run.status[row] = ANSWERED
+                    else:
+                        run.answer(row, Response(
+                            FAILED, shard=self.shard_id,
+                            error="structure full",
+                        ))
+                    offset += 1
+            return
+        if op == "delete":
+            for key, removed in zip(keys, payload):
                 if removed is not False:
                     # True (removed) or None (tombstone): the journal
                     # must mirror it.  False removed nothing.
-                    self.journal.record_delete(ticket.request.key)
-                ticket.response = Response(
-                    OK, found=removed, shard=self.shard_id
-                )
-        elif op == "similar":
-            # Read-only: nothing to journal.  None marks an unknown
-            # query key; a known key with no neighbors answers OK with
-            # an empty list.
-            for ticket, neighbors in zip(tickets, payload):
-                ticket.response = Response(
-                    OK, found=neighbors is not None, shard=self.shard_id,
-                    neighbors=list(neighbors or ()),
-                )
-        else:  # contains
-            for ticket, present in zip(tickets, payload):
-                ticket.response = Response(
-                    OK, found=present, shard=self.shard_id
-                )
+                    self.journal.record_delete(key)
+        # get, delete, contains and similar answer with their payload;
+        # only puts and deletes touch the journal.
+        if len(pieces) == 1:
+            run, start, stop = pieces[0]
+            run.answers[start:stop] = payload
+            run.status[start:stop] = _ANSWERED_ROW * (stop - start)
+            return
+        offset = 0
+        for run, start, stop in pieces:
+            end = offset + stop - start
+            run.answers[start:stop] = payload[offset:end]
+            run.status[start:stop] = _ANSWERED_ROW * (stop - start)
+            offset = end
 
     # ------------------------------------------------------------ control
 

@@ -57,10 +57,6 @@ class HyperLogLog:
     def hasher(self, hasher: EntropyLearnedHasher) -> None:
         self.engine.set_hasher(hasher)
 
-    def _index_and_rank(self, h: int) -> tuple:
-        # Rank: 1-based position of the leftmost 1 in the remaining bits.
-        return self._reducer.apply_one(int(h))
-
     def add(self, key: Key) -> None:
         """Observe one key."""
         index, rank = self.engine.hash_one(as_bytes(key), self._reducer)

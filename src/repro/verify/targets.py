@@ -1414,7 +1414,12 @@ class ServingTarget(Target):
     def _submit(self, request):
         """Submit in process; the ticket, or None when backpressure
         rejected it."""
-        ticket = self.service.submit(request)
+        return self._admitted(self.service.submit(request))
+
+    @staticmethod
+    def _admitted(ticket):
+        """``ticket``, or None when backpressure rejected it — with the
+        retry_after hint every rejection must carry."""
         if ticket.rejected:
             _require(
                 (ticket.response.retry_after or 0) >= 1,
@@ -1426,23 +1431,33 @@ class ServingTarget(Target):
     def _send(self, requests: List[object]) -> List[object]:
         """One ticket per request, None where backpressure rejected it.
 
-        In process each request is submitted on its own and answers at
-        a later pump.  Over the socket the blocking client retries
-        rejections itself, so every ticket comes back already done.
+        In process a single request goes through ``submit`` and a
+        burst through one ``submit_batch`` — the batch admission path
+        the client and the front door use; either answers at a later
+        pump.  Over the socket the blocking client retries rejections
+        itself, so every ticket comes back already done.
         """
         from repro.service.protocol import Ticket
 
         if self.client is None:
-            return [self._submit(request) for request in requests]
+            if len(requests) == 1:
+                return [self._submit(requests[0])]
+            return [self._admitted(ticket)
+                    for ticket in self.service.submit_batch(requests)]
         if all(request.op == "put" for request in requests):
             # put_many keeps a duplicate-key burst in wire order.
             responses = self.client.put_many(
                 [(request.key, request.value) for request in requests]
             )
         else:
-            # The client's retrying batch walk itself: its read verbs
-            # unwrap the Responses this check needs.
-            responses = self.client._call(requests)
+            # The client's retrying batch walk itself, asked for the
+            # Responses this check needs.
+            responses = self.client._call(
+                [request.op for request in requests],
+                [request.key for request in requests],
+                [request.value for request in requests],
+                responses=True,
+            )
         return [Ticket(request, -1, response=response)
                 for request, response in zip(requests, responses)]
 
