@@ -20,7 +20,8 @@ must win *without* peeking at the plane's internal state.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
 
@@ -119,21 +120,11 @@ class FaultPlane:
 
     # ---------------------------------------------- router-level hook
 
-    def note_route(self, shard: int) -> None:
-        """Routing observation point (threaded through ShardRouter)."""
-        self.routed[shard] = self.routed.get(shard, 0) + 1
-
-    def note_routes(self, counts) -> None:
-        """Aggregated routing observation: one call per routed batch.
-
-        ``counts[shard]`` is how many keys of the batch landed on that
-        shard (the router's ``np.bincount`` output) — equivalent to
-        ``note_route`` per key without the per-key Python loop.
-        """
-        for shard, count in enumerate(counts):
-            count = int(count)
-            if count:
-                self.routed[shard] = self.routed.get(shard, 0) + count
+    def note_routes(self, shards: Sequence[int]) -> None:
+        """Routing observation point (threaded through ShardRouter): one
+        call per routed batch, with the shard of each of its keys."""
+        for shard, count in Counter(shards).items():
+            self.routed[shard] = self.routed.get(shard, 0) + count
 
     # -------------------------------------------------------------- stats
 

@@ -29,9 +29,8 @@ Every call runs in rounds:
    process they spare the router a second hashing), and give up with
    :class:`ServiceOverloadedError` after ``max_retries`` rounds.
 
-A scalar verb is a batch of one, admitted through ``Service.submit``.
-No call can spin forever: the in-process transport cancels rows
-unanswered after
+A scalar verb is a batch of one: a one-row round.  No call can spin
+forever: the in-process transport cancels rows unanswered after
 ``deadline_pumps`` pumps, and total backoff is at most ``max_retries *
 BACKOFF_CAP_PUMPS`` ticks.  A typed error (deadline, overload,
 draining, bad request) is raised only after every answer of its round
@@ -126,18 +125,9 @@ class _InProcess:
 
     def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
               carried=None) -> List[Run]:
-        if len(keys) == 1:
-            # Scalar verbs keep the scalar routing path (route_one): a
-            # one-row run on the ticket submit returns.
-            runs = [self.service.submit(Request(
-                op if isinstance(op, str) else op[0], keys[0],
-                b"" if values is None else values[0],
-            )).run]
-        else:
-            # A retry round hands back the rows' hashes and the
-            # generation they were routed under, so the router need not
-            # hash again.
-            runs = self.service.submit_rows(op, keys, values, carried)
+        # A retry round hands back the rows' hashes and the generation
+        # they were routed under, so the router need not hash again.
+        runs = self.service.submit_rows(op, keys, values, carried)
         self.pumped = 0
         waiting = [run for run in runs if PENDING in run.status]
         while waiting and self.pumped < self.deadline_pumps:

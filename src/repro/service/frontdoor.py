@@ -330,6 +330,7 @@ class FrontDoor:
                 service.pump()
                 self.pumps += 1
                 still: List[List] = []
+                again: List[List] = []
                 for entry in inflight:
                     ticket, rpc, resubmits = entry
                     response = ticket.response
@@ -341,15 +342,25 @@ class FrontDoor:
                         # dispatch.  Resubmit through the now-live
                         # table; the network never sees the status.
                         self.resubmits += 1
-                        ticket = service.submit(rpc.request)
-                        if ticket.response is None:
-                            still.append([ticket, rpc, resubmits + 1])
-                        else:
-                            if ticket.rejected:
-                                self.rejections_propagated += 1
-                            self._respond(rpc, ticket.response)
+                        entry[2] += 1
+                        again.append(entry)
+                        still.append(entry)
                     else:
                         self._respond(rpc, response)
+                if again:
+                    # One admission call for the pump's stragglers, in
+                    # inflight order.
+                    tickets = service.submit_batch(
+                        [entry[1].request for entry in again]
+                    )
+                    for entry, ticket in zip(again, tickets):
+                        entry[0] = ticket
+                        if ticket.response is not None:
+                            if ticket.rejected:
+                                self.rejections_propagated += 1
+                            self._respond(entry[1], ticket.response)
+                    still = [entry for entry in still
+                             if entry[0].response is None]
                 inflight = still
             # The coalescing window: let readers run before the next
             # admission round.

@@ -12,10 +12,10 @@ candidate dictionary caps the exact-key state at a few multiples of
 The hot path stays batched: observed keys buffer until ``flush_every``
 and then take a *single* vectorized sketch pass — ``add_batch`` hands
 back the post-add estimates it already has the column indices for, so
-a flush hashes each buffered key exactly once.  Scalar routing
-(``route_one``) amortizes exactly like batch routing does.  Detection
-quality is therefore delayed by at most one buffer, which the recall
-tests (zipf theta 0.8/0.99) account for.  For latency-critical
+a flush hashes each buffered key exactly once, however the router's
+calls chunk the stream (a one-key route is ``observe([key])``).
+Detection quality is therefore delayed by at most one buffer, which
+the recall tests (zipf theta 0.8/0.99) account for.  For latency-critical
 deployments ``sample`` observes only every Nth routed key (positions
 are counted deterministically across calls): a key carrying ``phi`` of
 the stream carries ``phi`` of any stride of it, so heavy hitters
@@ -29,7 +29,7 @@ the default pairing (phi=0.005, width=2048) leaves ~4x headroom.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.sketches.countmin import CountMinSketch
@@ -83,25 +83,16 @@ class HotKeyTracker:
 
     # ---------------------------------------------------------- observing
 
-    def observe(self, keys) -> None:
+    def observe(self, keys: Sequence[bytes]) -> None:
         """Feed routed keys into the stream (buffered, batch-flushed)."""
-        if self.sample > 1:
-            keys = list(keys)
-            start = (-self._position) % self.sample
-            self._position += len(keys)
-            keys = keys[start::self.sample]
+        sample = self.sample
+        if sample > 1:
+            position = self._position
+            self._position = position + len(keys)
+            keys = keys[-position % sample::sample]
             if not keys:
                 return
         self._buffer.extend(keys)
-        if len(self._buffer) >= self.flush_every:
-            self.flush()
-
-    def observe_one(self, key: bytes) -> None:
-        if self.sample > 1:
-            position, self._position = self._position, self._position + 1
-            if position % self.sample:
-                return
-        self._buffer.append(key)
         if len(self._buffer) >= self.flush_every:
             self.flush()
 

@@ -94,9 +94,6 @@ ANSWERED = 1  # OK: the answer column holds the op's payload
 REFUSED = 2   # refused at admission: the run's one refusal answers it
 OTHER = 3     # the answer column holds the row's own Response
 
-# The offsets of a one-row run, shared by every scalar submit.
-_FIRST_ROW = (0,)
-
 
 def ok_response(op: str, payload: object, shard: Optional[int]) -> Response:
     """The Response an OK row's payload stands for."""
@@ -244,25 +241,24 @@ _new_rows = object.__new__
 class Ticket(Rows):
     """Handle for one submitted request: a one-row range of a run.
 
-    ``Ticket(request, request_id, ...)`` builds a one-row run of its
-    own (what :meth:`Service.submit` admits); :meth:`view` reads one
-    row of an existing run.  Either way the request and its response
-    are read from the run's columns, and a Response is built only when
-    ``response`` is read.
+    :meth:`view` reads one row of an admitted run (what
+    :meth:`Service.submit_batch` returns); ``Ticket(request,
+    request_id, ...)`` builds an unrouted one-row run of its own, for
+    callers that hold a request outside any run.  Either way the
+    request and its response are read from the run's columns, and a
+    Response is built only when ``response`` is read.
     """
 
     __slots__ = ()
 
     def __init__(self, request: Request, request_id: int,
                  shard: Optional[int] = None,
-                 response: Optional[Response] = None,
-                 generation: int = 0, key_hash: Optional[int] = None):
+                 response: Optional[Response] = None):
         self.run = run = Run(request[0], [request[1]], [request[2]],
-                             [key_hash], request_id, _FIRST_ROW,
-                             generation, shard)
+                             [None], request_id, (0,), 0, shard)
         self.start = 0
         self.stop = 1
-        self.generation = generation
+        self.generation = 0
         if response is not None:
             run.answer(0, response)
 

@@ -23,10 +23,7 @@ fleet_hasher``), and every routed key's raw hash rides its run's hash
 column into the shard, whose table probes and inserts from it (the bit
 budget that keeps the uses apart is in :mod:`repro.service.routing`).
 
-Fault-plane observation is aggregated (satellite of PR 7): one
-``np.bincount`` already computed for the balance counters is handed to
-the plane in a single ``note_routes`` call instead of a per-key Python
-loop — the route hot path does O(1) Python work per batch.
+Fault-plane observation is one ``note_routes`` call per routed batch.
 """
 
 from __future__ import annotations
@@ -106,25 +103,22 @@ class ShardRouter:
         keys' ``hashes`` under the live engine (a retried request)."""
         if not keys:
             return [], []
-        keys = list(keys)
         shards, hashes = self.table.route_hashed(keys, hashes)
-        counts = np.bincount(shards, minlength=self.num_shards)
-        self.routed += counts
+        if len(shards) == 1:
+            # One key: a scalar add beats bincount's fixed cost.
+            self.routed[shards[0]] += 1
+        else:
+            self.routed += np.bincount(shards, minlength=self.num_shards)
         if self.tracker is not None:
             self.tracker.observe(keys)
         if self.fault_plane is not None:
-            self.fault_plane.note_routes(counts)
+            self.fault_plane.note_routes(shards)
         return shards, hashes
 
     def route_one(self, key: bytes) -> Tuple[int, int]:
-        """Shard id and raw fleet hash of one key."""
-        shard, h = self.table.route_one_hashed(key)
-        self.routed[shard] += 1
-        if self.tracker is not None:
-            self.tracker.observe_one(key)
-        if self.fault_plane is not None:
-            self.fault_plane.note_route(shard)
-        return shard, h
+        """Shard id and raw fleet hash of one key: a one-key batch."""
+        shards, hashes = self.route_batch((key,))
+        return shards[0], hashes[0]
 
     # ----------------------------------------------------- reconfiguration
 

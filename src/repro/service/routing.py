@@ -93,12 +93,19 @@ class RoutingTable:
         the hashes are what a shard table whose plan matches the
         engine's probes and inserts from.
         """
-        if not keys:
+        n = len(keys)
+        if n == 1:
+            # One key: the engine's scalar closure, no array round trip.
+            key = keys[0]
+            h = self.engine.hash_one(key) if hashes is None else hashes[0]
+            pinned = self.overlay.get(key) if self.overlay else None
+            return [self._shard_of(h) if pinned is None else pinned], [h]
+        if not n:
             return [], []
         computed = hashes is None
         if computed:
             hashes = self.engine.hash_batch(keys)
-        if len(keys) < _ROUTE_EACH_MAX:
+        if n < _ROUTE_EACH_MAX:
             if computed:
                 hashes = hashes.tolist()
             shards = list(map(self._shard_of, hashes))
@@ -126,13 +133,8 @@ class RoutingTable:
         return shards, hashes
 
     def route_one(self, key: bytes) -> int:
-        return self.route_one_hashed(key)[0]
-
-    def route_one_hashed(self, key: bytes) -> Tuple[int, int]:
-        """Shard id and raw 64-bit hash of one key; pure."""
-        h = self.engine.hash_one(key)
-        pinned = self.overlay.get(key)
-        return (self._shard_of(h) if pinned is None else pinned), h
+        """Shard id of one key; pure."""
+        return self.route_hashed((key,))[0][0]
 
     def _shard_of(self, h: int) -> int:
         """The base route of one hash: fast-range, then a split

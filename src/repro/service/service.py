@@ -1,10 +1,10 @@
 """The service front door: admission, routing, pumping, self-healing.
 
-``Service.submit`` routes a request to its shard and either enqueues it
-(bounded queue) or answers synchronously with an explicit backpressure
-rejection carrying ``retry_after`` — the queue never grows without
-limit.  ``pump()`` is the service's heartbeat and runs four steps in a
-fixed order:
+``Service.submit_rows`` routes each row of a call to its shard and
+either enqueues it (bounded queue) or answers synchronously with an
+explicit backpressure rejection carrying ``retry_after`` — the queue
+never grows without limit.  ``pump()`` is the service's heartbeat and
+runs four steps in a fixed order:
 
 1. **supervise** — restart crashed workers from their journals, detect
    stalls, and requeue tickets that fell out of the pipeline *before*
@@ -314,50 +314,25 @@ class Service:
     # ------------------------------------------------------------- intake
 
     def submit(self, request: Request) -> Ticket:
-        """Admit one request as a one-row run.  Always returns a ticket;
-        rejections and ``stats`` answer synchronously on it."""
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self.submitted += 1
-        if request.op == "stats":
-            ticket = Ticket(request, request_id,
-                            generation=self.router.generation)
-            self.accepted += 1
-            ticket.run.answers[0] = self.stats()
-            ticket.run.status[0] = ANSWERED
-            return ticket
-        shard, key_hash = self.router.route_one(request.key)
-        ticket = Ticket(request, request_id, shard, None,
-                        self.router.generation, key_hash)
-        lost = (None if self.fault_plane is None
-                else self._lost_rows((shard,)))
-        self._admit_run(ticket.run, lost, ticket)
-        return ticket
+        """Admit one request: a batch of one."""
+        return self.submit_batch((request,))[0]
 
     def submit_batch(
         self,
         requests: Sequence[Request],
         retry_of: Optional[Sequence[Ticket]] = None,
     ) -> List[Ticket]:
-        """Admit many requests with one vectorized routing pass.
-
-        Byte-equivalent to ``[self.submit(r) for r in requests]`` —
-        same admission order, same request-id assignment, same
-        queue-loss and backpressure decisions — but admitted as
-        columns by :meth:`submit_rows`, and answered through one ticket
-        view per request over the runs' columns.  ``retry_of``, when
-        given, holds the answered ticket each request retries: tickets
-        admitted under the live routing generation already carry their
-        keys' hashes, so a retry round routes without hashing again.
-        ``stats`` requests need service-wide state mid-stream, so any
-        batch containing one falls back to the scalar path.
+        """Admit many requests as one call of :meth:`submit_rows`; one
+        ticket view per request over the runs' columns.  ``retry_of``,
+        when given, holds the answered ticket each request retries:
+        tickets admitted under the live routing generation already
+        carry their keys' hashes, so a retry round routes without
+        hashing again.
         """
-        requests = list(requests)
-        if not requests:
+        n = len(requests)
+        if not n:
             return []
         ops = [request.op for request in requests]
-        if "stats" in ops:
-            return [self.submit(request) for request in requests]
         carried = None
         if retry_of is not None:
             generations = {ticket.generation for ticket in retry_of}
@@ -365,12 +340,12 @@ class Service:
                 carried = (generations.pop(),
                            [ticket.key_hash for ticket in retry_of])
         runs = self.submit_rows(
-            ops[0] if ops.count(ops[0]) == len(ops) else ops,
+            ops[0] if ops.count(ops[0]) == n else ops,
             [request.key for request in requests],
             [request.value for request in requests],
             carried,
         )
-        tickets: List[Optional[Ticket]] = [None] * len(requests)
+        tickets: List[Optional[Ticket]] = [None] * n
         for run in runs:
             for row, offset in enumerate(run.offsets):
                 tickets[offset] = Ticket.view(run, row)
@@ -385,17 +360,21 @@ class Service:
     ) -> List[Run]:
         """Admit one call's rows as columns; returns one run per shard.
 
-        ``op`` is one op for every row, or an op column.  ``carried``
-        is ``(generation, hashes)`` from the rows' previous round: the
-        hashes are reused, and the keys not hashed again, when that
-        generation is still live.  One ``route_batch`` pass picks every
-        row's shard; the rows of each shard become one :class:`Run` in
-        call order, and :meth:`_admit_run` admits it.  Answers land in
-        the runs' columns.
+        The service's one admission path: every key it admits is routed
+        here.  ``op`` is one op for every row, or an op column.
+        ``carried`` is ``(generation, hashes)`` from the rows' previous
+        round: the hashes are reused, and the keys not hashed again,
+        when that generation is still live.  One ``route_batch`` pass
+        picks every row's shard; the rows of each shard become one
+        :class:`Run` in call order, and :meth:`_admit_run` admits it.
+        Answers land in the runs' columns.  ``stats`` rows are answered
+        here (:meth:`_admit_around_stats`).
         """
         n = len(keys)
         if not n:
             return []
+        if op == "stats" or (type(op) is list and "stats" in op):
+            return self._admit_around_stats(op, keys, values, carried)
         generation = self.router.generation
         hashes = None
         if (carried is not None and carried[0] == generation
@@ -422,15 +401,50 @@ class Service:
             self._admit_run(run, lost)
         return runs
 
+    def _admit_around_stats(self, op, keys, values, carried) -> List[Run]:
+        """Admit a call holding ``stats`` rows, in call order.
+
+        The rows between two stats rows are admitted as one call of
+        their own.  A stats row is never routed: it takes the next
+        request id and is answered at once with the service's stats,
+        which count every row admitted before it and itself.  Run
+        offsets stay positions in the whole call.
+        """
+        n = len(keys)
+        ops = op if type(op) is list else [op] * n
+        base = self._next_request_id
+        runs: List[Run] = []
+        start = 0
+        for stop in [i for i, o in enumerate(ops) if o == "stats"] + [n]:
+            if start < stop:
+                for run in self.submit_rows(
+                    ops[start:stop], keys[start:stop],
+                    None if values is None else values[start:stop],
+                    None if carried is None
+                    else (carried[0], carried[1][start:stop]),
+                ):
+                    run.base = base
+                    run.offsets = [start + offset for offset in run.offsets]
+                    runs.append(run)
+            if stop < n:
+                self._next_request_id += 1
+                self.submitted += 1
+                self.accepted += 1
+                run = Run("stats", [keys[stop]], None, [None], base, (stop,),
+                          self.router.generation, None)
+                run.answers[0] = self.stats()
+                run.status[0] = ANSWERED
+                runs.append(run)
+            start = stop + 1
+        return runs
+
     def _lost_rows(self, shards: Sequence[int]) -> List[bool]:
-        """One ``queue_loss`` opportunity per row, in batch order, so
-        ``after=``/``count=`` schedules see the same sequence as a
-        scalar submit loop."""
+        """One ``queue_loss`` opportunity per row, in call order, so
+        ``after=``/``count=`` schedules see one request at a time."""
         should_fire = self.fault_plane.should_fire
         return [should_fire("queue_loss", shard) for shard in shards]
 
-    def _admit_run(self, run: Run, lost: Optional[List[bool]],
-                   whole: Optional[Rows] = None) -> None:
+    def _admit_run(self, run: Run, lost: Optional[List[bool]]) -> None:
         """The admission tail of one routed run: lost rows park, the
         rest take one credit check.
 
@@ -466,8 +480,7 @@ class Service:
             self.lost_slots += parked
             self.accepted += parked
         else:
-            ranges = [Rows(run, 0, n, generation) if whole is None
-                      else whole]
+            ranges = [Rows(run, 0, n, generation)]
         admitted = worker.admit(ranges)
         self.accepted += admitted
         refused = n - parked - admitted

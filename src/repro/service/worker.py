@@ -547,7 +547,7 @@ class Worker:
         """
         run = rows.run
         routed = [row for row in range(rows.start, rows.stop)
-                  if run.op_at(row) != "stats" and run.keys[row]]
+                  if run.keys[row]]
         shards, hashes = self.router.table.route_hashed(
             [run.keys[row] for row in routed]
         )

@@ -1411,11 +1411,6 @@ class ServingTarget(Target):
 
     # ---------------------------------------------------------- transport
 
-    def _submit(self, request):
-        """Submit in process; the ticket, or None when backpressure
-        rejected it."""
-        return self._admitted(self.service.submit(request))
-
     @staticmethod
     def _admitted(ticket):
         """``ticket``, or None when backpressure rejected it — with the
@@ -1431,17 +1426,15 @@ class ServingTarget(Target):
     def _send(self, requests: List[object]) -> List[object]:
         """One ticket per request, None where backpressure rejected it.
 
-        In process a single request goes through ``submit`` and a
-        burst through one ``submit_batch`` — the batch admission path
-        the client and the front door use; either answers at a later
-        pump.  Over the socket the blocking client retries rejections
-        itself, so every ticket comes back already done.
+        In process every burst, one request included, goes through one
+        ``submit_batch`` — the admission path the client and the front
+        door use — and answers at a later pump.  Over the socket the
+        blocking client retries rejections itself, so every ticket comes
+        back already done.
         """
         from repro.service.protocol import Ticket
 
         if self.client is None:
-            if len(requests) == 1:
-                return [self._submit(requests[0])]
             return [self._admitted(ticket)
                     for ticket in self.service.submit_batch(requests)]
         if all(request.op == "put" for request in requests):

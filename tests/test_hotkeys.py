@@ -119,12 +119,13 @@ class TestSampling:
         assert a.top(TOP_K) == b.top(TOP_K)
 
     def test_scalar_observe_matches_batched(self, hasher):
+        # A one-key route observes as observe([key]).
         stream = _zipf_stream(0.99, n_ops=2_000)
         batched = HotKeyTracker(hasher, k=TOP_K, sample=2)
         scalar = HotKeyTracker(hasher, k=TOP_K, sample=2)
         _observe_chunked(batched, stream)
         for key in stream:
-            scalar.observe_one(key)
+            scalar.observe([key])
         batched.flush()
         scalar.flush()
         assert batched.sketch.total == scalar.sketch.total

@@ -366,10 +366,11 @@ class TestWrongGeneration:
         ticket.shard = 0
         ticket.response = None
         service.workers[0].requeue_front([ticket])
-        real_submit = service.submit
+        real_submit_rows = service.submit_rows
         stale = [ticket]
-        service.submit = lambda request: (
-            stale.pop() if stale else real_submit(request)
+        service.submit_rows = lambda op, keys, values=None, carried=None: (
+            [stale.pop().run] if stale
+            else real_submit_rows(op, keys, values, carried)
         )
         assert client.get(moved_key) == b"v"
         assert client.generation_retries >= 1

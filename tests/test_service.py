@@ -252,6 +252,37 @@ class TestService:
         assert payload["num_shards"] == 3
         assert len(payload["shards"]) == 3
 
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_stats_row_answered_at_admission(self, model, execution):
+        # A stats row of an op column is answered where it stands in
+        # the call, never routed: its counters include the rows before
+        # it and itself, and no shard serves it.
+        ops = ["put", "stats", "get"]
+        keys = [b"sk", b"", b"sk"]
+        values = [b"v", b"", b""]
+        with _service(model, execution=execution) as service:
+            before = service.submitted
+            runs = service.submit_rows(ops, keys, values)
+            [stats_run] = [run for run in runs if run.op == "stats"]
+            assert list(stats_run.offsets) == [1]
+            assert stats_run.shard is None
+            response = stats_run.response(0)
+            assert response.ok
+            assert response.stats["submitted"] == before + 2
+            assert sorted(run.request_id(row) for run in runs
+                          for row in range(len(run.keys))) == [
+                before, before + 1, before + 2]
+            service.drain()
+            client = ServiceClient(service)
+            before = service.submitted
+            answers = client._call(ops, keys, values)
+            assert answers[0] is None  # the put's OK payload
+            assert answers[1]["submitted"] == before + 2
+            assert answers[2] == b"v"
+            assert client.lost_acks == 0
+            for shard in service.stats()["shards"]:
+                assert "stats" not in shard["op_counts"]
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degraded_mode_keeps_acked_writes(self, model, backend):
         service = _service(model, backend=backend, capacity=4096,
@@ -439,21 +470,24 @@ class TestBackoffRegressions:
 
     @staticmethod
     def _rejecting(service, times, retry_after):
-        """Make ``service.submit`` reject the first ``times`` requests
-        with the given hint (``times=None``: every request)."""
-        real_submit = service.submit
+        """Make ``service.submit_rows`` reject the first ``times``
+        one-row calls with the given hint (``times=None``: every call)."""
+        real_submit_rows = service.submit_rows
         rejections = []
 
-        def submit(request):
+        def submit_rows(op, keys, values=None, carried=None):
             if times is None or len(rejections) < times:
+                assert len(keys) == 1
+                request = Request(op, keys[0],
+                                  b"" if values is None else values[0])
                 ticket = Ticket(request=request, request_id=-1, shard=0)
                 ticket.response = Response(REJECTED, shard=0,
                                            retry_after=retry_after)
                 rejections.append(ticket)
-                return ticket
-            return real_submit(request)
+                return [ticket.run]
+            return real_submit_rows(op, keys, values, carried)
 
-        service.submit = submit
+        service.submit_rows = submit_rows
 
     def test_explicit_zero_hint_spends_no_pumps(self, model):
         # `retry_after=0` is an explicit "retry immediately" hint; it
