@@ -97,8 +97,8 @@ def _measure_recovery(model, keys, kind, spec, execution="inline"):
     # its own completion loop, so polling at op granularity would always
     # see "already recovered".
     # fire: the spec fired.  impact: the service first observed un-whole
-    # (for ``corrupt`` this lags the fire — the monitor needs a few more
-    # polluted-window inserts before it trips).  whole: healed again.
+    # (for ``corrupt`` the same pump: the fire trips the shard at the
+    # pump's inject step, before it serves).  whole: healed again.
     marks = {"fire": None, "impact": None, "whole": None}
     original_pump = service.pump
 
@@ -115,8 +115,9 @@ def _measure_recovery(model, keys, kind, spec, execution="inline"):
         return served
 
     service.pump = watched_pump
-    # Fresh inserts first: ``corrupt`` pollutes the per-insert collision
-    # signal, and an update-only mix would never feed the monitor.
+    # Fresh inserts first, one call (and its pumps) at a time.
+    # ``corrupt`` needs no inserts: it fires at the first pump's inject
+    # step, whatever the mix.
     for i in range(200):
         client.put(b"fresh%04d" % i, b"v")
         if marks["whole"] is not None:

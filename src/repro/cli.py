@@ -567,16 +567,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     f"{stats['splits']} split(s) but routing generation "
                     f"only reached {generation}"
                 )
-        if listen is None and (
-            args.hot_k or args.force_split or args.auto_split
-        ) and sum(
+        if (args.hot_k or args.force_split or args.auto_split) and sum(
             shard["wrong_generation"] for shard in stats["shards"]
         ):
-            # The sweep + reconcile re-route must catch every straggler
-            # internally; the dispatch guard is for external clients.
-            # (Under --listen the guard firing is expected — those are
-            # exactly the stragglers the front door resubmits — so the
-            # network check above asserts clients never *see* one.)
+            # The flip sweep + reconcile re-route must catch every
+            # straggler before dispatch, with or without --listen: the
+            # sweep re-homes queued rows first, so the dispatch guard
+            # (and the front door's server-side resubmit behind it)
+            # stays a safety net these drills never reach.
             failures.append("internal tickets hit the WRONG_GENERATION guard")
         if args.inject:
             if stats["faults"]["total_fired"] < 1:

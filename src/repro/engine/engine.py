@@ -103,11 +103,6 @@ class HashEngine:
         self._fell_back = False
         self._generation = 0
         self._install(hasher)
-        # Optional displacement transform applied to every insert signal
-        # before the monitor sees it.  The fault plane mounts one here to
-        # model hasher corruption: answers stay correct, but the monitor
-        # observes an entropy collapse and must react.
-        self.fault_hook = None
 
     # ----------------------------------------------------------- construction
 
@@ -371,8 +366,6 @@ class HashEngine:
             return False
         if self._hasher.partial_key.is_full_key:
             return False
-        if self.fault_hook is not None:
-            displacement = self.fault_hook(displacement)
         self.monitor.record_insert(displacement, expected)
         if self.monitor.should_fall_back(n):
             self.fall_back_to_full_key()
@@ -418,13 +411,10 @@ class HashEngine:
         """Engines cross process boundaries (shard-child specs, spawn
         start methods) without their unpicklable or rebuildable parts:
         compiled plans and the seeded-hasher cache are recompiled
-        lazily on first use, and a mounted fault hook is a closure over
-        the parent's FaultPlane that must *not* follow the engine —
-        injection decisions stay parent-side."""
+        lazily on first use."""
         state = self.__dict__.copy()
         state["_plans"] = {}
         state["_seeded"] = {}
-        state["fault_hook"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:

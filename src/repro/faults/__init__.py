@@ -6,7 +6,7 @@ batch-result drop, hasher corruption, queue-slot loss), *where* (which
 shard), and *when* (after how many opportunities, how many times); a
 :class:`FaultPlane` turns the plan plus a seed into deterministic
 firing decisions at injection points threaded through
-``repro.service`` and ``repro.engine``.  The healing machinery —
+``repro.service``.  The healing machinery —
 :class:`~repro.service.supervisor.Supervisor`, per-shard op journals,
 per-shard circuit breakers, and client deadlines — must keep every
 acknowledged write and terminate every ticket *without* looking at the
@@ -15,7 +15,6 @@ plane; the ``chaos`` fuzz target proves it does.
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.faults.plane import (
-    CORRUPTION_DISPLACEMENT,
     FaultPlane,
     InjectedCrash,
     InjectedFault,
@@ -23,7 +22,6 @@ from repro.faults.plane import (
 )
 
 __all__ = [
-    "CORRUPTION_DISPLACEMENT",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultPlane",

@@ -8,7 +8,7 @@ fires (``count``), and an optional probability per opportunity
 seeded RNG, so a plan plus a seed is fully deterministic).
 
 The seven kinds map onto the injection points threaded through the
-service and the engine:
+service (the hashing engine has none):
 
 =============  ======================  =======================================
 kind           injection point         effect
@@ -21,12 +21,15 @@ kind           injection point         effect
                                        workers degrade it to ``crash``
 ``stall``      ``Worker.dispatch``     returns without draining the queue
 ``drop``       ``Worker.dispatch``     pops a batch, never answers its tickets
-``corrupt``    ``HashEngine``          amplifies insert signals (entropy
-                                       collapse as the CollisionMonitor sees
-                                       it); filter/LSM/process shards trip
-                                       directly
-``queue_loss`` ``Service.submit`` /    an admitted ticket never reaches the
-               ``ShardRouter``         shard queue (the slot is lost)
+``corrupt``    ``Service.pump``        one opportunity per shard per pump, on
+                                       both executions: trips the shard via
+                                       ``Worker.force_trip`` (a table's real
+                                       CollisionMonitor sees an entropy
+                                       collapse; filter/LSM shards fall
+                                       back); tripped or crashed shards are
+                                       skipped
+``queue_loss`` ``submit_rows``         an admitted ticket never reaches the
+                                       shard queue (the slot is lost)
 ``drift``      key stream (driver)     the *workload* drifts: the driver
                                        rewrites keys so the bytes the deployed
                                        partial-key plan reads go constant
@@ -39,7 +42,7 @@ Specs can also be parsed from compact CLI strings::
 
     crash:worker:2              # crash shard 2's worker once
     stall:worker:0:count=3      # stall shard 0 three pumps in a row
-    corrupt:engine:1:after=5    # collapse shard 1's entropy signal later
+    corrupt:service:1:after=5   # collapse shard 1's entropy signal later
 """
 
 from __future__ import annotations

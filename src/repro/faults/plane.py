@@ -1,9 +1,10 @@
 """The fault plane: seeded, deterministic fault firing + bookkeeping.
 
 A :class:`FaultPlane` owns a :class:`~repro.faults.plan.FaultPlan` and a
-seeded RNG.  Injection points (in ``service/worker.py``,
-``service/router.py``, ``service/service.py``, and
-``engine/engine.py``) ask :meth:`FaultPlane.should_fire` whether the
+seeded RNG.  Injection points (``Worker.dispatch`` in
+``service/worker.py``; ``Service.submit_rows`` and the once-per-pump
+``corrupt`` point in ``service/service.py``; for ``drift``, whoever
+owns the key stream) ask :meth:`FaultPlane.should_fire` whether the
 armed fault of a given kind fires *now* for a given shard.  Every call
 is an *opportunity*; a spec skips its first ``after`` opportunities,
 then fires up to ``count`` times, each with probability ``rate`` drawn
@@ -24,11 +25,6 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
-
-# Displacement added to one insert signal under a ``corrupt`` fault: an
-# entropy collapse no monitor budget survives (same magnitude the
-# force-trip drills use).
-CORRUPTION_DISPLACEMENT = 1e9
 
 
 class InjectedFault(RuntimeError):
@@ -101,23 +97,6 @@ class FaultPlane:
             if kind is None or state.spec.kind == kind
         )
 
-    # ------------------------------------------------ engine-level hook
-
-    def insert_signal_hook(self, shard: int):
-        """A per-shard hook for :attr:`HashEngine.fault_hook`.
-
-        Wraps every insert's collision signal; while a ``corrupt`` spec
-        for this shard fires, the displacement is amplified to an
-        entropy collapse the CollisionMonitor must catch.
-        """
-
-        def hook(displacement: float) -> float:
-            if self.should_fire("corrupt", shard):
-                return displacement + CORRUPTION_DISPLACEMENT
-            return displacement
-
-        return hook
-
     # ---------------------------------------------- router-level hook
 
     def note_routes(self, shards: Sequence[int]) -> None:
@@ -169,7 +148,6 @@ def make_plane(
 
 
 __all__ = [
-    "CORRUPTION_DISPLACEMENT",
     "FaultPlane",
     "InjectedCrash",
     "InjectedFault",

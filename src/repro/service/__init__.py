@@ -44,7 +44,7 @@ journal-replay migration, generation flip, queue sweep — with a
 the safety net for stragglers.
 """
 
-from repro.service.adapters import BACKENDS, AdapterSpec, make_adapter
+from repro.service.adapters import BACKENDS, AdapterSpec
 from repro.service.backends import (
     EXECUTIONS,
     ExecutionBackend,
@@ -115,6 +115,5 @@ __all__ = [
     "WRONG_GENERATION",
     "Ticket",
     "Worker",
-    "make_adapter",
     "run_service_workload",
 ]

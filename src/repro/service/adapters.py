@@ -52,10 +52,9 @@ class StructureAdapter:
 
     backend: str = ""
     supported: frozenset = frozenset()
-    # True when the structure feeds per-insert collision signals through
-    # a HashEngine + CollisionMonitor and can re-learn its plan (only
-    # entropy-aware tables); the rest trip through adapter-level paths.
-    monitorable: bool = False
+    # True when the structure can hot-swap to a re-learned EntropyModel
+    # (only entropy-aware tables, which carry a model to re-plan from).
+    rearmable: bool = False
 
     def __init__(self, hasher: Optional[EntropyLearnedHasher] = None) -> None:
         self._degraded = False
@@ -144,12 +143,7 @@ class StructureAdapter:
         monitor to drive simply falls back."""
         self.fall_back()
 
-    # Drift re-learning hooks.
-    @property
-    def rearmable(self) -> bool:
-        """Can this adapter hot-swap to a re-learned EntropyModel?"""
-        return self.monitorable
-
+    # Drift re-learning hook.
     def rearm_with(self, model: EntropyModel) -> None:
         """Hot-swap the structure to a freshly re-learned model."""
         raise NotImplementedError(
@@ -177,9 +171,7 @@ class TableAdapter(StructureAdapter):
         super().__init__(table.engine.hasher)
         self.table = table
         self.backend = backend
-        # Plain hasher-built tables have no record_insert call sites, so
-        # corruption must trip them through the service-level path.
-        self.monitorable = isinstance(table, EntropyAwareMixin)
+        self.rearmable = isinstance(table, EntropyAwareMixin)
 
     @property
     def engine(self):
@@ -410,34 +402,18 @@ def _entropy_aware_table(backend: str):
     return None
 
 
-def make_adapter(
-    backend: str,
-    capacity: int,
-    model=None,
-    hasher: Optional[EntropyLearnedHasher] = None,
-    seed: int = 0,
-    options: Optional[Dict[str, object]] = None,
-) -> StructureAdapter:
-    """Build one shard's structure from a model (production) or a raw
-    hasher (tests/fuzzing).  Exactly one of ``model``/``hasher``.
-
-    ``options`` carries backend-specific tuning (the similarity
-    backend's ``bands``/``rows``/``b``/``shingle_width``); the point-op
-    backends take none, and passing options to them is an error rather
-    than a silent ignore.
-    """
-    return AdapterSpec(backend, capacity, model, hasher, seed, options).build()
-
-
 @dataclass(frozen=True)
 class AdapterSpec:
-    """A picklable recipe for one shard's structure.
+    """A picklable recipe for one shard's structure, and the one way to
+    build it (:meth:`build`).
 
-    Carries only the small, serializable inputs of :func:`make_adapter`
-    — never a live structure — so the same spec can build the adapter
-    in the parent (inline execution) or inside a freshly spawned shard
-    child (process execution), and both builds are bit-identical for a
-    given seed.  Construction validates the recipe.
+    The structure is built from a model (production) or a raw hasher
+    (tests/fuzzing): exactly one of ``model``/``hasher``.  The spec
+    carries only small, serializable inputs — never a live structure —
+    so the same spec can build the adapter in the parent (inline
+    execution) or inside a freshly spawned shard child (process
+    execution), and both builds are bit-identical for a given seed.
+    Construction validates the recipe.
     """
 
     backend: str
@@ -445,7 +421,9 @@ class AdapterSpec:
     model: Optional[EntropyModel] = None
     hasher: Optional[EntropyLearnedHasher] = None
     seed: int = 0
-    # Backend-specific tuning, passed through to make_adapter; plain
+    # Backend-specific tuning (the similarity backend's bands, rows, b
+    # and shingle_width); the point-op backends take none, and passing
+    # them options is an error rather than a silent ignore.  Plain
     # JSON-safe values only, so the spec stays picklable.
     options: Optional[Dict[str, object]] = None
     # The fleet's partitioning requirement in bits: a model-built table
@@ -540,6 +518,5 @@ __all__ = [
     "TableAdapter",
     "FilterAdapter",
     "LsmAdapter",
-    "make_adapter",
     "AdapterSpec",
 ]

@@ -9,6 +9,14 @@ reply, and every other piece of shard work — degraded-mode moves,
 rearm, migration apply, structure stats — is one named
 ``ShardCore.control`` op.
 
+Both are built as ``(spec, shard_id)`` and run one lifecycle: the core
+is built with :meth:`ShardCore.from_spec`, a restart rebuilds it from
+the spec and the worker's acked-only journal, and a rearm re-points the
+spec (``Worker.rearm_with``) so every later restart builds the
+re-learned plan.  Fault injection lives in the worker shell and the
+service, never in the core.  The backend decides only where the core
+runs:
+
 * :class:`InlineBackend` — the core is embedded in the parent and
   serves synchronously inside ``Worker.dispatch``.  This is the
   original cooperative pump, kept as the differential fuzzer's
@@ -41,7 +49,6 @@ journal, and the supervisor re-applies an open breaker's fallback.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import queue as pyqueue
 import signal
@@ -96,23 +103,28 @@ class ExecutionBackend:
 
     kind: str = ""
 
+    def __init__(self, spec: AdapterSpec, shard_id: int):
+        # The recipe every (re)build of this shard's core starts from;
+        # a rearm replaces it with the re-learned plan's.
+        self.spec = spec
+        self.shard_id = shard_id
+        self.structure_backend = spec.backend
+
     @property
     def adapter(self) -> Optional[StructureAdapter]:
         """The live in-parent adapter, or None when the structure lives
-        in a child process (engine fault hooks then do not apply)."""
+        in a child process."""
         return None
-
-    @property
-    def structure_backend(self) -> str:
-        raise NotImplementedError
 
     @property
     def tripped(self) -> bool:
         raise NotImplementedError
 
     def start(self, worker) -> None:
-        """Bring the core up (no-op inline; first child spawn for
-        process execution).  Called once from ``Worker.__init__``."""
+        """Build the core from the spec and the worker's journal (a
+        child spawn for process execution).  Called once from
+        ``Worker.__init__``."""
+        raise NotImplementedError
 
     def serve(self, wire, crash_at, kill) -> Optional[Reply]:
         """Serve one batch of wire segments.
@@ -130,7 +142,8 @@ class ExecutionBackend:
         return None
 
     def restart(self, worker) -> None:
-        """Rebuild the core from the worker's acked-only journal."""
+        """Rebuild the core from the spec and the worker's acked-only
+        journal, and count the replay."""
         raise NotImplementedError
 
     def control(self, name: str, arg: object = None) -> object:
@@ -154,20 +167,16 @@ class InlineBackend(ExecutionBackend):
 
     kind = "inline"
 
-    def __init__(self, adapter: StructureAdapter):
-        self.core = ShardCore(adapter)
-
     @property
     def adapter(self) -> StructureAdapter:
         return self.core.adapter
 
     @property
-    def structure_backend(self) -> str:
-        return self.core.adapter.backend
-
-    @property
     def tripped(self) -> bool:
         return self.core.adapter.tripped
+
+    def start(self, worker) -> None:
+        self.core = ShardCore.from_spec(self.spec, worker.journal.snapshot())
 
     def serve(self, wire, crash_at, kill) -> Reply:
         # An inline worker has no process to kill: an injected sigkill
@@ -178,12 +187,8 @@ class InlineBackend(ExecutionBackend):
         return self.core.serve_batch(wire, crash_at), crash_at is not None
 
     def restart(self, worker) -> None:
-        if worker.factory is None:
-            raise RuntimeError(
-                f"worker {worker.shard_id} crashed but has no adapter factory"
-            )
-        self.core = ShardCore(worker.factory())
-        worker.journal.replay(self.core.adapter)
+        self.start(worker)
+        worker.journal.mark_replay()
 
     def control(self, name: str, arg: object = None) -> object:
         return self.core.control(name, arg)
@@ -293,9 +298,8 @@ class ProcessBackend(ExecutionBackend):
             )
         import multiprocessing
 
+        super().__init__(spec, shard_id)
         self.ctx = multiprocessing.get_context("fork")
-        self.spec = spec
-        self.shard_id = shard_id
         # Shared with every child this backend forks: the child bumps
         # it, the parent only watches it move.
         self.heartbeat = self.ctx.RawValue("Q", 0)
@@ -310,10 +314,6 @@ class ProcessBackend(ExecutionBackend):
         self._finalizer = None
 
     # --------------------------------------------------------- lifecycle
-
-    @property
-    def structure_backend(self) -> str:
-        return self.spec.backend
 
     @property
     def tripped(self) -> bool:
@@ -504,11 +504,6 @@ class ProcessBackend(ExecutionBackend):
         return None
 
     def control(self, name: str, arg: object = None) -> object:
-        if name == "rearm":
-            # The spec changes first: a child that is dead, or dies
-            # mid-rearm, re-forks from the new plan and replays the
-            # journal — the journal-assisted path to the same state.
-            self.spec = dataclasses.replace(self.spec, model=arg, hasher=None)
         incarnation = self.incarnation
         reply = None
         if self._send(("ctl", incarnation, name, arg)):

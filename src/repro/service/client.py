@@ -166,8 +166,7 @@ class _Socket:
         self.stash: Dict[int, Response] = {}
         self.next_id = 0
 
-    def send(self, requests: Sequence[Request],
-             retry_of: Optional[Sequence[int]] = None) -> List[int]:
+    def send(self, requests: Sequence[Request]) -> List[int]:
         first = self.next_id
         self.next_id += len(requests)
         for start in range(0, len(requests), PIPELINE_WINDOW):

@@ -29,9 +29,11 @@ def replay_entries(adapter, entries, progress=None) -> int:
 
     Consecutive same-op runs go down the adapter's batch paths, the
     same amortization the live serving path uses.  This is a module
-    function (not a method) because a process-backend child replays a
-    *snapshot* of the parent's journal into its own structure at spawn
-    time — the journal object itself never leaves the parent.
+    function (not a method) because every restart replays a *snapshot*
+    of the parent's journal into a fresh core
+    (:meth:`~repro.service.core.ShardCore.from_spec`), inline or in a
+    shard child at spawn time — the journal object itself never leaves
+    the parent.
 
     ``progress``, when given, is called with each run's length after it
     applies; the shard child uses it to bump its shared heartbeat
@@ -165,19 +167,10 @@ class ShardJournal:
         return list(self.entries)
 
     def mark_replay(self) -> None:
-        """Count a replay performed elsewhere (a process-backend child
-        replaying a :meth:`snapshot` on its side of the fork)."""
+        """Count a replay of a :meth:`snapshot` into a fresh core (a
+        restart, in the parent or on a shard child's side of the
+        fork)."""
         self.replays += 1
-
-    def replay(self, adapter) -> int:
-        """Re-apply every journaled mutation to a fresh adapter.
-
-        Consecutive same-op runs go down the adapter's batch paths, the
-        same amortization the live serving path uses.  Returns the
-        number of ops replayed.
-        """
-        self.replays += 1
-        return replay_entries(adapter, self.entries)
 
     # -------------------------------------------------------------- stats
 

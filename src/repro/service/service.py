@@ -11,8 +11,8 @@ runs four steps in a fixed order:
    anything is served, so recovered tickets keep per-key admission
    order;
 2. **inject** — give an armed fault plane its service-level injection
-   points (corruption on shards without an insert-signal path, i.e.
-   filters and the LSM);
+   point (``corrupt``, which trips the target shard on either
+   execution);
 3. **serve** — drain one micro-batch per shard, catching injected
    crashes and handing them to the supervisor;
 4. **react** — check every shard's monitor against its own
@@ -51,11 +51,11 @@ import numpy as np
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_partitioning
-from repro.engine import CollisionMonitor, HashEngine
+from repro.engine import HashEngine
 from repro.faults import InjectedCrash
 
 from repro.service.adapters import BACKENDS, AdapterSpec
-from repro.service.backends import EXECUTIONS, ProcessBackend
+from repro.service.backends import EXECUTIONS, InlineBackend, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.journal import Entry, compact
 from repro.service.protocol import (
@@ -243,27 +243,19 @@ class Service:
         candidate adds; a new shard is then filled through the same
         live apply path as any other migration target.
         """
-        if self.execution == "process":
-            worker = Worker(
-                shard,
-                max_queue=self._max_queue,
-                batch_size=self._batch_size,
-                journal_checkpoint=self._journal_checkpoint,
-                execution=ProcessBackend(self._spec, shard),
-            )
-        else:
-            worker = Worker(
-                shard,
-                self._spec.build(),
-                max_queue=self._max_queue,
-                batch_size=self._batch_size,
-                factory=self._spec.build,
-                journal_checkpoint=self._journal_checkpoint,
-            )
+        backend = (ProcessBackend if self.execution == "process"
+                   else InlineBackend)
+        worker = Worker(
+            shard,
+            backend(self._spec, shard),
+            max_queue=self._max_queue,
+            batch_size=self._batch_size,
+            journal_checkpoint=self._journal_checkpoint,
+        )
         worker.router = self.router
+        worker.fault_plane = self.fault_plane
         if self.relearner is not None:
             worker.drift_tap = self.relearner.observe
-        self._arm_worker(worker)
         self.workers.append(worker)
         self.breakers.append(CircuitBreaker(
             shard,
@@ -278,38 +270,7 @@ class Service:
         self.fault_plane = plane
         self.router.fault_plane = plane
         for worker in self.workers:
-            self._arm_worker(worker)
-
-    def _arm_worker(self, worker: Worker) -> None:
-        """(Re)wire one worker's injection hooks — called at arm time
-        and again after every restart, because restarts rebuild the
-        structure (and with it the engine the hooks live on)."""
-        plane = self.fault_plane
-        if plane is None:
-            return
-        worker.fault_plane = plane
-        if worker.adapter is None:
-            # Process execution: the structure (and its engine) lives in
-            # the shard child, out of reach of in-parent insert hooks.
-            # Corruption reaches these shards through the service-level
-            # injection point instead, same as filter/LSM shards.
-            return
-        engine = worker.adapter.engine
-        if engine is None or not worker.adapter.monitorable:
-            return
-        if plane.plan.targets("corrupt"):
-            # A corrupt spec is useless against a monitor-less engine:
-            # the amplified signal would never be read.  Hasher-built
-            # shards get a permissive monitor so the corruption has a
-            # monitor to fool — and the breaker something to trip on.
-            if (engine.monitor is None
-                    and not engine.hasher.partial_key.is_full_key):
-                engine.monitor = CollisionMonitor(
-                    entropy=16.0,
-                    num_slots=max(4, worker.max_queue),
-                    min_inserts=4,
-                )
-            engine.fault_hook = plane.insert_signal_hook(worker.shard_id)
+            worker.fault_plane = plane
 
     # ------------------------------------------------------------- intake
 
@@ -317,33 +278,16 @@ class Service:
         """Admit one request: a batch of one."""
         return self.submit_batch((request,))[0]
 
-    def submit_batch(
-        self,
-        requests: Sequence[Request],
-        retry_of: Optional[Sequence[Ticket]] = None,
-    ) -> List[Ticket]:
+    def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
         """Admit many requests as one call of :meth:`submit_rows`; one
-        ticket view per request over the runs' columns.  ``retry_of``,
-        when given, holds the answered ticket each request retries:
-        tickets admitted under the live routing generation already
-        carry their keys' hashes, so a retry round routes without
-        hashing again.
-        """
+        ticket view per request over the runs' columns."""
         n = len(requests)
         if not n:
             return []
-        ops = [request.op for request in requests]
-        carried = None
-        if retry_of is not None:
-            generations = {ticket.generation for ticket in retry_of}
-            if len(generations) == 1:
-                carried = (generations.pop(),
-                           [ticket.key_hash for ticket in retry_of])
         runs = self.submit_rows(
-            ops[0] if ops.count(ops[0]) == n else ops,
+            [request.op for request in requests],
             [request.key for request in requests],
             [request.value for request in requests],
-            carried,
         )
         tickets: List[Optional[Ticket]] = [None] * n
         for run in runs:
@@ -368,11 +312,14 @@ class Service:
         picks every row's shard; the rows of each shard become one
         :class:`Run` in call order, and :meth:`_admit_run` admits it.
         Answers land in the runs' columns.  ``stats`` rows are answered
-        here (:meth:`_admit_around_stats`).
+        here (:meth:`_admit_around_stats`).  A uniform op column is one
+        op, so its runs take the one-op column paths.
         """
         n = len(keys)
         if not n:
             return []
+        if type(op) is list and op.count(op[0]) == n:
+            op = op[0]
         if op == "stats" or (type(op) is list and "stats" in op):
             return self._admit_around_stats(op, keys, values, carried)
         generation = self.router.generation
@@ -684,20 +631,17 @@ class Service:
     # --------------------------------------------------- fault injection
 
     def _inject_service_faults(self) -> None:
-        """Service-level injection points for shards whose structures
-        have no per-insert signal path (filters, LSM): a ``corrupt``
-        fault there trips the shard directly instead of flowing through
-        a CollisionMonitor."""
+        """The ``corrupt`` injection point, one opportunity per shard
+        per pump on both executions: a firing spec trips the shard
+        through :meth:`Worker.force_trip`, which on a table feeds the
+        real CollisionMonitor a collapsed signal.  A shard already
+        tripped or crashed is skipped, so the opportunity is not spent
+        on a shard it cannot change."""
         plane = self.fault_plane
         if plane is None:
             return
         for worker in self.workers:
-            hooked = worker.adapter is not None and worker.adapter.monitorable
-            if hooked or worker.tripped:
-                continue
-            if worker.adapter is None and worker.crashed:
-                # A dead shard child can't corrupt anything; don't burn
-                # the fault opportunity on it.
+            if worker.tripped or worker.crashed:
                 continue
             if plane.should_fire("corrupt", worker.shard_id):
                 worker.force_trip()
@@ -749,16 +693,16 @@ class Service:
         would rebuild the drift-concentrated shard at peak occupancy, a
         geometry whose entropy demand no certified plan can meet —
         while under process execution the model ships to the live child
-        over the ctl channel and rehashes there (a dead child instead
-        re-forks later from the updated spec and replays its journal,
-        the journal-assisted path).  After a successful rehash a
-        non-closed breaker is reset — its open state guarded a plan
-        that no longer exists.  Finally the service spec and the inline
-        factories are re-pointed so restarts and future splits build
-        the *new* plan, and each journal is compacted (the rehash
-        rewrote the structures anyway; superseded entries must not
-        accumulate across drift cycles).  Returns the number of shards
-        that rehashed live.
+        over the ctl channel and rehashes there.  On both executions
+        the rearm re-points the shard backend's spec first, so a core
+        that cannot rehash live (a dead child) and every later restart
+        rebuild the new plan from the journal.  After a successful
+        rehash a non-closed breaker is reset — its open state guarded a
+        plan that no longer exists.  Finally the service spec is
+        re-pointed so future splits build the *new* plan, and each
+        journal is compacted (the rehash rewrote the structures anyway;
+        superseded entries must not accumulate across drift cycles).
+        Returns the number of shards that rehashed live.
         """
         new_spec = dataclasses.replace(self._spec, model=model, hasher=None)
         # One fleet plan again: the router re-bases on the plan the
@@ -773,8 +717,6 @@ class Service:
                 swapped += 1
                 if not breaker.closed:
                     breaker.reset()
-            if worker.factory is not None:
-                worker.factory = new_spec.build
         self._spec = new_spec
         for worker in self.workers:
             worker.journal.checkpoint()

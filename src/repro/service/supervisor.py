@@ -105,9 +105,6 @@ class Supervisor:
     def _restart(self, worker, breaker) -> None:
         """Fresh structure + journal replay + inflight reconciliation."""
         lost = worker.restart()
-        # The new structure gets the same fault wiring the old one had
-        # (injection hooks live on the engine, which was just rebuilt).
-        self.service._arm_worker(worker)
         if not breaker.closed:
             # The shard is still quarantined: the rebuilt structure must
             # serve full-key until the breaker's probe says otherwise.

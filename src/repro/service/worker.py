@@ -48,6 +48,7 @@ reported segments are absorbed.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -55,7 +56,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.faults import InjectedCrash
 
 from repro.service.adapters import StructureAdapter
-from repro.service.backends import ExecutionBackend, InlineBackend, Reply
+from repro.service.backends import ExecutionBackend, Reply
 from repro.service.journal import Entry, ShardJournal
 from repro.service.protocol import (
     ANSWERED,
@@ -245,24 +246,17 @@ class Worker:
     def __init__(
         self,
         shard_id: int,
-        adapter: Optional[StructureAdapter] = None,
+        execution: ExecutionBackend,
         max_queue: int = 256,
         batch_size: int = 64,
-        factory: Optional[Callable[[], StructureAdapter]] = None,
         journal_checkpoint: int = 4096,
-        execution: Optional[ExecutionBackend] = None,
     ):
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if (adapter is None) == (execution is None):
-            raise ValueError("pass exactly one of adapter= or execution=")
-        if execution is None:
-            execution = InlineBackend(adapter)
         self.shard_id = shard_id
         self.execution = execution
-        self.factory = factory
         self.max_queue = max_queue
         self.batch_size = batch_size
         # Admitted row ranges, disjoint and in request-id order.
@@ -277,8 +271,8 @@ class Worker:
         # segments as (op, pieces, keys, values, hashes).
         self._batch: List[Rows] = []
         self._segments: List[tuple] = []
-        # The journal must exist before execution.start(): a process
-        # backend snapshots it at spawn so the child replays it.
+        # The journal must exist before execution.start(): every core
+        # is built from the spec plus a snapshot of it.
         self.journal = ShardJournal(
             checkpoint_every=journal_checkpoint,
             multiset=(execution.structure_backend == "cuckoo_filter"),
@@ -419,8 +413,9 @@ class Worker:
         Returns the unanswered inflight rows (admission order) for the
         supervisor to requeue.  The queue itself is untouched — its
         rows were never popped, so they are neither lost nor stale.
-        With process execution this kills any straggler child and forks
-        a fresh one, which replays the journal on its side of the fork.
+        Both executions rebuild the core from the backend's spec; with
+        process execution this kills any straggler child and forks a
+        fresh one, which replays the journal on its side of the fork.
         """
         self.execution.restart(self)
         self.crashed = False
@@ -719,8 +714,16 @@ class Worker:
 
     def rearm_with(self, model) -> bool:
         """Hot-swap this shard's structure to a re-learned model; False
-        when it could not rehash live (unsupported, or a dead child —
-        whose restart rebuilds from the new plan and the journal)."""
+        when it could not rehash live (unsupported, or a dead child).
+
+        The backend's spec changes first, on both executions: every
+        later restart — including the one a core that died mid-rearm
+        gets — rebuilds from the new plan and replays the journal.
+        """
+        execution = self.execution
+        execution.spec = dataclasses.replace(
+            execution.spec, model=model, hasher=None
+        )
         return bool(self._control("rearm", model))
 
     def close(self) -> None:

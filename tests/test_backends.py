@@ -17,7 +17,10 @@ pin that contract down where it is easiest to get wrong:
 * the vectorized admission path behaves the same way on both sides of
   the seam;
 * a shard child's heartbeat word keeps a slow child alive, and a child
-  that stops beating is recovered like any other crash.
+  that stops beating is recovered like any other crash;
+* both backends run one lifecycle: an injected ``corrupt`` trips the
+  same shard at the same pump, and a restart after a plan swap builds
+  the re-learned plan.
 """
 
 import os
@@ -26,7 +29,8 @@ import time
 
 import pytest
 
-from repro.core.trainer import train_model
+from repro.core.greedy import GreedyResult
+from repro.core.trainer import EntropyModel, train_model
 from repro.datasets import google_urls
 from repro.faults import make_plane
 from repro.service import backends
@@ -34,12 +38,10 @@ from repro.service import (
     OK,
     REJECTED,
     AdapterSpec,
-    InlineBackend,
     Request,
     Service,
     ServiceClient,
     ShardCore,
-    Worker,
     fork_available,
 )
 
@@ -503,16 +505,78 @@ def test_refused_suffix_keeps_per_key_order(model, execution):
         service.close()
 
 
+# ------------------------------------------------------- one lifecycle
+
+
+def _corrupt_timeline(model, execution):
+    """Pump an idle model-built chaining fleet armed with one
+    ``corrupt`` fire at shard 1: per pump, the fires so far and every
+    breaker's state; then each breaker's (opens, closes)."""
+    plane = make_plane(["corrupt:service:1:count=1"])
+    service = _service(model, execution=execution, num_shards=4,
+                       fault_plane=plane, cooldown_pumps=4, probe_pumps=2)
+    try:
+        timeline = []
+        for _ in range(10):
+            service.pump()
+            timeline.append((plane.total_fired("corrupt"),
+                             [breaker.state for breaker in service.breakers]))
+        assert not any(worker.tripped for worker in service.workers)
+        return timeline, [(breaker.opens, breaker.closes)
+                          for breaker in service.breakers]
+    finally:
+        service.close()
+
+
+@needs_fork
+def test_corrupt_fires_at_the_same_pump_on_both_executions(model):
+    # ``corrupt`` is one service-level opportunity per shard per pump on
+    # both executions, so an idle fleet — no insert feeds any monitor —
+    # trips at pump 1 either way, opens the target's breaker only, and
+    # heals through the same cooldown and probe.
+    inline = _corrupt_timeline(model, "inline")
+    assert _corrupt_timeline(model, "process") == inline
+    timeline, breakers = inline
+    assert timeline[0] == (1, ["closed", "open", "closed", "closed"])
+    assert timeline[-1] == (1, ["closed"] * 4)
+    assert breakers == [(0, 0), (1, 1), (0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
+def test_restart_after_plan_swap_builds_the_new_plan(model, corpus,
+                                                     execution):
+    # A rearm re-points the shard backend's spec on both executions, so
+    # a shard that crashes after a plan swap restarts on the re-learned
+    # plan: the router's carried hashes serve it, none is recomputed.
+    relearned = EntropyModel(result=GreedyResult(
+        positions=[48], word_size=8, entropies=[float("inf")],
+        train_collisions=[0], train_size=400, eval_size=400,
+    ))
+    service = _service(model, execution=execution)
+    try:
+        client = ServiceClient(service)
+        client.put_many((key, key) for key in corpus)
+        old_plan = service.router.engine.hasher.fingerprint
+        assert service.relearn_swap(relearned) == service.num_shards
+        plan = service.router.engine.hasher.fingerprint
+        assert plan != old_plan
+        worker = service.workers[1]
+        worker.crashed = True
+        service.pump()
+        assert worker.restarts == 1 and not worker.crashed
+        assert worker.execution.spec.fleet_hasher().fingerprint == plan
+        if worker.adapter is not None:
+            assert worker.adapter.engine.hasher.fingerprint == plan
+        assert client.multi_get(corpus) == list(corpus)
+        assert client.lost_acks == 0
+        structure = worker.stats()["structure"]
+        assert structure["hashes_carried"] > 0
+        assert structure["hashes_recomputed"] == 0
+    finally:
+        service.close()
+
+
 # -------------------------------------------------------- construction
-
-
-def test_worker_requires_exactly_one_core_source(model):
-    spec = AdapterSpec("chaining", 64, model=model, seed=0)
-    with pytest.raises(ValueError, match="exactly one"):
-        Worker(0)
-    with pytest.raises(ValueError, match="exactly one"):
-        Worker(0, adapter=spec.build(),
-               execution=InlineBackend(spec.build()))
 
 
 def test_service_rejects_unknown_execution(model):

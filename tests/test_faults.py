@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.faults import (
-    CORRUPTION_DISPLACEMENT,
     FaultPlan,
     FaultPlane,
     FaultSpec,
@@ -18,14 +17,15 @@ from repro.faults import (
 )
 from repro.service import (
     OK,
+    AdapterSpec,
     CircuitBreaker,
     DeadlineExceededError,
     Request,
     Service,
     ServiceClient,
     ShardJournal,
-    make_adapter,
 )
+from repro.service.journal import replay_entries
 
 
 def _hasher():
@@ -115,12 +115,6 @@ class TestFaultPlane:
         plane.arm(FaultSpec(kind="stall", shard=0))
         assert plane.should_fire("stall", 0)
 
-    def test_insert_signal_hook_amplifies_only_while_firing(self):
-        plane = make_plane(["corrupt:engine:3:count=1"])
-        hook = plane.insert_signal_hook(3)
-        assert hook(2.0) == 2.0 + CORRUPTION_DISPLACEMENT
-        assert hook(2.0) == 2.0  # spec exhausted
-
     def test_unknown_kind_rejected(self):
         plane = FaultPlane(FaultPlan([]))
         with pytest.raises(ValueError):
@@ -129,7 +123,7 @@ class TestFaultPlane:
 
 class TestShardJournal:
     def _adapter(self):
-        return make_adapter("chaining", capacity=256, hasher=_hasher())
+        return AdapterSpec("chaining", 256, hasher=_hasher()).build()
 
     def test_replay_rebuilds_state(self):
         journal = ShardJournal(checkpoint_every=0)
@@ -138,7 +132,7 @@ class TestShardJournal:
         journal.record_put(b"a", b"3")  # overwrite
         journal.record_delete(b"b")
         adapter = self._adapter()
-        assert journal.replay(adapter) == 4
+        assert replay_entries(adapter, journal.snapshot()) == 4
         assert adapter.get_batch([b"a", b"b"]) == [b"3", None]
 
     def test_checkpoint_keeps_newest_write(self):
@@ -148,7 +142,7 @@ class TestShardJournal:
         assert journal.truncations >= 1
         assert len(journal) < 16
         adapter = self._adapter()
-        journal.replay(adapter)
+        replay_entries(adapter, journal.snapshot())
         assert adapter.get_batch([b"k"]) == [b"v15"]
 
     def test_checkpoint_drops_deleted_keys(self):
@@ -158,7 +152,7 @@ class TestShardJournal:
         journal.record_put(b"live", b"v")
         journal.checkpoint()
         adapter = self._adapter()
-        journal.replay(adapter)
+        replay_entries(adapter, journal.snapshot())
         assert adapter.contains_batch([b"dead", b"live"]) == [False, True]
 
     def test_multiset_checkpoint_preserves_counts(self):
@@ -168,9 +162,8 @@ class TestShardJournal:
         journal.record_put(b"x", b"")
         journal.record_delete(b"x")
         journal.checkpoint()
-        adapter = make_adapter("cuckoo_filter", capacity=64,
-                               hasher=_hasher())
-        journal.replay(adapter)
+        adapter = AdapterSpec("cuckoo_filter", 64, hasher=_hasher()).build()
+        replay_entries(adapter, journal.snapshot())
         assert adapter.contains_batch([b"x"]) == [True]
         adapter.delete_batch([b"x"])
         assert adapter.contains_batch([b"x"]) == [False]

@@ -350,13 +350,13 @@ class TestSplitDrill:
             mark[0] = door.door.resubmits
             return served
 
-        def submit_batch(requests, retry_of=None):
+        def submit_batch(requests):
             before, mark[0] = mark[0], None
             if before is not None and door.door.resubmits > before:
                 resubmit_calls.append(
                     (door.door.resubmits - before, len(requests))
                 )
-            return real_submit_batch(requests, retry_of)
+            return real_submit_batch(requests)
 
         service.pump = pump
         service.submit_batch = submit_batch

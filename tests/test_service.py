@@ -12,6 +12,8 @@ from repro.engine import CollisionMonitor
 from repro.service import (
     BACKENDS,
     FAILED,
+    AdapterSpec,
+    InlineBackend,
     OK,
     REJECTED,
     DeadlineExceededError,
@@ -26,7 +28,6 @@ from repro.service import (
     Ticket,
     Worker,
     fork_available,
-    make_adapter,
     run_service_workload,
 )
 from repro.service.client import BACKOFF_CAP_PUMPS
@@ -161,8 +162,9 @@ class TestRouter:
 
 class TestWorker:
     def _worker(self, model, backend="chaining", max_queue=8, batch_size=4):
-        adapter = make_adapter(backend, capacity=256, model=model)
-        return Worker(0, adapter, max_queue=max_queue, batch_size=batch_size)
+        execution = InlineBackend(AdapterSpec(backend, 256, model=model), 0)
+        return Worker(0, execution, max_queue=max_queue,
+                      batch_size=batch_size)
 
     def _ticket(self, op, key, value=b""):
         from repro.service import Ticket
@@ -252,6 +254,18 @@ class TestService:
         assert payload["num_shards"] == 3
         assert len(payload["shards"]) == 3
 
+    def test_uniform_op_column_is_one_op(self, model):
+        # A call whose rows share one op is a one-op call however the op
+        # is passed: its one run carries no op column, so it takes the
+        # client's all-OK column copy and the one-op settle path.
+        with _service(model) as service:
+            route = service.router.table.route_one
+            keys = [key for key in (b"uo%03d" % i for i in range(64))
+                    if route(key) == 0][:2]
+            [run] = service.submit_rows(["get", "get"], keys)
+            assert run.ops is None and run.op == "get"
+            assert run.shard == 0
+
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_stats_row_answered_at_admission(self, model, execution):
         # A stats row of an op column is answered where it stands in
@@ -322,13 +336,18 @@ class TestService:
         """A table whose own insert signal tripped its monitor already
         rehashed under full-key; the service's fall_back must not
         rehash it a second time."""
-        adapter = make_adapter(backend, capacity=256, model=model)
+        adapter = AdapterSpec(backend, 256, model=model).build()
         engine = adapter.engine
+        partial_key = engine.hasher.partial_key
+        assert not partial_key.is_full_key
         engine.monitor = CollisionMonitor(
             entropy=64.0, num_slots=4, min_inserts=1
         )
-        engine.fault_hook = lambda displacement: displacement + 1e9
-        keys = [b"trip%04d" % i for i in range(64)]
+        # An entropy collapse the table's own inserts report: every key
+        # has one length and one byte string under the plan's words,
+        # and differs only past them, so every key hashes alike.
+        stem = b"t" * partial_key.last_byte_used
+        keys = [stem + b"%04d" % i for i in range(64)]
         adapter.put_batch(keys, keys)
         assert engine.fell_back and adapter.tripped
         generation = engine.generation
