@@ -41,7 +41,7 @@ RECOVERY_SPECS = (
     ("sigkill", "sigkill:worker:1:count=1"),
     ("stall", "stall:worker:1:count=4"),
     ("drop", "drop:worker:1:count=1"),
-    ("queue_loss", "queue_loss:router:1:count=4"),
+    ("queue_loss", "queue_loss:service:1:count=4"),
     ("corrupt", "corrupt:service:1:count=1"),
 )
 
@@ -195,10 +195,14 @@ def _measure_chaos_throughput(model, keys, rate):
 
 
 def _measure_breaker_timeline(model, keys):
-    plane = make_plane(["corrupt:service:1:count=1"], seed=5)
-    service, client = _build(model, keys, plane)
+    service, client = _build(model, keys)
     client.put_many((key, b"v0") for key in keys)
     service.drain()
+    # Arm only after the preload, as _measure_recovery does: armed at
+    # construction the fault fires inside put_many, and the timeline
+    # would start already open.
+    service.arm_fault_plane(make_plane(["corrupt:service:1:count=1"],
+                                       seed=5))
     breaker = service.breakers[1]
     timeline = [{"pump": service.pump_index, "state": breaker.state}]
     for _ in range(3 * (COOLDOWN + PROBE)):

@@ -157,15 +157,11 @@ def _socket_record(model, keys, execution, connections, inproc_ops_s):
                     ),
                     "rejections": service.stats()["rejected"],
                     "client_retries": sum(c.retries for c in clients),
-                    "generation_retries": sum(
-                        c.generation_retries for c in clients
-                    ),
                     "lost_acks": sum(c.lost_acks for c in clients),
                     "frames_in": frontdoor["frames_in"],
                     "admission_batches": frontdoor["admission_batches"],
                     "mean_coalesced": frontdoor["mean_coalesced"],
                     "max_coalesced": frontdoor["max_coalesced"],
-                    "server_resubmits": frontdoor["resubmits"],
                 }
                 record.update(latency_summary_ns(samples))
                 return record
@@ -242,7 +238,6 @@ def test_socket_record_loses_no_acks():
     keys, model = _tiny_setup()
     record = _socket_record(model, keys, "inline", 2, 1.0)
     assert record["lost_acks"] == 0
-    assert record["generation_retries"] == 0
     assert record["latency_p50_ns"] > 0
     assert record["admission_batches"] >= 1
 

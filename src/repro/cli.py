@@ -198,8 +198,8 @@ def _parse_listen(value: str):
     return host, port
 
 
-_LEDGER_FIELDS = ("retries", "backoff_pumps", "generation_retries",
-                  "puts_sent", "puts_responded", "puts_acked", "lost_acks")
+_LEDGER_FIELDS = ("retries", "backoff_pumps", "puts_sent", "puts_responded",
+                  "puts_acked", "lost_acks")
 
 
 def _client_ledger(clients) -> dict:
@@ -211,8 +211,7 @@ def _client_ledger(clients) -> dict:
 
 def _ledger_line(ledger: dict) -> str:
     return (f"{ledger['puts_acked']}/{ledger['puts_sent']} OK, "
-            f"{ledger['lost_acks']} lost, {ledger['retries']} retries, "
-            f"{ledger['generation_retries']} generation retries")
+            f"{ledger['lost_acks']} lost, {ledger['retries']} retries")
 
 
 def _run_listen_workload(args, service, listen, operations):
@@ -304,6 +303,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.datasets import google_urls
     from repro.service import Service, ServiceClient, run_service_workload
+    from repro.verify.placement import misplaced
     from repro.workloads.ycsb import MIXES, WorkloadGenerator
 
     listen = None
@@ -447,6 +447,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         payload = {
             "stats": stats,
             "data_balance": data_balance,
+            # Acked keys on a shard the live table does not route them
+            # to: every flip's migration and sweep, and every recovery
+            # re-route, must leave none.
+            "misplaced_keys": len(misplaced(service)[1]),
             "operation_counts": counts,
             "preload_seconds": preload_s,
             "elapsed_seconds": elapsed,
@@ -510,8 +514,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"{args.listen}; {fd['frames_in']} frames in "
                       f"{fd['admission_batches']} admission batch(es) "
                       f"(mean coalesced {fd['mean_coalesced']:.1f}, "
-                      f"max {fd['max_coalesced']}), "
-                      f"{fd['resubmits']} server-side resubmit(s)")
+                      f"max {fd['max_coalesced']})")
                 print(f"  network acks: {_ledger_line(net)}")
 
         if not args.check:
@@ -523,12 +526,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if net["lost_acks"] != 0:
                 failures.append(
                     f"{net['lost_acks']} network put(s) never answered"
-                )
-            if net["generation_retries"] != 0:
-                failures.append(
-                    f"{net['generation_retries']} wrong_generation "
-                    "answer(s) leaked to network clients (the front door "
-                    "must resubmit those server-side)"
                 )
             if net["frontdoor"]["admission_error"]:
                 failures.append(
@@ -567,15 +564,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     f"{stats['splits']} split(s) but routing generation "
                     f"only reached {generation}"
                 )
-        if (args.hot_k or args.force_split or args.auto_split) and sum(
-            shard["wrong_generation"] for shard in stats["shards"]
-        ):
-            # The flip sweep + reconcile re-route must catch every
-            # straggler before dispatch, with or without --listen: the
-            # sweep re-homes queued rows first, so the dispatch guard
-            # (and the front door's server-side resubmit behind it)
-            # stays a safety net these drills never reach.
-            failures.append("internal tickets hit the WRONG_GENERATION guard")
+        if payload["misplaced_keys"]:
+            failures.append(
+                f"{payload['misplaced_keys']} journal key(s) on a shard "
+                "the live routing table does not route them to"
+            )
         if args.inject:
             if stats["faults"]["total_fired"] < 1:
                 failures.append(

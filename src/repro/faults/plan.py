@@ -43,6 +43,9 @@ Specs can also be parsed from compact CLI strings::
     crash:worker:2              # crash shard 2's worker once
     stall:worker:0:count=3      # stall shard 0 three pumps in a row
     corrupt:service:1:after=5   # collapse shard 1's entropy signal later
+
+The scope is the kind's injection layer (``worker``, ``service`` or
+``workload``); a spec naming any other scope does not parse.
 """
 
 from __future__ import annotations
@@ -54,9 +57,13 @@ FAULT_KINDS = (
     "crash", "sigkill", "stall", "drop", "corrupt", "queue_loss", "drift",
 )
 
-# Documentation-grade scope names accepted in spec strings; the kind
-# alone determines the injection point, the scope just reads well.
-_SCOPES = ("worker", "router", "engine", "service", "workload")
+# The one scope a spec string may give each kind: where its injection
+# point lives (see the table above).
+_SCOPES = {
+    "crash": "worker", "sigkill": "worker", "stall": "worker",
+    "drop": "worker", "corrupt": "service", "queue_loss": "service",
+    "drift": "workload",
+}
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,10 @@ class FaultSpec:
                 "[:key=value...]"
             )
         kind, scope = parts[0], parts[1]
-        if scope not in _SCOPES:
+        if kind in _SCOPES and scope != _SCOPES[kind]:
             raise ValueError(
                 f"bad fault scope {scope!r} in {text!r}; "
-                f"choose from {_SCOPES}"
+                f"{kind} faults take scope {_SCOPES[kind]!r}"
             )
         try:
             shard = int(parts[2])

@@ -39,9 +39,10 @@ generation-stamped :class:`RoutingTable` (pinned base hash + hot-key
 overlay + split map).  A :class:`HotKeyTracker` (Count-Min sketch)
 detects heavy hitters online so the supervisor's adapt pass can pin
 them to least-loaded shards, and overloaded shards can be split live —
-journal-replay migration, generation flip, queue sweep — with a
-``WRONG_GENERATION`` protocol status (and transparent client retry) as
-the safety net for stragglers.
+journal-replay migration, generation flip, queue sweep.  The sweep, and
+the supervisor's re-route of recovered rows, are the only code that
+places a row after admission, so every row is served by the shard its
+key routes to under the live table.
 """
 
 from repro.service.adapters import BACKENDS, AdapterSpec
@@ -71,7 +72,6 @@ from repro.service.protocol import (
     OK,
     OPS,
     REJECTED,
-    WRONG_GENERATION,
     Request,
     Response,
     Ticket,
@@ -112,7 +112,6 @@ __all__ = [
     "ShardJournal",
     "ShardRouter",
     "Supervisor",
-    "WRONG_GENERATION",
     "Ticket",
     "Worker",
     "run_service_workload",

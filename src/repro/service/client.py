@@ -16,8 +16,7 @@ Every call runs in rounds:
 
 1. send the pending rows and wait for every answer;
 2. settle the terminal answers in the ledger;
-3. collect ``rejected`` and ``wrong_generation`` answers into the retry
-   set;
+3. collect ``rejected`` answers into the retry set;
 4. back off once, a jittered ``min(rest << round, BACKOFF_CAP_PUMPS)``
    ticks, where ``rest`` is the largest hint less the service pumps the
    answer wait already ran (a hint counts pumps from the rejection, so
@@ -59,7 +58,6 @@ from repro.service.protocol import (
     PENDING,
     REFUSED,
     REJECTED,
-    WRONG_GENERATION,
     Request,
     Response,
     Run,
@@ -262,7 +260,6 @@ class ServiceClient:
         self.retries = 0
         self.backoff_pumps = 0
         self.deadline_failures = 0
-        self.generation_retries = 0
         self.puts_sent = 0
         self.puts_responded = 0
         self.puts_acked = 0
@@ -301,7 +298,6 @@ class ServiceClient:
             retry: List[Tuple[int, Optional[int]]] = []
             generations: List[int] = []
             hint: Optional[int] = None
-            last = round_ == self.max_retries
             for run in runs:
                 positions = (run.offsets if where is None
                              else _gather(where, run.offsets))
@@ -317,7 +313,7 @@ class ServiceClient:
                         out[position] = answer
                     continue
                 after, failed = self._settle(run, positions, out, retry,
-                                             generations, responses, last)
+                                             generations, responses)
                 if after is not None:
                     hint = after if hint is None else max(hint, after)
                 # The first typed error in call order is the one raised.
@@ -327,7 +323,7 @@ class ServiceClient:
             if not retry:
                 pending = []
                 break
-            if error is not None or last:
+            if error is not None or round_ == self.max_retries:
                 pending = [position for position, _ in retry]
                 break
             # The retry set resends in call order, as one batch.
@@ -351,8 +347,8 @@ class ServiceClient:
             carried = ((generations[0], [h for _, h in retry])
                        if len(set(generations)) == 1 else None)
         if pending:
-            # Abandoned requests were answered "not applied" (rejected,
-            # or a wrong_generation in an errored round): negative acks.
+            # Abandoned requests were answered "not applied"
+            # (rejected): negative acks.
             self.puts_responded += sum(
                 1 for i in pending
                 if (call_ops if isinstance(call_ops, str)
@@ -369,8 +365,8 @@ class ServiceClient:
         return out
 
     def _settle(self, run: Run, positions: Sequence[int], out: list,
-                retry: list, generations: list, responses: bool,
-                last: bool) -> Tuple[Optional[int], Optional[tuple]]:
+                retry: list, generations: list, responses: bool
+                ) -> Tuple[Optional[int], Optional[tuple]]:
         """Settle one answered run into ``out`` and the ledger, and queue
         its rows to resend into ``retry``; returns the run's backoff
         hint (None without a rejection) and its first typed error as
@@ -417,17 +413,11 @@ class ServiceClient:
                     self.puts_acked += 1
                 out[position] = (response if responses
                                  else payload_of(op, response))
-            elif status_ == REJECTED or (status_ == WRONG_GENERATION
-                                         and not last):
-                if status_ == REJECTED:
-                    self.retries += 1
-                    after = response.retry_after
-                    after = 1 if after is None else max(0, int(after))
-                    hint = after if hint is None else max(hint, after)
-                else:
-                    # A routing flip moved the key between admission
-                    # and dispatch: "ask again" through the live table.
-                    self.generation_retries += 1
+            elif status_ == REJECTED:
+                self.retries += 1
+                after = response.retry_after
+                after = 1 if after is None else max(0, int(after))
+                hint = after if hint is None else max(hint, after)
                 retry.append((position, None if run.hashes is None
                               else run.hashes[row]))
                 generations.append(run.generation)
@@ -529,9 +519,7 @@ class NetworkClient(ServiceClient):
     """The same client over TCP to a front door.
 
     Backoff ticks are ``TICK_S`` sleeps instead of pumps, because the
-    server pumps for itself; the front door resubmits
-    ``wrong_generation`` answers server-side, so the client's own
-    retry of them is defense in depth.
+    server pumps for itself.
     """
 
     def __init__(self, host: str, port: int, max_retries: int = 64,

@@ -24,11 +24,11 @@ Design rules, in order of importance:
   buffering.  A per-connection in-flight cap (``max_pending``) rejects
   the same way before admission when one connection tries to own the
   whole pipeline.
-* **Routing flips are invisible to the network.**  A ticket answered
-  ``WRONG_GENERATION`` (a split/promotion moved its key between
-  admission and dispatch) is resubmitted server-side through the live
-  routing table; the client just sees its answer arrive one round
-  later.
+* **Routing flips are invisible to the network.**  A split,
+  promotion or plan swap runs between pumps, on the loop thread, and
+  sweeps every queued row onto the live table before the next
+  dispatch, so an admitted frame is always served by the shard its key
+  routes to.
 * **Shutdown drains.**  ``stop()`` stops accepting connections,
   answers every in-flight ticket, turns frames that race the shutdown
   away with a ``draining`` status, and only then closes sockets — an
@@ -38,8 +38,7 @@ Design rules, in order of importance:
 The ``stats`` op doubles as the ``/metrics`` verb: the front door
 answers it synchronously with the service's stats dict plus its own
 ``frontdoor`` counters (connections, coalesced batch sizes, propagated
-rejections, server-side resubmits), so one request scrapes the whole
-serving stack.
+rejections), so one request scrapes the whole serving stack.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.service import netproto
 from repro.service.protocol import (
     OK,
     REJECTED,
-    WRONG_GENERATION,
     Request,
     Response,
 )
@@ -122,14 +120,12 @@ class FrontDoor:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending: int = 1024,
-        max_resubmits: int = 16,
         max_frame: int = netproto.MAX_FRAME_BYTES,
     ):
         self.service = service
         self.host = host
         self._requested_port = port
         self.max_pending = max_pending
-        self.max_resubmits = max_resubmits
         self.max_frame = max_frame
         self._server: Optional[asyncio.base_events.Server] = None
         self._admission_task: Optional[asyncio.Task] = None
@@ -149,7 +145,6 @@ class FrontDoor:
         self.max_coalesced = 0
         self.pumps = 0
         self.rejections_propagated = 0
-        self.resubmits = 0
         self.admission_error: Optional[str] = None
 
     # ----------------------------------------------------------- lifecycle
@@ -292,15 +287,13 @@ class FrontDoor:
 
         One iteration: drain the intake into a single vectorized
         admission pass, answer the synchronously-resolved tickets
-        (rejections), pump once for the in-flight rest, absorb
-        completions (resubmitting ``WRONG_GENERATION`` stragglers
-        through the live routing table), then yield so connection
-        readers can refill the intake — frames arriving during a pump
-        join the *next* admission batch, which is exactly the
-        micro-batching window.
+        (rejections), pump once for the in-flight rest and answer what
+        it completed, then yield so connection readers can refill the
+        intake — frames arriving during a pump join the *next*
+        admission batch, which is exactly the micro-batching window.
         """
         service = self.service
-        inflight: List[List] = []  # [ticket, rpc, resubmit_count]
+        inflight: List[tuple] = []  # (ticket, rpc)
         while True:
             if not self._intake and not inflight:
                 if self._draining:
@@ -325,42 +318,17 @@ class FrontDoor:
                             self.rejections_propagated += 1
                         self._respond(rpc, ticket.response)
                     else:
-                        inflight.append([ticket, rpc, 0])
+                        inflight.append((ticket, rpc))
             if inflight:
                 service.pump()
                 self.pumps += 1
-                still: List[List] = []
-                again: List[List] = []
-                for entry in inflight:
-                    ticket, rpc, resubmits = entry
+                still: List[tuple] = []
+                for ticket, rpc in inflight:
                     response = ticket.response
                     if response is None:
-                        still.append(entry)
-                    elif (response.status == WRONG_GENERATION
-                            and resubmits < self.max_resubmits):
-                        # A flip moved the key between admission and
-                        # dispatch.  Resubmit through the now-live
-                        # table; the network never sees the status.
-                        self.resubmits += 1
-                        entry[2] += 1
-                        again.append(entry)
-                        still.append(entry)
+                        still.append((ticket, rpc))
                     else:
                         self._respond(rpc, response)
-                if again:
-                    # One admission call for the pump's stragglers, in
-                    # inflight order.
-                    tickets = service.submit_batch(
-                        [entry[1].request for entry in again]
-                    )
-                    for entry, ticket in zip(again, tickets):
-                        entry[0] = ticket
-                        if ticket.response is not None:
-                            if ticket.rejected:
-                                self.rejections_propagated += 1
-                            self._respond(entry[1], ticket.response)
-                    still = [entry for entry in still
-                             if entry[0].response is None]
                 inflight = still
             # The coalescing window: let readers run before the next
             # admission round.
@@ -388,7 +356,6 @@ class FrontDoor:
             ),
             "pumps": self.pumps,
             "rejections_propagated": self.rejections_propagated,
-            "resubmits": self.resubmits,
             "admission_error": self.admission_error,
         }
 

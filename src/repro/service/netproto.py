@@ -17,16 +17,12 @@ responses on one connection may come back out of submission order and
 the client must match them by id.
 
 Two statuses exist only on the wire, on top of the service's own
-``ok`` / ``rejected`` / ``failed`` / ``wrong_generation``:
+``ok`` / ``rejected`` / ``failed``:
 
 * ``draining`` — the server is in graceful shutdown; in-flight
   requests still complete, new ones are turned away.
 * ``bad_request`` — the frame was structurally broken (unknown op,
   undecodable key); nothing was admitted.
-
-``wrong_generation`` is listed for completeness but a well-behaved
-front door never sends it: routing flips are resubmitted server-side,
-transparently (see :mod:`repro.service.frontdoor`).
 """
 
 from __future__ import annotations
@@ -178,8 +174,7 @@ def encode_response(frame_id: int, response: Response) -> bytes:
         payload["neighbors"] = [
             [_b64(key), float(score)] for key, score in response.neighbors
         ]
-    for field in ("found", "shard", "retry_after", "error", "stats",
-                  "generation"):
+    for field in ("found", "shard", "retry_after", "error", "stats"):
         attr = getattr(response, field)
         if attr is not None:
             payload[field] = attr
@@ -224,7 +219,6 @@ def decode_response(payload: Dict[str, object]) -> Response:
         retry_after=payload.get("retry_after"),
         error=payload.get("error"),
         stats=payload.get("stats"),
-        generation=payload.get("generation"),
         neighbors=neighbors,
     )
 

@@ -29,9 +29,6 @@ OPS = ("get", "put", "delete", "contains", "similar", "stats")
 OK = "ok"
 REJECTED = "rejected"      # backpressure: queue full, retry later
 FAILED = "failed"          # the shard could not serve it (unsupported op)
-# The routing generation flipped between admission and dispatch and the
-# key now routes elsewhere: resubmit (the client does so transparently).
-WRONG_GENERATION = "wrong_generation"
 
 
 class _RequestFields(NamedTuple):
@@ -74,9 +71,6 @@ class Response:
     retry_after: Optional[int] = None
     error: Optional[str] = None
     stats: Optional[Dict[str, object]] = None
-    # Set on WRONG_GENERATION: the routing generation now live, so a
-    # client can tell a fresh miss from a stale retry loop.
-    generation: Optional[int] = None
     # Set on OK answers to ``similar``: the top-k neighbors as
     # (item key, estimated Jaccard) pairs, best first.  ``found``
     # distinguishes an unknown query key (False, empty list) from a
@@ -134,7 +128,9 @@ class Run:
     one string for the whole run (``ops`` None) or, for a mixed batch,
     the ``ops`` column.  ``hashes`` holds the keys' raw fleet hashes as
     the router computed them; a re-route refreshes them in place, and
-    records a row's new shard in ``rerouted``.
+    records a row's new shard in ``rerouted``.  ``generation`` is the
+    routing generation the run was admitted under: a retry reuses its
+    refused rows' hashes only while that generation is live.
 
     Answers are two columns: ``status`` (one byte per row, see
     ``PENDING`` .. ``OTHER``) and ``answers`` (an OK row's payload, or
@@ -208,19 +204,14 @@ class Run:
 
 class Rows:
     """A contiguous row range ``[start, stop)`` of one run: the unit the
-    shard queues, the inflight registry and dispatch hold.
+    shard queues, the inflight registry and dispatch hold."""
 
-    ``generation`` is the routing generation the rows were placed
-    under: admission stamps the run's, and a re-route the live one.
-    """
+    __slots__ = ("run", "start", "stop")
 
-    __slots__ = ("run", "start", "stop", "generation")
-
-    def __init__(self, run: Run, start: int, stop: int, generation: int):
+    def __init__(self, run: Run, start: int, stop: int):
         self.run = run
         self.start = start
         self.stop = stop
-        self.generation = generation
 
     @property
     def first_id(self) -> int:
@@ -258,7 +249,6 @@ class Ticket(Rows):
                              [None], request_id, (0,), 0, shard)
         self.start = 0
         self.stop = 1
-        self.generation = 0
         if response is not None:
             run.answer(0, response)
 
@@ -268,7 +258,6 @@ class Ticket(Rows):
         ticket.run = run
         ticket.start = row
         ticket.stop = row + 1
-        ticket.generation = run.generation
         return ticket
 
     @property
@@ -310,7 +299,7 @@ class Ticket(Rows):
         return response is not None and response.status == REJECTED
 
 __all__ = [
-    "OPS", "OK", "REJECTED", "FAILED", "WRONG_GENERATION",
+    "OPS", "OK", "REJECTED", "FAILED",
     "PENDING", "ANSWERED", "REFUSED", "OTHER",
     "Request", "Response", "Rows", "Run", "Ticket",
     "ok_response", "payload_of",

@@ -33,11 +33,11 @@ least-loaded shards (``hot_k``), or split an overloaded shard live
 (``auto_split`` / :meth:`Service.split_shard`).  Every such change —
 and a drift plan swap — is one call to :meth:`Service.reconfigure`
 with a different candidate table, which migrates acked state through
-the journal before the flip.  Every ticket is stamped with
-the routing generation at admission; a flip sweeps the queues so the
-stamp almost never matters, and the dispatch-time guard answers
-``WRONG_GENERATION`` for any straggler rather than serving it against
-the wrong shard's state.
+the journal before the flip, then sweeps every queued row onto the
+new table before the next dispatch.  That sweep, and the supervisor's
+requeue of recovered rows, are the only code that places a row on a
+shard after admission, so every row is served by the shard its key
+routes to under the live table.
 """
 
 from __future__ import annotations
@@ -410,7 +410,6 @@ class Service:
         """
         worker = self.workers[run.shard]
         n = len(run.keys)
-        generation = run.generation
         parked = 0
         if lost is not None and any(lost[offset] for offset in run.offsets):
             ranges = []
@@ -418,16 +417,16 @@ class Service:
             for row, offset in enumerate(run.offsets):
                 if lost[offset]:
                     if start < row:
-                        ranges.append(Rows(run, start, row, generation))
-                    worker.inflight.add(Rows(run, row, row + 1, generation))
+                        ranges.append(Rows(run, start, row))
+                    worker.inflight.add(Rows(run, row, row + 1))
                     parked += 1
                     start = row + 1
             if start < n:
-                ranges.append(Rows(run, start, n, generation))
+                ranges.append(Rows(run, start, n))
             self.lost_slots += parked
             self.accepted += parked
         else:
-            ranges = [Rows(run, 0, n, generation)]
+            ranges = [Rows(run, 0, n)]
         admitted = worker.admit(ranges)
         self.accepted += admitted
         refused = n - parked - admitted
@@ -599,16 +598,15 @@ class Service:
         Shared by the flip sweep and the supervisor's recovery path.
         Merging on request id preserves per-key admission order, since
         ids are globally monotonic; every row is re-hashed with the live
-        plan in place and its range stamped with the live generation,
-        so the dispatch-time WRONG_GENERATION guard only catches what
-        this cannot see, and no queued row carries a hash of a retired
-        plan.  Returns the number of rows that changed shards.
+        plan in place, so no queued row carries a hash of a retired
+        plan.  With the flip sweep this is the only re-route: dispatch
+        serves what the queue holds.  Returns the number of rows that
+        changed shards.
         """
         cells = [(rows.run, row) for rows in ranges
                  for row in range(rows.start, rows.stop)]
         if not cells:
             return 0
-        generation = self.router.generation
         shards, hashes = self.router.table.route_hashed(
             [run.keys[row] for run, row in cells]
         )
@@ -624,7 +622,7 @@ class Service:
         for shard, group in groups.items():
             group.sort(key=_first)
             self.workers[shard].requeue_front(coalesce(
-                [(run, row) for _, run, row in group], generation
+                [(run, row) for _, run, row in group]
             ))
         return moved
 

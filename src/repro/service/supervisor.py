@@ -65,11 +65,8 @@ class Supervisor:
         self._split_patience: Dict[int, int] = {}
         self.crashes_seen = 0
         self.stalls_detected = 0
-        self.restarts = 0
         self.reconciled_tickets = 0
-        self.promotions_applied = 0
         self.splits_triggered = 0
-        self.relearns_applied = 0
 
     # ---------------------------------------------------------- lifecycle
 
@@ -111,7 +108,6 @@ class Supervisor:
             worker.fall_back()
         if lost:
             self._requeue(lost)
-        self.restarts += 1
         shard = worker.shard_id
         self._stagnant[shard] = 0
         self._last_processed[shard] = worker.processed
@@ -154,15 +150,13 @@ class Supervisor:
             # promotion/split this window then sees the new plan.  The
             # relearner has its own flap guards (patience, min dwell,
             # no-op suppression), so calling it every window is cheap.
-            if service.relearner.pump(pump_index) == "swap":
-                self.relearns_applied += 1
+            service.relearner.pump(pump_index)
         assignments = service.router.plan_promotions()
         if assignments:
             # Pin the tracker's heavy hitters, migrating their acked
             # state first.
             service.reconfigure(service.router.table.with_overlay(assignments))
             service.router.promoted += len(assignments)
-            self.promotions_applied += len(assignments)
         if not service.auto_split or service.splits >= service.max_splits:
             return
         donor = self._overloaded_shard()
@@ -204,11 +198,9 @@ class Supervisor:
         return {
             "crashes_seen": self.crashes_seen,
             "stalls_detected": self.stalls_detected,
-            "restarts": self.restarts,
+            "restarts": sum(w.restarts for w in self.service.workers),
             "reconciled_tickets": self.reconciled_tickets,
-            "promotions_applied": self.promotions_applied,
             "splits_triggered": self.splits_triggered,
-            "relearns_applied": self.relearns_applied,
         }
 
 

@@ -26,8 +26,7 @@ journaled, and served ranges leave the inflight registry — all
 parent-side, for both backends, which is what makes a child's state
 disposable.  Inline execution
 serves synchronously, so ``dispatch`` already absorbs and ``collect``
-is a no-op; ``pump()`` runs both phases back-to-back for callers that
-don't need the cross-shard parallel window.
+is a no-op.
 
 Every other verb the service and supervisor send a shard —
 ``fall_back``, ``restore_partial_key``, ``force_trip``, ``rearm_with``,
@@ -63,7 +62,6 @@ from repro.service.protocol import (
     FAILED,
     OTHER,
     PENDING,
-    WRONG_GENERATION,
     Response,
     Rows,
     Run,
@@ -97,14 +95,13 @@ def split_at(ranges: Sequence[Rows], n: int) -> Tuple[List[Rows], List[Rows]]:
         tail = list(ranges[i + 1:])
         if n > 0:
             cut = rows.start + n
-            head.append(Rows(rows.run, rows.start, cut, rows.generation))
-            rows = Rows(rows.run, cut, rows.stop, rows.generation)
+            head.append(Rows(rows.run, rows.start, cut))
+            rows = Rows(rows.run, cut, rows.stop)
         return head, [rows] + tail
     return head, []
 
 
-def coalesce(cells: Sequence[Tuple[Run, int]], generation: int
-             ) -> List[Rows]:
+def coalesce(cells: Sequence[Tuple[Run, int]]) -> List[Rows]:
     """Ranges over ``(run, row)`` cells in the given order: consecutive
     rows of one run share a range."""
     out: List[Rows] = []
@@ -112,7 +109,7 @@ def coalesce(cells: Sequence[Tuple[Run, int]], generation: int
         if out and out[-1].run is run and out[-1].stop == row:
             out[-1].stop = row + 1
         else:
-            out.append(Rows(run, row, row + 1, generation))
+            out.append(Rows(run, row, row + 1))
     return out
 
 
@@ -121,11 +118,8 @@ def pending_ranges(rows: Rows) -> List[Rows]:
     status = rows.run.status
     if status.count(PENDING, rows.start, rows.stop) == rows.stop - rows.start:
         return [rows]
-    return coalesce(
-        [(rows.run, row) for row in range(rows.start, rows.stop)
-         if status[row] == PENDING],
-        rows.generation,
-    )
+    return coalesce([(rows.run, row) for row in range(rows.start, rows.stop)
+                     if status[row] == PENDING])
 
 
 def merge_by_id(ranges: List[Rows]) -> List[Rows]:
@@ -135,12 +129,11 @@ def merge_by_id(ranges: List[Rows]) -> List[Rows]:
     if all(a.last_id < b.first_id for a, b in zip(ranges, ranges[1:])):
         return ranges
     cells = sorted(
-        ((rows.run.request_id(row), rows.run, row, rows.generation)
+        ((rows.run.request_id(row), rows.run, row)
          for rows in ranges for row in range(rows.start, rows.stop)),
         key=lambda cell: cell[0],
     )
-    return [Rows(run, row, row + 1, generation)
-            for _, run, row, generation in cells]
+    return [Rows(run, row, row + 1) for _, run, row in cells]
 
 
 def _cut_row(ranges, run: Run, row: int) -> bool:
@@ -150,11 +143,9 @@ def _cut_row(ranges, run: Run, row: int) -> bool:
         if rows.run is run and rows.start <= row < rows.stop:
             del ranges[i]
             if row + 1 < rows.stop:
-                ranges.insert(i, Rows(run, row + 1, rows.stop,
-                                      rows.generation))
+                ranges.insert(i, Rows(run, row + 1, rows.stop))
             if rows.start < row:
-                ranges.insert(i, Rows(run, rows.start, row,
-                                      rows.generation))
+                ranges.insert(i, Rows(run, rows.start, row))
             return True
     return False
 
@@ -278,9 +269,8 @@ class Worker:
             multiset=(execution.structure_backend == "cuckoo_filter"),
         )
         self.fault_plane = None
-        # The owning service's router, when generation checking is on:
-        # dispatch answers WRONG_GENERATION for rows placed under an
-        # older routing generation whose key moved off this shard.
+        # The owning service's router, read only for the fingerprint of
+        # the plan that computed the rows' carried hashes.
         self.router = None
         # Optional drift observer: called as tap(shard_id, keys) with
         # every acked segment's keys.  Parent-side for both backends, so
@@ -298,7 +288,6 @@ class Worker:
         self.drops = 0
         self.requeued = 0
         self.cancelled = 0
-        self.wrong_generation = 0
         self.op_counts: Dict[str, int] = {}
         # The last structure stats the core reported, kept for the
         # scrapes a dead shard child cannot answer.
@@ -492,14 +481,10 @@ class Worker:
     def _pop_batch(self) -> List[Rows]:
         """Pop up to ``batch_size`` servable rows off the queue front.
 
-        Rows answered elsewhere (e.g. deadline-failed) are skipped, and
-        a range placed under a stale routing generation is checked by
-        :meth:`_recheck`; neither kind counts toward the batch, exactly
-        as if the rows were popped one at a time.
+        Rows answered elsewhere (e.g. deadline-failed) are skipped and
+        do not count toward the batch, exactly as if the rows were
+        popped one at a time.
         """
-        # Ranges stamped with the live generation were routed by the
-        # table now in force; only a stale stamp is worth re-routing.
-        live = self.router.generation if self.router is not None else None
         queue = self.queue
         size = self.batch_size
         batch: List[Rows] = []
@@ -509,77 +494,25 @@ class Worker:
             start, stop = rows.start, rows.stop
             end = start + size - taken
             if end < stop:
-                queue.appendleft(Rows(rows.run, end, stop, rows.generation))
-                rows = Rows(rows.run, start, end, rows.generation)
+                queue.appendleft(Rows(rows.run, end, stop))
+                rows = Rows(rows.run, start, end)
                 stop = end
             n = stop - start
             self.queued -= n
-            if (rows.run.status.count(PENDING, start, stop) == n
-                    and (live is None or rows.generation == live)):
+            if rows.run.status.count(PENDING, start, stop) == n:
                 batch.append(rows)
                 taken += n
                 continue
             for pending in pending_ranges(rows):
-                if live is not None and pending.generation != live:
-                    servable = self._recheck(pending, live)
-                else:
-                    servable = (pending,)
-                for piece in servable:
-                    batch.append(piece)
-                    taken += piece.stop - piece.start
+                batch.append(pending)
+                taken += pending.stop - pending.start
         return batch
-
-    def _recheck(self, rows: Rows, live: int) -> List[Rows]:
-        """Re-route a stale range's rows in one pass; returns the ones
-        that still route here, stamped live.
-
-        Safety net for a routing flip the sweep missed: the rows were
-        placed under an older generation, and a row whose key no longer
-        routes here would read/write the wrong structure, so it is
-        answered WRONG_GENERATION and the client resubmits it.  A row
-        that still routes here is served with its key's hash refreshed
-        under the live plan.
-        """
-        run = rows.run
-        routed = [row for row in range(rows.start, rows.stop)
-                  if run.keys[row]]
-        shards, hashes = self.router.table.route_hashed(
-            [run.keys[row] for row in routed]
-        )
-        stale = set()
-        for row, shard, key_hash in zip(routed, shards, hashes):
-            if shard != self.shard_id:
-                stale.add(row)
-                self.wrong_generation += 1
-                run.answer(row, Response(
-                    WRONG_GENERATION, shard=self.shard_id, generation=live,
-                ))
-            else:
-                run.hashes[row] = key_hash
-        return coalesce(
-            [(run, row) for row in range(rows.start, rows.stop)
-             if row not in stale],
-            live,
-        )
 
     def collect(self) -> int:
         """Phase two: absorb the backend's deferred reply, if any."""
         if not self._batch:
             return 0  # nothing in flight (inline serving absorbed it)
         return self._absorb(self.execution.collect())
-
-    def pump(self) -> int:
-        """Drain one micro-batch; returns the number of ops served."""
-        return self.dispatch() + self.collect()
-
-    def drain(self) -> int:
-        served = 0
-        while self.queue:
-            step = self.pump()
-            served += step
-            if step == 0:
-                break  # crashed/stalled/dropped: the supervisor steps in
-        return served
 
     def _absorb(self, reply: Optional[Reply]) -> int:
         """Ack the served prefix of the batch in flight — the single ack
@@ -753,7 +686,6 @@ class Worker:
             "drops": self.drops,
             "requeued": self.requeued,
             "cancelled": self.cancelled,
-            "wrong_generation": self.wrong_generation,
             "journal": self.journal.stats(),
             "structure": dict(self._structure),
         }

@@ -21,6 +21,7 @@ regression tests (``tests/test_repros.py``).
 """
 
 from repro.verify.ops import load_repro, save_repro
+from repro.verify.placement import misplaced
 from repro.verify.runner import (
     Failure,
     FuzzReport,
@@ -49,6 +50,7 @@ __all__ = [
     "fuzz",
     "fuzz_all",
     "load_repro",
+    "misplaced",
     "replay",
     "run_ops",
     "save_repro",

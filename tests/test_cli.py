@@ -181,7 +181,7 @@ class TestServeListen:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["network"]["lost_acks"] == 0
-        assert payload["network"]["generation_retries"] == 0
+        assert payload["misplaced_keys"] == 0
         assert payload["network"]["frontdoor"]["frames_in"] > 0
         # Both transports report one ledger vocabulary.
         assert set(payload["client"]) < set(payload["network"])

@@ -53,6 +53,7 @@ class TestFaultSpec:
         "crash",                      # no scope/shard
         "meteor:worker:0",            # unknown kind
         "crash:thread:0",             # unknown scope
+        "corrupt:engine:0",           # not the kind's own scope
         "crash:worker:x",             # non-integer shard
         "crash:worker:0:color=red",   # unknown option
         "crash:worker:0:after",       # option without '='
@@ -77,7 +78,7 @@ class TestFaultSpec:
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     def test_plan_roundtrip_and_queries(self):
-        plan = FaultPlan.parse(["crash:worker:2", "corrupt:engine:0"])
+        plan = FaultPlan.parse(["crash:worker:2", "corrupt:service:0"])
         assert len(plan) == 2 and bool(plan)
         assert plan.kinds() == ["corrupt", "crash"]
         assert plan.targets("crash") == [2]
@@ -268,7 +269,7 @@ class TestRecoveryDrills:
 
     def test_queue_loss_reconciliation(self):
         service = _service(
-            fault_plane=make_plane(["queue_loss:router:0:count=4"]))
+            fault_plane=make_plane(["queue_loss:service:0:count=4"]))
         client = ServiceClient(service)
         self._load(client)
         assert service.lost_slots == 4
@@ -282,7 +283,7 @@ class TestRecoveryDrills:
         # older write wins.
         service = _service(num_shards=1, batch_size=4,
                            fault_plane=make_plane(
-                               ["queue_loss:router:0:count=1"]))
+                               ["queue_loss:service:0:count=1"]))
         first = service.submit(Request("put", b"dup", b"old"))  # lost
         second = service.submit(Request("put", b"dup", b"new"))
         service.drain()

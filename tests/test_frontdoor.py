@@ -261,7 +261,8 @@ class TestBadFrames:
 
 
 class TestSplitDrill:
-    """Satellite 4: WRONG_GENERATION resubmit through the socket."""
+    """A live split racing pipelined frames stays invisible to the
+    network: no error, no lost ack, every overwrite readable."""
 
     def _drill(self, model, execution):
         service = _service(model, execution=execution)
@@ -291,9 +292,7 @@ class TestSplitDrill:
                     )
                     splitter.join()
                     assert all(r.ok for r in responses)
-                    # Zero client-visible wrong-generation errors...
-                    assert client.generation_retries == 0
-                    # ...zero lost acked writes...
+                    # Zero lost acked writes...
                     assert client.lost_acks == 0
                     # ...and every acked overwrite readable post-flip.
                     assert client.multi_get(keys) == [b"v1"] * len(keys)
@@ -310,75 +309,6 @@ class TestSplitDrill:
                         reason="fork start method unavailable")
     def test_split_is_invisible_process(self, model):
         self._drill(model, "process")
-
-    @pytest.mark.parametrize("execution", [
-        "inline",
-        pytest.param("process", marks=pytest.mark.skipif(
-            not fork_available(), reason="fork start method unavailable"
-        )),
-    ])
-    def test_unswept_stragglers_resubmit_server_side(self, model,
-                                                     execution):
-        # The flip sweep normally leaves the dispatch guard nothing to
-        # catch.  Here the sweep is skipped, so queued rows reach
-        # dispatch stale, answer WRONG_GENERATION, and the door must
-        # resubmit them itself: in one admission call per pump.
-        service = _service(model, execution=execution, batch_size=1)
-        keys = [b"us-%04d" % i for i in range(240)]
-        real_pump = service.pump
-        real_submit_batch = service.submit_batch
-        # The door's resubmit count when the last pump returned; the
-        # first admission call after a pump that left stragglers is
-        # their resubmit.
-        mark = [None]
-        resubmit_calls = []  # (stragglers, requests in the call)
-
-        def pump():
-            if not service.splits:
-                workers = service.workers
-                donor = max(range(len(workers)),
-                            key=lambda s: workers[s].queue_depth)
-                # About half a split donor's keys move: with 16 queued
-                # rows, some are all but certain to reach dispatch stale.
-                if workers[donor].queue_depth >= 16:
-                    for worker in workers:
-                        worker.take_queue = list  # an empty sweep
-                    service.split_shard(donor)
-                    for worker in workers[:-1]:
-                        del worker.take_queue
-            served = real_pump()
-            mark[0] = door.door.resubmits
-            return served
-
-        def submit_batch(requests):
-            before, mark[0] = mark[0], None
-            if before is not None and door.door.resubmits > before:
-                resubmit_calls.append(
-                    (door.door.resubmits - before, len(requests))
-                )
-            return real_submit_batch(requests)
-
-        service.pump = pump
-        service.submit_batch = submit_batch
-        try:
-            with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
-                    responses = client.put_many([(k, b"v") for k in keys])
-                    assert all(r.ok for r in responses)
-                    assert service.splits == 1
-                    assert client.generation_retries == 0
-                    assert client.lost_acks == 0
-                    assert client.multi_get(keys) == [b"v"] * len(keys)
-                    frontdoor = client.stats()["frontdoor"]
-            assert frontdoor["resubmits"] > 0
-            assert frontdoor["admission_error"] is None
-            assert frontdoor["resubmits"] == sum(
-                w.wrong_generation for w in service.workers)
-            # Every pump's stragglers went back in one call.
-            assert all(n == size for n, size in resubmit_calls)
-            assert sum(n for n, _ in resubmit_calls) == frontdoor["resubmits"]
-        finally:
-            service.close()
 
 
 class TestDrain:

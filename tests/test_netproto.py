@@ -84,8 +84,7 @@ class TestRequests:
 
 class TestResponses:
     def test_response_round_trip(self):
-        response = Response(OK, value=b"\x00v", found=True, shard=2,
-                            generation=4)
+        response = Response(OK, value=b"\x00v", found=True, shard=2)
         frame = netproto.encode_response(9, response)
         payload = next(iter(netproto.FrameDecoder().feed(frame)))
         assert netproto.frame_id_of(payload) == 9

@@ -4,8 +4,8 @@ Covers the pure :class:`RoutingTable` (overlay precedence, extendible
 split directories, generation monotonicity), the live reconfiguration
 paths on a running :class:`Service` (hot-key promotion with journal
 migration, forced shard split with read-back on both execution
-backends), and the straggler safety net (``WRONG_GENERATION`` dispatch
-guard plus the client's transparent resubmit).
+backends), and the flip sweep that keeps every queued row on the shard
+its key routes to.
 """
 
 import pytest
@@ -21,10 +21,10 @@ from repro.service import (
     Service,
     ServiceClient,
     ShardRouter,
-    WRONG_GENERATION,
     fork_available,
 )
 from repro.service.routing import MAX_SPLIT_DEPTH
+from repro.verify import misplaced
 
 
 @pytest.fixture(scope="module")
@@ -323,57 +323,8 @@ class TestPromotion:
 
 
 class TestWrongGeneration:
-    def test_dispatch_guard_answers_wrong_generation(self, model):
-        service = _service(model)
-        client = ServiceClient(service)
-        client.put_many((k, b"v") for k in KEYS[:64])
-        # Forge a stale ticket: enqueue at the pre-split shard/route,
-        # then flip the table underneath it without the queue sweep.
-        key = KEYS[0]
-        ticket = service.submit(Request("get", key))
-        old_generation = ticket.generation
-        donor = ticket.shard
-        candidate = service.router.table.with_split(donor)
-        service.router.install(candidate)
-        moved = candidate.route_one(key) != donor
-        service.drain()
-        if moved:
-            assert ticket.response.status == WRONG_GENERATION
-            assert service.workers[donor].wrong_generation >= 1
-        else:
-            assert ticket.response.ok
-        assert ticket.generation == old_generation
-
-    def test_client_retries_wrong_generation(self, model):
-        service = _service(model)
-        client = ServiceClient(service)
-        client.put_many((k, b"v") for k in KEYS[:64])
-        # Find a key the split would move, hand the client a ticket
-        # stamped stale, and let its retry round resubmit transparently.
-        candidate = service.router.table.with_split(0)
-        new_shard = candidate.num_shards - 1
-        moved_key = next(
-            k for k in KEYS[:64]
-            if service.router.table.route_one(k) == 0
-            and candidate.route_one(k) == new_shard
-        )
-        ticket = service.submit(Request("get", moved_key))
-        service.split_shard(0)
-        # The sweep already re-routed the queued ticket; force the
-        # stale path by restamping it as pre-flip and requeueing at
-        # the donor.
-        ticket.generation = 0
-        ticket.shard = 0
-        ticket.response = None
-        service.workers[0].requeue_front([ticket])
-        real_submit_rows = service.submit_rows
-        stale = [ticket]
-        service.submit_rows = lambda op, keys, values=None, carried=None: (
-            [stale.pop().run] if stale
-            else real_submit_rows(op, keys, values, carried)
-        )
-        assert client.get(moved_key) == b"v"
-        assert client.generation_retries >= 1
+    """Rows queued across a routing flip: the flip sweep re-homes each
+    one, so no row is served on a shard its key has left."""
 
     def test_queue_sweep_rescues_queued_tickets(self, model):
         service = _service(model)
@@ -382,9 +333,51 @@ class TestWrongGeneration:
         tickets = [service.submit(Request("get", k)) for k in KEYS[:80]]
         service.split_shard(0)
         assert service.swept_tickets >= 0  # counter exists and counted
+        # The sweep got every queued ticket onto its post-flip shard
+        # before any dispatch.
+        assert misplaced(service) == ([], [])
         service.drain()
         assert all(t.response is not None and t.response.ok
                    for t in tickets)
-        # No straggler ever hit the dispatch guard: the sweep got
-        # every queued ticket onto its post-flip shard first.
-        assert sum(w.wrong_generation for w in service.workers) == 0
+        assert misplaced(service) == ([], [])
+
+    @pytest.mark.parametrize("execution", [
+        "inline",
+        pytest.param("process", marks=pytest.mark.skipif(
+            not fork_available(), reason="fork start method unavailable"
+        )),
+    ])
+    def test_placement_check_reports_an_unswept_flip(self, model, execution):
+        service = _service(model, execution=execution)
+        try:
+            ServiceClient(service).put_many((k, b"v") for k in KEYS)
+            for key in KEYS[:80]:
+                service.submit(Request("get", key))
+            # An ordinary split sweeps the queues: nothing misplaced.
+            service.split_shard(0)
+            assert misplaced(service) == ([], [])
+            service.drain()
+            # Skip the sweep: rows whose key the split moves stay queued
+            # at the donor, and the check names exactly those.
+            for key in KEYS[80:160]:
+                service.submit(Request("get", key))
+            workers = list(service.workers)
+            for worker in workers:
+                worker.take_queue = list  # an empty sweep
+            service.split_shard(1)
+            for worker in workers:
+                del worker.take_queue
+            table = service.router.table
+            stranded = [
+                (worker.shard_id, rows.run.keys[row])
+                for worker in service.workers for rows in worker.queue
+                for row in range(rows.start, rows.stop)
+                if table.route_one(rows.run.keys[row]) != worker.shard_id
+            ]
+            assert stranded
+            rows, keys = misplaced(service)
+            assert rows == stranded
+            # The journal migration ran as usual.
+            assert keys == []
+        finally:
+            service.close()

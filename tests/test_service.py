@@ -177,7 +177,9 @@ class TestWorker:
         tickets = [self._ticket("put", b"k%d" % i, b"v%d" % i)
                    for i in range(8)]
         assert worker.admit(tickets) == 8
-        processed = worker.drain()
+        processed = 0
+        while worker.queue:
+            processed += worker.dispatch()
         stats = worker.stats()
         assert stats["batches"] >= 2
         assert stats["mean_batch_size"] <= 4
@@ -203,7 +205,8 @@ class TestWorker:
                ("get", b"a", b"")]
         tickets = [self._ticket(*op) for op in ops]
         assert worker.admit(tickets) == len(tickets)
-        worker.drain()
+        while worker.queue:
+            worker.dispatch()
         assert tickets[2].response.value == b"1"
         assert tickets[3].response.found is False
         assert tickets[4].response.found is True
@@ -214,7 +217,8 @@ class TestWorker:
         worker = self._worker(model, backend=backend)
         ticket = self._ticket("get", b"k")
         assert worker.admit([ticket]) == 1
-        worker.drain()
+        while worker.queue:
+            worker.dispatch()
         assert ticket.response.status == FAILED
 
 
