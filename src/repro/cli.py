@@ -214,6 +214,28 @@ def _ledger_line(ledger: dict) -> str:
             f"{ledger['lost_acks']} lost, {ledger['retries']} retries")
 
 
+def _drill(args, service, keys=None) -> None:
+    """The ``--force-trip`` / ``--force-split`` drill between the
+    workload's two halves: trip shard 0, split the busiest shard live.
+
+    With ``keys`` (in process), a burst of gets sized to the fleet's
+    free queue credit is admitted and left unpumped across the split,
+    so the flip sweep re-routes queued rows; later pumps answer it.
+    Over the socket the drill runs on the loop thread, between pumps.
+    """
+    if args.force_trip:
+        service.force_trip(0)
+    if args.force_split:
+        import numpy as _np
+
+        if keys is not None:
+            free = sum(max(worker.max_queue - worker.queue_depth, 0)
+                       for worker in service.workers)
+            service.submit_rows("get", keys[:free])
+        donor = int(_np.argmax(service.router.routed))
+        service.split_shard(donor)
+
+
 def _run_listen_workload(args, service, listen, operations):
     """Drive the workload through real sockets: one front door on its
     own thread, ``--connections`` concurrent network clients on worker
@@ -270,20 +292,7 @@ def _run_listen_workload(args, service, listen, operations):
             if args.force_trip or args.force_split:
                 half = len(operations) // 2
                 run_phase(clients, operations[:half])
-
-                def drill():
-                    # On the loop thread: the admission loop only
-                    # interleaves between pumps, so a live split here
-                    # is the same barrier the supervisor relies on.
-                    if args.force_trip:
-                        service.force_trip(0)
-                    if args.force_split:
-                        import numpy as _np
-
-                        donor = int(_np.argmax(service.router.routed))
-                        service.split_shard(donor)
-
-                door.run_in_loop(drill)
+                door.run_in_loop(_drill, args, service)
                 run_phase(clients, operations[half:])
             else:
                 run_phase(clients, operations)
@@ -419,15 +428,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         elif args.force_trip or args.force_split:
             half = len(operations) // 2
             counts = run_service_workload(client, operations[:half])
-            if args.force_trip:
-                service.force_trip(0)
-            if args.force_split:
-                # Split the busiest shard live, mid-workload: the second
-                # half of the stream crosses the generation flip.
-                import numpy as _np
-
-                donor = int(_np.argmax(service.router.routed))
-                service.split_shard(donor)
+            _drill(args, service, keys)
             for kind, n in run_service_workload(client, operations[half:]).items():
                 counts[kind] = counts.get(kind, 0) + n
         else:
@@ -557,6 +558,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             failures.append("--force-trip never opened a circuit breaker")
         if args.force_split and stats["splits"] < 1:
             failures.append("--force-split never split a shard")
+        if args.force_split and listen is None and not stats["swept_tickets"]:
+            failures.append(
+                "--force-split swept no queued row: the split ran with "
+                "the queues empty"
+            )
         if (args.force_split or args.auto_split) and stats["splits"]:
             generation = stats["routing"]["generation"]
             if generation < stats["splits"]:

@@ -10,7 +10,12 @@ backoff step.  In process a round is one ``Service.submit_rows`` call
 and the pumps that answer it, and the client reads the runs' status
 and answer columns directly: no per-key ticket or Response is built,
 except where a verb returns Responses.  Over the socket a round is one
-pipelined exchange of frames, read back as one run of Responses.
+call frame out — the front door admits it with one ``submit_rows`` —
+and its answers back, read as one run of Responses; a call too large
+for one frame goes as consecutive sub-calls, each walked to its
+terminal answers before the next is sent.  Either way one round of a
+call is one admission, and a shard refuses only a suffix of a run, so a
+batch that writes a key twice keeps its later write.
 
 Every call runs in rounds:
 
@@ -58,7 +63,6 @@ from repro.service.protocol import (
     PENDING,
     REFUSED,
     REJECTED,
-    Request,
     Response,
     Run,
     Ticket,
@@ -72,12 +76,10 @@ from repro.service.service import Service, _gather
 # retry_after hint, one round never waits longer than this.
 BACKOFF_CAP_PUMPS = 64
 
-# Socket transport: connect/recv timeout, the wall-clock length of one
-# backoff tick (the server pumps for itself), and the frames encoded
-# into one sendall.
+# Socket transport: connect/recv timeout and the wall-clock length of
+# one backoff tick (the server pumps for itself).
 TIMEOUT_S = 30.0
 TICK_S = 0.0002
-PIPELINE_WINDOW = 512
 
 # The error the in-process transport stamps on a ticket it cancelled.
 DEADLINE_EXCEEDED = "deadline exceeded"
@@ -149,9 +151,8 @@ class _InProcess:
 
 
 class _Socket:
-    """Transport over the front door: ``send`` pipelines frames,
-    ``wait`` reads answers by frame id, stashing whatever else arrives
-    (the server answers out of submission order)."""
+    """Transport over the front door: a round is one call frame out and
+    its answers read back by frame id; a tick is one ``TICK_S`` sleep."""
 
     # The server pumps for itself, out of the client's sight: no wait
     # counts toward a retry_after hint.
@@ -161,56 +162,38 @@ class _Socket:
         self.sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.decoder = netproto.FrameDecoder()
-        self.stash: Dict[int, Response] = {}
         self.next_id = 0
-
-    def send(self, requests: Sequence[Request]) -> List[int]:
-        first = self.next_id
-        self.next_id += len(requests)
-        for start in range(0, len(requests), PIPELINE_WINDOW):
-            window = requests[start:start + PIPELINE_WINDOW]
-            self.sock.sendall(b"".join(
-                netproto.encode_request(first + start + i, request)
-                for i, request in enumerate(window)
-            ))
-        return list(range(first, self.next_id))
-
-    def wait(self, frame_ids: Optional[Sequence[int]] = None
-             ) -> List[Response]:
-        if frame_ids is None:
-            time.sleep(TICK_S)
-            return []
-        out = []
-        for frame_id in frame_ids:
-            while frame_id not in self.stash:
-                data = self.sock.recv(1 << 16)
-                if not data:
-                    raise ConnectionError(
-                        "server closed the connection mid-request"
-                    )
-                for payload in self.decoder.feed(data):
-                    self.stash[netproto.frame_id_of(payload)] = (
-                        netproto.decode_response(payload)
-                    )
-            out.append(self.stash.pop(frame_id))
-        return out
 
     def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
               carried=None) -> List[Run]:
-        """One pipelined exchange, as one run of Responses."""
+        """One call frame out, its answers back as one run of
+        Responses."""
+        frame_id = self.next_id
+        self.next_id += 1
+        self.sock.sendall(netproto.encode_call(frame_id, op, keys, values))
         n = len(keys)
+        answers: List[Response] = []
+        while len(answers) < n:
+            data = self.sock.recv(1 << 16)
+            if not data:
+                raise ConnectionError(
+                    "server closed the connection mid-request"
+                )
+            for payload in self.decoder.feed(data):
+                if netproto.frame_id_of(payload) != frame_id:
+                    raise netproto.ProtocolError(
+                        f"answer to frame {payload['id']} while frame "
+                        f"{frame_id} is the one in flight"
+                    )
+                answers += netproto.decode_answers(payload, n - len(answers))
         ops = [op] * n if isinstance(op, str) else op
-        responses = self.wait(self.send([
-            Request(ops[i], key, b"" if values is None else values[i])
-            for i, key in enumerate(keys)
-        ]))
         run = Run(None, keys, values, None, 0, range(n), None, None, ops)
         run.status[:] = bytes((OTHER,)) * n
-        run.answers = responses
+        run.answers = answers
         return [run]
 
     def tick(self) -> None:
-        self.wait()
+        time.sleep(TICK_S)
 
 
 def _ok_answers(run: Run, ok: int, responses: bool) -> list:
@@ -468,24 +451,18 @@ class ServiceClient:
         """Submit many puts in one batch, so the workers see real
         micro-batches instead of singletons.
 
-        A batch that writes the same key twice goes one request at a
-        time instead: a rejected-then-retried first write must not land
-        after an accepted second write to the same key.  In process a
-        shard refuses only a suffix of a run, so the first write is
-        never refused while the second is admitted; over the socket,
-        though, the front door may split one call's pipelined frames
-        across two admission rounds, and a refused first write would
-        then be retried after an admitted second one.
+        A batch may write the same key twice: both writes route to one
+        shard, so they sit in one run in call order, and a shard
+        refuses only a suffix of a run — the first write is never
+        refused while the second is admitted, and the retry resends
+        the refused rest in call order.  The later write wins.
         """
         keys: List[bytes] = []
         values: List[bytes] = []
         for key, value in pairs:
             keys.append(as_bytes(key))
             values.append(as_bytes(value))
-        if len(set(keys)) == len(keys):
-            return self._call("put", keys, values, True)  # type: ignore
-        return [self._call("put", [key], [value], True)[0]  # type: ignore
-                for key, value in zip(keys, values)]
+        return self._call("put", keys, values, True)  # type: ignore
 
     def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
         # Reads never conflict with each other, so one batch is safe
@@ -518,13 +495,29 @@ class ServiceClient:
 class NetworkClient(ServiceClient):
     """The same client over TCP to a front door.
 
-    Backoff ticks are ``TICK_S`` sleeps instead of pumps, because the
-    server pumps for itself.
+    Each round is one call frame.  Backoff ticks are ``TICK_S`` sleeps
+    instead of pumps, because the server pumps for itself.
     """
 
     def __init__(self, host: str, port: int, max_retries: int = 64,
                  jitter_seed: int = 0xBEEF):
         self._start(_Socket(host, port), max_retries, jitter_seed)
+
+    def _call(self, op, keys: List[bytes],
+              values: Optional[List[bytes]] = None,
+              responses: bool = False) -> List[object]:
+        """A call whose frame would pass ``MAX_FRAME_BYTES`` goes as
+        consecutive sub-calls, each walked to terminal answers before
+        the next is sent, so no write of a later sub-call can overtake
+        a retried write of an earlier one."""
+        out: List[object] = []
+        for start, stop in netproto.call_spans(op, keys, values):
+            span = slice(start, stop)
+            out += ServiceClient._call(
+                self, op if isinstance(op, str) else op[span], keys[span],
+                None if values is None else values[span], responses,
+            )
+        return out
 
     def close(self) -> None:
         try:

@@ -1,13 +1,13 @@
 """Asyncio network front door: real sockets in front of the shards.
 
-Until PR 8 "millions of users" was simulated by a loop calling
-``Service.submit_batch`` in the same interpreter.  The front door puts
-an actual serving boundary in front of the service: clients connect
-over TCP, speak the length-prefixed JSON protocol
-(:mod:`repro.service.netproto`), and their requests are *coalesced
-across connections* into the same vectorized admission path the
-in-process client uses — one ``submit_batch`` per admission round, so
-a hundred trickling connections still hash in compiled batches.
+The front door puts an actual serving boundary in front of the
+service: clients connect over TCP and speak the length-prefixed JSON
+protocol (:mod:`repro.service.netproto`), one frame per client call.
+Each call frame is admitted with one ``Service.submit_rows`` — the
+entry the in-process client uses — and answered by one response once
+every row of its runs is terminal.  One admission round admits every
+frame that arrived since the last, from any connection, so many
+connections' calls share the pumps that serve them.
 
 Design rules, in order of importance:
 
@@ -21,24 +21,25 @@ Design rules, in order of importance:
   rejection travels to the client verbatim as a ``rejected`` status
   carrying ``retry_after`` — the front door keeps no secret overflow
   queue that would turn explicit backpressure back into silent
-  buffering.  A per-connection in-flight cap (``max_pending``) rejects
-  the same way before admission when one connection tries to own the
-  whole pipeline.
+  buffering.  A per-connection in-flight cap (``max_pending`` rows)
+  rejects a whole frame the same way before admission when one
+  connection tries to own the whole pipeline.
 * **Routing flips are invisible to the network.**  A split,
   promotion or plan swap runs between pumps, on the loop thread, and
   sweeps every queued row onto the live table before the next
   dispatch, so an admitted frame is always served by the shard its key
   routes to.
 * **Shutdown drains.**  ``stop()`` stops accepting connections,
-  answers every in-flight ticket, turns frames that race the shutdown
+  answers every in-flight call, turns frames that race the shutdown
   away with a ``draining`` status, and only then closes sockets — an
   acknowledged write can never be dropped by a restart of the front
   door itself.
 
-The ``stats`` op doubles as the ``/metrics`` verb: the front door
-answers it synchronously with the service's stats dict plus its own
-``frontdoor`` counters (connections, coalesced batch sizes, propagated
-rejections), so one request scrapes the whole serving stack.
+The ``stats`` op doubles as the ``/metrics`` verb: a stats row is
+answered at admission with the service's stats dict plus the front
+door's own ``frontdoor`` counters (connections, frames, rows coalesced
+per admission round, rows refused at the door), so one request scrapes
+the whole serving stack.
 """
 
 from __future__ import annotations
@@ -49,27 +50,10 @@ import threading
 from typing import Dict, List, Optional, Set
 
 from repro.service import netproto
-from repro.service.protocol import (
-    OK,
-    REJECTED,
-    Request,
-    Response,
-)
+from repro.service.protocol import PENDING, REJECTED, Response
 from repro.service.service import Service
 
 _READ_CHUNK = 1 << 16
-
-
-class _Rpc:
-    """One in-flight request frame: where the answer must go."""
-
-    __slots__ = ("connection", "frame_id", "request")
-
-    def __init__(self, connection: "_Connection", frame_id: int,
-                 request: Request):
-        self.connection = connection
-        self.frame_id = frame_id
-        self.request = request
 
 
 class _Connection:
@@ -82,8 +66,7 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.outgoing: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        self.pending = 0          # frames admitted but not yet answered
-        self.frames_in = 0
+        self.pending = 0          # rows admitted but not yet answered
         self.closed = False
 
     def send(self, frame: bytes) -> None:
@@ -130,11 +113,15 @@ class FrontDoor:
         self._server: Optional[asyncio.base_events.Server] = None
         self._admission_task: Optional[asyncio.Task] = None
         self._connections: Set[_Connection] = set()
-        self._intake: List[_Rpc] = []
+        # Call frames to admit: (connection, frame_id, op, keys, values).
+        self._intake: List[tuple] = []
         self._wake: Optional[asyncio.Event] = None
         self._draining = False
         self._stopped = asyncio.Event()
-        # Observability counters (reported under stats()["frontdoor"]).
+        # Observability counters (reported under stats()["frontdoor"]):
+        # frames count call frames, admitted / max_coalesced count rows,
+        # and rejections_propagated counts the rows of frames the door
+        # itself refused (a shard's refusals are the service's).
         self.connections_total = 0
         self.frames_in = 0
         self.responses_out = 0
@@ -222,7 +209,6 @@ class FrontDoor:
 
     def _on_frame(self, connection: _Connection,
                   payload: Dict[str, object]) -> None:
-        connection.frames_in += 1
         self.frames_in += 1
         try:
             frame_id = netproto.frame_id_of(payload)
@@ -230,7 +216,7 @@ class FrontDoor:
             self.bad_frames += 1
             return  # unanswerable: no id to echo
         try:
-            request = netproto.decode_request(payload)
+            op, keys, values = netproto.decode_call(payload)
         except netproto.ProtocolError as exc:
             self.bad_frames += 1
             connection.send(
@@ -248,21 +234,11 @@ class FrontDoor:
                 )
             )
             return
-        if request.op == "stats":
-            # The /metrics verb: answered synchronously on the loop
-            # thread (no admission round-trip), service + front door.
-            self.responses_out += 1
-            connection.send(
-                netproto.encode_response(
-                    frame_id, Response(OK, stats=self._metrics())
-                )
-            )
-            return
         if connection.pending >= self.max_pending:
             # Per-connection backpressure: this connection already owns
-            # max_pending unanswered frames; pushing more would let one
+            # max_pending unanswered rows; pushing more would let one
             # client buffer without bound inside the server.
-            self.rejections_propagated += 1
+            self.rejections_propagated += len(keys)
             connection.send(
                 netproto.encode_status(
                     frame_id, REJECTED,
@@ -271,29 +247,42 @@ class FrontDoor:
                 )
             )
             return
-        connection.pending += 1
-        self._intake.append(_Rpc(connection, frame_id, request))
+        connection.pending += len(keys)
+        self._intake.append((connection, frame_id, op, keys, values))
         self._wake.set()
 
     # ----------------------------------------------------------- admission
 
-    def _respond(self, rpc: _Rpc, response: Response) -> None:
-        rpc.connection.pending -= 1
-        self.responses_out += 1
-        rpc.connection.send(netproto.encode_response(rpc.frame_id, response))
+    def _answer_done(self, calls: List[tuple]) -> List[tuple]:
+        """Answer every admitted call ``(connection, frame_id, rows,
+        runs)`` whose rows are all terminal, one response in call
+        order; returns the calls still pending."""
+        still = []
+        for call in calls:
+            connection, frame_id, rows, runs = call
+            if any(PENDING in run.status for run in runs):
+                still.append(call)
+                continue
+            answers: List[Optional[Response]] = [None] * rows
+            for run in runs:
+                for row, offset in enumerate(run.offsets):
+                    answers[offset] = run.response(row)
+            connection.pending -= rows
+            self.responses_out += 1
+            connection.send(netproto.encode_answers(frame_id, answers))
+        return still
 
     async def _admission_loop(self) -> None:
-        """Coalesce frames across connections into submit_batch rounds.
+        """Coalesce frames across connections into admission rounds.
 
-        One iteration: drain the intake into a single vectorized
-        admission pass, answer the synchronously-resolved tickets
-        (rejections), pump once for the in-flight rest and answer what
-        it completed, then yield so connection readers can refill the
-        intake — frames arriving during a pump join the *next*
-        admission batch, which is exactly the micro-batching window.
+        One iteration: admit every call frame of the intake, each as
+        one ``submit_rows``, answer the calls already terminal (a call
+        refused whole), pump once for the in-flight rest and answer
+        what it completed, then yield so connection readers can refill
+        the intake — frames arriving during a pump join the *next*
+        admission round, which is exactly the micro-batching window.
         """
-        service = self.service
-        inflight: List[tuple] = []  # (ticket, rpc)
+        inflight: List[tuple] = []
         while True:
             if not self._intake and not inflight:
                 if self._draining:
@@ -306,30 +295,22 @@ class FrontDoor:
                 continue
             if self._intake:
                 batch, self._intake = self._intake, []
+                rows = sum(len(call[3]) for call in batch)
                 self.admission_batches += 1
-                self.admitted += len(batch)
-                self.max_coalesced = max(self.max_coalesced, len(batch))
-                tickets = service.submit_batch(
-                    [rpc.request for rpc in batch]
-                )
-                for rpc, ticket in zip(batch, tickets):
-                    if ticket.response is not None:
-                        if ticket.rejected:
-                            self.rejections_propagated += 1
-                        self._respond(rpc, ticket.response)
-                    else:
-                        inflight.append((ticket, rpc))
+                self.admitted += rows
+                self.max_coalesced = max(self.max_coalesced, rows)
+                admitted = []
+                for connection, frame_id, op, keys, values in batch:
+                    runs = self.service.submit_rows(op, keys, values)
+                    for run in runs:
+                        if run.op == "stats":
+                            run.answers[0]["frontdoor"] = self.stats()
+                    admitted.append((connection, frame_id, len(keys), runs))
+                inflight += self._answer_done(admitted)
             if inflight:
-                service.pump()
+                self.service.pump()
                 self.pumps += 1
-                still: List[tuple] = []
-                for ticket, rpc in inflight:
-                    response = ticket.response
-                    if response is None:
-                        still.append((ticket, rpc))
-                    else:
-                        self._respond(rpc, response)
-                inflight = still
+                inflight = self._answer_done(inflight)
             # The coalescing window: let readers run before the next
             # admission round.
             await asyncio.sleep(0)
@@ -358,11 +339,6 @@ class FrontDoor:
             "rejections_propagated": self.rejections_propagated,
             "admission_error": self.admission_error,
         }
-
-    def _metrics(self) -> Dict[str, object]:
-        metrics = self.service.stats()
-        metrics["frontdoor"] = self.stats()
-        return metrics
 
 
 class FrontDoorThread:

@@ -2,27 +2,27 @@
 
 One frame is a 4-byte big-endian length followed by exactly that many
 bytes of UTF-8 JSON — the simplest framing that survives TCP's stream
-semantics without a parser state machine.  The JSON payload maps 1:1
-onto the typed in-process protocol (:mod:`repro.service.protocol`):
-a request frame carries ``{"id", "op", "key", "value"}`` and a
-response frame carries ``{"id", "status", ...}`` with the same fields
-:class:`~repro.service.protocol.Response` has.  Keys and values are
-arbitrary bytes, so they cross the wire base64-encoded; everything
-else is already JSON-safe by the protocol's design.
+semantics without a parser state machine.  A frame carries
+one client call as the columns
+:meth:`~repro.service.service.Service.submit_rows` admits: a request
+frame is ``{"id", "op", "keys", "values"}`` (``op`` one op or an op
+column, ``values`` left out when the call has none), and its response
+frame ``{"id", "answers"}``, one answer per row in call order with the
+fields :class:`~repro.service.protocol.Response` has.  Keys and values
+are arbitrary bytes, so each cell crosses the wire base64-encoded.  A
+call whose frame would pass :data:`MAX_FRAME_BYTES` is cut into
+consecutive sub-calls (:func:`call_spans`); answers too large for one
+frame go as consecutive frames of the same id.  Frame ids are assigned
+by the client and echoed by the server.
 
-Frame ids are assigned by the client and echoed by the server.  They
-exist because the front door answers a frame when its *ticket*
-resolves, and tickets on different shards resolve in shard order — so
-responses on one connection may come back out of submission order and
-the client must match them by id.
+A whole-frame status ``{"id", "status", ...}`` answers every row of a
+call at once.  Two statuses exist only on the wire, on top of the
+service's own ``ok`` / ``rejected`` / ``failed``:
 
-Two statuses exist only on the wire, on top of the service's own
-``ok`` / ``rejected`` / ``failed``:
-
-* ``draining`` — the server is in graceful shutdown; in-flight
-  requests still complete, new ones are turned away.
+* ``draining`` — the server is in graceful shutdown; in-flight calls
+  still complete, new ones are turned away.
 * ``bad_request`` — the frame was structurally broken (unknown op,
-  undecodable key); nothing was admitted.
+  undecodable key, columns of unequal length); nothing was admitted.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.service.protocol import OPS, Request, Response
+from repro.service.protocol import OPS, Response
 
 # Wire-only statuses (the rest come from repro.service.protocol).
 DRAINING = "draining"
@@ -50,15 +50,11 @@ class ProtocolError(ValueError):
     """A frame violated the wire protocol (length, JSON, or schema)."""
 
 
-def _b64(data: Optional[bytes]) -> Optional[str]:
-    if data is None:
-        return None
+def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: Optional[str], field: str) -> Optional[bytes]:
-    if text is None:
-        return None
+def _unb64(text: str, field: str) -> bytes:
     try:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, AttributeError) as exc:
@@ -123,31 +119,90 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-# ------------------------------------------------------------ requests
+# --------------------------------------------------------------- calls
+
+# The ops whose rows carry a value: a call frame that omits its values
+# column gives each of their rows the empty value.
+_VALUED = ("put", "similar")
+
+# Bytes of a call frame outside its cells (the field names, the id and
+# the brackets), rounded up.
+_CALL_OVERHEAD = 64
 
 
-def encode_request(frame_id: int, request: Request) -> bytes:
-    """One request frame: the typed Request plus a client-chosen id."""
-    payload: Dict[str, object] = {"id": int(frame_id), "op": request.op}
-    if request.key:
-        payload["key"] = _b64(request.key)
-    if request.value:
-        payload["value"] = _b64(request.value)
+def _cells(column: object, field: str, rows: Optional[int] = None
+           ) -> List[bytes]:
+    if not isinstance(column, list) or rows not in (None, len(column)):
+        raise ProtocolError(
+            f"field {field!r} must be a list of base64 cells, one per key"
+        )
+    return [_unb64(cell, field) for cell in column]  # type: ignore[misc]
+
+
+def encode_call(frame_id: int, op, keys: Sequence[bytes],
+                values: Optional[Sequence[bytes]] = None) -> bytes:
+    """One request frame: a whole call as columns plus a client-chosen
+    id.  ``op`` is one op for every row or an op column; the values
+    column is omitted when the call has none or all are empty."""
+    payload: Dict[str, object] = {
+        "id": int(frame_id),
+        "op": op if isinstance(op, str) else list(op),
+        "keys": [_b64(key) for key in keys],
+    }
+    if values is not None and any(values):
+        payload["values"] = [_b64(value) for value in values]
     return encode_frame(payload)
 
 
-def decode_request(payload: Dict[str, object]) -> Request:
-    """Build the typed Request a request payload describes.
+def decode_call(payload: Dict[str, object]
+                ) -> Tuple[object, List[bytes], Optional[List[bytes]]]:
+    """The ``(op, keys, values)`` columns of a call frame, as
+    :meth:`~repro.service.service.Service.submit_rows` takes them.
 
-    Raises :class:`ProtocolError` on schema violations, so the server
-    can answer ``bad_request`` instead of tearing the connection down.
+    Raises :class:`ProtocolError` on schema violations (an unknown op,
+    a column of the wrong length, a cell that is not base64), so the
+    server can answer ``bad_request`` instead of tearing the connection
+    down.
     """
+    keys = _cells(payload.get("keys"), "keys")
     op = payload.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r}; choose from {OPS}")
-    key = _unb64(payload.get("key"), "key") or b""
-    value = _unb64(payload.get("value"), "value") or b""
-    return Request(str(op), key, value)
+    ops = op if isinstance(op, list) else [op] * len(keys)
+    if len(ops) != len(keys):
+        raise ProtocolError(f"{len(ops)} ops for {len(keys)} keys")
+    for each in ops:
+        if each not in OPS:
+            raise ProtocolError(f"unknown op {each!r}; choose from {OPS}")
+    values = payload.get("values")
+    if values is not None:
+        values = _cells(values, "values", len(keys))
+    elif any(each in _VALUED for each in ops):
+        values = [b""] * len(keys)
+    return op, keys, values
+
+
+def call_spans(op, keys: Sequence[bytes],
+               values: Optional[Sequence[bytes]] = None,
+               limit: int = MAX_FRAME_BYTES) -> List[Tuple[int, int]]:
+    """Cut a call into consecutive ``(start, stop)`` row spans whose
+    call frames each stay within ``limit`` bytes.  A row too large on
+    its own still gets a span, and :func:`encode_frame` refuses it."""
+    spans: List[Tuple[int, int]] = []
+    start = 0
+    size = _CALL_OVERHEAD
+    for row, key in enumerate(keys):
+        # A base64 cell is 4 bytes per 3, plus its quotes and comma.
+        cost = 4 * ((len(key) + 2) // 3) + 3
+        if values is not None:
+            cost += 4 * ((len(values[row]) + 2) // 3) + 3
+        if not isinstance(op, str):
+            cost += len(op[row]) + 3
+        if size + cost > limit and row > start:
+            spans.append((start, row))
+            start = row
+            size = _CALL_OVERHEAD
+        size += cost
+    spans.append((start, len(keys)))
+    return spans
 
 
 def frame_id_of(payload: Dict[str, object]) -> int:
@@ -157,70 +212,93 @@ def frame_id_of(payload: Dict[str, object]) -> int:
     return frame_id
 
 
-# ----------------------------------------------------------- responses
+# ------------------------------------------------------------- answers
 
 
-def encode_response(frame_id: int, response: Response) -> bytes:
-    """One response frame: the typed Response keyed by the echoed id."""
-    payload: Dict[str, object] = {
-        "id": int(frame_id), "status": response.status,
-    }
+def _answer(response: Response) -> Dict[str, object]:
+    """One row's answer: the typed Response as a JSON object."""
+    answer: Dict[str, object] = {"status": response.status}
     if response.value is not None:
-        payload["value"] = _b64(response.value)
+        answer["value"] = _b64(response.value)
     if response.neighbors is not None:
         # Neighbor keys are arbitrary bytes, so each pair crosses the
         # wire as [base64 key, score] — the one nested-bytes field the
         # generic loop below cannot handle.
-        payload["neighbors"] = [
+        answer["neighbors"] = [
             [_b64(key), float(score)] for key, score in response.neighbors
         ]
     for field in ("found", "shard", "retry_after", "error", "stats"):
         attr = getattr(response, field)
         if attr is not None:
-            payload[field] = attr
-    return encode_frame(payload)
+            answer[field] = attr
+    return answer
+
+
+def _answer_frames(frame_id: int, answers: List[Dict[str, object]]) -> bytes:
+    try:
+        return encode_frame({"id": frame_id, "answers": answers})
+    except ProtocolError:
+        if len(answers) < 2:
+            raise
+        half = len(answers) // 2
+        return (_answer_frames(frame_id, answers[:half])
+                + _answer_frames(frame_id, answers[half:]))
+
+
+def encode_answers(frame_id: int, responses: Sequence[Response]) -> bytes:
+    """A call's answers, one per row in call order, keyed by the echoed
+    id.  Answers too large for one frame go as consecutive frames of
+    that id, each within :data:`MAX_FRAME_BYTES`."""
+    return _answer_frames(int(frame_id),
+                          [_answer(response) for response in responses])
 
 
 def encode_status(frame_id: int, status: str,
                   error: Optional[str] = None,
                   retry_after: Optional[int] = None) -> bytes:
-    """A bare wire-status frame (``draining`` / ``bad_request``)."""
-    payload: Dict[str, object] = {"id": int(frame_id), "status": status}
-    if error is not None:
-        payload["error"] = error
-    if retry_after is not None:
-        payload["retry_after"] = int(retry_after)
-    return encode_frame(payload)
+    """A whole-frame status (``draining``, ``bad_request``, a refused
+    pipeline): one answer for every row of the call."""
+    answer = _answer(Response(status, retry_after=retry_after, error=error))
+    return encode_frame(dict(answer, id=int(frame_id)))
 
 
-def decode_response(payload: Dict[str, object]) -> Response:
-    """Rebuild the typed Response a response payload describes."""
-    status = payload.get("status")
+def _response(answer: object) -> Response:
+    if not isinstance(answer, dict):
+        raise ProtocolError("an answer must be a JSON object")
+    status = answer.get("status")
     if not isinstance(status, str) or not status:
-        raise ProtocolError("response frame carries no status")
-    neighbors = payload.get("neighbors")
-    if neighbors is not None:
-        if not isinstance(neighbors, list):
-            raise ProtocolError("field 'neighbors' must be a list")
-        try:
-            neighbors = [
-                (_unb64(str(key), "neighbors"), float(score))
-                for key, score in neighbors
-            ]
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "field 'neighbors' must be [base64, number] pairs"
-            ) from exc
+        raise ProtocolError("answer carries no status")
+    neighbors = answer.get("neighbors")
+    try:
+        if neighbors is not None:
+            neighbors = [(_unb64(key, "neighbors"), float(score))
+                         for key, score in neighbors]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            "field 'neighbors' must be a list of [base64, number] pairs"
+        ) from exc
+    value = answer.get("value")
     return Response(
         status,
-        value=_unb64(payload.get("value"), "value"),
-        found=payload.get("found"),
-        shard=payload.get("shard"),
-        retry_after=payload.get("retry_after"),
-        error=payload.get("error"),
-        stats=payload.get("stats"),
+        value=None if value is None else _unb64(value, "value"),
+        found=answer.get("found"),
+        shard=answer.get("shard"),
+        retry_after=answer.get("retry_after"),
+        error=answer.get("error"),
+        stats=answer.get("stats"),
         neighbors=neighbors,
     )
+
+
+def decode_answers(payload: Dict[str, object], rows: int) -> List[Response]:
+    """The typed Responses one response frame carries: its answers, or
+    a whole-frame status repeated for the ``rows`` still unanswered."""
+    answers = payload.get("answers")
+    if answers is None:
+        return [_response(payload)] * rows
+    if not isinstance(answers, list):
+        raise ProtocolError("field 'answers' must be a list")
+    return [_response(answer) for answer in answers]
 
 
 __all__ = [
@@ -229,12 +307,13 @@ __all__ = [
     "FrameDecoder",
     "MAX_FRAME_BYTES",
     "ProtocolError",
+    "call_spans",
+    "decode_answers",
+    "decode_call",
     "decode_payload",
-    "decode_request",
-    "decode_response",
+    "encode_answers",
+    "encode_call",
     "encode_frame",
-    "encode_request",
-    "encode_response",
     "encode_status",
     "frame_id_of",
 ]

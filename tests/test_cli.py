@@ -145,6 +145,19 @@ class TestServe:
         assert "faults: 1 fired" in out
         assert "0 lost" in out
 
+    def test_force_split_sweeps_queued_rows(self, capsys):
+        # The in-process drill holds admitted, unpumped rows across the
+        # split, so the flip sweep really re-routes queued rows.
+        assert main([
+            "serve", "--shards", "3", "--ops", "600", "--num-keys", "300",
+            "--force-split", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stats"]["splits"] == 1
+        assert payload["stats"]["swept_tickets"] > 0
+        assert payload["client"]["lost_acks"] == 0
+        assert payload["misplaced_keys"] == 0
+
     def test_inject_rejects_malformed_spec(self, capsys):
         assert main([
             "serve", "--ops", "100", "--num-keys", "100",

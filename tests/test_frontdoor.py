@@ -74,16 +74,60 @@ class TestBasicKV:
                     assert all(r.ok for r in client.put_many(pairs))
                     got = client.multi_get([k for k, _ in pairs])
                     assert got == [v for _, v in pairs]
-                    stats = client.stats()
-                    frontdoor = stats["frontdoor"]
-                    # A pipelined window must coalesce: far fewer
-                    # admission batches than frames, and at least one
-                    # genuinely multi-frame batch.
-                    assert frontdoor["max_coalesced"] > 1
+                    frontdoor = door.run_in_loop(door.door.stats)
+                    # A batch call is one frame, admitted as one
+                    # submit_rows: its rows coalesce into one round.
+                    assert frontdoor["frames_in"] == 2
+                    assert frontdoor["max_coalesced"] == 150
                     assert (frontdoor["admission_batches"]
                             < frontdoor["admitted"])
                     # Every frame got exactly one answer.
                     assert frontdoor["frames_in"] == frontdoor["responses_out"]
+                    assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    def test_duplicate_key_put_many_is_one_frame(self, model):
+        # A batch that repeats a key needs no one-at-a-time fallback:
+        # it reaches the door as one frame and keeps its later write.
+        service = _service(model)
+        try:
+            with FrontDoorThread(service) as door:
+                with NetworkClient("127.0.0.1", door.port) as client:
+                    before = door.run_in_loop(door.door.stats)["frames_in"]
+                    responses = client.put_many(
+                        [(b"dk", b"first"), (b"other", b"x"),
+                         (b"dk", b"last")]
+                    )
+                    after = door.run_in_loop(door.door.stats)["frames_in"]
+                    assert after - before == 1
+                    assert all(r.ok for r in responses)
+                    assert client.get(b"dk") == b"last"
+                    assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    def test_oversized_call_goes_as_ordered_sub_calls(self, model):
+        # A call past the frame ceiling goes as consecutive sub-calls,
+        # each walked to terminal answers before the next is sent: the
+        # key written on both sides of the cut keeps the later write,
+        # and answers past the ceiling come back over several frames.
+        service = _service(model)
+        value = b"x" * (netproto.MAX_FRAME_BYTES // 12)
+        keys = [b"big%02d" % i for i in range(20)]
+        keys[-1] = keys[0]
+        pairs = [(key, value + b"%02d" % i) for i, key in enumerate(keys)]
+        assert len(netproto.call_spans("put", keys, [v for _, v in pairs])) > 1
+        try:
+            with FrontDoorThread(service) as door:
+                with NetworkClient("127.0.0.1", door.port) as client:
+                    assert all(r.ok for r in client.put_many(pairs))
+                    assert door.run_in_loop(
+                        door.door.stats)["frames_in"] > 1
+                    assert client.get(keys[0]) == pairs[-1][1]
+                    assert client.multi_get(keys[1:-1]) == [
+                        v for _, v in pairs[1:-1]
+                    ]
                     assert client.lost_acks == 0
         finally:
             service.close()
@@ -98,23 +142,6 @@ class TestBasicKV:
                     assert stats["submitted"] >= 1  # service ledger
                     assert stats["frontdoor"]["connections_open"] == 1
                     assert stats["frontdoor"]["admission_error"] is None
-        finally:
-            service.close()
-
-    def test_out_of_order_collection(self, model):
-        from repro.service import Request
-
-        service = _service(model)
-        try:
-            with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
-                    client.put(b"ooo", b"x")
-                    transport = client.transport
-                    first = transport.send([Request("get", b"ooo")])
-                    second = transport.send([Request("get", b"missing")])
-                    # Collect in reverse: the stash matches by frame id.
-                    assert transport.wait(second)[0].value is None
-                    assert transport.wait(first)[0].value == b"x"
         finally:
             service.close()
 
@@ -161,21 +188,25 @@ class TestConcurrentConnections:
 
 class TestBackpressure:
     def test_pending_cap_rejects_with_retry_after(self, model):
-        # max_pending=0: every data frame is turned away at the door
-        # with an explicit rejected + retry_after — backpressure is
-        # propagated as protocol, never absorbed into a hidden queue.
+        # max_pending=0: every call frame is turned away whole at the
+        # door with an explicit rejected + retry_after for each row —
+        # backpressure is propagated as protocol, never absorbed into a
+        # hidden queue.
         service = _service(model)
         try:
             with FrontDoorThread(service, max_pending=0) as door:
                 sock = socket.create_connection(("127.0.0.1", door.port),
                                                 timeout=10)
                 try:
-                    sock.sendall(netproto.encode_frame(
-                        {"id": 1, "op": "get", "key": "6162"}
-                    ))
+                    sock.sendall(netproto.encode_call(1, "get", [b"ab", b"cd"]))
                     payload = _read_payload(sock, netproto.FrameDecoder())
-                    assert payload["status"] == "rejected"
-                    assert payload["retry_after"] >= 1
+                    assert payload["id"] == 1
+                    answers = netproto.decode_answers(payload, 2)
+                    assert [a.status for a in answers] == ["rejected"] * 2
+                    assert all(a.retry_after >= 1 for a in answers)
+                    stats = door.run_in_loop(door.door.stats)
+                    assert stats["rejections_propagated"] == 2
+                    assert door.run_in_loop(service.stats)["submitted"] == 0
                 finally:
                     sock.close()
         finally:
@@ -221,20 +252,23 @@ class TestBadFrames:
                 sock = socket.create_connection(("127.0.0.1", door.port),
                                                 timeout=10)
                 try:
-                    sock.sendall(netproto.encode_frame(
-                        {"id": 9, "op": "scan"}
-                    ))
-                    payload = _read_payload(sock, netproto.FrameDecoder())
-                    assert payload == {
-                        "id": 9, "status": "bad_request",
-                        "error": payload["error"],
-                    }
+                    decoder = netproto.FrameDecoder()
+                    for bad in ({"id": 9, "op": "scan", "keys": ["YQ=="]},
+                                {"id": 9, "op": ["get"], "keys": []}):
+                        sock.sendall(netproto.encode_frame(bad))
+                        payload = _read_payload(sock, decoder)
+                        assert payload == {
+                            "id": 9, "status": "bad_request",
+                            "error": payload["error"],
+                        }
                     # The connection survives a bad frame.
-                    sock.sendall(netproto.encode_frame(
-                        {"id": 10, "op": "contains", "key": "6162"}
+                    sock.sendall(netproto.encode_call(
+                        10, "contains", [b"ab", b"cd"]
                     ))
-                    payload = _read_payload(sock, netproto.FrameDecoder())
+                    payload = _read_payload(sock, decoder)
                     assert payload["id"] == 10
+                    answers = netproto.decode_answers(payload, 2)
+                    assert [a.found for a in answers] == [False, False]
                 finally:
                     sock.close()
         finally:
@@ -324,6 +358,21 @@ class TestDrain:
                     with pytest.raises(ServiceDrainingError):
                         client.get(b"pre")
                     assert client.lost_acks == 0
+                    # On the wire, one draining status answers the
+                    # whole call frame.
+                    sock = socket.create_connection(
+                        ("127.0.0.1", door.port), timeout=10
+                    )
+                    try:
+                        sock.sendall(netproto.encode_call(
+                            3, "put", [b"a", b"b"], [b"1", b"2"]
+                        ))
+                        payload = _read_payload(sock,
+                                                netproto.FrameDecoder())
+                    finally:
+                        sock.close()
+                    assert payload["status"] == netproto.DRAINING
+                    assert "answers" not in payload
                     # Un-drain so the context-manager stop() below runs
                     # the normal (non-reentrant) shutdown path.
                     door.run_in_loop(

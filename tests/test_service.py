@@ -66,7 +66,7 @@ EXECUTIONS = [
 @contextmanager
 def _connect(service, transport, max_pending=1024, **options):
     """A client of ``service`` over the named transport; ``max_pending``
-    is the front door's per-connection frame cap."""
+    is the front door's per-connection cap on unanswered rows."""
     if transport == "inproc":
         yield ServiceClient(service, **options)
         return
@@ -535,8 +535,8 @@ class TestBackoffRegressions:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_mixed_batch_reject_counted_once(self, model, transport):
-        # Four distinct-key puts into two slots (a 2-deep queue in
-        # process, a 2-frame pipeline cap over the wire): some admit,
+        # Four distinct-key puts into a 2-deep queue, on either
+        # transport one call admitted as one submit_rows: some admit,
         # the rest reject.  Each rejection is ONE backpressure event,
         # counted once by the server and once by the client, and the
         # rejected rest retries as one batch.  In process the answer
