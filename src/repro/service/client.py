@@ -6,8 +6,9 @@ socket.  The policy — bounded retry, backoff and the ack ledger — lives
 once, on :class:`ServiceClient`, and runs over a two-method transport:
 a ``round`` admits one op's rows as columns and returns them answered,
 as :class:`~repro.service.protocol.Run` records, and a ``tick`` is one
-backoff step.  In process a round is one ``Service.submit_rows`` call
-and the pumps that answer it, and the client reads the runs' status
+backoff step.  In process a call's first round is one
+``Service.submit_rows`` call, a retry round one ``Service.admit_runs``,
+each with the pumps that answer it, and the client reads the runs' status
 and answer columns directly: no per-key ticket or Response is built,
 except where a verb returns Responses.  Over the socket a round is one
 call frame out — the front door admits it with one ``submit_rows`` —
@@ -21,17 +22,21 @@ Every call runs in rounds:
 
 1. send the pending rows and wait for every answer;
 2. settle the terminal answers in the ledger;
-3. collect ``rejected`` answers into the retry set;
+3. hold the ``rejected`` rows: a shard refuses a suffix of its run,
+   which the client keeps as a run of its own — the refused rows' key,
+   value, op and hash columns, and their call positions as offsets;
 4. back off once, a jittered ``min(rest << round, BACKOFF_CAP_PUMPS)``
    ticks, where ``rest`` is the largest hint less the service pumps the
    answer wait already ran (a hint counts pumps from the rejection, so
    an in-process wait that drained the queue leaves nothing to wait
    for; the socket transport cannot see the server's pumps and counts
    none) — a missing hint means one tick, an explicit 0 means no wait;
-5. resend the retry set as one batch, handing the transport the rows'
-   carried key hashes and the generation they were routed under (in
-   process they spare the router a second hashing), and give up with
-   :class:`ServiceOverloadedError` after ``max_retries`` rounds.
+5. send the held runs as the next round — in process one
+   ``Service.admit_runs``, which gives each run straight back to its
+   shard with no routing or partition pass (a run routed under a
+   generation a flip retired is routed again); over the socket one
+   call frame — and give up with :class:`ServiceOverloadedError` after
+   ``max_retries`` rounds.
 
 A scalar verb is a batch of one: a one-row round.  No call can spin
 forever: the in-process transport cancels rows unanswered after
@@ -124,10 +129,11 @@ class _InProcess:
         self.pumped = 0
 
     def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
-              carried=None) -> List[Run]:
-        # A retry round hands back the rows' hashes and the generation
-        # they were routed under, so the router need not hash again.
-        runs = self.service.submit_rows(op, keys, values, carried)
+              held: Optional[List[Run]] = None) -> List[Run]:
+        # A retry round gives the held runs back to their shards as
+        # they are: nothing is routed or partitioned again.
+        runs = (self.service.submit_rows(op, keys, values) if held is None
+                else self.service.admit_runs(held))
         self.pumped = 0
         waiting = [run for run in runs if PENDING in run.status]
         while waiting and self.pumped < self.deadline_pumps:
@@ -165,9 +171,15 @@ class _Socket:
         self.next_id = 0
 
     def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
-              carried=None) -> List[Run]:
+              held: Optional[List[Run]] = None) -> List[Run]:
         """One call frame out, its answers back as one run of
-        Responses."""
+        Responses.  A socket round answers one run, so a retry holds at
+        most one, and its rows go out as the frame."""
+        offsets = range(len(keys))
+        if held is not None:
+            [run] = held
+            op = run.op if run.ops is None else run.ops
+            keys, values, offsets = run.keys, run.values, run.offsets
         frame_id = self.next_id
         self.next_id += 1
         self.sock.sendall(netproto.encode_call(frame_id, op, keys, values))
@@ -186,8 +198,9 @@ class _Socket:
                         f"{frame_id} is the one in flight"
                     )
                 answers += netproto.decode_answers(payload, n - len(answers))
-        ops = [op] * n if isinstance(op, str) else op
-        run = Run(None, keys, values, None, 0, range(n), None, None, ops)
+        one = isinstance(op, str)
+        run = Run(op if one else None, keys, values, None, 0, offsets, None,
+                  None, None if one else op)
         run.status[:] = bytes((OTHER,)) * n
         run.answers = answers
         return [run]
@@ -206,6 +219,20 @@ def _ok_answers(run: Run, ok: int, responses: bool) -> list:
         return [ok_response(op, payload, shard)
                 for payload in run.answers[:ok]]
     return [run.response(row) for row in range(ok)]
+
+
+def _hold(run: Run, rows) -> Run:
+    """The refused ``rows`` of ``run`` (a slice or a row list) as a run
+    of their own, to admit again as they are: the same op, shard,
+    generation and hashes, with the rows' call positions as offsets."""
+    if isinstance(rows, slice):
+        def take(column):
+            return None if column is None else column[rows]
+    else:
+        def take(column):
+            return None if column is None else _gather(column, rows)
+    return Run(run.op, take(run.keys), take(run.values), take(run.hashes), 0,
+               take(run.offsets), run.generation, run.shard, take(run.ops))
 
 
 def _typed_error(op: str, response: Response) -> Optional[Exception]:
@@ -267,23 +294,16 @@ class ServiceClient:
         self.puts_sent += (n if op == "put" else 0) if isinstance(op, str) \
             else op.count("put")
         out: List[object] = [None] * n
-        call_keys, call_values, call_ops = keys, values, op
-        # This round's position -> call position (None: the identity).
-        where: Optional[List[int]] = None
-        carried = None
-        pending: List[int] = []
+        # The refused rows of the last round, one run per refusing run.
+        held: List[Run] = []
         # (call position, exception) of the first typed error.
         error: Optional[Tuple[int, Exception]] = None
         transport = self.transport
         for round_ in range(self.max_retries + 1):
-            runs = transport.round(op, keys, values, carried)
-            # (call position, carried hash) of every row to resend.
-            retry: List[Tuple[int, Optional[int]]] = []
-            generations: List[int] = []
+            runs = transport.round(op, keys, values, held or None)
+            held = []
             hint: Optional[int] = None
             for run in runs:
-                positions = (run.offsets if where is None
-                             else _gather(where, run.offsets))
                 status = run.status
                 if run.ops is None and status.count(ANSWERED) == len(status):
                     # Every row answered OK: copy the answer column out.
@@ -292,26 +312,18 @@ class ServiceClient:
                         self.puts_acked += len(status)
                     answers = (_ok_answers(run, len(status), True)
                                if responses else run.answers)
-                    for position, answer in zip(positions, answers):
+                    for position, answer in zip(run.offsets, answers):
                         out[position] = answer
                     continue
-                after, failed = self._settle(run, positions, out, retry,
-                                             generations, responses)
+                after, failed = self._settle(run, out, held, responses)
                 if after is not None:
                     hint = after if hint is None else max(hint, after)
                 # The first typed error in call order is the one raised.
                 if failed is not None and (error is None
                                            or failed[0] < error[0]):
                     error = failed
-            if not retry:
-                pending = []
+            if not held or error is not None or round_ == self.max_retries:
                 break
-            if error is not None or round_ == self.max_retries:
-                pending = [position for position, _ in retry]
-                break
-            # The retry set resends in call order, as one batch.
-            retry.sort()
-            pending = [position for position, _ in retry]
             if hint is not None:
                 # A hint counts pumps from the rejection; the answer
                 # wait already ran some of them.
@@ -321,44 +333,36 @@ class ServiceClient:
                 self.backoff_pumps += ticks
                 for _ in range(ticks):
                     transport.tick()
-            where = pending
-            keys = _gather(call_keys, pending)
-            if call_values is not None:
-                values = _gather(call_values, pending)
-            if not isinstance(call_ops, str):
-                op = _gather(call_ops, pending)
-            carried = ((generations[0], [h for _, h in retry])
-                       if len(set(generations)) == 1 else None)
-        if pending:
+        if held:
             # Abandoned requests were answered "not applied"
             # (rejected): negative acks.
             self.puts_responded += sum(
-                1 for i in pending
-                if (call_ops if isinstance(call_ops, str)
-                    else call_ops[i]) == "put"
+                run.ops.count("put") if run.ops is not None
+                else len(run.keys) if run.op == "put" else 0
+                for run in held
             )
             if error is None:
                 raise ServiceOverloadedError(
-                    f"{len(pending)} request(s) still rejected after "
-                    f"{self.max_retries + 1} attempts "
-                    f"({self.backoff_pumps} backoff ticks spent)"
+                    f"{sum(len(run.keys) for run in held)} request(s) "
+                    f"still rejected after {self.max_retries + 1} "
+                    f"attempts ({self.backoff_pumps} backoff ticks spent)"
                 )
         if error is not None:
             raise error[1]
         return out
 
-    def _settle(self, run: Run, positions: Sequence[int], out: list,
-                retry: list, generations: list, responses: bool
+    def _settle(self, run: Run, out: list, held: List[Run], responses: bool
                 ) -> Tuple[Optional[int], Optional[tuple]]:
-        """Settle one answered run into ``out`` and the ledger, and queue
-        its rows to resend into ``retry``; returns the run's backoff
-        hint (None without a rejection) and its first typed error as
-        ``(call position, exception)``, if any.
+        """Settle one answered run into ``out`` and the ledger, and hold
+        its refused rows as one run in ``held``; returns the run's
+        backoff hint (None without a rejection) and its first typed
+        error as ``(call position, exception)``, if any.
 
         A run of one op whose OK rows all precede its refused rows —
         every run a plain overflow leaves — is settled by column
         slices; any other run row by row."""
         status = run.status
+        offsets = run.offsets
         ok = status.count(ANSWERED)
         refused = status.count(REFUSED)
         if (run.ops is None and ok + refused == len(status)
@@ -366,20 +370,18 @@ class ServiceClient:
             if run.op == "put":
                 self.puts_responded += ok
                 self.puts_acked += ok
-            for position, answer in zip(positions[:ok],
+            for position, answer in zip(offsets[:ok],
                                         _ok_answers(run, ok, responses)):
                 out[position] = answer
             self.retries += refused
-            hashes = run.hashes
-            retry += zip(positions[ok:], [None] * refused if hashes is None
-                         else hashes[ok:])
-            generations.append(run.generation)
+            held.append(_hold(run, slice(ok, None)))
             after = run.refused.retry_after
             return (1 if after is None else max(0, int(after))), None
         hint: Optional[int] = None
         error: Optional[tuple] = None
+        rejected: List[int] = []
         for row, code in enumerate(status):
-            position = positions[row]
+            position = offsets[row]
             op = run.op_at(row)
             if code == ANSWERED:
                 if op == "put":
@@ -401,9 +403,7 @@ class ServiceClient:
                 after = response.retry_after
                 after = 1 if after is None else max(0, int(after))
                 hint = after if hint is None else max(hint, after)
-                retry.append((position, None if run.hashes is None
-                              else run.hashes[row]))
-                generations.append(run.generation)
+                rejected.append(row)
             else:
                 if op == "put":
                     self.puts_responded += 1
@@ -415,6 +415,8 @@ class ServiceClient:
                         error = (position, typed)
                 out[position] = (response if responses
                                  else payload_of(op, response))
+        if rejected:
+            held.append(_hold(run, rejected))
         return hint, error
 
     # ------------------------------------------------------------ scalar
@@ -454,8 +456,8 @@ class ServiceClient:
         A batch may write the same key twice: both writes route to one
         shard, so they sit in one run in call order, and a shard
         refuses only a suffix of a run — the first write is never
-        refused while the second is admitted, and the retry resends
-        the refused rest in call order.  The later write wins.
+        refused while the second is admitted, and the retry admits the
+        held rest again behind it.  The later write wins.
         """
         keys: List[bytes] = []
         values: List[bytes] = []

@@ -142,6 +142,13 @@ class FrontDoor:
             self._handle_connection, self.host, self._requested_port
         )
         self._admission_task = asyncio.ensure_future(self._admission_loop())
+        self._admission_task.add_done_callback(self._admission_ended)
+
+    def _admission_ended(self, task: asyncio.Task) -> None:
+        """Record why the admission loop ended, the moment it ends, so
+        a ``stats`` read shows a dead loop."""
+        if not task.cancelled() and task.exception() is not None:
+            self.admission_error = repr(task.exception())
 
     @property
     def port(self) -> int:
@@ -160,10 +167,8 @@ class FrontDoor:
             self._server.close()
         self._wake.set()
         if self._admission_task is not None:
-            try:
-                await self._admission_task
-            except Exception as exc:  # keep teardown going; surface it
-                self.admission_error = repr(exc)
+            # A loop that died already recorded why; teardown goes on.
+            await asyncio.wait([self._admission_task])
         for connection in list(self._connections):
             connection.send(None)  # type: ignore[arg-type]
         # Closing each writer EOFs its reader, which retires the

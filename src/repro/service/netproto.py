@@ -32,7 +32,7 @@ import json
 import struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.service.protocol import OPS, Response
+from repro.service.protocol import FAILED, OPS, Response
 
 # Wire-only statuses (the rest come from repro.service.protocol).
 DRAINING = "draining"
@@ -237,9 +237,14 @@ def _answer(response: Response) -> Dict[str, object]:
 def _answer_frames(frame_id: int, answers: List[Dict[str, object]]) -> bytes:
     try:
         return encode_frame({"id": frame_id, "answers": answers})
-    except ProtocolError:
+    except ProtocolError as exc:
         if len(answers) < 2:
-            raise
+            # One row's answer alone passes the ceiling: the row fails,
+            # and its answer says why.
+            failed = {"status": FAILED, "error": f"answer too large: {exc}"}
+            if "shard" in answers[0]:
+                failed["shard"] = answers[0]["shard"]
+            return encode_frame({"id": frame_id, "answers": [failed]})
         half = len(answers) // 2
         return (_answer_frames(frame_id, answers[:half])
                 + _answer_frames(frame_id, answers[half:]))
@@ -248,7 +253,9 @@ def _answer_frames(frame_id: int, answers: List[Dict[str, object]]) -> bytes:
 def encode_answers(frame_id: int, responses: Sequence[Response]) -> bytes:
     """A call's answers, one per row in call order, keyed by the echoed
     id.  Answers too large for one frame go as consecutive frames of
-    that id, each within :data:`MAX_FRAME_BYTES`."""
+    that id, each within :data:`MAX_FRAME_BYTES`; a row whose answer
+    alone passes it is answered ``failed``, with an error naming the
+    ceiling."""
     return _answer_frames(int(frame_id),
                           [_answer(response) for response in responses])
 

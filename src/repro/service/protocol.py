@@ -129,8 +129,9 @@ class Run:
     the ``ops`` column.  ``hashes`` holds the keys' raw fleet hashes as
     the router computed them; a re-route refreshes them in place, and
     records a row's new shard in ``rerouted``.  ``generation`` is the
-    routing generation the run was admitted under: a retry reuses its
-    refused rows' hashes only while that generation is live.
+    routing generation the run was routed under: a client's held run of
+    refused rows is admitted again as it is only while that generation
+    is live.
 
     Answers are two columns: ``status`` (one byte per row, see
     ``PENDING`` .. ``OTHER``) and ``answers`` (an OK row's payload, or

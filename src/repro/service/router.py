@@ -96,14 +96,13 @@ class ShardRouter:
         return self.table.generation
 
     def route_batch(
-        self, keys: Sequence[bytes], hashes: Optional[List[int]] = None
+        self, keys: Sequence[bytes]
     ) -> Tuple[List[int], List[int]]:
         """Shard id and raw fleet hash per key, as lists: one compiled
-        engine pass over the batch, or none when the caller passes the
-        keys' ``hashes`` under the live engine (a retried request)."""
+        engine pass over the batch."""
         if not keys:
             return [], []
-        shards, hashes = self.table.route_hashed(keys, hashes)
+        shards, hashes = self.table.route_hashed(keys)
         if len(shards) == 1:
             # One key: a scalar add beats bincount's fixed cost.
             self.routed[shards[0]] += 1

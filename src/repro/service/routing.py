@@ -43,7 +43,7 @@ itself stays pure (no counters, no fault hooks); the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,33 +84,27 @@ class RoutingTable:
         return np.asarray(self.route_hashed(keys)[0], dtype=np.int64)
 
     def route_hashed(
-        self, keys: Sequence[bytes], hashes: Optional[List[int]] = None
+        self, keys: Sequence[bytes]
     ) -> Tuple[List[int], List[int]]:
         """Shard id and raw 64-bit hash per key, as lists; pure.
 
-        One engine pass, skipped when the caller already holds the
-        keys' ``hashes`` under this table's engine (a retried request);
-        the hashes are what a shard table whose plan matches the
-        engine's probes and inserts from.
+        One engine pass; the hashes are what a shard table whose plan
+        matches the engine's probes and inserts from.
         """
         n = len(keys)
         if n == 1:
             # One key: the engine's scalar closure, no array round trip.
             key = keys[0]
-            h = self.engine.hash_one(key) if hashes is None else hashes[0]
+            h = self.engine.hash_one(key)
             pinned = self.overlay.get(key) if self.overlay else None
             return [self._shard_of(h) if pinned is None else pinned], [h]
         if not n:
             return [], []
-        computed = hashes is None
-        if computed:
-            hashes = self.engine.hash_batch(keys)
+        array = self.engine.hash_batch(keys)
         if n < _ROUTE_EACH_MAX:
-            if computed:
-                hashes = hashes.tolist()
+            hashes = array.tolist()
             shards = list(map(self._shard_of, hashes))
         else:
-            array = hashes if computed else np.asarray(hashes, np.uint64)
             shards = self._base_reducer.apply(array)
             m = np.uint64(self.base_shards)
             for base, directory in self.split_dirs.items():
@@ -123,8 +117,7 @@ class RoutingTable:
                 lookup = np.asarray(directory, dtype=np.int64)
                 shards[mask] = lookup[sub.astype(np.int64)]
             shards = shards.tolist()
-            if computed:
-                hashes = array.tolist()
+            hashes = array.tolist()
         if self.overlay:
             for i, key in enumerate(keys):
                 pinned = self.overlay.get(key)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -88,10 +88,11 @@ def _gather(column: Sequence, rows: Sequence[int]) -> list:
     return [column[i] for i in rows]
 
 
-def _partition(op, keys, values, hashes, shards, base, generation
+def _partition(op, keys, values, hashes, shards, generation, offsets
                ) -> List[Run]:
     """Split one call's columns into one run per shard, rows in call
-    order; ``op`` is one op or an op column."""
+    order; ``op`` is one op or an op column, and ``offsets`` the rows'
+    call positions (None: their indices)."""
     groups: Dict[int, List[int]] = {}
     for position, shard in enumerate(shards):
         rows = groups.get(shard)
@@ -110,7 +111,9 @@ def _partition(op, keys, values, hashes, shards, base, generation
         runs.append(Run(
             run_op, _gather(keys, rows),
             None if values is None else _gather(values, rows),
-            _gather(hashes, rows), base, rows, generation, shard, ops,
+            _gather(hashes, rows), 0,
+            rows if offsets is None else _gather(offsets, rows),
+            generation, shard, ops,
         ))
     return runs
 
@@ -300,20 +303,17 @@ class Service:
         op,
         keys: List[bytes],
         values: Optional[List[bytes]] = None,
-        carried: Optional[Tuple[int, List[Optional[int]]]] = None,
     ) -> List[Run]:
         """Admit one call's rows as columns; returns one run per shard.
 
-        The service's one admission path: every key it admits is routed
-        here.  ``op`` is one op for every row, or an op column.
-        ``carried`` is ``(generation, hashes)`` from the rows' previous
-        round: the hashes are reused, and the keys not hashed again,
-        when that generation is still live.  One ``route_batch`` pass
-        picks every row's shard; the rows of each shard become one
-        :class:`Run` in call order, and :meth:`_admit_run` admits it.
-        Answers land in the runs' columns.  ``stats`` rows are answered
-        here (:meth:`_admit_around_stats`).  A uniform op column is one
-        op, so its runs take the one-op column paths.
+        Every key the service admits is routed here, once per call.
+        ``op`` is one op for every row, or an op column.  One
+        ``route_batch`` pass picks every row's shard; the rows of each
+        shard become one :class:`Run` in call order, and
+        :meth:`admit_runs` admits them.  Answers land in the runs'
+        columns.  ``stats`` rows are answered here
+        (:meth:`_admit_around_stats`).  A uniform op column is one op,
+        so its runs take the one-op column paths.
         """
         n = len(keys)
         if not n:
@@ -321,34 +321,65 @@ class Service:
         if type(op) is list and op.count(op[0]) == n:
             op = op[0]
         if op == "stats" or (type(op) is list and "stats" in op):
-            return self._admit_around_stats(op, keys, values, carried)
+            return self._admit_around_stats(op, keys, values)
+        return self.admit_runs(self._route(op, keys, values))
+
+    def _route(self, op, keys, values, offsets=None) -> List[Run]:
+        """Route a call's rows in one ``route_batch`` pass: one run per
+        shard, rows in call order, ``offsets`` their call positions
+        (None: their indices)."""
         generation = self.router.generation
-        hashes = None
-        if (carried is not None and carried[0] == generation
-                and None not in carried[1]):
-            hashes = carried[1]
-        shards, hashes = self.router.route_batch(keys, hashes)
-        base = self._next_request_id
-        self._next_request_id += n
-        self.submitted += n
-        lost = (None if self.fault_plane is None
-                else self._lost_rows(shards))
+        shards, hashes = self.router.route_batch(keys)
         first = shards[0]
-        if shards.count(first) == n:
+        if shards.count(first) == len(shards):
+            ops = None
             if isinstance(op, list):
                 ops, op = op, None
-            else:
-                ops = None
-            runs = [Run(op, keys, values, hashes, base, range(n),
+            return [Run(op, keys, values, hashes, 0,
+                        range(len(keys)) if offsets is None else offsets,
                         generation, first, ops)]
-        else:
-            runs = _partition(op, keys, values, hashes, shards, base,
-                              generation)
+        return _partition(op, keys, values, hashes, shards, generation,
+                          offsets)
+
+    def admit_runs(self, runs: List[Run]) -> List[Run]:
+        """Admit the routed runs of one call; returns the runs admitted.
+
+        The admission tail of :meth:`submit_rows`, and the whole of a
+        retry: a client gives back the refused suffixes it held, with
+        their hashes and call-position offsets, so a retry routes and
+        partitions nothing — unless a flip retired the generation they
+        were routed under.  The runs take request ids above every id
+        issued (row ``i`` is ``base + offsets[i]``), so every queue
+        stays sorted by id.  Each row is one ``queue_loss`` opportunity.
+        The runs are one call's, routed under one generation.
+        """
+        if not runs:
+            return runs
+        if runs[0].generation != self.router.generation:
+            # Route the rows again under the live table, as one call.
+            cells = sorted(((offset, run, row) for run in runs
+                            for row, offset in enumerate(run.offsets)),
+                           key=_first)
+            ops = [run.op_at(row) for _, run, row in cells]
+            runs = self._route(
+                ops[0] if ops.count(ops[0]) == len(ops) else ops,
+                [run.keys[row] for _, run, row in cells],
+                None if runs[0].values is None
+                else [run.values[row] for _, run, row in cells],
+                [offset for offset, _, _ in cells],
+            )
+        base = self._next_request_id
+        self._next_request_id += max([run.offsets[-1] for run in runs]) + 1
+        plane = self.fault_plane
         for run in runs:
-            self._admit_run(run, lost)
+            run.base = base
+            self.submitted += len(run.keys)
+            self._admit_run(run, None if plane is None else [
+                plane.should_fire("queue_loss", run.shard) for _ in run.keys
+            ])
         return runs
 
-    def _admit_around_stats(self, op, keys, values, carried) -> List[Run]:
+    def _admit_around_stats(self, op, keys, values) -> List[Run]:
         """Admit a call holding ``stats`` rows, in call order.
 
         The rows between two stats rows are admitted as one call of
@@ -367,8 +398,6 @@ class Service:
                 for run in self.submit_rows(
                     ops[start:stop], keys[start:stop],
                     None if values is None else values[start:stop],
-                    None if carried is None
-                    else (carried[0], carried[1][start:stop]),
                 ):
                     run.base = base
                     run.offsets = [start + offset for offset in run.offsets]
@@ -385,15 +414,9 @@ class Service:
             start = stop + 1
         return runs
 
-    def _lost_rows(self, shards: Sequence[int]) -> List[bool]:
-        """One ``queue_loss`` opportunity per row, in call order, so
-        ``after=``/``count=`` schedules see one request at a time."""
-        should_fire = self.fault_plane.should_fire
-        return [should_fire("queue_loss", shard) for shard in shards]
-
     def _admit_run(self, run: Run, lost: Optional[List[bool]]) -> None:
-        """The admission tail of one routed run: lost rows park, the
-        rest take one credit check.
+        """The admission tail of one routed run: lost rows (``lost`` is
+        one flag per row) park, the rest take one credit check.
 
         A row whose queue slot is lost was admitted (the client holds
         an acked ticket) but never lands in the queue: it parks as a
@@ -411,11 +434,11 @@ class Service:
         worker = self.workers[run.shard]
         n = len(run.keys)
         parked = 0
-        if lost is not None and any(lost[offset] for offset in run.offsets):
+        if lost is not None and True in lost:
             ranges = []
             start = 0
-            for row, offset in enumerate(run.offsets):
-                if lost[offset]:
+            for row, gone in enumerate(lost):
+                if gone:
                     if start < row:
                         ranges.append(Rows(run, start, row))
                     worker.inflight.add(Rows(run, row, row + 1))

@@ -222,15 +222,18 @@ _FAULT_KINDS = ("crash", "sigkill", "stall", "drop", "corrupt", "queue_loss")
 
 # Op kinds, beyond the service verbs and the bare pump/drain/stats:
 # ``burst`` is a run of puts submitted with no pumping in between (tiny
-# queues overflow, so the reject-do-not-apply path runs); ``force_trip``
+# queues overflow, so the reject-do-not-apply path runs); ``call`` is a
+# burst of mixed verbs (``ops`` names each row's: put, get, delete or
+# contains) walked to its answers by the retrying client, so refused
+# rows are held and admitted again; ``force_trip``
 # drives one shard's monitor over budget mid-stream; ``inject`` arms one
 # fault spec — as an op, so ddmin can strip faults one at a time and
 # tell a fault-dependent bug from a fault-independent one; ``settle``
 # pumps through a heal window, so a case exercises recovery and not just
 # the crash; ``drift`` arms a workload drift, after which the target
 # rewrites every key so the bytes the deployed plan reads go constant;
-# ``race`` is a split that carries its own write burst, so a socket
-# target can race the burst against the routing flip; ``doc`` is a put
+# ``race`` is a split that carries its own write burst, so the target
+# can race the burst against the routing flip; ``doc`` is a put
 # whose value is a sentence over a small shared vocabulary
 # (near-duplicate documents give ``similar`` non-trivial answers).
 # Shard indices are drawn from ``range(8)`` and reduced modulo the live
@@ -240,23 +243,25 @@ _FAULT_KINDS = ("crash", "sigkill", "stall", "drop", "corrupt", "queue_loss")
 SERVING_MENUS: Dict[str, ServingMenu] = {
     "service": ServingMenu(
         rolls=((0.24, "put"), (0.42, "get"), (0.52, "delete"),
-               (0.64, "contains"), (0.76, "burst"), (0.88, "pump"),
-               (0.92, "drain"), (0.96, "stats"), (1.0, "force_trip")),
+               (0.64, "contains"), (0.70, "burst"), (0.76, "call"),
+               (0.88, "pump"), (0.92, "drain"), (0.96, "stats"),
+               (1.0, "force_trip")),
         tail=("drain",), pool=72, burst=(2, 12),
     ),
     "chaos": ServingMenu(
         rolls=((0.26, "put"), (0.40, "get"), (0.48, "delete"),
-               (0.56, "contains"), (0.66, "burst"), (0.78, "pump"),
-               (0.82, "drain"), (0.86, "stats"), (0.94, "inject"),
-               (1.0, "settle")),
+               (0.56, "contains"), (0.61, "burst"), (0.66, "call"),
+               (0.78, "pump"), (0.82, "drain"), (0.86, "stats"),
+               (0.94, "inject"), (1.0, "settle")),
         tail=("settle", "drain"), faults=_FAULT_KINDS,
     ),
     # At least one split per case: the preset exists to cross a flip.
     "reshard": ServingMenu(
         rolls=((0.24, "put"), (0.38, "get"), (0.46, "delete"),
-               (0.54, "contains"), (0.62, "burst"), (0.72, "pump"),
-               (0.76, "drain"), (0.80, "stats"), (0.87, "inject"),
-               (0.93, "split"), (1.0, "settle")),
+               (0.54, "contains"), (0.58, "burst"), (0.62, "call"),
+               (0.72, "pump"), (0.76, "drain"), (0.80, "stats"),
+               (0.87, "inject"), (0.90, "split"), (0.93, "race"),
+               (1.0, "settle")),
         tail=("split", "settle", "drain"), faults=_FAULT_KINDS,
     ),
     # Every case crosses at least one drift + swap window (see
@@ -336,6 +341,11 @@ def generate_serving_ops(preset: str, rng: random.Random, n: int) -> List[Op]:
             keys = pick_keys(rng, pool, *menu.burst)
             counter += len(keys)
             ops.append(_batch("burst", keys, v=counter))
+        elif kind == "call":
+            keys = pick_keys(rng, pool, *menu.burst)
+            counter += len(keys)
+            ops.append(_batch("call", keys, v=counter, ops="".join(
+                rng.choice("ppgdc") for _ in keys)))
         elif kind == "multi_get":
             ops.append(_batch("multi_get", pick_keys(rng, pool, *menu.burst)))
         elif kind == "race":

@@ -1104,6 +1104,31 @@ class ReducerTarget(Target):
 # ------------------------------------------------------------ serving
 
 
+class _SplitBetweenRounds:
+    """A client transport that splits shard ``donor`` once, just before
+    a call's first retry round, so the rows the call holds come back
+    under a retired routing generation; otherwise the wrapped
+    transport."""
+
+    def __init__(self, transport, service, donor: int):
+        self.transport = transport
+        self.service = service
+        self.donor: Optional[int] = donor
+
+    @property
+    def pumped(self) -> int:
+        return self.transport.pumped
+
+    def tick(self) -> None:
+        self.transport.tick()
+
+    def round(self, op, keys, values, held=None):
+        if held is not None and self.donor is not None:
+            self.service.split_shard(self.donor)
+            self.donor = None
+        return self.transport.round(op, keys, values, held)
+
+
 class ServingTarget(Target):
     """The sharded service vs one admission-time dict oracle.
 
@@ -1167,10 +1192,13 @@ class ServingTarget(Target):
       strict equality is the right check (a false band-hash collision
       changing top-k needs two distinct blocks hashing identically *and*
       tied scores, ~2^-64 per pair).
-    * Over the socket the client blocks per call, so response time *is*
-      admission time; a ``burst``/``multi_get`` op and the burst a
-      ``split`` races against the flip each reach the front door as one
-      call frame, admitted as one ``submit_rows``.
+    * A client blocks per call, so response time *is* admission time.
+      In process a ``call`` op, and the burst a ``split`` races against
+      the flip, go through the retrying client: refused rows are held
+      and admitted again, and a racing split fires between the call's
+      rounds.  Over the socket every op is a client call, and a
+      ``burst``/``multi_get`` op and a racing burst each reach the
+      front door as one call frame, admitted as one ``submit_rows``.
     """
 
     features: frozenset = frozenset()
@@ -1303,10 +1331,15 @@ class ServingTarget(Target):
         return opslib.generate_serving_ops(cls.name, rng, n)
 
     def __init__(self, config: Dict[str, object]):
-        from repro.service import FrontDoorThread, NetworkClient, Service
+        from repro.service import (
+            FrontDoorThread,
+            NetworkClient,
+            Service,
+            ServiceClient,
+        )
 
         super().__init__(config)
-        self.service = self.door = self.client = None
+        self.service = self.door = self.client = self.caller = None
         # A hand-written partial config falls back to the preset's
         # defaults key by key.
         config = {**self.default_config(), **config}
@@ -1327,6 +1360,9 @@ class ServingTarget(Target):
         if "socket" in self.features:
             self.door = FrontDoorThread(self.service).start()
             self.client = NetworkClient("127.0.0.1", self.door.port)
+        else:
+            # The in-process client that ``call`` ops go through.
+            self.caller = ServiceClient(self.service)
 
     def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
         """``Service(...)`` arguments: the base, then one clause per
@@ -1428,23 +1464,27 @@ class ServingTarget(Target):
             return None
         return ticket
 
-    def _send(self, requests: List[object]) -> List[object]:
+    def _send(self, requests: List[object],
+              call: bool = False) -> List[object]:
         """One ticket per request, None where backpressure rejected it.
 
-        In process every burst, one request included, goes through one
+        In process a burst, one request included, goes through one
         ``submit_batch`` — one ``submit_rows``, the admission path the
-        client and the front door use — and answers at a later pump.  Over the socket the
-        blocking client retries rejections itself, so every ticket comes
-        back already done.
+        client and the front door use — and answers at a later pump;
+        with ``call`` it goes through the in-process client instead.
+        Over the socket every burst is a client call.  The blocking
+        client retries rejections itself, so its tickets come back
+        already done.
         """
         from repro.service.protocol import Ticket
 
-        if self.client is None:
+        client = self.client or (self.caller if call else None)
+        if client is None:
             return [self._admitted(ticket)
                     for ticket in self.service.submit_batch(requests)]
         # The client's retrying batch walk itself, asked for the
-        # Responses this check needs: one call frame per round.
-        responses = self.client._call(
+        # Responses this check needs.
+        responses = client._call(
             [request.op for request in requests],
             [request.key for request in requests],
             [request.value for request in requests],
@@ -1453,10 +1493,10 @@ class ServingTarget(Target):
         return [Ticket(request, -1, response=response)
                 for request, response in zip(requests, responses)]
 
-    def _exchange(self, requests: List[object]) -> None:
+    def _exchange(self, requests: List[object], call: bool = False) -> None:
         """Send ``requests``; each admitted one is applied to the oracle
         and owes the answer the oracle gives at its admission."""
-        for request, ticket in zip(requests, self._send(requests)):
+        for request, ticket in zip(requests, self._send(requests, call)):
             if ticket is not None:
                 self.pending.append(
                     (ticket, request.op, self._admit(request))
@@ -1629,27 +1669,35 @@ class ServingTarget(Target):
     def _split(self, shard: int, racing: List[object]) -> None:
         """Split ``shard`` (mod the fleet) unless the case's cap is hit.
 
-        In process the split runs here, between pumps.  Over the socket
-        it is scheduled onto the loop thread while the ``racing`` puts
-        are in flight, so the flip's queue sweep races real admission
-        rounds.
+        In process the ``racing`` puts are one client call and the split
+        runs between its rounds (after it, when nothing was refused), so
+        the rows it holds come back under a retired generation.  Over
+        the socket the split is scheduled onto the loop thread while the
+        racing puts are in flight, so the flip's queue sweep races real
+        admission rounds.
         """
-        flip = None
-        if self.service.splits < self.max_splits:
-            donor = shard % self.service.num_shards
-            if self.client is None:
+        if self.service.splits >= self.max_splits:
+            self._exchange(racing, call=True)
+            return
+        donor = shard % self.service.num_shards
+        if self.client is None:
+            plain = self.caller.transport
+            self.caller.transport = flip = _SplitBetweenRounds(
+                plain, self.service, donor)
+            try:
+                self._exchange(racing, call=True)
+            finally:
+                self.caller.transport = plain
+            if flip.donor is not None:
                 self.service.split_shard(donor)
-            else:
-                flip = threading.Thread(
-                    target=self.door.run_in_loop,
-                    args=(self.service.split_shard, donor),
-                )
-                flip.start()
+            return
+        thread = threading.Thread(target=self.door.run_in_loop,
+                                  args=(self.service.split_shard, donor))
+        thread.start()
         try:
             self._exchange(racing)
         finally:
-            if flip is not None:
-                flip.join()
+            thread.join()
 
     def _check_placement(self, journal: bool = False) -> None:
         """Every queued row (and, with ``journal``, every journaled
@@ -1704,8 +1752,8 @@ class ServingTarget(Target):
             raise ValueError(f"unknown {self.name} op {name!r}")
         if "drift" in self.features and ("key" in op or "keys" in op):
             op = self._drifted(op)
-        # burst, multi_get and a racing split carry a key list; a burst's
-        # values count up from ``v``.
+        # burst, call, multi_get and a racing split carry a key list; a
+        # burst's values count up from ``v``.
         keys = [decode_key(encoded) for encoded in op.get("keys", ())]
         puts = [Request("put", key, b"v%d" % (int(op["v"]) + i))
                 for i, key in enumerate(keys)] if "v" in op else []
@@ -1716,6 +1764,12 @@ class ServingTarget(Target):
             self._exchange([Request("put", key, value)])
         elif name == "burst":
             self._exchange(puts)
+        elif name == "call":
+            verbs = {"p": "put", "g": "get", "d": "delete", "c": "contains"}
+            self._exchange([
+                request if code == "p" else Request(verbs[code], request.key)
+                for code, request in zip(str(op["ops"]), puts)
+            ], call=True)
         elif name in ("get", "contains", "delete"):
             self._exchange([Request(name, decode_key(op["key"]))])
         elif name == "multi_get":
@@ -1851,6 +1905,11 @@ class ServingTarget(Target):
                 not self.drift_layers or decisions > 0,
                 "workload drifted but the relearner never reached a "
                 "decision",
+            )
+        if self.caller is not None:
+            _require(
+                self.caller.lost_acks == 0,
+                f"{self.caller.lost_acks} acked put(s) lost in process",
             )
         if "socket" in features:
             _require(

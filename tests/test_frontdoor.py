@@ -400,3 +400,54 @@ class TestDrain:
             assert ServiceClient(service).get(b"final") == b"v"
         finally:
             service.close()
+
+
+class TestAdmissionLoop:
+    def test_oversized_answer_fails_its_row_and_the_loop_lives(self, model):
+        # An 800,000-byte value base64-encodes past MAX_FRAME_BYTES, so
+        # its get answer cannot be framed: the row answers FAILED with
+        # the ceiling named, and the admission loop keeps serving.
+        from repro.service import ServiceClient
+
+        service = _service(model)
+        try:
+            assert ServiceClient(service).put(b"big", b"x" * 800_000).ok
+            with FrontDoorThread(service) as door:
+                with NetworkClient("127.0.0.1", door.port) as client:
+                    [response] = client._call("get", [b"big"], None, True)
+                    assert response.status == "failed"
+                    assert str(netproto.MAX_FRAME_BYTES) in response.error
+                    assert client.put(b"small", b"v").ok
+                    assert client.get(b"small") == b"v"
+                    stats = door.run_in_loop(door.door.stats)
+                    assert stats["admission_error"] is None
+        finally:
+            service.close()
+
+    def test_dead_admission_loop_shows_in_stats(self, model):
+        # The loop's exception is recorded when the loop ends, not at
+        # stop(): one stats read shows it.
+        service = _service(model)
+
+        def broken_pump():
+            raise RuntimeError("pump broke")
+
+        try:
+            with FrontDoorThread(service) as door:
+                service.pump = broken_pump
+                sock = socket.create_connection(
+                    ("127.0.0.1", door.port), timeout=10
+                )
+                try:
+                    sock.sendall(netproto.encode_call(1, "get", [b"k"]))
+                    for _ in range(1000):
+                        error = door.run_in_loop(door.door.stats)[
+                            "admission_error"]
+                        if error is not None:
+                            break
+                        threading.Event().wait(0.01)
+                finally:
+                    sock.close()
+                assert "pump broke" in error
+        finally:
+            service.close()

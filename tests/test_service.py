@@ -31,6 +31,7 @@ from repro.service import (
     run_service_workload,
 )
 from repro.service.client import BACKOFF_CAP_PUMPS
+from repro.service.protocol import REFUSED
 from repro.workloads.ycsb import WorkloadGenerator
 
 
@@ -493,24 +494,24 @@ class TestBackoffRegressions:
 
     @staticmethod
     def _rejecting(service, times, retry_after):
-        """Make ``service.submit_rows`` reject the first ``times``
-        one-row calls with the given hint (``times=None``: every call)."""
-        real_submit_rows = service.submit_rows
+        """Make ``service.admit_runs`` refuse the first ``times``
+        one-row admissions with the given hint (``times=None``: every
+        one); a retry is one of them, since it admits its held run."""
+        real_admit_runs = service.admit_runs
         rejections = []
 
-        def submit_rows(op, keys, values=None, carried=None):
+        def admit_runs(runs):
             if times is None or len(rejections) < times:
-                assert len(keys) == 1
-                request = Request(op, keys[0],
-                                  b"" if values is None else values[0])
-                ticket = Ticket(request=request, request_id=-1, shard=0)
-                ticket.response = Response(REJECTED, shard=0,
-                                           retry_after=retry_after)
-                rejections.append(ticket)
-                return [ticket.run]
-            return real_submit_rows(op, keys, values, carried)
+                [run] = runs
+                assert len(run.keys) == 1
+                run.refused = Response(REJECTED, shard=run.shard,
+                                       retry_after=retry_after)
+                run.status[0] = REFUSED
+                rejections.append(run)
+                return runs
+            return real_admit_runs(runs)
 
-        service.submit_rows = submit_rows
+        service.admit_runs = admit_runs
 
     def test_explicit_zero_hint_spends_no_pumps(self, model):
         # `retry_after=0` is an explicit "retry immediately" hint; it
@@ -563,6 +564,91 @@ class TestBackoffRegressions:
         assert client.puts_sent == 4
         assert client.puts_acked == 4
         assert client.lost_acks == 0
+
+
+class TestHeldRuns:
+    """A refused suffix is held as a run and admitted again as it is:
+    no second routing pass, unless a flip retired its generation."""
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_repeated_key_into_one_slot_queues(self, model, execution):
+        # One queue slot per shard: each round admits one row per shard
+        # and holds the rest, so both writes of one key wait in held
+        # runs; the later write must still win and the ledger close.
+        pairs = [(b"dup", b"first"), (b"k1", b"a"), (b"k2", b"b"),
+                 (b"dup", b"second"), (b"k3", b"c")]
+        with _service(model, num_shards=2, max_queue=1, batch_size=1,
+                      execution=execution) as service:
+            client = ServiceClient(service)
+            assert all(r.ok for r in client.put_many(pairs))
+            assert client.retries > 0
+            assert client.get(b"dup") == b"second"
+            assert client.multi_get([b"k1", b"k2", b"k3"]) == [
+                b"a", b"b", b"c"]
+            assert client.puts_acked == client.puts_sent == len(pairs)
+            assert client.lost_acks == 0
+            stats = service.stats()
+            assert stats["submitted"] == stats["accepted"] + stats["rejected"]
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_split_during_answer_wait_reroutes_held_rows(self, model,
+                                                         execution):
+        # A split fires in the first answer wait, so the held rows'
+        # generation is retired when they come back: they are routed
+        # once more under the live table, in call order, and every
+        # queued row and journal key sits where its key routes.
+        from repro.verify.placement import misplaced
+
+        keys = [b"held-%03d" % i for i in range(40)]
+        with _service(model, num_shards=2, max_queue=4, batch_size=2,
+                      execution=execution) as service:
+            client = ServiceClient(service)
+            router = service.router
+            routed = []
+            real_route, real_pump = router.route_batch, service.pump
+
+            def route_batch(batch):
+                routed.append(list(batch))
+                return real_route(batch)
+
+            def pump():
+                if not service.splits:
+                    service.split_shard(0)
+                return real_pump()
+
+            router.route_batch = route_batch
+            service.pump = pump
+            responses = client.put_many((key, key[::-1]) for key in keys)
+            assert service.splits == 1
+            assert all(r.ok for r in responses)
+            # One pass for the call, one for the held rows after the
+            # flip; later rounds re-admit under the live generation.
+            assert len(routed) == 2
+            assert 0 < len(routed[1]) < len(keys)
+            assert routed[1] == [k for k in keys if k in set(routed[1])]
+            assert misplaced(service) == ([], [])
+            assert client.multi_get(keys) == [k[::-1] for k in keys]
+            assert client.lost_acks == 0
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_refused_rows_are_routed_and_sketched_once(self, model,
+                                                       execution):
+        # A 2,048-key call into 4 x 256 queue slots is refused in part,
+        # yet the router counts, and the hot-key tracker observes,
+        # every key exactly once.
+        keys = google_urls(2048, seed=5)
+        with _service(model, num_shards=4, capacity=4096, max_queue=256,
+                      batch_size=64, hot_k=8,
+                      execution=execution) as service:
+            client = ServiceClient(service)
+            router = service.router
+            routed = router.balance()["total_routed"]
+            observed = router.tracker.stats()["total_observed"]
+            assert client.multi_get(keys) == [None] * len(keys)
+            assert client.retries > 0
+            assert router.balance()["total_routed"] - routed == len(keys)
+            assert (router.tracker.stats()["total_observed"] - observed
+                    == len(keys))
 
 
 class TestRounds:
