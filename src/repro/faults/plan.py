@@ -28,8 +28,12 @@ kind           injection point         effect
                                        collapse; filter/LSM shards fall
                                        back); tripped or crashed shards are
                                        skipped
-``queue_loss`` ``submit_rows``         an admitted ticket never reaches the
-                                       shard queue (the slot is lost)
+``queue_loss`` ``Service.admit_runs``  one draw per row, decided in
+                                       ``Worker.admit``: a row that got a
+                                       queue slot never reaches the queue
+                                       (the slot is lost) and parks for
+                                       reconciliation; a row past the
+                                       credit is refused, lost or not
 ``drift``      key stream (driver)     the *workload* drifts: the driver
                                        rewrites keys so the bytes the deployed
                                        partial-key plan reads go constant

@@ -70,7 +70,6 @@ from repro.service.protocol import (
     REJECTED,
     Response,
     Run,
-    Ticket,
     ok_response,
     payload_of,
 )
@@ -149,7 +148,7 @@ class _InProcess:
                 run.answer(row, Response(
                     FAILED, shard=run.shard_of(row), error=DEADLINE_EXCEEDED
                 ))
-                self.service.cancel(Ticket.view(run, row))
+                self.service.cancel(run, row)
         return runs
 
     def tick(self) -> None:

@@ -71,7 +71,7 @@ from repro.service.protocol import (
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
 from repro.service.supervisor import Supervisor
-from repro.service.worker import Worker, coalesce, split_at
+from repro.service.worker import Worker, coalesce
 
 # The most pumps ``drain`` spends before giving up on pending tickets.
 MAX_DRAIN_PUMPS = 10_000
@@ -303,14 +303,16 @@ class Service:
         op,
         keys: List[bytes],
         values: Optional[List[bytes]] = None,
+        offsets: Optional[Sequence[int]] = None,
     ) -> List[Run]:
         """Admit one call's rows as columns; returns one run per shard.
 
-        Every key the service admits is routed here, once per call.
-        ``op`` is one op for every row, or an op column.  One
-        ``route_batch`` pass picks every row's shard; the rows of each
-        shard become one :class:`Run` in call order, and
-        :meth:`admit_runs` admits them.  Answers land in the runs'
+        The one router: every key the service admits is routed here,
+        once per call.  ``op`` is one op for every row, or an op column;
+        ``offsets`` are the rows' positions in the call (None: their
+        indices).  One ``route_batch`` pass picks every row's shard;
+        the rows of each shard become one :class:`Run` in call order,
+        and :meth:`admit_runs` admits them.  Answers land in the runs'
         columns.  ``stats`` rows are answered here
         (:meth:`_admit_around_stats`).  A uniform op column is one op,
         so its runs take the one-op column paths.
@@ -322,24 +324,20 @@ class Service:
             op = op[0]
         if op == "stats" or (type(op) is list and "stats" in op):
             return self._admit_around_stats(op, keys, values)
-        return self.admit_runs(self._route(op, keys, values))
-
-    def _route(self, op, keys, values, offsets=None) -> List[Run]:
-        """Route a call's rows in one ``route_batch`` pass: one run per
-        shard, rows in call order, ``offsets`` their call positions
-        (None: their indices)."""
         generation = self.router.generation
         shards, hashes = self.router.route_batch(keys)
         first = shards[0]
-        if shards.count(first) == len(shards):
+        if shards.count(first) == n:
             ops = None
-            if isinstance(op, list):
+            if type(op) is list:
                 ops, op = op, None
-            return [Run(op, keys, values, hashes, 0,
-                        range(len(keys)) if offsets is None else offsets,
-                        generation, first, ops)]
-        return _partition(op, keys, values, hashes, shards, generation,
-                          offsets)
+            return self.admit_runs([Run(
+                op, keys, values, hashes, 0,
+                range(n) if offsets is None else offsets,
+                generation, first, ops,
+            )])
+        return self.admit_runs(_partition(op, keys, values, hashes, shards,
+                                          generation, offsets))
 
     def admit_runs(self, runs: List[Run]) -> List[Run]:
         """Admit the routed runs of one call; returns the runs admitted.
@@ -348,45 +346,72 @@ class Service:
         retry: a client gives back the refused suffixes it held, with
         their hashes and call-position offsets, so a retry routes and
         partitions nothing — unless a flip retired the generation they
-        were routed under.  The runs take request ids above every id
-        issued (row ``i`` is ``base + offsets[i]``), so every queue
-        stays sorted by id.  Each row is one ``queue_loss`` opportunity.
-        The runs are one call's, routed under one generation.
+        were routed under, when the held rows, merged in call order, go
+        back through :meth:`submit_rows`.  The runs take request ids
+        above every id issued (row ``i`` is ``base + offsets[i]``), so
+        every queue stays sorted by id.  Each row is one ``queue_loss``
+        opportunity, and each run one :meth:`Worker.admit`, which cuts
+        it: the refused suffix shares the run's one ``REJECTED`` answer
+        carrying ``retry_after``.  The runs are one call's, routed under
+        one generation.
         """
         if not runs:
             return runs
         if runs[0].generation != self.router.generation:
-            # Route the rows again under the live table, as one call.
             cells = sorted(((offset, run, row) for run in runs
                             for row, offset in enumerate(run.offsets)),
                            key=_first)
             ops = [run.op_at(row) for _, run, row in cells]
-            runs = self._route(
-                ops[0] if ops.count(ops[0]) == len(ops) else ops,
+            return self.submit_rows(
+                ops,
                 [run.keys[row] for _, run, row in cells],
                 None if runs[0].values is None
                 else [run.values[row] for _, run, row in cells],
                 [offset for offset, _, _ in cells],
             )
         base = self._next_request_id
-        self._next_request_id += max([run.offsets[-1] for run in runs]) + 1
+        top = 0
         plane = self.fault_plane
         for run in runs:
             run.base = base
-            self.submitted += len(run.keys)
-            self._admit_run(run, None if plane is None else [
-                plane.should_fire("queue_loss", run.shard) for _ in run.keys
-            ])
+            if run.offsets[-1] > top:
+                top = run.offsets[-1]
+            n = len(run.keys)
+            worker = self.workers[run.shard]
+            if plane is None:
+                cut = worker.admit(run)
+            else:
+                lost = [plane.should_fire("queue_loss", run.shard)
+                        for _ in run.keys]
+                cut = worker.admit(run, lost)
+                self.lost_slots += lost[:cut].count(True)
+            self.submitted += n
+            self.accepted += cut
+            if cut < n:
+                self.rejected += n - cut
+                # After this many pumps the queue has fully drained; a
+                # retry then is guaranteed admission (absent new
+                # competing load).
+                run.refused = Response(
+                    REJECTED, shard=run.shard,
+                    retry_after=max(
+                        1, math.ceil(worker.queue_depth / worker.batch_size)
+                    ),
+                    error="shard queue full",
+                )
+                run.status[cut:] = _REFUSED_ROW * (n - cut)
+        self._next_request_id = base + top + 1
         return runs
 
     def _admit_around_stats(self, op, keys, values) -> List[Run]:
         """Admit a call holding ``stats`` rows, in call order.
 
         The rows between two stats rows are admitted as one call of
-        their own.  A stats row is never routed: it takes the next
-        request id and is answered at once with the service's stats,
-        which count every row admitted before it and itself.  Run
-        offsets stay positions in the whole call.
+        their own, numbered from the whole call's base, so row ``i`` of
+        the call is request id ``base + i`` and run offsets are
+        positions in the whole call.  A stats row is never routed: it
+        takes its request id and is answered at once with the service's
+        stats, which count every row admitted before it and itself.
         """
         n = len(keys)
         ops = op if type(op) is list else [op] * n
@@ -395,15 +420,14 @@ class Service:
         start = 0
         for stop in [i for i, o in enumerate(ops) if o == "stats"] + [n]:
             if start < stop:
-                for run in self.submit_rows(
+                self._next_request_id = base
+                runs += self.submit_rows(
                     ops[start:stop], keys[start:stop],
                     None if values is None else values[start:stop],
-                ):
-                    run.base = base
-                    run.offsets = [start + offset for offset in run.offsets]
-                    runs.append(run)
+                    range(start, stop),
+                )
             if stop < n:
-                self._next_request_id += 1
+                self._next_request_id = base + stop + 1
                 self.submitted += 1
                 self.accepted += 1
                 run = Run("stats", [keys[stop]], None, [None], base, (stop,),
@@ -413,62 +437,6 @@ class Service:
                 runs.append(run)
             start = stop + 1
         return runs
-
-    def _admit_run(self, run: Run, lost: Optional[List[bool]]) -> None:
-        """The admission tail of one routed run: lost rows (``lost`` is
-        one flag per row) park, the rest take one credit check.
-
-        A row whose queue slot is lost was admitted (the client holds
-        an acked ticket) but never lands in the queue: it parks as a
-        one-row range in the inflight registry, where the supervisor's
-        reconciliation pass finds and requeues it — at the front, since
-        nothing admitted later may overtake it.  A lost row splits its
-        run, so the ranges a queue holds stay disjoint and sorted by
-        request id.  The other rows are admitted up to the shard's free
-        queue credit by one :meth:`Worker.admit`; the refused rest
-        shares the run's one ``REJECTED`` answer carrying
-        ``retry_after``.  Nothing drains a queue during admission, so
-        this decides exactly what admitting the rows one at a time
-        would.
-        """
-        worker = self.workers[run.shard]
-        n = len(run.keys)
-        parked = 0
-        if lost is not None and True in lost:
-            ranges = []
-            start = 0
-            for row, gone in enumerate(lost):
-                if gone:
-                    if start < row:
-                        ranges.append(Rows(run, start, row))
-                    worker.inflight.add(Rows(run, row, row + 1))
-                    parked += 1
-                    start = row + 1
-            if start < n:
-                ranges.append(Rows(run, start, n))
-            self.lost_slots += parked
-            self.accepted += parked
-        else:
-            ranges = [Rows(run, 0, n)]
-        admitted = worker.admit(ranges)
-        self.accepted += admitted
-        refused = n - parked - admitted
-        if not refused:
-            return
-        self.rejected += refused
-        # After this many pumps the queue has fully drained; a retry
-        # then is guaranteed admission (absent new competing load).
-        run.refused = Response(
-            REJECTED, shard=run.shard,
-            retry_after=max(
-                1, math.ceil(worker.queue_depth / worker.batch_size)
-            ),
-            error="shard queue full",
-        )
-        for rows in split_at(ranges, admitted)[1]:
-            run.status[rows.start:rows.stop] = (
-                _REFUSED_ROW * (rows.stop - rows.start)
-            )
 
     # ------------------------------------------------------------ serving
 
@@ -524,10 +492,11 @@ class Service:
             pumps += 1
         return served
 
-    def cancel(self, ticket: Ticket) -> None:
-        """Drop a ticket the client abandoned (deadline exceeded)."""
-        if ticket.shard is not None:
-            self.workers[ticket.shard].cancel(ticket)
+    def cancel(self, run: Run, row: int) -> None:
+        """Drop a row the client abandoned (deadline exceeded)."""
+        shard = run.shard_of(row)
+        if shard is not None:
+            self.workers[shard].cancel(run, row)
 
     @property
     def pending(self) -> int:

@@ -65,7 +65,6 @@ from repro.service.protocol import (
     Response,
     Rows,
     Run,
-    Ticket,
 )
 
 # One answered row's status byte, and one row answered by a Response.
@@ -79,26 +78,6 @@ _VALUED = ("put", "similar")
 
 # One segment piece: rows [start, stop) of one run.
 Piece = Tuple[Run, int, int]
-
-
-def split_at(ranges: Sequence[Rows], n: int) -> Tuple[List[Rows], List[Rows]]:
-    """The first ``n`` rows of ``ranges`` and the rest, cutting the one
-    range that straddles the boundary; whole ranges are kept as they
-    are."""
-    head: List[Rows] = []
-    for i, rows in enumerate(ranges):
-        size = rows.stop - rows.start
-        if n >= size:
-            head.append(rows)
-            n -= size
-            continue
-        tail = list(ranges[i + 1:])
-        if n > 0:
-            cut = rows.start + n
-            head.append(Rows(rows.run, rows.start, cut))
-            rows = Rows(rows.run, cut, rows.stop)
-        return head, [rows] + tail
-    return head, []
 
 
 def coalesce(cells: Sequence[Tuple[Run, int]]) -> List[Rows]:
@@ -314,29 +293,52 @@ class Worker:
     def inflight_unanswered(self) -> int:
         return self.inflight.unanswered()
 
-    def admit(self, ranges: Sequence[Rows]) -> int:
-        """Admit the leading rows of a run's ranges up to the free queue
-        credit; returns how many were admitted.  The rest are refused:
-        once the queue is full, no later row of the run gets in, so the
-        refused rows are always a suffix in admission order."""
+    def admit(self, run: Run, lost: Optional[List[bool]] = None) -> int:
+        """Admit a run's leading rows up to the free queue credit;
+        returns the cut: rows before it are admitted, the rest refused.
+
+        ``lost`` flags the rows whose queue slot the fault plane loses.
+        A row can lose only a slot it got: a lost row reached while
+        credit remains was admitted (the client holds an acked ticket)
+        but never lands in the queue.  It takes no credit and parks as
+        a one-row range in the inflight registry, where the supervisor's
+        reconciliation finds and requeues it by request id.  Once the
+        credit runs out every later row is refused, lost or not, so the
+        refused rows are a suffix and no write of the run overtakes an
+        earlier refused one.  A parked row splits the run, so the
+        ranges the queue holds stay disjoint and sorted by request id.
+        Nothing drains the queue during admission, so this decides
+        exactly what admitting the rows one at a time would.
+        """
+        n = len(run.keys)
         free = self.max_queue - self.queued
-        if len(ranges) == 1:
-            total = ranges[0].stop - ranges[0].start
+        if lost is None or True not in lost:
+            cut = n if n <= free else max(free, 0)
+            queued = cut
+            if cut:
+                self.queue.append(Rows(run, 0, cut))
         else:
-            total = sum(rows.stop - rows.start for rows in ranges)
-        if total <= free:
-            self.queue.extend(ranges)
-            admitted = total
-        else:
-            head = split_at(ranges, max(free, 0))[0]
-            self.queue.extend(head)
-            admitted = max(free, 0)
-            self.rejected += total - admitted
-        self.queued += admitted
-        self.enqueued += admitted
+            cut = start = queued = 0
+            for cut, gone in enumerate(lost):
+                if queued >= free:
+                    break
+                if gone:
+                    if start < cut:
+                        self.queue.append(Rows(run, start, cut))
+                    self.inflight.add(Rows(run, cut, cut + 1))
+                    start = cut + 1
+                else:
+                    queued += 1
+            else:
+                cut = n
+            if start < cut:
+                self.queue.append(Rows(run, start, cut))
+        self.rejected += n - cut
+        self.queued += queued
+        self.enqueued += queued
         if self.queued > self.peak_queue_depth:
             self.peak_queue_depth = self.queued
-        return admitted
+        return cut
 
     def requeue_front(self, ranges: Sequence[Rows]) -> None:
         """Merge recovered rows back into the queue in admission order.
@@ -371,14 +373,13 @@ class Worker:
         self.queued = 0
         return ranges
 
-    def cancel(self, ticket: Ticket) -> None:
+    def cancel(self, run: Run, row: int) -> None:
         """Forget a row the client gave up on (deadline exceeded).
 
         The client answers the row before cancelling, so ``dispatch``
         would skip it anyway; cutting it out of the queue (a linear
         scan only a deadline miss pays) keeps the queue depth honest.
         """
-        run, row = ticket.run, ticket.start
         self.inflight.cut(run, row)
         if _cut_row(self.queue, run, row):
             self.queued -= 1

@@ -343,6 +343,11 @@ def generate_serving_ops(preset: str, rng: random.Random, n: int) -> List[Op]:
             ops.append(_batch("burst", keys, v=counter))
         elif kind == "call":
             keys = pick_keys(rng, pool, *menu.burst)
+            if rng.random() < 0.5:
+                # A key written twice in a row: one shard's run holds
+                # both writes, and a refusal can cut between them.
+                i = rng.randrange(len(keys))
+                keys.insert(i + 1, keys[i])
             counter += len(keys)
             ops.append(_batch("call", keys, v=counter, ops="".join(
                 rng.choice("ppgdc") for _ in keys)))

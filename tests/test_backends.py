@@ -427,18 +427,24 @@ def _admission(service, tickets):
     }
 
 
-# (max_queue, fault specs) for the admission parity test.
+# (max_queue, fault specs, the shard-1 rows that draw a lost slot,
+# whether they park) for the admission parity test.
 ADMISSION_CASES = [
     # 60 keys over 3 shards into 64 slots each: nothing is refused.
-    (64, []),
+    (64, [], None, None),
     # 6 slots per shard against about 20 keys each, over two batches:
     # the first fills part of each queue, the second overflows it, and
     # a refusal's retry_after (3 pumps of 2) reads the full queue.
-    (6, []),
+    (6, [], None, None),
     # A deeper overflow with queue slots lost on shard 1: every ticket
     # routed there, refused or not, is one queue_loss opportunity, so a
-    # change in their order or number moves the lost tickets.
-    (2, ["queue_loss:service:1:after=3:count=4"]),
+    # change in their order or number moves the lost tickets.  Rows 1-4
+    # lose their slots inside the credit: they park and take none, so
+    # rows 0 and 5 fill the two slots.
+    (2, ["queue_loss:service:1:after=1:count=4"], slice(1, 5), True),
+    # The same losses drawn by rows 3-6, past the cut: a row can lose
+    # only a slot it got, so they are refused, and none parks.
+    (2, ["queue_loss:service:1:after=3:count=4"], slice(3, 7), False),
 ]
 
 
@@ -449,7 +455,7 @@ def test_submit_batch_matches_scalar_admission(model, execution):
     # same counters, and the same statuses after drain.
     keys = [b"batch-key-%03d" % i for i in range(60)]
     batches = [keys[:21], keys[21:]]
-    for max_queue, faults in ADMISSION_CASES:
+    for max_queue, faults, draws, parks in ADMISSION_CASES:
         scalar, batched = (
             _service(model, execution=execution, max_queue=max_queue,
                      batch_size=2,
@@ -466,10 +472,14 @@ def test_submit_batch_matches_scalar_admission(model, execution):
             if max_queue < 20:
                 assert scalar.rejected > 0  # the case really overflowed
             if faults:
+                assert batched.fault_plane.total_fired("queue_loss") == 4
+                fired = [t for t in b if t.shard == 1][draws]
                 parked = batched.workers[1].inflight
                 lost = [t for t in b if t.request_id in parked]
-                assert len(lost) == 4
-                assert lost == [t for t in b if t.shard == 1][3:7]
+                assert lost == (fired if parks else [])
+                assert batched.lost_slots == len(lost)
+                # A loss past the cut counts as a refusal.
+                assert all(t.rejected != parks for t in fired)
             scalar.drain()
             batched.drain()
             assert ([t.response.status for t in a]
@@ -501,6 +511,28 @@ def test_refused_suffix_keeps_per_key_order(model, execution):
         service.drain()
         assert retried.response.ok
         assert ServiceClient(service).get(b"k") == b"second"
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
+def test_lost_slot_past_a_refusal_keeps_the_later_write(model, execution):
+    # Two slots, four puts, and the fourth put's slot lost: the first
+    # write of k is past the credit and refused, so the second, lost,
+    # is refused with it instead of parking ahead of it.  The retry
+    # admits both in call order, and the later write wins.
+    service = _service(
+        model, num_shards=1, execution=execution, max_queue=2,
+        fault_plane=make_plane(["queue_loss:service:0:after=3:count=1"]),
+    )
+    try:
+        client = ServiceClient(service)
+        client.put_many([(b"x", b"1"), (b"y", b"2"), (b"k", b"a"),
+                         (b"k", b"b")])
+        assert service.fault_plane.total_fired("queue_loss") == 1
+        assert service.lost_slots == 0
+        assert client.get(b"k") == b"b"
+        assert client.lost_acks == 0
     finally:
         service.close()
 

@@ -31,7 +31,7 @@ from repro.service import (
     run_service_workload,
 )
 from repro.service.client import BACKOFF_CAP_PUMPS
-from repro.service.protocol import REFUSED
+from repro.service.protocol import REFUSED, Run
 from repro.workloads.ycsb import WorkloadGenerator
 
 
@@ -167,17 +167,22 @@ class TestWorker:
         return Worker(0, execution, max_queue=max_queue,
                       batch_size=batch_size)
 
-    def _ticket(self, op, key, value=b""):
+    def _run(self, requests):
+        """One run on shard 0 of ``(op, key, value)`` rows, and a ticket
+        view per row."""
         from repro.service import Ticket
 
-        return Ticket(request=Request(op=op, key=key, value=value),
-                      request_id=0)
+        n = len(requests)
+        run = Run(None, [key for _, key, _ in requests],
+                  [value for _, _, value in requests], [None] * n, 0,
+                  range(n), 0, 0, [op for op, _, _ in requests])
+        return run, [Ticket.view(run, row) for row in range(n)]
 
     def test_micro_batching(self, model):
         worker = self._worker(model, batch_size=4)
-        tickets = [self._ticket("put", b"k%d" % i, b"v%d" % i)
-                   for i in range(8)]
-        assert worker.admit(tickets) == 8
+        run, _ = self._run([("put", b"k%d" % i, b"v%d" % i)
+                            for i in range(8)])
+        assert worker.admit(run) == 8
         processed = 0
         while worker.queue:
             processed += worker.dispatch()
@@ -188,24 +193,43 @@ class TestWorker:
 
     def test_queue_bound_and_rejection(self, model):
         worker = self._worker(model, max_queue=4)
-        run = [self._ticket("put", b"k%d" % i, b"v") for i in range(10)]
-        assert worker.admit(run[:3]) == 3
-        assert worker.admit(run[3:]) == 1  # one slot left: a prefix gets in
-        assert worker.admit(run[:1]) == 0  # a full queue refuses outright
-        assert list(worker.queue) == run[:4]
+        puts = [("put", b"k%d" % i, b"v") for i in range(10)]
+        head, _ = self._run(puts[:3])
+        tail, _ = self._run(puts[3:])
+        again, _ = self._run(puts[:1])
+        assert worker.admit(head) == 3
+        assert worker.admit(tail) == 1  # one slot left: a prefix gets in
+        assert worker.admit(again) == 0  # a full queue refuses outright
+        assert [(rows.run, rows.start, rows.stop) for rows in worker.queue] \
+            == [(head, 0, 3), (tail, 0, 1)]
         stats = worker.stats()
         assert stats["enqueued"] == 4
         assert stats["rejected"] == 7
         assert stats["queue_depth"] == 4
         assert stats["peak_queue_depth"] == 4
 
+    def test_lost_rows_park_only_inside_the_credit(self, model):
+        # A row can lose only a queue slot it got: a lost row inside the
+        # credit parks in the inflight registry and takes no credit; once
+        # the credit runs out every later row is refused, lost or not.
+        worker = self._worker(model, max_queue=2)
+        run, _ = self._run([("put", b"k%d" % i, b"v") for i in range(6)])
+        assert worker.admit(run, [False, True, False, False, True, False]) \
+            == 3
+        assert [(rows.start, rows.stop) for rows in worker.queue] \
+            == [(0, 1), (2, 3)]
+        assert [(rows.start, rows.stop) for rows in worker.inflight.ranges] \
+            == [(1, 2)]
+        assert worker.queue_depth == 2
+        assert worker.rejected == 3
+
     def test_mixed_op_segments(self, model):
         worker = self._worker(model, max_queue=32, batch_size=32)
         ops = [("put", b"a", b"1"), ("put", b"b", b"2"), ("get", b"a", b""),
                ("contains", b"c", b""), ("delete", b"a", b""),
                ("get", b"a", b"")]
-        tickets = [self._ticket(*op) for op in ops]
-        assert worker.admit(tickets) == len(tickets)
+        run, tickets = self._run(ops)
+        assert worker.admit(run) == len(tickets)
         while worker.queue:
             worker.dispatch()
         assert tickets[2].response.value == b"1"
@@ -216,8 +240,8 @@ class TestWorker:
     @pytest.mark.parametrize("backend", ["bloom", "cuckoo_filter"])
     def test_filters_reject_unsupported_ops(self, model, backend):
         worker = self._worker(model, backend=backend)
-        ticket = self._ticket("get", b"k")
-        assert worker.admit([ticket]) == 1
+        run, [ticket] = self._run([("get", b"k", b"")])
+        assert worker.admit(run) == 1
         while worker.queue:
             worker.dispatch()
         assert ticket.response.status == FAILED
