@@ -2,9 +2,9 @@
 
 Measures what the serving boundary costs: the same YCSB stream served
 (a) by an in-process :class:`ServiceClient`, whose every call is one
-``Service.submit_rows``, and (b) through the asyncio front door over
+``Service.submit``, and (b) through the asyncio front door over
 real TCP connections, where each call is one frame the door admits
-with one ``submit_rows`` — at more than one connection count, on both
+with one ``Service.submit`` — at more than one connection count, on both
 execution backends.  Each record carries ops/s plus p50/p99 request latency
 (scalar round trips on a settled service, so the numbers are what a
 caller sees), and the ack ledger: a benchmark run that loses an

@@ -20,7 +20,8 @@ from repro.bench.harness import latency_summary_ns
 from repro.bench.reporting import print_header
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
-from repro.service import Request, Service, ServiceClient, run_service_workload
+from repro.service import Service, ServiceClient, run_service_workload
+from repro.service.protocol import ANSWERED
 from repro.workloads.ycsb import WorkloadGenerator
 
 NUM_KEYS = 3_000
@@ -255,14 +256,20 @@ def _scaling_record(execution, model, keys):
         client = ServiceClient(service)
         client.put_many((key, key) for key in keys)  # 64-byte values too
         ops = 0
+        runs = []
         start = time.perf_counter()
         for _ in range(SCALING_ROUNDS):
             for lo in range(0, len(keys), SCALING_BATCH):
                 chunk = keys[lo:lo + SCALING_BATCH]
-                service.submit_batch([Request("get", key) for key in chunk])
+                runs += service.submit("get", chunk)
                 service.drain()
                 ops += len(chunk)
         elapsed = time.perf_counter() - start
+        # The preload wrote (key, key): every timed get must have been
+        # answered OK with its own key, and none may still be pending.
+        for run in runs:
+            assert run.status.count(ANSWERED) == len(run.keys), execution
+            assert run.answers == run.keys, execution
         record = {
             "benchmark": f"service_scaling_{execution}",
             "execution": execution,
@@ -379,21 +386,6 @@ def main():
 def test_zero_lost_acks_per_mix():
     for record in service_records():
         assert record["lost_acks"] == 0, record["benchmark"]
-
-
-def test_process_scaling_run_loses_nothing():
-    # A shrunk version of the scaling run (fast enough for pytest):
-    # the process backend must serve the same workload with zero lost
-    # acks and answer every get.
-    keys = _scaling_keys()[:400]
-    from repro.core.trainer import train_model as _train
-
-    model = _train(keys, fixed_dataset=True)
-    record = _scaling_record("process", model, keys)
-    assert record["execution"] == "process"
-    assert record["lost_acks"] == 0
-    assert record["ops"] == len(keys) * SCALING_ROUNDS
-    assert record["latency_p50_ns"] > 0
 
 
 def test_hot_routing_restores_balance():

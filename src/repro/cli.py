@@ -231,7 +231,7 @@ def _drill(args, service, keys=None) -> None:
         if keys is not None:
             free = sum(max(worker.max_queue - worker.queue_depth, 0)
                        for worker in service.workers)
-            service.submit_rows("get", keys[:free])
+            service.submit("get", keys[:free])
         donor = int(_np.argmax(service.router.routed))
         service.split_shard(donor)
 

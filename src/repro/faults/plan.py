@@ -10,37 +10,37 @@ seeded RNG, so a plan plus a seed is fully deterministic).
 The seven kinds map onto the injection points threaded through the
 service (the hashing engine has none):
 
-=============  ======================  =======================================
-kind           injection point         effect
-=============  ======================  =======================================
-``crash``      ``Worker.dispatch``     a mid-batch crash: inline workers raise
-                                       :class:`InjectedCrash`; process-backend
-                                       shard children ``os._exit`` for real
-``sigkill``    ``Worker.dispatch``     a real ``SIGKILL`` to the shard child
-                                       mid-batch (process execution); inline
-                                       workers degrade it to ``crash``
-``stall``      ``Worker.dispatch``     returns without draining the queue
-``drop``       ``Worker.dispatch``     pops a batch, never answers its tickets
-``corrupt``    ``Service.pump``        one opportunity per shard per pump, on
-                                       both executions: trips the shard via
-                                       ``Worker.force_trip`` (a table's real
-                                       CollisionMonitor sees an entropy
-                                       collapse; filter/LSM shards fall
-                                       back); tripped or crashed shards are
-                                       skipped
-``queue_loss`` ``Service.admit_runs``  one draw per row, decided in
-                                       ``Worker.admit``: a row that got a
-                                       queue slot never reaches the queue
-                                       (the slot is lost) and parks for
-                                       reconciliation; a row past the
-                                       credit is refused, lost or not
-``drift``      key stream (driver)     the *workload* drifts: the driver
-                                       rewrites keys so the bytes the deployed
-                                       partial-key plan reads go constant
-                                       (entropy moves elsewhere in the key);
-                                       fired via ``should_fire`` by whoever
-                                       owns the key stream, not by the service
-=============  ======================  =======================================
+=============  ========================  =======================================
+kind           injection point           effect
+=============  ========================  =======================================
+``crash``      ``Worker.dispatch``       a mid-batch crash: inline workers raise
+                                         :class:`InjectedCrash`; process-backend
+                                         shard children ``os._exit`` for real
+``sigkill``    ``Worker.dispatch``       a real ``SIGKILL`` to the shard child
+                                         mid-batch (process execution); inline
+                                         workers degrade it to ``crash``
+``stall``      ``Worker.dispatch``       returns without draining the queue
+``drop``       ``Worker.dispatch``       pops a batch, never answers its tickets
+``corrupt``    ``Service.pump``          one opportunity per shard per pump, on
+                                         both executions: trips the shard via
+                                         ``Worker.force_trip`` (a table's real
+                                         CollisionMonitor sees an entropy
+                                         collapse; filter/LSM shards fall
+                                         back); tripped or crashed shards are
+                                         skipped
+``queue_loss`` ``Service.submit_batch``  one draw per row, decided in
+                                         ``Worker.admit``: a row that got a
+                                         queue slot never reaches the queue
+                                         (the slot is lost) and parks for
+                                         reconciliation; a row past the
+                                         credit is refused, lost or not
+``drift``      key stream (workload)     the *workload* drifts: its generator
+                                         rewrites keys so the bytes the deployed
+                                         partial-key plan reads go constant
+                                         (entropy moves elsewhere in the key);
+                                         fired via ``should_fire`` by whoever
+                                         owns the key stream, not by the service
+=============  ========================  =======================================
 
 Specs can also be parsed from compact CLI strings::
 

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlane` owns a :class:`~repro.faults.plan.FaultPlan` and a
 seeded RNG.  Injection points (``Worker.dispatch`` in
-``service/worker.py``; ``Service.admit_runs`` and the once-per-pump
+``service/worker.py``; ``Service.submit_batch`` and the once-per-pump
 ``corrupt`` point in ``service/service.py``; for ``drift``, whoever
 owns the key stream) ask :meth:`FaultPlane.should_fire` whether the
 armed fault of a given kind fires *now* for a given shard.  Every call

@@ -74,7 +74,6 @@ from repro.service.protocol import (
     REJECTED,
     Request,
     Response,
-    Ticket,
 )
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
@@ -112,7 +111,6 @@ __all__ = [
     "ShardJournal",
     "ShardRouter",
     "Supervisor",
-    "Ticket",
     "Worker",
     "run_service_workload",
 ]

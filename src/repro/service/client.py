@@ -7,11 +7,11 @@ once, on :class:`ServiceClient`, and runs over a two-method transport:
 a ``round`` admits one op's rows as columns and returns them answered,
 as :class:`~repro.service.protocol.Run` records, and a ``tick`` is one
 backoff step.  In process a call's first round is one
-``Service.submit_rows`` call, a retry round one ``Service.admit_runs``,
+``Service.submit`` call, a retry round one ``Service.submit_batch``,
 each with the pumps that answer it, and the client reads the runs' status
-and answer columns directly: no per-key ticket or Response is built,
+and answer columns directly: no per-key Response is built,
 except where a verb returns Responses.  Over the socket a round is one
-call frame out — the front door admits it with one ``submit_rows`` —
+call frame out — the front door admits it with one ``Service.submit`` —
 and its answers back, read as one run of Responses; a call too large
 for one frame goes as consecutive sub-calls, each walked to its
 terminal answers before the next is sent.  Either way one round of a
@@ -32,7 +32,7 @@ Every call runs in rounds:
    for; the socket transport cannot see the server's pumps and counts
    none) — a missing hint means one tick, an explicit 0 means no wait;
 5. send the held runs as the next round — in process one
-   ``Service.admit_runs``, which gives each run straight back to its
+   ``Service.submit_batch``, which gives each run straight back to its
    shard with no routing or partition pass (a run routed under a
    generation a flip retired is routed again); over the socket one
    call frame — and give up with :class:`ServiceOverloadedError` after
@@ -85,7 +85,7 @@ BACKOFF_CAP_PUMPS = 64
 TIMEOUT_S = 30.0
 TICK_S = 0.0002
 
-# The error the in-process transport stamps on a ticket it cancelled.
+# The error the in-process transport stamps on a row it cancelled.
 DEADLINE_EXCEEDED = "deadline exceeded"
 
 
@@ -106,9 +106,9 @@ class NetworkRequestError(RuntimeError):
 
 
 class DeadlineExceededError(RuntimeError):
-    """A ticket's response did not arrive within the pump deadline.
+    """A row's answer did not arrive within the pump deadline.
 
-    The client cancels the ticket at its shard before raising, so the
+    The client cancels the row at its shard before raising, so the
     operation is guaranteed *not* to be applied later: a deadline
     failure is a negative acknowledgement, not an open question.
     """
@@ -131,8 +131,8 @@ class _InProcess:
               held: Optional[List[Run]] = None) -> List[Run]:
         # A retry round gives the held runs back to their shards as
         # they are: nothing is routed or partitioned again.
-        runs = (self.service.submit_rows(op, keys, values) if held is None
-                else self.service.admit_runs(held))
+        runs = (self.service.submit(op, keys, values) if held is None
+                else self.service.submit_batch(held))
         self.pumped = 0
         waiting = [run for run in runs if PENDING in run.status]
         while waiting and self.pumped < self.deadline_pumps:

@@ -3,7 +3,7 @@
 The front door puts an actual serving boundary in front of the
 service: clients connect over TCP and speak the length-prefixed JSON
 protocol (:mod:`repro.service.netproto`), one frame per client call.
-Each call frame is admitted with one ``Service.submit_rows`` — the
+Each call frame is admitted with one ``Service.submit`` — the
 entry the in-process client uses — and answered by one response once
 every row of its runs is terminal.  One admission round admits every
 frame that arrived since the last, from any connection, so many
@@ -103,13 +103,11 @@ class FrontDoor:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending: int = 1024,
-        max_frame: int = netproto.MAX_FRAME_BYTES,
     ):
         self.service = service
         self.host = host
         self._requested_port = port
         self.max_pending = max_pending
-        self.max_frame = max_frame
         self._server: Optional[asyncio.base_events.Server] = None
         self._admission_task: Optional[asyncio.Task] = None
         self._connections: Set[_Connection] = set()
@@ -192,7 +190,7 @@ class FrontDoor:
         self._connections.add(connection)
         self.connections_total += 1
         writer_task = asyncio.ensure_future(connection.writer_loop())
-        decoder = netproto.FrameDecoder(self.max_frame)
+        decoder = netproto.FrameDecoder()
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -281,7 +279,7 @@ class FrontDoor:
         """Coalesce frames across connections into admission rounds.
 
         One iteration: admit every call frame of the intake, each as
-        one ``submit_rows``, answer the calls already terminal (a call
+        one ``Service.submit``, answer the calls already terminal (a call
         refused whole), pump once for the in-flight rest and answer
         what it completed, then yield so connection readers can refill
         the intake — frames arriving during a pump join the *next*
@@ -306,7 +304,7 @@ class FrontDoor:
                 self.max_coalesced = max(self.max_coalesced, rows)
                 admitted = []
                 for connection, frame_id, op, keys, values in batch:
-                    runs = self.service.submit_rows(op, keys, values)
+                    runs = self.service.submit(op, keys, values)
                     for run in runs:
                         if run.op == "stats":
                             run.answers[0]["frontdoor"] = self.stats()

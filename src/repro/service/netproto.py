@@ -4,7 +4,7 @@ One frame is a 4-byte big-endian length followed by exactly that many
 bytes of UTF-8 JSON — the simplest framing that survives TCP's stream
 semantics without a parser state machine.  A frame carries
 one client call as the columns
-:meth:`~repro.service.service.Service.submit_rows` admits: a request
+:meth:`~repro.service.service.Service.submit` admits: a request
 frame is ``{"id", "op", "keys", "values"}`` (``op`` one op or an op
 column, ``values`` left out when the call has none), and its response
 frame ``{"id", "answers"}``, one answer per row in call order with the
@@ -157,7 +157,7 @@ def encode_call(frame_id: int, op, keys: Sequence[bytes],
 def decode_call(payload: Dict[str, object]
                 ) -> Tuple[object, List[bytes], Optional[List[bytes]]]:
     """The ``(op, keys, values)`` columns of a call frame, as
-    :meth:`~repro.service.service.Service.submit_rows` takes them.
+    :meth:`~repro.service.service.Service.submit` takes them.
 
     Raises :class:`ProtocolError` on schema violations (an unknown op,
     a column of the wrong length, a cell that is not base64), so the

@@ -3,15 +3,14 @@
 The protocol is deliberately tiny — five operations, three statuses —
 and every field is JSON-safe, so a request log can be replayed and a
 response can be serialized straight onto a wire later without a schema
-change.  Submitting a request returns a :class:`Ticket` immediately;
-the response materializes on the ticket when the owning shard drains
-its queue (or synchronously, for rejections and ``stats``).
+change.
 
-Below the ticket the batch path is columnar: a :class:`Run` holds one
-shard's rows of one call as request and answer columns, and the shard
-queues hold :class:`Rows` — row ranges of runs.  A ticket is a one-row
-range that reads its run's columns; a :class:`Response` is built only
-when one is read.
+Admission is columnar: :meth:`~repro.service.service.Service.submit`
+takes one call's ops, keys and values as columns and returns one
+:class:`Run` per shard, whose status and answer columns fill in as the
+shards drain their queues (at once, for refusals and ``stats``).  The
+shard queues hold :class:`Rows` — row ranges of runs — and a
+:class:`Response` is built only when a row's answer is read.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ _new_tuple = tuple.__new__
 class Request(_RequestFields):
     """One operation against the service.
 
-    An immutable, hashable ``(op, key, value)`` named tuple: a client
-    builds one per key, so construction is one checked ``tuple.__new__``.
+    An immutable, hashable ``(op, key, value)`` named tuple, checked at
+    construction: the differential fuzzer builds its ops with it.
     """
 
     __slots__ = ()
@@ -181,10 +180,6 @@ class Run:
             self.rerouted = {}
         self.rerouted[row] = shard
 
-    def request(self, row: int) -> Request:
-        return Request(self.op_at(row), self.keys[row],
-                       b"" if self.values is None else self.values[row])
-
     def response(self, row: int) -> Optional[Response]:
         """Row ``row``'s answer as a Response (None while pending)."""
         code = self.status[row]
@@ -227,81 +222,9 @@ class Rows:
         return self.run.status.count(PENDING, self.start, self.stop)
 
 
-_new_rows = object.__new__
-
-
-class Ticket(Rows):
-    """Handle for one submitted request: a one-row range of a run.
-
-    :meth:`view` reads one row of an admitted run (what
-    :meth:`Service.submit_batch` returns); ``Ticket(request,
-    request_id, ...)`` builds an unrouted one-row run of its own, for
-    callers that hold a request outside any run.  Either way the
-    request and its response are read from the run's columns, and a
-    Response is built only when ``response`` is read.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, request: Request, request_id: int,
-                 shard: Optional[int] = None,
-                 response: Optional[Response] = None):
-        self.run = run = Run(request[0], [request[1]], [request[2]],
-                             [None], request_id, (0,), 0, shard)
-        self.start = 0
-        self.stop = 1
-        if response is not None:
-            run.answer(0, response)
-
-    @classmethod
-    def view(cls, run: Run, row: int) -> "Ticket":
-        ticket = _new_rows(cls)
-        ticket.run = run
-        ticket.start = row
-        ticket.stop = row + 1
-        return ticket
-
-    @property
-    def request(self) -> Request:
-        return self.run.request(self.start)
-
-    @property
-    def request_id(self) -> int:
-        return self.run.request_id(self.start)
-
-    @property
-    def shard(self) -> Optional[int]:
-        return self.run.shard_of(self.start)
-
-    @shard.setter
-    def shard(self, shard: int) -> None:
-        self.run.move(self.start, shard)
-
-    @property
-    def key_hash(self) -> Optional[int]:
-        hashes = self.run.hashes
-        return None if hashes is None else hashes[self.start]
-
-    @property
-    def response(self) -> Optional[Response]:
-        return self.run.response(self.start)
-
-    @response.setter
-    def response(self, response: Optional[Response]) -> None:
-        self.run.answer(self.start, response)
-
-    @property
-    def done(self) -> bool:
-        return self.run.status[self.start] != PENDING
-
-    @property
-    def rejected(self) -> bool:
-        response = self.response
-        return response is not None and response.status == REJECTED
-
 __all__ = [
     "OPS", "OK", "REJECTED", "FAILED",
     "PENDING", "ANSWERED", "REFUSED", "OTHER",
-    "Request", "Response", "Rows", "Run", "Ticket",
+    "Request", "Response", "Rows", "Run",
     "ok_response", "payload_of",
 ]

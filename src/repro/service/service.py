@@ -1,6 +1,6 @@
 """The service front door: admission, routing, pumping, self-healing.
 
-``Service.submit_rows`` routes each row of a call to its shard and
+``Service.submit`` routes each row of a call to its shard and
 either enqueues it (bounded queue) or answers synchronously with an
 explicit backpressure rejection carrying ``retry_after`` — the queue
 never grows without limit.  ``pump()`` is the service's heartbeat and
@@ -62,11 +62,9 @@ from repro.service.protocol import (
     ANSWERED,
     REFUSED,
     REJECTED,
-    Request,
     Response,
     Rows,
     Run,
-    Ticket,
 )
 from repro.service.router import ShardRouter
 from repro.service.routing import RoutingTable
@@ -277,28 +275,7 @@ class Service:
 
     # ------------------------------------------------------------- intake
 
-    def submit(self, request: Request) -> Ticket:
-        """Admit one request: a batch of one."""
-        return self.submit_batch((request,))[0]
-
-    def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
-        """Admit many requests as one call of :meth:`submit_rows`; one
-        ticket view per request over the runs' columns."""
-        n = len(requests)
-        if not n:
-            return []
-        runs = self.submit_rows(
-            [request.op for request in requests],
-            [request.key for request in requests],
-            [request.value for request in requests],
-        )
-        tickets: List[Optional[Ticket]] = [None] * n
-        for run in runs:
-            for row, offset in enumerate(run.offsets):
-                tickets[offset] = Ticket.view(run, row)
-        return tickets  # type: ignore[return-value]
-
-    def submit_rows(
+    def submit(
         self,
         op,
         keys: List[bytes],
@@ -308,12 +285,13 @@ class Service:
         """Admit one call's rows as columns; returns one run per shard.
 
         The one router: every key the service admits is routed here,
-        once per call.  ``op`` is one op for every row, or an op column;
-        ``offsets`` are the rows' positions in the call (None: their
-        indices).  One ``route_batch`` pass picks every row's shard;
-        the rows of each shard become one :class:`Run` in call order,
-        and :meth:`admit_runs` admits them.  Answers land in the runs'
-        columns.  ``stats`` rows are answered here
+        once per call, whoever sends it (the in-process client, the
+        front door, a test).  ``op`` is one op for every row, or an op
+        column; ``offsets`` are the rows' positions in the call (None:
+        their indices).  One ``route_batch`` pass picks every row's
+        shard; the rows of each shard become one :class:`Run` in call
+        order, and :meth:`submit_batch` admits them.  Answers land in
+        the runs' columns.  ``stats`` rows are answered here
         (:meth:`_admit_around_stats`).  A uniform op column is one op,
         so its runs take the one-op column paths.
         """
@@ -331,24 +309,24 @@ class Service:
             ops = None
             if type(op) is list:
                 ops, op = op, None
-            return self.admit_runs([Run(
+            return self.submit_batch([Run(
                 op, keys, values, hashes, 0,
                 range(n) if offsets is None else offsets,
                 generation, first, ops,
             )])
-        return self.admit_runs(_partition(op, keys, values, hashes, shards,
-                                          generation, offsets))
+        return self.submit_batch(_partition(op, keys, values, hashes,
+                                            shards, generation, offsets))
 
-    def admit_runs(self, runs: List[Run]) -> List[Run]:
+    def submit_batch(self, runs: List[Run]) -> List[Run]:
         """Admit the routed runs of one call; returns the runs admitted.
 
-        The admission tail of :meth:`submit_rows`, and the whole of a
-        retry: a client gives back the refused suffixes it held, with
+        The admission tail of :meth:`submit`, and the whole of a retry
+        round: a client gives back the refused suffixes it held, with
         their hashes and call-position offsets, so a retry routes and
         partitions nothing — unless a flip retired the generation they
         were routed under, when the held rows, merged in call order, go
-        back through :meth:`submit_rows`.  The runs take request ids
-        above every id issued (row ``i`` is ``base + offsets[i]``), so
+        back through :meth:`submit`.  The runs take request ids above
+        every id issued (row ``i`` is ``base + offsets[i]``), so
         every queue stays sorted by id.  Each row is one ``queue_loss``
         opportunity, and each run one :meth:`Worker.admit`, which cuts
         it: the refused suffix shares the run's one ``REJECTED`` answer
@@ -362,7 +340,7 @@ class Service:
                             for row, offset in enumerate(run.offsets)),
                            key=_first)
             ops = [run.op_at(row) for _, run, row in cells]
-            return self.submit_rows(
+            return self.submit(
                 ops,
                 [run.keys[row] for _, run, row in cells],
                 None if runs[0].values is None
@@ -421,7 +399,7 @@ class Service:
         for stop in [i for i, o in enumerate(ops) if o == "stats"] + [n]:
             if start < stop:
                 self._next_request_id = base
-                runs += self.submit_rows(
+                runs += self.submit(
                     ops[start:stop], keys[start:stop],
                     None if values is None else values[start:stop],
                     range(start, stop),

@@ -212,9 +212,12 @@ def _shrink_op_list(failure: Failure) -> Failure:
     return failure
 
 
-# "values" is deliberately absent: it shrinks in lockstep with "keys",
-# never alone (a lone values shrink just breaks the op's length invariant).
 _BATCH_LIST_FIELDS = ("keys", "hashes")
+# Fields aligned with "keys" row by row (an insert_batch's values, a
+# serving call's op-code string) shrink in lockstep with it, never alone:
+# a lone shrink breaks the op's length invariant or moves rows' codes
+# onto other keys.
+_KEY_ALIGNED_FIELDS = ("values", "ops")
 
 
 def _shrink_batch_fields(failure: Failure) -> Failure:
@@ -225,16 +228,21 @@ def _shrink_batch_fields(failure: Failure) -> Failure:
             payload = op.get(name)
             if not isinstance(payload, list) or len(payload) <= 1:
                 continue
-            # keys/values travel in lockstep for insert_batch
-            lockstep = name == "keys" and isinstance(op.get("values"), list) \
-                and len(op["values"]) == len(payload)
+            lockstep = [
+                field for field in _KEY_ALIGNED_FIELDS
+                if name == "keys" and isinstance(op.get(field), (list, str))
+                and len(op[field]) == len(payload)
+            ]
 
             def fails(kept: List[int]) -> bool:
                 nonlocal failure
                 new_op = dict(op)
                 new_op[name] = [payload[i] for i in kept]
-                if lockstep:
-                    new_op["values"] = [op["values"][i] for i in kept]
+                for field in lockstep:
+                    column = op[field]
+                    picked = [column[i] for i in kept]
+                    new_op[field] = ("".join(picked)
+                                     if isinstance(column, str) else picked)
                 got = _still_fails(
                     failure,
                     failure.ops[:index] + [new_op] + failure.ops[index + 1:],

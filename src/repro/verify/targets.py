@@ -1198,7 +1198,7 @@ class ServingTarget(Target):
       and admitted again, and a racing split fires between the call's
       rounds.  Over the socket every op is a client call, and a
       ``burst``/``multi_get`` op and a racing burst each reach the
-      front door as one call frame, admitted as one ``submit_rows``.
+      front door as one call frame, admitted as one ``Service.submit``.
     """
 
     features: frozenset = frozenset()
@@ -1350,7 +1350,7 @@ class ServingTarget(Target):
         self.batch_size = int(config["batch_size"])
         self.max_splits = int(config.get("max_splits", 0))
         self.oracle = DictOracle()
-        # (ticket, kind, expected-at-admission) for in-flight requests.
+        # (run, row, kind, expected-at-admission) for in-flight requests.
         self.pending: List[tuple] = []
         # Rewrite layers latched by fired drift specs; each layer is the
         # (positions, word_size) of the plan deployed at fire time.
@@ -1455,54 +1455,51 @@ class ServingTarget(Target):
     # ---------------------------------------------------------- transport
 
     @staticmethod
-    def _admitted(ticket):
-        """``ticket``, or None when backpressure rejected it — with the
-        retry_after hint every rejection must carry."""
-        if ticket.rejected:
-            _require(
-                (ticket.response.retry_after or 0) >= 1,
-                "rejection without a retry_after hint",
-            )
-            return None
-        return ticket
+    def _columns(requests: List[object]) -> tuple:
+        """The op, key and value columns of one call."""
+        return ([request.op for request in requests],
+                [request.key for request in requests],
+                [request.value for request in requests])
 
-    def _send(self, requests: List[object],
-              call: bool = False) -> List[object]:
-        """One ticket per request, None where backpressure rejected it.
-
-        In process a burst, one request included, goes through one
-        ``submit_batch`` — one ``submit_rows``, the admission path the
-        client and the front door use — and answers at a later pump;
-        with ``call`` it goes through the in-process client instead.
-        Over the socket every burst is a client call.  The blocking
-        client retries rejections itself, so its tickets come back
-        already done.
-        """
-        from repro.service.protocol import Ticket
-
-        client = self.client or (self.caller if call else None)
-        if client is None:
-            return [self._admitted(ticket)
-                    for ticket in self.service.submit_batch(requests)]
-        # The client's retrying batch walk itself, asked for the
-        # Responses this check needs.
-        responses = client._call(
-            [request.op for request in requests],
-            [request.key for request in requests],
-            [request.value for request in requests],
-            responses=True,
-        )
-        return [Ticket(request, -1, response=response)
-                for request, response in zip(requests, responses)]
+    def _submit(self, requests: List[object]) -> List[tuple]:
+        """Admit ``requests`` as one ``Service.submit`` call, the
+        admission path the client and the front door use; each
+        request's ``(run, row)``, in call order."""
+        cells: List[tuple] = [None] * len(requests)  # type: ignore
+        for run in self.service.submit(*self._columns(requests)):
+            for row, offset in enumerate(run.offsets):
+                cells[offset] = (run, row)
+        return cells
 
     def _exchange(self, requests: List[object], call: bool = False) -> None:
         """Send ``requests``; each admitted one is applied to the oracle
-        and owes the answer the oracle gives at its admission."""
-        for request, ticket in zip(requests, self._send(requests, call)):
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, request.op, self._admit(request))
-                )
+        and owes the answer the oracle gives at its admission.
+
+        In process a burst, one request included, is one ``submit``
+        whose rows answer at a later pump; a row backpressure refused
+        must carry a retry_after hint, and is dropped.  With ``call``,
+        and for every op over the socket, the requests are one client
+        call, which retries refusals itself and is checked when it
+        returns.
+        """
+        from repro.service.protocol import REFUSED
+
+        client = self.client or (self.caller if call else None)
+        if client is not None:
+            # The client's retrying batch walk itself, asked for the
+            # Responses this check needs.
+            responses = client._call(*self._columns(requests),
+                                     responses=True)
+            for request, response in zip(requests, responses):
+                self._verify(response, request.op, self._admit(request))
+            return
+        for request, (run, row) in zip(requests, self._submit(requests)):
+            if run.status[row] == REFUSED:
+                _require((run.refused.retry_after or 0) >= 1,
+                         "rejection without a retry_after hint")
+                continue
+            self.pending.append((run, row, request.op,
+                                 self._admit(request)))
 
     def _admit(self, request) -> object:
         """Apply an admitted request to the oracle; the answer it owes."""
@@ -1522,8 +1519,7 @@ class ServingTarget(Target):
             return self.oracle.delete(key)
         return self._expected_similar(key, int(request.value))
 
-    def _verify(self, ticket, kind: str, expected) -> None:
-        response = ticket.response
+    def _verify(self, response, kind: str, expected) -> None:
         _require(
             response.ok,
             f"{kind} on shard {response.shard} answered "
@@ -1564,27 +1560,35 @@ class ServingTarget(Target):
             )
 
     def _collect(self) -> None:
+        from repro.service.protocol import PENDING
+
         still = []
         for entry in self.pending:
-            if entry[0].done:
-                self._verify(*entry)
+            run, row, kind, expected = entry
+            if run.status[row] != PENDING:
+                self._verify(run.response(row), kind, expected)
             else:
                 still.append(entry)
         self.pending = still
 
     def _read_back(self, request, expected) -> None:
         """One final read, retried through backpressure, then checked."""
-        ticket = None
-        for _ in range(self.max_queue + 2):
-            [ticket] = self._send([request])
-            if ticket is not None:
-                break
-            self.service.pump()
-        _require(ticket is not None,
-                 f"final {request.op} starved by backpressure")
-        if self.client is None:
+        from repro.service.protocol import REFUSED
+
+        if self.client is not None:
+            [response] = self.client._call(*self._columns([request]),
+                                           responses=True)
+        else:
+            for _ in range(self.max_queue + 2):
+                [(run, row)] = self._submit([request])
+                if run.status[row] != REFUSED:
+                    break
+                self.service.pump()
+            _require(run.status[row] != REFUSED,
+                     f"final {request.op} starved by backpressure")
             self.service.drain()
-        self._verify(ticket, request.op, expected)
+            response = run.response(row)
+        self._verify(response, request.op, expected)
 
     # ------------------------------------------------------- similarity
 
@@ -1729,10 +1733,15 @@ class ServingTarget(Target):
         import json
 
         from repro.service import Request
+        from repro.service.protocol import PENDING
 
-        [ticket] = self._send([Request("stats")])
-        _require(ticket.done, "stats must answer synchronously")
-        stats = ticket.response.stats
+        if self.client is not None:
+            stats = self.client.stats()
+        else:
+            [(run, row)] = self._submit([Request("stats")])
+            _require(run.status[row] != PENDING,
+                     "stats must answer synchronously")
+            stats = run.response(row).stats
         json.dumps(stats)  # the protocol promises JSON-safe stats
         _require(
             self.client is None or "frontdoor" in stats,

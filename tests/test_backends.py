@@ -44,6 +44,7 @@ from repro.service import (
     ShardCore,
     fork_available,
 )
+from tests.admission import submit, submit_one
 
 # Every parametrized test runs on both sides of the seam; process
 # execution needs the fork start method (specs and the heartbeat word
@@ -188,7 +189,7 @@ def test_crash_acks_exactly_the_served_prefix(model, execution):
                        fault_plane=make_plane(["crash:worker:0"]))
     try:
         worker = service.workers[0]
-        tickets = service.submit_batch([
+        tickets = submit(service, [
             Request("put", b"prefix-a", b"1"),
             Request("put", b"prefix-b", b"2"),
             Request("get", b"prefix-a"),
@@ -328,7 +329,7 @@ class TestHeartbeat:
         service = _service(model, execution="process", num_shards=1)
         try:
             worker = service.workers[0]
-            tickets = service.submit_batch([
+            tickets = submit(service, [
                 Request("put", b"hb-a", b"1"),
                 Request("get", b"hb-a"),
                 Request("put", b"hb-b", b"2"),
@@ -450,9 +451,10 @@ ADMISSION_CASES = [
 
 @pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
 def test_submit_batch_matches_scalar_admission(model, execution):
-    # submit_batch is documented byte-equivalent to a scalar submit
-    # loop: same shards, request ids, statuses and retry_after hints,
-    # same counters, and the same statuses after drain.
+    # Admitting a batch as one call is byte-equivalent to admitting
+    # its rows as one-row calls: same shards, request ids, statuses
+    # and retry_after hints, same counters, and the same statuses
+    # after drain.
     keys = [b"batch-key-%03d" % i for i in range(60)]
     batches = [keys[:21], keys[21:]]
     for max_queue, faults, draws, parks in ADMISSION_CASES:
@@ -463,11 +465,11 @@ def test_submit_batch_matches_scalar_admission(model, execution):
             for _ in range(2)
         )
         try:
-            a = [scalar.submit(Request("put", key, b"v"))
+            a = [submit_one(scalar, Request("put", key, b"v"))
                  for batch in batches for key in batch]
             b = [ticket for batch in batches
-                 for ticket in batched.submit_batch(
-                     [Request("put", key, b"v") for key in batch])]
+                 for ticket in submit(
+                     batched, [Request("put", key, b"v") for key in batch])]
             assert _admission(scalar, a) == _admission(batched, b)
             if max_queue < 20:
                 assert scalar.rejected > 0  # the case really overflowed
@@ -498,8 +500,9 @@ def test_refused_suffix_keeps_per_key_order(model, execution):
     service = _service(model, num_shards=1, execution=execution,
                        max_queue=1, batch_size=1)
     try:
-        first, second = service.submit_batch(
-            [Request("put", b"k", b"first"), Request("put", b"k", b"second")]
+        first, second = submit(
+            service,
+            [Request("put", b"k", b"first"), Request("put", b"k", b"second")],
         )
         assert first.response is None
         assert second.response.status == REJECTED
@@ -507,7 +510,7 @@ def test_refused_suffix_keeps_per_key_order(model, execution):
         service.drain()
         assert first.response.ok
         # Retry the refused write as the client would: resubmit it.
-        (retried,) = service.submit_batch([second.request])
+        retried = submit_one(service, Request("put", b"k", b"second"))
         service.drain()
         assert retried.response.ok
         assert ServiceClient(service).get(b"k") == b"second"
@@ -614,3 +617,25 @@ def test_restart_after_plan_swap_builds_the_new_plan(model, corpus,
 def test_service_rejects_unknown_execution(model):
     with pytest.raises(ValueError, match="unknown execution"):
         _service(model, execution="threads")
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_process_scaling_run_loses_nothing():
+    # A shrunk version of the scaling record in benchmarks/bench_service.py
+    # (fast enough for tier 1): the process backend must serve the same
+    # workload with zero lost acks, and the record itself checks that
+    # every timed get answered with its own key.
+    from benchmarks.bench_service import (
+        SCALING_ROUNDS,
+        _scaling_keys,
+        _scaling_record,
+    )
+
+    keys = _scaling_keys()[:400]
+    model = train_model(keys, fixed_dataset=True)
+    record = _scaling_record("process", model, keys)
+    assert record["execution"] == "process"
+    assert record["lost_acks"] == 0
+    assert record["ops"] == len(keys) * SCALING_ROUNDS
+    assert record["latency_p50_ns"] > 0

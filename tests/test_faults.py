@@ -26,6 +26,7 @@ from repro.service import (
     ShardJournal,
 )
 from repro.service.journal import replay_entries
+from tests.admission import submit_one
 
 
 def _hasher():
@@ -284,12 +285,12 @@ class TestRecoveryDrills:
         service = _service(num_shards=1, batch_size=4,
                            fault_plane=make_plane(
                                ["queue_loss:service:0:count=1"]))
-        first = service.submit(Request("put", b"dup", b"old"))  # lost
-        second = service.submit(Request("put", b"dup", b"new"))
+        first = submit_one(service, Request("put", b"dup", b"old"))  # lost
+        second = submit_one(service, Request("put", b"dup", b"new"))
         service.drain()
         assert first.response.status == OK
         assert second.response.status == OK
-        ticket = service.submit(Request("get", b"dup"))
+        ticket = submit_one(service, Request("get", b"dup"))
         service.drain()
         assert ticket.response.value == b"new"
 
@@ -344,6 +345,6 @@ class TestClientDeadline:
         service.supervisor._restart = restart
         service.workers[0].crashed = False
         service.drain()
-        check = service.submit(Request("get", b"gone"))
+        check = submit_one(service, Request("get", b"gone"))
         service.drain()
         assert check.response.ok and check.response.value is None

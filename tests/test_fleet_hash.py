@@ -34,6 +34,7 @@ from repro.tables.probing import (
     LinearProbingTable,
     _SPLIT_EACH_MAX,
 )
+from tests.admission import submit
 
 KEYS = google_urls(3000, seed=5)
 MISSES = google_urls(6000, seed=6)[3000:]
@@ -266,7 +267,7 @@ class TestStalePlans:
             old_plan = service.router.engine.hasher.fingerprint
             # Queued under the old plan, served under the new one: the
             # flip sweep must re-hash each ticket it re-routes.
-            tickets = service.submit_batch([Request("get", k) for k in keys])
+            tickets = submit(service, [Request("get", k) for k in keys])
             swapped = EntropyModel(result=GreedyResult(
                 positions=[48], word_size=8, entropies=[float("inf")],
                 train_collisions=[0], train_size=800, eval_size=800,

@@ -76,7 +76,7 @@ class TestBasicKV:
                     assert got == [v for _, v in pairs]
                     frontdoor = door.run_in_loop(door.door.stats)
                     # A batch call is one frame, admitted as one
-                    # submit_rows: its rows coalesce into one round.
+                    # Service.submit: its rows coalesce into one round.
                     assert frontdoor["frames_in"] == 2
                     assert frontdoor["max_coalesced"] == 150
                     assert (frontdoor["admission_batches"]

@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.service.routing import MAX_SPLIT_DEPTH
 from repro.verify import misplaced
+from tests.admission import submit_one
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +331,7 @@ class TestWrongGeneration:
         service = _service(model)
         client = ServiceClient(service)
         client.put_many((k, b"v") for k in KEYS)
-        tickets = [service.submit(Request("get", k)) for k in KEYS[:80]]
+        tickets = [submit_one(service, Request("get", k)) for k in KEYS[:80]]
         service.split_shard(0)
         assert service.swept_tickets >= 0  # counter exists and counted
         # The sweep got every queued ticket onto its post-flip shard
@@ -352,7 +353,7 @@ class TestWrongGeneration:
         try:
             ServiceClient(service).put_many((k, b"v") for k in KEYS)
             for key in KEYS[:80]:
-                service.submit(Request("get", key))
+                submit_one(service, Request("get", key))
             # An ordinary split sweeps the queues: nothing misplaced.
             service.split_shard(0)
             assert misplaced(service) == ([], [])
@@ -360,7 +361,7 @@ class TestWrongGeneration:
             # Skip the sweep: rows whose key the split moves stay queued
             # at the donor, and the check names exactly those.
             for key in KEYS[80:160]:
-                service.submit(Request("get", key))
+                submit_one(service, Request("get", key))
             workers = list(service.workers)
             for worker in workers:
                 worker.take_queue = list  # an empty sweep

@@ -25,7 +25,6 @@ from repro.service import (
     ServiceClient,
     ServiceOverloadedError,
     ShardRouter,
-    Ticket,
     Worker,
     fork_available,
     run_service_workload,
@@ -33,6 +32,7 @@ from repro.service import (
 from repro.service.client import BACKOFF_CAP_PUMPS
 from repro.service.protocol import REFUSED, Run
 from repro.workloads.ycsb import WorkloadGenerator
+from tests.admission import Row, submit_one
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def _saturated_client(model, transport, **options):
     try:
         if transport == "inproc":
             _stall(service)
-            service.submit(Request(op="put", key=b"fill", value=b"v"))
+            submit_one(service, Request(op="put", key=b"fill", value=b"v"))
         with _connect(service, transport, max_pending=0, **options) as client:
             yield client
     finally:
@@ -168,15 +168,13 @@ class TestWorker:
                       batch_size=batch_size)
 
     def _run(self, requests):
-        """One run on shard 0 of ``(op, key, value)`` rows, and a ticket
-        view per row."""
-        from repro.service import Ticket
-
+        """One run on shard 0 of ``(op, key, value)`` rows, and a view
+        per row."""
         n = len(requests)
         run = Run(None, [key for _, key, _ in requests],
                   [value for _, _, value in requests], [None] * n, 0,
                   range(n), 0, 0, [op for op, _, _ in requests])
-        return run, [Ticket.view(run, row) for row in range(n)]
+        return run, [Row(run, row) for row in range(n)]
 
     def test_micro_batching(self, model):
         worker = self._worker(model, batch_size=4)
@@ -261,8 +259,8 @@ class TestService:
 
     def test_backpressure_rejects_with_retry_after(self, model):
         service = _service(model, num_shards=1, max_queue=4, batch_size=2)
-        tickets = [service.submit(Request(op="put", key=b"k%d" % i,
-                                          value=b"v"))
+        tickets = [submit_one(service, Request(op="put", key=b"k%d" % i,
+                                               value=b"v"))
                    for i in range(12)]
         rejected = [t for t in tickets if t.rejected]
         assert rejected
@@ -291,7 +289,7 @@ class TestService:
             route = service.router.table.route_one
             keys = [key for key in (b"uo%03d" % i for i in range(64))
                     if route(key) == 0][:2]
-            [run] = service.submit_rows(["get", "get"], keys)
+            [run] = service.submit(["get", "get"], keys)
             assert run.ops is None and run.op == "get"
             assert run.shard == 0
 
@@ -305,7 +303,7 @@ class TestService:
         values = [b"v", b"", b""]
         with _service(model, execution=execution) as service:
             before = service.submitted
-            runs = service.submit_rows(ops, keys, values)
+            runs = service.submit(ops, keys, values)
             [stats_run] = [run for run in runs if run.op == "stats"]
             assert list(stats_run.offsets) == [1]
             assert stats_run.shard is None
@@ -518,13 +516,13 @@ class TestBackoffRegressions:
 
     @staticmethod
     def _rejecting(service, times, retry_after):
-        """Make ``service.admit_runs`` refuse the first ``times``
+        """Make ``service.submit_batch`` refuse the first ``times``
         one-row admissions with the given hint (``times=None``: every
         one); a retry is one of them, since it admits its held run."""
-        real_admit_runs = service.admit_runs
+        real_submit_batch = service.submit_batch
         rejections = []
 
-        def admit_runs(runs):
+        def submit_batch(runs):
             if times is None or len(rejections) < times:
                 [run] = runs
                 assert len(run.keys) == 1
@@ -533,9 +531,9 @@ class TestBackoffRegressions:
                 run.status[0] = REFUSED
                 rejections.append(run)
                 return runs
-            return real_admit_runs(runs)
+            return real_submit_batch(runs)
 
-        service.admit_runs = admit_runs
+        service.submit_batch = submit_batch
 
     def test_explicit_zero_hint_spends_no_pumps(self, model):
         # `retry_after=0` is an explicit "retry immediately" hint; it
@@ -561,7 +559,7 @@ class TestBackoffRegressions:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_mixed_batch_reject_counted_once(self, model, transport):
         # Four distinct-key puts into a 2-deep queue, on either
-        # transport one call admitted as one submit_rows: some admit,
+        # transport one call admitted as one Service.submit: some admit,
         # the rest reject.  Each rejection is ONE backpressure event,
         # counted once by the server and once by the client, and the
         # rejected rest retries as one batch.  In process the answer

@@ -23,6 +23,7 @@ from repro.similarity import (
     standard_error,
 )
 from repro.sketches.minhash import MinHashSignature
+from tests.admission import submit_one
 
 
 @pytest.fixture
@@ -405,7 +406,7 @@ class TestSimilarityService:
 
             client = ServiceClient(service)
             _put_corpus(client, {b"a": b"same doc", b"b": b"same doc"})
-            ticket = service.submit(Request("similar", b"a"))
+            ticket = submit_one(service, Request("similar", b"a"))
             service.drain()
             assert ticket.response.found is True
             assert [key for key, _ in ticket.response.neighbors] == [b"b"]

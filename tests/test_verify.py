@@ -221,6 +221,28 @@ def test_shrinker_minimizes_to_exact_trigger(broken_target):
     assert [op["op"] for op in shrunk.ops] == ["bad", "bad", "bad"]
 
 
+def test_shrinker_keeps_call_op_codes_on_their_keys(monkeypatch):
+    # A serving ``call`` op zips its ``ops`` codes with its ``keys``, so
+    # the two must shrink in lockstep.  This failure holds while some
+    # row pairs code ``d`` with key ``c``.
+    from repro.verify import runner
+
+    def still_fails(failure, ops):
+        for op in ops:
+            if ("d", "c") in zip(op.get("ops", ""), op.get("keys", ())):
+                return Failure(failure.target, failure.config, ops, 0,
+                               "pair present")
+        return None
+
+    monkeypatch.setattr(runner, "_still_fails", still_fails)
+    call = {"op": "call", "keys": ["a", "b", "c", "d"], "v": 0,
+            "ops": "pgdc"}
+    shrunk = shrink(Failure("service", {}, [call], 0, "pair present"))
+    [op] = shrunk.ops
+    assert len(op["ops"]) == len(op["keys"])
+    assert (op["ops"], op["keys"]) == ("d", ["c"])
+
+
 def test_clean_batch_ops_do_not_fail():
     config = TARGETS["probing"].default_config()
     ops = [{"op": "insert_batch",
