@@ -8,15 +8,26 @@ with one ``Service.submit`` — at more than one connection count, on both
 execution backends.  Each record carries ops/s plus p50/p99 request latency
 (scalar round trips on a settled service, so the numbers are what a
 caller sees), and the ack ledger: a benchmark run that loses an
-acknowledged write is a bug, not a slow run.  ``main()`` (and
+acknowledged write is a bug, not a slow run.
+
+Two more measurements isolate the wire itself.  The ``codec`` series
+times the four halves of one round trip's codec — encode and decode of
+a get call frame and of its answer frames — per key, at 16, 256 and
+2,048 keys.  The ``bulk`` record runs 2,048-key ``multi_get`` calls,
+closed loop over one connection, on a fleet shaped like the end-to-end
+``bulk_read`` workload's, next to the same calls in process on the same
+fleet in the same run as the denominator.  ``main()`` (and
 ``run_all.py``) writes ``BENCH_frontdoor.json`` at the repo root.
 """
 
 import json
 import os
+import random
+import statistics
 import subprocess
 import threading
 import time
+import timeit
 
 from repro.bench.harness import latency_summary_ns
 from repro.bench.reporting import print_header
@@ -28,8 +39,10 @@ from repro.service import (
     Service,
     ServiceClient,
     fork_available,
+    netproto,
     run_service_workload,
 )
+from repro.service.protocol import Run
 from repro.workloads.ycsb import WorkloadGenerator
 
 NUM_KEYS = 1_500
@@ -188,7 +201,135 @@ def frontdoor_records():
     return records
 
 
-def write_report(records, path=None):
+# The bulk fleet: the shape of the end-to-end bulk_read workload (4
+# inline probing shards with 256 queue slots each, 3,000 URL keys with
+# 32-byte values, uniform 2,048-key multi_get calls).
+BULK_KEYS = 3_000
+BULK_SHARDS = 4
+BULK_BACKEND = "probing"
+BULK_QUEUE = 256
+BULK_BATCH = 64
+BULK_VALUE_BYTES = 32
+BULK_CALL_KEYS = 2_048
+BULK_CALLS = 30
+CODEC_KEYS = (16, 256, 2_048)
+
+
+def _fleet(keys, values, max_queue):
+    service = Service(
+        num_shards=BULK_SHARDS, backend=BULK_BACKEND,
+        model=train_model(keys, fixed_dataset=True), capacity=len(keys),
+        max_queue=max_queue, batch_size=BULK_BATCH,
+    )
+    client = ServiceClient(service)
+    if not all(r.ok for r in client.put_many(zip(keys, values))):
+        service.close()
+        raise RuntimeError("fleet preload was not acknowledged in full")
+    return service
+
+
+def _fleet_inputs():
+    keys = google_urls(BULK_KEYS, seed=1)
+    values = [b"%0*d" % (BULK_VALUE_BYTES, i) for i in range(len(keys))]
+    return keys, values
+
+
+def codec_series(sizes=CODEC_KEYS, repeat=5):
+    """ns per key of each codec half of one get call's round trip.
+
+    The answer frames are encoded from real terminal runs: the call is
+    admitted by a fleet whose queues hold it whole, and drained."""
+    keys, values = _fleet_inputs()
+    service = _fleet(keys, values, max_queue=max(sizes))
+    try:
+        series = []
+        for n in sizes:
+            call = keys[:n]
+            runs = service.submit("get", call)
+            service.drain()
+            frame = netproto.encode_call(1, "get", call)
+            answers = netproto.encode_answers(1, runs)
+            [body] = netproto.FrameDecoder().feed(frame)
+            [answer] = netproto.FrameDecoder().feed(answers)
+
+            def decode_answers():
+                # The client reads an answer frame into a fresh run.
+                run = Run("get", call, None, None, 0, range(n), None, None)
+                netproto.decode_answers(answer, run, 0)
+                return run
+
+            if decode_answers().answers != values[:n]:
+                raise AssertionError("codec answers do not round-trip")
+            number = max(1, 20_000 // n)
+            halves = {
+                "encode_call": lambda: netproto.encode_call(1, "get", call),
+                "decode_call": lambda: netproto.decode_call(body),
+                "encode_answers": lambda: netproto.encode_answers(1, runs),
+                "decode_answers": decode_answers,
+            }
+            point = {"benchmark": f"frontdoor_codec_k{n}", "keys": n,
+                     "call_bytes": len(frame), "answer_bytes": len(answers)}
+            total = 0.0
+            for name, fn in halves.items():
+                seconds = min(timeit.repeat(fn, number=number,
+                                            repeat=repeat)) / number
+                point[f"{name}_ns_per_key"] = seconds * 1e9 / n
+                total += seconds
+            point["round_trip_ms"] = total * 1e3
+            series.append(point)
+        return series
+    finally:
+        service.close()
+
+
+def bulk_record(calls=BULK_CALLS):
+    """Closed-loop 2,048-key multi_get calls: in process, then over one
+    socket, on one fleet; every answer is checked against the preload."""
+    keys, values = _fleet_inputs()
+    expected = dict(zip(keys, values))
+    rng = random.Random(1)
+    batches = [rng.choices(keys, k=BULK_CALL_KEYS) for _ in range(calls)]
+    service = _fleet(keys, values, max_queue=BULK_QUEUE)
+
+    def timed(client):
+        samples = []
+        for batch in batches:
+            t0 = time.perf_counter()
+            got = client.multi_get(batch)
+            samples.append(time.perf_counter() - t0)
+            if got != [expected[key] for key in batch]:
+                raise AssertionError("a multi_get answered wrong values")
+        return samples
+
+    try:
+        inproc = timed(ServiceClient(service))
+        with FrontDoorThread(service) as door:
+            with NetworkClient("127.0.0.1", door.port) as client:
+                socket_samples = timed(client)
+                frames = door.run_in_loop(door.door.stats)["frames_in"]
+                lost = client.lost_acks
+    finally:
+        service.close()
+    inproc_ms = statistics.median(inproc) * 1e3
+    socket_ms = statistics.median(socket_samples) * 1e3
+    record = {
+        "benchmark": "frontdoor_bulk_multi_get",
+        "keys_per_call": BULK_CALL_KEYS,
+        "calls": calls,
+        "shards": BULK_SHARDS,
+        "backend": BULK_BACKEND,
+        "max_queue": BULK_QUEUE,
+        "inproc_ms_per_call": inproc_ms,
+        "socket_ms_per_call": socket_ms,
+        "socket_over_inproc": socket_ms / inproc_ms,
+        "frames_per_call": frames / calls,
+        "lost_acks": lost,
+    }
+    record.update(latency_summary_ns(socket_samples))
+    return record
+
+
+def write_report(records, path=None, codec=None, bulk=None):
     if path is None:
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         path = os.path.join(repo_root, "BENCH_frontdoor.json")
@@ -204,6 +345,8 @@ def write_report(records, path=None):
             "git_rev": rev,
             "generated_at_unix": time.time(),
             "records": records,
+            "codec": codec or [],
+            "bulk": bulk or [],
         }, f, indent=2)
     print(f"\n[wrote {len(records)} frontdoor record(s) to {path}]")
     return path
@@ -223,7 +366,21 @@ def main():
               f"p50 {r['latency_p50_ns'] / 1e3:7.0f}us "
               f"p99 {r['latency_p99_ns'] / 1e3:7.0f}us  "
               f"lost {r['lost_acks']}{ratio}")
-    write_report(records)
+    codec = codec_series()
+    for point in codec:
+        print(f"{point['benchmark']:28s} "
+              f"call {point['encode_call_ns_per_key']:6.0f}+"
+              f"{point['decode_call_ns_per_key']:6.0f} ns/key  "
+              f"answers {point['encode_answers_ns_per_key']:6.0f}+"
+              f"{point['decode_answers_ns_per_key']:6.0f} ns/key  "
+              f"round trip {point['round_trip_ms']:.3f} ms")
+    bulk = bulk_record()
+    print(f"{bulk['benchmark']:28s} in-proc "
+          f"{bulk['inproc_ms_per_call']:.1f} ms  socket "
+          f"{bulk['socket_ms_per_call']:.1f} ms "
+          f"({bulk['socket_over_inproc']:.1f}x)  "
+          f"{bulk['frames_per_call']:.1f} frames/call")
+    write_report(records, codec=codec, bulk=[bulk])
 
 
 # ------------------------------------------------------------------ tests
@@ -241,6 +398,11 @@ def test_socket_record_loses_no_acks():
     assert record["lost_acks"] == 0
     assert record["latency_p50_ns"] > 0
     assert record["admission_batches"] >= 1
+
+
+def test_codec_series_round_trips():
+    [point] = codec_series(sizes=(16,), repeat=1)
+    assert point["keys"] == 16 and point["round_trip_ms"] > 0
 
 
 def test_inproc_record_shape_matches_schema():

@@ -102,9 +102,21 @@ ARTIFACT_SCHEMAS = {
     },
     "BENCH_frontdoor.json": {
         "module": "bench_frontdoor",
-        "toplevel": ("git_rev", "generated_at_unix", "records"),
+        "toplevel": ("git_rev", "generated_at_unix", "records", "codec",
+                     "bulk"),
         "record": ("benchmark", "path", "execution", "connections",
                    "ops_per_second", "lost_acks") + _LATENCY_FIELDS,
+        # Lists of their own, each entry with its own required fields.
+        "series": {
+            "codec": ("benchmark", "keys", "call_bytes", "answer_bytes",
+                      "encode_call_ns_per_key", "decode_call_ns_per_key",
+                      "encode_answers_ns_per_key",
+                      "decode_answers_ns_per_key", "round_trip_ms"),
+            "bulk": ("benchmark", "keys_per_call", "calls",
+                     "inproc_ms_per_call", "socket_ms_per_call",
+                     "socket_over_inproc", "frames_per_call",
+                     "lost_acks") + _LATENCY_FIELDS,
+        },
     },
     "BENCH_similarity.json": {
         "module": "bench_similarity",
@@ -163,6 +175,17 @@ def validate_artifacts(selected):
                     problems.append(
                         f"{filename}: record {name!r} missing {field!r}"
                     )
+        for series, fields in schema.get("series", {}).items():
+            entries = report.get(series)
+            if not isinstance(entries, list) or not entries:
+                problems.append(f"{filename}: no {series} entries")
+                continue
+            for i, entry in enumerate(entries):
+                for field in fields:
+                    if field not in entry:
+                        name = entry.get("benchmark", f"#{i}")
+                        problems.append(f"{filename}: {series} entry "
+                                        f"{name!r} missing {field!r}")
     return problems
 
 

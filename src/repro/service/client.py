@@ -12,11 +12,13 @@ each with the pumps that answer it, and the client reads the runs' status
 and answer columns directly: no per-key Response is built,
 except where a verb returns Responses.  Over the socket a round is one
 call frame out — the front door admits it with one ``Service.submit`` —
-and its answers back, read as one run of Responses; a call too large
-for one frame goes as consecutive sub-calls, each walked to its
-terminal answers before the next is sent.  Either way one round of a
-call is one admission, and a shard refuses only a suffix of a run, so a
-batch that writes a key twice keeps its later write.
+and its answer frames back into one run's status and answer columns,
+settled by the same code; a call too large for one frame goes as
+consecutive sub-calls, each walked to its terminal answers before the
+next is sent, and a row too large for any frame fails unsent.  Either
+way one round of a call is one admission, and a shard refuses only a
+suffix of a run, so a batch that writes a key twice keeps its later
+write.
 
 Every call runs in rounds:
 
@@ -63,15 +65,12 @@ from repro.service import netproto
 from repro.service.protocol import (
     ANSWERED,
     FAILED,
-    OK,
-    OTHER,
     PENDING,
     REFUSED,
     REJECTED,
     Response,
     Run,
     ok_response,
-    payload_of,
 )
 from repro.service.service import Service, _gather
 
@@ -171,37 +170,40 @@ class _Socket:
 
     def round(self, op, keys: List[bytes], values: Optional[List[bytes]],
               held: Optional[List[Run]] = None) -> List[Run]:
-        """One call frame out, its answers back as one run of
-        Responses.  A socket round answers one run, so a retry holds at
-        most one, and its rows go out as the frame."""
+        """One call frame out, its answer frames read back into one
+        run's columns.  A socket round answers one run, so a retry holds
+        at most one, and its rows go out as the frame."""
         offsets = range(len(keys))
         if held is not None:
             [run] = held
             op = run.op if run.ops is None else run.ops
             keys, values, offsets = run.keys, run.values, run.offsets
-        frame_id = self.next_id
-        self.next_id += 1
-        self.sock.sendall(netproto.encode_call(frame_id, op, keys, values))
-        n = len(keys)
-        answers: List[Response] = []
-        while len(answers) < n:
-            data = self.sock.recv(1 << 16)
-            if not data:
-                raise ConnectionError(
-                    "server closed the connection mid-request"
-                )
-            for payload in self.decoder.feed(data):
-                if netproto.frame_id_of(payload) != frame_id:
-                    raise netproto.ProtocolError(
-                        f"answer to frame {payload['id']} while frame "
-                        f"{frame_id} is the one in flight"
-                    )
-                answers += netproto.decode_answers(payload, n - len(answers))
         one = isinstance(op, str)
         run = Run(op if one else None, keys, values, None, 0, offsets, None,
                   None, None if one else op)
-        run.status[:] = bytes((OTHER,)) * n
-        run.answers = answers
+        frame_id = self.next_id
+        self.next_id += 1
+        try:
+            frame = netproto.encode_call(frame_id, op, keys, values)
+        except netproto.ProtocolError as exc:
+            # A row too large for any frame (a span of its own) fails
+            # unsent: a negative answer, not a lost one.
+            for row in range(len(keys)):
+                run.answer(row, Response(FAILED, error=f"not sent: {exc}"))
+            return [run]
+        self.sock.sendall(frame)
+        done = 0
+        while done < len(keys):
+            data = self.sock.recv(1 << 16)
+            if not data:
+                raise ConnectionError("server closed the connection mid-call")
+            for body in self.decoder.feed(data):
+                if netproto.frame_id_of(body) != frame_id:
+                    raise netproto.ProtocolError(
+                        f"an answer to another frame while frame "
+                        f"{frame_id} is the one in flight"
+                    )
+                done = netproto.decode_answers(body, run, done)
         return [run]
 
     def tick(self) -> None:
@@ -390,14 +392,7 @@ class ServiceClient:
                                  else run.answers[row])
                 continue
             response = run.refused if code == REFUSED else run.answers[row]
-            status_ = response.status
-            if status_ == OK:
-                if op == "put":
-                    self.puts_responded += 1
-                    self.puts_acked += 1
-                out[position] = (response if responses
-                                 else payload_of(op, response))
-            elif status_ == REJECTED:
+            if response.status == REJECTED:
                 self.retries += 1
                 after = response.retry_after
                 after = 1 if after is None else max(0, int(after))
@@ -412,8 +407,7 @@ class ServiceClient:
                     typed = _typed_error(op, response)
                     if typed is not None:
                         error = (position, typed)
-                out[position] = (response if responses
-                                 else payload_of(op, response))
+                out[position] = response if responses else None
         if rejected:
             held.append(_hold(run, rejected))
         return hint, error

@@ -1,13 +1,13 @@
 """Asyncio network front door: real sockets in front of the shards.
 
 The front door puts an actual serving boundary in front of the
-service: clients connect over TCP and speak the length-prefixed JSON
+service: clients connect over TCP and speak the length-prefixed column
 protocol (:mod:`repro.service.netproto`), one frame per client call.
 Each call frame is admitted with one ``Service.submit`` — the
-entry the in-process client uses — and answered by one response once
-every row of its runs is terminal.  One admission round admits every
-frame that arrived since the last, from any connection, so many
-connections' calls share the pumps that serve them.
+entry the in-process client uses — and answered from its runs' status
+and answer columns once every row of them is terminal.  One admission
+round admits every frame that arrived since the last, from any
+connection, so many connections' calls share the pumps that serve them.
 
 Design rules, in order of importance:
 
@@ -50,7 +50,7 @@ import threading
 from typing import Dict, List, Optional, Set
 
 from repro.service import netproto
-from repro.service.protocol import PENDING, REJECTED, Response
+from repro.service.protocol import PENDING, REJECTED
 from repro.service.service import Service
 
 _READ_CHUNK = 1 << 16
@@ -196,12 +196,12 @@ class FrontDoor:
                 data = await reader.read(_READ_CHUNK)
                 if not data:
                     break
-                for payload in decoder.feed(data):
-                    self._on_frame(connection, payload)
+                for body in decoder.feed(data):
+                    self._on_frame(connection, body)
         except netproto.ProtocolError:
-            # The stream itself is corrupt (oversized length prefix,
-            # non-JSON body): there is no frame id to answer, so the
-            # only safe move is to drop the connection.
+            # The stream itself is corrupt (a length prefix past the
+            # ceiling): there is no frame id to answer, so the only
+            # safe move is to drop the connection.
             self.bad_frames += 1
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -210,45 +210,34 @@ class FrontDoor:
             await writer_task
             self._connections.discard(connection)
 
-    def _on_frame(self, connection: _Connection,
-                  payload: Dict[str, object]) -> None:
+    def _on_frame(self, connection: _Connection, body: bytes) -> None:
         self.frames_in += 1
         try:
-            frame_id = netproto.frame_id_of(payload)
+            frame_id = netproto.frame_id_of(body)
         except netproto.ProtocolError:
             self.bad_frames += 1
             return  # unanswerable: no id to echo
         try:
-            op, keys, values = netproto.decode_call(payload)
+            op, keys, values = netproto.decode_call(body)
         except netproto.ProtocolError as exc:
             self.bad_frames += 1
-            connection.send(
-                netproto.encode_status(
-                    frame_id, netproto.BAD_REQUEST, error=str(exc)
-                )
-            )
+            connection.send(netproto.encode_status(
+                frame_id, netproto.BAD_REQUEST, error=str(exc)))
             return
         if self._draining:
             self.drained_frames += 1
-            connection.send(
-                netproto.encode_status(
-                    frame_id, netproto.DRAINING,
-                    error="front door is draining for shutdown",
-                )
-            )
+            connection.send(netproto.encode_status(
+                frame_id, netproto.DRAINING,
+                error="front door is draining for shutdown"))
             return
         if connection.pending >= self.max_pending:
             # Per-connection backpressure: this connection already owns
             # max_pending unanswered rows; pushing more would let one
             # client buffer without bound inside the server.
             self.rejections_propagated += len(keys)
-            connection.send(
-                netproto.encode_status(
-                    frame_id, REJECTED,
-                    error="connection pipeline full",
-                    retry_after=1,
-                )
-            )
+            connection.send(netproto.encode_status(
+                frame_id, REJECTED, error="connection pipeline full",
+                retry_after=1))
             return
         connection.pending += len(keys)
         self._intake.append((connection, frame_id, op, keys, values))
@@ -258,21 +247,17 @@ class FrontDoor:
 
     def _answer_done(self, calls: List[tuple]) -> List[tuple]:
         """Answer every admitted call ``(connection, frame_id, rows,
-        runs)`` whose rows are all terminal, one response in call
-        order; returns the calls still pending."""
+        runs)`` whose rows are all terminal from the runs' own columns,
+        in call order; returns the calls still pending."""
         still = []
         for call in calls:
             connection, frame_id, rows, runs = call
             if any(PENDING in run.status for run in runs):
                 still.append(call)
                 continue
-            answers: List[Optional[Response]] = [None] * rows
-            for run in runs:
-                for row, offset in enumerate(run.offsets):
-                    answers[offset] = run.response(row)
             connection.pending -= rows
             self.responses_out += 1
-            connection.send(netproto.encode_answers(frame_id, answers))
+            connection.send(netproto.encode_answers(frame_id, runs))
         return still
 
     async def _admission_loop(self) -> None:

@@ -23,6 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 # served by the similarity backend only: the request key names the
 # item, the value carries the neighbor count k as ASCII decimal.
 OPS = ("get", "put", "delete", "contains", "similar", "stats")
+VALUED = ("put", "similar")   # the ops whose rows carry a value
 
 # Response statuses.
 OK = "ok"
@@ -101,20 +102,6 @@ def ok_response(op: str, payload: object, shard: Optional[int]) -> Response:
     if op == "stats":
         return Response(OK, stats=payload)
     return Response(OK, found=payload, shard=shard)  # delete, contains
-
-
-def payload_of(op: str, response: Response) -> object:
-    """The inverse of :func:`ok_response`: the payload a Response
-    carries for ``op``."""
-    if op == "get":
-        return response.value
-    if op == "similar":
-        return response.neighbors
-    if op == "stats":
-        return response.stats
-    if op == "put":
-        return None
-    return response.found
 
 
 class Run:
@@ -223,8 +210,8 @@ class Rows:
 
 
 __all__ = [
-    "OPS", "OK", "REJECTED", "FAILED",
+    "OPS", "VALUED", "OK", "REJECTED", "FAILED",
     "PENDING", "ANSWERED", "REFUSED", "OTHER",
     "Request", "Response", "Rows", "Run",
-    "ok_response", "payload_of",
+    "ok_response",
 ]

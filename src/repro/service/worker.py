@@ -65,6 +65,7 @@ from repro.service.protocol import (
     Response,
     Rows,
     Run,
+    VALUED,
 )
 
 # One answered row's status byte, and one row answered by a Response.
@@ -72,9 +73,6 @@ _ANSWERED_ROW = bytes((ANSWERED,))
 _OTHER_ROW = bytes((OTHER,))
 
 _first_id = attrgetter("first_id")
-
-# The ops whose wire segment carries the request values.
-_VALUED = ("put", "similar")
 
 # One segment piece: rows [start, stop) of one run.
 Piece = Tuple[Run, int, int]
@@ -157,7 +155,7 @@ def _segments(batch: Sequence[Rows]) -> List[tuple]:
     for op, pieces in spans:
         keys: List[bytes] = []
         hashes: list = []
-        values: Optional[list] = [] if op in _VALUED else None
+        values: Optional[list] = [] if op in VALUED else None
         for run, start, stop in pieces:
             keys += run.keys[start:stop]
             hashes += run.hashes[start:stop]
@@ -455,7 +453,7 @@ class Worker:
             start, stop = batch[0].start, batch[0].stop
             op = run.op
             keys = run.keys[start:stop]
-            values = run.values[start:stop] if op in _VALUED else None
+            values = run.values[start:stop] if op in VALUED else None
             hashes = run.hashes[start:stop]
             self._segments = [(op, [(run, start, stop)], keys, values,
                                hashes)]

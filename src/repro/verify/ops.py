@@ -279,8 +279,8 @@ SERVING_MENUS: Dict[str, ServingMenu] = {
     # crossing a flip through the socket is what the preset exists for.
     "frontdoor": ServingMenu(
         rolls=((0.24, "put"), (0.42, "get"), (0.52, "delete"),
-               (0.62, "contains"), (0.74, "burst"), (0.86, "multi_get"),
-               (0.93, "stats"), (1.0, "race")),
+               (0.62, "contains"), (0.74, "burst"), (0.80, "call"),
+               (0.86, "multi_get"), (0.93, "stats"), (1.0, "race")),
         tail=("race", "read_head"), burst=(2, 12),
     ),
     "similarity": ServingMenu(

@@ -17,6 +17,7 @@ from repro.service import (
     fork_available,
     netproto,
 )
+from repro.service.protocol import Run
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +37,20 @@ def _service(model, **kwargs):
     return Service(**defaults)
 
 
-def _read_payload(sock, decoder):
+def _answers(body, op, rows):
+    """One answer frame read into a run of ``rows`` rows of ``op``."""
+    run = Run(op, [b"k"] * rows, None, None, 0, range(rows), None, None)
+    assert netproto.decode_answers(body, run, 0) == rows
+    return run
+
+
+def _read_body(sock, decoder):
     while True:
         data = sock.recv(1 << 16)
         if not data:
             raise ConnectionError("server closed the connection")
-        for payload in decoder.feed(data):
-            return payload
+        for body in decoder.feed(data):
+            return body
 
 
 class TestBasicKV:
@@ -58,7 +66,7 @@ class TestBasicKV:
                     assert client.contains(b"missing") is False
                     assert client.delete(b"k").found is True
                     assert client.get(b"k") is None
-                    # Binary keys/values survive the base64 crossing.
+                    # Binary keys/values survive the byte arenas.
                     assert client.put(b"\x00\xff", b"\x01\x00\x02").ok
                     assert client.get(b"\x00\xff") == b"\x01\x00\x02"
                     assert client.lost_acks == 0
@@ -199,11 +207,11 @@ class TestBackpressure:
                                                 timeout=10)
                 try:
                     sock.sendall(netproto.encode_call(1, "get", [b"ab", b"cd"]))
-                    payload = _read_payload(sock, netproto.FrameDecoder())
-                    assert payload["id"] == 1
-                    answers = netproto.decode_answers(payload, 2)
-                    assert [a.status for a in answers] == ["rejected"] * 2
-                    assert all(a.retry_after >= 1 for a in answers)
+                    body = _read_body(sock, netproto.FrameDecoder())
+                    assert netproto.frame_id_of(body) == 1
+                    for answer in _answers(body, "get", 2).answers:
+                        assert answer.status == "rejected"
+                        assert answer.retry_after >= 1
                     stats = door.run_in_loop(door.door.stats)
                     assert stats["rejections_propagated"] == 2
                     assert door.run_in_loop(service.stats)["submitted"] == 0
@@ -253,24 +261,63 @@ class TestBadFrames:
                                                 timeout=10)
                 try:
                     decoder = netproto.FrameDecoder()
-                    for bad in ({"id": 9, "op": "scan", "keys": ["YQ=="]},
-                                {"id": 9, "op": ["get"], "keys": []}):
-                        sock.sendall(netproto.encode_frame(bad))
-                        payload = _read_payload(sock, decoder)
-                        assert payload == {
-                            "id": 9, "status": "bad_request",
-                            "error": payload["error"],
-                        }
+                    good = netproto.encode_call(9, "get", [b"a"])
+                    for bad in (good[:12] + b"\xc8" + good[13:],
+                                good[:12] + bytes([netproto.MIXED])
+                                + good[13:17] + b"\x07" + good[17:]):
+                        sock.sendall(netproto.encode_frame(bad[4:]))
+                        body = _read_body(sock, decoder)
+                        assert netproto.frame_id_of(body) == 9
+                        [response] = _answers(body, "get", 1).answers
+                        assert response.status == "bad_request"
+                        assert "op code" in response.error
                     # The connection survives a bad frame.
                     sock.sendall(netproto.encode_call(
                         10, "contains", [b"ab", b"cd"]
                     ))
-                    payload = _read_payload(sock, decoder)
-                    assert payload["id"] == 10
-                    answers = netproto.decode_answers(payload, 2)
-                    assert [a.found for a in answers] == [False, False]
+                    body = _read_body(sock, decoder)
+                    assert netproto.frame_id_of(body) == 10
+                    assert _answers(body, "contains", 2).answers == [
+                        False, False]
                 finally:
                     sock.close()
+        finally:
+            service.close()
+
+    def test_malformed_frames_answer_bad_request(self, model):
+        # Each malformed call frame is answered bad_request on its own
+        # connection, and the admission loop never sees it.
+        head = struct.Struct("<QBI")
+        good = netproto.encode_call(4, "put", [b"ab"], [b"v"])[4:]
+        bodies = (
+            good[:-2],                                   # truncated arena
+            head.pack(4, 0, 1) + struct.pack("<2I", 1, 1 << 20) + b"k"
+            + struct.pack("<I", 0),                      # past the end
+            head.pack(4, netproto.MIXED, 1) + b"\x09" + good[13:],
+            head.pack(4, 0, 2 ** 32 - 1) + b"\x00" * 7,  # 2**32 - 1 rows
+            good + b"\x00",                              # trailing bytes
+            head.pack(4, 0, 1) + struct.pack("<2I", 1, netproto.NONE)
+            + struct.pack("<I", 0),                      # a None key
+        )
+        service = _service(model)
+        try:
+            with FrontDoorThread(service) as door:
+                sock = socket.create_connection(("127.0.0.1", door.port),
+                                                timeout=10)
+                try:
+                    decoder = netproto.FrameDecoder()
+                    for body in bodies:
+                        sock.sendall(netproto.encode_frame(body))
+                        answer = _read_body(sock, decoder)
+                        assert netproto.frame_id_of(answer) == 4
+                        [response] = _answers(answer, "put", 1).answers
+                        assert response.status == "bad_request"
+                finally:
+                    sock.close()
+                stats = door.run_in_loop(door.door.stats)
+                assert stats["bad_frames"] == len(bodies)
+                assert stats["admission_error"] is None
+                assert door.run_in_loop(service.stats)["submitted"] == 0
         finally:
             service.close()
 
@@ -367,12 +414,12 @@ class TestDrain:
                         sock.sendall(netproto.encode_call(
                             3, "put", [b"a", b"b"], [b"1", b"2"]
                         ))
-                        payload = _read_payload(sock,
-                                                netproto.FrameDecoder())
+                        body = _read_body(sock, netproto.FrameDecoder())
                     finally:
                         sock.close()
-                    assert payload["status"] == netproto.DRAINING
-                    assert "answers" not in payload
+                    assert [a.status for a in
+                            _answers(body, "put", 2).answers] == [
+                        netproto.DRAINING] * 2
                     # Un-drain so the context-manager stop() below runs
                     # the normal (non-reentrant) shutdown path.
                     door.run_in_loop(
@@ -404,14 +451,15 @@ class TestDrain:
 
 class TestAdmissionLoop:
     def test_oversized_answer_fails_its_row_and_the_loop_lives(self, model):
-        # An 800,000-byte value base64-encodes past MAX_FRAME_BYTES, so
-        # its get answer cannot be framed: the row answers FAILED with
-        # the ceiling named, and the admission loop keeps serving.
+        # A value past MAX_FRAME_BYTES cannot be framed as a get
+        # answer: the row answers FAILED with the ceiling named, and the
+        # admission loop keeps serving.
         from repro.service import ServiceClient
 
         service = _service(model)
+        big = b"x" * (netproto.MAX_FRAME_BYTES + 1)
         try:
-            assert ServiceClient(service).put(b"big", b"x" * 800_000).ok
+            assert ServiceClient(service).put(b"big", big).ok
             with FrontDoorThread(service) as door:
                 with NetworkClient("127.0.0.1", door.port) as client:
                     [response] = client._call("get", [b"big"], None, True)
@@ -421,6 +469,25 @@ class TestAdmissionLoop:
                     assert client.get(b"small") == b"v"
                     stats = door.run_in_loop(door.door.stats)
                     assert stats["admission_error"] is None
+        finally:
+            service.close()
+
+    def test_oversized_put_fails_without_losing_its_ack(self, model):
+        # A put too large for any call frame is never sent: it answers
+        # FAILED with the ceiling named, a negative ack, so the ledger
+        # owes nothing and the next put goes through.
+        service = _service(model)
+        try:
+            with FrontDoorThread(service) as door:
+                with NetworkClient("127.0.0.1", door.port) as client:
+                    response = client.put(
+                        b"big", b"x" * netproto.MAX_FRAME_BYTES)
+                    assert response.status == "failed"
+                    assert str(netproto.MAX_FRAME_BYTES) in response.error
+                    assert client.lost_acks == 0
+                    assert client.put(b"small", b"v").ok
+                    assert client.lost_acks == 0
+                    assert door.run_in_loop(service.stats)["submitted"] == 1
         finally:
             service.close()
 
@@ -451,3 +518,36 @@ class TestAdmissionLoop:
                 assert "pump broke" in error
         finally:
             service.close()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_mixed_op_call_answers_alike(model, transport):
+    # One op column settles through the same column code on both
+    # transports: the same payloads, in call order, and no lost ack.
+    from repro.service import ServiceClient
+
+    ops = ["put", "stats", "get", "contains", "delete"]
+    keys = [b"mx", b"", b"mx", b"mx", b"mx"]
+    values = [b"v", b"", b"", b"", b""]
+    service = _service(model)
+    try:
+        with FrontDoorThread(service) as door:
+            client = (ServiceClient(service) if transport == "inproc"
+                      else NetworkClient("127.0.0.1", door.port))
+            if transport == "inproc":
+                # The service belongs to the door's loop thread.
+                call = door.run_in_loop
+            else:
+                def call(fn, *args):
+                    return fn(*args)
+            out = call(client._call, ops, keys, values)
+            assert isinstance(out[1], dict) and out[1]["submitted"] >= 1
+            assert out[:1] + out[2:] == [None, b"v", True, True]
+            out = call(client._call, ["get", "contains"], keys[:2],
+                       values[:2])
+            assert out == [None, False]
+            assert client.lost_acks == 0
+            if transport == "socket":
+                client.close()
+    finally:
+        service.close()
