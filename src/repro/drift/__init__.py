@@ -25,7 +25,7 @@ The swap itself is ``Service.relearn_swap``: a new
 execution backend, with a journal checkpoint after each rehash.
 """
 
-from repro.drift.detector import DriftDetector, make_detector
+from repro.drift.detector import DriftDetector
 from repro.drift.keys import DRIFT_FILL, DRIFT_SEPARATOR, drift_key
 from repro.drift.relearner import (
     RELEARN_BACKENDS,
@@ -46,6 +46,5 @@ __all__ = [
     "SlidingWindowEntropy",
     "deployed_plan",
     "drift_key",
-    "make_detector",
     "required_entropy_for_spec",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional, Set
+from typing import Deque, Set
 
 from repro._util import Key, as_bytes
 from repro.core.partial_key import PartialKeyFunction
@@ -157,35 +157,3 @@ class DriftDetector:
             "window": self.window.stats(),
             "reservoir": self.reservoir.stats(),
         }
-
-
-def make_detector(
-    model,
-    required_entropy: float,
-    *,
-    window: int = 256,
-    margin: float = 2.0,
-    patience: int = 2,
-    reservoir: int = 256,
-    min_fill: float = 0.5,
-    seed: int = 0,
-) -> Optional[DriftDetector]:
-    """Detector for the plan ``model`` actually deploys at ``required_entropy``.
-
-    Returns ``None`` when the model cannot reach the requirement with a
-    partial key (the deployed hasher is full-key; there is no partial
-    plan to watch).
-    """
-    num_words = model.result.min_words_for_entropy(required_entropy)
-    if num_words is None:
-        return None
-    return DriftDetector(
-        partial_key=model.result.partial_key(num_words),
-        claimed_entropy=model.result.entropy_at(num_words),
-        window=window,
-        margin=margin,
-        patience=patience,
-        reservoir=reservoir,
-        min_fill=min_fill,
-        seed=seed,
-    )

@@ -319,9 +319,6 @@ class Relearner:
 
     # ----------------------------------------------------------------- misc
 
-    def grow(self) -> None:
-        """A shard split happened; new shards get detectors lazily."""
-
     def stats(self) -> dict:
         return {
             "window": self.window,

@@ -174,8 +174,8 @@ class HashEngine:
         reducer, with ``reducer.apply_one`` of each scalar hash), with
         the dtypes of ``reducer.apply`` at every batch size.
         ``seed`` overrides the hasher's seed for this call only — plans
-        are seed-independent, so multi-hash structures (Count-Min rows,
-        MinHash permutations) reuse one engine and one plan cache.
+        are seed-independent, so multi-hash structures (MinHash
+        permutations, LSH bands) reuse one engine and one plan cache.
         """
         if type(keys) is not list and type(keys) is not tuple:
             keys = list(keys)

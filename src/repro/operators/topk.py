@@ -3,9 +3,10 @@
 The standard sketch-based heavy-hitter pipeline (the network-switch
 workload of the paper's introduction [46]): every item updates a
 Count-Min sketch, and a small candidate map tracks the current top-k by
-estimated count.  All hashing — ``depth`` updates per item — goes
-through the Entropy-Learned hasher, which is exactly the per-packet cost
-the paper's sketch motivation targets.
+estimated count.  Each update hashes the item once through the
+Entropy-Learned hasher, and all ``depth`` sketch rows derive from that
+one hash, so hashing is exactly the per-packet cost the paper's sketch
+motivation targets.
 """
 
 from __future__ import annotations

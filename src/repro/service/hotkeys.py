@@ -9,17 +9,19 @@ memory regardless of key cardinality, never underestimates — and the
 candidate dictionary caps the exact-key state at a few multiples of
 ``k``, the classic sketch-plus-heap heavy-hitter recipe.
 
-The hot path stays batched: observed keys buffer until ``flush_every``
-and then take a *single* vectorized sketch pass — ``add_batch`` hands
-back the post-add estimates it already has the column indices for, so
-a flush hashes each buffered key exactly once, however the router's
-calls chunk the stream (a one-key route is ``observe([key])``).
-Detection quality is therefore delayed by at most one buffer, which
-the recall tests (zipf theta 0.8/0.99) account for.  For latency-critical
-deployments ``sample`` observes only every Nth routed key (positions
-are counted deterministically across calls): a key carrying ``phi`` of
-the stream carries ``phi`` of any stride of it, so heavy hitters
-survive sampling while the tracker's hashing bill drops by N.
+The tracker hashes nothing: the router hands it each routed key with
+the fleet hash it already computed (``observe(keys, hashes)``), and
+each candidate keeps the hash it was counted under, so neither a flush
+nor ``top()`` calls an engine.  Observed keys buffer until
+``flush_every`` and then take a *single* sketch pass — ``add_hashed``
+hands back the post-add estimates — however the router's calls chunk
+the stream.  Detection quality is therefore delayed by at most one
+buffer, which the recall tests (zipf theta 0.8/0.99) account for.  For
+latency-critical deployments ``sample`` observes only every Nth routed
+key (positions are counted deterministically across calls): a key
+carrying ``phi`` of the stream carries ``phi`` of any stride of it, so
+heavy hitters survive sampling while the tracker's counting bill drops
+by N.
 
 Uniform streams must yield *no* heavy hitters: every key's true share
 sits far below ``phi``, and the Count-Min overestimate is bounded by
@@ -34,10 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.hasher import EntropyLearnedHasher
 from repro.sketches.countmin import CountMinSketch
 
-# The tracker's sketch must not reuse the routing hash stream: the same
-# bits that pick the shard would then pick the counter column, and a
-# whole shard's keys would pile into correlated columns.
-TRACKER_SEED_OFFSET = 211
 # The stream share that makes a key a heavy hitter (see above).
 HOT_PHI = 0.005
 
@@ -68,14 +66,15 @@ class HotKeyTracker:
         self.flush_every = max(1, flush_every)
         self.sample = sample
         self._position = 0  # stream position, counted across observe calls
-        self.sketch = CountMinSketch(
-            hasher.with_seed(hasher.seed + TRACKER_SEED_OFFSET),
-            width=width, depth=depth,
-        )
-        self._buffer: List[bytes] = []
-        # key -> last estimate, refreshed on every flush that sees the
-        # key; bounded at a few multiples of k by _prune.
-        self.candidates: Dict[bytes, int] = {}
+        # On the plan the observed hashes come from, so the sketch's
+        # keyed ``estimate`` reads the counters a flush wrote.
+        self.sketch = CountMinSketch(hasher, width=width, depth=depth)
+        self._keys: List[bytes] = []
+        self._hashes: List[int] = []
+        # key -> (last estimate, the hash it was counted under), the
+        # estimate refreshed on every flush that sees the key; bounded
+        # at a few multiples of k by _prune.
+        self.candidates: Dict[bytes, Tuple[int, int]] = {}
         self.flushes = 0
         # Set when a flush changed the candidate set; the router's adapt
         # pass clears it, so idle pumps never rescan candidates.
@@ -83,46 +82,51 @@ class HotKeyTracker:
 
     # ---------------------------------------------------------- observing
 
-    def observe(self, keys: Sequence[bytes]) -> None:
-        """Feed routed keys into the stream (buffered, batch-flushed)."""
+    def observe(self, keys: Sequence[bytes], hashes: Sequence[int]) -> None:
+        """Feed routed keys and their fleet hashes into the stream
+        (buffered, batch-flushed)."""
         sample = self.sample
         if sample > 1:
             position = self._position
             self._position = position + len(keys)
-            keys = keys[-position % sample::sample]
+            start = -position % sample
+            keys = keys[start::sample]
             if not keys:
                 return
-        self._buffer.extend(keys)
-        if len(self._buffer) >= self.flush_every:
+            hashes = hashes[start::sample]
+        self._keys.extend(keys)
+        self._hashes.extend(hashes)
+        if len(self._keys) >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
         """Drain the buffer into the sketch and refresh candidates.
 
-        One hashing pass total: ``add_batch`` returns the post-add
-        estimate at every buffered position, and duplicates of a key
-        all carry the same (final) estimate, so scoring the distinct
-        keys is a dict fold — no second sketch pass.
+        One sketch pass over the buffered hashes and no engine call:
+        ``add_hashed`` returns the post-add estimate at every buffered
+        position, and duplicates of a key all carry the same (final)
+        estimate, so scoring the distinct keys is a dict fold.
         """
-        if not self._buffer:
+        if not self._keys:
             return
-        estimates = self.sketch.add_batch(self._buffer,
-                                          return_estimates=True)
+        estimates = self.sketch.add_hashed(self._hashes,
+                                           return_estimates=True)
         # First-insertion order of the dict is first-seen order in the
         # buffer, deterministically; re-assignment rewrites the same
         # value, since every occurrence reads the same final counter.
-        scored: Dict[bytes, int] = {}
-        for key, estimate in zip(self._buffer, estimates):
-            scored[key] = int(estimate)
-        self._buffer.clear()
+        scored: Dict[bytes, Tuple[int, int]] = dict(
+            zip(self._keys, zip(estimates.tolist(), self._hashes))
+        )
+        self._keys.clear()
+        self._hashes.clear()
         threshold = self.threshold()
-        for key, estimate in scored.items():
-            if estimate >= threshold:
+        for key, entry in scored.items():
+            if entry[0] >= threshold:
                 if key not in self.candidates:
                     self.dirty = True
-                self.candidates[key] = estimate
+                self.candidates[key] = entry
             elif key in self.candidates:
-                self.candidates[key] = estimate
+                self.candidates[key] = entry
         self.flushes += 1
         self._prune()
 
@@ -131,13 +135,14 @@ class HotKeyTracker:
         whose refreshed estimate fell back under the threshold, then the
         coldest surplus beyond 4k."""
         threshold = self.threshold()
-        cold = [k for k, est in self.candidates.items() if est < threshold]
+        cold = [k for k, (est, _) in self.candidates.items()
+                if est < threshold]
         for key in cold:
             del self.candidates[key]
         cap = 4 * self.k
         if len(self.candidates) > cap:
             ranked = sorted(
-                self.candidates.items(), key=lambda kv: -kv[1]
+                self.candidates.items(), key=lambda kv: -kv[1][0]
             )[:cap]
             self.candidates = dict(ranked)
 
@@ -150,15 +155,16 @@ class HotKeyTracker:
 
     def top(self, k: Optional[int] = None) -> List[Tuple[bytes, int]]:
         """The k highest-estimate candidates, re-scored against the
-        current sketch (descending estimate, key bytes as tiebreak for
-        determinism)."""
+        current sketch through the hashes they were counted under
+        (descending estimate, key bytes as tiebreak for determinism)."""
         self.flush()
         if not self.candidates:
             return []
-        keys = list(self.candidates)
-        estimates = self.sketch.estimate_batch(keys)
+        estimates = self.sketch.estimate_hashed(
+            [h for _, h in self.candidates.values()]
+        )
         ranked = sorted(
-            zip(keys, (int(e) for e in estimates)),
+            zip(self.candidates, estimates.tolist()),
             key=lambda kv: (-kv[1], kv[0]),
         )
         return ranked[: self.k if k is None else k]
@@ -174,7 +180,7 @@ class HotKeyTracker:
         return {
             "k": self.k,
             "phi": self.phi,
-            "total_observed": self.sketch.total + len(self._buffer),
+            "total_observed": self.sketch.total + len(self._keys),
             "sample": self.sample,
             "candidates": len(self.candidates),
             "threshold": self.threshold(),
@@ -189,4 +195,4 @@ class HotKeyTracker:
                 f"observed={self.sketch.total})")
 
 
-__all__ = ["HotKeyTracker", "TRACKER_SEED_OFFSET"]
+__all__ = ["HotKeyTracker"]

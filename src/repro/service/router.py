@@ -22,6 +22,8 @@ the router from the plan its shard tables plan (``AdapterSpec.
 fleet_hasher``), and every routed key's raw hash rides its run's hash
 column into the shard, whose table probes and inserts from it (the bit
 budget that keeps the uses apart is in :mod:`repro.service.routing`).
+The hot-key tracker counts the same hashes, so routing a key hashes it
+once for every per-key consumer.
 
 Fault-plane observation is one ``note_routes`` call per routed batch.
 """
@@ -109,7 +111,7 @@ class ShardRouter:
         else:
             self.routed += np.bincount(shards, minlength=self.num_shards)
         if self.tracker is not None:
-            self.tracker.observe(keys)
+            self.tracker.observe(keys, hashes)
         if self.fault_plane is not None:
             self.fault_plane.note_routes(shards)
         return shards, hashes
@@ -126,12 +128,18 @@ class ShardRouter:
 
         Generations are monotonic: installing a stale candidate (built
         from a table older than the live one) is a programming error.
+        A candidate with a new engine re-hashes every key, so a fresh
+        tracker counts its plan's hashes: no estimate mixes two plans.
         """
         if candidate.generation <= self.table.generation:
             raise ValueError(
                 f"candidate generation {candidate.generation} is not "
                 f"newer than live generation {self.table.generation}"
             )
+        if candidate.engine is not self.engine and self.tracker is not None:
+            self.tracker = HotKeyTracker(candidate.engine.hasher,
+                                         k=self.tracker.k,
+                                         sample=self.tracker.sample)
         self.engine = candidate.engine
         if candidate.num_shards > len(self.routed):
             grown = np.zeros(candidate.num_shards, dtype=np.int64)

@@ -1,12 +1,21 @@
 """Count-Min sketch with Entropy-Learned hashing.
 
 A Count-Min sketch estimates item frequencies with ``depth`` rows of
-``width`` counters; each row uses an independently seeded hash.  With a
-partial-key hash, two keys colliding through ``L`` merge their counts in
-*every* row — equivalent to treating them as the same item — so the
-extra error is bounded by the partial-key collision mass.  Choosing
-``H2(L(X)) > log2(width) + c`` keeps that mass below the sketch's own
-``n / width`` error, mirroring the partitioning analysis (Section 4.3).
+``width`` counters.  All rows come from one 64-bit hash per key
+(Kirsch–Mitzenmacher): with ``h1`` its high and ``h2`` its low 32-bit
+half (forced odd), row ``i`` counts in column
+``((h1 + i*h2) mod 2^32) * width >> 32``.  A key costs one engine call
+whatever the depth, and a caller that holds a key's hash (the hot-key
+tracker holds the router's) counts it without hashing
+(:meth:`~CountMinSketch.add_hashed`).  DESIGN.md §7 measures the
+overcount against independently seeded rows.
+
+With a partial-key hash, two keys colliding through ``L`` merge their
+counts in *every* row — equivalent to treating them as the same item —
+so the extra error is bounded by the partial-key collision mass.
+Choosing ``H2(L(X)) > log2(width) + c`` keeps that mass below the
+sketch's own ``n / width`` error, mirroring the partitioning analysis
+(Section 4.3).
 """
 
 from __future__ import annotations
@@ -17,7 +26,10 @@ import numpy as np
 
 from repro._util import Key, as_bytes, as_bytes_list
 from repro.core.hasher import EntropyLearnedHasher
-from repro.engine import FastRangeReducer, HashEngine
+from repro.engine import BloomSplitReducer, HashEngine
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 class CountMinSketch:
@@ -35,72 +47,62 @@ class CountMinSketch:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        # One engine serves every row: the per-row seed is passed through
-        # at kernel-call time, so all rows share one compiled plan.
         self.engine = HashEngine(hasher)
-        self._seeds = [hasher.seed + row + 1 for row in range(depth)]
-        self._reducer = FastRangeReducer(width)
+        self._split = BloomSplitReducer()
+        # Row i's multiplier of h2, and its counter row, as columns: one
+        # broadcast builds or reads every row at once.
+        self._steps = np.arange(depth, dtype=np.uint64)[:, None]
+        self._rows = np.arange(depth)[:, None]
         self._counts = np.zeros((depth, width), dtype=np.int64)
         self._total = 0
+
+    def _columns(self, hashes) -> np.ndarray:
+        """The ``depth × n`` counter columns of raw 64-bit hashes."""
+        h1, h2 = self._split.apply(np.asarray(hashes, dtype=np.uint64))
+        mixed = (h1 + self._steps * h2) & _LOW32
+        return ((mixed * np.uint64(self.width)) >> _SHIFT32).astype(np.intp)
+
+    def add_hashed(self, hashes, count: int = 1, return_estimates: bool = False):
+        """Add ``count`` occurrences per raw hash: the one counting path.
+
+        With ``return_estimates`` the post-add estimate of every input
+        position comes back as an int64 array for free — the columns
+        are already in hand, so callers that add *and* score a stream
+        (the hot-key tracker) skip a second pass.  Duplicates all read
+        the same final counter, exactly like :meth:`estimate_hashed`
+        after the add.
+        """
+        columns = self._columns(hashes)
+        np.add.at(self._counts, (self._rows, columns), count)
+        self._total += count * columns.shape[1]
+        if return_estimates:
+            return self._counts[self._rows, columns].min(axis=0)
+        return None
+
+    def estimate_hashed(self, hashes) -> np.ndarray:
+        """Estimate per raw hash: the min over rows of its counters."""
+        return self._counts[self._rows, self._columns(hashes)].min(axis=0)
 
     def add(self, key: Key, count: int = 1) -> None:
         """Add ``count`` occurrences of ``key``."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        key = as_bytes(key)
-        for row, seed in enumerate(self._seeds):
-            column = self.engine.hash_one(key, self._reducer, seed=seed)
-            self._counts[row, column] += count
-        self._total += count
+        self.add_hashed([self.engine.hash_one(as_bytes(key))], count)
 
     def add_batch(self, keys: Sequence[Key], return_estimates: bool = False):
-        """Add one occurrence of each key, one engine pass per row.
-
-        With ``return_estimates`` the post-add estimate of every input
-        position comes back as an int64 array for free — the column
-        indices are already in hand, so callers that add *and* score a
-        stream (the hot-key tracker) skip a second full hashing pass.
-        Duplicates in ``keys`` all read the same final counter, exactly
-        like calling :meth:`estimate` after the batch.
-        """
-        keys = as_bytes_list(keys)
-        if not keys:
-            return np.zeros(0, dtype=np.int64) if return_estimates else None
-        best = None
-        for row, seed in enumerate(self._seeds):
-            columns = self.engine.hash_batch(keys, self._reducer, seed=seed)
-            np.add.at(self._counts[row], columns, 1)
-            if return_estimates:
-                values = self._counts[row][columns]
-                best = values if best is None else np.minimum(best, values)
-        self._total += len(keys)
-        return best if return_estimates else None
+        """Add one occurrence of each key: one engine call, then
+        :meth:`add_hashed`."""
+        hashes = self.engine.hash_batch(as_bytes_list(keys))
+        return self.add_hashed(hashes, return_estimates=return_estimates)
 
     def estimate(self, key: Key) -> int:
         """Frequency estimate (never underestimates)."""
-        key = as_bytes(key)
-        return int(
-            min(
-                self._counts[
-                    row, self.engine.hash_one(key, self._reducer, seed=seed)
-                ]
-                for row, seed in enumerate(self._seeds)
-            )
-        )
+        return int(self.estimate_hashed([self.engine.hash_one(as_bytes(key))])[0])
 
     def estimate_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Vectorized :meth:`estimate`: one engine pass per row, min over
-        rows — bit-identical to the scalar loop, which is what lets a
-        hot-key tracker score every key of a routed batch at once."""
-        keys = as_bytes_list(keys)
-        if not keys:
-            return np.zeros(0, dtype=np.int64)
-        best = None
-        for row, seed in enumerate(self._seeds):
-            columns = self.engine.hash_batch(keys, self._reducer, seed=seed)
-            values = self._counts[row][columns]
-            best = values if best is None else np.minimum(best, values)
-        return best
+        """Vectorized :meth:`estimate`: one engine call, bit-identical
+        to the scalar loop."""
+        return self.estimate_hashed(self.engine.hash_batch(as_bytes_list(keys)))
 
     @property
     def total(self) -> int:

@@ -110,8 +110,18 @@ class SeparateChainingTable:
             if existing == key:
                 bucket[i] = (key, value)
                 return
+        if self._before_append(len(bucket)):
+            # The hook rehashed the table and bumped the engine
+            # generation, so a batch-precomputed hash is recomputed.
+            bucket = self._buckets[self._bucket_for(key, h, generation)]
         bucket.append((key, value))
         self._size += 1
+
+    def _before_append(self, chain: int) -> bool:
+        """Pre-append hook: ``chain`` keys already share the new key's
+        bucket.  Entropy-aware subclasses feed the collision monitor
+        here; True means the hook rehashed the table."""
+        return False
 
     def _bucket_for(self, key: bytes, h: Optional[int], generation: int) -> int:
         if h is None or generation != self.engine.generation:
@@ -292,29 +302,18 @@ class EntropyAwareTable(EntropyAwareMixin, SeparateChainingTable):
     ):
         super().__init__(model, capacity, max_load, monitor, seed, min_entropy)
 
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
-        if self._size + 1 > self.capacity_before_rehash:
-            self._grow()
-        bucket = self._buckets[self._bucket_for(key, h, generation)]
-        for i, (existing, _) in enumerate(bucket):
-            if existing == key:
-                bucket[i] = (key, value)
-                return
-        if not self._in_rehash:
-            # Displacement for chaining = how many keys already share the
-            # bucket; the cheap signal the paper says to track.  The
-            # engine compares it against the entropy budget and, past it,
-            # swaps itself to full-key hashing before we rehash.  Batch
-            # inserts route through here too, so the monitor sees every
-            # insert regardless of code path.
-            if self.engine.record_insert(
-                len(bucket),
-                expected=self._size / self.num_buckets,
-                n=self._size + 1,
-            ):
-                self._rehash(self.num_buckets)
-                # The fallback bumped the engine generation, so a batch-
-                # precomputed hash is recomputed with the full-key hasher.
-                bucket = self._buckets[self._bucket_for(key, h, generation)]
-        bucket.append((key, value))
-        self._size += 1
+    def _before_append(self, chain: int) -> bool:
+        if self._in_rehash:
+            return False
+        # Displacement for chaining = how many keys already share the
+        # bucket; the cheap signal the paper says to track.  The engine
+        # compares it against the entropy budget and, past it, swaps
+        # itself to full-key hashing before we rehash.  Batch inserts
+        # route through here too, so the monitor sees every insert
+        # regardless of code path.
+        if self.engine.record_insert(
+            chain, expected=self._size / self.num_buckets, n=self._size + 1,
+        ):
+            self._rehash(self.num_buckets)
+            return True
+        return False

@@ -1142,7 +1142,8 @@ class ServingTarget(Target):
       with the hot-key tracker on, so promotion flips interleave with
       split flips);
     * ``drift`` — online re-learning over a trained model, and
-      ``inject`` ops that can arm a workload drift;
+      ``inject`` ops that can arm a workload drift (with the hot-key
+      tracker drawn on, so promotion flips race plan swaps);
     * ``similarity`` — the LSH similarity backend, with ``similar``
       queries checked against brute force;
     * ``socket`` — the client side moves behind a real TCP front door.
@@ -1240,7 +1241,7 @@ class ServingTarget(Target):
                 backend="chaining", capacity=48, model_seed=0,
                 drift_window=24, drift_margin=1.0, drift_patience=2,
                 drift_reservoir=96, min_dwell=4, min_sample=16,
-                adapt_every=2,
+                adapt_every=2, hot_k=0,
             )
         if "similarity" in features:
             config.update(shards=2, backend="similarity", capacity=64,
@@ -1318,6 +1319,7 @@ class ServingTarget(Target):
                 min_dwell=rng.choice((2, 4, 8)),
                 min_sample=rng.choice((8, 16)),
                 adapt_every=rng.choice((2, 4)),
+                hot_k=rng.choice((0, 2, 4)),  # promotions race swaps
             )
         if similarity:
             config.update(
@@ -1359,6 +1361,10 @@ class ServingTarget(Target):
         self.sigs: Dict[bytes, object] = {}
         self.shard_of: Dict[bytes, int] = {}
         self.service = Service(**self._service_kwargs(config))
+        if "drift" in self.features:
+            # The default constant (20) certifies no plan from a case's
+            # few dozen drifted keys, so no case would ever swap.
+            self.service.relearner.confidence_constant = 1.0
         if "socket" in self.features:
             self.door = FrontDoorThread(self.service).start()
             self.client = NetworkClient("127.0.0.1", self.door.port)
@@ -1407,6 +1413,7 @@ class ServingTarget(Target):
                                   seed=int(config["model_seed"])),
                 hasher=None,
                 adapt_every=int(config["adapt_every"]),
+                hot_k=int(config["hot_k"]),
                 relearn=True,
                 drift_window=int(config["drift_window"]),
                 drift_margin=float(config["drift_margin"]),

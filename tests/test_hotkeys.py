@@ -6,7 +6,9 @@ keys that matter: these tests feed seeded zipfian streams through
 top-k at both stock-YCSB skew (theta 0.99) and milder skew (theta
 0.8), plus the converse — a uniform stream must produce *no* heavy
 hitters at all, because every key's share sits far below phi and the
-sketch overestimate is bounded by ``e/width * total``.
+sketch overestimate is bounded by ``e/width * total``.  The tracker
+counts the hashes its caller hands it, as the router hands it the fleet
+hashes; here they come from an engine over the tracker's own plan.
 """
 
 from collections import Counter
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.hasher import EntropyLearnedHasher
+from repro.engine import HashEngine
 from repro.service.hotkeys import HotKeyTracker
 from repro.sketches.countmin import CountMinSketch
 from repro.workloads.ycsb import WorkloadGenerator
@@ -36,10 +39,17 @@ def _zipf_stream(theta, n_keys=512, n_ops=STREAM_LEN, seed=7):
     return [op.key for op in generator.operations(n_ops)]
 
 
+def _observe(tracker, keys):
+    """Observe keys with their hashes under the tracker's plan, as the
+    router observes each routed batch with its fleet hashes."""
+    engine = HashEngine(tracker.sketch.engine.hasher)
+    tracker.observe(keys, engine.hash_batch(keys).tolist())
+
+
 def _observe_chunked(tracker, stream, chunk=64):
     # Chunked like the router feeds it, so buffering/flush is exercised.
     for lo in range(0, len(stream), chunk):
-        tracker.observe(stream[lo:lo + chunk])
+        _observe(tracker, stream[lo:lo + chunk])
 
 
 def _recall(tracker, stream, k=TOP_K):
@@ -119,13 +129,13 @@ class TestSampling:
         assert a.top(TOP_K) == b.top(TOP_K)
 
     def test_scalar_observe_matches_batched(self, hasher):
-        # A one-key route observes as observe([key]).
+        # A one-key route observes as observe([key], [hash]).
         stream = _zipf_stream(0.99, n_ops=2_000)
         batched = HotKeyTracker(hasher, k=TOP_K, sample=2)
         scalar = HotKeyTracker(hasher, k=TOP_K, sample=2)
         _observe_chunked(batched, stream)
         for key in stream:
-            scalar.observe([key])
+            _observe(scalar, [key])
         batched.flush()
         scalar.flush()
         assert batched.sketch.total == scalar.sketch.total
@@ -167,22 +177,22 @@ class TestSketchBatchParity:
 class TestTrackerBookkeeping:
     def test_dirty_set_on_new_candidate_only(self, hasher):
         tracker = HotKeyTracker(hasher, k=4, min_count=8, flush_every=8)
-        tracker.observe([b"hot"] * 8)
+        _observe(tracker, [b"hot"] * 8)
         assert tracker.dirty
         tracker.dirty = False
-        tracker.observe([b"hot"] * 8)  # refresh, not a new candidate
+        _observe(tracker, [b"hot"] * 8)  # refresh, not a new candidate
         assert not tracker.dirty
 
     def test_candidate_cap(self, hasher):
         tracker = HotKeyTracker(hasher, k=2, min_count=1, phi=1e-6)
         for i in range(512):
-            tracker.observe([b"cap-%03d" % i] * 2)
+            _observe(tracker, [b"cap-%03d" % i] * 2)
         tracker.flush()
         assert len(tracker.candidates) <= 4 * tracker.k
 
     def test_stats_shape(self, hasher):
         tracker = HotKeyTracker(hasher, k=4, sample=2)
-        tracker.observe([b"s"] * 10)
+        _observe(tracker, [b"s"] * 10)
         stats = tracker.stats()
         assert stats["sample"] == 2
         assert stats["k"] == 4

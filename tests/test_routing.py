@@ -10,8 +10,9 @@ its key routes to.
 
 import pytest
 
+from repro.core.greedy import GreedyResult
 from repro.core.hasher import EntropyLearnedHasher
-from repro.core.trainer import train_model
+from repro.core.trainer import EntropyModel, train_model
 from repro.datasets import google_urls
 from repro.engine import HashEngine
 from repro.service import (
@@ -314,9 +315,67 @@ class TestPromotion:
                                         hot_k=4)
         # Fake a lopsided history, then hand the tracker a heavy hitter.
         router.routed[:] = [1000, 10, 1000, 1000]
-        router.tracker.observe([b"heavy"] * 64)
+        heavy = [b"heavy"] * 64
+        router.tracker.observe(heavy, router.table.route_hashed(heavy)[1])
         assignments = router.plan_promotions()
         assert assignments == {b"heavy": 1}
+
+    def test_tracker_counts_the_routers_hashes(self, model):
+        # The router hashes each routed key once; the tracker's flush
+        # and top() count and re-score those hashes without an engine
+        # call of their own.
+        router = ShardRouter.from_model(model, 4, expected_items=600,
+                                        hot_k=4)
+        tracker = router.tracker
+        stream = [KEYS[0]] * 40 + KEYS[:23]  # under one flush buffer
+        router.route_batch(stream)
+        assert router.engine.counters.keys_hashed == len(stream)
+        engines = (router.engine, tracker.sketch.engine)
+        before = [(e.counters.keys_hashed, e.counters.batches)
+                  for e in engines]
+        tracker.flush()
+        top = tracker.top()
+        assert list(router.plan_promotions()) == [KEYS[0]]
+        assert [(e.counters.keys_hashed, e.counters.batches)
+                for e in engines] == before
+        assert top[0] == (KEYS[0], tracker.sketch.estimate(KEYS[0]))
+
+    def test_plan_swap_restarts_the_tracker(self, model):
+        service = _service(model, hot_k=4, adapt_every=2)
+        try:
+            client = ServiceClient(service)
+            client.put_many((k, b"v") for k in KEYS[:64])
+            old_hot, new_hot = KEYS[0], KEYS[1]
+            for _ in range(300):
+                client.get(old_hot)
+            assert old_hot in service.router.table.overlay
+            old_plan = service.router.engine.hasher.fingerprint
+            swapped = EntropyModel(result=GreedyResult(
+                positions=[2], word_size=8, entropies=[float("inf")],
+                train_collisions=[0], train_size=600, eval_size=600,
+            ))
+            service.relearn_swap(swapped)
+            plan = service.router.engine.hasher
+            assert plan.fingerprint != old_plan
+            tracker = service.router.tracker
+            assert tracker.sketch.engine.hasher is plan
+            assert tracker.sketch.total == 0 and not tracker.candidates
+            for _ in range(300):
+                client.get(new_hot)
+            # Hot under the new plan: promoted; the old pin stays.
+            overlay = service.router.table.overlay
+            assert new_hot in overlay and old_hot in overlay
+            # Every count since the swap is a new-plan count: the
+            # candidates carry new-plan hashes, and nothing observed
+            # before the swap is in the sketch.
+            engine = HashEngine(plan)
+            for key, (_, h) in tracker.candidates.items():
+                assert h == engine.hash_one(key)
+            assert tracker.stats()["total_observed"] == 300
+            assert client.get(old_hot) == b"v"
+            assert client.lost_acks == 0
+        finally:
+            service.close()
 
     def test_plan_promotions_idle_without_tracker(self, model):
         router = ShardRouter.from_model(model, 4, expected_items=600)

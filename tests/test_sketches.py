@@ -1,12 +1,21 @@
 """Tests for Count-Min and HyperLogLog sketches on ELH hashers."""
 
+import math
 import random
+import statistics
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.hasher import EntropyLearnedHasher
+from repro.core.trainer import train_model
+from repro.datasets import google_urls
+from repro.engine import FastRangeReducer, HashEngine
+from repro.service import Service
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.hyperloglog import HyperLogLog
+from repro.workloads.ycsb import WorkloadGenerator
 
 
 @pytest.fixture
@@ -70,6 +79,66 @@ class TestCountMin:
         sketch = CountMinSketch(hasher, width=1024, depth=4)
         sketch.add(b"SHAREDWD-first-key", count=5)
         assert sketch.estimate(b"SHAREDWD-other-kex") >= 5  # same len+word
+
+
+class TestDerivedRows:
+    """Rows derived from one hash count as well as seeded rows.
+
+    Over 16 plan seeds, each with its own zipf-0.99 stream over 3,000
+    URLs, the mean overcount of the 16 most frequent keys must stay
+    within 3 standard errors of a reference sketch whose rows hash
+    with independently seeded passes.  Rows that read overlapping bit
+    windows collide together and fail it (mean about 1.2 against 0.4).
+    """
+
+    KEYS = google_urls(3000, seed=5)
+    WIDTH, DEPTH, TOP, DRAWS = 2048, 4, 16, 20_000
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        model = train_model(self.KEYS, fixed_dataset=True)
+        with Service(num_shards=4, backend="probing", model=model,
+                     capacity=len(self.KEYS)) as service:
+            return service.router.engine.hasher
+
+    def _independent_estimates(self, hasher, stream, top):
+        engine = HashEngine(hasher)
+        reducer = FastRangeReducer(self.WIDTH)
+        best = None
+        for row in range(self.DEPTH):
+            seed = hasher.seed + row + 1
+            counts = np.zeros(self.WIDTH, dtype=np.int64)
+            np.add.at(counts, engine.hash_batch(stream, reducer, seed=seed), 1)
+            values = counts[engine.hash_batch(top, reducer, seed=seed)]
+            best = values if best is None else np.minimum(best, values)
+        return best
+
+    def test_overcount_matches_independent_rows(self, plan):
+        derived, independent = [], []
+        for seed in range(16):
+            hasher = plan.with_seed(seed)
+            generator = WorkloadGenerator(self.KEYS, mix="C", seed=seed,
+                                          zipf_theta=0.99)
+            stream = [op.key for op in generator.operations(self.DRAWS)]
+            truth = Counter(stream).most_common(self.TOP)
+            top = [key for key, _ in truth]
+            true = np.array([count for _, count in truth])
+            sketch = CountMinSketch(hasher, self.WIDTH, self.DEPTH)
+            sketch.add_batch(stream)
+            derived.append(float(np.mean(sketch.estimate_batch(top) - true)))
+            reference = self._independent_estimates(hasher, stream, top)
+            independent.append(float(np.mean(reference - true)))
+        error = statistics.stdev(independent) / math.sqrt(len(independent))
+        assert statistics.mean(derived) <= (
+            statistics.mean(independent) + 3 * error
+        ), (derived, independent)
+
+    def test_one_engine_call_per_batch(self, plan):
+        sketch = CountMinSketch(plan, self.WIDTH, depth=8)
+        sketch.add_batch(self.KEYS[:500])
+        sketch.estimate_batch(self.KEYS[:100])
+        assert sketch.engine.counters.batches == 2
+        assert sketch.engine.counters.keys_hashed == 600
 
 
 class TestHyperLogLog:
