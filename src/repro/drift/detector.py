@@ -29,10 +29,14 @@ from repro._util import Key, as_bytes
 from repro.core.partial_key import PartialKeyFunction
 from repro.drift.reservoir import ReservoirSample
 from repro.drift.window import SlidingWindowEntropy
+from repro.metrics import Reported
 
 
-class DriftDetector:
+class DriftDetector(Reported):
     """Sliding-window entropy watchdog for one shard's deployed plan."""
+
+    REPORTS = ("claimed_entropy", "margin", "patience", "breaches", "checks",
+               "trips", "duplicates_skipped", "window", "reservoir")
 
     def __init__(
         self,
@@ -144,16 +148,3 @@ class DriftDetector:
         self._raw_ring.clear()
         self._raw_seen.clear()
         self.breaches = 0
-
-    def stats(self) -> dict:
-        return {
-            "claimed_entropy": self.claimed_entropy,
-            "margin": self.margin,
-            "patience": self.patience,
-            "breaches": self.breaches,
-            "checks": self.checks,
-            "trips": self.trips,
-            "duplicates_skipped": self.duplicates_skipped,
-            "window": self.window.stats(),
-            "reservoir": self.reservoir.stats(),
-        }

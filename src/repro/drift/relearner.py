@@ -33,6 +33,7 @@ from repro.core.entropy import entropy_confidence_lower_bound
 from repro.core.partial_key import PartialKeyFunction
 from repro.core.trainer import EntropyModel, train_model
 from repro.drift.detector import DriftDetector
+from repro.metrics import Reported
 
 RELEARN_BACKENDS = ("chaining", "probing")
 
@@ -105,8 +106,13 @@ def deployed_plan(
 CONFIDENCE_CONSTANT = 20.0
 
 
-class Relearner:
+class Relearner(Reported):
     """Detector fleet + re-train/swap decision loop for one Service."""
+
+    REPORTS = ("window", "margin", "patience", "reservoir", "min_dwell",
+               "min_sample", "swaps", "stay_decisions", "noop_suppressed",
+               "dwell_suppressed", "insufficient_sample", "relearn_failures",
+               "stale_excluded", "shards=_detectors_by_shard")
 
     def __init__(
         self,
@@ -319,23 +325,5 @@ class Relearner:
 
     # ----------------------------------------------------------------- misc
 
-    def stats(self) -> dict:
-        return {
-            "window": self.window,
-            "margin": self.margin,
-            "patience": self.patience,
-            "reservoir": self.reservoir,
-            "min_dwell": self.min_dwell,
-            "min_sample": self.min_sample,
-            "swaps": self.swaps,
-            "stay_decisions": self.stay_decisions,
-            "noop_suppressed": self.noop_suppressed,
-            "dwell_suppressed": self.dwell_suppressed,
-            "insufficient_sample": self.insufficient_sample,
-            "relearn_failures": self.relearn_failures,
-            "stale_excluded": self.stale_excluded,
-            "shards": {
-                shard_id: detector.stats()
-                for shard_id, detector in sorted(self._detectors.items())
-            },
-        }
+    def _detectors_by_shard(self) -> Dict[int, DriftDetector]:
+        return dict(sorted(self._detectors.items()))

@@ -14,8 +14,10 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.metrics import Reported
 
-class ReservoirSample:
+
+class ReservoirSample(Reported):
     """Epoch-reset Algorithm R over a stream of keys.
 
     >>> r = ReservoirSample(capacity=8, seed=0)
@@ -24,6 +26,8 @@ class ReservoirSample:
     >>> 0 < len(r.sample()) <= 8
     True
     """
+
+    REPORTS = ("capacity", "epoch", "fill=__len__", "seen", "epochs")
 
     def __init__(self, capacity: int = 256, seed: int = 0, epoch: int = 0):
         if capacity < 4:
@@ -60,12 +64,3 @@ class ReservoirSample:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "epoch": self.epoch,
-            "fill": len(self._items),
-            "seen": self.seen,
-            "epochs": self.epochs,
-        }

@@ -29,8 +29,10 @@ import math
 from collections import deque
 from typing import Deque, Dict
 
+from repro.metrics import Reported
 
-class SlidingWindowEntropy:
+
+class SlidingWindowEntropy(Reported):
     """Exact collision-pair tracking over the last ``window`` subkeys.
 
     >>> w = SlidingWindowEntropy(window=4)
@@ -42,6 +44,8 @@ class SlidingWindowEntropy:
     >>> w.colliding_pairs >= 1
     True
     """
+
+    REPORTS = ("window", "fill", "observed", "colliding_pairs", "entropy")
 
     def __init__(self, window: int = 256):
         if window < 4:
@@ -103,12 +107,3 @@ class SlidingWindowEntropy:
         if self._pairs <= 0:
             return math.log2(total_pairs)
         return -math.log2(self._pairs / total_pairs)
-
-    def stats(self) -> dict:
-        return {
-            "window": self.window,
-            "fill": self.fill,
-            "observed": self.observed,
-            "colliding_pairs": self._pairs,
-            "entropy": self.entropy(),
-        }

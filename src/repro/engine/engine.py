@@ -59,6 +59,7 @@ from repro.engine.plan import (
 from repro.engine.reducers import Reducer
 from repro.engine.stats import EngineStats
 from repro.hashing.base import HashFunction
+from repro.metrics import Reported
 
 # Per base with a numpy kernel: batches smaller than this take the
 # scalar loop (and a fused reducer runs per key), because below it
@@ -79,7 +80,7 @@ _PACK_CHUNK = 4096
 _BYTES = {bytes}
 
 
-class HashEngine:
+class HashEngine(Reported):
     """Compiled partial-key -> hash -> reduce pipeline with observability.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -90,6 +91,11 @@ class HashEngine:
     >>> engine.stats()["batches"]
     1
     """
+
+    REPORTS = ("*counters", "plans_compiled=_plans.__len__", "fell_back",
+               "generation", "base=hasher.base.name",
+               "positions=partial_key.positions",
+               "word_size=partial_key.word_size")
 
     def __init__(
         self,
@@ -419,17 +425,6 @@ class HashEngine:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-
-    def stats(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the engine's counters."""
-        snapshot = self._stats.snapshot()
-        snapshot["plans_compiled"] = len(self._plans)
-        snapshot["fell_back"] = self._fell_back
-        snapshot["generation"] = self._generation
-        snapshot["base"] = self._hasher.base.name
-        snapshot["positions"] = list(self._hasher.partial_key.positions)
-        snapshot["word_size"] = self._hasher.partial_key.word_size
-        return snapshot
 
     @property
     def counters(self) -> EngineStats:

@@ -25,6 +25,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.metrics import Reported, str_keys
 
 
 class InjectedFault(RuntimeError):
@@ -50,8 +51,11 @@ class _SpecState:
         return self.fires >= self.spec.count
 
 
-class FaultPlane:
+class FaultPlane(Reported):
     """Deterministic fault firing engine over a declarative plan."""
+
+    REPORTS = ("seed", "specs=plan.to_dicts", "fired=_fired_by_shard",
+               "total_fired", "pending", "routed=_routed_by_shard")
 
     def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
@@ -111,19 +115,12 @@ class FaultPlane:
         kinds = [kind] if kind is not None else list(self.fired)
         return sum(sum(self.fired[k].values()) for k in kinds)
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "specs": self.plan.to_dicts(),
-            "fired": {
-                kind: {str(s): c for s, c in counts.items()}
-                for kind, counts in self.fired.items()
-                if counts
-            },
-            "total_fired": self.total_fired(),
-            "pending": self.pending(),
-            "routed": {str(s): c for s, c in sorted(self.routed.items())},
-        }
+    def _fired_by_shard(self) -> Dict[str, Dict[str, int]]:
+        return {kind: str_keys(counts)
+                for kind, counts in self.fired.items() if counts}
+
+    def _routed_by_shard(self) -> Dict[str, int]:
+        return str_keys(self.routed)
 
     def __repr__(self) -> str:
         return (f"FaultPlane(specs={len(self.plan)}, seed={self.seed}, "

@@ -32,6 +32,7 @@ from repro.core.greedy import GreedyResult
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import EntropyModel
 from repro.engine import CollisionMonitor
+from repro.metrics import Reported, scrape
 from repro.tables.aware import EntropyAwareMixin
 
 BACKENDS = (
@@ -47,8 +48,11 @@ def _full_key_model(base: str) -> EntropyModel:
     ), base=base)
 
 
-class StructureAdapter:
+class StructureAdapter(Reported):
     """Uniform batched facade over one ELH structure."""
+
+    REPORTS = ("backend", "fell_back=tripped", "hashes_carried",
+               "hashes_recomputed", "size=__len__")
 
     backend: str = ""
     supported: frozenset = frozenset()
@@ -150,14 +154,6 @@ class StructureAdapter:
             f"backend {self.backend!r} does not support plan re-learning"
         )
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "fell_back": self.tripped,
-            "hashes_carried": self.hashes_carried,
-            "hashes_recomputed": self.hashes_recomputed,
-        }
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -166,6 +162,7 @@ class TableAdapter(StructureAdapter):
     """Chaining/probing hash tables: the full get/put/delete/contains set."""
 
     supported = frozenset({"get", "put", "delete", "contains"})
+    REPORTS = StructureAdapter.REPORTS + ("engine=_engine_counts",)
 
     def __init__(self, table, backend: str):
         super().__init__(table.engine.hasher)
@@ -249,14 +246,8 @@ class TableAdapter(StructureAdapter):
         self._pristine_hasher = self.table.engine.hasher
         self._degraded = False
 
-    def stats(self):
-        out = super().stats()
-        out["size"] = len(self.table)
-        out["engine"] = {
-            "keys_hashed": self.table.engine.counters.keys_hashed,
-            "batches": self.table.engine.counters.batches,
-        }
-        return out
+    def _engine_counts(self) -> Dict[str, object]:
+        return scrape(self.table.engine.counters, ("keys_hashed", "batches"))
 
     def __len__(self):
         return len(self.table)
@@ -328,11 +319,6 @@ class FilterAdapter(StructureAdapter):
         if self._members:
             self.filter.add_batch(list(self._members))
 
-    def stats(self):
-        out = super().stats()
-        out["size"] = len(self._members)
-        return out
-
     def __len__(self):
         return len(self._members)
 
@@ -342,6 +328,7 @@ class LsmAdapter(StructureAdapter):
 
     backend = "lsm"
     supported = frozenset({"get", "put", "delete", "contains"})
+    REPORTS = StructureAdapter.REPORTS + ("runs=store.num_runs",)
 
     def __init__(self, store):
         super().__init__()
@@ -377,12 +364,6 @@ class LsmAdapter(StructureAdapter):
         self.store.runs = [
             SSTable(run.entries(), model=model) for run in self.store.runs
         ]
-
-    def stats(self):
-        out = super().stats()
-        out["size"] = self.store.total_entries()
-        out["runs"] = self.store.num_runs
-        return out
 
     def __len__(self):
         return self.store.total_entries()

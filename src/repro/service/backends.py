@@ -54,9 +54,10 @@ import queue as pyqueue
 import signal
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults import InjectedCrash
+from repro.metrics import Reported
 
 from repro.service.adapters import AdapterSpec, StructureAdapter
 from repro.service.core import ShardCore, WireResult
@@ -90,7 +91,7 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class ExecutionBackend:
+class ExecutionBackend(Reported):
     """Where and how one shard's core executes.
 
     Two calls carry all shard work: :meth:`serve` (with :meth:`collect`
@@ -102,6 +103,7 @@ class ExecutionBackend:
     """
 
     kind: str = ""
+    REPORTS = ("execution=kind",)
 
     def __init__(self, spec: AdapterSpec, shard_id: int):
         # The recipe every (re)build of this shard's core starts from;
@@ -157,9 +159,6 @@ class ExecutionBackend:
 
     def close(self) -> None:
         """Release child processes/queues (idempotent; no-op inline)."""
-
-    def stats(self) -> Dict[str, object]:
-        return {"execution": self.kind}
 
 
 class InlineBackend(ExecutionBackend):
@@ -288,6 +287,8 @@ class ProcessBackend(ExecutionBackend):
     """One OS process per shard over bounded queues + a heartbeat word."""
 
     kind = "process"
+    REPORTS = ExecutionBackend.REPORTS + (
+        "incarnation", "child_alive", "child_pid=_child_pid")
 
     def __init__(self, spec: AdapterSpec, shard_id: int):
         if not fork_available():
@@ -520,15 +521,8 @@ class ProcessBackend(ExecutionBackend):
         self._tripped = bool(reply[4])
         return reply[3]
 
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "execution": self.kind,
-            "incarnation": self.incarnation,
-            "child_alive": self.child_alive,
-            "child_pid": self.process.pid if self.process else None,
-        }
+    def _child_pid(self) -> Optional[int]:
+        return self.process.pid if self.process else None
 
 
 __all__ = [

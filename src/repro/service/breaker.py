@@ -22,15 +22,18 @@ whole lifecycle deterministic under the chaos fuzz target.
 
 from __future__ import annotations
 
-from typing import Dict
+from repro.metrics import Reported
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
 
-class CircuitBreaker:
+class CircuitBreaker(Reported):
     """Pump-clocked open/half-open/closed lifecycle for one shard."""
+
+    REPORTS = ("shard", "state", "opens", "reopens", "closes",
+               "cooldown_pumps")
 
     def __init__(
         self,
@@ -107,18 +110,6 @@ class CircuitBreaker:
         self.state = CLOSED
         self.cooldown_pumps = self.base_cooldown
         self._deadline = 0
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard,
-            "state": self.state,
-            "opens": self.opens,
-            "reopens": self.reopens,
-            "closes": self.closes,
-            "cooldown_pumps": self.cooldown_pumps,
-        }
 
     def __repr__(self) -> str:
         return (f"CircuitBreaker(shard={self.shard}, state={self.state!r}, "

@@ -47,8 +47,9 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
+from repro.metrics import Reported, ratio
 from repro.service import netproto
 from repro.service.protocol import PENDING, REJECTED
 from repro.service.service import Service
@@ -89,13 +90,20 @@ class _Connection:
             self.writer.close()
 
 
-class FrontDoor:
+class FrontDoor(Reported):
     """A TCP front door over one :class:`Service` (owns its pumping).
 
     Construct, then ``await start()`` from a running event loop — or
     use :class:`FrontDoorThread` to run the whole thing on a dedicated
     thread from synchronous code.
     """
+
+    REPORTS = ("host", "port", "draining=_draining",
+               "connections_open=_connections.__len__", "connections_total",
+               "frames_in", "responses_out", "bad_frames", "drained_frames",
+               "admission_batches", "admitted", "max_coalesced",
+               "mean_coalesced", "pumps", "rejections_propagated",
+               "admission_error")
 
     def __init__(
         self,
@@ -303,30 +311,10 @@ class FrontDoor:
             # admission round.
             await asyncio.sleep(0)
 
-    # --------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "draining": self._draining,
-            "connections_open": len(self._connections),
-            "connections_total": self.connections_total,
-            "frames_in": self.frames_in,
-            "responses_out": self.responses_out,
-            "bad_frames": self.bad_frames,
-            "drained_frames": self.drained_frames,
-            "admission_batches": self.admission_batches,
-            "admitted": self.admitted,
-            "max_coalesced": self.max_coalesced,
-            "mean_coalesced": (
-                self.admitted / self.admission_batches
-                if self.admission_batches else 0.0
-            ),
-            "pumps": self.pumps,
-            "rejections_propagated": self.rejections_propagated,
-            "admission_error": self.admission_error,
-        }
+    @property
+    def mean_coalesced(self) -> float:
+        """Call frames admitted per admission batch."""
+        return ratio(self.admitted, self.admission_batches)
 
 
 class FrontDoorThread:

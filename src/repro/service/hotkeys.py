@@ -34,14 +34,19 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hasher import EntropyLearnedHasher
+from repro.metrics import Reported
 from repro.sketches.countmin import CountMinSketch
 
 # The stream share that makes a key a heavy hitter (see above).
 HOT_PHI = 0.005
 
 
-class HotKeyTracker:
+class HotKeyTracker(Reported):
     """Count-Min-backed top-k heavy-hitter tracker over a key stream."""
+
+    REPORTS = ("k", "phi", "total_observed=_total_observed", "sample",
+               "candidates=candidates.__len__", "threshold", "flushes",
+               "sketch_width=sketch.width", "sketch_depth=sketch.depth")
 
     def __init__(
         self,
@@ -174,20 +179,8 @@ class HotKeyTracker:
         threshold = self.threshold()
         return [(k, est) for k, est in self.top() if est >= threshold]
 
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "k": self.k,
-            "phi": self.phi,
-            "total_observed": self.sketch.total + len(self._keys),
-            "sample": self.sample,
-            "candidates": len(self.candidates),
-            "threshold": self.threshold(),
-            "flushes": self.flushes,
-            "sketch_width": self.sketch.width,
-            "sketch_depth": self.sketch.depth,
-        }
+    def _total_observed(self) -> int:
+        return self.sketch.total + len(self._keys)
 
     def __repr__(self) -> str:
         return (f"HotKeyTracker(k={self.k}, phi={self.phi}, "

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.metrics import Reported
+
 # One journal entry: (op, key, value-or-None).
 Entry = Tuple[str, bytes, Optional[bytes]]
 
@@ -81,8 +83,11 @@ def compact(entries: List[Entry], multiset: bool) -> List[Entry]:
             if value is not None]
 
 
-class ShardJournal:
+class ShardJournal(Reported):
     """Append-only acked-mutation log with compacting checkpoints."""
+
+    REPORTS = ("length=__len__", "appended", "truncations", "replays",
+               "checkpoint_every", "multiset", "last_compaction")
 
     def __init__(self, checkpoint_every: int = 4096, multiset: bool = False):
         if checkpoint_every < 0:
@@ -171,21 +176,6 @@ class ShardJournal:
         restart, in the parent or on a shard child's side of the
         fork)."""
         self.replays += 1
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "length": len(self.entries),
-            "appended": self.appended,
-            "truncations": self.truncations,
-            "replays": self.replays,
-            "checkpoint_every": self.checkpoint_every,
-            "multiset": self.multiset,
-            "last_compaction": (
-                dict(self.last_compaction) if self.last_compaction else None
-            ),
-        }
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine
+from repro.metrics import Reported
 from repro.partitioning.stats import relative_balance_bound, relative_std
 
 from repro.service.hotkeys import HotKeyTracker
@@ -46,8 +47,10 @@ from repro.service.routing import RoutingTable
 BALANCE_TOLERANCE = 0.05
 
 
-class ShardRouter:
+class ShardRouter(Reported):
     """Assign keys to shards via the routing table; track the balance."""
+
+    REPORTS = ("*table", "promoted", "tracker?")
 
     def __init__(
         self,
@@ -58,8 +61,7 @@ class ShardRouter:
     ):
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
-        self.engine = HashEngine(hasher)
-        self.table = RoutingTable(self.engine, num_shards)
+        self.table = RoutingTable(HashEngine(hasher), num_shards)
         self.routed = np.zeros(num_shards, dtype=np.int64)
         self.tracker: Optional[HotKeyTracker] = (
             HotKeyTracker(hasher, k=hot_k, sample=hot_sample)
@@ -88,6 +90,11 @@ class ShardRouter:
             max(expected_items, 1), num_shards, mode="relative", seed=seed,
         )
         return cls(hasher, num_shards, hot_k=hot_k, hot_sample=hot_sample)
+
+    @property
+    def engine(self) -> HashEngine:
+        """The live table's engine: a flip swaps both at once."""
+        return self.table.engine
 
     @property
     def num_shards(self) -> int:
@@ -140,7 +147,6 @@ class ShardRouter:
             self.tracker = HotKeyTracker(candidate.engine.hasher,
                                          k=self.tracker.k,
                                          sample=self.tracker.sample)
-        self.engine = candidate.engine
         if candidate.num_shards > len(self.routed):
             grown = np.zeros(candidate.num_shards, dtype=np.int64)
             grown[: len(self.routed)] = self.routed
@@ -207,15 +213,6 @@ class ShardRouter:
             "bound": bound if bound != float("inf") else None,
             "within_bound": total == 0 or observed <= bound,
         }
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        out = dict(self.table.stats())
-        out["promoted"] = self.promoted
-        if self.tracker is not None:
-            out["tracker"] = self.tracker.stats()
-        return out
 
     def __repr__(self) -> str:
         return (f"ShardRouter(num_shards={self.num_shards}, "

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro._util import U64_MASK
 from repro.engine import FastRangeReducer, HashEngine
+from repro.metrics import Reported, str_keys
 
 # Directories cap at 2^MAX_SPLIT_DEPTH slots per base shard; past that
 # a base range has been split 8 times and further splits are refused.
@@ -60,8 +61,12 @@ MAX_SPLIT_DEPTH = 8
 _ROUTE_EACH_MAX = 32
 
 
-class RoutingTable:
+class RoutingTable(Reported):
     """Generation-stamped composite route: overlay, then base + splits."""
+
+    REPORTS = ("generation", "base_shards", "num_shards",
+               "overlay_keys=overlay.__len__",
+               "split_directories=_split_directories")
 
     def __init__(self, engine: HashEngine, base_shards: int):
         if base_shards < 1:
@@ -224,19 +229,8 @@ class RoutingTable:
                 return base
         raise ValueError(f"shard {shard} is not in any split directory")
 
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "generation": self.generation,
-            "base_shards": self.base_shards,
-            "num_shards": self.num_shards,
-            "overlay_keys": len(self.overlay),
-            "split_directories": {
-                str(base): list(directory)
-                for base, directory in sorted(self.split_dirs.items())
-            },
-        }
+    def _split_directories(self) -> Dict[str, List[int]]:
+        return str_keys(self.split_dirs)
 
     def __repr__(self) -> str:
         return (f"RoutingTable(gen={self.generation}, "

@@ -53,8 +53,9 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_partitioning
 from repro.engine import HashEngine
 from repro.faults import InjectedCrash
+from repro.metrics import Reported
 
-from repro.service.adapters import BACKENDS, AdapterSpec
+from repro.service.adapters import AdapterSpec
 from repro.service.backends import EXECUTIONS, InlineBackend, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.journal import Entry, compact
@@ -116,8 +117,15 @@ def _partition(op, keys, values, hashes, shards, generation, offsets
     return runs
 
 
-class Service:
+class Service(Reported):
     """A sharded, batched, self-healing request-serving layer."""
+
+    REPORTS = ("num_shards", "backend", "execution", "degraded",
+               "degrade_events", "pump_index", "submitted", "accepted",
+               "rejected", "lost_slots", "pending", "supervisor", "breakers",
+               "router=router.balance", "routing=router", "splits",
+               "swept_tickets", "plan_swaps", "plan_moved_keys",
+               "shards=workers", "drift=relearner?", "faults=fault_plane?")
 
     def __init__(
         self,
@@ -149,16 +157,22 @@ class Service:
         min_dwell: int = 64,
         min_sample: int = 64,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
+        # The spec checks the backend name and that exactly one of
+        # model= and hasher= is given.
+        shard_capacity = max(4, capacity // num_shards)
+        spec = AdapterSpec(
+            backend, shard_capacity, model=model, hasher=hasher, seed=seed,
+            options=dict(backend_options) if backend_options else None,
+            min_entropy=(
+                0.0 if model is None else entropy_for_partitioning(
+                    max(capacity, 1), num_shards, mode="relative"
+                )
+            ),
+        )
         if execution not in EXECUTIONS:
             raise ValueError(
                 f"unknown execution {execution!r}; choose from {EXECUTIONS}"
             )
-        if (model is None) == (hasher is None):
-            raise ValueError("pass exactly one of model= or hasher=")
         if relearn:
             from repro.drift.relearner import RELEARN_BACKENDS
 
@@ -175,16 +189,6 @@ class Service:
         self.num_shards = num_shards
         self.backend = backend
         self.execution = execution
-        shard_capacity = max(4, capacity // num_shards)
-        spec = AdapterSpec(
-            backend, shard_capacity, model=model, hasher=hasher, seed=seed,
-            options=dict(backend_options) if backend_options else None,
-            min_entropy=(
-                0.0 if model is None else entropy_for_partitioning(
-                    max(capacity, 1), num_shards, mode="relative"
-                )
-            ),
-        )
         # One hash per key: the router hashes with the plan the shard
         # tables plan, and each ticket carries its key's hash to them.
         self.router = ShardRouter(
@@ -705,37 +709,6 @@ class Service:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        out = {
-            "num_shards": self.num_shards,
-            "backend": self.backend,
-            "execution": self.execution,
-            "degraded": self.degraded,
-            "degrade_events": self.degrade_events,
-            "pump_index": self.pump_index,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "lost_slots": self.lost_slots,
-            "pending": self.pending,
-            "supervisor": self.supervisor.stats(),
-            "breakers": [breaker.stats() for breaker in self.breakers],
-            "router": self.router.balance(),
-            "routing": self.router.stats(),
-            "splits": self.splits,
-            "swept_tickets": self.swept_tickets,
-            "plan_swaps": self.plan_swaps,
-            "plan_moved_keys": self.plan_moved_keys,
-            "shards": [worker.stats() for worker in self.workers],
-        }
-        if self.relearner is not None:
-            out["drift"] = self.relearner.stats()
-        if self.fault_plane is not None:
-            out["faults"] = self.fault_plane.stats()
-        return out
 
 
 __all__ = ["Service"]

@@ -37,9 +37,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.metrics import Reported
 
-class Supervisor:
+
+class Supervisor(Reported):
     """Pump-clocked babysitter for a service's worker fleet."""
+
+    REPORTS = ("crashes_seen", "stalls_detected", "restarts",
+               "reconciled_tickets", "splits_triggered")
 
     # An overload must persist this many consecutive adapt windows
     # before a split fires: one hot window is noise, two is a regime.
@@ -192,16 +197,10 @@ class Supervisor:
             return donor
         return None
 
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "crashes_seen": self.crashes_seen,
-            "stalls_detected": self.stalls_detected,
-            "restarts": sum(w.restarts for w in self.service.workers),
-            "reconciled_tickets": self.reconciled_tickets,
-            "splits_triggered": self.splits_triggered,
-        }
+    @property
+    def restarts(self) -> int:
+        """Worker restarts across the fleet."""
+        return sum(w.restarts for w in self.service.workers)
 
 
 __all__ = ["Supervisor"]

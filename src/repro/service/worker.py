@@ -53,6 +53,7 @@ from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults import InjectedCrash
+from repro.metrics import Reported, ratio
 
 from repro.service.adapters import StructureAdapter
 from repro.service.backends import ExecutionBackend, Reply
@@ -207,9 +208,16 @@ class Inflight:
         )
 
 
-class Worker:
+class Worker(Reported):
     """One shard: a bounded queue of row ranges drained in
     micro-batches."""
+
+    REPORTS = ("shard=shard_id", "backend=execution.structure_backend",
+               "enqueued", "processed", "batches", "mean_batch_size",
+               "rejected", "queue_depth", "peak_queue_depth", "op_counts",
+               "crashed", "restarts", "stalls", "drops", "requeued",
+               "cancelled", "journal", "structure=_structure",
+               "execution=_process_execution?")
 
     def __init__(
         self,
@@ -662,36 +670,22 @@ class Worker:
         """Release backend resources (child process/queues)."""
         self.execution.close()
 
+    @property
+    def mean_batch_size(self) -> float:
+        """Rows processed per dispatched batch."""
+        return ratio(self.processed, self.batches)
+
+    def _process_execution(self) -> Optional[ExecutionBackend]:
+        # Inline execution reports nothing beyond its kind.
+        return None if self.execution.kind == "inline" else self.execution
+
     def stats(self) -> Dict[str, object]:
+        """The scrape, with the structure block fetched from the core
+        first (the last good copy when the core cannot answer)."""
         structure = self._control("stats")
         if structure is not None:
             self._structure = structure
-        out = {
-            "shard": self.shard_id,
-            "backend": self.execution.structure_backend,
-            "enqueued": self.enqueued,
-            "processed": self.processed,
-            "batches": self.batches,
-            "mean_batch_size": (
-                self.processed / self.batches if self.batches else 0.0
-            ),
-            "rejected": self.rejected,
-            "queue_depth": self.queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "op_counts": dict(self.op_counts),
-            "crashed": self.crashed,
-            "restarts": self.restarts,
-            "stalls": self.stalls,
-            "drops": self.drops,
-            "requeued": self.requeued,
-            "cancelled": self.cancelled,
-            "journal": self.journal.stats(),
-            "structure": dict(self._structure),
-        }
-        execution = self.execution.stats()
-        if execution.get("execution") != "inline":
-            out["execution"] = execution
-        return out
+        return super().stats()
 
 
 __all__ = ["Worker"]

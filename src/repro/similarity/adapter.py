@@ -62,6 +62,7 @@ class SimilarityAdapter(StructureAdapter):
 
     backend = "similarity"
     supported = frozenset({"get", "put", "delete", "contains", "similar"})
+    REPORTS = StructureAdapter.REPORTS + ("index",)
 
     def __init__(
         self,
@@ -212,14 +213,6 @@ class SimilarityAdapter(StructureAdapter):
                 [key for key, _ in items],
                 [self.signature_of(doc) for _, doc in items],
             )
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        out = super().stats()
-        out["size"] = len(self._members)
-        out["index"] = self.index.stats()
-        return out
 
     def __len__(self) -> int:
         return len(self._members)

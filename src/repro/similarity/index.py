@@ -29,14 +29,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine
+from repro.metrics import Reported
 from repro.similarity.signatures import BBitMinHash
 
 # One scored neighbor: (item key, estimated Jaccard similarity).
 Neighbor = Tuple[bytes, float]
 
 
-class LSHIndex:
+class LSHIndex(Reported):
     """Banded LSH over b-bit signatures with batched insert/query."""
+
+    REPORTS = ("items=__len__", "bands", "rows", "b", "threshold",
+               "buckets=_bucket_count", "inserts", "removes", "queries")
 
     def __init__(
         self,
@@ -187,21 +191,8 @@ class LSHIndex:
     ) -> List[Neighbor]:
         return self.query_batch([sig], [k], [exclude])[0]
 
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        bucket_counts = [len(bucket) for bucket in self.buckets]
-        return {
-            "items": len(self.signatures),
-            "bands": self.bands,
-            "rows": self.rows,
-            "b": self.b,
-            "threshold": self.threshold,
-            "buckets": sum(bucket_counts),
-            "inserts": self.inserts,
-            "removes": self.removes,
-            "queries": self.queries,
-        }
+    def _bucket_count(self) -> int:
+        return sum(len(bucket) for bucket in self.buckets)
 
     def __len__(self) -> int:
         return len(self.signatures)

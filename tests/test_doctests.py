@@ -43,6 +43,7 @@ import repro.hashing.wyhash
 import repro.hashing.xxhash
 import repro.kvstore.memtable
 import repro.kvstore.store
+import repro.metrics
 import repro.operators.aggregate
 import repro.operators.join
 import repro.operators.topk
@@ -93,6 +94,7 @@ MODULES = [
     repro.hashing.xxhash,
     repro.kvstore.memtable,
     repro.kvstore.store,
+    repro.metrics,
     repro.operators.aggregate,
     repro.operators.join,
     repro.operators.topk,
