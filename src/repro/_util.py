@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
+import numpy as np
+
 U32_MASK = 0xFFFFFFFF
 U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -85,6 +87,14 @@ def as_bytes_list(keys: Iterable[Key]) -> List[bytes]:
 
 
 _BYTES_ONLY = {bytes}
+
+
+def int_list(column: Sequence[int]) -> Sequence[int]:
+    """A hash or id column ready to walk key by key: an ndarray as a
+    list of Python ints (one C pass), any other sequence as it is."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column
 
 
 def require_positive(name: str, value: int) -> int:

@@ -132,8 +132,7 @@ def cmd_quality(args: argparse.Namespace) -> int:
 
 
 def cmd_engine(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.metrics import dumps
     from repro.tables.chaining import SeparateChainingTable
 
     keys = _read_keys(args.keyfile, args.limit)
@@ -151,7 +150,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
 
     stats = table.engine.stats()
     if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
+        print(dumps(stats, indent=2, sort_keys=True))
         return 0
     L = table.engine.partial_key
     print(f"engine over {len(keys)} keys "
@@ -307,10 +306,10 @@ def _run_listen_workload(args, service, listen, operations):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import json
     import time
 
     from repro.datasets import google_urls
+    from repro.metrics import dumps
     from repro.service import Service, ServiceClient, run_service_workload
     from repro.verify.placement import misplaced
     from repro.workloads.ycsb import MIXES, WorkloadGenerator
@@ -461,7 +460,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if net is not None:
             payload["network"] = net
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(dumps(payload, indent=2, sort_keys=True))
         else:
             print(f"served {args.ops} ops (mix {args.mix}, theta {args.theta}) "
                   f"over {args.shards} {args.backend} shard(s) "

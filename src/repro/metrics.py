@@ -18,10 +18,14 @@ then made plain: a reporting child answers its own ``stats()``, a
 :class:`Histogram` comes out in bucket order, dicts, lists and tuples
 are copied (tuples as lists), and numpy scalars become Python numbers —
 so a scrape is JSON-safe and shares no container with the live state.
+:func:`dumps` writes a scrape as standard JSON, non-finite floats (an
+infinite claimed entropy) as null.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,4 +120,29 @@ def _plain(value):
     return value
 
 
-__all__ = ["Histogram", "Reported", "bucket", "ratio", "scrape", "str_keys"]
+def dumps(value, **options) -> str:
+    """``json.dumps(value, **options)`` as standard JSON: a non-finite
+    float is written as null, not as the bare ``Infinity`` or ``NaN``
+    token that strict parsers reject.
+
+    >>> dumps({"claimed_entropy": float("inf"), "bits": [1.5]})
+    '{"claimed_entropy": null, "bits": [1.5]}'
+    """
+    try:
+        return json.dumps(value, allow_nan=False, **options)
+    except ValueError:
+        return json.dumps(_finite(value), allow_nan=False, **options)
+
+
+def _finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+__all__ = ["Histogram", "Reported", "bucket", "dumps", "ratio", "scrape",
+           "str_keys"]

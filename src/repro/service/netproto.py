@@ -29,6 +29,7 @@ import struct
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.metrics import dumps
 from repro.service.protocol import (ANSWERED, FAILED, OPS, OTHER, REFUSED,
                                     REJECTED, VALUED, Response, Run)
 
@@ -209,7 +210,7 @@ def call_spans(op, keys: Sequence[bytes],
 
 
 def _json(fields: Dict[str, object]) -> bytes:
-    return json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    return dumps(fields, separators=(",", ":")).encode("utf-8")
 
 
 def _fields(response: Response) -> Dict[str, object]:

@@ -113,8 +113,10 @@ class Run:
     caller scatters the answers back with the offsets alone.  The op is
     one string for the whole run (``ops`` None) or, for a mixed batch,
     the ``ops`` column.  ``hashes`` holds the keys' raw fleet hashes as
-    the router computed them; a re-route refreshes them in place, and
-    records a row's new shard in ``rerouted``.  ``generation`` is the
+    the router computed them: a list of ints for a call below the
+    router's per-key crossover, else a slice of the call's uint64
+    ndarray.  A re-route refreshes them in place, and records a row's
+    new shard in ``rerouted``.  ``generation`` is the
     routing generation the run was routed under: a client's held run of
     refused rows is admitted again as it is only while that generation
     is live.

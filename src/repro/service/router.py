@@ -30,7 +30,7 @@ Fault-plane observation is one ``note_routes`` call per routed batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.metrics import Reported
 from repro.partitioning.stats import relative_balance_bound, relative_std
 
 from repro.service.hotkeys import HotKeyTracker
-from repro.service.routing import RoutingTable
+from repro.service.routing import Column, RoutingTable
 
 # Relative tolerance of the balance bound ``balance()`` checks against:
 # the paper's 5% rule for partitioning.
@@ -104,11 +104,10 @@ class ShardRouter(Reported):
     def generation(self) -> int:
         return self.table.generation
 
-    def route_batch(
-        self, keys: Sequence[bytes]
-    ) -> Tuple[List[int], List[int]]:
-        """Shard id and raw fleet hash per key, as lists: one compiled
-        engine pass over the batch."""
+    def route_batch(self, keys: Sequence[bytes]) -> Tuple[Column, Column]:
+        """Shard id and raw fleet hash per key: one compiled engine pass
+        over the batch.  Lists below the table's per-key crossover,
+        int64 and uint64 columns from it up (``route_hashed``)."""
         if not keys:
             return [], []
         shards, hashes = self.table.route_hashed(keys)

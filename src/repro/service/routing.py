@@ -43,7 +43,8 @@ itself stays pure (no counters, no fault hooks); the
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +58,13 @@ MAX_SPLIT_DEPTH = 8
 
 # Batches of fewer keys are routed one hash at a time: below it numpy's
 # fixed per-call cost exceeds the per-key fast-range (measured crossover
-# 32 to 48 keys, CPython 3.11, 2-core x86).
+# 32 to 48 keys, CPython 3.11, 2-core x86).  From it up a call's shard
+# ids and hashes travel as numpy columns through the partition to the
+# shard; below it they stay lists end to end.
 _ROUTE_EACH_MAX = 32
+
+# A route column: a list of ints below _ROUTE_EACH_MAX keys, else numpy.
+Column = Union[List[int], np.ndarray]
 
 
 class RoutingTable(Reported):
@@ -88,20 +94,22 @@ class RoutingTable(Reported):
         """Shard id per key; pure (no counters, no side effects)."""
         return np.asarray(self.route_hashed(keys)[0], dtype=np.int64)
 
-    def route_hashed(
-        self, keys: Sequence[bytes]
-    ) -> Tuple[List[int], List[int]]:
-        """Shard id and raw 64-bit hash per key, as lists; pure.
+    def route_hashed(self, keys: Sequence[bytes]) -> Tuple[Column, Column]:
+        """Shard id and raw 64-bit hash per key; pure.
 
         One engine pass; the hashes are what a shard table whose plan
-        matches the engine's probes and inserts from.
+        matches the engine's probes and inserts from.  Below
+        ``_ROUTE_EACH_MAX`` keys both come back as lists of ints; from
+        it up as numpy columns, int64 shard ids and the engine's uint64
+        hashes, which stay columns until a shard walks them.
         """
         n = len(keys)
+        overlay = self.overlay
         if n == 1:
             # One key: the engine's scalar closure, no array round trip.
             key = keys[0]
             h = self.engine.hash_one(key)
-            pinned = self.overlay.get(key) if self.overlay else None
+            pinned = overlay.get(key) if overlay else None
             return [self._shard_of(h) if pinned is None else pinned], [h]
         if not n:
             return [], []
@@ -109,26 +117,30 @@ class RoutingTable(Reported):
         if n < _ROUTE_EACH_MAX:
             hashes = array.tolist()
             shards = list(map(self._shard_of, hashes))
-        else:
-            shards = self._base_reducer.apply(array)
-            m = np.uint64(self.base_shards)
-            for base, directory in self.split_dirs.items():
-                mask = shards == base
-                if not mask.any():
-                    continue
-                # The top bits of the low product word: the bits just
-                # below the ones fast-range consumed.
-                sub = (array[mask] * m) >> np.uint64(_shift(directory))
-                lookup = np.asarray(directory, dtype=np.int64)
-                shards[mask] = lookup[sub.astype(np.int64)]
-            shards = shards.tolist()
-            hashes = array.tolist()
-        if self.overlay:
-            for i, key in enumerate(keys):
-                pinned = self.overlay.get(key)
-                if pinned is not None:
-                    shards[i] = pinned
-        return shards, hashes
+            if overlay:
+                for i, key in enumerate(keys):
+                    pinned = overlay.get(key)
+                    if pinned is not None:
+                        shards[i] = pinned
+            return shards, hashes
+        shards = self._base_reducer.apply(array)
+        m = np.uint64(self.base_shards)
+        for base, directory in self.split_dirs.items():
+            mask = shards == base
+            if not mask.any():
+                continue
+            # The top bits of the low product word: the bits just
+            # below the ones fast-range consumed.
+            sub = (array[mask] * m) >> np.uint64(_shift(directory))
+            lookup = np.asarray(directory, dtype=np.int64)
+            shards[mask] = lookup[sub.astype(np.int64)]
+        if overlay:
+            # -1 marks a key the overlay does not pin.
+            pins = np.fromiter(map(overlay.get, keys, repeat(-1, n)),
+                               dtype=np.int64, count=n)
+            pinned = pins >= 0
+            shards[pinned] = pins[pinned]
+        return shards, array
 
     def route_one(self, key: bytes) -> int:
         """Shard id of one key; pure."""

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro._util import int_list
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_partitioning
 from repro.engine import HashEngine
@@ -80,11 +81,55 @@ _first = itemgetter(0)
 _REFUSED_ROW = bytes((REFUSED,))
 
 
-def _gather(column: Sequence, rows: Sequence[int]) -> list:
-    """``[column[i] for i in rows]`` at C speed."""
+def _gather(column: Sequence, rows: Sequence[int]) -> Sequence:
+    """``[column[i] for i in rows]`` at C speed; an ndarray column (a
+    hash column) gathers by fancy indexing and stays an ndarray."""
+    if isinstance(column, np.ndarray):
+        return column[rows]
     if len(rows) > 1:
         return list(itemgetter(*rows)(column))
     return [column[i] for i in rows]
+
+
+def _groups(shards, hashes) -> List[tuple]:
+    """One call's rows by shard, as ``(shard, rows, hashes)`` in the
+    order each shard first appears, rows in call order; ``rows`` is
+    None when every row routes to one shard.
+
+    List columns (a call below the router's per-key crossover) group in
+    one pass over the rows.  Numpy columns group with one bincount and
+    one stable argsort, and each group's hashes are a slice of the
+    permuted hash column, so no row is touched in Python.
+    """
+    if type(shards) is list:
+        first = shards[0]
+        if shards.count(first) == len(shards):
+            return [(first, None, hashes)]
+        groups: Dict[int, List[int]] = {}
+        for position, shard in enumerate(shards):
+            rows = groups.get(shard)
+            if rows is None:
+                groups[shard] = [position]
+            else:
+                rows.append(position)
+        return [(shard, rows, _gather(hashes, rows))
+                for shard, rows in groups.items()]
+    counts = np.bincount(shards).tolist()
+    if max(counts) == len(shards):
+        return [(counts.index(len(shards)), None, hashes)]
+    order = np.argsort(shards, kind="stable")
+    rows = order.tolist()
+    column = hashes[order]
+    spans = []
+    stop = 0
+    for shard, size in enumerate(counts):
+        if size:
+            start, stop = stop, stop + size
+            # Keyed by the group's first row: first-appearance order.
+            spans.append((rows[start], shard, start, stop))
+    spans.sort()
+    return [(shard, rows[start:stop], column[start:stop])
+            for _, shard, start, stop in spans]
 
 
 def _partition(op, keys, values, hashes, shards, generation, offsets
@@ -92,15 +137,15 @@ def _partition(op, keys, values, hashes, shards, generation, offsets
     """Split one call's columns into one run per shard, rows in call
     order; ``op`` is one op or an op column, and ``offsets`` the rows'
     call positions (None: their indices)."""
-    groups: Dict[int, List[int]] = {}
-    for position, shard in enumerate(shards):
-        rows = groups.get(shard)
-        if rows is None:
-            groups[shard] = [position]
-        else:
-            rows.append(position)
     runs = []
-    for shard, rows in groups.items():
+    for shard, rows, run_hashes in _groups(shards, hashes):
+        if rows is None:
+            ops = None
+            if type(op) is list:
+                ops, op = op, None
+            return [Run(op, keys, values, hashes, 0,
+                        range(len(keys)) if offsets is None else offsets,
+                        generation, shard, ops)]
         run_op, ops = op, None
         if isinstance(op, list):
             ops = _gather(op, rows)
@@ -110,7 +155,7 @@ def _partition(op, keys, values, hashes, shards, generation, offsets
         runs.append(Run(
             run_op, _gather(keys, rows),
             None if values is None else _gather(values, rows),
-            _gather(hashes, rows), 0,
+            run_hashes, 0,
             rows if offsets is None else _gather(offsets, rows),
             generation, shard, ops,
         ))
@@ -294,7 +339,9 @@ class Service(Reported):
         column; ``offsets`` are the rows' positions in the call (None:
         their indices).  One ``route_batch`` pass picks every row's
         shard; the rows of each shard become one :class:`Run` in call
-        order, and :meth:`submit_batch` admits them.  Answers land in
+        order (a large call's shard and hash columns stay numpy arrays
+        through this partition, see :func:`_groups`), and
+        :meth:`submit_batch` admits them.  Answers land in
         the runs' columns.  ``stats`` rows are answered here
         (:meth:`_admit_around_stats`).  A uniform op column is one op,
         so its runs take the one-op column paths.
@@ -308,16 +355,6 @@ class Service(Reported):
             return self._admit_around_stats(op, keys, values)
         generation = self.router.generation
         shards, hashes = self.router.route_batch(keys)
-        first = shards[0]
-        if shards.count(first) == n:
-            ops = None
-            if type(op) is list:
-                ops, op = op, None
-            return self.submit_batch([Run(
-                op, keys, values, hashes, 0,
-                range(n) if offsets is None else offsets,
-                generation, first, ops,
-            )])
         return self.submit_batch(_partition(op, keys, values, hashes,
                                             shards, generation, offsets))
 
@@ -586,7 +623,8 @@ class Service(Reported):
         )
         groups: Dict[int, list] = {}
         moved = 0
-        for (run, row), shard, key_hash in zip(cells, shards, hashes):
+        for (run, row), shard, key_hash in zip(cells, int_list(shards),
+                                               int_list(hashes)):
             moved += shard != run.shard_of(row)
             run.move(row, shard)
             run.hashes[row] = key_hash

@@ -52,6 +52,8 @@ from collections import deque
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.faults import InjectedCrash
 from repro.metrics import Reported, ratio
 
@@ -132,7 +134,8 @@ def _segments(batch: Sequence[Rows]) -> List[tuple]:
     """A batch's consecutive same-op rows as ``(op, pieces, keys,
     values, hashes)`` segments: one segment may span ranges of several
     runs, and its columns are concatenated slices of theirs (values for
-    puts and similar only)."""
+    puts and similar only; the hashes of several ranges join into one
+    uint64 column)."""
     spans: List[Tuple[str, List[Piece]]] = []
     for rows in batch:
         run = rows.run
@@ -155,13 +158,19 @@ def _segments(batch: Sequence[Rows]) -> List[tuple]:
     segments = []
     for op, pieces in spans:
         keys: List[bytes] = []
-        hashes: list = []
         values: Optional[list] = [] if op in VALUED else None
         for run, start, stop in pieces:
             keys += run.keys[start:stop]
-            hashes += run.hashes[start:stop]
             if values is not None:
                 values += run.values[start:stop]
+        if len(pieces) == 1:
+            run, start, stop = pieces[0]
+            hashes = run.hashes[start:stop]
+        else:
+            hashes = np.concatenate([
+                np.asarray(run.hashes[start:stop], dtype=np.uint64)
+                for run, start, stop in pieces
+            ])
         segments.append((op, pieces, keys, values, hashes))
     return segments
 
@@ -465,16 +474,11 @@ class Worker(Reported):
             hashes = run.hashes[start:stop]
             self._segments = [(op, [(run, start, stop)], keys, values,
                                hashes)]
-            wire = [(op, keys, values,
-                     None if plan is None or None in hashes else hashes,
-                     plan)]
+            wire = [(op, keys, values, hashes, plan)]
         else:
             self._segments = segments = _segments(batch)
-            wire = [
-                (op, keys, values,
-                 None if plan is None or None in hashes else hashes, plan)
-                for op, _, keys, values, hashes in segments
-            ]
+            wire = [(op, keys, values, hashes, plan)
+                    for op, _, keys, values, hashes in segments]
         crash_at = None
         kill = False
         if plane is not None and plane.should_fire("crash", self.shard_id):

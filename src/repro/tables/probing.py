@@ -27,7 +27,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list, next_power_of_two
+from repro._util import Key, as_bytes, as_bytes_list, int_list, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_probing_table
 from repro.engine import CollisionMonitor, HashEngine, SlotTagReducer
@@ -45,11 +45,6 @@ DEFAULT_MAX_LOAD = 0.875
 # remaining probes one by one.  Set at the crossover of the
 # ``probe_walk_cost`` curve in benchmarks/bench_engine.py.
 _ROUND_MIN = 256
-
-# ``probe_batch_hashed`` splits fewer precomputed hashes than this one
-# by one: below it, numpy's fixed per-call cost exceeds the per-hash
-# split (measured crossover 14 to 16 hashes, CPython 3.11, 2-core x86).
-_SPLIT_EACH_MAX = 16
 
 
 @dataclass
@@ -255,8 +250,8 @@ class LinearProbingTable:
         if hashes is None:
             return [self.delete(key) for key in keys]
         split = self._reducer.apply_one
-        return [self._delete_at(key, *split(int(h)))
-                for key, h in zip(keys, hashes)]
+        return [self._delete_at(key, *split(h))
+                for key, h in zip(keys, int_list(hashes))]
 
     def _delete_at(self, key: bytes, slot: int, tag: int) -> bool:
         while True:
@@ -305,8 +300,8 @@ class LinearProbingTable:
         generation = self.engine.generation
         if hashes is None:
             hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, hashes):
-            self._insert_one(key, value, int(h), generation)
+        for key, value, h in zip(keys, values, int_list(hashes)):
+            self._insert_one(key, value, h, generation)
 
     def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:
         """Probe many keys, hashing them in one engine pass.
@@ -343,14 +338,27 @@ class LinearProbingTable:
         the hasher was swapped in between (monitor fallback or plan
         re-learn) and the hashes are recomputed rather than probed
         stale.
+
+        A numpy column is split into slots and tags in one vectorized
+        pass.  A list (a service call below the router's per-key
+        crossover, or a caller's own) too short for a vectorized round
+        walks one key at a time, splitting each hash into its slot and
+        tag as it goes (``SlotTagReducer.apply_one``, inlined): no
+        array is built for it.
         """
         if generation is not None and generation != self.engine.generation:
             hashes = self.engine.hash_batch(keys)
-        if len(keys) < _SPLIT_EACH_MAX:
-            slots, tags = self._reducer.apply_each(map(int, hashes))
-        else:
+        n = len(keys)
+        if isinstance(hashes, np.ndarray) or n >= _ROUND_MIN:
             slots, tags = self._reducer.apply(np.asarray(hashes, dtype=np.uint64))
-        return self._walk(keys, slots, tags, None)
+            return self._walk(keys, slots, tags, None)
+        mask = self._mask
+        states = self._reducer.tag_states
+        spread = 256 - states
+        return self._walk_each(keys, (
+            (probe, (h >> 8) & mask, (h & 0xFF) % spread + states)
+            for probe, h in enumerate(hashes)
+        ), [None] * n)
 
     def _walk(
         self,
@@ -407,6 +415,18 @@ class LinearProbingTable:
             pending = zip(active.tolist(), (slots & mask).tolist(), tags.tolist())
         else:
             pending = zip(range(n), slots.tolist(), tags.tolist())
+        return self._walk_each(keys, pending, results, checks, compares)
+
+    def _walk_each(self, keys: Sequence[bytes], pending, results: List[Any],
+                   checks: int = 0, compares: int = 0) -> List[Any]:
+        """Walk each ``(probe, slot, tag)`` of ``pending`` one slot at a
+        time, as :meth:`get` does, into ``results``; then charge the
+        batch's :class:`ProbeStats`, ``checks`` and ``compares`` being
+        what earlier rounds already spent."""
+        table_tags = self._tags
+        table_keys = self._keys
+        values = self._values
+        mask = self._mask
         for probe, slot, tag in pending:
             key = keys[probe]
             while True:
@@ -421,7 +441,7 @@ class LinearProbingTable:
                         break
                 slot = (slot + 1) & mask
         stats = self.stats
-        stats.probes += n
+        stats.probes += len(results)
         stats.tag_checks += checks
         stats.chain_total += checks
         stats.key_comparisons += compares

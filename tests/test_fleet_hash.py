@@ -14,6 +14,7 @@ and a retried request is routed without hashing its key again.
 
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.core.greedy import GreedyResult
@@ -29,11 +30,7 @@ from repro.service import (
     fork_available,
 )
 from repro.tables.chaining import EntropyAwareTable, SeparateChainingTable
-from repro.tables.probing import (
-    EntropyAwareProbingTable,
-    LinearProbingTable,
-    _SPLIT_EACH_MAX,
-)
+from repro.tables.probing import EntropyAwareProbingTable, LinearProbingTable
 from tests.admission import submit
 
 KEYS = google_urls(3000, seed=5)
@@ -141,7 +138,7 @@ class TestPlacementQuality:
 
 @pytest.mark.parametrize("table_cls", [LinearProbingTable,
                                        SeparateChainingTable])
-@pytest.mark.parametrize("n", [1, _SPLIT_EACH_MAX - 1, _SPLIT_EACH_MAX, 300])
+@pytest.mark.parametrize("n", [1, 15, 16, 300])
 def test_carried_hash_paths_match_the_hashing_ones(table_cls, n):
     hasher = EntropyLearnedHasher.from_positions((40,))
     keys, misses = KEYS[:n], MISSES[:n]
@@ -304,6 +301,32 @@ class TestStalePlans:
             _check_served(service, client, oracle)
             assert all(r == 0
                        for _, r in _delta(_counters(service), before))
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="fork start method unavailable")
+def test_process_shards_receive_carried_uint64_columns(model):
+    # 64 keys is above the router's per-key crossover: the call's
+    # hashes stay one uint64 column, and each shard child gets slices.
+    keys = KEYS[:64]
+    sent = []
+    with _fleet(model, "process") as service:
+        for worker in service.workers:
+            def recording(wire, crash_at, kill, serve=worker.execution.serve):
+                sent.extend(hashes for _, _, _, hashes, _ in wire)
+                return serve(wire, crash_at, kill)
+
+            worker.execution.serve = recording
+        client = ServiceClient(service)
+        before = _counters(service)
+        client.put_many((k, b"v" + k) for k in keys)
+        assert client.multi_get(keys) == [b"v" + k for k in keys]
+        delta = _delta(_counters(service), before)
+    assert all(isinstance(hashes, np.ndarray) and hashes.dtype == np.uint64
+               for hashes in sent)
+    assert sum(hashes.size for hashes in sent) == 2 * len(keys)
+    assert sum(carried for carried, _ in delta) == 2 * len(keys)
+    assert all(recomputed == 0 for _, recomputed in delta)
 
 
 def test_retry_round_routes_without_hashing_again(model):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.persist import (
@@ -116,7 +117,8 @@ class TestEnginePlans:
         keys = self._corpus()
         router_a = ShardRouter.from_model(trained, 8, expected_items=400)
         router_b = ShardRouter.from_model(loaded, 8, expected_items=400)
-        assert list(router_a.route_batch(keys)) == list(router_b.route_batch(keys))
+        assert [np.asarray(c).tolist() for c in router_a.route_batch(keys)] \
+            == [np.asarray(c).tolist() for c in router_b.route_batch(keys)]
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import json
 import math
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.core.trainer import train_model
@@ -131,7 +132,8 @@ class TestRouter:
     def test_routing_deterministic(self, model, corpus):
         a = ShardRouter.from_model(model, 4, expected_items=600)
         b = ShardRouter.from_model(model, 4, expected_items=600)
-        assert list(a.route_batch(corpus)) == list(b.route_batch(corpus))
+        assert [np.asarray(c).tolist() for c in a.route_batch(corpus)] == \
+            [np.asarray(c).tolist() for c in b.route_batch(corpus)]
 
     def test_route_one_matches_batch(self, model, corpus):
         router = ShardRouter.from_model(model, 4, expected_items=600)
@@ -388,11 +390,12 @@ class TestService:
         service = _service(model)
         client = ServiceClient(service)
         client.put_many((b"pin%03d" % i, b"v%03d" % i) for i in range(100))
-        before = list(service.router.route_batch(
-            [b"pin%03d" % i for i in range(100)]))
+        keys = [b"pin%03d" % i for i in range(100)]
+        before = [np.asarray(c).tolist()
+                  for c in service.router.route_batch(keys)]
         service.force_trip(1)
-        after = list(service.router.route_batch(
-            [b"pin%03d" % i for i in range(100)]))
+        after = [np.asarray(c).tolist()
+                 for c in service.router.route_batch(keys)]
         assert before == after
         assert client.get(b"pin042") == b"v042"
 
@@ -586,6 +589,51 @@ class TestBackoffRegressions:
         assert client.puts_sent == 4
         assert client.puts_acked == 4
         assert client.lost_acks == 0
+
+
+def _run_fields(run):
+    """A run's request columns as plain lists, for comparing runs built
+    from list and numpy columns."""
+    return (run.shard, run.op, run.ops, run.keys, run.values,
+            np.asarray(run.hashes, dtype=np.uint64).tolist(),
+            list(run.offsets), run.generation)
+
+
+class TestPartitionColumns:
+    """A call routed as numpy columns (at or above the router's per-key
+    crossover) partitions into the same runs as the same call routed
+    as lists."""
+
+    @pytest.mark.parametrize("layout", ["one", "all", "gaps"])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    def test_array_partition_matches_list_partition(self, layout, mixed,
+                                                    with_offsets):
+        from repro.service.service import _partition
+
+        rng = np.random.default_rng(len(layout) + 2 * mixed + with_offsets)
+        n = 96
+        shards = {
+            "one": np.full(n, 3),
+            "all": rng.integers(0, 6, n),
+            # Shards 0, 2 and 5 of six get no row.
+            "gaps": rng.choice([1, 3, 4], n),
+        }[layout].astype(np.int64)
+        hashes = rng.integers(0, 2**64, n, dtype=np.uint64)
+        keys = [b"key%03d" % i for i in range(n)]
+        values = [b"value%03d" % i for i in range(n)]
+        op = (rng.choice(["put", "get", "delete"], n).tolist() if mixed
+              else "put")
+        offsets = range(7, 7 + n) if with_offsets else None
+        from_lists = _partition(op, keys, values, hashes.tolist(),
+                                shards.tolist(), 5, offsets)
+        from_arrays = _partition(op, keys, values, hashes, shards, 5,
+                                 offsets)
+        assert [_run_fields(run) for run in from_arrays] == \
+            [_run_fields(run) for run in from_lists]
+        assert all(isinstance(run.hashes, np.ndarray) for run in from_arrays)
+        assert sorted(run.shard for run in from_arrays) == \
+            sorted(set(shards.tolist()))
 
 
 class TestHeldRuns:

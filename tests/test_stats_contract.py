@@ -154,6 +154,54 @@ def test_armed_scenario_reports_every_optional_block(expected):
     assert "frontdoor" in expected["socket"]
 
 
+def _strict(text):
+    """``text`` parsed as standard JSON: ``Infinity`` and ``NaN`` raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_serve_json_and_socket_stats_are_standard_json(capsys):
+    from repro.cli import main
+
+    # The armed scenario's drift detectors claim infinite entropy.
+    assert main([
+        "serve", "--shards", "3", "--backend", "chaining", "--ops", "600",
+        "--num-keys", "400", "--seed", "0", "--relearn", "--drift-window",
+        "64", "--min-dwell", "8", "--hot-k", "4", "--adapt-every", "4",
+        "--inject", "crash:worker:1:count=2",
+        "--inject", "drop:worker:2:after=5", "--json",
+    ]) == 0
+    payload = _strict(capsys.readouterr().out)
+    drift = payload["stats"]["drift"]["shards"].values()
+    assert None in [shard["claimed_entropy"] for shard in drift]
+    corpus = _corpus()
+    service = _service(corpus, "inline", **SCENARIOS["armed"])
+    try:
+        with FrontDoorThread(service) as door:
+            with NetworkClient("127.0.0.1", door.port) as client:
+                _run(client, corpus)
+                decoder = client.transport.decoder
+                feed = decoder.feed
+                tails = []
+
+                def recording(data):
+                    for body in feed(data):
+                        # The answer tail: a JSON object after the columns.
+                        tails.append(body[body.index(b'{"rows"'):])
+                        yield body
+
+                decoder.feed = recording
+                client.stats()
+    finally:
+        service.close()
+    [tail] = tails
+    [(_, fields)] = _strict(tail)["rows"]
+    drift = fields["stats"]["drift"]["shards"].values()
+    assert None in [shard["claimed_entropy"] for shard in drift]
+
+
 class _Part(Reported):
     REPORTS = ("count", "ratio=_ratio")
 
