@@ -7,6 +7,7 @@ set of argument shapes the public API accepts.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, List, Sequence, Union
 
 import numpy as np
@@ -89,12 +90,22 @@ def as_bytes_list(keys: Iterable[Key]) -> List[bytes]:
 _BYTES_ONLY = {bytes}
 
 
-def int_list(column: Sequence[int]) -> Sequence[int]:
-    """A hash or id column ready to walk key by key: an ndarray as a
-    list of Python ints (one C pass), any other sequence as it is."""
-    if isinstance(column, np.ndarray):
+# An ndarray column longer than this is turned into Python ints one
+# chunk at a time, the engine's ``_PACK_CHUNK``: a 91,750-key insert
+# then never holds 3.6 MB of ints at once.
+_INT_CHUNK = 4096
+
+
+def iter_ints(column: Sequence[int]) -> Iterable[int]:
+    """A hash or id column ready to walk key by key, once: an ndarray
+    as Python ints (one C pass per ``_INT_CHUNK`` rows), any other
+    sequence as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if len(column) <= _INT_CHUNK:
         return column.tolist()
-    return column
+    return chain.from_iterable(
+        chunk.tolist() for chunk in chunked(column, _INT_CHUNK))
 
 
 def require_positive(name: str, value: int) -> int:

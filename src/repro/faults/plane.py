@@ -24,7 +24,7 @@ import random
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro._util import int_list
+from repro._util import iter_ints
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.metrics import Reported, str_keys
 
@@ -107,7 +107,7 @@ class FaultPlane(Reported):
     def note_routes(self, shards: Sequence[int]) -> None:
         """Routing observation point (threaded through ShardRouter): one
         call per routed batch, with the shard of each of its keys."""
-        for shard, count in Counter(int_list(shards)).items():
+        for shard, count in Counter(iter_ints(shards)).items():
             self.routed[shard] = self.routed.get(shard, 0) + count
 
     # -------------------------------------------------------------- stats

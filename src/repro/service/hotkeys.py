@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import int_list
+from repro._util import iter_ints
 from repro.core.hasher import EntropyLearnedHasher
 from repro.metrics import Reported
 from repro.sketches.countmin import CountMinSketch
@@ -101,7 +101,7 @@ class HotKeyTracker(Reported):
                 return
             hashes = hashes[start::sample]
         self._keys.extend(keys)
-        self._hashes.extend(int_list(hashes))
+        self._hashes.extend(iter_ints(hashes))
         if len(self._keys) >= self.flush_every:
             self.flush()
 

@@ -138,9 +138,9 @@ class ShardJournal(Reported):
 
     # ---------------------------------------------------------- migration
 
-    def split_by(self, predicate) -> List[Entry]:
-        """Remove and return every entry whose key satisfies the
-        predicate, preserving ack order on both sides.
+    def split_by(self, keys) -> List[Entry]:
+        """Remove and return every entry whose key is in ``keys`` (a set
+        or dict), preserving ack order on both sides.
 
         This is the donor half of a reconfiguration: the leaving keys'
         entries leave the donor journal (so a later donor restart does
@@ -148,11 +148,10 @@ class ShardJournal(Reported):
         new shard's journal, where replaying them reconstructs exactly
         the acknowledged state of the moved keys.
         """
-        moved: List[Entry] = []
-        kept: List[Entry] = []
-        for entry in self.entries:
-            (moved if predicate(entry[1]) else kept).append(entry)
-        self.entries = kept
+        moved = [entry for entry in self.entries if entry[1] in keys]
+        if moved:
+            self.entries = [entry for entry in self.entries
+                            if entry[1] not in keys]
         return moved
 
     def extend(self, entries: List[Entry]) -> None:

@@ -36,7 +36,10 @@ Tables are copy-on-write: mutating operations (:meth:`with_overlay`,
 :meth:`with_split`) return a *candidate* table at ``generation + 1``
 and leave the live table alone.  The service migrates acked state under
 the candidate's routing, then atomically installs it — the flip — so a
-route lookup never observes a half-applied reconfiguration.  Routing
+route lookup never observes a half-applied reconfiguration.  Each
+candidate names what it can move (:attr:`RoutingTable.moves`): the keys
+whose pin changed, the donors' keys, or — after a plan swap — any key,
+so a migration routes only that scope.  Routing
 itself stays pure (no counters, no fault hooks); the
 :class:`~repro.service.router.ShardRouter` facade owns observation.
 """
@@ -44,7 +47,9 @@ itself stays pure (no counters, no fault hooks); the
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -67,6 +72,15 @@ _ROUTE_EACH_MAX = 32
 Column = Union[List[int], np.ndarray]
 
 
+class Moves(NamedTuple):
+    """The keys a candidate table can route away from where the live
+    table routes them: the keys whose overlay pin changed, and the keys
+    of the shards a split cuts in half."""
+
+    keys: FrozenSet[bytes] = frozenset()
+    donors: FrozenSet[int] = frozenset()
+
+
 class RoutingTable(Reported):
     """Generation-stamped composite route: overlay, then base + splits."""
 
@@ -87,6 +101,10 @@ class RoutingTable(Reported):
         # absent means the base range was never split.
         self.split_dirs: Dict[int, List[int]] = {}
         self._base_reducer = FastRangeReducer(base_shards)
+        # What this table can move relative to the live table it was
+        # built from, widened along a chain of candidates; None means
+        # any key (a plan swap).  Installing a table resets it.
+        self.moves: Optional[Moves] = Moves()
 
     # ------------------------------------------------------------ routing
 
@@ -167,6 +185,7 @@ class RoutingTable(Reported):
         twin.overlay = dict(self.overlay)
         twin.split_dirs = {b: list(d) for b, d in self.split_dirs.items()}
         twin._base_reducer = self._base_reducer
+        twin.moves = self.moves
         return twin
 
     def with_overlay(self, assignments: Dict[bytes, int]) -> "RoutingTable":
@@ -180,6 +199,11 @@ class RoutingTable(Reported):
         candidate = self.clone()
         candidate.overlay.update(assignments)
         candidate.generation = self.generation + 1
+        if self.moves is not None:
+            changed = {key for key, shard in assignments.items()
+                       if self.overlay.get(key) != shard}
+            candidate.moves = self.moves._replace(
+                keys=self.moves.keys | changed)
         return candidate
 
     def with_engine(self, engine: HashEngine) -> "RoutingTable":
@@ -197,6 +221,7 @@ class RoutingTable(Reported):
         candidate = self.clone()
         candidate.engine = engine
         candidate.generation = self.generation + 1
+        candidate.moves = None
         return candidate
 
     def with_split(self, donor: int) -> "RoutingTable":
@@ -230,6 +255,9 @@ class RoutingTable(Reported):
         candidate.split_dirs[base] = doubled
         candidate.num_shards += 1
         candidate.generation = self.generation + 1
+        if self.moves is not None:
+            candidate.moves = self.moves._replace(
+                donors=self.moves.donors | {donor})
         return candidate
 
     def _base_of(self, shard: int) -> int:
@@ -257,4 +285,4 @@ def _shift(directory: List[int]) -> int:
     return 65 - len(directory).bit_length()
 
 
-__all__ = ["RoutingTable", "MAX_SPLIT_DEPTH"]
+__all__ = ["RoutingTable", "MAX_SPLIT_DEPTH", "Moves"]

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro._util import int_list
+from repro._util import iter_ints
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_partitioning
 from repro.engine import HashEngine
@@ -538,9 +538,12 @@ class Service(Reported):
 
         1. spawn an empty worker and breaker for every shard id the
            candidate adds;
-        2. per shard, route its journal's distinct keys with the pure
-           ``candidate.route_batch`` (one vectorized pass; no traffic
-           counters or hot-key tracker see migration), extract the
+        2. route only what the candidate can move
+           (:attr:`RoutingTable.moves`) with the pure
+           ``candidate.route_batch`` — the keys whose pin changed, once
+           for the fleet, and each donor's distinct journal keys, or
+           every shard's after a plan swap (no traffic counters or
+           hot-key tracker see migration); per shard, extract the
            entries of keys that leave (so a donor restart cannot
            resurrect them), and erase their net effect from the donor's
            live structure — one delete per surviving put of their
@@ -559,17 +562,31 @@ class Service(Reported):
             self.supervisor.grow()
         arrivals: Dict[int, List[Entry]] = {}
         moved_total = 0
+        moves = candidate.moves
+        pinned: Dict[bytes, int] = {}
+        if moves is not None and moves.keys:
+            keys = list(moves.keys)
+            pinned = dict(zip(keys, iter_ints(candidate.route_batch(keys))))
         for worker in self.workers:
             journal = worker.journal
+            shard = worker.shard_id
             if not journal.entries:
                 continue
-            distinct = list(dict.fromkeys(e[1] for e in journal.entries))
-            routes = candidate.route_batch(distinct)
-            leaving = np.flatnonzero(routes != worker.shard_id)
-            if not leaving.size:
+            if moves is None or shard in moves.donors:
+                distinct = list(dict.fromkeys(e[1] for e in journal.entries))
+                routes = candidate.route_batch(distinct)
+                target_of = {distinct[i]: int(routes[i])
+                             for i in np.flatnonzero(routes != shard)}
+            else:
+                # A pinned key lives on one shard: where it is not, the
+                # journal walk below finds none of its entries.
+                target_of = {key: target for key, target in pinned.items()
+                             if target != shard}
+            if not target_of:
                 continue
-            target_of = {distinct[i]: int(routes[i]) for i in leaving}
-            moved = journal.split_by(target_of.__contains__)
+            moved = journal.split_by(target_of)
+            if not moved:
+                continue
             moved_total += len(moved)
             if self.backend != "bloom":
                 worker.apply_entries([
@@ -623,8 +640,8 @@ class Service(Reported):
         )
         groups: Dict[int, list] = {}
         moved = 0
-        for (run, row), shard, key_hash in zip(cells, int_list(shards),
-                                               int_list(hashes)):
+        for (run, row), shard, key_hash in zip(cells, iter_ints(shards),
+                                               iter_ints(hashes)):
             moved += shard != run.shard_of(row)
             run.move(row, shard)
             run.hashes[row] = key_hash

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro._util import Key, as_bytes, int_list, next_power_of_two
+from repro._util import Key, as_bytes, iter_ints, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_chaining_table
 from repro.core.trainer import EntropyModel
@@ -160,7 +160,7 @@ class SeparateChainingTable:
         buckets = self._buckets
         mask = self._mask
         return [self._delete_from(buckets[h & mask], key)
-                for key, h in zip(keys, int_list(hashes))]
+                for key, h in zip(keys, iter_ints(hashes))]
 
     def _delete_from(self, bucket: List[Tuple[bytes, Any]], key: bytes) -> bool:
         for i, (existing, _) in enumerate(bucket):
@@ -198,7 +198,7 @@ class SeparateChainingTable:
         generation = self.engine.generation
         if hashes is None:
             hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, int_list(hashes)):
+        for key, value, h in zip(keys, values, iter_ints(hashes)):
             self._insert_one(key, value, h, generation)
 
     def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
@@ -222,7 +222,7 @@ class SeparateChainingTable:
         if generation is not None and generation != self.engine.generation:
             hashes = self.engine.hash_batch(keys)
         mask = self._mask
-        return self._walk(keys, [h & mask for h in int_list(hashes)])
+        return self._walk(keys, [h & mask for h in iter_ints(hashes)])
 
     def _walk(self, keys: Sequence[bytes], indices: List[int]) -> List[Any]:
         """Look each key up in its bucket ``indices[i]``; charges stats."""

@@ -27,7 +27,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list, int_list, next_power_of_two
+from repro._util import Key, as_bytes, as_bytes_list, iter_ints, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_probing_table
 from repro.engine import CollisionMonitor, HashEngine, SlotTagReducer
@@ -251,7 +251,7 @@ class LinearProbingTable:
             return [self.delete(key) for key in keys]
         split = self._reducer.apply_one
         return [self._delete_at(key, *split(h))
-                for key, h in zip(keys, int_list(hashes))]
+                for key, h in zip(keys, iter_ints(hashes))]
 
     def _delete_at(self, key: bytes, slot: int, tag: int) -> bool:
         while True:
@@ -300,7 +300,7 @@ class LinearProbingTable:
         generation = self.engine.generation
         if hashes is None:
             hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, int_list(hashes)):
+        for key, value, h in zip(keys, values, iter_ints(hashes)):
             self._insert_one(key, value, h, generation)
 
     def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:

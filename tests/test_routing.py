@@ -229,6 +229,70 @@ class TestLiveSplit:
             service.close()
 
 
+class TestMigrationScope:
+    """A migration routes only the keys its candidate can move."""
+
+    def _filled(self, model):
+        service = _service(model, num_shards=4)
+        client = ServiceClient(service)
+        client.put_many((k, b"v1") for k in KEYS)
+        # Rewrites: a journal holds more entries than distinct keys.
+        client.put_many((k, b"v2") for k in KEYS[::3])
+        oracle = {k: b"v2" if i % 3 == 0 else b"v1"
+                  for i, k in enumerate(KEYS)}
+        return service, client, oracle
+
+    def _check(self, service, client, oracle):
+        assert misplaced(service) == ([], [])
+        assert client.multi_get(list(oracle)) == list(oracle.values())
+        assert client.lost_acks == 0
+
+    def test_promotion_routes_only_the_keys_it_pins(self, model):
+        service, client, oracle = self._filled(model)
+        try:
+            # After a split the live table was once a candidate: its
+            # donor must not widen the next promotion's scope.
+            service.split_shard(0)
+            table = service.router.table
+            pins = {k: (table.route_one(k) + 1) % table.num_shards
+                    for k in KEYS[:5]}
+            engine = service.router.engine
+            before = engine.stats()["keys_hashed"]
+            assert service.reconfigure(table.with_overlay(pins)) > 0
+            assert engine.stats()["keys_hashed"] - before <= len(pins)
+            self._check(service, client, oracle)
+        finally:
+            service.close()
+
+    def test_split_routes_only_the_donors_journal(self, model):
+        service, client, oracle = self._filled(model)
+        try:
+            donor = 1
+            journal = service.workers[donor].journal.entries
+            distinct = len({entry[1] for entry in journal})
+            assert distinct < len(journal)
+            engine = service.router.engine
+            before = engine.stats()["keys_hashed"]
+            service.split_shard(donor)
+            assert engine.stats()["keys_hashed"] - before <= distinct
+            self._check(service, client, oracle)
+        finally:
+            service.close()
+
+    def test_a_chained_candidate_moves_both_scopes(self, model):
+        service, client, oracle = self._filled(model)
+        try:
+            table = service.router.table
+            pins = {k: (table.route_one(k) + 1) % table.num_shards
+                    for k in KEYS[:5]}
+            candidate = table.with_split(2).with_overlay(pins)
+            assert service.reconfigure(candidate) > 0
+            assert service.num_shards == 5
+            self._check(service, client, oracle)
+        finally:
+            service.close()
+
+
 class TestFilterMigration:
     """Promotion then split on the filter backends: a Bloom filter
     cannot delete (the donor keeps stale bits), a cuckoo filter is a

@@ -1,5 +1,6 @@
 """Tests for the sharded serving layer (repro.service)."""
 
+import collections
 import json
 import math
 from contextlib import contextmanager
@@ -473,6 +474,92 @@ class TestClient:
         gen = WorkloadGenerator(corpus, "E", seed=5)
         with pytest.raises(ValueError):
             run_service_workload(client, gen.operations(200))
+
+
+class _RecordingClient(ServiceClient):
+    """Logs each call the workload driver makes, in call order, as
+    ``(keys, values read or None)``."""
+
+    def __init__(self, service):
+        super().__init__(service)
+        self.calls = []
+
+    def multi_get(self, keys):
+        values = super().multi_get(keys)
+        self.calls.append((list(keys), values))
+        return values
+
+    def put_many(self, pairs):
+        pairs = list(pairs)
+        self.calls.append(([key for key, _ in pairs], None))
+        return super().put_many(pairs)
+
+    def get(self, key):
+        value = super().get(key)
+        self.calls.append(([key], [value]))
+        return value
+
+    def put(self, key, value):
+        self.calls.append(([key], None))
+        return super().put(key, value)
+
+
+def _replay(state, operations):
+    """A sequential dict replay of a YCSB stream: the values each key's
+    reads return, in stream order, and the final contents."""
+    state = dict(state)
+    reads = {}
+    for op in operations:
+        if op.kind in ("read", "rmw"):
+            reads.setdefault(op.key, []).append(state.get(op.key))
+        if op.kind == "rmw":
+            state[op.key] = (state.get(op.key) or b"")[:8] + op.value
+        elif op.kind != "read":
+            state[op.key] = op.value
+    return reads, state
+
+
+class TestWorkloadDriver:
+    """``run_service_workload`` batches reads and writes across kind
+    runs; every read must still see its stream-order value."""
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("mix", ["A", "B", "D", "F"])
+    def test_reads_match_a_sequential_replay(self, model, corpus, execution,
+                                             mix):
+        keys = corpus[:200]
+        operations = list(WorkloadGenerator(
+            keys, mix, seed=11, zipf_theta=0.99).operations(1500))
+        preload = {key: b"v0" + key for key in keys}
+        expected_reads, expected_state = _replay(preload, operations)
+        with _service(model, execution=execution, num_shards=4,
+                      capacity=2048, max_queue=16) as service:
+            client = _RecordingClient(service)
+            client.put_many(preload.items())
+            client.calls.clear()
+            counts = run_service_workload(client, operations)
+            reads = {}
+            for call_keys, values in client.calls:
+                for key, value in zip(call_keys, values or ()):
+                    reads.setdefault(key, []).append(value)
+            final = list(expected_state)
+            contents = client.multi_get(final)
+            assert client.lost_acks == 0
+        assert counts == dict(collections.Counter(op.kind
+                                                  for op in operations))
+        assert reads == expected_reads
+        assert contents == [expected_state[key] for key in final]
+
+    def test_mix_a_window_takes_few_calls(self, model, corpus):
+        window = 128
+        windows = 20
+        generator = WorkloadGenerator(corpus, "A", seed=3, zipf_theta=0.99)
+        with _service(model, capacity=2048) as service:
+            client = _RecordingClient(service)
+            for _ in range(windows):
+                run_service_workload(client, generator.operations(window))
+        # One call per run of one op kind takes about 64 per window.
+        assert len(client.calls) / windows <= 16
 
 
 class TestOverload:

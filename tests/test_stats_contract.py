@@ -12,6 +12,7 @@ Regenerate the data (only when a scrape's shape changes on purpose)
 with ``PYTHONPATH=src python tests/test_stats_contract.py``.
 """
 
+import itertools
 import json
 import pathlib
 
@@ -28,7 +29,6 @@ from repro.service import (
     Service,
     ServiceClient,
     fork_available,
-    run_service_workload,
 )
 from repro.workloads import WorkloadGenerator
 
@@ -66,9 +66,18 @@ def _service(corpus, execution, backend, fault_plane=(), **kwargs):
 
 
 def _run(client, corpus):
+    """Preload, then a mix A stream as one call per run of one op kind:
+    the call sequence the data file's scrapes were captured with.  The
+    sequence is written out here so that the contract pins the scrape,
+    not the workload driver's batching."""
     client.put_many((key, b"v0") for key in corpus)
     operations = WorkloadGenerator(corpus, mix="A", seed=3).operations(600)
-    run_service_workload(client, operations)
+    for read, run in itertools.groupby(operations,
+                                       key=lambda op: op.kind == "read"):
+        if read:
+            client.multi_get([op.key for op in run])
+        else:
+            client.put_many([(op.key, op.value) for op in run])
 
 
 def _encoded(stats):

@@ -1,11 +1,13 @@
 """Unit tests for repro._util fixed-width arithmetic and helpers."""
 
+import numpy as np
 import pytest
 
 from repro._util import (
     as_bytes,
     as_bytes_list,
     chunked,
+    iter_ints,
     mum,
     next_power_of_two,
     read_u32_le,
@@ -132,3 +134,11 @@ class TestMisc:
     def test_chunked_rejects_bad_size(self):
         with pytest.raises(ValueError):
             list(chunked([1], 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 10_000])
+    def test_iter_ints_walks_a_column_as_python_ints(self, n):
+        column = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        walked = list(iter_ints(column))
+        assert walked == column.tolist()
+        assert all(type(value) is int for value in walked)
+        assert iter_ints(walked) is walked
