@@ -40,7 +40,7 @@ from repro.metrics import Reported
 from repro.partitioning.stats import relative_balance_bound, relative_std
 
 from repro.service.hotkeys import HotKeyTracker
-from repro.service.routing import Column, Moves, RoutingTable
+from repro.service.routing import Column, RoutingTable
 
 # Relative tolerance of the balance bound ``balance()`` checks against:
 # the paper's 5% rule for partitioning.
@@ -150,8 +150,6 @@ class ShardRouter(Reported):
             grown = np.zeros(candidate.num_shards, dtype=np.int64)
             grown[: len(self.routed)] = self.routed
             self.routed = grown
-        # Live now: a candidate built from it moves only its own scope.
-        candidate.moves = Moves()
         self.table = candidate
 
     def plan_promotions(self) -> Dict[bytes, int]:

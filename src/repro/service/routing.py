@@ -36,24 +36,21 @@ Tables are copy-on-write: mutating operations (:meth:`with_overlay`,
 :meth:`with_split`) return a *candidate* table at ``generation + 1``
 and leave the live table alone.  The service migrates acked state under
 the candidate's routing, then atomically installs it — the flip — so a
-route lookup never observes a half-applied reconfiguration.  Each
-candidate names what it can move (:attr:`RoutingTable.moves`): the keys
-whose pin changed, the donors' keys, or — after a plan swap — any key,
-so a migration routes only that scope.  Routing
-itself stays pure (no counters, no fault hooks); the
+route lookup never observes a half-applied reconfiguration.  What a
+candidate can move follows from comparing it with the live table
+(:func:`migration_scope`), and a migration routes only that scope.
+Routing itself stays pure (no counters, no fault hooks); the
 :class:`~repro.service.router.ShardRouter` facade owns observation.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import (
-    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._util import U64_MASK
+from repro._util import U64_MASK, iter_ints
 from repro.engine import FastRangeReducer, HashEngine
 from repro.metrics import Reported, str_keys
 
@@ -70,15 +67,6 @@ _ROUTE_EACH_MAX = 32
 
 # A route column: a list of ints below _ROUTE_EACH_MAX keys, else numpy.
 Column = Union[List[int], np.ndarray]
-
-
-class Moves(NamedTuple):
-    """The keys a candidate table can route away from where the live
-    table routes them: the keys whose overlay pin changed, and the keys
-    of the shards a split cuts in half."""
-
-    keys: FrozenSet[bytes] = frozenset()
-    donors: FrozenSet[int] = frozenset()
 
 
 class RoutingTable(Reported):
@@ -101,10 +89,6 @@ class RoutingTable(Reported):
         # absent means the base range was never split.
         self.split_dirs: Dict[int, List[int]] = {}
         self._base_reducer = FastRangeReducer(base_shards)
-        # What this table can move relative to the live table it was
-        # built from, widened along a chain of candidates; None means
-        # any key (a plan swap).  Installing a table resets it.
-        self.moves: Optional[Moves] = Moves()
 
     # ------------------------------------------------------------ routing
 
@@ -122,25 +106,16 @@ class RoutingTable(Reported):
         hashes, which stay columns until a shard walks them.
         """
         n = len(keys)
-        overlay = self.overlay
         if n == 1:
             # One key: the engine's scalar closure, no array round trip.
-            key = keys[0]
-            h = self.engine.hash_one(key)
-            pinned = overlay.get(key) if overlay else None
-            return [self._shard_of(h) if pinned is None else pinned], [h]
+            h = self.engine.hash_one(keys[0])
+            return [self._route_of(keys[0], h)], [h]
         if not n:
             return [], []
         array = self.engine.hash_batch(keys)
         if n < _ROUTE_EACH_MAX:
             hashes = array.tolist()
-            shards = list(map(self._shard_of, hashes))
-            if overlay:
-                for i, key in enumerate(keys):
-                    pinned = overlay.get(key)
-                    if pinned is not None:
-                        shards[i] = pinned
-            return shards, hashes
+            return list(map(self._route_of, keys, hashes)), hashes
         shards = self._base_reducer.apply(array)
         m = np.uint64(self.base_shards)
         for base, directory in self.split_dirs.items():
@@ -152,6 +127,7 @@ class RoutingTable(Reported):
             sub = (array[mask] * m) >> np.uint64(_shift(directory))
             lookup = np.asarray(directory, dtype=np.int64)
             shards[mask] = lookup[sub.astype(np.int64)]
+        overlay = self.overlay
         if overlay:
             # -1 marks a key the overlay does not pin.
             pins = np.fromiter(map(overlay.get, keys, repeat(-1, n)),
@@ -164,9 +140,13 @@ class RoutingTable(Reported):
         """Shard id of one key; pure."""
         return self.route_hashed((key,))[0][0]
 
-    def _shard_of(self, h: int) -> int:
-        """The base route of one hash: fast-range, then a split
-        directory indexed by the top bits of the low product word."""
+    def _route_of(self, key: bytes, h: int) -> int:
+        """The route of one key from its known hash: its overlay pin,
+        else fast-range, then a split directory indexed by the top bits
+        of the low product word."""
+        pinned = self.overlay.get(key)
+        if pinned is not None:
+            return pinned
         product = h * self.base_shards
         shard = product >> 64
         directory = self.split_dirs.get(shard)
@@ -185,7 +165,6 @@ class RoutingTable(Reported):
         twin.overlay = dict(self.overlay)
         twin.split_dirs = {b: list(d) for b, d in self.split_dirs.items()}
         twin._base_reducer = self._base_reducer
-        twin.moves = self.moves
         return twin
 
     def with_overlay(self, assignments: Dict[bytes, int]) -> "RoutingTable":
@@ -199,11 +178,6 @@ class RoutingTable(Reported):
         candidate = self.clone()
         candidate.overlay.update(assignments)
         candidate.generation = self.generation + 1
-        if self.moves is not None:
-            changed = {key for key, shard in assignments.items()
-                       if self.overlay.get(key) != shard}
-            candidate.moves = self.moves._replace(
-                keys=self.moves.keys | changed)
         return candidate
 
     def with_engine(self, engine: HashEngine) -> "RoutingTable":
@@ -221,7 +195,6 @@ class RoutingTable(Reported):
         candidate = self.clone()
         candidate.engine = engine
         candidate.generation = self.generation + 1
-        candidate.moves = None
         return candidate
 
     def with_split(self, donor: int) -> "RoutingTable":
@@ -255,9 +228,6 @@ class RoutingTable(Reported):
         candidate.split_dirs[base] = doubled
         candidate.num_shards += 1
         candidate.generation = self.generation + 1
-        if self.moves is not None:
-            candidate.moves = self.moves._replace(
-                donors=self.moves.donors | {donor})
         return candidate
 
     def _base_of(self, shard: int) -> int:
@@ -285,4 +255,39 @@ def _shift(directory: List[int]) -> int:
     return 65 - len(directory).bit_length()
 
 
-__all__ = ["RoutingTable", "MAX_SPLIT_DEPTH", "Moves"]
+def migration_scope(
+    live: RoutingTable, candidate: RoutingTable,
+) -> Optional[Tuple[Dict[int, Dict[bytes, int]], List[int]]]:
+    """What ``candidate``, built from ``live``, routes elsewhere.
+
+    None when the engines differ: a re-based hash can move any key.
+    Else ``(pinned, donors)``: ``pinned`` maps a live shard to the keys
+    on it whose overlay pin changed and that move, each to its
+    candidate shard (one candidate route call hashes them; the live
+    route follows from the same hash), and ``donors`` lists, in id
+    order, the live shards that held a split-directory slot the
+    candidate changed.
+    """
+    if candidate.engine is not live.engine:
+        return None
+    old, new = live.overlay, candidate.overlay
+    changed = [key for key, shard in new.items() if old.get(key) != shard]
+    changed += [key for key in old if key not in new]
+    pinned: Dict[int, Dict[bytes, int]] = {}
+    targets, hashes = candidate.route_hashed(changed)
+    for key, target, h in zip(changed, iter_ints(targets), iter_ints(hashes)):
+        home = live._route_of(key, h)
+        if home != target:
+            pinned.setdefault(home, {})[key] = target
+    donors = set()
+    for base, after in candidate.split_dirs.items():
+        # A candidate's directory doubles the live one: slot i of it
+        # was slot i // step of the live one.
+        before = live.split_dirs.get(base, [base])
+        step = len(after) // len(before)
+        donors.update(before[i // step] for i, shard in enumerate(after)
+                      if shard != before[i // step])
+    return pinned, sorted(donors)
+
+
+__all__ = ["RoutingTable", "MAX_SPLIT_DEPTH", "migration_scope"]

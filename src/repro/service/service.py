@@ -69,7 +69,7 @@ from repro.service.protocol import (
     Run,
 )
 from repro.service.router import ShardRouter
-from repro.service.routing import RoutingTable
+from repro.service.routing import RoutingTable, migration_scope
 from repro.service.supervisor import Supervisor
 from repro.service.worker import Worker, coalesce
 
@@ -231,7 +231,6 @@ class Service(Reported):
                     f"relearn=True supports backends {RELEARN_BACKENDS}, "
                     f"got {backend!r}"
                 )
-        self.num_shards = num_shards
         self.backend = backend
         self.execution = execution
         # One hash per key: the router hashes with the plan the shard
@@ -251,7 +250,6 @@ class Service(Reported):
         self.adapt_every = max(1, adapt_every)
         self.auto_split = auto_split
         self.max_splits = max_splits
-        self.splits = 0
         self.swept_tickets = 0
         self.fault_plane = None
         self.relearner = None
@@ -285,6 +283,16 @@ class Service(Reported):
             self.arm_fault_plane(fault_plane)
 
     # -------------------------------------------------------------- fleet
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.workers)
+
+    @property
+    def splits(self) -> int:
+        """Live splits so far: each one added a shard to the table."""
+        table = self.router.table
+        return table.num_shards - table.base_shards
 
     def _spawn_shard(self, shard: int) -> None:
         """Start an empty worker and a closed breaker for ``shard``.
@@ -538,17 +546,18 @@ class Service(Reported):
 
         1. spawn an empty worker and breaker for every shard id the
            candidate adds;
-        2. route only what the candidate can move
-           (:attr:`RoutingTable.moves`) with the pure
-           ``candidate.route_batch`` — the keys whose pin changed, once
-           for the fleet, and each donor's distinct journal keys, or
-           every shard's after a plan swap (no traffic counters or
-           hot-key tracker see migration); per shard, extract the
-           entries of keys that leave (so a donor restart cannot
-           resurrect them), and erase their net effect from the donor's
-           live structure — one delete per surviving put of their
-           compaction (a Bloom filter cannot delete; its stale bits are
-           unreachable after the flip and therefore harmless);
+        2. walk, in shard-id order, only the journals that can hold a
+           key the candidate moves (:func:`~repro.service.routing.
+           migration_scope`): each changed pin's live shard, each split
+           donor, or every shard after a plan swap.  A donor's distinct
+           keys go through the pure ``candidate.route_batch`` (no
+           traffic counters or hot-key tracker see migration); per
+           shard, extract the entries of keys that leave (so a donor
+           restart cannot resurrect them), and erase their net effect
+           from the donor's live structure — one delete per surviving
+           put of their compaction (a Bloom filter cannot delete; its
+           stale bits are unreachable after the flip and therefore
+           harmless);
         3. append and apply the leavers at their targets;
         4. install the candidate and sweep queued tickets to their new
            homes.
@@ -559,29 +568,22 @@ class Service(Reported):
         """
         for shard in range(len(self.workers), candidate.num_shards):
             self._spawn_shard(shard)
-            self.supervisor.grow()
+        scope = migration_scope(self.router.table, candidate)
+        pinned, donors = scope or ({}, range(len(self.workers)))
         arrivals: Dict[int, List[Entry]] = {}
         moved_total = 0
-        moves = candidate.moves
-        pinned: Dict[bytes, int] = {}
-        if moves is not None and moves.keys:
-            keys = list(moves.keys)
-            pinned = dict(zip(keys, iter_ints(candidate.route_batch(keys))))
-        for worker in self.workers:
+        for shard in sorted(pinned.keys() | set(donors)):
+            worker = self.workers[shard]
             journal = worker.journal
-            shard = worker.shard_id
             if not journal.entries:
                 continue
-            if moves is None or shard in moves.donors:
+            if shard in donors:
                 distinct = list(dict.fromkeys(e[1] for e in journal.entries))
                 routes = candidate.route_batch(distinct)
                 target_of = {distinct[i]: int(routes[i])
                              for i in np.flatnonzero(routes != shard)}
             else:
-                # A pinned key lives on one shard: where it is not, the
-                # journal walk below finds none of its entries.
-                target_of = {key: target for key, target in pinned.items()
-                             if target != shard}
+                target_of = pinned[shard]
             if not target_of:
                 continue
             moved = journal.split_by(target_of)
@@ -600,7 +602,6 @@ class Service(Reported):
             worker.journal.extend(entries)
             worker.apply_entries(entries)
         self.router.install(candidate)
-        self.num_shards = candidate.num_shards
         self.swept_tickets += self._requeue(
             [rows for worker in self.workers for rows in worker.take_queue()]
         )
@@ -616,7 +617,6 @@ class Service(Reported):
         """
         candidate = self.router.table.with_split(donor)
         self.reconfigure(candidate)
-        self.splits += 1
         return candidate.num_shards - 1
 
     def _requeue(self, ranges: List[Rows]) -> int:

@@ -35,6 +35,7 @@ construction, and the flip's queue sweep finishes the drain.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional
 
 from repro.metrics import Reported
@@ -63,10 +64,11 @@ class Supervisor(Reported):
             )
         self.service = service
         self.stall_threshold = stall_threshold
-        n = service.num_shards
-        self._last_processed: List[int] = [0] * n
-        self._stagnant: List[int] = [0] * n
-        self._routed_snapshot: List[int] = [0] * n
+        # Per-shard state; a shard not seen yet (one a split just
+        # added) reads zero.
+        self._last_processed: Dict[int, int] = defaultdict(int)
+        self._stagnant: Dict[int, int] = defaultdict(int)
+        self._routed_snapshot: List[int] = []
         self._split_patience: Dict[int, int] = {}
         self.crashes_seen = 0
         self.stalls_detected = 0
@@ -131,12 +133,6 @@ class Supervisor(Reported):
 
     # ----------------------------------------------------------- adapting
 
-    def grow(self) -> None:
-        """Track a shard added by a live split."""
-        self._last_processed.append(0)
-        self._stagnant.append(0)
-        self._routed_snapshot.append(0)
-
     def adapt(self, pump_index: int) -> None:
         """The resharding state machine: plan → migrate → flip → drain.
 
@@ -178,17 +174,13 @@ class Supervisor(Reported):
     def _overloaded_shard(self) -> Optional[int]:
         """The shard beyond ``SPLIT_THRESHOLD``× fair share over the
         last adapt window (routed-traffic delta), if any."""
-        service = self.service
-        routed = service.router.routed
+        routed = self.service.router.routed.tolist()
         n = len(routed)
-        if len(self._routed_snapshot) < n:
-            self._routed_snapshot.extend(
-                [0] * (n - len(self._routed_snapshot))
-            )
-        delta = [
-            int(routed[i]) - self._routed_snapshot[i] for i in range(n)
-        ]
-        self._routed_snapshot = [int(c) for c in routed]
+        # A shard born since the last window counts from its split on.
+        delta = list(routed)
+        for i, count in enumerate(self._routed_snapshot):
+            delta[i] -= count
+        self._routed_snapshot = routed
         total = sum(delta)
         if total < self.MIN_WINDOW_PER_SHARD * n:
             return None

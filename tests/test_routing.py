@@ -8,6 +8,8 @@ backends), and the flip sweep that keeps every queued row on the shard
 its key routes to.
 """
 
+import random
+
 import pytest
 
 from repro.core.greedy import GreedyResult
@@ -15,6 +17,7 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import EntropyModel, train_model
 from repro.datasets import google_urls
 from repro.engine import HashEngine
+from repro.faults import make_plane
 from repro.service import (
     Request,
     Response,
@@ -24,7 +27,9 @@ from repro.service import (
     ShardRouter,
     fork_available,
 )
-from repro.service.routing import MAX_SPLIT_DEPTH
+from repro.service.journal import ShardJournal
+from repro.service.routing import MAX_SPLIT_DEPTH, migration_scope
+from repro.service.supervisor import Supervisor
 from repro.verify import misplaced
 from tests.admission import submit_one
 
@@ -228,6 +233,49 @@ class TestLiveSplit:
         finally:
             service.close()
 
+    def test_split_born_shard_is_supervised(self, model):
+        threshold = 2
+        service = _service(model, auto_split=True, adapt_every=4,
+                           max_queue=256, batch_size=256,
+                           stall_threshold=threshold)
+        try:
+            client = ServiceClient(service)
+            client.put_many((k, b"v1") for k in KEYS)
+            # Split on an adapt window's edge.
+            while service.pump_index % service.adapt_every:
+                service.pump()
+            assert service.splits == 0
+            new_shard = service.split_shard(0)
+            at_split = service.pump_index
+            table = service.router.table
+            born = [k for k in KEYS if table.route_one(k) == new_shard][:32]
+            assert len(born) == 32
+            # A stall on the shard the split added is seen and healed
+            # within stall_threshold pumps.
+            service.arm_fault_plane(make_plane(
+                [f"stall:worker:{new_shard}:count={threshold}"]))
+            service.submit("put", born[:1], [b"v2"])
+            worker = service.workers[new_shard]
+            while not worker.restarts and service.pump_index < at_split + 8:
+                service.pump()
+            assert worker.restarts == 1
+            assert service.pump_index - at_split <= threshold
+            assert service.supervisor.stalls_detected == 1
+            # Traffic on the split-born shard alone: the first window
+            # after the split counts it from the split on, so the
+            # supervisor splits it after SPLIT_PATIENCE windows.
+            while service.splits < 2 and service.pump_index < at_split + 32:
+                client.put_many((k, b"v3") for k in born)
+            assert service.supervisor.splits_triggered == 1
+            assert (service.pump_index - at_split
+                    <= Supervisor.SPLIT_PATIENCE * service.adapt_every)
+            assert any(service.router.table.route_one(k) == new_shard + 1
+                       for k in born)
+            assert client.multi_get(born) == [b"v3"] * len(born)
+            assert client.lost_acks == 0
+        finally:
+            service.close()
+
 
 class TestMigrationScope:
     """A migration routes only the keys its candidate can move."""
@@ -288,7 +336,78 @@ class TestMigrationScope:
             candidate = table.with_split(2).with_overlay(pins)
             assert service.reconfigure(candidate) > 0
             assert service.num_shards == 5
+            assert service.splits == 1
             self._check(service, client, oracle)
+        finally:
+            service.close()
+
+    def test_a_promotion_walks_only_its_keys_journal(self, model,
+                                                    monkeypatch):
+        service, client, oracle = self._filled(model)
+        walked = []
+        split_by = ShardJournal.split_by
+
+        def spy(journal, keys):
+            walked.append(journal)
+            return split_by(journal, keys)
+
+        monkeypatch.setattr(ShardJournal, "split_by", spy)
+        try:
+            table = service.router.table
+            key = KEYS[0]
+            home = table.route_one(key)
+            pins = {key: (home + 1) % table.num_shards}
+            assert service.reconfigure(table.with_overlay(pins)) > 0
+            assert walked == [service.workers[home].journal]
+            self._check(service, client, oracle)
+        finally:
+            service.close()
+
+    def test_the_scope_holds_every_key_that_moves(self, model):
+        service, _, _ = self._filled(model)
+        try:
+            journaled = list(dict.fromkeys(
+                entry[1] for worker in service.workers
+                for entry in worker.journal.entries))
+            rng = random.Random(39)
+
+            def overlay(table):
+                return table.with_overlay({
+                    key: rng.randrange(table.num_shards)
+                    for key in rng.sample(journaled, 12)})
+
+            def split(table):
+                return table.with_split(rng.randrange(table.num_shards))
+
+            # The live table holds pins and a split directory of its own.
+            service.reconfigure(overlay(split(service.router.table)))
+            live = service.router.table
+            chains = [(overlay,), (split,), (split, overlay),
+                      (overlay, split), (split, split, overlay),
+                      (split, overlay, split)]
+            candidates = [live.with_engine(
+                HashEngine(EntropyLearnedHasher.full_key("xxh3")))]
+            for chain in chains * 3:
+                candidate = live
+                for step in chain:
+                    candidate = step(candidate)
+                candidates.append(candidate)
+            for candidate in candidates:
+                scope = migration_scope(live, candidate)
+                if scope is None:
+                    assert candidate.engine is not live.engine
+                    continue
+                pinned, donors = scope
+                homes = {key: home for home, targets in pinned.items()
+                         for key in targets}
+                for key in journaled:
+                    home = live.route_one(key)
+                    if candidate.route_one(key) != home:
+                        assert key in homes or home in donors
+                for key, home in homes.items():
+                    assert home == live.route_one(key)
+                    target = pinned[home][key]
+                    assert target == candidate.route_one(key) != home
         finally:
             service.close()
 
