@@ -21,8 +21,9 @@ the loop back to partial-key speed:
 
 The swap itself is ``Service.relearn_swap``: a new
 :class:`~repro.core.trainer.EntropyModel` pushed through
-``engine.rearm`` + the generation counter on every shard of either
-execution backend, with a journal checkpoint after each rehash.
+``engine.rearm`` on every shard of either execution backend, with a
+journal checkpoint after each rehash; a hash carried under the old
+plan's fingerprint is recomputed on use.
 """
 
 from repro.drift.detector import DriftDetector

@@ -145,11 +145,11 @@ class HashEngine(Reported):
 
     @property
     def generation(self) -> int:
-        """Bumped whenever the hasher (and thus every plan) is swapped.
+        """How many times the hasher was swapped (and every plan dropped).
 
-        Batch callers snapshot the generation before precomputing hashes
-        and recompute any key whose generation went stale mid-batch (a
-        monitor fallback or plan-cache invalidation occurred).
+        A reported count only: whether a precomputed hash still holds is
+        decided by ``hasher.fingerprint``, which a swap to the same plan
+        keeps.
         """
         return self._generation
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import Key, as_bytes
+from repro._util import Key, as_bytes, iter_ints
 from repro.core.hasher import EntropyLearnedHasher
 from repro.sketches.countmin import CountMinSketch
 
@@ -45,27 +45,36 @@ class TopK:
 
     def add(self, item: Key, count: int = 1) -> None:
         """Observe ``count`` occurrences of ``item``."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         item = as_bytes(item)
-        self.sketch.add(item, count)
-        estimate = self.sketch.estimate(item)
-        if item in self._candidates:
-            self._candidates[item] = estimate
-        elif len(self._candidates) < self.k:
+        self._offer(item, count, self.sketch.engine.hash_one(item))
+
+    def add_batch(self, items: Sequence[Key]) -> None:
+        """Observe many items: one engine call over the distinct items,
+        then one sketch update per distinct item."""
+        counted: Dict[bytes, int] = {}
+        for item in items:
+            item = as_bytes(item)
+            counted[item] = counted.get(item, 0) + 1
+        if not counted:
+            return
+        hashes = self.sketch.engine.hash_batch(list(counted))
+        for (item, count), h in zip(counted.items(), iter_ints(hashes)):
+            self._offer(item, count, h)
+
+    def _offer(self, item: bytes, count: int, h: int) -> None:
+        """Add ``count`` of the item whose raw hash is ``h`` and rank it
+        by the estimate that add returns."""
+        estimate = int(self.sketch.add_hashed([h], count,
+                                              return_estimates=True)[0])
+        if item in self._candidates or len(self._candidates) < self.k:
             self._candidates[item] = estimate
         else:
             weakest = min(self._candidates, key=self._candidates.get)
             if estimate > self._candidates[weakest]:
                 del self._candidates[weakest]
                 self._candidates[item] = estimate
-
-    def add_batch(self, items: Sequence[Key]) -> None:
-        """Observe many items (sketch updates batched per unique item)."""
-        counted: Dict[bytes, int] = {}
-        for item in items:
-            item = as_bytes(item)
-            counted[item] = counted.get(item, 0) + 1
-        for item, count in counted.items():
-            self.add(item, count)
 
     def top(self, k: Optional[int] = None) -> List[Tuple[bytes, int]]:
         """The current top-k as (item, estimated count), descending."""

@@ -234,8 +234,9 @@ class TableAdapter(StructureAdapter):
         Unlike :meth:`restore_partial_key`, which rebuilds under the
         *pristine* hasher, this installs a brand-new plan: the table
         re-picks its cheapest hasher from ``model``, the engine rearms
-        (generation bump + monitor re-based on the new entropy claim),
-        and the pristine snapshot is replaced — a later breaker probe
+        (monitor re-based on the new entropy claim; hashes carried under
+        another fingerprint fail :meth:`carried`), and the pristine
+        snapshot is replaced — a later breaker probe
         must restore the re-learned plan, not the stale original.
         """
         if not self.rearmable:

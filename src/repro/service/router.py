@@ -134,15 +134,17 @@ class ShardRouter(Reported):
 
         Generations are monotonic: installing a stale candidate (built
         from a table older than the live one) is a programming error.
-        A candidate with a new engine re-hashes every key, so a fresh
-        tracker counts its plan's hashes: no estimate mixes two plans.
+        A candidate whose hasher fingerprint differs re-hashes every
+        key, so a fresh tracker counts its plan's hashes: no estimate
+        mixes two plans.
         """
         if candidate.generation <= self.table.generation:
             raise ValueError(
                 f"candidate generation {candidate.generation} is not "
                 f"newer than live generation {self.table.generation}"
             )
-        if candidate.engine is not self.engine and self.tracker is not None:
+        if (self.tracker is not None and candidate.engine.hasher.fingerprint
+                != self.engine.hasher.fingerprint):
             self.tracker = HotKeyTracker(candidate.engine.hasher,
                                          k=self.tracker.k,
                                          sample=self.tracker.sample)

@@ -260,7 +260,8 @@ def migration_scope(
 ) -> Optional[Tuple[Dict[int, Dict[bytes, int]], List[int]]]:
     """What ``candidate``, built from ``live``, routes elsewhere.
 
-    None when the engines differ: a re-based hash can move any key.
+    None when the engines' hasher fingerprints differ: a re-based hash
+    can move any key.
     Else ``(pinned, donors)``: ``pinned`` maps a live shard to the keys
     on it whose overlay pin changed and that move, each to its
     candidate shard (one candidate route call hashes them; the live
@@ -268,7 +269,7 @@ def migration_scope(
     order, the live shards that held a split-directory slot the
     candidate changed.
     """
-    if candidate.engine is not live.engine:
+    if candidate.engine.hasher.fingerprint != live.engine.hasher.fingerprint:
         return None
     old, new = live.overlay, candidate.overlay
     changed = [key for key, shard in new.items() if old.get(key) != shard]

@@ -373,14 +373,16 @@ class Service(Reported):
         round: a client gives back the refused suffixes it held, with
         their hashes and call-position offsets, so a retry routes and
         partitions nothing — unless a flip retired the generation they
-        were routed under, when the held rows, merged in call order, go
-        back through :meth:`submit`.  The runs take request ids above
-        every id issued (row ``i`` is ``base + offsets[i]``), so
-        every queue stays sorted by id.  Each row is one ``queue_loss``
-        opportunity, and each run one :meth:`Worker.admit`, which cuts
-        it: the refused suffix shares the run's one ``REJECTED`` answer
-        carrying ``retry_after``.  The runs are one call's, routed under
-        one generation.
+        were routed under, when the held rows, merged in call order, are
+        routed again by the live table's pure ``route_hashed`` and
+        partitioned anew (the router's counters, hot-key tracker and
+        fault plane saw them when they were first routed).  The runs
+        take request ids above every id issued (row ``i`` is ``base +
+        offsets[i]``), so every queue stays sorted by id.  Each row is
+        one ``queue_loss`` opportunity, and each run one
+        :meth:`Worker.admit`, which cuts it: the refused suffix shares
+        the run's one ``REJECTED`` answer carrying ``retry_after``.  The
+        runs are one call's, routed under one generation.
         """
         if not runs:
             return runs
@@ -389,11 +391,13 @@ class Service(Reported):
                             for row, offset in enumerate(run.offsets)),
                            key=_first)
             ops = [run.op_at(row) for _, run, row in cells]
-            return self.submit(
-                ops,
-                [run.keys[row] for _, run, row in cells],
+            keys = [run.keys[row] for _, run, row in cells]
+            shards, hashes = self.router.table.route_hashed(keys)
+            runs = _partition(
+                ops[0] if ops.count(ops[0]) == len(ops) else ops, keys,
                 None if runs[0].values is None
                 else [run.values[row] for _, run, row in cells],
+                hashes, shards, self.router.generation,
                 [offset for offset, _, _ in cells],
             )
         base = self._next_request_id

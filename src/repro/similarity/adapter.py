@@ -31,7 +31,7 @@ from repro.engine import HashEngine
 from repro.service.adapters import StructureAdapter
 from repro.similarity.index import LSHIndex, Neighbor
 from repro.similarity.signatures import BBitMinHash
-from repro.sketches.minhash import MinHashSignature, hasher_fingerprint
+from repro.sketches.minhash import MinHashSignature
 
 DEFAULT_NEIGHBORS = 10
 
@@ -93,7 +93,6 @@ class SimilarityAdapter(StructureAdapter):
         engine and an empty index."""
         self._element_hasher = hasher
         self._element_engine = HashEngine(hasher)
-        self._fingerprint = hasher_fingerprint(hasher)
         self.index = LSHIndex(
             self.bands, self.rows, self.b,
             hasher=self._band_hasher, seed=hasher.seed,
@@ -117,7 +116,7 @@ class SimilarityAdapter(StructureAdapter):
                 items, seed=hasher.seed + row + 1
             ).min()
         return BBitMinHash.from_signature(
-            MinHashSignature(mins, fingerprint=self._fingerprint),
+            MinHashSignature(mins, fingerprint=hasher.fingerprint),
             self.b, bands=self.bands,
         )
 

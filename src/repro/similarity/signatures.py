@@ -38,7 +38,7 @@ import numpy as np
 
 from repro._util import Key
 from repro.core.hasher import EntropyLearnedHasher
-from repro.sketches.minhash import Fingerprint, MinHashSignature
+from repro.sketches.minhash import MinHashSignature
 
 
 def collision_floor(b: int) -> float:
@@ -76,7 +76,7 @@ class BBitMinHash:
         bits: np.ndarray,
         b: int,
         bands: int = 1,
-        fingerprint: Optional[Fingerprint] = None,
+        fingerprint: Optional[tuple] = None,
     ):
         if not 1 <= b <= 16:
             raise ValueError(f"b must be in [1, 16], got {b}")

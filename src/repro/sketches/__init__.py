@@ -16,6 +16,6 @@ sketch width plus slack; the countmin module documents the exact bound.
 
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.minhash import MinHashSignature, hasher_fingerprint
+from repro.sketches.minhash import MinHashSignature
 
-__all__ = ["CountMinSketch", "HyperLogLog", "MinHashSignature", "hasher_fingerprint"]
+__all__ = ["CountMinSketch", "HyperLogLog", "MinHashSignature"]

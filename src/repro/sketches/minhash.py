@@ -10,31 +10,13 @@ bytes of each element.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro._util import Key, as_bytes_list
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine
-
-# What makes two signatures comparable: the base hash, its seed, and
-# the learned plan (positions + word size).  Signatures built under
-# different fingerprints keep per-row minima of *different* hash
-# functions, so comparing them element-wise is meaningless.
-Fingerprint = Tuple[str, int, Tuple[int, ...], int]
-
-
-def hasher_fingerprint(hasher: EntropyLearnedHasher) -> Fingerprint:
-    """The comparability fingerprint of a hasher: base, seed, plan."""
-    L = hasher.partial_key
-    return (
-        hasher.base.name,
-        int(hasher.seed),
-        tuple(L.positions),
-        int(L.word_size),
-    )
-
 
 class MinHashSignature:
     """k-permutation MinHash over byte-string elements.
@@ -46,12 +28,12 @@ class MinHashSignature:
     True
     """
 
-    def __init__(
-        self, mins: np.ndarray, fingerprint: Optional[Fingerprint] = None
-    ):
+    def __init__(self, mins: np.ndarray, fingerprint: Optional[tuple] = None):
         self.mins = mins.astype(np.uint64)
-        # None means "unknown provenance" (a hand-built signature);
-        # such signatures compare with anything, as before.
+        # The building hasher's ``fingerprint`` (base, seed, plan):
+        # signatures of different hash functions keep incomparable
+        # minima.  None means "unknown provenance" (a hand-built
+        # signature); such signatures compare with anything.
         self.fingerprint = fingerprint
 
     @classmethod
@@ -76,7 +58,7 @@ class MinHashSignature:
         mins = np.empty(k, dtype=np.uint64)
         for row in range(k):
             mins[row] = engine.hash_batch(items, seed=hasher.seed + row + 1).min()
-        return cls(mins, fingerprint=hasher_fingerprint(hasher))
+        return cls(mins, fingerprint=hasher.fingerprint)
 
     def _check_comparable(self, other: "MinHashSignature") -> None:
         if self.mins.shape != other.mins.shape:

@@ -125,8 +125,8 @@ class EntropyAwareMixin:
         transiently ballooned geometry would demand its entropy forever
         and lock the table into full-key hashing.  The engine rearms
         (fallback latch cleared, monitor re-based on the new entropy
-        claim); its generation bump makes any hash precomputed mid-swap
-        recompute itself on use.
+        claim); a hash precomputed under another plan's fingerprint is
+        recomputed on use.
         """
         self.model = model
         fit = next_power_of_two(

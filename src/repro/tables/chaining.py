@@ -94,26 +94,27 @@ class SeparateChainingTable:
     def insert(self, key: Key, value: Any = None) -> None:
         """Insert or overwrite ``key``; grows ×2 past ``max_load``."""
         key = as_bytes(key)
-        self._insert_one(key, value, None, -1)
+        self._insert_one(key, value, None, None)
 
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
+    def _insert_one(self, key: bytes, value: Any, h: Optional[int], plan) -> None:
         """Shared insert step for the scalar and batch paths.
 
-        ``h`` is a precomputed raw hash from the batch pipeline; it is
-        recomputed when the engine generation moved (growth swapped the
-        hasher, or a monitor fallback fired mid-batch).
+        ``h`` is a precomputed raw hash from the batch pipeline, taken
+        under the hasher whose fingerprint is ``plan``; it is recomputed
+        once the live hasher's fingerprint differs (growth re-planned
+        the hash, or a monitor fallback fired mid-batch).
         """
         if self._size + 1 > self.capacity_before_rehash:
             self._grow()
-        bucket = self._buckets[self._bucket_for(key, h, generation)]
+        bucket = self._buckets[self._bucket_for(key, h, plan)]
         for i, (existing, _) in enumerate(bucket):
             if existing == key:
                 bucket[i] = (key, value)
                 return
         if self._before_append(len(bucket)):
-            # The hook rehashed the table and bumped the engine
-            # generation, so a batch-precomputed hash is recomputed.
-            bucket = self._buckets[self._bucket_for(key, h, generation)]
+            # The hook swapped the hasher and rehashed the table, so a
+            # batch-precomputed hash is recomputed.
+            bucket = self._buckets[self._bucket_for(key, h, plan)]
         bucket.append((key, value))
         self._size += 1
 
@@ -123,8 +124,8 @@ class SeparateChainingTable:
         here; True means the hook rehashed the table."""
         return False
 
-    def _bucket_for(self, key: bytes, h: Optional[int], generation: int) -> int:
-        if h is None or generation != self.engine.generation:
+    def _bucket_for(self, key: bytes, h: Optional[int], plan) -> int:
+        if h is None or plan != self.engine.hasher.fingerprint:
             return self._bucket_index(key)
         return int(h) & self._mask
 
@@ -195,11 +196,11 @@ class SeparateChainingTable:
             raise ValueError("values must match keys in length")
         if not keys:
             return
-        generation = self.engine.generation
+        plan = self.engine.hasher.fingerprint
         if hashes is None:
             hashes = self.engine.hash_batch(keys)
         for key, value, h in zip(keys, values, iter_ints(hashes)):
-            self._insert_one(key, value, h, generation)
+            self._insert_one(key, value, h, plan)
 
     def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
         """Look up many keys, hashing them in one engine pass."""
@@ -207,20 +208,9 @@ class SeparateChainingTable:
         indices = self.engine.hash_batch(keys, self._reducer)
         return self._walk(keys, indices.tolist())
 
-    def probe_batch_hashed(
-        self, keys: Sequence[bytes], hashes, generation: Optional[int] = None
-    ) -> List[Any]:
+    def probe_batch_hashed(self, keys: Sequence[bytes], hashes) -> List[Any]:
         """Probe with precomputed hashes (see LinearProbingTable); the
-        walk is :meth:`probe_batch`'s, so it charges the same stats.
-
-        Callers that precomputed ``hashes`` earlier should pass the
-        engine ``generation`` they snapshotted at hash time; if the
-        hasher was swapped since (monitor fallback, plan re-learn), the
-        stale hashes are discarded and recomputed — the probe analogue
-        of ``_bucket_for``'s insert-time recompute.
-        """
-        if generation is not None and generation != self.engine.generation:
-            hashes = self.engine.hash_batch(keys)
+        walk is :meth:`probe_batch`'s, so it charges the same stats."""
         mask = self._mask
         return self._walk(keys, [h & mask for h in iter_ints(hashes)])
 

@@ -153,18 +153,19 @@ class LinearProbingTable:
         delete-heavy churn cannot double capacity indefinitely.
         """
         key = as_bytes(key)
-        self._insert_one(key, value, None, -1)
+        self._insert_one(key, value, None, None)
 
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
+    def _insert_one(self, key: bytes, value: Any, h: Optional[int], plan) -> None:
         """Shared insert step for the scalar and batch paths.
 
         ``h`` is a precomputed raw 64-bit hash from the batch pipeline
-        (geometry-independent, so it survives growth); it is recomputed
-        whenever the engine's generation moved past ``generation`` — a
-        resize upgraded the hasher or a monitor fallback fired mid-batch.
+        (geometry-independent, so it survives growth), taken under the
+        hasher whose fingerprint is ``plan``; it is recomputed once the
+        live hasher's fingerprint differs — a resize re-planned the hash
+        or a monitor fallback fired mid-batch.
         """
         self._ensure_room()
-        if h is None or generation != self.engine.generation:
+        if h is None or plan != self.engine.hasher.fingerprint:
             slot, tag = self._slot_and_tag(key)
         else:
             slot, tag = self._slot_and_tag_from_hash(h)
@@ -287,8 +288,8 @@ class LinearProbingTable:
         ``hashes``, when given, are the keys' raw hashes under the
         table's current hasher (e.g. carried from a router that hashes
         with the same plan), and the engine pass is skipped.  A key
-        whose insert finds the hasher swapped since — growth re-planned
-        it, or the monitor fell back — is hashed again, as always.
+        whose insert finds another plan live — growth re-planned the
+        hash, or the monitor fell back — is hashed again.
         """
         keys = [as_bytes(k) for k in keys]
         if values is None:
@@ -297,11 +298,11 @@ class LinearProbingTable:
             raise ValueError("values must match keys in length")
         if not keys:
             return
-        generation = self.engine.generation
+        plan = self.engine.hasher.fingerprint
         if hashes is None:
             hashes = self.engine.hash_batch(keys)
         for key, value, h in zip(keys, values, iter_ints(hashes)):
-            self._insert_one(key, value, h, generation)
+            self._insert_one(key, value, h, plan)
 
     def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:
         """Probe many keys, hashing them in one engine pass.
@@ -322,9 +323,7 @@ class LinearProbingTable:
         slots, tags = self.engine.hash_batch(keys, self._reducer)
         return self._walk(keys, slots, tags, default)
 
-    def probe_batch_hashed(
-        self, keys: Sequence[bytes], hashes, generation: Optional[int] = None
-    ) -> List[Any]:
+    def probe_batch_hashed(self, keys: Sequence[bytes], hashes) -> List[Any]:
         """Probe with precomputed hashes (paper-style pipelining).
 
         Benchmarks compute hashes in one vectorized pass and then walk
@@ -333,12 +332,6 @@ class LinearProbingTable:
         (Figure 7's breakdown).  The walk is :meth:`probe_batch`'s, so
         it charges :class:`ProbeStats` the same way.
 
-        ``generation``, when supplied, is the engine generation the
-        caller snapshotted when it computed ``hashes``; a mismatch means
-        the hasher was swapped in between (monitor fallback or plan
-        re-learn) and the hashes are recomputed rather than probed
-        stale.
-
         A numpy column is split into slots and tags in one vectorized
         pass.  A list (a service call below the router's per-key
         crossover, or a caller's own) too short for a vectorized round
@@ -346,8 +339,6 @@ class LinearProbingTable:
         tag as it goes (``SlotTagReducer.apply_one``, inlined): no
         array is built for it.
         """
-        if generation is not None and generation != self.engine.generation:
-            hashes = self.engine.hash_batch(keys)
         n = len(keys)
         if isinstance(hashes, np.ndarray) or n >= _ROUND_MIN:
             slots, tags = self._reducer.apply(np.asarray(hashes, dtype=np.uint64))

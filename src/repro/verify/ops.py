@@ -110,7 +110,8 @@ def generate_table_ops(rng: random.Random, n: int) -> List[Op]:
             keys = pick_keys(rng, pool)
             counter += len(keys)
             values = list(range(counter, counter + len(keys)))
-            ops.append(_batch("insert_batch", keys, values=values))
+            ops.append(_batch("insert_batch", keys, values=values,
+                              carried=rng.random() < 0.5))
         elif roll < 0.86:
             # Half the batches reach 320 keys, past the probing
             # table's vectorized-round threshold; half stay small.

@@ -192,7 +192,11 @@ class _TableTarget(Target):
         elif name == "insert_batch":
             keys = [decode_key(k) for k in op["keys"]]
             values = list(op["values"])
-            self.subject.insert_batch(keys, values)
+            # Carried: the keys' raw hashes under the subject's live
+            # plan, as a router sharing it would send them.
+            hashes = (self.subject.hasher.hash_batch(keys)
+                      if op.get("carried") else None)
+            self.subject.insert_batch(keys, values, hashes)
             for key, value in zip(keys, values):  # scalar twin
                 self.shadow.insert(key, value)
                 self.oracle.insert(key, value)

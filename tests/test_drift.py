@@ -4,7 +4,7 @@ Covers the sliding-window Rényi-2 estimator, the per-shard detector's
 hysteresis (including the exact-boundary and claim-ceiling cases), the
 relearner's decision guards (dedupe, stale-shard exclusion, no-op
 suppression), the certified frontier, the geometry reset on
-``table.relearn``, the generation-counter staleness recompute exercised
+``table.relearn``, the fingerprint staleness recompute exercised
 by ``engine.rearm``, the journal stats + compaction exposed through
 ``Service.stats()``, and the end-to-end drill through the real CLI.
 """
@@ -378,53 +378,17 @@ class TestRelearnGeometryReset:
             assert table.get(key) == key
 
 
-# ------------------------------------- generation staleness (engine.rearm)
+# ------------------------------------- fingerprint staleness (engine.rearm)
 
 
 class TestRearmMidBatchStaleness:
-    """A key hashed under the old generation during a swap is recomputed.
+    """A key hashed under the old plan during a swap is recomputed.
 
-    Batch callers snapshot ``engine.generation`` at hash time; a rearm
-    (monitor fallback or plan re-learn) bumps it, and both tables'
-    ``*_batch_hashed`` paths must discard the stale hashes rather than
-    probe the wrong buckets.
+    Batch inserts take the hasher's fingerprint at hash time; a rearm
+    (monitor fallback or plan re-learn) onto another plan changes it,
+    and the insert must discard the stale hash rather than place the
+    key in the wrong bucket.
     """
-
-    def _swap_engine(self, table):
-        generation = table.engine.generation
-        table.engine.rearm(
-            EntropyLearnedHasher.full_key(
-                table.engine.hasher.base, seed=table.engine.hasher.seed
-            )
-        )
-        assert table.engine.generation == generation + 1
-        return generation
-
-    def test_chaining_probe_recomputes_stale_hashes(self, corpus, model):
-        table = EntropyAwareTable(model, capacity=1024, seed=3)
-        keys = corpus[:200]
-        for key in keys:
-            table.insert(key, key)
-        stale_hashes = list(table.engine.hash_batch(keys))
-        stale_generation = self._swap_engine(table)
-        table.rebuild_with_hasher(table.engine.hasher)
-        found = table.probe_batch_hashed(
-            keys, stale_hashes, generation=stale_generation
-        )
-        assert found == keys
-
-    def test_probing_probe_recomputes_stale_hashes(self, corpus, model):
-        table = EntropyAwareProbingTable(model, capacity=1024, seed=3)
-        keys = corpus[:200]
-        for key in keys:
-            table.insert(key, key)
-        stale_hashes = list(table.engine.hash_batch(keys))
-        stale_generation = self._swap_engine(table)
-        table.rebuild_with_hasher(table.engine.hasher)
-        found = table.probe_batch_hashed(
-            keys, stale_hashes, generation=stale_generation
-        )
-        assert found == keys
 
     def test_chaining_insert_recomputes_stale_hash(self, corpus, model):
         table = EntropyAwareTable(model, capacity=1024, seed=3)
@@ -432,12 +396,17 @@ class TestRearmMidBatchStaleness:
             table.insert(key, key)
         straggler = corpus[100]
         stale_hash = int(table.engine.hash_batch([straggler])[0])
-        stale_generation = self._swap_engine(table)
+        stale_plan = table.engine.hasher.fingerprint
+        table.engine.rearm(
+            EntropyLearnedHasher.full_key(
+                table.engine.hasher.base, seed=table.engine.hasher.seed
+            )
+        )
+        assert table.engine.hasher.fingerprint != stale_plan
         table.rebuild_with_hasher(table.engine.hasher)
-        # The straggler carries a hash snapshotted before the swap: the
-        # generation mismatch must force a recompute at insert time.
-        table._insert_one(straggler, straggler, stale_hash,
-                          stale_generation)
+        # The straggler carries a hash taken before the swap: the
+        # fingerprint mismatch must force a recompute at insert time.
+        table._insert_one(straggler, straggler, stale_hash, stale_plan)
         assert table.get(straggler) == straggler
 
 

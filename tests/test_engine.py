@@ -622,8 +622,7 @@ class TestFallbackPlanCacheInvalidation:
                 break
         assert first.engine.fell_back
         # Both tables must rehash under the new hasher to keep serving
-        # reads; the engine's bumped generation is what tells them their
-        # precomputed geometry is stale.
+        # reads: its fingerprint differs from the one they placed under.
         first._rehash(first.num_buckets)
         second._rehash(second.num_buckets)
         assert first.probe_batch(keys) == list(range(40))

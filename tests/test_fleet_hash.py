@@ -3,7 +3,8 @@
 Covers placement quality of the shared hash against independently
 seeded router and table hashes (routing balance, probe work, and the
 tag and bucket bits of both halves of a split shard), the tables'
-carried-hash paths against their hashing ones, and the
+carried-hash paths against their hashing ones, a batch insert that
+keeps its hashes across growths that keep the plan, and the
 plan-fingerprint check on both execution backends: a growth re-plan, a
 monitor fallback, a drift plan swap with tickets queued across it, and
 an overlay-pinned hot key each serve the answers a direct table probe
@@ -167,6 +168,51 @@ def _grown_plan_model():
         positions=[40, 48], word_size=8, entropies=[11.0, 40.0],
         train_collisions=[0, 0], train_size=1000, eval_size=1000,
     ))
+
+
+def _insert_across_growths(table_cls, model, keys):
+    """One ``insert_batch`` of distinct ``keys`` into a 64-slot table.
+
+    Returns the table, its growths' re-inserts, and the batch keys
+    still to insert when a growth first re-planned the hash (0: every
+    growth kept the plan).
+    """
+    table = table_cls(model, capacity=64)
+    plan = table.engine.hasher.fingerprint
+    rehash = table._rehash
+    counts = {"reinserts": 0, "rest": 0}
+
+    def counting_rehash(size):
+        if table.engine.hasher.fingerprint != plan and not counts["rest"]:
+            counts["rest"] = len(keys) - len(table)
+        counts["reinserts"] += len(table)
+        rehash(size)
+
+    table._rehash = counting_rehash
+    table.insert_batch(keys)
+    return table, counts["reinserts"], counts["rest"]
+
+
+@pytest.mark.parametrize("table_cls", [EntropyAwareProbingTable,
+                                       EntropyAwareTable])
+class TestInsertBatchAcrossGrowths:
+    KEYS = google_urls(20_000, seed=3)
+
+    def test_same_plan_growths_keep_the_batch_hashes(self, table_cls,
+                                                     model):
+        table, reinserts, rest = _insert_across_growths(table_cls, model,
+                                                        self.KEYS)
+        assert rest == 0 and reinserts > 0
+        # Only the growths' own re-inserts hash one key at a time.
+        assert table.engine.counters.scalar_calls == reinserts
+        assert table.probe_batch(self.KEYS) == self.KEYS
+
+    def test_a_replanning_growth_rehashes_the_rest(self, table_cls):
+        table, reinserts, rest = _insert_across_growths(
+            table_cls, _grown_plan_model(), self.KEYS)
+        assert 0 < rest < len(self.KEYS)
+        assert table.engine.counters.scalar_calls == reinserts + rest
+        assert table.probe_batch(self.KEYS) == self.KEYS
 
 
 def _counters(service):

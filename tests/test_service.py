@@ -751,9 +751,9 @@ class TestHeldRuns:
     def test_split_during_answer_wait_reroutes_held_rows(self, model,
                                                          execution):
         # A split fires in the first answer wait, so the held rows'
-        # generation is retired when they come back: they are routed
-        # once more under the live table, in call order, and every
-        # queued row and journal key sits where its key routes.
+        # generation is retired when they come back: the live table
+        # routes them once more, in call order, and every queued row
+        # and journal key sits where its key routes.
         from repro.verify.placement import misplaced
 
         keys = [b"held-%03d" % i for i in range(40)]
@@ -761,7 +761,7 @@ class TestHeldRuns:
                       execution=execution) as service:
             client = ServiceClient(service)
             router = service.router
-            routed = []
+            routed, rerouted = [], []
             real_route, real_pump = router.route_batch, service.pump
 
             def route_batch(batch):
@@ -771,6 +771,14 @@ class TestHeldRuns:
             def pump():
                 if not service.splits:
                     service.split_shard(0)
+                    live = router.table
+                    real_hashed = live.route_hashed
+
+                    def route_hashed(batch):
+                        rerouted.append(list(batch))
+                        return real_hashed(batch)
+
+                    live.route_hashed = route_hashed
                 return real_pump()
 
             router.route_batch = route_batch
@@ -778,14 +786,44 @@ class TestHeldRuns:
             responses = client.put_many((key, key[::-1]) for key in keys)
             assert service.splits == 1
             assert all(r.ok for r in responses)
-            # One pass for the call, one for the held rows after the
-            # flip; later rounds re-admit under the live generation.
-            assert len(routed) == 2
-            assert 0 < len(routed[1]) < len(keys)
-            assert routed[1] == [k for k in keys if k in set(routed[1])]
+            # The router routed the call once; the held rows went
+            # through the live table's pure route after the flip, and
+            # later rounds re-admit under the live generation.
+            assert routed == [keys]
+            assert len(rerouted) == 1
+            assert 0 < len(rerouted[0]) < len(keys)
+            assert rerouted[0] == [k for k in keys if k in set(rerouted[0])]
+            assert int(router.routed.sum()) == len(keys)
             assert misplaced(service) == ([], [])
             assert client.multi_get(keys) == [k[::-1] for k in keys]
             assert client.lost_acks == 0
+
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_held_rows_across_a_flip_are_routed_and_sketched_once(
+            self, model, execution):
+        # The same put_many with and without a split between its rounds:
+        # the rows held across the flip are neither counted nor
+        # sketched a second time.
+        from repro.verify.placement import misplaced
+        from repro.verify.targets import _SplitBetweenRounds
+
+        keys = google_urls(200, seed=11)
+        for split in (False, True):
+            with _service(model, num_shards=2, max_queue=8, hot_k=4,
+                          execution=execution) as service:
+                client = ServiceClient(service)
+                if split:
+                    client.transport = _SplitBetweenRounds(
+                        client.transport, service, 0)
+                responses = client.put_many((k, k[::-1]) for k in keys)
+                assert service.splits == int(split)
+                assert all(r.ok for r in responses)
+                assert int(service.router.routed.sum()) == len(keys)
+                assert service.router.tracker.stats()[
+                    "total_observed"] == len(keys)
+                assert client.lost_acks == 0
+                assert misplaced(service) == ([], [])
+                assert client.multi_get(keys) == [k[::-1] for k in keys]
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_refused_rows_are_routed_and_sketched_once(self, model,

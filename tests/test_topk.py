@@ -8,6 +8,7 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import train_model
 from repro.datasets import hn_urls
 from repro.operators.topk import TopK
+from repro.sketches.countmin import CountMinSketch
 
 
 @pytest.fixture
@@ -78,3 +79,50 @@ class TestRecallOnSkewedStreams:
             tracked = {key for key, _ in tracker.top(20)}
             recalls[label] = len(true_top & tracked)
         assert recalls["elh"] >= recalls["full"] - 2
+
+
+def _reference_top(hasher, stream, k, width, depth):
+    """Top-k and sketch of the per-item ``add`` then ``estimate`` loop
+    over each distinct item's count: two engine calls per item."""
+    sketch = CountMinSketch(hasher, width=width, depth=depth)
+    counted = {}
+    for item in stream:
+        counted[item] = counted.get(item, 0) + 1
+    candidates = {}
+    for item, count in counted.items():
+        sketch.add(item, count)
+        estimate = sketch.estimate(item)
+        if item in candidates or len(candidates) < k:
+            candidates[item] = estimate
+        else:
+            weakest = min(candidates, key=candidates.get)
+            if estimate > candidates[weakest]:
+                del candidates[weakest]
+                candidates[item] = estimate
+    return candidates, sketch
+
+
+class TestOneHashPerItem:
+    def test_add_batch_hashes_each_distinct_item_once(self, xxh3):
+        flows = [f"flow-{i:04d}".encode() for i in range(2000)]
+        stream, truth = _zipf_stream(flows, 30_000, seed=4)
+        tracker = TopK(xxh3, k=20, width=4096, depth=4)
+        tracker.add_batch(stream)
+        counters = tracker.sketch.engine.counters
+        assert counters.keys_hashed == len(truth)
+        assert counters.scalar_calls == 0
+        candidates, sketch = _reference_top(xxh3, stream, 20, 4096, 4)
+        assert tracker.top() == sorted(candidates.items(),
+                                       key=lambda kv: kv[1], reverse=True)
+        assert tracker.total == sketch.total
+        for item in flows[:300]:
+            assert tracker.estimate(item) == sketch.estimate(item)
+
+    def test_add_hashes_its_item_once(self, xxh3):
+        tracker = TopK(xxh3, k=2, width=256)
+        for item in [b"a"] * 5 + [b"b"] * 3 + [b"c"]:
+            tracker.add(item)
+        assert tracker.sketch.engine.counters.scalar_calls == 9
+        assert tracker.top() == [(b"a", 5), (b"b", 3)]
+        with pytest.raises(ValueError):
+            tracker.add(b"a", -1)

@@ -197,21 +197,6 @@ class TestRoundBoundaryParity:
         got = table.probe_batch_hashed(probes, table.engine.hash_batch(probes))
         _assert_parity(got, table, twin, probes)
 
-    def test_probe_batch_hashed_recomputes_stale_hashes(self, kind, n):
-        stored, missing = _keys("s", 2000), _keys("m", 2000)
-        table, twin = _twin_tables(kind, stored)
-        probes = _probe_mix(random.Random(n + 3), stored, missing, n)
-        stale_hashes = list(table.engine.hash_batch(probes))
-        stale_generation = table.engine.generation
-        for t in (table, twin):
-            t.rebuild_with_hasher(EntropyLearnedHasher.full_key("xxh3"))
-            t.stats.clear()
-        assert table.engine.generation != stale_generation
-        got = table.probe_batch_hashed(
-            probes, stale_hashes, generation=stale_generation
-        )
-        _assert_parity(got, table, twin, probes)
-
     def test_chain_wraps_past_last_slot(self, kind, n):
         # Keys whose home is the last slot fill it and wrap to slot 0.
         probe_table = LinearProbingTable(_hasher(kind), capacity=64)
