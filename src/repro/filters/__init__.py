@@ -9,7 +9,10 @@
 Both use the paper's hashing economies: one 64-bit hash split into two
 32-bit halves driving Kirsch-Mitzenmacher double hashing, and
 multiply-shift range reduction instead of modulo
-(:mod:`repro.filters.reduction`).
+(:mod:`repro.filters.reduction`).  Every filter, the counting and
+cuckoo filters too, shares ``in`` and ``measured_fpr``
+(:mod:`repro.filters.base`), and a read-only ``hasher``: the engine's
+live one.
 """
 
 from repro.filters.aware import FilterBuildReport, build_filter

@@ -18,19 +18,20 @@ shared :class:`~repro.engine.HashEngine` pass.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list
+from repro._util import Key, as_bytes
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import BlockMaskReducer, HashEngine
+from repro.filters.base import BitArrayFilter
 
 _BLOCK_BITS = 64
 _BLOCK_SHIFT = 6  # log2(64)
 
 
-class BlockedBloomFilter:
+class BlockedBloomFilter(BitArrayFilter):
     """One-cache-word-per-query Bloom filter.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -61,12 +62,8 @@ class BlockedBloomFilter:
         self._num_added = 0
 
     @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
+    def _bits_per_key(self) -> int:
+        return self.num_probe_bits
 
     # ----------------------------------------------------------- construction
 
@@ -110,9 +107,6 @@ class BlockedBloomFilter:
         mask = np.uint64(mask)
         return bool((self._blocks[block] & mask) == mask)
 
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test (the Figure 10 inner loop)."""
         blocks, masks = self.engine.hash_batch(keys, self._reducer)
@@ -127,27 +121,3 @@ class BlockedBloomFilter:
     @property
     def num_set_bits(self) -> int:
         return int(np.unpackbits(self._blocks.view(np.uint8)).sum())
-
-    @property
-    def fill_fraction(self) -> float:
-        return self.num_set_bits / self.num_bits
-
-    def expected_set_bits(self, distinct_items: Optional[int] = None) -> float:
-        """Expectation used by the Section 5 construction-time check."""
-        n = self._num_added if distinct_items is None else distinct_items
-        return self.num_bits * (
-            1.0 - (1.0 - 1.0 / self.num_bits) ** (self.num_probe_bits * n)
-        )
-
-    def validate_randomness(self, tolerance: float = 0.05) -> bool:
-        """True when set bits are close to expectation (Section 5)."""
-        if self._num_added == 0:
-            return True
-        return self.num_set_bits >= (1.0 - tolerance) * self.expected_set_bits()
-
-    def measured_fpr(self, negatives: Sequence[Key]) -> float:
-        """Empirical FPR over keys known not to be stored."""
-        negatives = as_bytes_list(negatives)
-        if not negatives:
-            raise ValueError("need at least one negative key")
-        return float(self.contains_batch(negatives).mean())

@@ -16,20 +16,20 @@ vectorized pass.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list
+from repro._util import Key, as_bytes
 from repro.core.analysis import bloom_bits_for_fpr, bloom_optimal_k
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import BloomSplitReducer, HashEngine
+from repro.filters.base import BitArrayFilter
 
 _SPLIT = BloomSplitReducer()
 
 
-class BloomFilter:
+class BloomFilter(BitArrayFilter):
     """Bit-array Bloom filter; one 64-bit hash drives all k probes.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -56,12 +56,8 @@ class BloomFilter:
         self._num_added = 0
 
     @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
+    def _bits_per_key(self) -> int:
+        return self.num_hashes
 
     # ----------------------------------------------------------- construction
 
@@ -102,9 +98,6 @@ class BloomFilter:
                 return False
         return True
 
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test for many keys."""
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
@@ -120,41 +113,6 @@ class BloomFilter:
     def num_set_bits(self) -> int:
         """Population count of the bit array."""
         return int(self._bits.sum())
-
-    @property
-    def fill_fraction(self) -> float:
-        """Fraction of bits set."""
-        return self.num_set_bits / self.num_bits
-
-    def expected_set_bits(self, distinct_items: Optional[int] = None) -> float:
-        """Expected set bits for ``distinct_items`` stored keys.
-
-        ``m (1 - (1 - 1/m)^(k n))`` — the concentration target Section 5
-        validates against at construction time.
-        """
-        n = self._num_added if distinct_items is None else distinct_items
-        return self.num_bits * (
-            1.0 - (1.0 - 1.0 / self.num_bits) ** (self.num_hashes * n)
-        )
-
-    def validate_randomness(self, tolerance: float = 0.05) -> bool:
-        """Section 5 construction check: set bits near their expectation.
-
-        The number of set bits concentrates sharply [14]; a large deficit
-        means the partial keys collided far more than the learned entropy
-        predicts, and the filter should be rebuilt with full-key hashing.
-        """
-        if self._num_added == 0:
-            return True
-        expected = self.expected_set_bits()
-        return self.num_set_bits >= (1.0 - tolerance) * expected
-
-    def measured_fpr(self, negatives: Sequence[Key]) -> float:
-        """Empirical FPR over keys known not to be in the set."""
-        negatives = as_bytes_list(negatives)
-        if not negatives:
-            raise ValueError("need at least one negative key")
-        return float(self.contains_batch(negatives).mean())
 
     def theoretical_fpr(self) -> float:
         """Classic FPR approximation for the current fill."""

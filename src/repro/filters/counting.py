@@ -23,12 +23,13 @@ from repro._util import Key, as_bytes
 from repro.core.analysis import bloom_bits_for_fpr, bloom_optimal_k
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import BloomSplitReducer, HashEngine
+from repro.filters.base import MembershipFilter
 
 _COUNTER_MAX = 255  # uint8 counters; saturate instead of overflowing
 _SPLIT = BloomSplitReducer()
 
 
-class CountingBloomFilter:
+class CountingBloomFilter(MembershipFilter):
     """Bloom filter over uint8 counters with saturating arithmetic.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -58,14 +59,6 @@ class CountingBloomFilter:
         self.num_hashes = num_hashes
         self._counters = np.zeros(num_counters, dtype=np.uint8)
         self._num_items = 0
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     @classmethod
     def for_items(
@@ -139,9 +132,6 @@ class CountingBloomFilter:
         (for add/remove sequences that only remove added keys)."""
         return all(self._counters[pos] > 0 for pos in self._probes(key))
 
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Vectorized membership test for many keys."""
         h1, h2 = self.engine.hash_batch(keys, _SPLIT)
@@ -150,12 +140,6 @@ class CountingBloomFilter:
             positions = ((h1 + np.uint64(i) * h2) % np.uint64(self.num_counters))
             result &= self._counters[positions.astype(np.int64)] > 0
         return result
-
-    def measured_fpr(self, negatives: Sequence[Key]) -> float:
-        """Empirical FPR over keys known not to be present."""
-        if not negatives:
-            raise ValueError("need at least one negative key")
-        return float(self.contains_batch(list(negatives)).mean())
 
     @property
     def num_items(self) -> int:

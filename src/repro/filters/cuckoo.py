@@ -23,6 +23,7 @@ import numpy as np
 from repro._util import Key, as_bytes, as_bytes_list, next_power_of_two, u64
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import FingerprintReducer, HashEngine
+from repro.filters.base import MembershipFilter
 
 BUCKET_SLOTS = 4
 MAX_KICKS = 500
@@ -35,7 +36,7 @@ def _fingerprint_hash(fingerprint: int) -> int:
     return h
 
 
-class CuckooFilter:
+class CuckooFilter(MembershipFilter):
     """4-slot-bucket cuckoo filter with 16-bit fingerprints.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -79,14 +80,6 @@ class CuckooFilter:
         self._rng = random.Random(0xF11E)
 
     # ---------------------------------------------------------------- helpers
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     @property
     def num_buckets(self) -> int:
@@ -175,9 +168,6 @@ class CuckooFilter:
             return v_fp == fingerprint and v_index in (i1, i2)
         return False
 
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def contains_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Membership for many keys: one engine pass, two reads each."""
         keys = as_bytes_list(keys)
@@ -221,12 +211,6 @@ class CuckooFilter:
                 self._buckets[candidate].append(fingerprint)
                 self._victim = None
                 return
-
-    def measured_fpr(self, negatives: Sequence[Key]) -> float:
-        """Empirical FPR over keys known not to be present."""
-        if not negatives:
-            raise ValueError("need at least one negative key")
-        return float(self.contains_batch(list(negatives)).mean())
 
     def theoretical_fpr(self) -> float:
         """~ ``2 * BUCKET_SLOTS / 2^f`` at full load (standard bound)."""

@@ -22,6 +22,7 @@ import numpy as np
 from repro._util import Key, as_bytes_list
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import FastRangeReducer, HashEngine
+from repro.engine.backed import EngineBacked
 
 MODES = ("pure", "positional", "data")
 
@@ -48,7 +49,7 @@ class PartitionResult:
         return int(len(self.assignments))
 
 
-class Partitioner:
+class Partitioner(EngineBacked):
     """Hash-partition byte keys into ``num_partitions`` bins.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -66,14 +67,6 @@ class Partitioner:
         self.engine = HashEngine(hasher)
         self.num_partitions = num_partitions
         self._reducer = FastRangeReducer(num_partitions)
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     def assign(self, keys: Sequence[Key]) -> np.ndarray:
         """Bin index per key: one engine pass with a fast-range reducer."""

@@ -36,7 +36,8 @@ Every call runs in rounds:
 5. send the held runs as the next round — in process one
    ``Service.submit_batch``, which gives each run straight back to its
    shard with no routing or partition pass (a run routed under a
-   generation a flip retired is routed again); over the socket one
+   table a flip retired is routed again, from its carried hashes
+   unless the flip swapped the plan); over the socket one
    call frame — and give up with :class:`ServiceOverloadedError` after
    ``max_retries`` rounds.
 
@@ -225,7 +226,8 @@ def _ok_answers(run: Run, ok: int, responses: bool) -> list:
 def _hold(run: Run, rows) -> Run:
     """The refused ``rows`` of ``run`` (a slice or a row list) as a run
     of their own, to admit again as they are: the same op, shard,
-    generation and hashes, with the rows' call positions as offsets."""
+    routing table and hashes, with the rows' call positions as
+    offsets."""
     if isinstance(rows, slice):
         def take(column):
             return None if column is None else column[rows]
@@ -233,7 +235,7 @@ def _hold(run: Run, rows) -> Run:
         def take(column):
             return None if column is None else _gather(column, rows)
     return Run(run.op, take(run.keys), take(run.values), take(run.hashes), 0,
-               take(run.offsets), run.generation, run.shard, take(run.ops))
+               take(run.offsets), run.table, run.shard, take(run.ops))
 
 
 def _typed_error(op: str, response: Response) -> Optional[Exception]:

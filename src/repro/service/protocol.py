@@ -116,10 +116,11 @@ class Run:
     the router computed them: a list of ints for a call below the
     router's per-key crossover, else a slice of the call's uint64
     ndarray.  A re-route refreshes them in place, and records a row's
-    new shard in ``rerouted``.  ``generation`` is the
-    routing generation the run was routed under: a client's held run of
-    refused rows is admitted again as it is only while that generation
-    is live.
+    new shard in ``rerouted``.  ``table`` is the
+    :class:`~repro.service.routing.RoutingTable` the run was routed
+    under: a client's held run of refused rows is admitted again as it
+    is only while that table is live, and its hashes stay valid while
+    the live table's plan has that table's fingerprint.
 
     Answers are two columns: ``status`` (one byte per row, see
     ``PENDING`` .. ``OTHER``) and ``answers`` (an OK row's payload, or
@@ -128,10 +129,10 @@ class Run:
     """
 
     __slots__ = ("op", "ops", "keys", "values", "hashes", "base", "offsets",
-                 "generation", "shard", "rerouted", "status", "answers",
+                 "table", "shard", "rerouted", "status", "answers",
                  "refused")
 
-    def __init__(self, op, keys, values, hashes, base, offsets, generation,
+    def __init__(self, op, keys, values, hashes, base, offsets, table,
                  shard, ops=None):
         self.op = op
         self.ops = ops
@@ -140,7 +141,7 @@ class Run:
         self.hashes = hashes
         self.base = base
         self.offsets = offsets
-        self.generation = generation
+        self.table = table
         self.shard = shard
         self.rerouted: Optional[Dict[int, int]] = None
         n = len(keys)

@@ -113,10 +113,17 @@ class RoutingTable(Reported):
         if not n:
             return [], []
         array = self.engine.hash_batch(keys)
-        if n < _ROUTE_EACH_MAX:
-            hashes = array.tolist()
-            return list(map(self._route_of, keys, hashes)), hashes
-        shards = self._base_reducer.apply(array)
+        hashes = array.tolist() if n < _ROUTE_EACH_MAX else array
+        return self.route_known(keys, hashes), hashes
+
+    def route_known(self, keys: Sequence[bytes], hashes: Column) -> Column:
+        """Shard id per key from its raw hash under this table's plan;
+        pure, and hashes nothing: the route-from-hash half of
+        :meth:`route_hashed`.  A list of ints routes one hash at a time,
+        a uint64 column in one vectorized pass into int64 shard ids."""
+        if not isinstance(hashes, np.ndarray):
+            return list(map(self._route_of, keys, hashes))
+        shards = self._base_reducer.apply(hashes)
         m = np.uint64(self.base_shards)
         for base, directory in self.split_dirs.items():
             mask = shards == base
@@ -124,17 +131,18 @@ class RoutingTable(Reported):
                 continue
             # The top bits of the low product word: the bits just
             # below the ones fast-range consumed.
-            sub = (array[mask] * m) >> np.uint64(_shift(directory))
+            sub = (hashes[mask] * m) >> np.uint64(_shift(directory))
             lookup = np.asarray(directory, dtype=np.int64)
             shards[mask] = lookup[sub.astype(np.int64)]
         overlay = self.overlay
         if overlay:
             # -1 marks a key the overlay does not pin.
+            n = len(keys)
             pins = np.fromiter(map(overlay.get, keys, repeat(-1, n)),
                                dtype=np.int64, count=n)
             pinned = pins >= 0
             shards[pinned] = pins[pinned]
-        return shards, array
+        return shards
 
     def route_one(self, key: bytes) -> int:
         """Shard id of one key; pure."""

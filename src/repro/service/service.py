@@ -132,11 +132,12 @@ def _groups(shards, hashes) -> List[tuple]:
             for _, shard, start, stop in spans]
 
 
-def _partition(op, keys, values, hashes, shards, generation, offsets
+def _partition(op, keys, values, hashes, shards, table, offsets
                ) -> List[Run]:
     """Split one call's columns into one run per shard, rows in call
-    order; ``op`` is one op or an op column, and ``offsets`` the rows'
-    call positions (None: their indices)."""
+    order; ``op`` is one op or an op column, ``table`` the routing
+    table that routed them, and ``offsets`` the rows' call positions
+    (None: their indices)."""
     runs = []
     for shard, rows, run_hashes in _groups(shards, hashes):
         if rows is None:
@@ -145,7 +146,7 @@ def _partition(op, keys, values, hashes, shards, generation, offsets
                 ops, op = op, None
             return [Run(op, keys, values, hashes, 0,
                         range(len(keys)) if offsets is None else offsets,
-                        generation, shard, ops)]
+                        table, shard, ops)]
         run_op, ops = op, None
         if isinstance(op, list):
             ops = _gather(op, rows)
@@ -157,7 +158,7 @@ def _partition(op, keys, values, hashes, shards, generation, offsets
             None if values is None else _gather(values, rows),
             run_hashes, 0,
             rows if offsets is None else _gather(offsets, rows),
-            generation, shard, ops,
+            table, shard, ops,
         ))
     return runs
 
@@ -361,10 +362,10 @@ class Service(Reported):
             op = op[0]
         if op == "stats" or (type(op) is list and "stats" in op):
             return self._admit_around_stats(op, keys, values)
-        generation = self.router.generation
+        table = self.router.table
         shards, hashes = self.router.route_batch(keys)
         return self.submit_batch(_partition(op, keys, values, hashes,
-                                            shards, generation, offsets))
+                                            shards, table, offsets))
 
     def submit_batch(self, runs: List[Run]) -> List[Run]:
         """Admit the routed runs of one call; returns the runs admitted.
@@ -372,32 +373,43 @@ class Service(Reported):
         The admission tail of :meth:`submit`, and the whole of a retry
         round: a client gives back the refused suffixes it held, with
         their hashes and call-position offsets, so a retry routes and
-        partitions nothing — unless a flip retired the generation they
-        were routed under, when the held rows, merged in call order, are
-        routed again by the live table's pure ``route_hashed`` and
-        partitioned anew (the router's counters, hot-key tracker and
-        fault plane saw them when they were first routed).  The runs
+        partitions nothing — unless a flip retired the table they were
+        routed under, when the held rows, merged in call order, are
+        routed again by the live table and partitioned anew (the
+        router's counters, hot-key tracker and fault plane saw them
+        when they were first routed).  While the live plan's fingerprint
+        is the one they were hashed under (an overlay or split flip),
+        they route from their carried hashes (``route_known``); only a
+        plan swap hashes them again (``route_hashed``).  The runs
         take request ids above every id issued (row ``i`` is ``base +
         offsets[i]``), so every queue stays sorted by id.  Each row is
         one ``queue_loss`` opportunity, and each run one
         :meth:`Worker.admit`, which cuts it: the refused suffix shares
         the run's one ``REJECTED`` answer carrying ``retry_after``.  The
-        runs are one call's, routed under one generation.
+        runs are one call's, routed under one table.
         """
         if not runs:
             return runs
-        if runs[0].generation != self.router.generation:
+        live = self.router.table
+        if runs[0].table is not live:
             cells = sorted(((offset, run, row) for run in runs
                             for row, offset in enumerate(run.offsets)),
                            key=_first)
             ops = [run.op_at(row) for _, run, row in cells]
             keys = [run.keys[row] for _, run, row in cells]
-            shards, hashes = self.router.table.route_hashed(keys)
+            if (runs[0].table.engine.hasher.fingerprint
+                    == live.engine.hasher.fingerprint):
+                hashes = [run.hashes[row] for _, run, row in cells]
+                if isinstance(runs[0].hashes, np.ndarray):
+                    hashes = np.array(hashes, dtype=np.uint64)
+                shards = live.route_known(keys, hashes)
+            else:
+                shards, hashes = live.route_hashed(keys)
             runs = _partition(
                 ops[0] if ops.count(ops[0]) == len(ops) else ops, keys,
                 None if runs[0].values is None
                 else [run.values[row] for _, run, row in cells],
-                hashes, shards, self.router.generation,
+                hashes, shards, live,
                 [offset for offset, _, _ in cells],
             )
         base = self._next_request_id
@@ -462,7 +474,7 @@ class Service(Reported):
                 self.submitted += 1
                 self.accepted += 1
                 run = Run("stats", [keys[stop]], None, [None], base, (stop,),
-                          self.router.generation, None)
+                          self.router.table, None)
                 run.answers[0] = self.stats()
                 run.status[0] = ANSWERED
                 runs.append(run)

@@ -18,6 +18,7 @@ import numpy as np
 from repro._util import Key, as_bytes
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine, IndexRankReducer
+from repro.engine.backed import EngineBacked
 
 
 def _alpha(m: int) -> float:
@@ -30,7 +31,7 @@ def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
-class HyperLogLog:
+class HyperLogLog(EngineBacked):
     """Standard HLL with the small-range linear-counting correction.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -48,14 +49,6 @@ class HyperLogLog:
         self.num_registers = 1 << precision
         self._reducer = IndexRankReducer(precision)
         self._registers = np.zeros(self.num_registers, dtype=np.uint8)
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     def add(self, key: Key) -> None:
         """Observe one key."""

@@ -20,9 +20,10 @@ class EntropyAwareMixin:
     """Growth re-planning, fallback latch and drift re-learning.
 
     Mixed in ahead of a host table whose array holds ``_mask + 1``
-    buckets or slots.  The host names its Section 5 entropy requirement
-    and default load, and may override the two monitor hooks; the
-    policy never asks which table it serves.
+    buckets or slots.  The subclass names its Section 5 entropy
+    requirement and may override the two monitor hooks; a build without
+    ``max_load`` keeps the host's ``default_max_load``.  The policy
+    never asks which table it serves.
 
     ``min_entropy`` is a floor under every plan: a serving fleet sets
     it to its partitioning requirement, so a shard table plans exactly
@@ -38,12 +39,14 @@ class EntropyAwareMixin:
     def __init__(
         self,
         model: EntropyModel,
-        capacity: int,
-        max_load: float,
-        monitor: Optional[CollisionMonitor],
-        seed: int,
+        capacity: int = 16,
+        max_load: Optional[float] = None,
+        monitor: Optional[CollisionMonitor] = None,
+        seed: int = 0,
         min_entropy: float = 0.0,
     ):
+        if max_load is None:
+            max_load = self.default_max_load
         self.model = model
         self._seed = seed
         self.min_entropy = min_entropy
@@ -108,6 +111,19 @@ class EntropyAwareMixin:
 
     def _rebase_monitor(self, size: int) -> None:
         """Re-base the monitor on a new ``size``-slot geometry."""
+
+    def _watch_insert(self, displacement: float, expected: float,
+                      n: int) -> bool:
+        """Feed the engine one insert's ``displacement`` against its
+        ideal-hash ``expected`` value; past the entropy budget the
+        engine swaps itself to full-key hashing and the table rehashes
+        (True).  A rehash's re-inserts replay keys in correlated order,
+        so they are not judged."""
+        if self._in_rehash or not self.engine.record_insert(
+                displacement, expected=expected, n=n):
+            return False
+        self._rehash(self._mask + 1)
+        return True
 
     # ------------------------------------------------------------ policy
 

@@ -21,18 +21,17 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro._util import Key, as_bytes, iter_ints, next_power_of_two
+from repro._util import Key, as_bytes, iter_ints
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_chaining_table
-from repro.core.trainer import EntropyModel
-from repro.engine import CollisionMonitor, HashEngine, MaskReducer
+from repro.engine import MaskReducer
 from repro.tables.aware import EntropyAwareMixin
-from repro.tables.probing import ProbeStats
+from repro.tables.base import RehashingTable
 
 DEFAULT_MAX_LOAD = 1.0
 
 
-class SeparateChainingTable:
+class SeparateChainingTable(RehashingTable):
     """Array of buckets; each bucket is a list of (key, value) pairs.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -42,6 +41,8 @@ class SeparateChainingTable:
     42
     """
 
+    default_max_load = DEFAULT_MAX_LOAD
+
     def __init__(
         self,
         hasher: EntropyLearnedHasher,
@@ -50,25 +51,12 @@ class SeparateChainingTable:
     ):
         if max_load <= 0.0:
             raise ValueError(f"max_load must be positive, got {max_load}")
-        self.engine = HashEngine(hasher)
-        self.max_load = max_load
-        self._size = 0
-        self._in_rehash = False
-        self._init_buckets(next_power_of_two(max(capacity, 2)))
-        self.stats = ProbeStats()
+        super().__init__(hasher, capacity, max_load)
 
-    def _init_buckets(self, num_buckets: int) -> None:
+    def _init_array(self, num_buckets: int) -> None:
         self._mask = num_buckets - 1
         self._reducer = MaskReducer(self._mask)
         self._buckets: List[List[Tuple[bytes, Any]]] = [[] for _ in range(num_buckets)]
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     @property
     def num_buckets(self) -> int:
@@ -83,18 +71,10 @@ class SeparateChainingTable:
         """Maximum item count the current bucket array will hold."""
         return int(self.max_load * self.num_buckets)
 
-    def __len__(self) -> int:
-        return self._size
-
     def _bucket_index(self, key: bytes) -> int:
         return self.engine.hash_one(key, self._reducer)
 
     # ------------------------------------------------------------ operations
-
-    def insert(self, key: Key, value: Any = None) -> None:
-        """Insert or overwrite ``key``; grows ×2 past ``max_load``."""
-        key = as_bytes(key)
-        self._insert_one(key, value, None, None)
 
     def _insert_one(self, key: bytes, value: Any, h: Optional[int], plan) -> None:
         """Shared insert step for the scalar and batch paths.
@@ -141,13 +121,6 @@ class SeparateChainingTable:
                 return value
         return default
 
-    def contains(self, key: Key) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns whether it was present."""
         key = as_bytes(key)
@@ -174,33 +147,6 @@ class SeparateChainingTable:
     def items(self) -> Iterator[Tuple[bytes, Any]]:
         for bucket in self._buckets:
             yield from bucket
-
-    def insert_batch(self, keys: Sequence[Key], values=None, hashes=None) -> None:
-        """Insert many keys, hashing them in one engine pass.
-
-        Growth decisions are made per key, exactly as the equivalent
-        scalar loop would — duplicate keys in a batch no longer over-grow
-        the bucket array, so batch- and scalar-built tables have
-        identical geometry and :class:`ProbeStats`.  The raw hashes are
-        geometry-independent, so mid-batch growth does not invalidate
-        the one vectorized hash pass.
-
-        ``hashes``, when given, are the keys' raw hashes under the
-        table's current hasher (see ``LinearProbingTable.insert_batch``)
-        and the engine pass is skipped.
-        """
-        keys = [as_bytes(k) for k in keys]
-        if values is None:
-            values = keys
-        if len(values) != len(keys):
-            raise ValueError("values must match keys in length")
-        if not keys:
-            return
-        plan = self.engine.hasher.fingerprint
-        if hashes is None:
-            hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, iter_ints(hashes)):
-            self._insert_one(key, value, h, plan)
 
     def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
         """Look up many keys, hashing them in one engine pass."""
@@ -232,33 +178,6 @@ class SeparateChainingTable:
             results.append(found)
         return results
 
-    # --------------------------------------------------------------- resizing
-
-    def _grow(self) -> None:
-        new_buckets = self.num_buckets * 2
-        self._on_grow(new_buckets)
-        self._rehash(new_buckets)
-
-    def _on_grow(self, new_num_buckets: int) -> None:
-        """Growth hook; :class:`EntropyAwareTable` upgrades the hash here."""
-
-    def _rehash(self, num_buckets: int) -> None:
-        entries = list(self.items())
-        self._init_buckets(num_buckets)
-        self._size = 0
-        # Monitors must not judge the correlated re-insert burst.
-        self._in_rehash = True
-        try:
-            for key, value in entries:
-                self.insert(key, value)
-        finally:
-            self._in_rehash = False
-
-    def rebuild_with_hasher(self, hasher: EntropyLearnedHasher) -> None:
-        """Rehash all entries under a new hash (robustness fallback)."""
-        self.engine.set_hasher(hasher)
-        self._rehash(self.num_buckets)
-
     # ------------------------------------------------------------ diagnostics
 
     def chain_length_histogram(self) -> List[int]:
@@ -279,31 +198,11 @@ class EntropyAwareTable(EntropyAwareMixin, SeparateChainingTable):
     """
 
     _requirement = staticmethod(entropy_for_chaining_table)
-    default_max_load = DEFAULT_MAX_LOAD
-
-    def __init__(
-        self,
-        model: EntropyModel,
-        capacity: int = 16,
-        max_load: float = DEFAULT_MAX_LOAD,
-        monitor: Optional[CollisionMonitor] = None,
-        seed: int = 0,
-        min_entropy: float = 0.0,
-    ):
-        super().__init__(model, capacity, max_load, monitor, seed, min_entropy)
 
     def _before_append(self, chain: int) -> bool:
-        if self._in_rehash:
-            return False
         # Displacement for chaining = how many keys already share the
-        # bucket; the cheap signal the paper says to track.  The engine
-        # compares it against the entropy budget and, past it, swaps
-        # itself to full-key hashing before we rehash.  Batch inserts
-        # route through here too, so the monitor sees every insert
-        # regardless of code path.
-        if self.engine.record_insert(
-            chain, expected=self._size / self.num_buckets, n=self._size + 1,
-        ):
-            self._rehash(self.num_buckets)
-            return True
-        return False
+        # bucket; the cheap signal the paper says to track.  Batch
+        # inserts route through here too, so the monitor sees every
+        # insert regardless of code path.
+        return self._watch_insert(chain, self._size / self.num_buckets,
+                                  self._size + 1)

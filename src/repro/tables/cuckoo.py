@@ -25,6 +25,7 @@ import numpy as np
 from repro._util import Key, as_bytes, next_power_of_two, u64
 from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import HashEngine
+from repro.tables.base import HashTable
 
 BUCKET_SLOTS = 4
 MAX_RELOCATIONS = 256
@@ -39,7 +40,7 @@ def _mix(h: int, salt: int) -> int:
     return h
 
 
-class CuckooTable:
+class CuckooTable(HashTable):
     """Bucketed cuckoo hash table with two ELH-derived hash functions.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -74,14 +75,6 @@ class CuckooTable:
 
     # ------------------------------------------------------------- internals
 
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
-
     def _bucket_pair(self, key: bytes) -> Tuple[int, int]:
         h = self.engine.hash_one(key)
         b1 = _mix(h, 0x9E3779B97F4A7C15) % self._num_buckets
@@ -98,9 +91,6 @@ class CuckooTable:
     def load_factor(self) -> float:
         return self._size / self.num_slots
 
-    def __len__(self) -> int:
-        return self._size
-
     # ------------------------------------------------------------ operations
 
     def get(self, key: Key, default: Any = None) -> Any:
@@ -112,13 +102,6 @@ class CuckooTable:
                 if existing == key:
                     return value
         return default
-
-    def contains(self, key: Key) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
 
     def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:
         """Look up many keys: one engine pass, vectorized bucket derivation."""

@@ -22,16 +22,16 @@ split in the same vectorized pass as the hash itself.
 from __future__ import annotations
 
 from itertools import count
-from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import Key, as_bytes, as_bytes_list, iter_ints, next_power_of_two
+from repro._util import Key, as_bytes, as_bytes_list, iter_ints
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_probing_table
-from repro.engine import CollisionMonitor, HashEngine, SlotTagReducer
+from repro.engine import CollisionMonitor, SlotTagReducer
 from repro.tables.aware import EntropyAwareMixin
+from repro.tables.base import ProbeStats, RehashingTable
 
 _EMPTY = 0
 _DELETED = 1
@@ -47,37 +47,7 @@ DEFAULT_MAX_LOAD = 0.875
 _ROUND_MIN = 256
 
 
-@dataclass
-class ProbeStats:
-    """Work counters for table operations (reset with :meth:`clear`)."""
-
-    probes: int = 0
-    tag_checks: int = 0
-    key_comparisons: int = 0
-    chain_total: int = 0
-
-    def clear(self) -> None:
-        self.probes = 0
-        self.tag_checks = 0
-        self.key_comparisons = 0
-        self.chain_total = 0
-
-    @property
-    def comparisons_per_probe(self) -> float:
-        """Average full-key comparisons per probe (the paper's P / P')."""
-        if self.probes == 0:
-            return 0.0
-        return self.key_comparisons / self.probes
-
-    @property
-    def chain_per_probe(self) -> float:
-        """Average probe-chain length per operation."""
-        if self.probes == 0:
-            return 0.0
-        return self.chain_total / self.probes
-
-
-class LinearProbingTable:
+class LinearProbingTable(RehashingTable):
     """Open-addressing table: hash → slot, walk right until empty slot.
 
     >>> from repro.core.hasher import EntropyLearnedHasher
@@ -89,6 +59,8 @@ class LinearProbingTable:
     True
     """
 
+    default_max_load = DEFAULT_MAX_LOAD
+
     def __init__(
         self,
         hasher: EntropyLearnedHasher,
@@ -97,30 +69,17 @@ class LinearProbingTable:
     ):
         if not 0.0 < max_load < 1.0:
             raise ValueError(f"max_load must be in (0, 1), got {max_load}")
-        self.engine = HashEngine(hasher)
-        self.max_load = max_load
-        self._size = 0
-        self._tombstones = 0
-        self._in_rehash = False
-        self._init_slots(next_power_of_two(max(capacity, 2)))
-        self.stats = ProbeStats()
+        super().__init__(hasher, capacity, max_load)
 
-    def _init_slots(self, num_slots: int) -> None:
+    def _init_array(self, num_slots: int) -> None:
         self._mask = num_slots - 1
         self._reducer = SlotTagReducer(self._mask, tag_states=_TAG_STATES)
         self._tags = bytearray(num_slots)  # every slot starts _EMPTY
         self._keys: List[Optional[bytes]] = [None] * num_slots
         self._values: List[Any] = [None] * num_slots
+        self._tombstones = 0
 
     # ------------------------------------------------------------- internals
-
-    @property
-    def hasher(self) -> EntropyLearnedHasher:
-        return self.engine.hasher
-
-    @hasher.setter
-    def hasher(self, hasher: EntropyLearnedHasher) -> None:
-        self.engine.set_hasher(hasher)
 
     def _slot_and_tag(self, key: bytes) -> Tuple[int, int]:
         return self.engine.hash_one(key, self._reducer)
@@ -138,22 +97,7 @@ class LinearProbingTable:
     def load_factor(self) -> float:
         return (self._size + self._tombstones) / self.num_slots
 
-    def __len__(self) -> int:
-        return self._size
-
     # ------------------------------------------------------------ operations
-
-    def insert(self, key: Key, value: Any = None) -> None:
-        """Insert or overwrite ``key``.
-
-        Grows (×2) when the load factor would exceed ``max_load``; growth
-        calls :meth:`_on_grow`, the hook entropy-aware wrappers use to
-        upgrade the hash function (Section 5).  A table dominated by
-        tombstones instead rehashes in place at the same capacity, so
-        delete-heavy churn cannot double capacity indefinitely.
-        """
-        key = as_bytes(key)
-        self._insert_one(key, value, None, None)
 
     def _insert_one(self, key: bytes, value: Any, h: Optional[int], plan) -> None:
         """Shared insert step for the scalar and batch paths.
@@ -232,14 +176,6 @@ class LinearProbingTable:
                     return self._values[slot]
             slot = (slot + 1) & self._mask
 
-    def contains(self, key: Key) -> bool:
-        """Membership test (probes exactly like :meth:`get`)."""
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def __contains__(self, key: Key) -> bool:
-        return self.contains(key)
-
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns whether it was present (tombstoned)."""
         key = as_bytes(key)
@@ -273,36 +209,6 @@ class LinearProbingTable:
         for i, state in enumerate(self._tags):
             if state >= _TAG_STATES:
                 yield self._keys[i], self._values[i]
-
-    def insert_batch(self, keys: Sequence[Key], values=None, hashes=None) -> None:
-        """Insert many keys, hashing them in one engine pass.
-
-        ``values`` defaults to the keys themselves.  Growth decisions are
-        made per key, exactly as the equivalent scalar loop would make
-        them, so batch- and scalar-built tables end with identical
-        geometry and identical :class:`ProbeStats` — duplicate keys in a
-        batch no longer over-grow the table.  The raw 64-bit hashes are
-        still computed in one vectorized pass; they are geometry-
-        independent, so mid-batch growth does not invalidate them.
-
-        ``hashes``, when given, are the keys' raw hashes under the
-        table's current hasher (e.g. carried from a router that hashes
-        with the same plan), and the engine pass is skipped.  A key
-        whose insert finds another plan live — growth re-planned the
-        hash, or the monitor fell back — is hashed again.
-        """
-        keys = [as_bytes(k) for k in keys]
-        if values is None:
-            values = keys
-        if len(values) != len(keys):
-            raise ValueError("values must match keys in length")
-        if not keys:
-            return
-        plan = self.engine.hasher.fingerprint
-        if hashes is None:
-            hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, iter_ints(hashes)):
-            self._insert_one(key, value, h, plan)
 
     def probe_batch(self, keys: Sequence[Key], default: Any = None) -> List[Any]:
         """Probe many keys, hashing them in one engine pass.
@@ -438,35 +344,6 @@ class LinearProbingTable:
         stats.key_comparisons += compares
         return results
 
-    # --------------------------------------------------------------- resizing
-
-    def _grow(self) -> None:
-        new_slots = self.num_slots * 2
-        self._on_grow(new_slots)
-        self._rehash(new_slots)
-
-    def _on_grow(self, new_num_slots: int) -> None:
-        """Growth hook; subclasses may swap ``self.hasher`` here."""
-
-    def _rehash(self, num_slots: int) -> None:
-        entries = list(self.items())
-        self._init_slots(num_slots)
-        self._size = 0
-        self._tombstones = 0
-        # Re-inserts replay keys in old-table slot order, which is highly
-        # correlated; collision monitors must not judge that burst.
-        self._in_rehash = True
-        try:
-            for key, value in entries:
-                self.insert(key, value)
-        finally:
-            self._in_rehash = False
-
-    def rebuild_with_hasher(self, hasher: EntropyLearnedHasher) -> None:
-        """Rehash every entry with a new hash (robustness fallback path)."""
-        self.engine.set_hasher(hasher)
-        self._rehash(self.num_slots)
-
     # ------------------------------------------------------------ diagnostics
 
     def displacement_histogram(self) -> List[int]:
@@ -493,18 +370,6 @@ class EntropyAwareProbingTable(EntropyAwareMixin, LinearProbingTable):
     """
 
     _requirement = staticmethod(entropy_for_probing_table)
-    default_max_load = DEFAULT_MAX_LOAD
-
-    def __init__(
-        self,
-        model,
-        capacity: int = 16,
-        max_load: float = DEFAULT_MAX_LOAD,
-        monitor: Optional[CollisionMonitor] = None,
-        seed: int = 0,
-        min_entropy: float = 0.0,
-    ):
-        super().__init__(model, capacity, max_load, monitor, seed, min_entropy)
 
     def _default_monitor(self) -> Optional[CollisionMonitor]:
         entropy = self._plan_entropy(self.engine.hasher)
@@ -518,13 +383,8 @@ class EntropyAwareProbingTable(EntropyAwareMixin, LinearProbingTable):
             self.monitor.reset()
 
     def _after_insert(self, displacement: int) -> None:
-        if self._in_rehash:
-            return
         # Structural baseline: Knuth's expected displacement for an
-        # ideal hash at the current load, (Q1(m, n) - 1) / 2.  The
-        # engine weighs it against the entropy budget and swaps itself
-        # to full-key hashing when the budget is blown.
+        # ideal hash at the current load, (Q1(m, n) - 1) / 2.
         alpha = min(0.95, self._size / self.num_slots)
         baseline = 0.5 * (1.0 / (1.0 - alpha) ** 2 - 1.0)
-        if self.engine.record_insert(displacement, expected=baseline, n=self._size):
-            self._rehash(self.num_slots)
+        self._watch_insert(displacement, baseline, self._size)

@@ -13,7 +13,7 @@ A structure target owns three views of the same logical state:
 ``apply(op)`` executes one op against all three and raises
 :class:`Divergence` the moment any pair disagrees — on results, on
 internal state (bit arrays, counter arrays, registers), on work
-counters (:class:`~repro.tables.probing.ProbeStats` parity), or on
+counters (:class:`~repro.tables.base.ProbeStats` parity), or on
 geometry (a batch-built table must end with the same capacity as its
 scalar twin).  Fault-injection ops (``fall_back``, ``clear_plans``,
 ``monitor_fall_back``) exercise the engine's robustness machinery

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import train_model
+from repro.filters.blocked import BlockedBloomFilter
+from repro.filters.bloom import BloomFilter
 from repro.filters.counting import CountingBloomFilter
 from repro.filters.cuckoo import CuckooFilter
 
@@ -233,3 +235,24 @@ class TestCountingBloomRemoveSafety:
                 if expected:
                     oracle.remove(key)
             assert [int(c) for c in f._counters] == oracle.counters
+
+
+FILTERS = {
+    "bloom": lambda h: BloomFilter(h, num_bits=1024, num_hashes=3),
+    "blocked": lambda h: BlockedBloomFilter(h, num_blocks=16),
+    "counting": lambda h: CountingBloomFilter(h, num_counters=1024,
+                                              num_hashes=3),
+    "cuckoo": lambda h: CuckooFilter(h, capacity=128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("empty", [[], iter(())], ids=["list", "iterator"])
+def test_measured_fpr_needs_a_negative_key(xxh3, name, empty):
+    # Every filter reads its negatives before checking that there is
+    # one, so an empty iterator raises just as an empty list does.
+    f = FILTERS[name](xxh3)
+    f.add(b"stored")
+    with pytest.raises(ValueError):
+        f.measured_fpr(empty)
+    assert f.measured_fpr(iter([b"stored"])) == 1.0

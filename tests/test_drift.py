@@ -273,6 +273,24 @@ class TestRequiredEntropy:
             required_entropy_for_spec(spec)
 
 
+class TestEntropyAwareDefaults:
+    @pytest.mark.parametrize("table_cls, load, requirement", [
+        (EntropyAwareTable, 1.0, entropy_for_chaining_table),
+        (EntropyAwareProbingTable, 0.875, entropy_for_probing_table),
+    ])
+    def test_build_without_max_load_keeps_its_tables_load(
+            self, model, table_cls, load, requirement):
+        # Built without max_load, an entropy-aware table keeps its
+        # host table's default load and plans the hasher that
+        # required_entropy names for that load.
+        table = table_cls(model, capacity=300, seed=2)
+        assert table.max_load == load
+        required = table_cls.required_entropy(300)
+        assert required == requirement(int(load * next_power_of_two(300)))
+        assert table.hasher.fingerprint == model.hasher_for_entropy(
+            required, seed=2).fingerprint
+
+
 class TestCertifiedModel:
     def test_frontier_replaced_by_confidence_bounds(self, model):
         cert = certified_model(model, 20.0)

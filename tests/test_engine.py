@@ -500,6 +500,43 @@ def test_record_insert_without_monitor_is_noop():
     assert not engine.fell_back
 
 
+# ------------------------------------------- engine-backed structures
+
+
+def _structures():
+    from repro.filters import (BlockedBloomFilter, BloomFilter,
+                               CountingBloomFilter, CuckooFilter)
+    from repro.partitioning.partitioner import Partitioner
+    from repro.sketches.hyperloglog import HyperLogLog
+    from repro.tables import CuckooTable, LinearProbingTable, SeparateChainingTable
+
+    return {
+        "chaining": lambda h: SeparateChainingTable(h),
+        "probing": lambda h: LinearProbingTable(h),
+        "cuckoo_table": lambda h: CuckooTable(h),
+        "bloom": lambda h: BloomFilter(h, num_bits=64, num_hashes=2),
+        "blocked": lambda h: BlockedBloomFilter(h, num_blocks=4),
+        "counting": lambda h: CountingBloomFilter(h, num_counters=64,
+                                                  num_hashes=2),
+        "cuckoo_filter": lambda h: CuckooFilter(h, capacity=16),
+        "hyperloglog": lambda h: HyperLogLog(h, precision=4),
+        "partitioner": lambda h: Partitioner(h, num_partitions=2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_structures()))
+def test_structure_hasher_is_the_engines_and_read_only(name):
+    # A structure's hasher is its engine's live one; swapping it under
+    # stored entries would orphan them, so it cannot be assigned.
+    structure = _structures()[name](EntropyLearnedHasher.full_key())
+    assert structure.hasher is structure.engine.hasher
+    swapped = EntropyLearnedHasher.full_key("xxh3")
+    structure.engine.set_hasher(swapped)
+    assert structure.hasher is swapped
+    with pytest.raises(AttributeError):
+        structure.hasher = EntropyLearnedHasher.full_key()
+
+
 # ------------------------------------------- no direct substrate calls
 
 
@@ -604,7 +641,7 @@ class TestFallbackPlanCacheInvalidation:
         second.max_load = first.max_load
         second._size = 0
         second._in_rehash = False
-        second._init_buckets(64)
+        second._init_array(64)
         from repro.tables.probing import ProbeStats
 
         second.stats = ProbeStats()

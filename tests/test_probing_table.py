@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.hasher import EntropyLearnedHasher
+from repro.tables.chaining import SeparateChainingTable
 from repro.tables.probing import LinearProbingTable
 
 
@@ -182,13 +183,16 @@ class TestWithPartialKeyHasher:
         assert all(table.get(k) == i for i, k in enumerate(keys))
 
     def test_rebuild_with_hasher(self, full_hasher):
-        table = LinearProbingTable(full_hasher, capacity=32)
-        for i in range(20):
-            table.insert(f"k{i}".encode(), i)
-        fallback = EntropyLearnedHasher.full_key("xxh3")
-        table.rebuild_with_hasher(fallback)
-        assert table.hasher is fallback
-        assert all(table.get(f"k{i}".encode()) == i for i in range(20))
+        # Both tables rebuild through one shared path.
+        for table_cls in (LinearProbingTable, SeparateChainingTable):
+            table = table_cls(full_hasher, capacity=32)
+            for i in range(20):
+                table.insert(f"k{i}".encode(), i)
+            fallback = EntropyLearnedHasher.full_key("xxh3")
+            table.rebuild_with_hasher(fallback)
+            assert table.hasher is fallback
+            assert len(table) == 20
+            assert all(table.get(f"k{i}".encode()) == i for i in range(20))
 
 
 class TestRandomizedAgainstDict:

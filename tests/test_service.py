@@ -683,7 +683,7 @@ def _run_fields(run):
     from list and numpy columns."""
     return (run.shard, run.op, run.ops, run.keys, run.values,
             np.asarray(run.hashes, dtype=np.uint64).tolist(),
-            list(run.offsets), run.generation)
+            list(run.offsets), run.table)
 
 
 class TestPartitionColumns:
@@ -751,9 +751,10 @@ class TestHeldRuns:
     def test_split_during_answer_wait_reroutes_held_rows(self, model,
                                                          execution):
         # A split fires in the first answer wait, so the held rows'
-        # generation is retired when they come back: the live table
-        # routes them once more, in call order, and every queued row
-        # and journal key sits where its key routes.
+        # table is retired when they come back: the live table routes
+        # them once more, in call order, from their carried hashes (a
+        # split keeps the plan), and every queued row and journal key
+        # sits where its key routes.
         from repro.verify.placement import misplaced
 
         keys = [b"held-%03d" % i for i in range(40)]
@@ -772,13 +773,13 @@ class TestHeldRuns:
                 if not service.splits:
                     service.split_shard(0)
                     live = router.table
-                    real_hashed = live.route_hashed
+                    real_known = live.route_known
 
-                    def route_hashed(batch):
+                    def route_known(batch, hashes):
                         rerouted.append(list(batch))
-                        return real_hashed(batch)
+                        return real_known(batch, hashes)
 
-                    live.route_hashed = route_hashed
+                    live.route_known = route_known
                 return real_pump()
 
             router.route_batch = route_batch
@@ -788,7 +789,7 @@ class TestHeldRuns:
             assert all(r.ok for r in responses)
             # The router routed the call once; the held rows went
             # through the live table's pure route after the flip, and
-            # later rounds re-admit under the live generation.
+            # later rounds re-admit under the live table.
             assert routed == [keys]
             assert len(rerouted) == 1
             assert 0 < len(rerouted[0]) < len(keys)
@@ -802,8 +803,10 @@ class TestHeldRuns:
     def test_held_rows_across_a_flip_are_routed_and_sketched_once(
             self, model, execution):
         # The same put_many with and without a split between its rounds:
-        # the rows held across the flip are neither counted nor
-        # sketched a second time.
+        # the rows held across the flip are neither counted, sketched
+        # nor hashed a second time.  The router's engine hashes each
+        # call key once; with the split it also hashes the donor's 8
+        # journal keys the migration routes.
         from repro.verify.placement import misplaced
         from repro.verify.targets import _SplitBetweenRounds
 
@@ -821,6 +824,8 @@ class TestHeldRuns:
                 assert int(service.router.routed.sum()) == len(keys)
                 assert service.router.tracker.stats()[
                     "total_observed"] == len(keys)
+                assert service.router.engine.stats()["keys_hashed"] == (
+                    len(keys) + (8 if split else 0))
                 assert client.lost_acks == 0
                 assert misplaced(service) == ([], [])
                 assert client.multi_get(keys) == [k[::-1] for k in keys]
